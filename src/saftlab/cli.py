@@ -406,11 +406,13 @@ def _cmd_dynsamp_check(args) -> int:
 def _read_measurements(path: str, n: int):
     """Measurement CSV with a channel column -> list of sequences."""
     from .grid import SeqFn
+    from .io import require_finite
 
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if lines and lines[0].lower().startswith("k1"):
         lines = lines[1:]
     per_channel: dict[int, dict] = {}
+    vals = []
     for ln in lines:
         parts = ln.split(",")
         if len(parts) != n + 3:
@@ -419,9 +421,9 @@ def _read_measurements(path: str, n: int):
             )
         k = tuple(int(float(x)) for x in parts[:n])
         j = int(float(parts[n]))
-        per_channel.setdefault(j, {})[k] = complex(
-            float(parts[n + 1]), float(parts[n + 2])
-        )
+        vals.append(complex(float(parts[n + 1]), float(parts[n + 2])))
+        per_channel.setdefault(j, {})[k] = vals[-1]
+    require_finite(path, lines, vals)
     if not per_channel:
         raise ValueError(f"{path}: no measurement rows")
     J = max(per_channel) + 1

@@ -21,7 +21,7 @@ is supported on the integer lattice.
 
 from __future__ import annotations
 
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "conv_cc",
     "conv_sd",
     "conv_dd",
+    "pair_sums",
     "commute_check",
     "conv_power",
     "comb_apply",
@@ -45,6 +46,9 @@ __all__ = [
 
 #: default sampling density for grids that must be closed under integer shifts
 DEFAULT_SAMPLES_PER_UNIT = 16
+
+#: support pairs `pair_sums` forms at once (about 130 bytes of temporaries each)
+PAIR_BUDGET = 1 << 18
 
 
 def integer_alignment(g: GridFn, tol: float = 1e-9) -> np.ndarray:
@@ -127,28 +131,64 @@ def conv_sd(params: SaftParams, s: SeqFn, phi: GridFn) -> GridFn:
     return out.with_values(vals)
 
 
+def pair_sums(s_keys, s_terms, c_keys, c_factors) -> tuple[np.ndarray, np.ndarray]:
+    """Sums over all support pairs, grouped by key sum: the distinct keys
+    (sorted) and the sums of ``s_terms[i] * c_factors[0][j] * ...`` over the
+    pairs with ``s_keys[i] + c_keys[j] == key``.
+
+    Each key's terms are added onto zero one at a time in outer-major order,
+    as the double loop ``for i: for j: acc[key] += term`` does, also across
+    the chunks of `PAIR_BUDGET` pairs.  Keys are linearized over the output's
+    bounding box, which must fit an int64 index.
+    """
+    n = s_keys.shape[1]
+    nc = len(c_keys)
+    total = len(s_keys) * nc
+    if total == 0:
+        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=complex)
+    lo_s, lo_c = s_keys.min(axis=0), c_keys.min(axis=0)
+    ext = tuple(int(e) for e in s_keys.max(axis=0) - lo_s + c_keys.max(axis=0) - lo_c + 1)
+    if prod(ext) >= 2**63:
+        raise ValueError(f"support box {ext} of the pair sums exceeds an int64 index")
+    s_lin = np.ravel_multi_index(tuple((s_keys - lo_s).T), ext)
+    c_lin = np.ravel_multi_index(tuple((c_keys - lo_c).T), ext)
+    lin = np.zeros(0, dtype=np.int64)
+    sums = np.zeros(0, dtype=complex)
+    for start in range(0, total, PAIR_BUDGET):
+        i, j = np.divmod(np.arange(start, min(total, start + PAIR_BUDGET)), nc)
+        term = s_terms[i]
+        for f in c_factors:
+            term = term * f[j]
+        lin, inv = np.unique(np.concatenate([lin, s_lin[i] + c_lin[j]]), return_inverse=True)
+        acc = np.zeros(len(lin), dtype=complex)
+        acc[inv[: len(sums)]] = sums
+        np.add.at(acc, inv[len(sums):], term)
+        sums = acc
+    keys = np.stack(np.unravel_index(lin, ext), axis=1) + lo_s + lo_c
+    return keys, sums
+
+
 def conv_dd(params: SaftParams, s: SeqFn, c: SeqFn) -> SeqFn:
-    """Sequence-sequence convolution; exact finite sum over support pairs."""
+    """Sequence-sequence convolution; exact finite sum over support pairs.
+
+    ``out(l) = conj(lam)(l) / sqrt|det B| * sum_{k+k'=l} (s(k) lam(k) lam(k')) c(k')``
+    with the input chirp ``lam`` evaluated once per distinct key.  Each sum
+    runs in the entry order of ``s`` (outer-major); pairs are formed at most
+    `PAIR_BUDGET` at a time, so memory stays bounded.  Rounding: with real
+    values on a chirp-free block the result is bit-for-bit the scalar double
+    loop's; numpy's complex multiply may fuse a multiply-add, so complex
+    products can differ from scalar ones by a few eps of the term sizes.
+    """
     require_valid(params)
     p = params
     if s.n != c.n:
         raise ValueError("sequence dimensions differ")
-    lam = {}
-
-    def lam_at(k: tuple) -> complex:
-        if k not in lam:
-            lam[k] = complex(chirp(p, np.array(k, dtype=float)))
-        return lam[k]
-
+    sk, sv = s.entry_arrays()
+    ck, cv = c.entry_arrays()
+    a = sv * chirp(p, sk.astype(float))
+    keys, sums = pair_sums(sk, a, ck, (chirp(p, ck.astype(float)), cv))
     scale = 1.0 / sqrt(p.abs_det_b)
-    acc: dict[tuple, complex] = {}
-    for k, zs in s.entries.items():
-        a = zs * lam_at(k)
-        for kp, zc in c.entries.items():
-            l = tuple(ki + kpi for ki, kpi in zip(k, kp))
-            acc[l] = acc.get(l, 0.0) + a * lam_at(kp) * zc
-    entries = {l: v * np.conj(lam_at(l)) * scale for l, v in acc.items()}
-    return SeqFn(n=s.n, entries=entries)
+    return SeqFn.from_arrays(s.n, keys, sums * np.conj(chirp(p, keys.astype(float))) * scale)
 
 
 def commute_check(params: SaftParams, f: GridFn, s: SeqFn, g: GridFn) -> float:

@@ -23,7 +23,7 @@ with ``X_l`` the transform of the chirp-corrected coset coefficients
 and matrix entries ``B[j][l] = S[ chi_l^j ]``, where
 ``chi_l^j(r) = conj(lam)(r) * phi_l^j(r)`` carries the same chirp correction
 applied to the lattice-sampled filtered generators ``phi_l^j``
-(`chirped_generator_samples`).  The correction factors are unimodular and
+(`generator_coset_samples`).  The correction factors are unimodular and
 cancel identically when the input-side chirp vanishes (A = 0), so for plain
 Fourier blocks the system reduces to classic multichannel sampling; keeping
 them is what makes the per-frequency identity exact for every valid
@@ -46,9 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import comb_apply, comb_power, conv_cc, conv_dd
+from .conv import comb_apply, conv_cc, conv_dd, pair_sums
 from .grid import GridFn, SeqFn, uniform_grid
-from .lattice import SamplingLattice, _adjugate_int, _det_int, _int_rows
+from .lattice import SamplingLattice
 from .params import SaftParams, chirp, modulation, require_valid
 from .saft import DEFAULT_LATTICE_CUTOFF, dtsaft, downsample
 from .sis import SisModel, spectrum_at, synthesize
@@ -60,7 +60,6 @@ __all__ = [
     "coset_coefficients",
     "measure",
     "measure_from_samples",
-    "chirped_generator_samples",
     "generator_coset_samples",
     "build_B",
     "build_B_from_samples",
@@ -154,12 +153,9 @@ def _classical_comb_apply(coeffs: SeqFn, f: GridFn) -> GridFn:
 
 
 def _classical_comb_compose(a: SeqFn, b: SeqFn) -> SeqFn:
-    entries: dict[tuple, complex] = {}
-    for k, za in a.entries.items():
-        for kp, zb in b.entries.items():
-            l = tuple(ki + kpi for ki, kpi in zip(k, kp))
-            entries[l] = entries.get(l, 0.0) + za * zb
-    return SeqFn(n=a.n, entries=entries)
+    ak, av = a.entry_arrays()
+    bk, bv = b.entry_arrays()
+    return SeqFn.from_arrays(a.n, *pair_sums(ak, av, bk, (bv,)))
 
 
 def _apply_filter(p: SaftParams, a, f, kind: str):
@@ -258,24 +254,10 @@ def coset_coefficients(params: SaftParams, lat: SamplingLattice, s: SeqFn) -> li
     Reduces to the plain coset split when the input chirp vanishes.
     """
     require_valid(params)
-    rows_t = [list(col) for col in zip(*_int_rows(lat.M))]
-    det = _det_int(rows_t)
-    adj = _adjugate_int(rows_t)
-    n = lat.n
-    parts: list[dict] = [{} for _ in range(lat.m)]
-    for k, z in s.entries.items():
-        for j, rep in enumerate(lat.eta):
-            diff = [k[i] - rep[i] for i in range(n)]
-            num = [sum(adj[i][t] * diff[t] for t in range(n)) for i in range(n)]
-            if all(x % det == 0 for x in num):
-                r = tuple(x // det for x in num)
-                rf = np.array(r, dtype=float)
-                kf = np.array(k, dtype=float)
-                parts[j][r] = z * np.conj(chirp(params, rf)) * chirp(params, kf)
-                break
-        else:
-            raise AssertionError("coset decomposition failed")
-    return [SeqFn(n=n, entries=p) for p in parts]
+    keys, vals = s.entry_arrays()
+    r, j = lat.split(keys)
+    vals = vals * np.conj(chirp(params, r.astype(float))) * chirp(params, keys.astype(float))
+    return [SeqFn.from_arrays(lat.n, r[j == l], vals[j == l]) for l in range(lat.m)]
 
 
 def measure(
@@ -306,9 +288,7 @@ def measure(
     seqs = []
     for g in levels_g:
         vals, _ = _grid_value_at_integers(g, pts)
-        vals = vals * fix
-        entries = {tuple(int(x) for x in k): v for k, v in zip(kmesh, vals) if v != 0}
-        seqs.append(SeqFn(n=lat.n, entries=entries))
+        seqs.append(SeqFn.from_arrays(lat.n, kmesh, vals * fix))
     return MeasurementSet(
         params=p, lat=lat, levels=tuple(seqs),
         window_lo=lo, window_hi=hi, filter_kind=filter_kind,
@@ -331,54 +311,30 @@ def measure_from_samples(
     """
     require_valid(params)
     p = params
-    mt = lat.M.T.astype(int)
-    det = _det_int(_int_rows(mt))
-    adj_t = _np_adj(mt)
     sqrt_d = np.sqrt(p.abs_det_b)
-    seqs = []
-    lo_all = None
-    hi_all = None
+    sk, sv = s.entry_arrays()
+    zc = sv * chirp(p, sk.astype(float))
+    seqs, support = [], [np.zeros((0, lat.n), dtype=np.int64)]
     for h in phi_levels:
-        acc: dict[tuple, complex] = {}
-        if s.entries and h.entries:
-            hk, hv = h.as_arrays()
-            hv = hv * chirp(p, hk.astype(float))
-            for m_idx, z in s.entries.items():
-                zc = z * chirp(p, np.array(m_idx, dtype=float))
-                tgt = hk + np.array(m_idx, dtype=int)   # M^T k = support + m
-                num = tgt @ adj_t
-                okdiv = np.all(num % det == 0, axis=1)
-                ks = num[okdiv] // det
-                vals = zc * hv[okdiv]
-                for k, v in zip(ks, vals):
-                    t = tuple(int(x) for x in k)
-                    acc[t] = acc.get(t, 0.0) + v
-        if acc:
-            kf = np.array(sorted(acc), dtype=float)
-            fix = np.conj(chirp(p, kf)) / sqrt_d
-            entries = {k: v * c for (k, v), c in zip(sorted(acc.items()), fix)}
-        else:
-            entries = {}
-        seqs.append(SeqFn(n=lat.n, entries=entries))
-        if entries:
-            karr = np.array(list(entries), dtype=int)
-            lo = karr.min(axis=0)
-            hi = karr.max(axis=0)
-            lo_all = lo if lo_all is None else np.minimum(lo_all, lo)
-            hi_all = hi if hi_all is None else np.maximum(hi_all, hi)
+        hk, hv = h.entry_arrays()
+        keys, sums = pair_sums(sk, zc, hk, (hv * chirp(p, hk.astype(float)),))
+        r, j = lat.split(keys)                  # keep M^T r = support + m
+        order = np.lexsort(r[j == 0].T[::-1])
+        r, sums = r[j == 0][order], sums[j == 0][order]
+        fix = np.conj(chirp(p, r.astype(float))) / sqrt_d
+        seqs.append(SeqFn.from_arrays(lat.n, r, sums * fix))
+        support.append(r)
+    support = np.concatenate(support)
     if window is not None:
         lo_all, hi_all = (np.asarray(window[0], dtype=int), np.asarray(window[1], dtype=int))
-    if lo_all is None:
-        lo_all = np.zeros(lat.n, dtype=int)
-        hi_all = np.zeros(lat.n, dtype=int)
+    elif len(support):
+        lo_all, hi_all = support.min(axis=0), support.max(axis=0)
+    else:
+        lo_all, hi_all = np.zeros(lat.n, dtype=int), np.zeros(lat.n, dtype=int)
     return MeasurementSet(
         params=p, lat=lat, levels=tuple(seqs),
         window_lo=lo_all, window_hi=hi_all, filter_kind="cc",
     )
-
-
-def _np_adj(mat: np.ndarray) -> np.ndarray:
-    return np.array(_adjugate_int(_int_rows(mat)), dtype=int).T
 
 
 def generator_coset_samples(
@@ -395,22 +351,13 @@ def generator_coset_samples(
     are the integer points); only keys congruent to ``-eta_l`` contribute.
     With ``chirped=False`` the unimodular factor is omitted.
     """
-    mt = np.array([list(col) for col in zip(*_int_rows(lat.M))], dtype=int)
-    det = _det_int(_int_rows(mt))
-    adjT = _np_adj(mt)
-    eta = np.array(lat.eta[l], dtype=int)
-    if not phi_j_samples.entries:
-        return SeqFn(n=lat.n, entries={})
-    keys, vals = phi_j_samples.as_arrays()
-    num = (keys + eta) @ adjT
-    okdiv = np.all(num % det == 0, axis=1)
-    rs = num[okdiv] // det
-    pts = keys[okdiv].astype(float)
-    v = vals[okdiv]
+    keys, vals = phi_j_samples.entry_arrays()
+    r, j = lat.split(keys + np.array(lat.eta[l], dtype=np.int64))   # M^T r = k + eta_l
+    keep = j == 0
+    v = vals[keep]
     if chirped:
-        v = v * chirp(params, pts)
-    entries = {tuple(int(x) for x in r): z for r, z in zip(rs, v)}
-    return SeqFn(n=lat.n, entries=entries)
+        v = v * chirp(params, keys[keep].astype(float))
+    return SeqFn.from_arrays(lat.n, r[keep], v)
 
 
 def sampled_generator(
@@ -420,32 +367,8 @@ def sampled_generator(
     from .saft import integer_samples
 
     pts, vals = integer_samples(g)
-    entries = {
-        tuple(int(x) for x in k): v
-        for k, v in zip(pts.astype(int), vals)
-        if abs(v) > threshold
-    }
-    return SeqFn(n=g.n, entries=entries)
-
-
-def chirped_generator_samples(
-    model: SisModel,
-    a,
-    lat: SamplingLattice,
-    j: int,
-    l: int,
-    threshold: float = SAMPLE_THRESHOLD,
-    filter_kind: str = "cc",
-) -> SeqFn:
-    """Lattice-coset samples of the j-times-filtered generator, with the
-    sample-point chirp attached (grid route)."""
-    p = model.params
-    if j == 0:
-        phi_j = model.phi
-    else:
-        phi_j = filtered_levels(p, a, model.phi, j + 1, filter_kind)[j]
-    samples = sampled_generator(phi_j, threshold)
-    return generator_coset_samples(p, lat, samples, l, chirped=True)
+    keep = np.abs(vals) > threshold
+    return SeqFn.from_arrays(g.n, pts[keep].astype(np.int64), vals[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +403,7 @@ def build_B_from_samples(
             if not phi_lj.entries:
                 continue
             rk, rv = phi_lj.as_arrays()
-            corrected = SeqFn(
-                n=p.n,
-                entries={
-                    tuple(int(x) for x in k): v * np.conj(chirp(p, k.astype(float)))
-                    for k, v in zip(rk, rv)
-                },
-            )
+            corrected = SeqFn.from_arrays(p.n, rk, rv * np.conj(chirp(p, rk.astype(float))))
             entries[:, j, l] = dtsaft(p, corrected, wpts)
     return MatrixField(wpoints=wpts, entries=entries, label="B")
 
@@ -671,8 +588,6 @@ def _folded_dt_values(p: SaftParams, s: SeqFn, shape: tuple) -> np.ndarray:
     through k mod N per axis, so arbitrarily large supports fold into the
     window box exactly and one FFT evaluates every node.
     """
-    if not s.entries:
-        return np.zeros(shape, dtype=complex)
     k, v = s.as_arrays()
     kf = k.astype(float)
     wts = v * chirp(p, kf) * np.exp(2j * np.pi * (kf @ p.b_inv_p))
@@ -726,14 +641,11 @@ def _invert_window_dft(Z: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(W)
 
 
-def _seq_threshold(entries: dict, rel: float) -> dict:
-    if not entries:
-        return entries
-    peak = max(abs(v) for v in entries.values())
-    if peak == 0:
-        return {}
-    cut = rel * peak
-    return {k: v for k, v in entries.items() if abs(v) > cut}
+def _thresholded(n: int, keys: np.ndarray, vals: np.ndarray, rel: float) -> SeqFn:
+    """The entries with ``|value| > rel * max |value|``, in array order."""
+    mags = np.abs(vals)
+    keep = mags > rel * mags.max(initial=0.0)
+    return SeqFn.from_arrays(n, keys[keep], vals[keep])
 
 
 def recover_discrete(
@@ -799,18 +711,14 @@ def recover_discrete(
     mtr = rf @ lat.M.astype(float)                          # M^T r
     eta_l_arr = np.array(lat.eta, dtype=float)
     sqrt_d = np.sqrt(p.abs_det_b)
-    entries: dict[tuple, complex] = {}
+    keys, vals = [], []
     for l in range(m):
         Z = (sqrt_d * np.conj(eta_w) * X[:, l]).reshape(shape)
         sig_c = _invert_window_dft(Z, lo).reshape(-1)
-        keys = mtr + eta_l_arr[l]
-        vals = sig_c * np.exp(-2j * np.pi * (rf @ p.b_inv_p)) * np.conj(
-            chirp(p, keys)
-        )
-        for k, v in zip(keys, vals):
-            entries[tuple(int(round(x)) for x in k)] = v
-    entries = _seq_threshold(entries, threshold_rel)
-    return SeqFn(n=p.n, entries=entries), info
+        kf = mtr + eta_l_arr[l]
+        keys.append(np.rint(kf).astype(np.int64))
+        vals.append(sig_c * np.exp(-2j * np.pi * (rf @ p.b_inv_p)) * np.conj(chirp(p, kf)))
+    return _thresholded(p.n, np.concatenate(keys), np.concatenate(vals), threshold_rel), info
 
 
 def continuous_solve_grid(
@@ -938,11 +846,5 @@ def recover_continuous(
     if not np.all(filled):
         raise AssertionError("frequency tiling left holes; window padding bug")
     swin = _invert_window_dft(full, lo)
-    entries: dict[tuple, complex] = {}
-    it = np.ndindex(*shape)
-    for idx in it:
-        val = swin[idx]
-        if val != 0:
-            entries[tuple(int(l + i) for l, i in zip(lo, idx))] = val
-    entries = _seq_threshold(entries, threshold_rel)
-    return SeqFn(n=p.n, entries=entries), info
+    keys = _window_mesh(lo, lo + np.array(shape) - 1)
+    return _thresholded(p.n, keys, swin.reshape(-1), threshold_rel), info

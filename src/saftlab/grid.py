@@ -15,6 +15,7 @@ Two grid constructors cover the two use cases:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -249,7 +250,11 @@ class SeqFn:
     """A finitely supported complex sequence on Z^n.
 
     ``entries`` maps integer index tuples to complex values; exact zeros are
-    dropped on construction.
+    dropped on construction.  The order of ``entries`` is not part of the
+    contract (different constructions of the same sequence may order it
+    differently); `as_arrays` and `support` are sorted.  Array code builds
+    sequences with `from_arrays`, which validates whole arrays instead of
+    entry by entry.
     """
 
     n: int
@@ -272,17 +277,50 @@ class SeqFn:
             return cls(n, dict(items))
         return cls(n, {k: v for k, v in items})
 
+    @classmethod
+    def from_arrays(cls, n: int, keys, vals) -> "SeqFn":
+        """Build a sequence from an integer (K, n) key array and K values.
+
+        The shapes are checked and exact zeros dropped on the arrays as a
+        whole; the entries keep the row order of ``keys``.  Keys must be
+        distinct (a repeated key keeps its last value, as in a dict).
+        """
+        n = int(n)
+        keys = np.asarray(keys)
+        vals = np.asarray(vals, dtype=complex)
+        if keys.size == 0:
+            keys = keys.astype(np.int64).reshape(0, n)
+        if keys.ndim != 2 or keys.shape[1] != n or vals.shape != (keys.shape[0],):
+            raise ValueError(
+                f"need keys of shape (K, {n}) and values of shape (K,), got "
+                f"{keys.shape} and {vals.shape}"
+            )
+        if keys.dtype.kind not in "iu":
+            raise ValueError(f"keys must be integers, got dtype {keys.dtype}")
+        nz = vals != 0
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(
+            out, "entries", dict(zip(map(tuple, keys[nz].tolist()), vals[nz].tolist()))
+        )
+        return out
+
     def get(self, k) -> complex:
         return self.entries.get(tuple(int(x) for x in k), 0j)
 
+    def entry_arrays(self):
+        """Keys and values in entry order: (K, n) int64 and (K,) complex."""
+        K = len(self.entries)
+        keys = np.fromiter(
+            itertools.chain.from_iterable(self.entries), dtype=np.int64, count=K * self.n
+        ).reshape(K, self.n)
+        return keys, np.fromiter(self.entries.values(), dtype=complex, count=K)
+
     def as_arrays(self):
-        """Support and values as arrays: (K, n) int64 and (K,) complex."""
-        if not self.entries:
-            return np.zeros((0, self.n), dtype=np.int64), np.zeros(0, dtype=complex)
-        keys = sorted(self.entries)
-        idx = np.array(keys, dtype=np.int64).reshape(len(keys), self.n)
-        vals = np.array([self.entries[k] for k in keys], dtype=complex)
-        return idx, vals
+        """Support and values sorted by key: (K, n) int64 and (K,) complex."""
+        keys, vals = self.entry_arrays()
+        order = np.lexsort(keys.T[::-1])
+        return keys[order], vals[order]
 
     def support(self):
         return sorted(self.entries)

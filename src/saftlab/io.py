@@ -40,9 +40,19 @@ __all__ = [
     "read_params",
     "write_params",
     "params_from_dict",
+    "require_finite",
 ]
 
 _MAGIC = "SAFTGRID v1"
+
+
+def require_finite(path, rows: list[str], values) -> None:
+    """Raise ValueError naming the file and the first data row (1-based,
+    after any header) whose value is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=complex)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{path}: data row {i + 1} ({rows[i]!r}) has a non-finite value")
 
 
 def write_grid(path, g: GridFn) -> None:
@@ -90,6 +100,7 @@ def read_grid(path) -> GridFn:
     for i, row in enumerate(rows):
         re_s, im_s = row.split(",")
         values[i] = complex(float(re_s), float(im_s))
+    require_finite(path, rows, values)
     return GridFn(
         n=n, shape=shape, origin=origin, spacing=spacing,
         values=values.reshape(shape),
@@ -122,7 +133,7 @@ def read_sequence(path, n: int | None = None) -> SeqFn:
         if n is not None and n >= 1:
             return SeqFn(n=n, entries={})
         raise ValueError(f"{path}: empty sequence file")
-    entries = {}
+    keys, vals = [], []
     for ln in lines:
         parts = ln.split(",")
         if len(parts) < 3:
@@ -131,9 +142,10 @@ def read_sequence(path, n: int | None = None) -> SeqFn:
             n = len(parts) - 2
         elif len(parts) != n + 2:
             raise ValueError(f"{path}: row {ln!r} has {len(parts) - 2} indices, expected {n}")
-        k = tuple(int(float(x)) for x in parts[:n])
-        entries[k] = complex(float(parts[n]), float(parts[n + 1]))
-    return SeqFn(n=n, entries=entries)
+        keys.append(tuple(int(float(x)) for x in parts[:n]))
+        vals.append(complex(float(parts[n]), float(parts[n + 1])))
+    require_finite(path, lines, vals)
+    return SeqFn(n=n, entries=dict(zip(keys, vals)))
 
 
 def params_from_dict(d: dict) -> SaftParams:

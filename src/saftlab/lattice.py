@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import ceil, floor
 
 import numpy as np
 
@@ -74,28 +73,15 @@ def _adjugate_int(rows: list[list[int]]) -> list[list[int]]:
     return adj
 
 
-def _coset_reps(rows: list[list[int]]) -> list[tuple[int, ...]]:
+def _coset_reps(mat: np.ndarray, det: int, adj: np.ndarray) -> list[tuple[int, ...]]:
     """Integer points of ``M [0,1)^n``, zero first then lexicographic."""
-    n = len(rows)
-    det = _det_int(rows)
-    adj = _adjugate_int(rows)
-    corners = [
-        [sum(rows[i][j] * v[j] for j in range(n)) for i in range(n)]
-        for v in itertools.product((0, 1), repeat=n)
-    ]
-    lo = [floor(min(c[i] for c in corners)) for i in range(n)]
-    hi = [ceil(max(c[i] for c in corners)) for i in range(n)]
-    reps = []
-    for k in itertools.product(*(range(lo[i], hi[i] + 1) for i in range(n))):
-        # k in M[0,1)^n  <=>  (adj M) k / det in [0,1)^n, checked exactly
-        num = [sum(adj[i][j] * k[j] for j in range(n)) for i in range(n)]
-        if det > 0:
-            inside = all(0 <= x < det for x in num)
-        else:
-            inside = all(det < x <= 0 for x in num)
-        if inside:
-            reps.append(k)
-    reps.sort()
+    n = len(mat)
+    corners = np.array(list(itertools.product((0, 1), repeat=n))) @ mat.T
+    box = np.array(list(itertools.product(*map(range, corners.min(0), corners.max(0) + 1))))
+    # k in M[0,1)^n  <=>  (adj M) k / det in [0,1)^n, checked exactly
+    num = box @ adj.T
+    inside = np.all((num >= 0) & (num < det) if det > 0 else (num > det) & (num <= 0), axis=1)
+    reps = sorted(map(tuple, box[inside].tolist()))
     zero = (0,) * n
     if zero not in reps:
         raise AssertionError("coset enumeration must contain 0")
@@ -107,12 +93,18 @@ def _coset_reps(rows: list[list[int]]) -> list[tuple[int, ...]]:
 class SamplingLattice:
     """Integer matrix ``M`` with coset representatives of ``Z^n/MZ^n``
     (``gamma``) and of ``Z^n/M^T Z^n`` (``eta``), zero first, lexicographic.
+
+    ``adj`` and ``det`` are the exact integer adjugate and (signed)
+    determinant of ``M``, computed once by `build_lattice`; every coset
+    computation goes through `split`.
     """
 
     M: np.ndarray
     m: int
     gamma: tuple[tuple[int, ...], ...]
     eta: tuple[tuple[int, ...], ...]
+    adj: np.ndarray
+    det: int
 
     @property
     def n(self) -> int:
@@ -121,10 +113,37 @@ class SamplingLattice:
     def m_inverse(self) -> np.ndarray:
         """Float inverse of M (adjugate over determinant, so exact up to
         one final division)."""
-        rows = _int_rows(self.M)
-        det = _det_int(rows)
-        adj = np.array(_adjugate_int(rows), dtype=float)
-        return adj / det
+        return self.adj.astype(float) / self.det
+
+    def split(self, keys, which: str = "MT") -> tuple[np.ndarray, np.ndarray]:
+        """Coset decomposition of many integer vectors at once.
+
+        Writes each row ``k`` of ``keys`` (shape (K, n), integer) as
+        ``k = M^T r + eta_j`` (``which="MT"``, the default) or
+        ``k = M r + gamma_j`` (``which="M"``) and returns ``(r, j)``: an int64
+        array of shape (K, n) and the coset indices, shape (K,).  The
+        decomposition is total and unique.
+
+        Arithmetic is exact in int64: ``adj(M^T) k`` is zero modulo ``det``
+        precisely on ``M^T Z^n``, so its residues name the coset, and the
+        division that yields ``r`` has no remainder.  Keys must be small
+        enough that ``adj k`` fits in int64.
+        """
+        if which.upper() in ("MT", "M^T"):
+            adj, reps = self.adj.T, self.eta        # adj(M^T) = adj(M)^T
+        elif which.upper() == "M":
+            adj, reps = self.adj, self.gamma
+        else:
+            raise ValueError("which must be 'M' or 'MT'")
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, self.n)
+        num = keys @ adj.T
+        rep_num = np.array(reps, dtype=np.int64) @ adj.T
+        shape = (self.m,) * self.n
+        codes = np.ravel_multi_index(tuple((num % self.m).T), shape)
+        rep_codes = np.ravel_multi_index(tuple((rep_num % self.m).T), shape)
+        order = np.argsort(rep_codes)
+        j = order[np.searchsorted(rep_codes, codes, sorter=order)]
+        return (num - rep_num[j]) // self.det, j
 
 
 def build_lattice(M) -> SamplingLattice:
@@ -137,18 +156,22 @@ def build_lattice(M) -> SamplingLattice:
     if det == 0:
         raise ValueError("M is singular")
     m = abs(det)
-    gamma = _coset_reps(rows)
-    rows_t = [list(col) for col in zip(*rows)]
-    eta = _coset_reps(rows_t)
+    mat = np.array(rows, dtype=np.int64)
+    adj = np.array(_adjugate_int(rows), dtype=np.int64)
+    gamma = _coset_reps(mat, det, adj)
+    eta = _coset_reps(mat.T, det, adj.T)
     if len(gamma) != m or len(eta) != m:
         raise AssertionError(f"expected {m} coset reps, found {len(gamma)}/{len(eta)}")
     lat = SamplingLattice(
-        M=np.array(rows, dtype=int),
+        M=mat,
         m=m,
         gamma=tuple(gamma),
         eta=tuple(eta),
+        adj=adj,
+        det=det,
     )
     lat.M.setflags(write=False)
+    lat.adj.setflags(write=False)
     return lat
 
 
@@ -158,50 +181,29 @@ def decompose(lat: SamplingLattice, k, which: str = "MT") -> tuple[tuple[int, ..
     Returns ``(r, j)``; the decomposition is total and unique.  ``which`` is
     ``"MT"`` (default, input-side cosets) or ``"M"``.
     """
-    k = tuple(int(round(x)) for x in np.asarray(k).reshape(-1))
-    n = lat.n
-    if len(k) != n:
-        raise ValueError(f"index must have length {n}")
-    rows = _int_rows(lat.M)
-    if which.upper() in ("MT", "M^T"):
-        reps = lat.eta
-        mat = [list(col) for col in zip(*rows)]
-    elif which.upper() == "M":
-        reps = lat.gamma
-        mat = rows
-    else:
-        raise ValueError("which must be 'M' or 'MT'")
-    det = _det_int(mat)
-    adj = _adjugate_int(mat)
-    for j, rep in enumerate(reps):
-        diff = [k[i] - rep[i] for i in range(n)]
-        num = [sum(adj[i][l] * diff[l] for l in range(n)) for i in range(n)]
-        if all(x % det == 0 for x in num):
-            r = tuple(x // det for x in num)
-            return r, j
-    raise AssertionError("coset decomposition failed; lattice reps incomplete")
+    k = [int(round(x)) for x in np.asarray(k).reshape(-1)]
+    if len(k) != lat.n:
+        raise ValueError(f"index must have length {lat.n}")
+    r, j = lat.split([k], which)
+    return tuple(int(x) for x in r[0]), int(j[0])
 
 
 def split_sequence(lat: SamplingLattice, s: SeqFn) -> list[SeqFn]:
     """Coset subsequences ``s_l(r) = s(M^T r + eta_l)``, one per coset."""
     if s.n != lat.n:
         raise ValueError(f"sequence dimension {s.n} != lattice dimension {lat.n}")
-    parts: list[dict] = [{} for _ in range(lat.m)]
-    for k, z in s.entries.items():
-        r, j = decompose(lat, k, "MT")
-        parts[j][r] = z
-    return [SeqFn(n=s.n, entries=p) for p in parts]
+    keys, vals = s.entry_arrays()
+    r, j = lat.split(keys)
+    return [SeqFn.from_arrays(s.n, r[j == l], vals[j == l]) for l in range(lat.m)]
 
 
 def merge_sequence(lat: SamplingLattice, parts: list[SeqFn]) -> SeqFn:
     """Inverse of `split_sequence`: ``s(M^T r + eta_l) = parts[l](r)``."""
     if len(parts) != lat.m:
         raise ValueError(f"need {lat.m} subsequences, got {len(parts)}")
-    mt = lat.M.T
-    entries = {}
+    keys, vals = [], []
     for l, part in enumerate(parts):
-        eta = np.array(lat.eta[l])
-        for r, z in part.entries.items():
-            k = tuple(int(x) for x in (mt @ np.array(r) + eta))
-            entries[k] = z
-    return SeqFn(n=lat.n, entries=entries)
+        r, z = part.entry_arrays()
+        keys.append(r @ lat.M + np.array(lat.eta[l], dtype=np.int64))   # rows M^T r + eta_l
+        vals.append(z)
+    return SeqFn.from_arrays(lat.n, np.concatenate(keys), np.concatenate(vals))

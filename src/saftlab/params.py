@@ -298,10 +298,19 @@ def inverse_params(p: SaftParams) -> SaftParams:
 
 
 def _quad_phase(points: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+    """``t^T m t`` per point, summed in one fixed order of elementwise
+    operations, so a point gets the same bits alone as in any batch (a
+    batched einsum may reorder the sum with the batch size)."""
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != n:
         raise ValueError(f"points must have trailing dimension {n}")
-    return np.einsum("...i,ij,...j->...", pts, m, pts)
+    ph = 0.0
+    for i in range(n):
+        row = 0.0
+        for j in range(n):
+            row = row + m[i, j] * pts[..., j]
+        ph = ph + pts[..., i] * row
+    return ph
 
 
 def chirp(p: SaftParams, t) -> np.ndarray | complex:

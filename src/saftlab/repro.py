@@ -378,18 +378,16 @@ def factorization_residual(
     return float(np.max(np.abs(detD - predicted))), float(np.min(np.abs(detD)))
 
 
-def _restrict_stems(s: SeqFn, radius: int) -> list[tuple]:
-    rows = []
-    for k in sorted(s.entries):
-        if max(abs(x) for x in k) <= radius:
-            rows.append((k, s.entries[k]))
-    return rows
+def _restrict_stems(s: SeqFn, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys and values of the entries with ``max |k_i| <= radius``."""
+    keys, vals = s.as_arrays()
+    keep = np.max(np.abs(keys), axis=1, initial=0) <= radius
+    return keys[keep], vals[keep]
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) for x in row))
+    """One line per row, each value as ``repr`` of a Python float."""
+    lines = [header] + [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -400,9 +398,7 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
 
     xs = (np.arange(-600, 601)) / 400.0
-    _write_csv(
-        outdir / "fig01_psi.csv", "x,psi", [(x, meyer_psi(x, spec)) for x in xs]
-    )
+    _write_csv(outdir / "fig01_psi.csv", "x,psi", np.column_stack([xs, meyer_psi(xs, spec)]))
 
     tmpl = scenario.model.spectrum
     nu = (tmpl.points() @ p.b_inv.T).reshape(-1, 2)
@@ -426,14 +422,12 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path) -> dict:
     )
 
     f_samples = conv_dd(p, scenario.coeffs, scenario.phi_samples)
-    stems = _restrict_stems(f_samples, 12)
+    keys, vals = _restrict_stems(f_samples, 12)
     _write_csv(
-        outdir / "fig05_samples_real.csv", "k1,k2,value",
-        [(k[0], k[1], v.real) for k, v in stems],
+        outdir / "fig05_samples_real.csv", "k1,k2,value", np.column_stack([keys, vals.real])
     )
     _write_csv(
-        outdir / "fig06_samples_imag.csv", "k1,k2,value",
-        [(k[0], k[1], v.imag) for k, v in stems],
+        outdir / "fig06_samples_imag.csv", "k1,k2,value", np.column_stack([keys, vals.imag])
     )
 
     axes = [np.arange(64) / 64.0] * 2
@@ -457,10 +451,9 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path) -> dict:
     )
 
     filt_samples = conv_dd(p, scenario.filt, scenario.phi_samples)
-    stems = _restrict_stems(filt_samples, 12)
+    keys, vals = _restrict_stems(filt_samples, 12)
     _write_csv(
-        outdir / "fig10_samples_imag.csv", "k1,k2,value",
-        [(k[0], k[1], v.imag) for k, v in stems],
+        outdir / "fig10_samples_imag.csv", "k1,k2,value", np.column_stack([keys, vals.imag])
     )
 
     return {

@@ -28,7 +28,7 @@ from math import ceil, floor, sqrt
 import numpy as np
 
 from .grid import GridFn, SeqFn, dft, reciprocal_grid
-from .lattice import SamplingLattice, _adjugate_int, _det_int, _int_rows
+from .lattice import SamplingLattice
 from .params import SaftParams, chirp, inverse_params, modulation, require_valid
 
 __all__ = [
@@ -289,7 +289,11 @@ def poisson_check(
 
     Both sides are computed independently: the left as the exact finite sum
     over integer samples, the right by direct quadrature of the transform at
-    the shifted points, the image sum truncated at ``||n||_inf <= cutoff``.
+    the shifted points.  The image sum is truncated at ``||n - n_0||_inf <=
+    cutoff``, where ``n_0`` (per point) is the image nearest the peak of the
+    spectrum of the chirped, offset input: a linear offset phase moves that
+    peak off zero, and a window centred on ``n = 0`` would cut off images
+    that carry most of the mass.
     A decay flag is set when the input's boundary values are not negligible
     (the identity then cannot be expected to hold numerically).
     """
@@ -323,14 +327,18 @@ def poisson_check(
     # RHS: image sum of conj(eta)(w + Bn) (S g)(w + Bn); the two factors
     # reduce to the plain FT of the chirped input at B^{-1}w + n.
     t = g.points().reshape(-1, p.n)
-    src = _chirped_input(p, g).reshape(-1) * g.cell_volume
+    chirped = g.with_values(_chirped_input(p, g))
+    src = chirped.values.reshape(-1) * g.cell_volume
+    spec = dft(chirped)
+    nu_peak = spec.points()[np.unravel_index(np.argmax(np.abs(spec.values)), spec.shape)]
+    centre = nu + np.rint(nu_peak - nu)     # the image B^{-1}w + n_0 nearest the peak
     rhs = np.zeros(wf.shape[0], dtype=complex)
     rng = range(-cutoff, cutoff + 1)
     shifts = np.stack(
         np.meshgrid(*([list(rng)] * p.n), indexing="ij"), axis=-1
     ).reshape(-1, p.n)
     for n_vec in shifts:
-        freq = nu + n_vec            # B^{-1} w + n
+        freq = centre + n_vec        # B^{-1} w + n
         for lo in range(0, wf.shape[0], _QUAD_CHUNK):
             hi = min(lo + _QUAD_CHUNK, wf.shape[0])
             rhs[lo:hi] += np.exp(-2j * np.pi * (freq[lo:hi] @ t.T)) @ src
@@ -354,16 +362,9 @@ def downsample(lat: SamplingLattice, c: SeqFn) -> SeqFn:
     """
     if c.n != lat.n:
         raise ValueError(f"sequence dimension {c.n} != lattice dimension {lat.n}")
-    rows_t = [list(col) for col in zip(*_int_rows(lat.M))]
-    det = _det_int(rows_t)
-    adj = _adjugate_int(rows_t)
-    n = lat.n
-    entries = {}
-    for kp, z in c.entries.items():
-        num = [sum(adj[i][j] * kp[j] for j in range(n)) for i in range(n)]
-        if all(x % det == 0 for x in num):
-            entries[tuple(x // det for x in num)] = z
-    return SeqFn(n=n, entries=entries)
+    keys, vals = c.entry_arrays()
+    r, j = lat.split(keys)
+    return SeqFn.from_arrays(lat.n, r[j == 0], vals[j == 0])
 
 
 def downsample_check(

@@ -254,12 +254,8 @@ def frame_check(model: SisModel, s: SeqFn, per_axis: int = 32) -> dict:
     from .saft import dtsaft  # local import to avoid a cycle at module load
 
     p = model.params
-    k, _ = s.as_arrays() if s.entries else (np.zeros((0, p.n), dtype=int), None)
-    if s.entries:
-        spread = (k.max(axis=0) - k.min(axis=0)).astype(int)
-        npts = np.maximum(spread + 1, per_axis)
-    else:
-        npts = np.full(p.n, per_axis)
+    k, _ = s.as_arrays()
+    npts = np.maximum(np.ptp(k, axis=0) + 1, per_axis) if len(k) else np.full(p.n, per_axis)
     axes = [(np.arange(m) + 0.5) / m for m in npts]
     xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     w = xi @ p.B.T

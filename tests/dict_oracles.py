@@ -1,0 +1,243 @@
+"""Dict-loop reference implementations of the sparse-sequence kernels.
+
+These are the entry-by-entry versions that the array kernels in
+``saftlab.conv``, ``saftlab.lattice``, ``saftlab.saft`` and
+``saftlab.dynsamp`` replaced, kept verbatim as test oracles: every loop here
+walks a Python dict one entry at a time, with exact Python-int lattice
+arithmetic.  ``test_kernels.py`` checks the array kernels against them.
+"""
+
+from __future__ import annotations
+
+from math import sqrt
+
+import numpy as np
+
+from saftlab.dynsamp import MeasurementSet
+from saftlab.grid import SeqFn
+from saftlab.lattice import SamplingLattice, _adjugate_int, _det_int, _int_rows
+from saftlab.params import SaftParams, chirp, require_valid
+
+
+def conv_dd(params: SaftParams, s: SeqFn, c: SeqFn) -> SeqFn:
+    """Sequence-sequence convolution; exact finite sum over support pairs."""
+    require_valid(params)
+    p = params
+    if s.n != c.n:
+        raise ValueError("sequence dimensions differ")
+    lam = {}
+
+    def lam_at(k: tuple) -> complex:
+        if k not in lam:
+            lam[k] = complex(chirp(p, np.array(k, dtype=float)))
+        return lam[k]
+
+    scale = 1.0 / sqrt(p.abs_det_b)
+    acc: dict[tuple, complex] = {}
+    for k, zs in s.entries.items():
+        a = zs * lam_at(k)
+        for kp, zc in c.entries.items():
+            l = tuple(ki + kpi for ki, kpi in zip(k, kp))
+            acc[l] = acc.get(l, 0.0) + a * lam_at(kp) * zc
+    entries = {l: v * np.conj(lam_at(l)) * scale for l, v in acc.items()}
+    return SeqFn(n=s.n, entries=entries)
+
+
+def downsample(lat: SamplingLattice, c: SeqFn) -> SeqFn:
+    """Keep the samples of ``c`` on the transposed lattice: out(k) = c(M^T k).
+
+    Only entries whose index is exactly divisible by ``M^T`` survive;
+    divisibility is decided in integer arithmetic.
+    """
+    if c.n != lat.n:
+        raise ValueError(f"sequence dimension {c.n} != lattice dimension {lat.n}")
+    rows_t = [list(col) for col in zip(*_int_rows(lat.M))]
+    det = _det_int(rows_t)
+    adj = _adjugate_int(rows_t)
+    n = lat.n
+    entries = {}
+    for kp, z in c.entries.items():
+        num = [sum(adj[i][j] * kp[j] for j in range(n)) for i in range(n)]
+        if all(x % det == 0 for x in num):
+            entries[tuple(x // det for x in num)] = z
+    return SeqFn(n=n, entries=entries)
+
+
+def decompose(lat: SamplingLattice, k, which: str = "MT") -> tuple[tuple[int, ...], int]:
+    """Write an integer vector as ``M^T r + eta_j`` (or ``M r + gamma_j``).
+
+    Returns ``(r, j)``; the decomposition is total and unique.  ``which`` is
+    ``"MT"`` (default, input-side cosets) or ``"M"``.
+    """
+    k = tuple(int(round(x)) for x in np.asarray(k).reshape(-1))
+    n = lat.n
+    if len(k) != n:
+        raise ValueError(f"index must have length {n}")
+    rows = _int_rows(lat.M)
+    if which.upper() in ("MT", "M^T"):
+        reps = lat.eta
+        mat = [list(col) for col in zip(*rows)]
+    elif which.upper() == "M":
+        reps = lat.gamma
+        mat = rows
+    else:
+        raise ValueError("which must be 'M' or 'MT'")
+    det = _det_int(mat)
+    adj = _adjugate_int(mat)
+    for j, rep in enumerate(reps):
+        diff = [k[i] - rep[i] for i in range(n)]
+        num = [sum(adj[i][l] * diff[l] for l in range(n)) for i in range(n)]
+        if all(x % det == 0 for x in num):
+            r = tuple(x // det for x in num)
+            return r, j
+    raise AssertionError("coset decomposition failed; lattice reps incomplete")
+
+
+def split_sequence(lat: SamplingLattice, s: SeqFn) -> list[SeqFn]:
+    """Coset subsequences ``s_l(r) = s(M^T r + eta_l)``, one per coset."""
+    if s.n != lat.n:
+        raise ValueError(f"sequence dimension {s.n} != lattice dimension {lat.n}")
+    parts: list[dict] = [{} for _ in range(lat.m)]
+    for k, z in s.entries.items():
+        r, j = decompose(lat, k, "MT")
+        parts[j][r] = z
+    return [SeqFn(n=s.n, entries=p) for p in parts]
+
+
+def merge_sequence(lat: SamplingLattice, parts: list[SeqFn]) -> SeqFn:
+    """Inverse of `split_sequence`: ``s(M^T r + eta_l) = parts[l](r)``."""
+    if len(parts) != lat.m:
+        raise ValueError(f"need {lat.m} subsequences, got {len(parts)}")
+    mt = lat.M.T
+    entries = {}
+    for l, part in enumerate(parts):
+        eta = np.array(lat.eta[l])
+        for r, z in part.entries.items():
+            k = tuple(int(x) for x in (mt @ np.array(r) + eta))
+            entries[k] = z
+    return SeqFn(n=lat.n, entries=entries)
+
+
+def coset_coefficients(params: SaftParams, lat: SamplingLattice, s: SeqFn) -> list[SeqFn]:
+    """Chirp-corrected coset subsequences
+    ``sigma_l(r) = conj(lam)(r) lam(M^T r + eta_l) s(M^T r + eta_l)``.
+
+    Reduces to the plain coset split when the input chirp vanishes.
+    """
+    require_valid(params)
+    rows_t = [list(col) for col in zip(*_int_rows(lat.M))]
+    det = _det_int(rows_t)
+    adj = _adjugate_int(rows_t)
+    n = lat.n
+    parts: list[dict] = [{} for _ in range(lat.m)]
+    for k, z in s.entries.items():
+        for j, rep in enumerate(lat.eta):
+            diff = [k[i] - rep[i] for i in range(n)]
+            num = [sum(adj[i][t] * diff[t] for t in range(n)) for i in range(n)]
+            if all(x % det == 0 for x in num):
+                r = tuple(x // det for x in num)
+                rf = np.array(r, dtype=float)
+                kf = np.array(k, dtype=float)
+                parts[j][r] = z * np.conj(chirp(params, rf)) * chirp(params, kf)
+                break
+        else:
+            raise AssertionError("coset decomposition failed")
+    return [SeqFn(n=n, entries=p) for p in parts]
+
+
+def measure_from_samples(
+    params: SaftParams,
+    lat: SamplingLattice,
+    s: SeqFn,
+    phi_levels: list[SeqFn],
+    window: tuple | None = None,
+) -> MeasurementSet:
+    """Channels computed exactly from integer samples of the filtered
+    generators (no grids): v_j is the twisted semidiscrete sum of ``s``
+    against ``phi_levels[j]`` restricted to the transposed lattice.
+
+    The support is finite (sum of the two supports), so with ``window=None``
+    the channels are complete — nothing is truncated.
+    """
+    require_valid(params)
+    p = params
+    mt = lat.M.T.astype(int)
+    det = _det_int(_int_rows(mt))
+    adj_t = _np_adj(mt)
+    sqrt_d = np.sqrt(p.abs_det_b)
+    seqs = []
+    lo_all = None
+    hi_all = None
+    for h in phi_levels:
+        acc: dict[tuple, complex] = {}
+        if s.entries and h.entries:
+            hk, hv = h.as_arrays()
+            hv = hv * chirp(p, hk.astype(float))
+            for m_idx, z in s.entries.items():
+                zc = z * chirp(p, np.array(m_idx, dtype=float))
+                tgt = hk + np.array(m_idx, dtype=int)   # M^T k = support + m
+                num = tgt @ adj_t
+                okdiv = np.all(num % det == 0, axis=1)
+                ks = num[okdiv] // det
+                vals = zc * hv[okdiv]
+                for k, v in zip(ks, vals):
+                    t = tuple(int(x) for x in k)
+                    acc[t] = acc.get(t, 0.0) + v
+        if acc:
+            kf = np.array(sorted(acc), dtype=float)
+            fix = np.conj(chirp(p, kf)) / sqrt_d
+            entries = {k: v * c for (k, v), c in zip(sorted(acc.items()), fix)}
+        else:
+            entries = {}
+        seqs.append(SeqFn(n=lat.n, entries=entries))
+        if entries:
+            karr = np.array(list(entries), dtype=int)
+            lo = karr.min(axis=0)
+            hi = karr.max(axis=0)
+            lo_all = lo if lo_all is None else np.minimum(lo_all, lo)
+            hi_all = hi if hi_all is None else np.maximum(hi_all, hi)
+    if window is not None:
+        lo_all, hi_all = (np.asarray(window[0], dtype=int), np.asarray(window[1], dtype=int))
+    if lo_all is None:
+        lo_all = np.zeros(lat.n, dtype=int)
+        hi_all = np.zeros(lat.n, dtype=int)
+    return MeasurementSet(
+        params=p, lat=lat, levels=tuple(seqs),
+        window_lo=lo_all, window_hi=hi_all, filter_kind="cc",
+    )
+
+
+def _np_adj(mat: np.ndarray) -> np.ndarray:
+    return np.array(_adjugate_int(_int_rows(mat)), dtype=int).T
+
+
+def generator_coset_samples(
+    params: SaftParams,
+    lat: SamplingLattice,
+    phi_j_samples: SeqFn,
+    l: int,
+    chirped: bool = True,
+) -> SeqFn:
+    """Coset subsequence of integer generator samples:
+    ``phi_l^j(r) = phi_j(M^T r - eta_l) * lam(M^T r - eta_l)``.
+
+    ``phi_j_samples`` holds integer samples of the filtered generator (keys
+    are the integer points); only keys congruent to ``-eta_l`` contribute.
+    With ``chirped=False`` the unimodular factor is omitted.
+    """
+    mt = np.array([list(col) for col in zip(*_int_rows(lat.M))], dtype=int)
+    det = _det_int(_int_rows(mt))
+    adjT = _np_adj(mt)
+    eta = np.array(lat.eta[l], dtype=int)
+    if not phi_j_samples.entries:
+        return SeqFn(n=lat.n, entries={})
+    keys, vals = phi_j_samples.as_arrays()
+    num = (keys + eta) @ adjT
+    okdiv = np.all(num % det == 0, axis=1)
+    rs = num[okdiv] // det
+    pts = keys[okdiv].astype(float)
+    v = vals[okdiv]
+    if chirped:
+        v = v * chirp(params, pts)
+    entries = {tuple(int(x) for x in r): z for r, z in zip(rs, v)}
+    return SeqFn(n=lat.n, entries=entries)

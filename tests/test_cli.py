@@ -278,3 +278,40 @@ def test_invalid_block_exits_2(tmp_path, work):
     code = main(["transform", "--params", str(bad), "--in", str(work / "gauss.grid"),
                  "--out", str(tmp_path / "o.grid")])
     assert code == 2
+
+
+def test_grid_with_a_nan_exits_1(work, tmp_path, capsys):
+    lines = (work / "gauss.grid").read_text().splitlines()
+    row = lines.index("re,im") + 5
+    lines[row] = "nan,0.0"
+    bad = tmp_path / "nan.grid"
+    bad.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "F.grid"
+    assert main(["transform", "--params", str(work / "ft1.json"), "--in", str(bad),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "data row 5" in err
+    assert not out.exists()
+
+
+def test_sequence_with_inf_exits_1(work, tmp_path, capsys):
+    bad = tmp_path / "inf.csv"
+    bad.write_text("k1,re,im\n0,1.0,0.0\n1,inf,0.0\n")
+    assert main(["conv", "--kind", "dd", "--params", str(work / "ft1.json"),
+                 "--lhs", str(work / "filt1.csv"), "--rhs", str(bad),
+                 "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "data row 2" in err
+
+
+def test_measurements_with_nan_exit_1(work, tmp_path, capsys):
+    lines = (work / "meas.csv").read_text().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:-1] + ["-nan"])
+    bad = tmp_path / "meas_nan.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["dynsamp", "recover", "--params", str(work / "ft1.json"),
+                 "--phi", str(work / "phi1.grid"), "--filter", str(work / "filt1.csv"),
+                 "--M", "[[2]]", "--measurements", str(bad),
+                 "--method", "discrete", "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "data row 3" in err

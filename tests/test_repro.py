@@ -248,3 +248,28 @@ def test_factorization_residual_consistency():
     resid, min_det = factorization_residual(sc, sc.lat, field)
     assert resid < 1e-8
     assert min_det > 0
+
+
+def _per_element_write_csv(path, header, rows):
+    # the writer before rows were converted as a whole
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(x)) for x in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_write_csv_matches_the_per_element_writer(tmp_path):
+    from saftlab.repro import _write_csv
+
+    rng = np.random.default_rng(4)
+    cases = {
+        "tuples": [(x, float(np.cos(x))) for x in np.linspace(-1.5, 1.5, 7)],
+        "ints_and_zeros": [(0, -3, -0.0), (12, 7, 1e-300), (-1, 2, 5e-324)],
+        "numpy_scalars": [(np.float64(0.1), np.int64(3), np.inf, np.nan)],
+        "array": np.column_stack([rng.normal(size=(50, 2)), 1e-12 * rng.normal(size=50)]),
+        "empty": [],
+    }
+    for name, rows in cases.items():
+        _write_csv(tmp_path / f"{name}.csv", "h", rows)
+        _per_element_write_csv(tmp_path / f"{name}_ref.csv", "h", rows)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_ref.csv").read_bytes()

@@ -228,6 +228,21 @@ def test_poisson_identity_random_block(seed):
     assert rep.sup < 1e-10
 
 
+@pytest.mark.parametrize("seed", [1, 35])
+def test_poisson_image_window_follows_the_offset_spectrum(seed):
+    # the selftest block of this seed: its offset phase B^{-1}P (1.918 for
+    # seed 35) moves the input spectrum's peak off zero, so an image window
+    # centred on n = 0 cut off images that carry the mass
+    rng = np.random.default_rng(seed)
+    p = random_params(1, rng)
+    g = sampling_grid(6.0, 16, n=1)
+    f = sample_generator("gaussian", g, sigma=float(rng.uniform(0.45, 0.9)),
+                         center=float(rng.uniform(-0.5, 0.5)))
+    rep = poisson_check(p, f, np.linspace(-2, 2, 41)[:, None])
+    assert rep.decayed
+    assert rep.sup / np.max(np.abs(rep.rhs)) <= 1e-6
+
+
 def test_poisson_flags_poor_decay():
     p = preset("ft", 1)
     g = sampling_grid(2, 8)

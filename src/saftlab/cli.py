@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -673,8 +672,6 @@ def _cmd_selftest(args) -> int:
 
 
 def _add_common(sp) -> None:
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads for pooled backends (best effort)")
     sp.add_argument("--tol", type=float, default=None,
                     help="override the default tolerance of this command")
     sp.add_argument("--seed", type=int, default=0,
@@ -774,13 +771,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_threads(args) -> None:
-    threads = getattr(args, "threads", None)
-    if threads is not None and threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -792,7 +782,6 @@ def main(argv=None) -> int:
     if not hasattr(args, "func"):
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    _apply_threads(args)
     try:
         return args.func(args)
     except ValidationFailure as exc:

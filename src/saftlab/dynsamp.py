@@ -50,7 +50,7 @@ from .conv import comb_apply, conv_cc, conv_dd, pair_sums
 from .grid import GridFn, SeqFn, uniform_grid
 from .lattice import SamplingLattice
 from .params import SaftParams, chirp, modulation, require_valid
-from .saft import DEFAULT_LATTICE_CUTOFF, dtsaft, downsample
+from .saft import DEFAULT_LATTICE_CUTOFF, downsample, dtsaft, grid_phase_sum, lattice_shifts
 from .sis import SisModel, spectrum_at, synthesize
 
 __all__ = [
@@ -433,11 +433,8 @@ def _filter_symbol(p: SaftParams, a, pts_xi: np.ndarray) -> np.ndarray:
             return np.zeros(pts_xi.shape[:-1], dtype=complex)
         k, v = a.as_arrays()
         return np.exp(-2j * np.pi * (pts_xi @ k.astype(float).T)) @ v
-    t = a.points().reshape(-1, p.n)
-    src = a.values.reshape(-1) * a.cell_volume
-    return (np.exp(-2j * np.pi * (pts_xi.reshape(-1, p.n) @ t.T)) @ src).reshape(
-        pts_xi.shape[:-1]
-    )
+    axes = [a.axis_coords(i) for i in range(p.n)]
+    return grid_phase_sum(pts_xi, axes, a.values * a.cell_volume).reshape(pts_xi.shape[:-1])
 
 
 def build_D(
@@ -468,10 +465,7 @@ def build_D(
     gammas = np.array(lat.gamma, dtype=float)
     # evaluation points x_v = M^{-1}(w + gamma_v): (Np, m, n)
     x = (wpts[:, None, :] + gammas[None, :, :]) @ minv.T
-    shifts = np.stack(
-        np.meshgrid(*([list(range(-K, K + 1))] * p.n), indexing="ij"), axis=-1
-    ).reshape(-1, p.n).astype(float)
-    pts = x[:, :, None, :] + shifts[None, None, :, :]     # (Np, m, S, n)
+    pts = x[:, :, None, :] + lattice_shifts(p.n, K)      # (Np, m, S, n)
     eta_sq = np.conj(modulation(p, pts)) ** 2
 
     entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
@@ -485,33 +479,9 @@ def build_D(
         for j in range(J):
             if j > 0:
                 phi_j = _apply_filter(p, a, phi_j, "classical")
-            vals = (
-                spectrum_at(model, pts) if j == 0 and model.spectrum_fn is not None
-                else _quad_spectrum(model, phi_j, pts)
-            )
+            vals = spectrum_at(model, pts, None if j == 0 else phi_j)
             entries[:, j, :] = np.sum(eta_sq * vals, axis=-1)
     return MatrixField(wpoints=wpts, entries=entries, label="D")
-
-
-def _quad_spectrum(model, g: GridFn, pts: np.ndarray) -> np.ndarray:
-    """Band-limited direct quadrature for a filtered generator grid.
-
-    The filtered grid shares the generator's spacing, hence the same
-    resolved band; outside it the transform is treated as zero (the
-    filter's absolute-sum only scales the generator's decay bound).
-    """
-    from .saft import kernel_quadrature
-    from .sis import resolved_band_mask
-
-    p = model.params
-    mask = resolved_band_mask(model, pts)
-    out = np.zeros(pts.shape[:-1], dtype=complex)
-    if np.any(mask):
-        out[mask] = kernel_quadrature(
-            p, g.points().reshape(-1, p.n), g.values.reshape(-1),
-            g.cell_volume, pts[mask],
-        )
-    return out
 
 
 def stability_report(

@@ -325,9 +325,14 @@ def chirp(p: SaftParams, t) -> np.ndarray | complex:
 
 
 def modulation(p: SaftParams, w) -> np.ndarray | complex:
-    """Output-side phase ``exp(i*pi w^T D B^{-1} w + 2i*pi (Q^T - P^T D B^{-1}) w)``."""
+    """Output-side phase ``exp(i*pi w^T D B^{-1} w + 2i*pi (Q^T - P^T D B^{-1}) w)``,
+    both terms summed elementwise in a fixed order, as in `_quad_phase`."""
     w_arr = np.asarray(w, dtype=float)
-    ph = _quad_phase(w_arr, p.d_b_inv, p.n) + 2.0 * (w_arr @ p._mod_lin)
+    quad = _quad_phase(w_arr, p.d_b_inv, p.n)
+    lin = 0.0
+    for i in range(p.n):
+        lin = lin + w_arr[..., i] * p._mod_lin[i]
+    ph = quad + 2.0 * lin
     out = np.exp(1j * np.pi * ph)
     return complex(out) if out.ndim == 0 else out
 

@@ -37,7 +37,7 @@ from .grid import GridFn, SeqFn
 from .grid import sampling_grid
 from .lattice import SamplingLattice, build_lattice
 from .params import SaftParams, chirp, modulation, preset, require_valid
-from .saft import saft_inverse, saft_plan
+from .saft import lattice_shifts, saft_inverse, saft_plan
 from .sis import SisModel, build_sis
 
 __all__ = [
@@ -300,10 +300,7 @@ def periodized_window_transform(
     factor of the channel-matrix factorization)."""
     p = scenario.params
     pts = np.asarray(x_points, dtype=float)
-    shifts = np.stack(
-        np.meshgrid(*([range(-cutoff, cutoff + 1)] * 2), indexing="ij"), axis=-1
-    ).reshape(-1, 2).astype(float)
-    stacked = pts[..., None, :] + shifts
+    stacked = pts[..., None, :] + lattice_shifts(2, cutoff)
     eta_sq = np.conj(modulation(p, stacked)) ** 2
     vals = scenario.model.spectrum_fn(stacked)
     return np.sum(eta_sq * vals, axis=-1)

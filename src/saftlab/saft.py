@@ -15,9 +15,10 @@ The fast path uses the factorization
 
     (S f)(B nu) = |det B|^{-1/2} eta(B nu) * FT[f * chirp * e^{2 i pi (B^{-1}P).t}](nu)
 
-so one FFT plus two pointwise phase multiplications evaluates the transform;
-the quadrature path sums the defining kernel directly and serves as the
-slow oracle.
+so one FFT plus two pointwise phase multiplications evaluates the transform.
+At arbitrary outputs, `kernel_quadrature` sums the defining kernel directly
+(the oracle the other paths are checked against); `grid_quadrature` sums the
+same Riemann sum over a grid axis by axis.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ __all__ = [
     "saft_forward",
     "saft_inverse",
     "kernel_quadrature",
+    "grid_quadrature",
+    "grid_phase_sum",
+    "lattice_shifts",
     "dtsaft",
     "poisson_check",
     "PoissonReport",
@@ -47,8 +51,8 @@ __all__ = [
 #: lattice sums (Poisson image sum) truncated to ||index||_inf <= this
 DEFAULT_LATTICE_CUTOFF = 8
 
-#: output points per chunk in the direct-kernel path (bounds peak memory)
-_QUAD_CHUNK = 4096
+#: complex elements (16 MiB) a chunk of outputs of a phase sum may hold
+PHASE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,70 @@ def _chirped_input(p: SaftParams, f: GridFn) -> np.ndarray:
     return f.values * chirp(p, pts) * np.exp(2j * np.pi * lin)
 
 
+def lattice_shifts(n: int, cutoff: int) -> np.ndarray:
+    """Integer shifts with ``||k||_inf <= cutoff`` in C order, as floats (S, n)."""
+    axis = np.arange(-cutoff, cutoff + 1, dtype=float)
+    return np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
+
+
+def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """One chunk of `_phase_sum`, without BLAS calls: each would wake BLAS
+    worker threads that then spin through the next chunk's exponentials."""
+    arg = v[:, :1] * k[:, 0]
+    for i in range(1, k.shape[1]):
+        arg += v[:, i:i + 1] * k[:, i]
+    terms = -2j * np.pi * arg
+    np.exp(terms, out=terms)
+    terms *= coeff
+    return terms.sum(axis=1)
+
+
+def _phase_sum(nu: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``sum_m coeff[m] exp(-2 i pi nu.k_m)`` for each row of ``nu`` (No, n),
+    one exponential per (output, point), chunks of ``PHASE_BUDGET // M`` rows."""
+    out = np.empty(nu.shape[0], dtype=complex)
+    step = max(1, PHASE_BUDGET // max(1, k.shape[0]))
+    for lo in range(0, nu.shape[0], step):
+        out[lo:lo + step] = _phase_rows(nu[lo:lo + step], k, coeff)
+    return out
+
+
+def grid_phase_sum(nu, axes, values) -> np.ndarray:
+    """``sum_a values[a] exp(-2 i pi sum_i nu_i axes[i][a_i])`` for each row
+    of ``nu`` (No, n), over the grid spanned by the 1-D coordinates ``axes``.
+
+    The phase factorizes: per chunk of outputs, one table ``exp(-2 i pi nu_i
+    t_i)`` per axis, a matrix product over the first axis and a batched row
+    product over each further one; No * sum N_i exponentials, not No * prod
+    N_i, for the same terms in another order.  Chunks hold about
+    `PHASE_BUDGET` elements of tables and partial sums.
+    """
+    nu = np.asarray(nu, dtype=float).reshape(-1, len(axes))
+    shape = tuple(len(t) for t in axes)
+    vals = np.asarray(values, dtype=complex).reshape(shape[0], -1)
+    per_out = sum(shape) + 2 * vals.shape[1]
+    step = max(1, PHASE_BUDGET // per_out)
+    out = np.empty(nu.shape[0], dtype=complex)
+    for lo in range(0, nu.shape[0], step):
+        v = nu[lo:lo + step]
+        acc = np.exp(-2j * np.pi * (v[:, :1] * axes[0])) @ vals    # (c, N_2 ... N_n)
+        for i in range(1, len(axes)):
+            table = np.exp(-2j * np.pi * (v[:, i:i + 1] * axes[i]))
+            acc = np.matmul(table[:, None, :], acc.reshape(len(v), shape[i], -1))[:, 0]
+        out[lo:lo + step] = acc[:, 0]
+    return out
+
+
+def _transform_at(p: SaftParams, out_points, summed) -> np.ndarray:
+    """Modulated transform values at physical frequencies ``out_points``;
+    ``summed(nu)`` gives the source phase sums at ``nu = B^{-1} w``."""
+    w = np.asarray(out_points, dtype=float)
+    wf = w.reshape(-1, p.n)
+    acc = summed(wf @ p.b_inv.T)
+    acc *= modulation(p, wf) / sqrt(p.abs_det_b)
+    return acc.reshape(w.shape[:-1])
+
+
 def kernel_quadrature(
     p: SaftParams,
     in_points: np.ndarray,
@@ -124,24 +192,24 @@ def kernel_quadrature(
     """Direct evaluation of the defining integral as a weighted kernel sum.
 
     ``in_points``: (M, n) sample locations with quadrature weight ``weight``
-    each; ``out_points``: (..., n) arbitrary physical frequencies.  Chunked
-    over outputs so memory stays bounded.  This is the slow-oracle backend.
+    each; ``out_points``: (..., n) arbitrary physical frequencies.  One
+    exponential per (output, sample) pair, chunked over outputs by
+    `PHASE_BUDGET` elements.  This is the direct-sum oracle backend.
     """
     t = np.asarray(in_points, dtype=float).reshape(-1, p.n)
     fv = np.asarray(in_values).reshape(-1)
-    w = np.asarray(out_points, dtype=float)
-    out_shape = w.shape[:-1]
-    wf = w.reshape(-1, p.n)
     # source-side factor: f(t) lambda(t) e^{2 i pi (B^{-1}P).t} * weight
     src = fv * chirp(p, t) * np.exp(2j * np.pi * (t @ p.b_inv_p)) * weight
-    nu = wf @ p.b_inv.T                      # B^{-1} w for every output
-    acc = np.empty(wf.shape[0], dtype=complex)
-    for lo in range(0, wf.shape[0], _QUAD_CHUNK):
-        hi = min(lo + _QUAD_CHUNK, wf.shape[0])
-        phase = np.exp(-2j * np.pi * (nu[lo:hi] @ t.T))
-        acc[lo:hi] = phase @ src
-    acc *= modulation(p, wf) / sqrt(p.abs_det_b)
-    return acc.reshape(out_shape)
+    return _transform_at(p, out_points, lambda nu: _phase_sum(nu, t, src))
+
+
+def grid_quadrature(p: SaftParams, g: GridFn, out_points) -> np.ndarray:
+    """The transform of ``g`` at arbitrary physical frequencies, the same
+    Riemann sum as ``kernel_quadrature`` over all of ``g``'s samples but
+    summed axis by axis with `grid_phase_sum`."""
+    src = _chirped_input(p, g) * g.cell_volume
+    axes = [g.axis_coords(i) for i in range(g.n)]
+    return _transform_at(p, out_points, lambda nu: grid_phase_sum(nu, axes, src))
 
 
 def saft_forward(plan: SaftPlan, f: GridFn) -> GridFn:
@@ -218,19 +286,8 @@ def dtsaft(params: SaftParams, s: SeqFn, wgrid) -> GridFn | np.ndarray:
         raise ValueError(f"evaluation points must have trailing dimension {p.n}")
     if s.n != p.n:
         raise ValueError(f"sequence dimension {s.n} != params dimension {p.n}")
-    out_shape = pts.shape[:-1]
-    wf = pts.reshape(-1, p.n)
-    if not s.entries:
-        vals = np.zeros(wf.shape[0], dtype=complex)
-    else:
-        kf, coeff = _seq_arrays(p, s)
-        nu = wf @ p.b_inv.T
-        vals = np.empty(wf.shape[0], dtype=complex)
-        for lo in range(0, wf.shape[0], _QUAD_CHUNK):
-            hi = min(lo + _QUAD_CHUNK, wf.shape[0])
-            vals[lo:hi] = np.exp(-2j * np.pi * (nu[lo:hi] @ kf.T)) @ coeff
-    vals *= modulation(p, wf) / sqrt(p.abs_det_b)
-    vals = vals.reshape(out_shape)
+    kf, coeff = _seq_arrays(p, s)
+    vals = _transform_at(p, pts, lambda nu: _phase_sum(nu, kf, coeff))
     return wgrid.with_values(vals) if as_grid else vals
 
 
@@ -318,31 +375,19 @@ def poisson_check(
     kf, gk = integer_samples(g)
     coeff = gk * chirp(p, kf) * np.exp(2j * np.pi * (kf @ p.b_inv_p))
     nu = wf @ p.b_inv.T
-    lhs = np.empty(wf.shape[0], dtype=complex)
-    for lo in range(0, wf.shape[0], _QUAD_CHUNK):
-        hi = min(lo + _QUAD_CHUNK, wf.shape[0])
-        lhs[lo:hi] = np.exp(-2j * np.pi * (nu[lo:hi] @ kf.T)) @ coeff
-    lhs /= sqrt(p.abs_det_b)
+    lhs = _phase_sum(nu, kf, coeff) / sqrt(p.abs_det_b)
 
     # RHS: image sum of conj(eta)(w + Bn) (S g)(w + Bn); the two factors
     # reduce to the plain FT of the chirped input at B^{-1}w + n.
-    t = g.points().reshape(-1, p.n)
     chirped = g.with_values(_chirped_input(p, g))
-    src = chirped.values.reshape(-1) * g.cell_volume
     spec = dft(chirped)
     nu_peak = spec.points()[np.unravel_index(np.argmax(np.abs(spec.values)), spec.shape)]
     centre = nu + np.rint(nu_peak - nu)     # the image B^{-1}w + n_0 nearest the peak
-    rhs = np.zeros(wf.shape[0], dtype=complex)
-    rng = range(-cutoff, cutoff + 1)
-    shifts = np.stack(
-        np.meshgrid(*([list(rng)] * p.n), indexing="ij"), axis=-1
-    ).reshape(-1, p.n)
-    for n_vec in shifts:
-        freq = centre + n_vec        # B^{-1} w + n
-        for lo in range(0, wf.shape[0], _QUAD_CHUNK):
-            hi = min(lo + _QUAD_CHUNK, wf.shape[0])
-            rhs[lo:hi] += np.exp(-2j * np.pi * (freq[lo:hi] @ t.T)) @ src
-    rhs /= sqrt(p.abs_det_b)
+    shifts = lattice_shifts(p.n, cutoff)
+    freq = centre[:, None, :] + shifts      # B^{-1} w + n, (points, images, n)
+    axes = [g.axis_coords(i) for i in range(g.n)]
+    images = grid_phase_sum(freq, axes, chirped.values * g.cell_volume)
+    rhs = images.reshape(len(wf), len(shifts)).sum(axis=1) / sqrt(p.abs_det_b)
 
     residual = (lhs - rhs).reshape(pts.shape[:-1])
     return PoissonReport(

@@ -10,12 +10,13 @@ representation is governed by the generator's Grammian
 whose essential bounds are the Riesz constants of the translate family.
 
 The generator's transform can be evaluated two ways: by quadrature over the
-stored grid (default), or through an exact ``spectrum_fn`` callback when a
-closed form is known.  Grid quadrature is spectrally accurate for fast-decay
-generators but tops out near 1e-3 for generators with slow polynomial tails
-(the compactly band-limited windows used in the worked example decay like
-|t|^{-4}); the callback path exists so Grammian-level certificates are not
-limited by window truncation.
+stored grid (default; a separable grid phase sum, `saft.grid_quadrature`),
+or through an exact ``spectrum_fn`` callback when a closed form is known.
+Grid quadrature is spectrally accurate for fast-decay generators but tops
+out near 1e-3 for generators with slow polynomial tails (the compactly
+band-limited windows used in the worked example decay like |t|^{-4}); the
+callback path exists so Grammian-level certificates are not limited by
+window truncation.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ import numpy as np
 from .conv import conv_sd
 from .grid import GridFn, SeqFn, reciprocal_grid
 from .params import SaftParams, require_valid
-from .saft import DEFAULT_LATTICE_CUTOFF, kernel_quadrature, saft_forward, saft_plan
+from .saft import (
+    DEFAULT_LATTICE_CUTOFF, grid_quadrature, lattice_shifts, saft_forward, saft_plan,
+)
 
 __all__ = [
     "SisModel",
@@ -134,41 +137,30 @@ def resolved_band_mask(model: SisModel, w_points: np.ndarray) -> np.ndarray:
     return ok.reshape(pts.shape[:-1])
 
 
-def spectrum_at(model: SisModel, w_points) -> np.ndarray:
+def spectrum_at(model: SisModel, w_points, grid: GridFn | None = None) -> np.ndarray:
     """Generator transform at arbitrary physical frequencies.
 
-    Uses the exact callback when present, else direct quadrature over the
-    generator grid (the slow oracle; no interpolation is ever involved).
+    Uses the exact callback when present, else the Riemann sum of the
+    defining integral over the generator grid, summed axis by axis
+    (`saft.grid_quadrature`; no interpolation).  ``grid`` (no callback)
+    replaces the generator by a grid with its spacing, e.g. a filtered one.
     Quadrature is restricted to the resolved band; outside it the value is
-    reported as zero, which the decay check keeps below ``DECAY_TOL``.
+    reported as zero, which the decay check keeps below ``DECAY_TOL`` (a
+    filter's absolute sum only scales that bound).
     """
     pts = np.asarray(w_points, dtype=float)
-    if model.spectrum_fn is not None:
+    if grid is None and model.spectrum_fn is not None:
         return np.asarray(model.spectrum_fn(pts), dtype=complex)
-    p = model.params
     mask = resolved_band_mask(model, pts)
     out = np.zeros(pts.shape[:-1], dtype=complex)
     if np.any(mask):
-        out[mask] = kernel_quadrature(
-            p,
-            model.phi.points().reshape(-1, p.n),
-            model.phi.values.reshape(-1),
-            model.phi.cell_volume,
-            pts[mask],
-        )
+        out[mask] = grid_quadrature(model.params, model.phi if grid is None else grid, pts[mask])
     return out
 
 
 def synthesize(model: SisModel, s: SeqFn) -> GridFn:
     """Signal with coefficient sequence ``s``: the twisted sum of translates."""
     return conv_sd(model.params, s, model.phi)
-
-
-def _lattice_shifts(n: int, cutoff: int) -> np.ndarray:
-    rng = range(-cutoff, cutoff + 1)
-    return np.stack(
-        np.meshgrid(*([list(rng)] * n), indexing="ij"), axis=-1
-    ).reshape(-1, n)
 
 
 def _shift_values(model: SisModel, w) -> np.ndarray:
@@ -181,7 +173,7 @@ def _shift_values(model: SisModel, w) -> np.ndarray:
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
-    shifts = _lattice_shifts(p.n, model.cutoff) @ p.B.T
+    shifts = lattice_shifts(p.n, model.cutoff) @ p.B.T
     stacked = pts[..., None, :] + shifts
     mags = np.abs(spectrum_at(model, stacked))
     return mags[0] if single else mags

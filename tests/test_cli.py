@@ -258,6 +258,11 @@ def test_usage_errors_exit_64(capsys):
     assert main(["verify", "--theorem", "nope"]) == 64
 
 
+def test_removed_threads_flag_is_a_usage_error(capsys):
+    # the flag set BLAS variables after numpy had loaded, so it did nothing
+    assert main(["selftest", "--threads", "2"]) == 64
+
+
 def test_missing_file_exits_1(tmp_path):
     assert main(["transform", "--params", str(tmp_path / "absent.json"),
                  "--in", str(tmp_path / "absent.grid"), "--out", str(tmp_path / "o.grid")]) == 1

@@ -30,8 +30,8 @@ from saftlab.dynsamp import _folded_dt_values  # white-box: folding identity
 from saftlab.grid import SeqFn, sample_generator, sampling_grid
 from saftlab.lattice import build_lattice, decompose, split_sequence
 from saftlab.params import modulation, preset, random_params
-from saftlab.saft import dtsaft
-from saftlab.sis import build_sis
+from saftlab.saft import dtsaft, kernel_quadrature
+from saftlab.sis import build_sis, resolved_band_mask
 
 
 def _rand_seq(rng, n, count, radius):
@@ -276,6 +276,74 @@ def test_recover_continuous_exact():
         assert abs(rec.get(k) - c.get(k)) < 1e-9
     extras = [abs(rec.get(k)) for k in rec.support() if k not in set(c.support())]
     assert not extras or max(extras) < 1e-9
+
+
+# build_D against entries summed with the direct kernel: one exponential per
+# (frequency, grid sample), no separable sums
+
+
+def _shift_stack(p, lat, wpts, K):
+    """Points M^{-1}(w + gamma_v) + n of the periodization sums: (Np, m, S, n)."""
+    x = (wpts[:, None, :] + np.array(lat.gamma, dtype=float)) @ lat.m_inverse().T
+    n = np.stack(np.meshgrid(*([np.arange(-K, K + 1)] * p.n), indexing="ij"), axis=-1)
+    return x[:, :, None, :] + n.reshape(-1, p.n)
+
+
+def _direct_transform(p, g, pts):
+    return kernel_quadrature(
+        p, g.points().reshape(-1, p.n), g.values.reshape(-1), g.cell_volume, pts)
+
+
+def _direct_band_transform(model, g, pts):
+    out = np.zeros(pts.shape[:-1], dtype=complex)
+    mask = resolved_band_mask(model, pts)
+    out[mask] = _direct_transform(model.params, g, pts[mask])
+    return out
+
+
+@pytest.mark.parametrize("n, M, a", [
+    (1, [[2]], {(0,): 1.0, (1,): 0.5}),
+    (2, [[2, 0], [0, 1]], {(0, 0): 1.0, (1, 0): 0.5, (0, -1): -0.25j}),
+])
+def test_build_D_chirped_branch_matches_direct_sums(n, M, a):
+    # chirped block: every filter level is materialized as a grid and its
+    # transform taken over the generator's resolved band
+    rng = np.random.default_rng(1100 + n)
+    p = random_params(n, rng)
+    assert not p.is_chirp_free(1e-14)
+    lat = build_lattice(M)
+    phi = sample_generator("gaussian", sampling_grid(3, 8, n=n), sigma=0.6)
+    model = build_sis(p, phi, strict=False)
+    filt = SeqFn.from_items(n, a)
+    wpts = rng.uniform(-0.5, 0.5, (5, n))
+    field = build_D(model, filt, lat, wpts, cutoff=2, J=2)
+    pts = _shift_stack(p, lat, wpts, 2)
+    eta_sq = np.conj(modulation(p, pts)) ** 2
+    for j, g in enumerate(filtered_levels(p, filt, phi, 2, "classical")):
+        ref = np.sum(eta_sq * _direct_band_transform(model, g, pts), axis=-1)
+        assert np.max(np.abs(field.entries[:, j, :] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_build_D_grid_filter_symbol_matches_direct_sums(n):
+    # chirp-free block, filter given as a grid: entries are sums of
+    # (filter symbol)^j times the generator transform
+    rng = np.random.default_rng(1200 + n)
+    p = preset("ft", n)
+    lat = build_lattice(np.diag([2] + [1] * (n - 1)).tolist())
+    phi = sample_generator("gaussian", sampling_grid(3, 8, n=n), sigma=0.6)
+    model = build_sis(p, phi, strict=False)
+    filt = sample_generator("gaussian", sampling_grid(1, 8, n=n), sigma=0.3,
+                            modulation=list(rng.uniform(-1, 1, n)))
+    wpts = rng.uniform(-0.5, 0.5, (5, n))
+    field = build_D(model, filt, lat, wpts, cutoff=2, J=2)
+    pts = _shift_stack(p, lat, wpts, 2)
+    # plain Fourier: the symbol is the transform of the filter grid
+    sym = _direct_transform(p, filt, pts)
+    base = _direct_band_transform(model, phi, pts)
+    for j in range(2):
+        ref = np.sum(sym**j * base, axis=-1)
+        assert np.max(np.abs(field.entries[:, j, :] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_continuous_route_guards():

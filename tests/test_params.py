@@ -150,3 +150,19 @@ def test_random_params_deterministic_per_seed():
     a = random_params(2, np.random.default_rng(123))
     b = random_params(2, np.random.default_rng(123))
     assert np.array_equal(a.B, b.B) and np.array_equal(a.P, b.P)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_phase_factors_give_a_point_the_same_bits_alone_and_in_a_batch(n):
+    # kernels evaluate these per chunk of outputs, so a value must not
+    # depend on how many other points share its call
+    rng = np.random.default_rng(40 + n)
+    for _ in range(20):
+        p = random_params(n, rng)
+        w = rng.uniform(-8.0, 8.0, (400, n))
+        for fn in (chirp, modulation):
+            batch = fn(p, w)
+            alone = np.array([fn(p, pt) for pt in w])
+            stacked = fn(p, w.reshape(20, 20, n)).reshape(-1)
+            assert np.array_equal(batch, alone)
+            assert np.array_equal(batch, stacked)

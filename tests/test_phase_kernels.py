@@ -1,0 +1,275 @@
+"""Budgeted phase-sum kernels against the output-chunked loops they replaced.
+
+The oracles in ``phase_oracles.py`` sum one exponential per (output, sample)
+pair, outputs taken 4,096 at a time.  Two kernels replace them:
+
+* the direct kernel (`kernel_quadrature`, `dtsaft`, the left side of
+  `poisson_check`) forms the same exponentials, in chunks sized by an element
+  budget.  It sums the phase ``nu.t`` elementwise and a row's terms with
+  numpy's pairwise sum, where the oracles used BLAS for both, so values
+  agree within those two rounding bounds;
+* the grid kernel (`grid_phase_sum`, `grid_quadrature`, `sis.spectrum_at`,
+  `_filter_symbol` on grid filters, the image sum of `poisson_check`) forms
+  one exponential per (output, axis sample) and adds the same terms in a
+  different order.  Its phases are rounded per axis, so values agree within
+  ``1e-12`` of the term mass ``sum |f| h^n / sqrt|det B|``, which bounds
+  every output of the sum.
+
+Patching `PHASE_BUDGET` down to a few elements runs every case over many
+chunks, down to one output per chunk.
+"""
+
+import tracemalloc
+from unittest.mock import patch
+
+import numpy as np
+import phase_oracles as oracle
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from saftlab import saft
+from saftlab.dynsamp import _filter_symbol
+from saftlab.grid import GridFn, SeqFn, sample_generator, sampling_grid
+from saftlab.params import preset, random_params
+from saftlab.saft import (
+    PHASE_BUDGET,
+    _phase_sum,
+    dtsaft,
+    grid_phase_sum,
+    grid_quadrature,
+    integer_samples,
+    kernel_quadrature,
+    poisson_check,
+)
+from saftlab.sis import build_sis, resolved_band_mask, spectrum_at
+
+EPS = np.finfo(float).eps
+GRID_RTOL = 1e-12
+
+SETTINGS = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+#: per-axis sample counts: non-square, down to one sample per axis
+_MAX_SIDE = {1: 40, 2: 14, 3: 6}
+
+_BUDGETS = st.one_of(st.integers(1, 64), st.just(PHASE_BUDGET))
+
+
+@st.composite
+def _case(draw, n: int):
+    """A random chirped block with offsets, a random complex grid and a
+    random number of output points (0 and 1 included)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_params(n, rng)
+    shape = tuple(draw(st.integers(1, _MAX_SIDE[n])) for _ in range(n))
+    g = GridFn(n, shape, rng.uniform(-3.0, 0.0, n), rng.uniform(0.1, 0.5, n),
+               rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    n_out = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 60)))
+    w = rng.uniform(-6.0, 6.0, (n_out, n))
+    return p, g, w
+
+
+def _mass(p, g: GridFn) -> float:
+    """Sum of the term magnitudes, which bounds every value of the sum."""
+    return float(np.sum(np.abs(g.values))) * g.cell_volume / np.sqrt(p.abs_det_b)
+
+
+def _direct(p, g: GridFn, w):
+    return oracle.kernel_quadrature(
+        p, g.points().reshape(-1, p.n), g.values.reshape(-1), g.cell_volume, w)
+
+
+# ---------------------------------------------------------------------------
+# grid kernel against the direct sum
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_grid_quadrature_matches_direct_sum(n, data, budget):
+    p, g, w = data.draw(_case(n))
+    with patch.object(saft, "PHASE_BUDGET", budget):
+        got = grid_quadrature(p, g, w)
+    ref = _direct(p, g, w)
+    assert got.shape == ref.shape == (len(w),)
+    if len(w):
+        assert np.max(np.abs(got - ref)) <= GRID_RTOL * _mass(p, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_filter_symbol_of_a_grid_filter_matches_direct_sum(n, data, budget):
+    # the classical symbol of a grid filter: a plain phase sum, no chirps
+    _, g, w = data.draw(_case(n))
+    xi = w.reshape(-1, 1, n)
+    with patch.object(saft, "PHASE_BUDGET", budget):
+        got = _filter_symbol(preset("ft", n), g, xi)
+    ref = oracle.filter_symbol(preset("ft", n), g, xi)
+    assert got.shape == ref.shape == (len(w), 1)
+    if len(w):
+        mass = float(np.sum(np.abs(g.values))) * g.cell_volume
+        assert np.max(np.abs(got - ref)) <= GRID_RTOL * mass
+
+
+def test_grid_quadrature_on_a_shift_stack():
+    # the shape build_D asks for: (points, cosets, shifts, n)
+    rng = np.random.default_rng(3)
+    p = random_params(2, rng)
+    g = sample_generator("gaussian", sampling_grid(2, 8, n=2), sigma=0.6)
+    w = rng.uniform(-2.0, 2.0, (9, 4, 17, 2))
+    got = grid_quadrature(p, g, w)
+    assert got.shape == (9, 4, 17)
+    ref = _direct(p, g, w.reshape(-1, 2)).reshape(got.shape)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_spectrum_at_inside_and_outside_the_resolved_band(n, data, budget):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p = random_params(n, rng)
+    phi = sample_generator("gaussian", sampling_grid(2, 4, n=n), sigma=0.6)
+    model = build_sis(p, phi, strict=False)
+    tmpl = model.spectrum
+    half = 0.5 * np.asarray(tmpl.shape) * tmpl.spacing
+    centre = tmpl.origin + half
+    # reduced frequencies over 1.6x the band: about half fall outside
+    n_out = data.draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)))
+    nu = centre + rng.uniform(-1.6, 1.6, (n_out, n)) * half
+    w = nu @ p.B.T
+    filtered = phi.with_values(phi.values * (1.0 + 0.5j * rng.normal(size=phi.shape)))
+    for grid in (None, filtered):
+        with patch.object(saft, "PHASE_BUDGET", budget):
+            got = spectrum_at(model, w, grid)
+        ref = oracle.quad_spectrum(model, phi if grid is None else grid, w)
+        mask = resolved_band_mask(model, w)
+        assert np.all(got[~mask] == 0) and np.all(ref[~mask] == 0)
+        if np.any(mask):
+            bound = GRID_RTOL * _mass(p, phi if grid is None else grid)
+            assert np.max(np.abs(got - ref)) <= bound
+
+
+def test_spectrum_at_uses_the_callback_only_for_the_generator():
+    p = preset("ft", 1)
+    phi = sample_generator("gaussian", sampling_grid(4, 8), sigma=0.6)
+    exact = build_sis(p, phi, spectrum_fn=lambda w: np.full(w.shape[:-1], 7.0 + 0j),
+                      strict=False)
+    w = np.array([[0.1], [0.3]])
+    assert np.all(spectrum_at(exact, w) == 7.0)
+    got = spectrum_at(exact, w, phi)
+    assert np.array_equal(got, spectrum_at(build_sis(p, phi, strict=False), w))
+
+
+# ---------------------------------------------------------------------------
+# direct kernel: the same exponentials, chunked by elements
+
+
+def _dot_bound(p, w, t, mass: float) -> float:
+    """Rounding allowed between two direct sums of the same terms: the
+    phase ``nu.t`` rounds differently as a matrix product and elementwise
+    (up to ``n eps sum_i |nu_i t_i|`` in each), and BLAS and the pairwise
+    sum add a row of M terms in different orders (up to ``(M + 2) eps`` of
+    the mass in each)."""
+    nu = np.abs(np.asarray(w, dtype=float).reshape(-1, p.n) @ p.b_inv.T)
+    phase = 2 * np.pi * p.n * float(np.sum(nu.max(axis=0) * np.abs(t).max(axis=0)))
+    return EPS * mass * 2.0 * ((len(t) + 2) + phase + 4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_kernel_quadrature_matches_chunked_oracle(n, data, budget):
+    p, g, w = data.draw(_case(n))
+    t = g.points().reshape(-1, n)
+    with patch.object(saft, "PHASE_BUDGET", budget):
+        got = kernel_quadrature(p, t, g.values.reshape(-1), g.cell_volume, w)
+    ref = _direct(p, g, w)
+    assert got.shape == ref.shape == (len(w),)
+    if len(w):
+        assert np.max(np.abs(got - ref)) <= _dot_bound(p, w, t, _mass(p, g))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS, size=st.integers(0, 30))
+def test_dtsaft_matches_chunked_oracle(n, data, budget, size):
+    p, _, w = data.draw(_case(n))
+    rng = np.random.default_rng(size)
+    keys = rng.integers(-6, 7, (size, n))
+    s = SeqFn.from_items(n, {tuple(k): complex(*rng.normal(size=2)) for k in keys})
+    with patch.object(saft, "PHASE_BUDGET", budget):
+        got = dtsaft(p, s, w)
+    ref = oracle.dtsaft(p, s, w)
+    mass = sum(abs(v) for v in s.entries.values()) / np.sqrt(p.abs_det_b)
+    assert got.shape == ref.shape == (len(w),)
+    if len(w) and s.entries:
+        k = s.as_arrays()[0].astype(float)
+        assert np.max(np.abs(got - ref)) <= _dot_bound(p, w, k, mass)
+    else:
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), budget=_BUDGETS, n_out=st.sampled_from([0, 1, 7]))
+def test_poisson_check_matches_chunked_oracle(n, seed, budget, n_out):
+    rng = np.random.default_rng(seed)
+    p = random_params(n, rng)
+    g = sample_generator("gaussian", sampling_grid(3, 4, n=n), sigma=0.7,
+                         modulation=list(rng.uniform(-1, 1, n)))
+    w = rng.uniform(-2.0, 2.0, (n_out, n))
+    with patch.object(saft, "PHASE_BUDGET", budget):
+        got = poisson_check(p, g, w, cutoff=2)
+    ref = oracle.poisson_check(p, g, w, cutoff=2)
+    assert got.lhs.shape == ref.lhs.shape == (n_out,)
+    assert got.decayed == ref.decayed
+    if n_out:
+        images = (2 * 2 + 1) ** n
+        k, gk = integer_samples(g)
+        lhs_mass = float(np.sum(np.abs(gk))) / np.sqrt(p.abs_det_b)
+        assert np.max(np.abs(got.lhs - ref.lhs)) <= _dot_bound(p, w, k, lhs_mass)
+        assert np.max(np.abs(got.rhs - ref.rhs)) <= GRID_RTOL * images * _mass(p, g)
+
+
+def test_phase_sums_of_no_terms_are_zero():
+    nu = np.ones((3, 2))
+    assert np.array_equal(_phase_sum(nu, np.zeros((0, 2)), np.zeros(0, complex)), np.zeros(3))
+    assert dtsaft(preset("ft", 2), SeqFn(2, {}), nu).tolist() == [0j] * 3
+    assert grid_phase_sum(np.zeros((0, 2)), [np.arange(3.0)] * 2, np.ones((3, 3))).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# memory: bounded by the element budget, not by outputs x samples
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kernel", ["grid", "direct"])
+def test_peak_memory_is_bounded_by_the_budget(kernel):
+    rng = np.random.default_rng(11)
+    budget = 1 << 16                      # 1 MiB of complex elements
+    nu = rng.uniform(-4.0, 4.0, (1000, 2))
+    peaks = []
+    for side in (65, 129):                # 4,225 and 16,641 samples
+        axes = [np.linspace(-4.0, 4.0, side), np.linspace(-3.0, 3.0, side)]
+        vals = rng.normal(size=(side, side)) + 0j
+        if kernel == "grid":
+            run = lambda: grid_phase_sum(nu, axes, vals)
+        else:
+            t = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+            run = lambda: _phase_sum(nu, t, vals.reshape(-1))
+        with patch.object(saft, "PHASE_BUDGET", budget):
+            peaks.append(_peak_bytes(run))
+    # unchunked, the phase matrix alone would take 1000 x 16,641 x 16 bytes
+    # (254 MiB) at the larger grid
+    assert max(peaks) < 2 * budget * 16, [pk / 2**20 for pk in peaks]

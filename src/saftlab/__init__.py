@@ -68,14 +68,12 @@ from .dynsamp import (
     MatrixField,
     MeasurementSet,
     StabilityReport,
-    build_B,
     build_B_from_samples,
     build_B_window,
     build_D,
     coset_coefficients,
     filtered_levels,
     integer_sample_levels,
-    measure,
     measure_from_samples,
     recover_continuous,
     recover_discrete,
@@ -110,9 +108,9 @@ __all__ = [
     "theorem_residual_sd",
     "RieszReport", "SisModel", "build_sis", "frame_check", "grammian",
     "grammian_unsquared", "riesz_bounds", "synthesize", "wiener_norm",
-    "MatrixField", "MeasurementSet", "StabilityReport", "build_B",
+    "MatrixField", "MeasurementSet", "StabilityReport",
     "build_B_from_samples", "build_B_window", "build_D", "coset_coefficients",
-    "filtered_levels", "integer_sample_levels", "measure",
+    "filtered_levels", "integer_sample_levels",
     "measure_from_samples", "recover_continuous", "recover_discrete",
     "solve_grid", "stability_report",
     "ExampleScenario", "MeyerSpec", "build_example", "meyer_aux", "meyer_psi",

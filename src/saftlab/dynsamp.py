@@ -30,7 +30,7 @@ them is what makes the per-frequency identity exact for every valid
 parameter block rather than only chirp-free ones.
 
 Two independent characterizations are implemented: the discrete one above
-(`build_B` / `recover_discrete`) and a periodization-based one
+(`build_B_window` / `recover_discrete`) and a periodization-based one
 (`build_D` / `recover_continuous`) that works from plain integer samples
 ``h_j = (a^j * f)|_Z^n`` with classical filtering.
 
@@ -41,39 +41,44 @@ what the worked-example reproduction uses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conv import comb_apply, conv_cc, conv_dd, pair_sums
-from .grid import GridFn, SeqFn, uniform_grid
+from .grid import GridFn, SeqFn
 from .lattice import SamplingLattice
-from .params import SaftParams, chirp, modulation, require_valid
-from .saft import DEFAULT_LATTICE_CUTOFF, downsample, dtsaft, grid_phase_sum, lattice_shifts
-from .sis import SisModel, spectrum_at, synthesize
+from .params import SaftParams, chirp, modulation, preset, require_valid
+from .saft import downsample, dtsaft, grid_phase_sum, lattice_shifts
+from .sis import SisModel, spectrum_at
 
 __all__ = [
     "MeasurementSet",
     "MatrixField",
     "StabilityReport",
+    "filtered_levels",
     "coset_coefficients",
-    "measure",
     "measure_from_samples",
     "generator_coset_samples",
-    "build_B",
+    "sampled_generator",
     "build_B_from_samples",
+    "filter_symbol",
     "build_D",
     "stability_report",
     "solve_grid",
+    "folded_dt_values",
+    "build_B_window",
     "recover_discrete",
     "continuous_solve_grid",
-    "recover_continuous",
     "integer_sample_levels",
+    "recover_continuous",
 ]
 
 #: magnitudes below this are dropped when lattice-sampling filtered generators
 SAMPLE_THRESHOLD = 1e-14
+
+#: a matrix field passes `stability_report` only with every condition number below this
+COND_MAX = 1e8
 
 
 @dataclass(frozen=True)
@@ -85,7 +90,6 @@ class MeasurementSet:
     levels: tuple[SeqFn, ...]
     window_lo: np.ndarray
     window_hi: np.ndarray
-    filter_kind: str
 
     @property
     def J(self) -> int:
@@ -112,6 +116,8 @@ class StabilityReport:
     max_cond: float
     argmax_w: np.ndarray
     verdict: str
+    abs_det: np.ndarray          # (Np,) |det| per frequency point
+    cond: np.ndarray             # (Np,) condition number, inf where singular
 
     @property
     def ok(self) -> bool:
@@ -119,123 +125,33 @@ class StabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# filtering helpers (twisted and classical composition)
+# filtering
 
 
-def _classical_conv_grids(f: GridFn, g: GridFn) -> GridFn:
-    out_shape = tuple(a + b - 1 for a, b in zip(f.shape, g.shape))
-    F = np.fft.fftn(f.values, s=out_shape)
-    G = np.fft.fftn(g.values, s=out_shape)
-    prod = np.fft.ifftn(F * G) * f.cell_volume
-    origin = f.origin + g.origin + f.spacing / 2.0
-    out = uniform_grid(origin, origin + out_shape * f.spacing, out_shape)
-    return out.with_values(prod)
-
-
-def _classical_comb_apply(coeffs: SeqFn, f: GridFn) -> GridFn:
-    from .conv import integer_alignment
-
-    q = integer_alignment(f)
-    if not coeffs.entries:
-        return f.with_values(np.zeros(f.shape, dtype=complex))
-    keys = np.array(sorted(coeffs.entries), dtype=int)
-    k_min = keys.min(axis=0)
-    k_max = keys.max(axis=0)
-    out_shape = tuple(np.array(f.shape) + (k_max - k_min) * q)
-    origin = f.origin + k_min
-    out = uniform_grid(origin, origin + np.array(out_shape) * f.spacing, out_shape)
-    acc = np.zeros(out_shape, dtype=complex)
-    for k in keys:
-        shift = (k - k_min) * q
-        sl = tuple(slice(o, o + n) for o, n in zip(shift, f.shape))
-        acc[sl] += coeffs.entries[tuple(k)] * f.values
-    return out.with_values(acc)
-
-
-def _classical_comb_compose(a: SeqFn, b: SeqFn) -> SeqFn:
-    ak, av = a.entry_arrays()
-    bk, bv = b.entry_arrays()
-    return SeqFn.from_arrays(a.n, *pair_sums(ak, av, bk, (bv,)))
-
-
-def _apply_filter(p: SaftParams, a, f, kind: str):
+def _apply_filter(p: SaftParams, a, f):
     if isinstance(f, SeqFn):
         if not isinstance(a, SeqFn):
             raise ValueError("sequence signals take point-mass (sequence) filters")
-        return conv_dd(p, a, f) if kind == "cc" else _classical_comb_compose(a, f)
+        return conv_dd(p, a, f)
     if isinstance(a, SeqFn):
-        return comb_apply(p, a, f) if kind == "cc" else _classical_comb_apply(a, f)
-    return conv_cc(p, a, f) if kind == "cc" else _classical_conv_grids(a, f)
+        return comb_apply(p, a, f)
+    return conv_cc(p, a, f)
 
 
 def filtered_levels(p: SaftParams, a, f, J: int, kind: str) -> list:
     """[f, a@f, a@a@f, ...] under the chosen composition ("cc" or "classical").
 
+    Classical filtering is the twisted one under the plain Fourier block.
     ``f`` may be a grid function or an integer-sample sequence; point-mass
     filters act on sampled signals through the twisted sequence product,
     which agrees with sampling the filtered function at the integers."""
     if kind not in ("cc", "classical"):
-        raise ValueError("filter_kind must be 'cc' or 'classical'")
+        raise ValueError("kind must be 'cc' or 'classical'")
+    q = p if kind == "cc" else preset("ft", p.n)
     out = [f]
     for _ in range(J - 1):
-        out.append(_apply_filter(p, a, out[-1], kind))
+        out.append(_apply_filter(q, a, out[-1]))
     return out
-
-
-# ---------------------------------------------------------------------------
-# lattice sampling of grid functions
-
-
-def _grid_value_at_integers(g: GridFn, pts: np.ndarray, tol: float = 1e-9):
-    """Values of ``g`` at the given physical points, which must be cell
-    centers; returns (values, in_bounds_mask)."""
-    idx = np.empty(pts.shape, dtype=int)
-    ok = np.ones(pts.shape[0], dtype=bool)
-    for i in range(g.n):
-        first = g.origin[i] + g.spacing[i] / 2.0
-        fi = (pts[:, i] - first) / g.spacing[i]
-        ri = np.round(fi).astype(int)
-        on_center = np.abs(fi - ri) <= tol * max(1.0, float(np.max(np.abs(fi))) if fi.size else 1.0)
-        if not np.all(on_center):
-            raise ValueError(
-                "requested points are not cell centers on axis %d; sample on "
-                "an integer-aligned grid" % i
-            )
-        ok &= (ri >= 0) & (ri < g.shape[i])
-        idx[:, i] = np.clip(ri, 0, g.shape[i] - 1)
-    vals = g.values[tuple(idx.T)]
-    vals = np.where(ok, vals, 0.0)
-    return vals, ok
-
-
-def _window_inside(lat: SamplingLattice, grids: list[GridFn]) -> tuple[np.ndarray, np.ndarray]:
-    """Largest simple index box K with M^T k a cell center inside every grid."""
-    mt = lat.M.T.astype(float)
-    n = lat.n
-    lo = None
-    hi = None
-    for g in grids:
-        t_lo = g.origin + g.spacing / 2.0
-        t_hi = g.origin + (np.array(g.shape) - 0.5) * g.spacing
-        inv = np.linalg.inv(mt)
-        corners = np.array(list(itertools.product(*zip(t_lo, t_hi))))
-        kc = corners @ inv.T
-        g_lo = np.ceil(kc.min(axis=0) - 1e-9).astype(int)
-        g_hi = np.floor(kc.max(axis=0) + 1e-9).astype(int)
-        for _ in range(1000):
-            box = np.array(list(itertools.product(*zip(g_lo, g_hi))), dtype=float)
-            mapped = box @ mt.T
-            if np.all(mapped >= t_lo - 1e-9) and np.all(mapped <= t_hi + 1e-9):
-                break
-            g_lo = g_lo + 1
-            g_hi = g_hi - 1
-            if np.any(g_hi < g_lo):
-                raise ValueError("no index window fits inside the sampled grids")
-        lo = g_lo if lo is None else np.maximum(lo, g_lo)
-        hi = g_hi if hi is None else np.minimum(hi, g_hi)
-    if np.any(hi < lo):
-        raise ValueError("sampled grids have no common index window")
-    return lo, hi
 
 
 def _window_mesh(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -258,41 +174,6 @@ def coset_coefficients(params: SaftParams, lat: SamplingLattice, s: SeqFn) -> li
     r, j = lat.split(keys)
     vals = vals * np.conj(chirp(params, r.astype(float))) * chirp(params, keys.astype(float))
     return [SeqFn.from_arrays(lat.n, r[j == l], vals[j == l]) for l in range(lat.m)]
-
-
-def measure(
-    model: SisModel,
-    s: SeqFn,
-    a,
-    lat: SamplingLattice,
-    J: int | None = None,
-    filter_kind: str = "cc",
-) -> MeasurementSet:
-    """Synthesize ``f = s *_sd phi`` and record the J filtered channels on
-    the largest index window the grids support.
-
-    ``a`` is a grid function or a comb coefficient sequence; the j = 0
-    channel is the unfiltered signal.  Channel values carry the chirp
-    correction ``lam(M^T k) conj(lam)(k)``.
-    """
-    p = model.params
-    J = lat.m if J is None else int(J)
-    if J < 1:
-        raise ValueError("need at least one channel")
-    f = synthesize(model, s)
-    levels_g = filtered_levels(p, a, f, J, filter_kind)
-    lo, hi = _window_inside(lat, levels_g)
-    kmesh = _window_mesh(lo, hi)
-    pts = kmesh.astype(float) @ lat.M.astype(float)      # rows are M^T k
-    fix = chirp(p, pts) * np.conj(chirp(p, kmesh.astype(float)))
-    seqs = []
-    for g in levels_g:
-        vals, _ = _grid_value_at_integers(g, pts)
-        seqs.append(SeqFn.from_arrays(lat.n, kmesh, vals * fix))
-    return MeasurementSet(
-        params=p, lat=lat, levels=tuple(seqs),
-        window_lo=lo, window_hi=hi, filter_kind=filter_kind,
-    )
 
 
 def measure_from_samples(
@@ -333,7 +214,7 @@ def measure_from_samples(
         lo_all, hi_all = np.zeros(lat.n, dtype=int), np.zeros(lat.n, dtype=int)
     return MeasurementSet(
         params=p, lat=lat, levels=tuple(seqs),
-        window_lo=lo_all, window_hi=hi_all, filter_kind="cc",
+        window_lo=lo_all, window_hi=hi_all,
     )
 
 
@@ -341,23 +222,18 @@ def generator_coset_samples(
     params: SaftParams,
     lat: SamplingLattice,
     phi_j_samples: SeqFn,
-    l: int,
-    chirped: bool = True,
-) -> SeqFn:
-    """Coset subsequence of integer generator samples:
+) -> list[SeqFn]:
+    """Coset subsequences of integer generator samples, one per ``eta_l``:
     ``phi_l^j(r) = phi_j(M^T r - eta_l) * lam(M^T r - eta_l)``.
 
     ``phi_j_samples`` holds integer samples of the filtered generator (keys
-    are the integer points); only keys congruent to ``-eta_l`` contribute.
-    With ``chirped=False`` the unimodular factor is omitted.
+    are the integer points); each key ``k`` lands in the one coset with
+    ``k + eta_l = M^T r``, found by a single split of ``-k``.
     """
     keys, vals = phi_j_samples.entry_arrays()
-    r, j = lat.split(keys + np.array(lat.eta[l], dtype=np.int64))   # M^T r = k + eta_l
-    keep = j == 0
-    v = vals[keep]
-    if chirped:
-        v = v * chirp(params, keys[keep].astype(float))
-    return SeqFn.from_arrays(lat.n, r[keep], v)
+    r, j = lat.split(-keys)                     # -k = M^T r'' + eta_l, r = -r''
+    vals = vals * chirp(params, keys.astype(float))
+    return [SeqFn.from_arrays(lat.n, -r[j == l], vals[j == l]) for l in range(lat.m)]
 
 
 def sampled_generator(
@@ -398,8 +274,7 @@ def build_B_from_samples(
     J = len(phi_levels)
     entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
     for j, samples in enumerate(phi_levels):
-        for l in range(m):
-            phi_lj = generator_coset_samples(p, lat, samples, l, chirped=True)
+        for l, phi_lj in enumerate(generator_coset_samples(p, lat, samples)):
             if not phi_lj.entries:
                 continue
             rk, rv = phi_lj.as_arrays()
@@ -408,25 +283,7 @@ def build_B_from_samples(
     return MatrixField(wpoints=wpts, entries=entries, label="B")
 
 
-def build_B(
-    model: SisModel,
-    a,
-    lat: SamplingLattice,
-    wgrid,
-    filter_kind: str = "cc",
-    threshold: float = SAMPLE_THRESHOLD,
-    J: int | None = None,
-) -> MatrixField:
-    """Discrete-characterization field (grid route): filter the generator,
-    sample it on the integer lattice, and assemble the coset system."""
-    p = model.params
-    J = lat.m if J is None else int(J)
-    levels_g = filtered_levels(p, a, model.phi, J, filter_kind)
-    phi_levels = [sampled_generator(g, threshold) for g in levels_g]
-    return build_B_from_samples(p, lat, wgrid, phi_levels)
-
-
-def _filter_symbol(p: SaftParams, a, pts_xi: np.ndarray) -> np.ndarray:
+def filter_symbol(p: SaftParams, a, pts_xi: np.ndarray) -> np.ndarray:
     """Classical frequency symbol of the filter at reduced frequencies."""
     if isinstance(a, SeqFn):
         if not a.entries:
@@ -471,28 +328,22 @@ def build_D(
     entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
     if p.is_chirp_free(1e-14):
         base = spectrum_at(model, pts)                    # (Np, m, S)
-        sym = _filter_symbol(p, a, (pts - p.P) @ p.b_inv.T)
+        sym = filter_symbol(p, a, (pts - p.P) @ p.b_inv.T)
         for j in range(J):
             entries[:, j, :] = np.sum(eta_sq * sym**j * base, axis=-1)
     else:
-        phi_j = model.phi
-        for j in range(J):
-            if j > 0:
-                phi_j = _apply_filter(p, a, phi_j, "classical")
+        for j, phi_j in enumerate(filtered_levels(p, a, model.phi, J, "classical")):
             vals = spectrum_at(model, pts, None if j == 0 else phi_j)
             entries[:, j, :] = np.sum(eta_sq * vals, axis=-1)
     return MatrixField(wpoints=wpts, entries=entries, label="D")
 
 
-def stability_report(
-    field: MatrixField,
-    det_rtol: float = 1e-8,
-    cond_max: float = 1e8,
-) -> StabilityReport:
-    """Pointwise invertibility scan of a matrix field.
+def stability_report(field: MatrixField, det_rtol: float = 1e-8) -> StabilityReport:
+    """Pointwise invertibility scan of a matrix field: the one verdict that
+    `dynsamp check` reports and both solvers enforce.
 
     Pass requires ``|det| > det_rtol * prod(row norms)`` (a scale-free
-    Hadamard-style margin) and condition number below ``cond_max`` at every
+    Hadamard-style margin) and condition number below `COND_MAX` at every
     grid point.
     """
     ent = field.entries
@@ -503,16 +354,30 @@ def stability_report(
         conds = np.linalg.cond(ent)
     conds = np.where(np.isfinite(conds), conds, np.inf)
     margin = dets - det_rtol * hadamard
-    i_det = int(np.argmin(margin))
+    i_det = int(np.argmin(dets))
     i_cond = int(np.argmax(conds))
-    ok = margin[i_det] > 0 and conds[i_cond] < cond_max
+    ok = margin.min() > 0 and conds[i_cond] < COND_MAX
     return StabilityReport(
-        min_abs_det=float(dets[int(np.argmin(dets))]),
-        argmin_w=field.wpoints[int(np.argmin(dets))],
+        min_abs_det=float(dets[i_det]),
+        argmin_w=field.wpoints[i_det],
         max_cond=float(conds[i_cond]),
         argmax_w=field.wpoints[i_cond],
         verdict="pass" if ok else "fail",
+        abs_det=dets,
+        cond=conds,
     )
+
+
+def _require_stable(field: MatrixField, system: str) -> dict:
+    """The `stability_report` verdict as a solver precondition; returns the
+    health figures for the solver's info dict."""
+    rep = stability_report(field)
+    if not rep.ok:
+        raise ValueError(
+            f"{system} system is singular at w = {rep.argmin_w.tolist()} "
+            f"(min |det| = {rep.min_abs_det:.3e}, max cond = {rep.max_cond:.3e})"
+        )
+    return {"min_abs_det": rep.min_abs_det, "max_cond": rep.max_cond}
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +415,7 @@ def _fold_to_box(keys: np.ndarray, weights: np.ndarray, shape: tuple) -> np.ndar
     return box
 
 
-def _folded_dt_values(p: SaftParams, s: SeqFn, shape: tuple) -> np.ndarray:
+def folded_dt_values(p: SaftParams, s: SeqFn, shape: tuple) -> np.ndarray:
     """Sequence transform on the solve-grid nodes w = B(q/N), sans the
     output modulation factor (callers reapply it as their identity needs).
 
@@ -588,8 +453,7 @@ def build_B_window(
     eta_flat = modulation(p, wpts)
     entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
     for j, samples in enumerate(phi_levels):
-        for l in range(m):
-            phi_lj = generator_coset_samples(p, lat, samples, l, chirped=True)
+        for l, phi_lj in enumerate(generator_coset_samples(p, lat, samples)):
             if not phi_lj.entries:
                 continue
             rk, rv = phi_lj.as_arrays()
@@ -630,8 +494,8 @@ def recover_discrete(
     (default: the measurement window).  ``Bfield`` must be evaluated on the
     dual `solve_grid` of that window — the per-coset inversion is then an
     exact inverse DFT after removing the unimodular factors.  Raises when
-    the system is numerically singular at some frequency; ill-conditioned
-    points are reported in the info dict.
+    the field fails `stability_report`; the info dict carries its min |det|
+    and max condition number.
     """
     p = ms.params
     lat = ms.lat
@@ -648,33 +512,17 @@ def recover_discrete(
     m = lat.m
     if ms.J != m:
         raise ValueError(f"need {m} channels for a square system, got {ms.J}")
+    info = _require_stable(Bfield, "coset")
     eta_w = modulation(p, wpts)
     # one eta from the channel transform itself, one from the identity
     rhs = np.stack(
         [
-            eta_w**2 * _folded_dt_values(p, ms.levels[j], shape).reshape(-1)
+            eta_w**2 * folded_dt_values(p, ms.levels[j], shape).reshape(-1)
             for j in range(m)
         ],
         axis=-1,
     )
-    ent = Bfield.entries
-    dets = np.abs(np.linalg.det(ent))
-    row_norms = np.linalg.norm(ent, axis=2)
-    hadamard = np.prod(row_norms, axis=1)
-    bad = dets <= 1e-13 * np.maximum(hadamard, 1e-300)
-    if np.any(bad):
-        wbad = wpts[int(np.argmax(bad))]
-        raise ValueError(f"coset system is singular at w = {wbad.tolist()}")
-    info: dict = {"min_abs_det": float(dets.min()), "warnings": []}
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conds = np.linalg.cond(ent)
-    info["max_cond"] = float(np.max(conds[np.isfinite(conds)], initial=1.0))
-    if info["max_cond"] > 1e8:
-        info["warnings"].append(
-            f"ill-conditioned system (max cond {info['max_cond']:.2e}); "
-            "recovered values may lose precision"
-        )
-    X = np.linalg.solve(ent, rhs[..., None])[..., 0]       # (Np, m)
+    X = np.linalg.solve(Bfield.entries, rhs[..., None])[..., 0]   # (Np, m)
 
     rmesh = _window_mesh(lo, lo + np.array(shape) - 1)
     rf = rmesh.astype(float)
@@ -720,22 +568,6 @@ def continuous_solve_grid(
     return xi @ params.B.T, shape, lo, qshape
 
 
-def _require_plain_fourier(p: SaftParams) -> None:
-    plain = (
-        p.is_chirp_free(1e-12)
-        and float(np.max(np.abs(p.D))) <= 1e-12
-        and np.allclose(p.B, np.eye(p.n), atol=1e-12)
-        and float(np.max(np.abs(p.P))) <= 1e-12
-        and float(np.max(np.abs(p.Q))) <= 1e-12
-    )
-    if not plain:
-        raise ValueError(
-            "the periodization recovery route is implemented for the plain "
-            "Fourier block (A = D = 0, B = I, zero offsets); use the "
-            "discrete route for general parameter blocks"
-        )
-
-
 def integer_sample_levels(
     p: SaftParams,
     a,
@@ -763,10 +595,16 @@ def recover_continuous(
     Solves ``m * conj(eta)(w) (S [keep M^T-samples of h_j])(w) = sum_v
     D[j][v] C_v(w)`` per frequency, reads the coefficient symbol off the
     ``C_v`` channels, and inverts it over the (padded) coefficient window.
-    ``Dfield`` must be evaluated on `continuous_solve_grid` points.
+    ``Dfield`` must be evaluated on `continuous_solve_grid` points and pass
+    `stability_report`.
     """
     p = params
-    _require_plain_fourier(p)
+    if not p.is_plain_fourier():
+        raise ValueError(
+            "the periodization recovery route is implemented for the plain "
+            "Fourier block (A = D = 0, B = I, zero offsets); use the "
+            "discrete route for general parameter blocks"
+        )
     wpts, shape, lo, qshape = continuous_solve_grid(p, lat, window[0], window[1])
     if Dfield.wpoints.shape != wpts.shape or not np.allclose(
         Dfield.wpoints, wpts, atol=1e-9
@@ -778,25 +616,18 @@ def recover_continuous(
     m = lat.m
     if len(h_levels) != m:
         raise ValueError(f"need {m} channels for a square system, got {len(h_levels)}")
+    info = _require_stable(Dfield, "periodization")
     # the solve nodes are w = q*diag/N, i.e. reduced nodes q/qshape for the
     # downsampled channel sequences, so the folded evaluator applies; the
     # conj(eta) of the identity cancels the transform's own eta exactly
     rhs = np.stack(
         [
-            m * _folded_dt_values(p, downsample(lat, h), qshape).reshape(-1)
+            m * folded_dt_values(p, downsample(lat, h), qshape).reshape(-1)
             for h in h_levels
         ],
         axis=-1,
     )
-    ent = Dfield.entries
-    dets = np.abs(np.linalg.det(ent))
-    row_norms = np.linalg.norm(ent, axis=2)
-    bad = dets <= 1e-13 * np.maximum(np.prod(row_norms, axis=1), 1e-300)
-    if np.any(bad):
-        wbad = wpts[int(np.argmax(bad))]
-        raise ValueError(f"periodization system is singular at w = {wbad.tolist()}")
-    info: dict = {"min_abs_det": float(dets.min()), "warnings": []}
-    C = np.linalg.solve(ent, rhs[..., None])[..., 0]       # (Np, m)
+    C = np.linalg.solve(Dfield.entries, rhs[..., None])[..., 0]   # (Np, m)
 
     # scatter the channel values onto the full DFT grid of the window
     diag = np.diag(lat.M)

@@ -160,6 +160,17 @@ class SaftParams:
         """True when the input-side quadratic phase vanishes (A == 0)."""
         return float(np.max(np.abs(self.A))) <= tol
 
+    def is_plain_fourier(self) -> bool:
+        """True for the plain Fourier block: A = D = 0, B = I, zero offsets
+        (each to 1e-12)."""
+        return bool(
+            self.is_chirp_free(1e-12)
+            and float(np.max(np.abs(self.D))) <= 1e-12
+            and np.allclose(self.B, np.eye(self.n), atol=1e-12)
+            and float(np.max(np.abs(self.P))) <= 1e-12
+            and float(np.max(np.abs(self.Q))) <= 1e-12
+        )
+
     def __repr__(self):  # compact; the matrices are small
         with np.printoptions(precision=4, suppress=True):
             return (

@@ -20,13 +20,12 @@ import numpy as np
 
 from .conv import conv_dd, conv_sd
 from .dynsamp import (
-    _filter_symbol,
-    _folded_dt_values,
-    _require_plain_fourier,
     build_B_window,
     build_D,
     continuous_solve_grid,
+    filter_symbol,
     filtered_levels,
+    folded_dt_values,
     measure_from_samples,
     recover_continuous,
     recover_discrete,
@@ -261,7 +260,7 @@ def build_example(
     )
     pts = nu0[:, None, :] + shifts[None, :, :]
     chi = np.all(np.abs(pts) <= spec.support_end, axis=-1).astype(float)
-    sym = _filter_symbol(p, filt, pts)
+    sym = filter_symbol(p, filt, pts)
     masking_residual = float(np.max(np.abs((chi - 1.0) * sym * _tensor_psi(pts, spec))))
 
     # unsquared periodization of the window: bounded away from zero.  The
@@ -326,11 +325,11 @@ def window_periodization_check(
     for i in (-1, 0, 1):
         for j in (-1, 0, 1):
             freq0 = freq0 + _tensor_psi(x + np.array([i, j], dtype=float), scenario.spec)
-    samp0 = _folded_dt_values(pft, scenario.window_samples, shape).reshape(-1)
+    samp0 = folded_dt_values(pft, scenario.window_samples, shape).reshape(-1)
 
     level1 = conv_dd(pft, scenario.filt, scenario.window_samples)
-    samp1 = _folded_dt_values(pft, level1, shape).reshape(-1)
-    sym = _filter_symbol(pft, scenario.filt, x)
+    samp1 = folded_dt_values(pft, level1, shape).reshape(-1)
+    sym = filter_symbol(pft, scenario.filt, x)
 
     return {
         "periodization_residual": float(np.max(np.abs(samp0 - freq0))),
@@ -350,7 +349,7 @@ def channel_vandermonde(
     minv = lat.m_inverse()
     gam = np.array(lat.gamma, dtype=float)
     x = (pts[:, None, :] + gam[None, :, :]) @ minv.T
-    beta = _filter_symbol(p, scenario.filt, (x - p.P) @ p.b_inv.T)
+    beta = filter_symbol(p, scenario.filt, (x - p.P) @ p.b_inv.T)
     m = lat.m
     det = np.ones(pts.shape[0], dtype=complex)
     for v in range(m):
@@ -523,11 +522,7 @@ def run_example(
         report["recovery_error"] = None
 
     # periodization route and factorization checks need plain-Fourier blocks
-    plain = True
-    try:
-        _require_plain_fourier(p)
-    except ValueError:
-        plain = False
+    plain = p.is_plain_fourier()
 
     report["min_det_E"] = None
     report["min_det_D"] = None

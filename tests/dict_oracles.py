@@ -203,7 +203,7 @@ def measure_from_samples(
         hi_all = np.zeros(lat.n, dtype=int)
     return MeasurementSet(
         params=p, lat=lat, levels=tuple(seqs),
-        window_lo=lo_all, window_hi=hi_all, filter_kind="cc",
+        window_lo=lo_all, window_hi=hi_all,
     )
 
 

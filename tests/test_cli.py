@@ -11,15 +11,23 @@ import pytest
 
 from saftlab.cli import main
 from saftlab.dynsamp import (
+    build_B_from_samples,
     filtered_levels,
     integer_sample_levels,
     measure_from_samples,
     sampled_generator,
 )
 from saftlab.grid import SeqFn, sample_generator, sampling_grid
-from saftlab.io import read_grid, read_sequence, write_grid, write_params, write_sequence
+from saftlab.io import (
+    read_grid,
+    read_params,
+    read_sequence,
+    write_grid,
+    write_params,
+    write_sequence,
+)
 from saftlab.lattice import build_lattice
-from saftlab.params import preset
+from saftlab.params import preset, random_params
 from saftlab.sis import build_sis, synthesize
 
 TRUTH = {(0,): 1.0 + 0.0j, (2,): -1.0 + 0.0j, (3,): 0.5j}
@@ -201,6 +209,38 @@ def test_dynsamp_check_pass(work, tmp_path, capsys):
     head = out.read_text().splitlines()[0].split(",")
     assert head[0] == "w1" and "abs_det" in head and "cond" in head
     assert "B00_re" in head and "B11_im" in head
+
+
+@pytest.mark.parametrize("n, M", [(1, [[2]]), (2, [[1, 2], [3, 1]])], ids=["n1", "n2"])
+def test_dynsamp_check_csv_is_the_sample_route_field(tmp_path, capsys, n, M):
+    # the check evaluates its cell mesh on the solve grid; the entries must
+    # be the arbitrary-point evaluator's at the CSV's own points
+    rng = np.random.default_rng(60 + n)
+    write_params(tmp_path / "p.json", random_params(n, rng))
+    write_grid(tmp_path / "phi.grid",
+               sample_generator("gaussian", sampling_grid(2, 4, n=n), sigma=0.5))
+    keys = [tuple(k) for k in rng.integers(-1, 2, size=(3, n))]
+    write_sequence(tmp_path / "a.csv",
+                   SeqFn.from_items(n, {k: complex(*rng.normal(size=2)) for k in keys}))
+    out = tmp_path / "field.csv"
+    main(["dynsamp", "check", "--params", str(tmp_path / "p.json"),
+          "--phi", str(tmp_path / "phi.grid"), "--filter", str(tmp_path / "a.csv"),
+          "--M", json.dumps(M), "--cell-points", "7", "--out", str(out)])
+    capsys.readouterr()
+
+    p = read_params(tmp_path / "p.json")
+    lat = build_lattice(M)
+    m = lat.m
+    rows = np.array([[float(x) for x in ln.split(",")]
+                     for ln in out.read_text().splitlines()[1:]])
+    assert rows.shape == (7**n, n + 2 * m * m + 2)
+    parts = rows[:, n:n + 2 * m * m]
+    got = (parts[:, 0::2] + 1j * parts[:, 1::2]).reshape(-1, m, m)
+    filt = read_sequence(tmp_path / "a.csv", n=n)
+    samples = sampled_generator(read_grid(tmp_path / "phi.grid"))
+    levels = filtered_levels(p, filt, samples, m, "cc")
+    ref = build_B_from_samples(p, lat, rows[:, :n], levels).entries
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_dynsamp_check_zero_filter_fails(work, tmp_path, capsys):

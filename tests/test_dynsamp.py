@@ -6,19 +6,24 @@ finitely supported data, so coefficients must come back to rounding error,
 not merely to a modeling tolerance.
 """
 
+import inspect
+
+import dynsamp_oracles as oracle
 import numpy as np
 import pytest
 
+import saftlab
+from saftlab import dynsamp
 from saftlab.dynsamp import (
-    build_B,
+    MatrixField,
     build_B_from_samples,
     build_B_window,
     build_D,
     continuous_solve_grid,
     coset_coefficients,
     filtered_levels,
+    folded_dt_values,
     integer_sample_levels,
-    measure,
     measure_from_samples,
     recover_continuous,
     recover_discrete,
@@ -26,7 +31,6 @@ from saftlab.dynsamp import (
     solve_grid,
     stability_report,
 )
-from saftlab.dynsamp import _folded_dt_values  # white-box: folding identity
 from saftlab.grid import SeqFn, sample_generator, sampling_grid
 from saftlab.lattice import build_lattice, decompose, split_sequence
 from saftlab.params import modulation, preset, random_params
@@ -68,6 +72,35 @@ def test_filtered_levels_shape_and_identity_level():
         assert np.max(np.abs(lv_cc.values - lv_cl.values)) < 1e-12
 
 
+def _bits(x):
+    return np.asarray(x, dtype=complex).view(np.float64)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_classical_filtering_is_the_twisted_kernel_under_ft_bitwise(n):
+    # "classical" filtering on any block runs the twisted kernels under the
+    # plain Fourier block; the removed untwisted helpers are the reference
+    rng = np.random.default_rng(40 + n)
+    p = random_params(n, rng)
+    g = sample_generator("gaussian", sampling_grid(2, 4, n=n), sigma=0.6,
+                         modulation=list(rng.uniform(-1, 1, n)))
+    h = sample_generator("gaussian", sampling_grid(1, 4, n=n), sigma=0.4)
+    a = _rand_seq(rng, n, 3, 1)
+    s = _rand_seq(rng, n, 9, 4)
+    pairs = [
+        (filtered_levels(p, h, g, 2, "classical")[1], oracle.classical_conv_grids(h, g)),
+        (filtered_levels(p, a, g, 2, "classical")[1], oracle.classical_comb_apply(a, g)),
+    ]
+    for new, ref in pairs:
+        assert new.same_geometry(ref)
+        np.testing.assert_array_equal(_bits(new.values), _bits(ref.values))
+    new = filtered_levels(p, a, s, 2, "classical")[1]
+    ref = oracle.classical_comb_compose(a, s)
+    assert list(new.entries) == list(ref.entries)
+    np.testing.assert_array_equal(_bits(list(new.entries.values())),
+                                  _bits(list(ref.entries.values())))
+
+
 def test_coset_coefficients_reduce_to_plain_split_when_chirp_free():
     p = preset("ft", 2)
     lat = build_lattice([[2, 0], [0, 2]])
@@ -92,7 +125,7 @@ def test_measure_routes_agree(seed):
     a = SeqFn.from_items(1, ASYM_FILTER_1D)
     c = _rand_seq(rng, 1, 4, 2)
 
-    grid_ms = measure(model, c, a, lat)
+    grid_ms = oracle.measure(model, c, a, lat)
     phi_levels = [sampled_generator(lv) for lv in filtered_levels(p, a, phi, lat.m, "cc")]
     exact_ms = measure_from_samples(p, lat, c, phi_levels)
 
@@ -107,7 +140,7 @@ def test_folded_transform_equals_direct_on_solve_nodes():
     s = _rand_seq(rng, 2, 15, 9)  # support wider than the window: must fold
     wpts, shape, lo = solve_grid(p, [-2, -1], [1, 2])
     direct = dtsaft(p, s, wpts)
-    folded = modulation(p, wpts) * _folded_dt_values(p, s, shape).reshape(-1)
+    folded = modulation(p, wpts) * folded_dt_values(p, s, shape).reshape(-1)
     assert np.max(np.abs(direct - folded)) < 1e-12 * max(1.0, np.max(np.abs(direct)))
 
 
@@ -172,6 +205,62 @@ def test_zero_filter_gives_singular_system():
     ms = measure_from_samples(p, lat, c, levels)
     with pytest.raises(ValueError, match="singular"):
         recover_discrete(ms, field, r_window=([-4], [4]))
+
+
+def _nearly_singular_at(field, i, margin):
+    """``field`` with the matrix at point ``i`` replaced by one whose |det|
+    is ``margin`` times its Hadamard bound (2 x 2: rows v and v + margin u,
+    u orthogonal to v with |u| = |v|)."""
+    ent = field.entries.copy()
+    v = ent[i, 0]
+    u = np.array([-np.conj(v[1]), np.conj(v[0])])
+    ent[i, 1] = v + margin * u
+    return MatrixField(wpoints=field.wpoints, entries=ent, label=field.label)
+
+
+def test_recover_discrete_enforces_the_stability_verdict():
+    # |det| / Hadamard = 1e-10 lies between the old solver threshold (1e-13)
+    # and the verdict's 1e-8: the check and the solver must agree it fails
+    rng = np.random.default_rng(8)
+    p = preset("ft", 1)
+    lat = build_lattice([[2]])
+    phi_levels = [_rand_seq(rng, 1, 8, 3) for _ in range(2)]
+    c = _rand_seq(rng, 1, 4, 3)
+    ms = measure_from_samples(p, lat, c, phi_levels)
+    lo, hi = [-4], [4]
+    good = build_B_window(p, lat, lo, hi, phi_levels)
+    assert stability_report(good).ok
+    bad = _nearly_singular_at(good, 3, 1e-10)
+    rep = stability_report(bad)
+    ratio = rep.abs_det[3] / np.prod(np.linalg.norm(bad.entries[3], axis=1))
+    assert 1e-13 < ratio < 1e-8 and not rep.ok
+    with pytest.raises(ValueError, match="singular") as err:
+        recover_discrete(ms, bad, r_window=(lo, hi))
+    assert str(rep.argmin_w.tolist()) in str(err.value)
+
+
+def test_recover_continuous_enforces_the_stability_verdict():
+    rng = np.random.default_rng(9)
+    p = preset("ft", 1)
+    lat = build_lattice([[2]])
+    phi = sample_generator("gaussian", sampling_grid(6, 16), sigma=0.55)
+    model = build_sis(p, phi)
+    a = SeqFn.from_items(1, ASYM_FILTER_1D)
+    c = _rand_seq(rng, 1, 4, 2)
+    from saftlab.sis import synthesize
+
+    h_levels = integer_sample_levels(p, a, synthesize(model, c), lat.m)
+    lo, hi = np.array([-3]), np.array([3])
+    wpts, _, _, _ = continuous_solve_grid(p, lat, lo, hi)
+    good = build_D(model, a, lat, wpts)
+    assert stability_report(good).ok
+    bad = _nearly_singular_at(good, 1, 1e-10)
+    rep = stability_report(bad)
+    ratio = rep.abs_det[1] / np.prod(np.linalg.norm(bad.entries[1], axis=1))
+    assert 1e-13 < ratio < 1e-8 and not rep.ok
+    with pytest.raises(ValueError, match="singular") as err:
+        recover_continuous(p, lat, h_levels, bad, window=(lo, hi))
+    assert str(rep.argmin_w.tolist()) in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +328,7 @@ def test_recover_discrete_grid_route_end_to_end():
     model = build_sis(p, phi)
     a = SeqFn.from_items(1, ASYM_FILTER_1D)
     c = _rand_seq(rng, 1, 5, 3)
-    ms = measure(model, c, a, lat)
+    ms = oracle.measure(model, c, a, lat)
     lo, hi = _r_window(lat, c, pad=2)
     levels = [sampled_generator(lv) for lv in filtered_levels(p, a, phi, lat.m, "cc")]
     field = build_B_window(p, lat, lo, hi, levels)
@@ -368,3 +457,21 @@ def test_measurement_set_channel_count():
     phi_levels = [_rand_seq(rng, 1, 6, 3) for _ in range(3)]
     ms = measure_from_samples(p, lat, _rand_seq(rng, 1, 4, 3), phi_levels)
     assert ms.J == 3 and ms.lat.m == 3
+
+
+# ---------------------------------------------------------------------------
+# exports
+
+
+def test_every_public_dynsamp_function_and_class_is_exported():
+    public = {
+        name for name, obj in vars(dynsamp).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == dynsamp.__name__
+    }
+    assert public == set(dynsamp.__all__)
+
+
+def test_package_exports_exist():
+    assert [name for name in saftlab.__all__ if not hasattr(saftlab, name)] == []

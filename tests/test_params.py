@@ -49,7 +49,16 @@ def test_ft_preset_blocks():
     assert np.array_equal(p.C, -np.eye(2))
     assert np.array_equal(p.D, np.zeros((2, 2)))
     assert p.is_chirp_free()
+    assert p.is_plain_fourier()
     assert p.abs_det_b == 1.0
+
+
+def test_plain_fourier_needs_every_block_and_offset():
+    eye, zero = np.eye(1), np.zeros((1, 1))
+    assert not preset("separable_frft", theta=[0.7]).is_plain_fourier()
+    assert not SaftParams(1, zero, 2 * eye, -0.5 * eye, zero, [0.0], [0.0]).is_plain_fourier()
+    assert not SaftParams(1, zero, eye, -eye, zero, [0.25], [0.0]).is_plain_fourier()
+    assert not SaftParams(1, zero, eye, -eye, zero, [0.0], [0.25]).is_plain_fourier()
 
 
 def test_invalid_block_is_reported_not_raised():

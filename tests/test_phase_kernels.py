@@ -9,7 +9,7 @@ pair, outputs taken 4,096 at a time.  Two kernels replace them:
   numpy's pairwise sum, where the oracles used BLAS for both, so values
   agree within those two rounding bounds;
 * the grid kernel (`grid_phase_sum`, `grid_quadrature`, `sis.spectrum_at`,
-  `_filter_symbol` on grid filters, the image sum of `poisson_check`) forms
+  `filter_symbol` on grid filters, the image sum of `poisson_check`) forms
   one exponential per (output, axis sample) and adds the same terms in a
   different order.  Its phases are rounded per axis, so values agree within
   ``1e-12`` of the term mass ``sum |f| h^n / sqrt|det B|``, which bounds
@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from saftlab import saft
-from saftlab.dynsamp import _filter_symbol
+from saftlab.dynsamp import filter_symbol
 from saftlab.grid import GridFn, SeqFn, sample_generator, sampling_grid
 from saftlab.params import preset, random_params
 from saftlab.saft import (
@@ -105,7 +105,7 @@ def test_filter_symbol_of_a_grid_filter_matches_direct_sum(n, data, budget):
     _, g, w = data.draw(_case(n))
     xi = w.reshape(-1, 1, n)
     with patch.object(saft, "PHASE_BUDGET", budget):
-        got = _filter_symbol(preset("ft", n), g, xi)
+        got = filter_symbol(preset("ft", n), g, xi)
     ref = oracle.filter_symbol(preset("ft", n), g, xi)
     assert got.shape == ref.shape == (len(w), 1)
     if len(w):

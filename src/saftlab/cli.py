@@ -56,6 +56,16 @@ class _Parser(argparse.ArgumentParser):
 # argument helpers
 
 
+def _positive(kind):
+    """argparse type: a finite ``kind`` (int or float) above zero."""
+    def positive(text: str):
+        value = kind(text)
+        if not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+        return value
+    return positive
+
+
 def _parse_axis_specs(text: str, what: str) -> list[tuple[float, float, int]]:
     """Parse ``lo:hi:count`` per axis, comma-separated."""
     out = []
@@ -298,6 +308,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sis(args) -> int:
+    from .dynsamp import solve_grid
     from .sis import build_sis, grammian, grammian_unsquared, riesz_bounds
 
     p = _load_params(args.params)
@@ -306,10 +317,7 @@ def _cmd_sis(args) -> int:
         model = build_sis(p, phi)
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
-    count = args.cell_points
-    axes = [np.arange(count) / count] * p.n
-    xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, p.n)
-    wpts = xi @ p.B.T
+    wpts, _shape, _lo = solve_grid(p, [0] * p.n, [args.cell_points - 1] * p.n)
     g = np.atleast_1d(grammian(model, wpts))
     u = np.atleast_1d(grammian_unsquared(model, wpts))
     header = [",".join(f"w{i + 1}" for i in range(p.n)) + ",grammian,unsquared_sum"]
@@ -399,31 +407,19 @@ def _cmd_dynsamp_check(args) -> int:
 
 def _read_measurements(path: str, n: int):
     """Measurement CSV with a channel column -> list of sequences."""
-    from .grid import SeqFn
-    from .io import require_finite
+    from .io import parse_rows, sequence_from_rows
 
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if lines and lines[0].lower().startswith("k1"):
         lines = lines[1:]
-    per_channel: dict[int, dict] = {}
-    vals = []
-    for ln in lines:
-        parts = ln.split(",")
-        if len(parts) != n + 3:
-            raise ValueError(
-                f"{path}: row {ln!r} needs k1..k{n},channel,re,im"
-            )
-        k = tuple(int(float(x)) for x in parts[:n])
-        j = int(float(parts[n]))
-        vals.append(complex(float(parts[n + 1]), float(parts[n + 2])))
-        per_channel.setdefault(j, {})[k] = vals[-1]
-    require_finite(path, lines, vals)
-    if not per_channel:
+    if not lines:
         raise ValueError(f"{path}: no measurement rows")
-    J = max(per_channel) + 1
-    if sorted(per_channel) != list(range(J)):
+    rows, vals = parse_rows(path, lines, n + 1)      # k1..kn,channel
+    keys, chans = rows[:, :n], rows[:, n]
+    J = int(chans.max()) + 1
+    if not np.array_equal(np.unique(chans), np.arange(J)):
         raise ValueError(f"{path}: channel indices must be 0..J-1")
-    return [SeqFn(n=n, entries=per_channel[j]) for j in range(J)]
+    return [sequence_from_rows(path, n, keys[chans == j], vals[chans == j]) for j in range(J)]
 
 
 def _cmd_dynsamp_recover(args) -> int:
@@ -452,7 +448,7 @@ def _cmd_dynsamp_recover(args) -> int:
     if args.window:
         lo, hi = _parse_window(args.window, p.n)
     else:
-        keys = np.concatenate([s.as_arrays()[0] for s in vlevels if s.entries])
+        keys = np.concatenate([s.keys for s in vlevels])
         lo, hi = keys.min(axis=0), keys.max(axis=0)
     out_path = _require_out(args, "dynsamp recover")
 
@@ -474,7 +470,7 @@ def _cmd_dynsamp_recover(args) -> int:
     write_sequence(out_path, recovered)
     print(json.dumps({
         "method": args.method,
-        "entries": len(recovered.entries),
+        "entries": len(recovered),
         "window": [lo.tolist(), hi.tolist()],
         "min_abs_det": info["min_abs_det"],
         "max_cond": info["max_cond"],
@@ -690,7 +686,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("verify", help="seeded residual trials for the identities")
     sp.add_argument("--theorem", choices=("cc", "sd", "dd", "commute"), required=True)
-    sp.add_argument("--trials", type=int, default=20)
+    sp.add_argument("--trials", type=_positive(int), default=20)
     sp.add_argument("--params", default=None,
                     help="fixed parameter JSON (default: random valid blocks)")
     sp.add_argument("--dim", type=int, default=1, help="dimension for random blocks")
@@ -701,7 +697,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--params", required=True)
     sp.add_argument("--phi", required=True, help="generator grid file")
     sp.add_argument("--report", default=None, help="Grammian CSV path")
-    sp.add_argument("--cell-points", type=int, default=64,
+    sp.add_argument("--cell-points", type=_positive(int), default=64,
                     help="mesh nodes per axis over one frequency cell")
     _add_common(sp)
     sp.set_defaults(func=_cmd_sis)
@@ -714,7 +710,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--phi", required=True, help="generator grid file")
     sp.add_argument("--filter", required=True, help="filter (.grid or .csv comb)")
     sp.add_argument("--M", required=True, help='lattice matrix, e.g. "[[2,0],[0,2]]"')
-    sp.add_argument("--cell-points", type=int, default=17,
+    sp.add_argument("--cell-points", type=_positive(int), default=17,
                     help="mesh nodes per axis over one frequency cell")
     _add_common(sp)
     sp.set_defaults(func=_cmd_dynsamp_check)
@@ -739,7 +735,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--c2", default="0.5", help="second filter coefficient (complex)")
     sp.add_argument("--params", default=None, help="parameter JSON (default: plain FT)")
     sp.add_argument("--outdir", default=None, help="directory for figure CSVs + report.json")
-    sp.add_argument("--threshold", type=float, default=1e-14,
+    sp.add_argument("--threshold", type=_positive(float), default=1e-14,
                     help="relative cut for the generator sample table")
     _add_common(sp)
     sp.set_defaults(func=_cmd_repro)

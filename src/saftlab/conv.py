@@ -111,9 +111,9 @@ def conv_sd(params: SaftParams, s: SeqFn, phi: GridFn) -> GridFn:
     if s.n != phi.n:
         raise ValueError("sequence and grid dimensions differ")
     q = integer_alignment(phi)
-    if not s.entries:
+    if not len(s):
         return phi.with_values(np.zeros(phi.shape, dtype=complex))
-    keys = np.array(sorted(s.entries), dtype=int)
+    keys, vals = s.as_arrays()
     k_min = keys.min(axis=0)
     k_max = keys.max(axis=0)
     out_shape = tuple(np.array(phi.shape) + (k_max - k_min) * q)
@@ -121,11 +121,10 @@ def conv_sd(params: SaftParams, s: SeqFn, phi: GridFn) -> GridFn:
     out = uniform_grid(origin, origin + np.array(out_shape) * phi.spacing, out_shape)
     chirped = phi.values * chirp(p, phi.points())
     acc = np.zeros(out_shape, dtype=complex)
-    for k in keys:
-        kt = tuple(k)
+    for k, z in zip(keys, vals.tolist()):       # Python complex, as chirp returns
         shift = (k - k_min) * q
         sl = tuple(slice(o, o + n) for o, n in zip(shift, phi.shape))
-        acc[sl] += s.entries[kt] * chirp(p, k.astype(float)) * chirped
+        acc[sl] += z * chirp(p, k.astype(float)) * chirped
     pts = out.points()
     vals = acc * np.conj(chirp(p, pts)) / sqrt(p.abs_det_b)
     return out.with_values(vals)
@@ -173,7 +172,7 @@ def conv_dd(params: SaftParams, s: SeqFn, c: SeqFn) -> SeqFn:
 
     ``out(l) = conj(lam)(l) / sqrt|det B| * sum_{k+k'=l} (s(k) lam(k) lam(k')) c(k')``
     with the input chirp ``lam`` evaluated once per distinct key.  Each sum
-    runs in the entry order of ``s`` (outer-major); pairs are formed at most
+    runs in the key order of ``s`` (outer-major); pairs are formed at most
     `PAIR_BUDGET` at a time, so memory stays bounded.  Rounding: with real
     values on a chirp-free block the result is bit-for-bit the scalar double
     loop's; numpy's complex multiply may fuse a multiply-add, so complex
@@ -183,8 +182,8 @@ def conv_dd(params: SaftParams, s: SeqFn, c: SeqFn) -> SeqFn:
     p = params
     if s.n != c.n:
         raise ValueError("sequence dimensions differ")
-    sk, sv = s.entry_arrays()
-    ck, cv = c.entry_arrays()
+    sk, sv = s.as_arrays()
+    ck, cv = c.as_arrays()
     a = sv * chirp(p, sk.astype(float))
     keys, sums = pair_sums(sk, a, ck, (chirp(p, ck.astype(float)), cv))
     scale = 1.0 / sqrt(p.abs_det_b)

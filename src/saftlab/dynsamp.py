@@ -170,7 +170,7 @@ def coset_coefficients(params: SaftParams, lat: SamplingLattice, s: SeqFn) -> li
     Reduces to the plain coset split when the input chirp vanishes.
     """
     require_valid(params)
-    keys, vals = s.entry_arrays()
+    keys, vals = s.as_arrays()
     r, j = lat.split(keys)
     vals = vals * np.conj(chirp(params, r.astype(float))) * chirp(params, keys.astype(float))
     return [SeqFn.from_arrays(lat.n, r[j == l], vals[j == l]) for l in range(lat.m)]
@@ -193,15 +193,14 @@ def measure_from_samples(
     require_valid(params)
     p = params
     sqrt_d = np.sqrt(p.abs_det_b)
-    sk, sv = s.entry_arrays()
+    sk, sv = s.as_arrays()
     zc = sv * chirp(p, sk.astype(float))
     seqs, support = [], [np.zeros((0, lat.n), dtype=np.int64)]
     for h in phi_levels:
-        hk, hv = h.entry_arrays()
+        hk, hv = h.as_arrays()
         keys, sums = pair_sums(sk, zc, hk, (hv * chirp(p, hk.astype(float)),))
         r, j = lat.split(keys)                  # keep M^T r = support + m
-        order = np.lexsort(r[j == 0].T[::-1])
-        r, sums = r[j == 0][order], sums[j == 0][order]
+        r, sums = r[j == 0], sums[j == 0]
         fix = np.conj(chirp(p, r.astype(float))) / sqrt_d
         seqs.append(SeqFn.from_arrays(lat.n, r, sums * fix))
         support.append(r)
@@ -230,7 +229,7 @@ def generator_coset_samples(
     are the integer points); each key ``k`` lands in the one coset with
     ``k + eta_l = M^T r``, found by a single split of ``-k``.
     """
-    keys, vals = phi_j_samples.entry_arrays()
+    keys, vals = phi_j_samples.as_arrays()
     r, j = lat.split(-keys)                     # -k = M^T r'' + eta_l, r = -r''
     vals = vals * chirp(params, keys.astype(float))
     return [SeqFn.from_arrays(lat.n, -r[j == l], vals[j == l]) for l in range(lat.m)]
@@ -275,8 +274,6 @@ def build_B_from_samples(
     entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
     for j, samples in enumerate(phi_levels):
         for l, phi_lj in enumerate(generator_coset_samples(p, lat, samples)):
-            if not phi_lj.entries:
-                continue
             rk, rv = phi_lj.as_arrays()
             corrected = SeqFn.from_arrays(p.n, rk, rv * np.conj(chirp(p, rk.astype(float))))
             entries[:, j, l] = dtsaft(p, corrected, wpts)
@@ -286,8 +283,6 @@ def build_B_from_samples(
 def filter_symbol(p: SaftParams, a, pts_xi: np.ndarray) -> np.ndarray:
     """Classical frequency symbol of the filter at reduced frequencies."""
     if isinstance(a, SeqFn):
-        if not a.entries:
-            return np.zeros(pts_xi.shape[:-1], dtype=complex)
         k, v = a.as_arrays()
         return np.exp(-2j * np.pi * (pts_xi @ k.astype(float).T)) @ v
     axes = [a.axis_coords(i) for i in range(p.n)]
@@ -454,8 +449,6 @@ def build_B_window(
     entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
     for j, samples in enumerate(phi_levels):
         for l, phi_lj in enumerate(generator_coset_samples(p, lat, samples)):
-            if not phi_lj.entries:
-                continue
             rk, rv = phi_lj.as_arrays()
             wts = rv * np.exp(2j * np.pi * (rk.astype(float) @ p.b_inv_p))
             box = _fold_to_box(rk, wts, shape)
@@ -476,7 +469,7 @@ def _invert_window_dft(Z: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _thresholded(n: int, keys: np.ndarray, vals: np.ndarray, rel: float) -> SeqFn:
-    """The entries with ``|value| > rel * max |value|``, in array order."""
+    """The entries with ``|value| > rel * max |value|``."""
     mags = np.abs(vals)
     keep = mags > rel * mags.max(initial=0.0)
     return SeqFn.from_arrays(n, keys[keep], vals[keep])

@@ -2,8 +2,8 @@
 
 Functions on R^n are represented by `GridFn`: complex values at the centers of
 a uniform rectangular cell partition, ``t_k = origin + (k + 1/2) * spacing``.
-Sequences on Z^n are represented by `SeqFn`, a finite map from integer tuples
-to complex values.
+Sequences on Z^n are represented by `SeqFn`: a sorted (K, n) int64 key array
+and the (K,) complex array of its nonzero values, both read-only.
 
 Two grid constructors cover the two use cases:
 
@@ -15,8 +15,9 @@ Two grid constructors cover the two use cases:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -245,46 +246,42 @@ def dft(f: GridFn, sign: int = -1, out: GridFn | None = None) -> GridFn:
 # sequences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SeqFn:
-    """A finitely supported complex sequence on Z^n.
+    """A finitely supported complex sequence on Z^n, stored as two arrays.
 
-    ``entries`` maps integer index tuples to complex values; exact zeros are
-    dropped on construction.  The order of ``entries`` is not part of the
-    contract (different constructions of the same sequence may order it
-    differently); `as_arrays` and `support` are sorted.  Array code builds
-    sequences with `from_arrays`, which validates whole arrays instead of
-    entry by entry.
+    ``keys`` (K, n) int64 holds distinct indices in lexicographic order (the
+    order of ``sorted()`` on tuples), ``values`` (K,) complex their nonzero
+    values; both are read-only.  ``SeqFn(n, mapping)`` and `from_items`
+    convert through `from_arrays`.  ``entries`` is a read-only
+    ``{index tuple: complex}`` view, built on first access.
     """
 
     n: int
-    entries: dict = field(default_factory=dict)
+    keys: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        clean = {}
-        for k, v in self.entries.items():
-            key = tuple(int(x) for x in k)
-            if len(key) != self.n:
-                raise ValueError(f"index {k} has wrong length for n={self.n}")
-            v = complex(v)
-            if v != 0:
-                clean[key] = v
-        object.__setattr__(self, "entries", clean)
+    def __init__(self, n: int, entries: Mapping = MappingProxyType({})):
+        keys = [tuple(int(x) for x in k) for k in entries]
+        bad = next((k for k in keys if len(k) != n), None)
+        if bad is not None:
+            raise ValueError(f"index {bad} has wrong length for n={n}")
+        self._assign(n, np.array(keys, dtype=np.int64).reshape(-1, n), list(entries.values()))
 
     @classmethod
     def from_items(cls, n: int, items: Mapping | Iterable) -> "SeqFn":
-        if isinstance(items, Mapping):
-            return cls(n, dict(items))
-        return cls(n, {k: v for k, v in items})
+        return cls(n, items if isinstance(items, Mapping) else dict(items))
 
     @classmethod
     def from_arrays(cls, n: int, keys, vals) -> "SeqFn":
-        """Build a sequence from an integer (K, n) key array and K values.
+        """Build a sequence from an integer (K, n) key array and K values:
+        exact zeros are dropped, rows sorted, and a repeated key raises
+        ValueError."""
+        out = object.__new__(cls)
+        out._assign(n, keys, vals)
+        return out
 
-        The shapes are checked and exact zeros dropped on the arrays as a
-        whole; the entries keep the row order of ``keys``.  Keys must be
-        distinct (a repeated key keeps its last value, as in a dict).
-        """
+    def _assign(self, n, keys, vals) -> None:
         n = int(n)
         keys = np.asarray(keys)
         vals = np.asarray(vals, dtype=complex)
@@ -297,51 +294,60 @@ class SeqFn:
             )
         if keys.dtype.kind not in "iu":
             raise ValueError(f"keys must be integers, got dtype {keys.dtype}")
+        order = np.lexsort(keys.T[::-1])
+        keys, vals = keys.astype(np.int64, copy=False)[order], vals[order]
+        repeated = np.flatnonzero(np.all(keys[1:] == keys[:-1], axis=1))
+        if repeated.size:
+            raise ValueError(f"repeated index {tuple(keys[repeated[0]].tolist())}")
         nz = vals != 0
-        out = object.__new__(cls)
-        object.__setattr__(out, "n", n)
-        object.__setattr__(
-            out, "entries", dict(zip(map(tuple, keys[nz].tolist()), vals[nz].tolist()))
-        )
-        return out
+        object.__setattr__(self, "n", n)
+        for name, arr in (("keys", keys[nz]), ("values", vals[nz])):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def entries(self) -> Mapping:
+        return MappingProxyType(dict(zip(map(tuple, self.keys.tolist()), self.values.tolist())))
+
+    def __len__(self) -> int:
+        return len(self.values)
 
     def get(self, k) -> complex:
-        return self.entries.get(tuple(int(x) for x in k), 0j)
-
-    def entry_arrays(self):
-        """Keys and values in entry order: (K, n) int64 and (K,) complex."""
-        K = len(self.entries)
-        keys = np.fromiter(
-            itertools.chain.from_iterable(self.entries), dtype=np.int64, count=K * self.n
-        ).reshape(K, self.n)
-        return keys, np.fromiter(self.entries.values(), dtype=complex, count=K)
+        hit = np.flatnonzero(np.all(self.keys == [int(x) for x in k], axis=1))
+        return complex(self.values[hit[0]]) if hit.size else 0j
 
     def as_arrays(self):
-        """Support and values sorted by key: (K, n) int64 and (K,) complex."""
-        keys, vals = self.entry_arrays()
-        order = np.lexsort(keys.T[::-1])
-        return keys[order], vals[order]
+        """The stored (sorted) keys and values: (K, n) int64 and (K,) complex."""
+        return self.keys, self.values
 
     def support(self):
-        return sorted(self.entries)
+        return list(map(tuple, self.keys.tolist()))
 
     def l2norm(self) -> float:
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.entries.values())))
+        # np.hypot rounds as Python's abs(complex) does; np.abs may not
+        return float(np.sqrt(np.sum(np.hypot(self.values.real, self.values.imag) ** 2)))
 
     def scaled(self, alpha: complex) -> "SeqFn":
-        return SeqFn(self.n, {k: alpha * v for k, v in self.entries.items()})
+        # the parts apart, rounded as Python's complex product (no fused multiply-add)
+        a, v = complex(alpha), self.values
+        out = np.empty_like(v)
+        out.real, out.imag = a.real * v.real - a.imag * v.imag, a.real * v.imag + a.imag * v.real
+        return SeqFn.from_arrays(self.n, self.keys, out)
 
     def plus(self, other: "SeqFn") -> "SeqFn":
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0j) + v
-        return SeqFn(self.n, out)
+        keys, inv = np.unique(np.concatenate([self.keys, other.keys]), axis=0, return_inverse=True)
+        inv = inv.reshape(-1)       # (K, 1) under some numpy 2.0 releases
+        out = np.zeros(len(keys), dtype=complex)
+        out[inv[: len(self)]] = self.values
+        np.add.at(out, inv[len(self):], other.values)
+        return SeqFn.from_arrays(self.n, keys, out)
 
     def thresholded(self, cutoff: float) -> "SeqFn":
         """Drop entries with |value| < cutoff."""
-        return SeqFn(self.n, {k: v for k, v in self.entries.items() if abs(v) >= cutoff})
+        keep = np.abs(self.values) >= cutoff
+        return SeqFn.from_arrays(self.n, self.keys[keep], self.values[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ __all__ = [
     "write_params",
     "params_from_dict",
     "require_finite",
+    "parse_rows",
+    "sequence_from_rows",
 ]
 
 _MAGIC = "SAFTGRID v1"
@@ -112,40 +114,47 @@ def write_sequence(path, s: SeqFn, header: bool = True) -> None:
     lines = []
     if header:
         lines.append(",".join(f"k{i + 1}" for i in range(s.n)) + ",re,im")
-    for k in sorted(s.entries):
-        z = s.entries[k]
-        lines.append(
-            ",".join(str(int(ki)) for ki in k)
-            + f",{float(z.real)!r},{float(z.imag)!r}"
-        )
+    keys, vals = s.as_arrays()
+    for k, re, im in zip(keys.tolist(), vals.real.tolist(), vals.imag.tolist()):
+        lines.append(",".join(map(str, k)) + f",{re!r},{im!r}")
     path.write_text("\n".join(lines) + "\n")
 
 
 def read_sequence(path, n: int | None = None) -> SeqFn:
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if lines and lines[0].lower().lstrip().startswith("k1"):
-        if n is None:
-            n = len(lines[0].split(",")) - 2
+    if n is None and lines:
+        n = len(lines[0].split(",")) - 2       # header or row k1,...,kn,re,im
+    if lines and lines[0].lower().startswith("k1"):
         lines = lines[1:]
-    if not lines:
-        # a header-only file is the zero sequence (all-zero entries are
-        # never stored), representable only when the dimension is known
-        if n is not None and n >= 1:
-            return SeqFn(n=n, entries={})
-        raise ValueError(f"{path}: empty sequence file")
-    keys, vals = [], []
+    # a header-only file is the zero sequence (all-zero entries are never
+    # stored), representable only when the dimension is known
+    if n is None or n < 1:
+        raise ValueError(f"{path}: empty sequence file or rows without k1,re,im")
+    keys, vals = parse_rows(path, lines, n)
+    return sequence_from_rows(path, n, keys, vals)
+
+
+def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSV rows ``i_1,...,i_width,re,im``: the (K, width) int64 columns and
+    the K finite complex values."""
+    ints, vals = [], []
     for ln in lines:
         parts = ln.split(",")
-        if len(parts) < 3:
-            raise ValueError(f"{path}: row {ln!r} needs at least k1,re,im")
-        if n is None:
-            n = len(parts) - 2
-        elif len(parts) != n + 2:
-            raise ValueError(f"{path}: row {ln!r} has {len(parts) - 2} indices, expected {n}")
-        keys.append(tuple(int(float(x)) for x in parts[:n]))
-        vals.append(complex(float(parts[n]), float(parts[n + 1])))
+        if len(parts) != width + 2:
+            raise ValueError(f"{path}: row {ln!r} needs {width} index columns and re,im")
+        ints.append([int(float(x)) for x in parts[:width]])
+        vals.append(complex(float(parts[width]), float(parts[width + 1])))
     require_finite(path, lines, vals)
-    return SeqFn(n=n, entries=dict(zip(keys, vals)))
+    return np.array(ints, dtype=np.int64).reshape(-1, width), np.array(vals, dtype=complex)
+
+
+def sequence_from_rows(path, n: int, keys, vals) -> SeqFn:
+    """`SeqFn.from_arrays` with its errors (such as a repeated index)
+    naming the file."""
+    try:
+        return SeqFn.from_arrays(n, keys, vals)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def params_from_dict(d: dict) -> SaftParams:

@@ -192,7 +192,7 @@ def split_sequence(lat: SamplingLattice, s: SeqFn) -> list[SeqFn]:
     """Coset subsequences ``s_l(r) = s(M^T r + eta_l)``, one per coset."""
     if s.n != lat.n:
         raise ValueError(f"sequence dimension {s.n} != lattice dimension {lat.n}")
-    keys, vals = s.entry_arrays()
+    keys, vals = s.as_arrays()
     r, j = lat.split(keys)
     return [SeqFn.from_arrays(s.n, r[j == l], vals[j == l]) for l in range(lat.m)]
 
@@ -201,9 +201,7 @@ def merge_sequence(lat: SamplingLattice, parts: list[SeqFn]) -> SeqFn:
     """Inverse of `split_sequence`: ``s(M^T r + eta_l) = parts[l](r)``."""
     if len(parts) != lat.m:
         raise ValueError(f"need {lat.m} subsequences, got {len(parts)}")
-    keys, vals = [], []
-    for l, part in enumerate(parts):
-        r, z = part.entry_arrays()
-        keys.append(r @ lat.M + np.array(lat.eta[l], dtype=np.int64))   # rows M^T r + eta_l
-        vals.append(z)
+    keys = [part.keys @ lat.M + np.array(eta, dtype=np.int64)     # rows M^T r + eta_l
+            for part, eta in zip(parts, lat.eta)]
+    vals = [part.values for part in parts]
     return SeqFn.from_arrays(lat.n, np.concatenate(keys), np.concatenate(vals))

@@ -148,7 +148,7 @@ def tensor_window_samples(
     K1 = np.concatenate(k1_list) if k1_list else np.zeros(0, dtype=np.int64)
     K2 = np.concatenate(k2_list) if k2_list else np.zeros(0, dtype=np.int64)
     V = table[K1] * table[K2]
-    entries: dict[tuple, complex] = {}
+    keys, vals = [], []
     kept_l1 = 0.0
     for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         mask = np.ones(K1.size, dtype=bool)
@@ -156,13 +156,12 @@ def tensor_window_samples(
             mask &= K1 > 0
         if s2 < 0:
             mask &= K2 > 0
-        keys = np.stack([s1 * K1[mask], s2 * K2[mask]], axis=1)
-        vals = V[mask]
-        kept_l1 += float(np.sum(np.abs(vals)))
-        entries.update(zip(map(tuple, keys.tolist()), vals.tolist()))
+        keys.append(np.stack([s1 * K1[mask], s2 * K2[mask]], axis=1))
+        vals.append(V[mask])
+        kept_l1 += float(np.sum(np.abs(vals[-1])))
     signed_l1_1d = t0 + 2.0 * float(np.sum(np.abs(table[1:])))
     discarded_l1 = max(signed_l1_1d**2 - kept_l1, 0.0)
-    return SeqFn(n=2, entries=entries), kept_l1, discarded_l1
+    return SeqFn.from_arrays(2, np.concatenate(keys), np.concatenate(vals)), kept_l1, discarded_l1
 
 
 @dataclass(frozen=True)
@@ -234,9 +233,7 @@ def build_example(
         keys, vals = window.as_arrays()
         kf = keys.astype(float)
         fac = np.conj(chirp(p, kf)) * np.exp(-2j * np.pi * (kf @ p.b_inv_p))
-        phi_samples = SeqFn(
-            n=2, entries=dict(zip(map(tuple, keys.tolist()), (vals * fac).tolist()))
-        )
+        phi_samples = SeqFn.from_arrays(2, keys, vals * fac)
 
     def spectrum_fn(wpts):
         wf = np.asarray(wpts, dtype=float)
@@ -486,7 +483,7 @@ def run_example(
         "phi0_min": scenario.phi0_min,
         "window": [lo.tolist(), hi.tolist()],
         "sizes": {
-            "generator_samples": len(scenario.phi_samples.entries),
+            "generator_samples": len(scenario.phi_samples),
             "time_grid": list(scenario.model.phi.shape),
         },
     }
@@ -495,8 +492,8 @@ def run_example(
     levels = filtered_levels(p, scenario.filt, scenario.phi_samples, lat.m, "cc")
     ms = measure_from_samples(p, lat, scenario.coeffs, levels)
     timings["measure"] = time.perf_counter() - t0
-    report["sizes"]["level_samples"] = [len(l.entries) for l in levels]
-    report["sizes"]["channel_samples"] = [len(v.entries) for v in ms.levels]
+    report["sizes"]["level_samples"] = [len(l) for l in levels]
+    report["sizes"]["channel_samples"] = [len(v) for v in ms.levels]
 
     t0 = time.perf_counter()
     field = build_B_window(p, lat, lo, hi, levels)

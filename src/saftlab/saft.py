@@ -407,7 +407,7 @@ def downsample(lat: SamplingLattice, c: SeqFn) -> SeqFn:
     """
     if c.n != lat.n:
         raise ValueError(f"sequence dimension {c.n} != lattice dimension {lat.n}")
-    keys, vals = c.entry_arrays()
+    keys, vals = c.as_arrays()
     r, j = lat.split(keys)
     return SeqFn.from_arrays(lat.n, r[j == 0], vals[j == 0])
 
@@ -464,7 +464,7 @@ def parseval_check(params: SaftParams, s: SeqFn) -> dict:
     require_valid(params)
     p = params
     rhs = float(s.l2norm() ** 2)
-    if not s.entries:
+    if not len(s):
         return {"cell_integral": 0.0, "energy": rhs, "abs_err": abs(rhs)}
     k, _ = s.as_arrays()
     spread = (k.max(axis=0) - k.min(axis=0)).astype(int)

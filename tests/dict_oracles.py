@@ -5,6 +5,10 @@ These are the entry-by-entry versions that the array kernels in
 ``saftlab.dynsamp`` replaced, kept verbatim as test oracles: every loop here
 walks a Python dict one entry at a time, with exact Python-int lattice
 arithmetic.  ``test_kernels.py`` checks the array kernels against them.
+
+`l2norm`, `scaled` and `plus` are the methods of the dict-backed `SeqFn`,
+with ``self`` as their first argument; ``test_grid.py`` checks the
+array-backed methods against them.
 """
 
 from __future__ import annotations
@@ -241,3 +245,24 @@ def generator_coset_samples(
         v = v * chirp(params, pts)
     entries = {tuple(int(x) for x in r): z for r, z in zip(rs, v)}
     return SeqFn(n=lat.n, entries=entries)
+
+
+# ---------------------------------------------------------------------------
+# SeqFn arithmetic of the dict storage
+
+
+def l2norm(self) -> float:
+    return float(np.sqrt(sum(abs(v) ** 2 for v in self.entries.values())))
+
+
+def scaled(self, alpha: complex) -> "SeqFn":
+    return SeqFn(self.n, {k: alpha * v for k, v in self.entries.items()})
+
+
+def plus(self, other: "SeqFn") -> "SeqFn":
+    if other.n != self.n:
+        raise ValueError("dimension mismatch")
+    out = dict(self.entries)
+    for k, v in other.entries.items():
+        out[k] = out.get(k, 0j) + v
+    return SeqFn(self.n, out)

@@ -30,8 +30,8 @@ from saftlab.sis import SisModel, synthesize
 
 def classical_conv_grids(f: GridFn, g: GridFn) -> GridFn:
     out_shape = tuple(a + b - 1 for a, b in zip(f.shape, g.shape))
-    F = np.fft.fftn(f.values, s=out_shape)
-    G = np.fft.fftn(g.values, s=out_shape)
+    F = np.fft.fftn(f.values, s=out_shape, axes=tuple(range(f.n)))
+    G = np.fft.fftn(g.values, s=out_shape, axes=tuple(range(f.n)))
     prod = np.fft.ifftn(F * G) * f.cell_volume
     origin = f.origin + g.origin + f.spacing / 2.0
     out = uniform_grid(origin, origin + out_shape * f.spacing, out_shape)
@@ -57,8 +57,8 @@ def classical_comb_apply(coeffs: SeqFn, f: GridFn) -> GridFn:
 
 
 def classical_comb_compose(a: SeqFn, b: SeqFn) -> SeqFn:
-    ak, av = a.entry_arrays()
-    bk, bv = b.entry_arrays()
+    ak, av = a.as_arrays()
+    bk, bv = b.as_arrays()
     return SeqFn.from_arrays(a.n, *pair_sums(ak, av, bk, (bv,)))
 
 

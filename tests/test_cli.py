@@ -28,7 +28,7 @@ from saftlab.io import (
 )
 from saftlab.lattice import build_lattice
 from saftlab.params import preset, random_params
-from saftlab.sis import build_sis, synthesize
+from saftlab.sis import build_sis, grammian, grammian_unsquared, synthesize
 
 TRUTH = {(0,): 1.0 + 0.0j, (2,): -1.0 + 0.0j, (3,): 0.5j}
 FILTER_1D = {(0,): 1.0, (1,): 0.5}
@@ -193,6 +193,32 @@ def test_sis_report_and_verdict(work, tmp_path, capsys):
     lines = report.read_text().strip().splitlines()
     assert lines[0].split(",")[:2] == ["w1", "grammian"]
     assert len(lines) == 34
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sis_report_keeps_the_cell_mesh_bytes(tmp_path, capsys, n):
+    # sis evaluates on the solve grid of [0, count - 1]; its report must be
+    # the one built on the cell mesh q / count by hand, byte for byte
+    rng = np.random.default_rng(70 + n)
+    write_params(tmp_path / "p.json", random_params(n, rng))
+    write_grid(tmp_path / "phi.grid",
+               sample_generator("gaussian", sampling_grid(6, 16, n=n), sigma=0.6))
+    report = tmp_path / "gram.csv"
+    main(["sis", "--params", str(tmp_path / "p.json"), "--phi", str(tmp_path / "phi.grid"),
+          "--report", str(report), "--cell-points", "5"])
+    capsys.readouterr()
+
+    p = read_params(tmp_path / "p.json")
+    model = build_sis(p, read_grid(tmp_path / "phi.grid"))
+    axes = [np.arange(5) / 5] * n
+    wpts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n) @ p.B.T
+    g = np.atleast_1d(grammian(model, wpts))
+    u = np.atleast_1d(grammian_unsquared(model, wpts))
+    rows = [",".join(f"w{i + 1}" for i in range(n)) + ",grammian,unsquared_sum"] + [
+        ",".join(repr(float(x)) for x in pt) + f",{float(gv)!r},{float(uv)!r}"
+        for pt, gv, uv in zip(wpts, g, u)
+    ]
+    assert report.read_text() == "\n".join(rows) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -360,3 +386,52 @@ def test_measurements_with_nan_exit_1(work, tmp_path, capsys):
                  "--method", "discrete", "--out", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
     assert str(bad) in err and "data row 3" in err
+
+
+def test_sequence_with_a_repeated_index_exits_1(work, tmp_path, capsys):
+    bad = tmp_path / "dup.csv"
+    bad.write_text("k1,re,im\n0,1.0,0.0\n0,2.0,0.0\n")
+    assert main(["dtsaft", "--params", str(work / "ft1.json"), "--seq", str(bad),
+                 "--wgrid=-1:1:3"]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "repeated index (0,)" in err
+
+
+def test_measurements_with_a_repeated_index_exit_1(work, tmp_path, capsys):
+    lines = (work / "meas.csv").read_text().splitlines()
+    k, j = lines[2].split(",")[:2]
+    bad = tmp_path / "meas_dup.csv"
+    bad.write_text("\n".join(lines + [f"{k},{j},7.0,0.0"]) + "\n")
+    assert main(["dynsamp", "recover", "--params", str(work / "ft1.json"),
+                 "--phi", str(work / "phi1.grid"), "--filter", str(work / "filt1.csv"),
+                 "--M", "[[2]]", "--measurements", str(bad),
+                 "--method", "discrete", "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and f"repeated index ({k},)" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("dynsamp check", "--cell-points=0"),
+    ("dynsamp check", "--cell-points=-3"),
+    ("sis", "--cell-points=0"),
+    ("sis", "--cell-points=-3"),
+    ("verify", "--trials=0"),
+    ("repro", "--threshold=-1"),
+    ("repro", "--threshold=0"),
+    ("repro", "--threshold=nan"),
+    ("repro", "--threshold=inf"),
+])
+def test_non_positive_counts_and_cuts_are_usage_errors(work, tmp_path, capsys, command, flag):
+    # every other argument is valid, so the flag alone must be the error
+    model = ["--params", str(work / "ft1.json"), "--phi", str(work / "phi1.grid")]
+    argv = {
+        "dynsamp check": ["dynsamp", "check", *model, "--filter", str(work / "filt1.csv"),
+                          "--M", "[[2]]", "--out", str(tmp_path / "f.csv")],
+        "sis": ["sis", *model],
+        "verify": ["verify", "--theorem", "dd", "--out", str(tmp_path / "v.csv")],
+        "repro": ["repro", "section5", "--outdir", str(tmp_path / "out")],
+    }[command]
+    assert main(argv + [flag]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag.split("=")[0] in captured.err
+    assert not any(tmp_path.iterdir())

@@ -1,5 +1,6 @@
 """Grids, sequences, the continuous-normalization DFT, and file round-trips."""
 
+import dict_oracles as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +180,93 @@ def test_seqfn_plus_scaled_consistent(items):
     doubled = s.plus(s)
     for k in s.support():
         assert doubled.get(k) == pytest.approx(2 * s.get(k))
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).reshape(-1).view(np.int64)
+
+
+def _seq_dicts(n: int, max_size: int = 12):
+    """Index-tuple -> complex maps with exact and signed zeros among the values."""
+    return st.dictionaries(
+        st.tuples(*[st.integers(min_value=-2, max_value=2)] * n),
+        st.one_of(
+            st.sampled_from([0j, complex(-0.0, 1.0), complex(2.0, -0.0)]),
+            st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        ),
+        max_size=max_size,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=3))
+def test_seqfn_stores_the_sorted_nonzero_items(data, n):
+    d = data.draw(_seq_dicts(n))
+    want = [(k, complex(v)) for k, v in sorted(d.items()) if v != 0]
+    items = list(d.items())
+    perm = data.draw(st.permutations(range(len(items))))
+    keys = np.array([items[i][0] for i in perm], dtype=np.int64).reshape(-1, n)
+    vals = np.array([items[i][1] for i in perm], dtype=complex)
+    for s in (SeqFn(n, d), SeqFn.from_items(n, d), SeqFn.from_arrays(n, keys, vals)):
+        assert s.keys.dtype == np.int64 and s.keys.shape == (len(want), n)
+        assert [tuple(k) for k in s.keys.tolist()] == [k for k, _ in want]
+        np.testing.assert_array_equal(_bits(s.values), _bits([v for _, v in want]))
+        assert list(s.entries.items()) == want
+        assert len(s) == len(want)
+
+
+def test_seqfn_repeated_keys_raise():
+    with pytest.raises(ValueError, match=r"repeated index \(1, -2\)"):
+        SeqFn.from_arrays(2, np.array([[1, -2], [0, 0], [1, -2]]), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="repeated index"):
+        SeqFn.from_arrays(1, np.array([[4], [4]]), [0.0, 1.0])    # also with a zero value
+    with pytest.raises(ValueError, match="repeated index"):
+        SeqFn(2, {(0.5, 0): 1.0, (0, 0): 2.0})                    # both are index (0, 0)
+
+
+def test_seqfn_is_read_only():
+    keys = np.array([[2, 2], [0, 1]])
+    s = SeqFn.from_arrays(2, keys, [-1j, 1.5])
+    keys[0] = 9                                 # the caller's array is not stored
+    assert s.entries == {(0, 1): 1.5, (2, 2): -1j}
+    with pytest.raises(AttributeError):
+        s.entries = {}
+    with pytest.raises(TypeError):
+        s.entries[(0, 1)] = 2.0
+    for name in ("n", "keys", "values"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+    k, v = s.as_arrays()
+    with pytest.raises(ValueError):
+        k[0, 0] = 7
+    with pytest.raises(ValueError):
+        v[0] = 7
+    assert s.entries == {(0, 1): 1.5, (2, 2): -1j}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=3),
+    st.one_of(
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    ),
+)
+def test_seqfn_arithmetic_matches_the_dict_methods(data, n, alpha):
+    a = SeqFn(n, data.draw(_seq_dicts(n)))
+    b = SeqFn(n, data.draw(_seq_dicts(n)))
+    pairs = [
+        (a.plus(b), oracle.plus(a, b)),
+        (b.plus(a), oracle.plus(b, a)),
+        (a.scaled(alpha), oracle.scaled(a, alpha)),
+        (a.plus(a.scaled(-1.0)), oracle.plus(a, oracle.scaled(a, -1.0))),
+    ]
+    for new, ref in pairs:
+        assert new.keys.tolist() == ref.keys.tolist()
+        np.testing.assert_array_equal(_bits(new.values), _bits(ref.values))
+    ref = oracle.l2norm(a)
+    assert abs(a.l2norm() - ref) <= 4 * np.finfo(float).eps * ref
 
 
 # ---------------------------------------------------------------------------

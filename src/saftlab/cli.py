@@ -81,12 +81,13 @@ def _parse_axis_specs(text: str, what: str) -> list[tuple[float, float, int]]:
 
 
 def _mesh_from_specs(specs: list[tuple[float, float, int]], n: int) -> np.ndarray:
+    from .grid import mesh
+
     if len(specs) == 1 and n > 1:
         specs = specs * n
     if len(specs) != n:
         raise ValueError(f"need {n} axis ranges, got {len(specs)}")
-    axes = [np.linspace(lo, hi, count) for lo, hi, count in specs]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    return mesh([np.linspace(lo, hi, count) for lo, hi, count in specs]).reshape(-1, n)
 
 
 def _parse_window(text: str, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +152,7 @@ def _json_safe(value):
     return value
 
 
-def _emit_rows(path: Path | None, header_lines: list[str], rows) -> None:
-    lines = list(header_lines)
-    lines.extend(rows)
-    text = "\n".join(lines) + "\n"
+def _emit_rows(path: Path | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -187,7 +185,7 @@ def _cmd_transform(args, direction: str) -> int:
 
 
 def _cmd_dtsaft(args) -> int:
-    from .io import read_sequence
+    from .io import format_rows, read_sequence
     from .saft import dtsaft
 
     p = _load_params(args.params)
@@ -195,12 +193,8 @@ def _cmd_dtsaft(args) -> int:
     pts = _mesh_from_specs(_parse_axis_specs(args.wgrid, "--wgrid"), p.n)
     vals = dtsaft(p, s, pts)
     header = [",".join(f"w{i + 1}" for i in range(p.n)) + ",re,im"]
-    rows = [
-        ",".join(repr(float(x)) for x in pt)
-        + f",{float(v.real)!r},{float(v.imag)!r}"
-        for pt, v in zip(pts, vals)
-    ]
-    _emit_rows(Path(args.out) if args.out else None, header, rows)
+    text = format_rows(header, np.column_stack([pts, vals.real, vals.imag]))
+    _emit_rows(Path(args.out) if args.out else None, text)
     return EXIT_OK
 
 
@@ -281,6 +275,7 @@ def _verify_trial(theorem: str, p, rng) -> float:
 
 
 def _cmd_verify(args) -> int:
+    from .io import format_rows
     from .params import random_params
 
     theorem = args.theorem
@@ -296,8 +291,8 @@ def _cmd_verify(args) -> int:
         f"# theorem={theorem} trials={args.trials} seed={seed} tol={tol!r}",
         "trial,residual",
     ]
-    rows = [f"{i},{r!r}" for i, r in enumerate(residuals)]
-    _emit_rows(Path(args.out) if args.out else None, header, rows)
+    text = format_rows(header, np.arange(len(residuals)), np.array(residuals))
+    _emit_rows(Path(args.out) if args.out else None, text)
     worst = max(residuals)
     print(f"worst residual {worst:.3e} (tol {tol:g})")
     if worst > tol:
@@ -309,6 +304,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sis(args) -> int:
     from .dynsamp import solve_grid
+    from .io import format_rows
     from .sis import build_sis, grammian, grammian_unsquared, riesz_bounds
 
     p = _load_params(args.params)
@@ -321,13 +317,8 @@ def _cmd_sis(args) -> int:
     g = np.atleast_1d(grammian(model, wpts))
     u = np.atleast_1d(grammian_unsquared(model, wpts))
     header = [",".join(f"w{i + 1}" for i in range(p.n)) + ",grammian,unsquared_sum"]
-    rows = [
-        ",".join(repr(float(x)) for x in pt)
-        + f",{float(gv)!r},{float(uv)!r}"
-        for pt, gv, uv in zip(wpts, g, u)
-    ]
     out = Path(args.report) if args.report else (Path(args.out) if args.out else None)
-    _emit_rows(out, header, rows)
+    _emit_rows(out, format_rows(header, np.column_stack([wpts, g, u])))
     rep = riesz_bounds(model, wpts)
     print(json.dumps({
         "lower": rep.eta1,
@@ -358,6 +349,7 @@ def _sample_levels(p, lat, phi, filt, J: int):
 
 def _cmd_dynsamp_check(args) -> int:
     from .dynsamp import build_B_window, stability_report
+    from .io import format_rows
     from .lattice import build_lattice
 
     p = _load_params(args.params)
@@ -380,17 +372,11 @@ def _cmd_dynsamp_check(args) -> int:
         + ",".join(f"B{j}{l}_{part}" for j in range(m) for l in range(m) for part in ("re", "im"))
         + ",abs_det,cond"
     ]
-    rows = []
-    for i, pt in enumerate(field.wpoints):
-        cells = [repr(float(x)) for x in pt]
-        for j in range(m):
-            for l in range(m):
-                z = field.entries[i, j, l]
-                cells.extend((repr(float(z.real)), repr(float(z.imag))))
-        cells.append(repr(float(stab.abs_det[i])))
-        cells.append(repr(float(stab.cond[i])) if np.isfinite(stab.cond[i]) else "inf")
-        rows.append(",".join(cells))
-    _emit_rows(Path(args.out) if args.out else None, header, rows)
+    # entry columns B_jl re, im in row-major (j, l) order
+    entries = field.entries.reshape(len(field.wpoints), m * m)
+    parts = np.stack([entries.real, entries.imag], axis=-1).reshape(len(entries), 2 * m * m)
+    text = format_rows(header, np.column_stack([field.wpoints, parts, stab.abs_det, stab.cond]))
+    _emit_rows(Path(args.out) if args.out else None, text)
     print(json.dumps({
         "verdict": stab.verdict,
         "min_abs_det": stab.min_abs_det,

@@ -177,6 +177,10 @@ def conv_dd(params: SaftParams, s: SeqFn, c: SeqFn) -> SeqFn:
     values on a chirp-free block the result is bit-for-bit the scalar double
     loop's; numpy's complex multiply may fuse a multiply-add, so complex
     products can differ from scalar ones by a few eps of the term sizes.
+    Residues are kept: where a key's terms cancel exactly, such as the
+    pairs (k, k') and (k', k) of antisymmetric factors, a complex result can
+    keep an entry with ``|value| <= 4 eps sum|terms|``; no threshold drops
+    it, so entry counts (such as ``report.json``'s ``sizes``) can include it.
     """
     require_valid(params)
     p = params
@@ -253,23 +257,16 @@ def comb_power(params: SaftParams, coeffs: SeqFn, j: int) -> SeqFn:
 # with both sides computed along independent code paths
 
 
-def _quad_transform(p: SaftParams, g: GridFn, wpts: np.ndarray) -> np.ndarray:
-    from .saft import kernel_quadrature
-
-    return kernel_quadrature(
-        p, g.points().reshape(-1, p.n), g.values.reshape(-1), g.cell_volume, wpts
-    )
-
-
 def theorem_residual_cc(params: SaftParams, f: GridFn, g: GridFn) -> float:
     """Relative L2 gap of the function-function factorization.
 
     The left side transforms the convolution with the fast backend on its
     own reciprocal frame; the right side evaluates both factor transforms
-    there by direct quadrature, so no code is shared between the sides.
+    there by grid quadrature (a separable Riemann sum, no FFT), so no code
+    is shared between the sides.
     """
     from .params import modulation
-    from .saft import saft_forward, saft_plan
+    from .saft import grid_quadrature, saft_forward, saft_plan
 
     p = params
     h = conv_cc(p, f, g)
@@ -278,8 +275,8 @@ def theorem_residual_cc(params: SaftParams, f: GridFn, g: GridFn) -> float:
     wpts = plan.w_points().reshape(-1, p.n)
     rhs = (
         np.conj(modulation(p, wpts))
-        * _quad_transform(p, f, wpts)
-        * _quad_transform(p, g, wpts)
+        * grid_quadrature(p, f, wpts)
+        * grid_quadrature(p, g, wpts)
     )
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 
@@ -288,7 +285,7 @@ def theorem_residual_sd(params: SaftParams, s: SeqFn, phi: GridFn) -> float:
     """Relative L2 gap of the sequence-function factorization (the sequence
     enters through its discrete transform)."""
     from .params import modulation
-    from .saft import dtsaft, saft_forward, saft_plan
+    from .saft import dtsaft, grid_quadrature, saft_forward, saft_plan
 
     p = params
     h = conv_sd(p, s, phi)
@@ -298,7 +295,7 @@ def theorem_residual_sd(params: SaftParams, s: SeqFn, phi: GridFn) -> float:
     rhs = (
         np.conj(modulation(p, wpts))
         * dtsaft(p, s, wpts)
-        * _quad_transform(p, phi, wpts)
+        * grid_quadrature(p, phi, wpts)
     )
     return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
 

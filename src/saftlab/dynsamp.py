@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conv import comb_apply, conv_cc, conv_dd, pair_sums
-from .grid import GridFn, SeqFn
+from .grid import GridFn, SeqFn, mesh
 from .lattice import SamplingLattice
 from .params import SaftParams, chirp, modulation, preset, require_valid
 from .saft import downsample, dtsaft, grid_phase_sum, lattice_shifts
@@ -155,8 +155,7 @@ def filtered_levels(p: SaftParams, a, f, J: int, kind: str) -> list:
 
 
 def _window_mesh(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
+    return mesh([np.arange(a, b + 1) for a, b in zip(lo, hi)]).reshape(-1, len(lo))
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +391,7 @@ def solve_grid(
     lo = np.asarray(window_lo, dtype=int)
     hi = np.asarray(window_hi, dtype=int)
     shape = tuple(int(b - a + 1) for a, b in zip(lo, hi))
-    axes = [np.arange(N) / N for N in shape]
-    xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
+    xi = mesh([np.arange(N) / N for N in shape]).reshape(-1, len(shape))
     return xi @ params.B.T, shape, lo
 
 
@@ -556,8 +554,7 @@ def continuous_solve_grid(
     pad = (-shape) % diag
     shape = tuple(int(x) for x in (shape + pad))
     qshape = tuple(int(N // d) for N, d in zip(shape, diag))
-    axes = [np.arange(Nq) * d / N for Nq, d, N in zip(qshape, diag, shape)]
-    xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lat.n)
+    xi = mesh([np.arange(Nq) * d / N for Nq, d, N in zip(qshape, diag, shape)]).reshape(-1, lat.n)
     return xi @ params.B.T, shape, lo, qshape
 
 
@@ -626,9 +623,7 @@ def recover_continuous(
     diag = np.diag(lat.M)
     full = np.zeros(shape, dtype=complex)
     filled = np.zeros(shape, dtype=bool)
-    q_idx = np.stack(
-        np.meshgrid(*[np.arange(Nq) for Nq in qshape], indexing="ij"), axis=-1
-    ).reshape(-1, lat.n)
+    q_idx = mesh([np.arange(Nq) for Nq in qshape]).reshape(-1, lat.n)
     minv_gamma = np.array(lat.gamma, dtype=float) / diag   # M^{-1} gamma_v
     for v in range(m):
         # reduced node q/N plus the coset offset gamma_v/diag lands on the

@@ -28,6 +28,7 @@ __all__ = [
     "uniform_grid",
     "sampling_grid",
     "grid_points",
+    "mesh",
     "integrate",
     "reciprocal_grid",
     "dft",
@@ -99,8 +100,7 @@ class GridFn:
 
     def points(self) -> np.ndarray:
         """All cell centers, shape ``shape + (n,)``."""
-        axes = [self.axis_coords(i) for i in range(self.n)]
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return mesh([self.axis_coords(i) for i in range(self.n)])
 
     def with_values(self, values) -> "GridFn":
         return GridFn(self.n, self.shape, self.origin, self.spacing, values)
@@ -124,6 +124,12 @@ class GridFn:
         if np.any(k < 0) or np.any(k >= np.array(self.shape)):
             raise ValueError(f"point {t} lies outside the grid")
         return tuple(int(j) for j in k)
+
+
+def mesh(axes) -> np.ndarray:
+    """The points of the grid spanned by the 1-D coordinate arrays ``axes``,
+    shape ``(len(axes[0]), ..., len(axes[-1]), len(axes))``, row-major."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def uniform_grid(lo, hi, shape, values=None) -> GridFn:

@@ -20,6 +20,11 @@ Parameter file
     JSON, either the full block ``{"n":, "A":, "B":, "C":, "D":, "P":, "Q":}``
     or a preset form such as ``{"preset": "ft", "n": 2}`` /
     ``{"preset": "separable_frft", "theta": [0.7]}``.
+
+Every CSV body, here and in the CLI and figure writers, goes through one
+codec: `format_rows` writes integers as ``str(int)`` and floats as
+``repr(float)`` (Python's shortest round-trip form), and `parse_rows` reads
+a table back with one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
@@ -41,11 +46,15 @@ __all__ = [
     "write_params",
     "params_from_dict",
     "require_finite",
+    "format_rows",
     "parse_rows",
     "sequence_from_rows",
 ]
 
 _MAGIC = "SAFTGRID v1"
+
+#: rows `format_rows` holds as Python numbers at once
+ROW_CHUNK = 1 << 14
 
 
 def require_finite(path, rows: list[str], values) -> None:
@@ -57,9 +66,24 @@ def require_finite(path, rows: list[str], values) -> None:
         raise ValueError(f"{path}: data row {i + 1} ({rows[i]!r}) has a non-finite value")
 
 
+def format_rows(header: list[str], *blocks) -> str:
+    """The header lines, then one CSV row per row of the column blocks, as
+    newline-terminated text.  A block is a (K, c) array or a (K,) column;
+    integer blocks are written as ``str(int)``, all others as
+    ``repr(float)``.  One format string is mapped over the column lists,
+    `ROW_CHUNK` rows at a time."""
+    blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
+    blocks = [b if b.dtype.kind in "iu" else b.astype(float, copy=False) for b in blocks]
+    row = ",".join(["{!r}"] * sum(b.shape[1] for b in blocks))
+    lines = list(header)
+    for lo in range(0, len(blocks[0]), ROW_CHUNK):
+        cols = [col for b in blocks for col in b[lo:lo + ROW_CHUNK].T.tolist()]
+        lines.append("\n".join(map(row.format, *cols)))
+    return "\n".join(lines) + "\n"
+
+
 def write_grid(path, g: GridFn) -> None:
-    path = Path(path)
-    lines = [
+    header = [
         _MAGIC,
         f"n {g.n}",
         "shape " + " ".join(str(s) for s in g.shape),
@@ -68,8 +92,7 @@ def write_grid(path, g: GridFn) -> None:
         "re,im",
     ]
     flat = np.asarray(g.values, dtype=complex).reshape(-1)
-    lines.extend(f"{float(z.real)!r},{float(z.imag)!r}" for z in flat)
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text(format_rows(header, np.column_stack([flat.real, flat.imag])))
 
 
 def read_grid(path) -> GridFn:
@@ -98,11 +121,7 @@ def read_grid(path) -> GridFn:
     rows = lines[pos:]
     if len(rows) != count:
         raise ValueError(f"{path}: expected {count} value rows, found {len(rows)}")
-    values = np.empty(count, dtype=complex)
-    for i, row in enumerate(rows):
-        re_s, im_s = row.split(",")
-        values[i] = complex(float(re_s), float(im_s))
-    require_finite(path, rows, values)
+    _, values = parse_rows(path, rows, 0)
     return GridFn(
         n=n, shape=shape, origin=origin, spacing=spacing,
         values=values.reshape(shape),
@@ -110,14 +129,9 @@ def read_grid(path) -> GridFn:
 
 
 def write_sequence(path, s: SeqFn, header: bool = True) -> None:
-    path = Path(path)
-    lines = []
-    if header:
-        lines.append(",".join(f"k{i + 1}" for i in range(s.n)) + ",re,im")
+    head = [",".join(f"k{i + 1}" for i in range(s.n)) + ",re,im"] if header else []
     keys, vals = s.as_arrays()
-    for k, re, im in zip(keys.tolist(), vals.real.tolist(), vals.imag.tolist()):
-        lines.append(",".join(map(str, k)) + f",{re!r},{im!r}")
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text(format_rows(head, keys, np.column_stack([vals.real, vals.imag])))
 
 
 def read_sequence(path, n: int | None = None) -> SeqFn:
@@ -135,17 +149,31 @@ def read_sequence(path, n: int | None = None) -> SeqFn:
 
 
 def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSV rows ``i_1,...,i_width,re,im``: the (K, width) int64 columns and
-    the K finite complex values."""
-    ints, vals = [], []
-    for ln in lines:
-        parts = ln.split(",")
-        if len(parts) != width + 2:
-            raise ValueError(f"{path}: row {ln!r} needs {width} index columns and re,im")
-        ints.append([int(float(x)) for x in parts[:width]])
-        vals.append(complex(float(parts[width]), float(parts[width + 1])))
+    """CSV rows ``i_1,...,i_width,re,im`` (stripped, none blank): the
+    (K, width) int64 columns and the K finite complex values.
+
+    One ``np.loadtxt`` call parses the whole table; a field it cannot read
+    as a float (such as ``1_0`` or ``#``) raises ValueError naming the file.
+    Index fields are read as floats and truncated toward zero.
+    """
+    if not lines:
+        return np.zeros((0, width), dtype=np.int64), np.zeros(0, dtype=complex)
+    try:
+        table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if table.shape[1] != width + 2:
+        raise ValueError(f"{path}: row {lines[0]!r} needs {width} index columns and re,im")
+    index = table[:, :width]
+    bad = np.flatnonzero(~np.all((index >= -(2.0**63)) & (index < 2.0**63), axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"{path}: data row {i + 1} ({lines[i]!r}) has a non-finite or out-of-range index"
+        )
+    vals = np.ascontiguousarray(table[:, width:]).view(complex)[:, 0]
     require_finite(path, lines, vals)
-    return np.array(ints, dtype=np.int64).reshape(-1, width), np.array(vals, dtype=complex)
+    return index.astype(np.int64), vals
 
 
 def sequence_from_rows(path, n: int, keys, vals) -> SeqFn:

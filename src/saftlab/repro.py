@@ -32,8 +32,8 @@ from .dynsamp import (
     solve_grid,
     stability_report,
 )
-from .grid import GridFn, SeqFn
-from .grid import sampling_grid
+from .grid import SeqFn, mesh, sampling_grid
+from .io import format_rows
 from .lattice import SamplingLattice, build_lattice
 from .params import SaftParams, chirp, modulation, preset, require_valid
 from .saft import lattice_shifts, saft_inverse, saft_plan
@@ -315,8 +315,7 @@ def window_periodization_check(
     """
     pft = preset("ft", n=2)
     shape = (grid_n, grid_n)
-    axes = [np.arange(grid_n) / grid_n] * 2
-    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    x = mesh([np.arange(grid_n) / grid_n] * 2).reshape(-1, 2)
 
     freq0 = np.zeros(x.shape[0])
     for i in (-1, 0, 1):
@@ -378,75 +377,63 @@ def _restrict_stems(s: SeqFn, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return keys[keep], vals[keep]
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    """One line per row, each value as ``repr`` of a Python float."""
-    lines = [header] + [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _emit_figures(scenario: ExampleScenario, outdir: Path) -> dict:
     """Deterministic CSV surfaces for external plotting; returns sizes."""
     p = scenario.params
     spec = scenario.spec
     outdir.mkdir(parents=True, exist_ok=True)
 
+    # every column is written as a float, the stem indices too
     xs = (np.arange(-600, 601)) / 400.0
-    _write_csv(outdir / "fig01_psi.csv", "x,psi", np.column_stack([xs, meyer_psi(xs, spec)]))
+    (outdir / "fig01_psi.csv").write_text(
+        format_rows(["x,psi"], np.column_stack([xs, meyer_psi(xs, spec)]))
+    )
 
     tmpl = scenario.model.spectrum
     nu = (tmpl.points() @ p.b_inv.T).reshape(-1, 2)
-    vals = _tensor_psi(nu, spec)
-    _write_csv(
-        outdir / "fig02_spectrum.csv",
-        "nu1,nu2,window",
-        np.column_stack([nu, vals]),
+    (outdir / "fig02_spectrum.csv").write_text(
+        format_rows(["nu1,nu2,window"], np.column_stack([nu, _tensor_psi(nu, spec)]))
     )
 
     f_grid = conv_sd(p, scenario.coeffs, scenario.model.phi)
     fpts = f_grid.points().reshape(-1, 2)
     fv = f_grid.values.reshape(-1)
-    _write_csv(
-        outdir / "fig03_f_real.csv", "x1,x2,value",
-        np.column_stack([fpts, fv.real]),
+    (outdir / "fig03_f_real.csv").write_text(
+        format_rows(["x1,x2,value"], np.column_stack([fpts, fv.real]))
     )
-    _write_csv(
-        outdir / "fig04_f_imag.csv", "x1,x2,value",
-        np.column_stack([fpts, fv.imag]),
+    (outdir / "fig04_f_imag.csv").write_text(
+        format_rows(["x1,x2,value"], np.column_stack([fpts, fv.imag]))
     )
 
     f_samples = conv_dd(p, scenario.coeffs, scenario.phi_samples)
     keys, vals = _restrict_stems(f_samples, 12)
-    _write_csv(
-        outdir / "fig05_samples_real.csv", "k1,k2,value", np.column_stack([keys, vals.real])
+    (outdir / "fig05_samples_real.csv").write_text(
+        format_rows(["k1,k2,value"], np.column_stack([keys, vals.real]))
     )
-    _write_csv(
-        outdir / "fig06_samples_imag.csv", "k1,k2,value", np.column_stack([keys, vals.imag])
+    (outdir / "fig06_samples_imag.csv").write_text(
+        format_rows(["k1,k2,value"], np.column_stack([keys, vals.imag]))
     )
 
-    axes = [np.arange(64) / 64.0] * 2
-    xg = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    xg = mesh([np.arange(64) / 64.0] * 2).reshape(-1, 2)
     phi0 = periodized_window_transform(scenario, xg @ p.B.T)
-    _write_csv(
-        outdir / "fig07_periodization_real.csv", "w1,w2,value",
-        np.column_stack([xg, phi0.real]),
+    (outdir / "fig07_periodization_real.csv").write_text(
+        format_rows(["w1,w2,value"], np.column_stack([xg, phi0.real]))
     )
-    _write_csv(
-        outdir / "fig08_periodization_imag.csv", "w1,w2,value",
-        np.column_stack([xg, phi0.imag]),
+    (outdir / "fig08_periodization_imag.csv").write_text(
+        format_rows(["w1,w2,value"], np.column_stack([xg, phi0.imag]))
     )
 
     filtered = conv_sd(p, scenario.filt, scenario.model.phi)
     gpts = filtered.points().reshape(-1, 2)
     gv = filtered.values.reshape(-1)
-    _write_csv(
-        outdir / "fig09_filtered_real.csv", "x1,x2,value",
-        np.column_stack([gpts, gv.real]),
+    (outdir / "fig09_filtered_real.csv").write_text(
+        format_rows(["x1,x2,value"], np.column_stack([gpts, gv.real]))
     )
 
     filt_samples = conv_dd(p, scenario.filt, scenario.phi_samples)
     keys, vals = _restrict_stems(filt_samples, 12)
-    _write_csv(
-        outdir / "fig10_samples_imag.csv", "k1,k2,value", np.column_stack([keys, vals.imag])
+    (outdir / "fig10_samples_imag.csv").write_text(
+        format_rows(["k1,k2,value"], np.column_stack([keys, vals.imag]))
     )
 
     return {
@@ -550,8 +537,7 @@ def run_example(
 
         # printed two-channel subsystem: cosets {0, (0,1)} of diag(1, 2)
         lat2 = build_lattice([[1, 0], [0, 2]])
-        axes = [np.arange(9) / 9.0] * 2
-        w9 = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        w9 = mesh([np.arange(9) / 9.0] * 2).reshape(-1, 2)
         D2 = build_D(scenario.model, scenario.filt, lat2, w9, J=2)
         resid2, _ = factorization_residual(scenario, lat2, D2)
         report["factorization_residual_2x2"] = resid2

@@ -28,7 +28,7 @@ from math import ceil, floor, sqrt
 
 import numpy as np
 
-from .grid import GridFn, SeqFn, dft, reciprocal_grid
+from .grid import GridFn, SeqFn, dft, mesh, reciprocal_grid
 from .lattice import SamplingLattice
 from .params import SaftParams, chirp, inverse_params, modulation, require_valid
 
@@ -120,8 +120,7 @@ def _chirped_input(p: SaftParams, f: GridFn) -> np.ndarray:
 
 def lattice_shifts(n: int, cutoff: int) -> np.ndarray:
     """Integer shifts with ``||k||_inf <= cutoff`` in C order, as floats (S, n)."""
-    axis = np.arange(-cutoff, cutoff + 1, dtype=float)
-    return np.stack(np.meshgrid(*([axis] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    return mesh([np.arange(-cutoff, cutoff + 1, dtype=float)] * n).reshape(-1, n)
 
 
 def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -223,11 +222,7 @@ def saft_forward(plan: SaftPlan, f: GridFn) -> GridFn:
         w_pts = plan.w_points()
         vals = ghat.values * modulation(p, w_pts) / sqrt(p.abs_det_b)
         return plan.out_template.with_values(vals)
-    vals = kernel_quadrature(
-        p, f.points().reshape(-1, p.n), f.values.reshape(-1),
-        f.cell_volume, plan.w_points(),
-    )
-    return plan.out_template.with_values(vals)
+    return plan.out_template.with_values(grid_quadrature(p, f, plan.w_points()))
 
 
 def saft_inverse(plan: SaftPlan, F: GridFn) -> GridFn:
@@ -320,8 +315,7 @@ def integer_samples(g: GridFn, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarra
         axes_k.append(ks)
         axes_idx.append(idx)
     values = g.values[np.ix_(*axes_idx)]
-    mesh = np.stack(np.meshgrid(*axes_k, indexing="ij"), axis=-1)
-    return mesh.reshape(-1, g.n).astype(float), values.reshape(-1)
+    return mesh(axes_k).reshape(-1, g.n).astype(float), values.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -469,8 +463,7 @@ def parseval_check(params: SaftParams, s: SeqFn) -> dict:
     k, _ = s.as_arrays()
     spread = (k.max(axis=0) - k.min(axis=0)).astype(int)
     npts = np.maximum(spread + 1, 4)
-    axes = [(np.arange(m) + 0.5) / m for m in npts]
-    xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    xi = mesh([(np.arange(m) + 0.5) / m for m in npts])
     w = xi @ p.B.T
     vals = dtsaft(p, s, w)
     lhs = float(np.mean(np.abs(vals) ** 2) * p.abs_det_b)

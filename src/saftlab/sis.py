@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .conv import conv_sd
-from .grid import GridFn, SeqFn, reciprocal_grid
+from .grid import GridFn, SeqFn, mesh, reciprocal_grid
 from .params import SaftParams, require_valid
 from .saft import (
     DEFAULT_LATTICE_CUTOFF, grid_quadrature, lattice_shifts, saft_forward, saft_plan,
@@ -248,9 +248,7 @@ def frame_check(model: SisModel, s: SeqFn, per_axis: int = 32) -> dict:
     p = model.params
     k, _ = s.as_arrays()
     npts = np.maximum(np.ptp(k, axis=0) + 1, per_axis) if len(k) else np.full(p.n, per_axis)
-    axes = [(np.arange(m) + 0.5) / m for m in npts]
-    xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    w = xi @ p.B.T
+    w = mesh([(np.arange(m) + 0.5) / m for m in npts]) @ p.B.T
     ss = np.abs(dtsaft(p, s, w)) ** 2
     g = grammian(model, w)
     energy = float(np.mean(ss * g) * p.abs_det_b)

@@ -1,0 +1,151 @@
+"""Per-row text writers and parse loops that the one codec in ``saftlab.io``
+(`format_rows` and `parse_rows`) replaced, kept verbatim as test oracles.
+
+Each writer formats one value at a time with ``repr``; each reader converts
+one field at a time with ``float``.  The CLI writers are the row-building
+parts of the ``dtsaft``, ``sis``, ``dynsamp check`` and ``verify`` commands,
+joined as the old ``_emit_rows`` joined them.  ``test_io.py`` checks the
+codec against them.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+
+from saftlab.grid import GridFn, SeqFn
+from saftlab.io import require_finite
+
+_MAGIC = "SAFTGRID v1"
+
+
+def write_grid(path, g: GridFn) -> None:
+    path = Path(path)
+    lines = [
+        _MAGIC,
+        f"n {g.n}",
+        "shape " + " ".join(str(s) for s in g.shape),
+        "origin " + " ".join(repr(float(x)) for x in g.origin),
+        "spacing " + " ".join(repr(float(x)) for x in g.spacing),
+        "re,im",
+    ]
+    flat = np.asarray(g.values, dtype=complex).reshape(-1)
+    lines.extend(f"{float(z.real)!r},{float(z.imag)!r}" for z in flat)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def read_grid(path) -> GridFn:
+    text = Path(path).read_text()
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != _MAGIC:
+        raise ValueError(f"{path}: not a {_MAGIC} file")
+    header: dict[str, list[str]] = {}
+    pos = 1
+    while pos < len(lines) and lines[pos].split()[0] in ("n", "shape", "origin", "spacing"):
+        key, *vals = lines[pos].split()
+        header[key] = vals
+        pos += 1
+    for key in ("n", "shape", "origin", "spacing"):
+        if key not in header:
+            raise ValueError(f"{path}: missing header line {key!r}")
+    n = int(header["n"][0])
+    shape = tuple(int(s) for s in header["shape"])
+    origin = np.array([float(x) for x in header["origin"]])
+    spacing = np.array([float(x) for x in header["spacing"]])
+    if len(shape) != n or origin.size != n or spacing.size != n:
+        raise ValueError(f"{path}: header lengths inconsistent with n={n}")
+    if pos < len(lines) and lines[pos].replace(" ", "") == "re,im":
+        pos += 1
+    count = int(np.prod(shape))
+    rows = lines[pos:]
+    if len(rows) != count:
+        raise ValueError(f"{path}: expected {count} value rows, found {len(rows)}")
+    values = np.empty(count, dtype=complex)
+    for i, row in enumerate(rows):
+        re_s, im_s = row.split(",")
+        values[i] = complex(float(re_s), float(im_s))
+    require_finite(path, rows, values)
+    return GridFn(
+        n=n, shape=shape, origin=origin, spacing=spacing,
+        values=values.reshape(shape),
+    )
+
+
+def write_sequence(path, s: SeqFn, header: bool = True) -> None:
+    path = Path(path)
+    lines = []
+    if header:
+        lines.append(",".join(f"k{i + 1}" for i in range(s.n)) + ",re,im")
+    keys, vals = s.as_arrays()
+    for k, re, im in zip(keys.tolist(), vals.real.tolist(), vals.imag.tolist()):
+        lines.append(",".join(map(str, k)) + f",{re!r},{im!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSV rows ``i_1,...,i_width,re,im``: the (K, width) int64 columns and
+    the K finite complex values."""
+    ints, vals = [], []
+    for ln in lines:
+        parts = ln.split(",")
+        if len(parts) != width + 2:
+            raise ValueError(f"{path}: row {ln!r} needs {width} index columns and re,im")
+        ints.append([int(float(x)) for x in parts[:width]])
+        vals.append(complex(float(parts[width]), float(parts[width + 1])))
+    require_finite(path, lines, vals)
+    return np.array(ints, dtype=np.int64).reshape(-1, width), np.array(vals, dtype=complex)
+
+
+def write_csv(path: Path, header: str, rows) -> None:
+    """One line per row, each value as ``repr`` of a Python float."""
+    lines = [header] + [",".join(map(repr, row)) for row in np.asarray(rows, dtype=float).tolist()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# CLI tables
+
+
+def emit_text(header_lines: list[str], rows) -> str:
+    lines = list(header_lines)
+    lines.extend(rows)
+    return "\n".join(lines) + "\n"
+
+
+def dtsaft_text(header: list[str], pts, vals) -> str:
+    rows = [
+        ",".join(repr(float(x)) for x in pt)
+        + f",{float(v.real)!r},{float(v.imag)!r}"
+        for pt, v in zip(pts, vals)
+    ]
+    return emit_text(header, rows)
+
+
+def verify_text(header: list[str], residuals) -> str:
+    rows = [f"{i},{r!r}" for i, r in enumerate(residuals)]
+    return emit_text(header, rows)
+
+
+def sis_text(header: list[str], wpts, g, u) -> str:
+    rows = [
+        ",".join(repr(float(x)) for x in pt)
+        + f",{float(gv)!r},{float(uv)!r}"
+        for pt, gv, uv in zip(wpts, g, u)
+    ]
+    return emit_text(header, rows)
+
+
+def dynsamp_check_text(header: list[str], wpoints, entries, abs_det, cond) -> str:
+    m = entries.shape[1]
+    rows = []
+    for i, pt in enumerate(wpoints):
+        cells = [repr(float(x)) for x in pt]
+        for j in range(m):
+            for l in range(m):
+                z = entries[i, j, l]
+                cells.extend((repr(float(z.real)), repr(float(z.imag))))
+        cells.append(repr(float(abs_det[i])))
+        cells.append(repr(float(cond[i])) if np.isfinite(cond[i]) else "inf")
+        rows.append(",".join(cells))
+    return emit_text(header, rows)

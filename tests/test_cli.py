@@ -179,6 +179,14 @@ def test_verify_pinned_params(work, tmp_path):
                  "--params", str(work / "frft.json"), "--out", str(out)]) == 0
 
 
+def test_verify_sd_in_two_dimensions(tmp_path):
+    # the grid factor is transformed by a separable grid sum, so a 2-D trial is fast
+    out = tmp_path / "sd2.csv"
+    assert main(["verify", "--theorem", "sd", "--dim", "2", "--trials", "1",
+                 "--seed", "7", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3      # comment, column names, one trial
+
+
 # ---------------------------------------------------------------------------
 # sis
 

@@ -1,0 +1,302 @@
+"""The text codec of ``saftlab.io`` against the per-row writers and parse
+loops it replaced (kept in ``io_oracles.py``): every writer's bytes and
+every reader's values must be identical, bit for bit."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import io_oracles as oracle
+from saftlab.cli import main
+from saftlab.grid import GridFn, SeqFn, sample_generator, sampling_grid
+from saftlab.io import (
+    format_rows,
+    parse_rows,
+    read_grid,
+    read_sequence,
+    write_grid,
+    write_params,
+    write_sequence,
+)
+from saftlab.params import preset
+
+SETTINGS = settings(max_examples=80, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.function_scoped_fixture])
+
+SPECIAL = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+    0.1, 1.0, -3.0, 123456789.0, 1e16, -1e16, 2.0**53 + 2, 1e22, 1e300,
+    1.7976931348623157e308, math.inf, -math.inf, math.nan,
+]
+FLOAT = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(),
+    st.floats(-1e-300, 1e-300),
+    st.integers(-(2**60), 2**60).map(float),
+)
+FINITE = st.one_of(
+    st.sampled_from([x for x in SPECIAL if math.isfinite(x)]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**60), 2**60).map(float),
+)
+ROWS = st.integers(0, 5)
+
+
+@st.composite
+def _block(draw, rows, cols, elems=FLOAT):
+    return np.array(draw(st.lists(elems, min_size=rows * cols, max_size=rows * cols)),
+                    dtype=float).reshape(rows, cols)
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# writers
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 2))
+def test_grid_writer_matches_the_per_row_writer(tmp_path, data, n):
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    size = int(np.prod(shape))
+    parts = data.draw(_block(size, 2))
+    vals = np.empty(size, dtype=complex)
+    vals.real, vals.imag = parts[:, 0], parts[:, 1]
+    origin = data.draw(_block(1, n, FINITE))[0]
+    spacing = data.draw(_block(1, n, st.floats(5e-324, 1e300)))[0]
+    g = GridFn(n, shape, origin, spacing, vals)
+    write_grid(tmp_path / "new.grid", g)
+    oracle.write_grid(tmp_path / "old.grid", g)
+    assert (tmp_path / "new.grid").read_bytes() == (tmp_path / "old.grid").read_bytes()
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 3), header=st.booleans())
+def test_sequence_writer_matches_the_per_row_writer(tmp_path, data, n, header):
+    index = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+    keys = data.draw(st.lists(st.tuples(*[index] * n), max_size=5, unique=True))
+    parts = data.draw(_block(len(keys), 2))
+    vals = np.empty(len(keys), dtype=complex)
+    vals.real, vals.imag = parts[:, 0], parts[:, 1]
+    s = SeqFn.from_arrays(n, np.array(keys, dtype=np.int64).reshape(-1, n), vals)
+    write_sequence(tmp_path / "new.csv", s, header=header)
+    oracle.write_sequence(tmp_path / "old.csv", s, header=header)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@SETTINGS
+@given(data=st.data(), rows=ROWS, cols=st.integers(1, 4))
+def test_figure_writer_matches_the_per_row_writer(tmp_path, data, rows, cols):
+    block = data.draw(_block(rows, cols))
+    (tmp_path / "new.csv").write_text(format_rows(["a,b"], block))
+    oracle.write_csv(tmp_path / "old.csv", "a,b", block)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@SETTINGS
+@given(data=st.data(), rows=ROWS, n=st.integers(1, 3), m=st.integers(1, 3))
+def test_cli_table_layouts_match_the_per_row_writers(data, rows, n, m):
+    pts = data.draw(_block(rows, n))
+    parts = data.draw(_block(rows, 2 * m * m + 2))
+    vals = np.empty(rows, dtype=complex)
+    vals.real, vals.imag = parts[:, 0], parts[:, 1]
+    head = ["w,re,im"]
+
+    # dtsaft and sis: one float block of points and value columns
+    assert format_rows(head, np.column_stack([pts, vals.real, vals.imag])) == \
+        oracle.dtsaft_text(head, pts, vals)
+    g, u = parts[:, 0], parts[:, 1]
+    assert format_rows(head, np.column_stack([pts, g, u])) == oracle.sis_text(head, pts, g, u)
+
+    # verify: an int trial column and a float residual column
+    residuals = parts[:, 0].tolist()
+    assert format_rows(head, np.arange(rows), np.array(residuals)) == \
+        oracle.verify_text(head, residuals)
+
+    # dynsamp check: entries interleaved re, im in (j, l) order, then
+    # |det| and the condition number (inf where singular)
+    ent = parts[:, : 2 * m * m].copy().view(complex).reshape(rows, m, m)
+    abs_det = parts[:, -2]
+    cond = np.where(np.isfinite(parts[:, -1]), parts[:, -1], np.inf)
+    flat = ent.reshape(rows, m * m)
+    cells = np.stack([flat.real, flat.imag], axis=-1).reshape(rows, 2 * m * m)
+    assert format_rows(head, np.column_stack([pts, cells, abs_det, cond])) == \
+        oracle.dynsamp_check_text(head, pts, ent, abs_det, cond)
+
+
+# ---------------------------------------------------------------------------
+# readers
+
+FORMATS = ["{!r}", "{:.17g}", "{:.3e}", "{:+.6f}", "{:.0f}", "{:E}"]
+SPACE = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+@st.composite
+def _field(draw, elems=FLOAT):
+    x = draw(elems)
+    return draw(SPACE) + draw(st.sampled_from(FORMATS)).format(x) + draw(SPACE)
+
+
+@st.composite
+def _text(draw, rows: list[str]):
+    """Rows with blank and whitespace-only lines between them."""
+    out = []
+    for row in rows:
+        out.extend(draw(st.lists(SPACE, max_size=2)))
+        out.append(draw(SPACE) + row + draw(SPACE))
+    return "\n".join(out + draw(st.lists(SPACE, max_size=2))) + "\n"
+
+
+def _same_outcome(new, old):
+    """Both raise ValueError, or both return; then return both results."""
+    try:
+        ref = old()
+    except ValueError:
+        with pytest.raises(ValueError):
+            new()
+        return None, None
+    return new(), ref
+
+
+@SETTINGS
+@given(data=st.data(), rows=st.integers(1, 6))
+def test_grid_reader_is_bit_equal_to_the_parse_loop(tmp_path, data, rows):
+    elems = data.draw(st.sampled_from([FINITE, FLOAT]))
+    body = [",".join(data.draw(_field(elems)) for _ in range(2)) for _ in range(rows)]
+    head = f"SAFTGRID v1\nn 1\nshape {rows}\norigin -1.5\nspacing 0.25\nre,im\n"
+    path = tmp_path / "g.grid"
+    path.write_text(head + data.draw(_text(body)))
+    new, old = _same_outcome(lambda: read_grid(path), lambda: oracle.read_grid(path))
+    if old is not None:
+        assert new.same_geometry(old) and new.shape == old.shape
+        np.testing.assert_array_equal(_bits(new.values), _bits(old.values))
+
+
+INDEX_FORMATS = ["{}", "{}.0", "{}.75", "{}e0", " {} "]
+
+
+@SETTINGS
+@given(data=st.data(), rows=st.integers(0, 6), width=st.integers(1, 3))
+def test_parse_rows_is_bit_equal_to_the_parse_loop(data, rows, width):
+    elems = data.draw(st.sampled_from([FINITE, FLOAT]))
+    index = st.integers(-(2**53), 2**53)
+    lines = []
+    for _ in range(rows):
+        ks = [data.draw(st.sampled_from(INDEX_FORMATS)).format(data.draw(index))
+              for _ in range(width)]
+        lines.append(",".join(ks + [data.draw(_field(elems)) for _ in range(2)]).strip())
+    new, old = _same_outcome(lambda: parse_rows("t.csv", lines, width),
+                             lambda: oracle.parse_rows("t.csv", lines, width))
+    if old is not None:
+        np.testing.assert_array_equal(new[0], old[0])
+        assert new[0].dtype == old[0].dtype and new[0].shape == old[0].shape
+        np.testing.assert_array_equal(_bits(new[1]), _bits(old[1]))
+
+
+@SETTINGS
+@given(data=st.data(), n=st.integers(1, 2))
+def test_sequence_reader_matches_the_parse_loop(tmp_path, data, n):
+    keys = data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * n), max_size=5, unique=True))
+    body = [",".join([str(x) for x in k] + [data.draw(_field(FINITE)) for _ in range(2)])
+            for k in keys]
+    header = ",".join(f"k{i + 1}" for i in range(n)) + ",re,im"
+    path = tmp_path / "s.csv"
+    path.write_text(data.draw(_text([header] + body)))
+
+    def old():
+        lines = [ln.strip() for ln in path.read_text().splitlines() if ln.strip()][1:]
+        k, v = oracle.parse_rows(path, lines, n)
+        return SeqFn.from_arrays(n, k, v)
+
+    new, ref = _same_outcome(lambda: read_sequence(path, n=n), old)
+    if ref is not None:
+        np.testing.assert_array_equal(new.keys, ref.keys)
+        np.testing.assert_array_equal(_bits(new.values), _bits(ref.values))
+
+
+@pytest.mark.parametrize("row", ["1_0,1.0,0.0", "0,1_0,0.0", "#1,1.0,0.0", "0,1.0"])
+def test_rows_the_table_parser_rejects_name_the_file(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"k1,re,im\n0,1.0,0.0\n{row}\n")
+    with pytest.raises(ValueError, match="bad.csv"):
+        read_sequence(path, n=1)
+
+
+@pytest.mark.parametrize("index", ["1e300", "nan", "-inf", "9223372036854775808"])
+def test_an_index_beyond_int64_names_the_file_and_row(index):
+    with pytest.raises(ValueError, match=r"t\.csv: data row 2 .* index"):
+        parse_rows("t.csv", ["0,1.0,0.0", f"{index},1.0,0.0"], 1)
+
+
+def test_a_table_parser_reject_exits_1(tmp_path, capsys):
+    write_params(tmp_path / "ft1.json", preset("ft", 1))
+    bad = tmp_path / "under.csv"
+    bad.write_text("k1,re,im\n0,1_0,0.0\n")
+    assert main(["dtsaft", "--params", str(tmp_path / "ft1.json"), "--seq", str(bad),
+                 "--wgrid=-1:1:3"]) == 1
+    assert str(bad) in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the CLI tables as written: re-formatting the parsed values with the
+# per-row writers reproduces each file byte for byte (repr round-trips)
+
+
+def _table(path):
+    lines = path.read_text().splitlines()
+    body = [ln for ln in lines if ln and not ln.startswith(("#", "w", "trial"))]
+    head = lines[: len(lines) - len(body)]
+    return head, np.array([[float(x) for x in ln.split(",")] for ln in body])
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tables")
+    write_params(d / "frft.json", preset("separable_frft", theta=[0.7, 1.1]))
+    write_params(d / "ft.json", preset("ft", 2))
+    write_grid(d / "phi.grid", sample_generator("gaussian", sampling_grid(2, 16, n=2), sigma=0.5))
+    write_sequence(d / "a.csv", SeqFn.from_items(2, {(0, 0): 0.7 + 0.1j, (-1, -1): 1.0,
+                                                      (-1, -2): 0.5}))
+    return d
+
+
+def test_dtsaft_and_sis_files_are_the_per_row_text(files, tmp_path, capsys):
+    assert main(["dtsaft", "--params", str(files / "frft.json"), "--seq", str(files / "a.csv"),
+                 "--wgrid=-0.5:0.5:5", "--out", str(tmp_path / "dt.csv")]) == 0
+    head, rows = _table(tmp_path / "dt.csv")
+    vals = rows[:, 2] + 1j * rows[:, 3]
+    assert (tmp_path / "dt.csv").read_text() == oracle.dtsaft_text(head, rows[:, :2], vals)
+
+    assert main(["sis", "--params", str(files / "ft.json"), "--phi", str(files / "phi.grid"),
+                 "--report", str(tmp_path / "sis.csv"), "--cell-points", "4"]) == 0
+    head, rows = _table(tmp_path / "sis.csv")
+    assert (tmp_path / "sis.csv").read_text() == \
+        oracle.sis_text(head, rows[:, :2], rows[:, 2], rows[:, 3])
+    capsys.readouterr()
+
+
+def test_dynsamp_check_and_verify_files_are_the_per_row_text(files, tmp_path, capsys):
+    out = tmp_path / "field.csv"
+    assert main(["dynsamp", "check", "--params", str(files / "ft.json"),
+                 "--phi", str(files / "phi.grid"), "--filter", str(files / "a.csv"),
+                 "--M", json.dumps([[2, 0], [0, 2]]), "--cell-points", "3",
+                 "--out", str(out)]) == 0
+    head, rows = _table(out)
+    m = 4
+    ent = rows[:, 2:2 + 2 * m * m].copy().view(complex).reshape(-1, m, m)
+    assert out.read_text() == oracle.dynsamp_check_text(head, rows[:, :2], ent,
+                                                        rows[:, -2], rows[:, -1])
+
+    out = tmp_path / "verify.csv"
+    assert main(["verify", "--theorem", "dd", "--trials", "3", "--seed", "2",
+                 "--out", str(out)]) == 0
+    head, rows = _table(out)
+    assert out.read_text() == oracle.verify_text(head, rows[:, 1].tolist())
+    capsys.readouterr()

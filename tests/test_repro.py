@@ -259,7 +259,11 @@ def _per_element_write_csv(path, header, rows):
 
 
 def test_write_csv_matches_the_per_element_writer(tmp_path):
-    from saftlab.repro import _write_csv
+    from saftlab.io import format_rows
+
+    def _write_csv(path, header, rows):
+        # the figure writers pass one float block
+        path.write_text(format_rows([header], np.asarray(rows, dtype=float)))
 
     rng = np.random.default_rng(4)
     cases = {

@@ -152,18 +152,20 @@ def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarr
     """CSV rows ``i_1,...,i_width,re,im`` (stripped, none blank): the
     (K, width) int64 columns and the K finite complex values.
 
-    One ``np.loadtxt`` call parses the whole table; a field it cannot read
-    as a float (such as ``1_0`` or ``#``) raises ValueError naming the file.
-    Index fields are read as floats and truncated toward zero.
+    One ``np.loadtxt`` call parses the whole table.  A table it rejects, or
+    one of the wrong width, raises ValueError naming the file and the first
+    row that is not ``width + 2`` numbers (such as ``1_0`` or ``#``) as a
+    1-based data row, like `require_finite`.  Index fields are read as
+    floats and truncated toward zero.
     """
     if not lines:
         return np.zeros((0, width), dtype=np.int64), np.zeros(0, dtype=complex)
     try:
         table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    except ValueError:
+        raise _bad_row(path, lines, width) from None
     if table.shape[1] != width + 2:
-        raise ValueError(f"{path}: row {lines[0]!r} needs {width} index columns and re,im")
+        raise _bad_row(path, lines, width)
     index = table[:, :width]
     bad = np.flatnonzero(~np.all((index >= -(2.0**63)) & (index < 2.0**63), axis=1))
     if bad.size:
@@ -174,6 +176,20 @@ def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarr
     vals = np.ascontiguousarray(table[:, width:]).view(complex)[:, 0]
     require_finite(path, lines, vals)
     return index.astype(np.int64), vals
+
+
+def _bad_row(path, lines: list[str], width: int) -> ValueError:
+    """The error naming the first row that ``np.loadtxt`` cannot read alone
+    as ``width + 2`` numbers; called only for a table it rejected."""
+    for i, ln in enumerate(lines):
+        try:
+            if np.loadtxt([ln], delimiter=",", comments=None).size == width + 2:
+                continue
+            what = f"needs {width} index columns and re,im"
+        except ValueError:
+            what = "has a field that is not a number"
+        return ValueError(f"{path}: data row {i + 1} ({ln!r}) {what}")
+    return ValueError(f"{path}: rows need {width} index columns and re,im")
 
 
 def sequence_from_rows(path, n: int, keys, vals) -> SeqFn:

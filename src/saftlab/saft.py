@@ -16,15 +16,30 @@ The fast path uses the factorization
     (S f)(B nu) = |det B|^{-1/2} eta(B nu) * FT[f * chirp * e^{2 i pi (B^{-1}P).t}](nu)
 
 so one FFT plus two pointwise phase multiplications evaluates the transform.
-At arbitrary outputs, `kernel_quadrature` sums the defining kernel directly
-(the oracle the other paths are checked against); `grid_quadrature` sums the
-same Riemann sum over a grid axis by axis.
+
+At arbitrary outputs every transform is a phase sum ``sum_m c_m exp(-2 i pi
+nu.t_m)``, and each site takes the route its sources allow:
+
+* grid sources (`grid_quadrature`, the quad backends of `saft_forward` and
+  `saft_inverse`, the image sum of `poisson_check`) are summed axis by axis
+  by `grid_phase_sum`.  The quad inverse's sources ``w = B nu`` form a
+  sheared grid, but ``nu'.(B nu) = (B^T nu').nu`` makes their sum separable
+  over the rectangular reduced grid ``nu``;
+* integer supports (`dtsaft`, the left side of `poisson_check`) go through
+  `_seq_phase_sum`: over their dense bounding box on the grid kernel when
+  that forms no more exponentials than the support has keys and the box is
+  small (`_BOX_PER_KEY` elements per key, half of `PHASE_BUDGET`), else
+  directly over the keys.  The gate exists for sparse, wide supports: two
+  keys far apart would otherwise allocate and sum a box of zeros;
+* `kernel_quadrature` sums one exponential per (output, source) pair with
+  the direct kernel `_phase_sum`.  It is the oracle the other routes are
+  checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor, sqrt
+from math import ceil, floor, prod, sqrt
 
 import numpy as np
 
@@ -53,6 +68,10 @@ DEFAULT_LATTICE_CUTOFF = 8
 
 #: complex elements (16 MiB) a chunk of outputs of a phase sum may hold
 PHASE_BUDGET = 1 << 20
+
+#: elements per support key up to which an integer support is summed over
+#: its dense bounding box (see `_seq_phase_sum`)
+_BOX_PER_KEY = 32
 
 
 @dataclass(frozen=True)
@@ -111,11 +130,10 @@ def saft_plan(
     return SaftPlan(params=params, in_template=grid, out_template=out, backend=backend)
 
 
-def _chirped_input(p: SaftParams, f: GridFn) -> np.ndarray:
-    """f(t) * exp(i pi t.B^{-1}A t) * exp(2 i pi (B^{-1}P).t) on f's grid."""
-    pts = f.points()
-    lin = pts @ p.b_inv_p
-    return f.values * chirp(p, pts) * np.exp(2j * np.pi * lin)
+def _chirped(p: SaftParams, t: np.ndarray, values) -> np.ndarray:
+    """Source-side factors values * exp(i pi t.B^{-1}A t) * exp(2 i pi
+    (B^{-1}P).t) at the points ``t`` (..., n)."""
+    return values * chirp(p, t) * np.exp(2j * np.pi * (t @ p.b_inv_p))
 
 
 def lattice_shifts(n: int, cutoff: int) -> np.ndarray:
@@ -171,6 +189,32 @@ def grid_phase_sum(nu, axes, values) -> np.ndarray:
     return out
 
 
+def _seq_phase_sum(nu: np.ndarray, keys: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``sum_m coeff[m] exp(-2 i pi nu.k_m)`` for each row of ``nu`` (No, n)
+    over the integer keys ``k`` (K, n).
+
+    When it is cheaper, the coefficients are scattered into the keys'
+    bounding box N_1 x ... x N_n and summed by `grid_phase_sum` over its
+    integer axes: No * sum N_i exponentials and a matrix product over the
+    box, instead of No * K exponentials.  That route is taken when it forms
+    no more exponentials (sum N_i <= K), its box holds at most
+    `_BOX_PER_KEY` elements per key, and the box takes at most half of
+    `PHASE_BUDGET`, so that with the sum's chunks (about one budget) the
+    peak stays under twice the budget.  A sparse or wide support takes the
+    direct `_phase_sum`, whose cost does not grow with the box.
+    """
+    if len(keys):
+        lo, hi = keys.min(axis=0).tolist(), keys.max(axis=0).tolist()
+        shape = [b - a + 1 for a, b in zip(lo, hi)]
+        box = prod(shape)
+        if sum(shape) <= len(keys) and box <= min(PHASE_BUDGET // 2, _BOX_PER_KEY * len(keys)):
+            dense = np.zeros(shape, dtype=complex)
+            dense[tuple((keys - lo).T)] = coeff
+            axes = [np.arange(a, b + 1).astype(float) for a, b in zip(lo, hi)]
+            return grid_phase_sum(nu, axes, dense)
+    return _phase_sum(nu, keys.astype(float), coeff)
+
+
 def _transform_at(p: SaftParams, out_points, summed) -> np.ndarray:
     """Modulated transform values at physical frequencies ``out_points``;
     ``summed(nu)`` gives the source phase sums at ``nu = B^{-1} w``."""
@@ -206,7 +250,7 @@ def grid_quadrature(p: SaftParams, g: GridFn, out_points) -> np.ndarray:
     """The transform of ``g`` at arbitrary physical frequencies, the same
     Riemann sum as ``kernel_quadrature`` over all of ``g``'s samples but
     summed axis by axis with `grid_phase_sum`."""
-    src = _chirped_input(p, g) * g.cell_volume
+    src = _chirped(p, g.points(), g.values) * g.cell_volume
     axes = [g.axis_coords(i) for i in range(g.n)]
     return _transform_at(p, out_points, lambda nu: grid_phase_sum(nu, axes, src))
 
@@ -217,7 +261,7 @@ def saft_forward(plan: SaftPlan, f: GridFn) -> GridFn:
     if not f.same_geometry(plan.in_template):
         raise ValueError("input grid does not match the plan's input geometry")
     if plan.backend == "fast":
-        g = f.with_values(_chirped_input(p, f))
+        g = f.with_values(_chirped(p, f.points(), f.values))
         ghat = dft(g, sign=-1, out=plan.out_template)
         w_pts = plan.w_points()
         vals = ghat.values * modulation(p, w_pts) / sqrt(p.abs_det_b)
@@ -244,25 +288,19 @@ def saft_inverse(plan: SaftPlan, F: GridFn) -> GridFn:
         pts = plan.in_template.points()
         vals = g.values * np.conj(chirp(p, pts)) * np.exp(-2j * np.pi * (pts @ p.b_inv_p))
         return plan.in_template.with_values(vals)
+    # the sources w = B nu sit on the sheared reduced grid; since
+    # nu'.(B nu) = (B^T nu').nu, their phase sum is separable over nu
     p_inv = inverse_params(p)
-    w_flat = plan.w_points().reshape(-1, p.n)
-    weight = p.abs_det_b * plan.out_template.cell_volume
-    vals = kernel_quadrature(
-        p_inv, w_flat, F.values.reshape(-1), weight, plan.in_template.points()
-    )
+    out = plan.out_template
+    src = _chirped(p_inv, plan.w_points(), F.values) * (p.abs_det_b * out.cell_volume)
+    axes = [out.axis_coords(i) for i in range(p.n)]
+    vals = _transform_at(p_inv, plan.in_template.points(),
+                         lambda nu: grid_phase_sum(nu @ p.B, axes, src))
     return plan.in_template.with_values(vals)
 
 
 # ---------------------------------------------------------------------------
 # discrete-time transform
-
-
-def _seq_arrays(p: SaftParams, s: SeqFn) -> tuple[np.ndarray, np.ndarray]:
-    """Support points and source-side factors s(k) lambda(k) e^{2ipi(B^{-1}P).k}."""
-    k, z = s.as_arrays()
-    kf = k.astype(float)
-    coeff = z * chirp(p, kf) * np.exp(2j * np.pi * (kf @ p.b_inv_p))
-    return kf, coeff
 
 
 def dtsaft(params: SaftParams, s: SeqFn, wgrid) -> GridFn | np.ndarray:
@@ -272,6 +310,12 @@ def dtsaft(params: SaftParams, s: SeqFn, wgrid) -> GridFn | np.ndarray:
     frequencies (result: grid of the same geometry) or a plain array of
     points with trailing dimension n (result: array of values).  The
     modulus of the result is periodic with periodicity matrix ``B``.
+
+    A support that fills enough of its bounding box is summed over that
+    box on the separable grid kernel (about sum N_i exponentials per
+    output instead of K); a sparse or wide one directly over its keys,
+    since its box would be mostly zeros (see `_seq_phase_sum`).  The two
+    routes agree to rounding.
     """
     require_valid(params)
     p = params
@@ -281,8 +325,9 @@ def dtsaft(params: SaftParams, s: SeqFn, wgrid) -> GridFn | np.ndarray:
         raise ValueError(f"evaluation points must have trailing dimension {p.n}")
     if s.n != p.n:
         raise ValueError(f"sequence dimension {s.n} != params dimension {p.n}")
-    kf, coeff = _seq_arrays(p, s)
-    vals = _transform_at(p, pts, lambda nu: _phase_sum(nu, kf, coeff))
+    k, z = s.as_arrays()
+    coeff = _chirped(p, k.astype(float), z)
+    vals = _transform_at(p, pts, lambda nu: _seq_phase_sum(nu, k, coeff))
     return wgrid.with_values(vals) if as_grid else vals
 
 
@@ -367,13 +412,13 @@ def poisson_check(
 
     # LHS: conj(eta)(w) * dtsaft of the integer samples
     kf, gk = integer_samples(g)
-    coeff = gk * chirp(p, kf) * np.exp(2j * np.pi * (kf @ p.b_inv_p))
+    coeff = _chirped(p, kf, gk)
     nu = wf @ p.b_inv.T
-    lhs = _phase_sum(nu, kf, coeff) / sqrt(p.abs_det_b)
+    lhs = _seq_phase_sum(nu, kf.astype(np.int64), coeff) / sqrt(p.abs_det_b)
 
     # RHS: image sum of conj(eta)(w + Bn) (S g)(w + Bn); the two factors
     # reduce to the plain FT of the chirped input at B^{-1}w + n.
-    chirped = g.with_values(_chirped_input(p, g))
+    chirped = g.with_values(_chirped(p, g.points(), g.values))
     spec = dft(chirped)
     nu_peak = spec.points()[np.unravel_index(np.argmax(np.abs(spec.values)), spec.shape)]
     centre = nu + np.rint(nu_peak - nu)     # the image B^{-1}w + n_0 nearest the peak

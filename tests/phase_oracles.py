@@ -6,8 +6,10 @@ both sides of `poisson_check`) and ``saftlab.dynsamp`` (`_filter_symbol`,
 exponential per (output, sample) pair, outputs taken `_QUAD_CHUNK` at a
 time.  They are kept verbatim as test oracles, apart from two renames
 (`filter_symbol`, `quad_spectrum`) and the imports `_quad_spectrum` made
-inside its body: ``test_phase_kernels.py`` checks the budgeted direct
-kernel and the separable grid kernel against them.
+inside its body; the two source-factor helpers they called
+(`_chirped_input`, `_seq_arrays`) are copied here as they were, since
+``saftlab.saft`` no longer has them.  ``test_phase_kernels.py`` checks the
+budgeted direct kernel and the separable grid kernel against them.
 """
 
 from __future__ import annotations
@@ -18,17 +20,26 @@ import numpy as np
 
 from saftlab.grid import GridFn, SeqFn, dft
 from saftlab.params import SaftParams, chirp, modulation, require_valid
-from saftlab.saft import (
-    DEFAULT_LATTICE_CUTOFF,
-    PoissonReport,
-    _chirped_input,
-    _seq_arrays,
-    integer_samples,
-)
+from saftlab.saft import DEFAULT_LATTICE_CUTOFF, PoissonReport, integer_samples
 from saftlab.sis import resolved_band_mask
 
 #: output points per chunk in the direct-kernel path (bounds peak memory)
 _QUAD_CHUNK = 4096
+
+
+def _chirped_input(p: SaftParams, f: GridFn) -> np.ndarray:
+    """f(t) * exp(i pi t.B^{-1}A t) * exp(2 i pi (B^{-1}P).t) on f's grid."""
+    pts = f.points()
+    lin = pts @ p.b_inv_p
+    return f.values * chirp(p, pts) * np.exp(2j * np.pi * lin)
+
+
+def _seq_arrays(p: SaftParams, s: SeqFn) -> tuple[np.ndarray, np.ndarray]:
+    """Support points and source-side factors s(k) lambda(k) e^{2ipi(B^{-1}P).k}."""
+    k, z = s.as_arrays()
+    kf = k.astype(float)
+    coeff = z * chirp(p, kf) * np.exp(2j * np.pi * (kf @ p.b_inv_p))
+    return kf, coeff
 
 
 def kernel_quadrature(

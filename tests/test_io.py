@@ -221,12 +221,26 @@ def test_sequence_reader_matches_the_parse_loop(tmp_path, data, n):
         np.testing.assert_array_equal(_bits(new.values), _bits(ref.values))
 
 
-@pytest.mark.parametrize("row", ["1_0,1.0,0.0", "0,1_0,0.0", "#1,1.0,0.0", "0,1.0"])
+@pytest.mark.parametrize("row", ["1_0,1.0,0.0", "0,1_0,0.0", "#1,1.0,0.0", "0,1.0",
+                                 "0,1.0,0.0,4.0"])
 def test_rows_the_table_parser_rejects_name_the_file(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"k1,re,im\n0,1.0,0.0\n{row}\n")
-    with pytest.raises(ValueError, match="bad.csv"):
+    with pytest.raises(ValueError, match=r"bad\.csv: data row 2 \(") as exc:
         read_sequence(path, n=1)
+    assert repr(row) in str(exc.value) and "usecols" not in str(exc.value)
+
+
+@pytest.mark.parametrize("lines,width,row", [
+    (["1_0,2"], 0, 1),                 # the first data row
+    (["1,2", "3,4,5"], 0, 2),          # a changed column count
+    (["0,1.0", "0,1.0,0.0"], 1, 1),    # the first row has the wrong width
+    (["0,1.0", "0,2.0"], 1, 1),        # every row has the wrong width
+])
+def test_a_rejected_table_names_its_first_bad_row(lines, width, row):
+    with pytest.raises(ValueError, match=rf"t\.csv: data row {row} \({lines[row - 1]!r}\)") as exc:
+        parse_rows("t.csv", lines, width)
+    assert "usecols" not in str(exc.value)
 
 
 @pytest.mark.parametrize("index", ["1e300", "nan", "-inf", "9223372036854775808"])

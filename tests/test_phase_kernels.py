@@ -3,23 +3,32 @@
 The oracles in ``phase_oracles.py`` sum one exponential per (output, sample)
 pair, outputs taken 4,096 at a time.  Two kernels replace them:
 
-* the direct kernel (`kernel_quadrature`, `dtsaft`, the left side of
-  `poisson_check`) forms the same exponentials, in chunks sized by an element
-  budget.  It sums the phase ``nu.t`` elementwise and a row's terms with
-  numpy's pairwise sum, where the oracles used BLAS for both, so values
-  agree within those two rounding bounds;
-* the grid kernel (`grid_phase_sum`, `grid_quadrature`, `sis.spectrum_at`,
-  `filter_symbol` on grid filters, the image sum of `poisson_check`) forms
-  one exponential per (output, axis sample) and adds the same terms in a
-  different order.  Its phases are rounded per axis, so values agree within
-  ``1e-12`` of the term mass ``sum |f| h^n / sqrt|det B|``, which bounds
-  every output of the sum.
+* the direct kernel (`_phase_sum`, behind `kernel_quadrature` and the
+  sparse side of `_seq_phase_sum`) forms the same exponentials, in chunks
+  sized by an element budget.  It sums the phase ``nu.t`` elementwise and a
+  row's terms with numpy's pairwise sum, where the oracles used BLAS for
+  both, so values agree within those two rounding bounds;
+* the grid kernel (`grid_phase_sum`, `grid_quadrature`, the quad inverse,
+  `sis.spectrum_at`, `filter_symbol` on grid filters, the image sum of
+  `poisson_check`) forms one exponential per (output, axis sample) and adds
+  the same terms in a different order.  Its phases are rounded per axis, so
+  values agree within ``1e-12`` of the term mass ``sum |f| h^n / sqrt|det
+  B|``, which bounds every output of the sum.
+
+Integer supports (`dtsaft`, the left side of `poisson_check`) go through
+`_seq_phase_sum`.  It sums over the support's dense bounding box on the grid
+kernel when that forms no more exponentials than there are keys and the box
+is small next to the support and the budget; a sparse or wide support takes
+the direct kernel, which costs nothing per empty box cell.  Both routes are
+checked against the direct kernel within ``1e-12`` of the term mass, and
+`dtsaft` still against its oracle within the direct kernel's own bound.
 
 Patching `PHASE_BUDGET` down to a few elements runs every case over many
-chunks, down to one output per chunk.
+chunks, down to one output per chunk, and moves boxes onto the direct route.
 """
 
 import tracemalloc
+from math import prod
 from unittest.mock import patch
 
 import numpy as np
@@ -31,16 +40,19 @@ from hypothesis import strategies as st
 from saftlab import saft
 from saftlab.dynsamp import filter_symbol
 from saftlab.grid import GridFn, SeqFn, sample_generator, sampling_grid
-from saftlab.params import preset, random_params
+from saftlab.params import inverse_params, preset, random_params
 from saftlab.saft import (
     PHASE_BUDGET,
     _phase_sum,
+    _seq_phase_sum,
     dtsaft,
     grid_phase_sum,
     grid_quadrature,
     integer_samples,
     kernel_quadrature,
     poisson_check,
+    saft_inverse,
+    saft_plan,
 )
 from saftlab.sis import build_sis, resolved_band_mask, spectrum_at
 
@@ -152,6 +164,27 @@ def test_spectrum_at_inside_and_outside_the_resolved_band(n, data, budget):
             assert np.max(np.abs(got - ref)) <= bound
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_quad_inverse_matches_direct_sum(n, data, budget):
+    # the sources w = B nu of the quad inverse sit on a sheared grid; the
+    # grid kernel sums them over the rectangular reduced grid nu
+    p, g, _ = data.draw(_case(n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    plan = saft_plan(p, g, "quad")
+    out = plan.out_template
+    F = out.with_values(rng.normal(size=out.shape) + 1j * rng.normal(size=out.shape))
+    with patch.object(saft, "PHASE_BUDGET", budget):
+        got = saft_inverse(plan, F).values.reshape(-1)
+    p_inv = inverse_params(p)
+    weight = p.abs_det_b * out.cell_volume
+    ref = kernel_quadrature(p_inv, plan.w_points().reshape(-1, n), F.values.reshape(-1),
+                            weight, g.points().reshape(-1, n))
+    mass = float(np.sum(np.abs(F.values))) * weight / np.sqrt(p_inv.abs_det_b)
+    assert np.max(np.abs(got - ref)) <= GRID_RTOL * mass
+
+
 def test_spectrum_at_uses_the_callback_only_for_the_generator():
     p = preset("ft", 1)
     phi = sample_generator("gaussian", sampling_grid(4, 8), sigma=0.6)
@@ -234,11 +267,92 @@ def test_poisson_check_matches_chunked_oracle(n, seed, budget, n_out):
         assert np.max(np.abs(got.rhs - ref.rhs)) <= GRID_RTOL * images * _mass(p, g)
 
 
+# ---------------------------------------------------------------------------
+# integer supports: the dense box on the grid kernel, or the direct kernel
+
+
+def _keys_in(rng, shape, k: int, lo) -> np.ndarray:
+    """``k`` distinct integer keys whose bounding box is exactly ``shape``
+    with lower corner ``lo``: both corners are among them when k >= 2."""
+    size = prod(shape)
+    inner = rng.choice(np.arange(1, size - 1), size=max(0, k - 2), replace=False)
+    flat = np.concatenate([[0, size - 1][:k], inner]).astype(np.int64)
+    return np.stack(np.unravel_index(flat, shape), axis=1) + np.asarray(lo, dtype=np.int64)
+
+
+@st.composite
+def _support(draw, n: int):
+    """Keys filling a random box from a single key up to all of it,
+    anchored near the origin or 10^6 away, with complex coefficients and
+    0, 1 or more outputs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(draw(st.integers(1, _MAX_SIDE[n])) for _ in range(n))
+    k = draw(st.integers(1, prod(shape)))
+    anchor = draw(st.sampled_from([0, 10**6, -(10**6)]))
+    keys = _keys_in(rng, shape, k, rng.integers(-5, 6, n) + anchor)
+    coeff = rng.normal(size=k) + 1j * rng.normal(size=k)
+    n_out = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 60)))
+    # a phase nu.k rounds at eps |nu.k| in either route, so far from the
+    # origin the outputs are scaled to keep the phases within a few turns
+    nu = rng.uniform(-6.0, 6.0, (n_out, n)) / max(1, abs(anchor))
+    return nu, keys, coeff
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_seq_phase_sum_matches_direct_kernel(n, data, budget):
+    nu, keys, coeff = data.draw(_support(n))
+    with patch.object(saft, "PHASE_BUDGET", budget):
+        got = _seq_phase_sum(nu, keys, coeff)
+    ref = _phase_sum(nu, keys.astype(float), coeff)
+    assert got.shape == ref.shape == (len(nu),)
+    if len(nu):
+        assert np.max(np.abs(got - ref)) <= GRID_RTOL * float(np.sum(np.abs(coeff)))
+
+
+@pytest.mark.parametrize("shape,k,budget,route", [
+    ((40,), 40, PHASE_BUDGET, "box"),            # a full 1-D box
+    ((40,), 39, PHASE_BUDGET, "direct"),         # sum N_i > K: more exponentials
+    ((20, 20, 20), 250, PHASE_BUDGET, "box"),    # 8,000 elements <= 32 K
+    ((20, 20, 20), 249, PHASE_BUDGET, "direct"),  # 8,000 > 32 K, though 60 <= K
+    ((14, 14), 196, 392, "box"),                 # 196 elements fit half the budget
+    ((14, 14), 196, 391, "direct"),
+])
+def test_seq_phase_sum_takes_the_route_its_gate_names(shape, k, budget, route):
+    rng = np.random.default_rng(k)
+    keys = _keys_in(rng, shape, k, [-7] * len(shape))
+    coeff = rng.normal(size=k) + 1j * rng.normal(size=k)
+    nu = rng.uniform(-2.0, 2.0, (5, len(shape)))
+    with patch.object(saft, "PHASE_BUDGET", budget), \
+            patch.object(saft, "grid_phase_sum", wraps=grid_phase_sum) as grid, \
+            patch.object(saft, "_phase_sum", wraps=_phase_sum) as direct:
+        got = _seq_phase_sum(nu, keys, coeff)
+    assert (grid.called, direct.called) == (route == "box", route == "direct")
+    ref = _phase_sum(nu, keys.astype(float), coeff)
+    assert np.max(np.abs(got - ref)) <= GRID_RTOL * float(np.sum(np.abs(coeff)))
+
+
+def test_a_wide_sparse_support_takes_the_direct_route():
+    # the dense box of two 3-D keys 10^7 apart would hold 1e21 elements;
+    # np.zeros refuses such a box at once, so a missing gate fails here
+    # without allocating anything
+    keys = np.array([[0, 0, 0], [10**7, -(10**7), 10**7]])
+    coeff = np.array([1.0 + 0j, -2j])
+    nu = np.random.default_rng(2).uniform(-1.0, 1.0, (6, 3))
+    got = _seq_phase_sum(nu, keys, coeff)
+    assert np.array_equal(got, _phase_sum(nu, keys.astype(float), coeff))
+
+
 def test_phase_sums_of_no_terms_are_zero():
     nu = np.ones((3, 2))
     assert np.array_equal(_phase_sum(nu, np.zeros((0, 2)), np.zeros(0, complex)), np.zeros(3))
     assert dtsaft(preset("ft", 2), SeqFn(2, {}), nu).tolist() == [0j] * 3
     assert grid_phase_sum(np.zeros((0, 2)), [np.arange(3.0)] * 2, np.ones((3, 3))).shape == (0,)
+    no_keys = _seq_phase_sum(nu, np.zeros((0, 2), dtype=np.int64), np.zeros(0, complex))
+    assert np.array_equal(no_keys, np.zeros(3))
+    full_box = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+    assert _seq_phase_sum(np.zeros((0, 2)), full_box, np.ones(4, complex)).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -273,3 +387,21 @@ def test_peak_memory_is_bounded_by_the_budget(kernel):
     # unchunked, the phase matrix alone would take 1000 x 16,641 x 16 bytes
     # (254 MiB) at the larger grid
     assert max(peaks) < 2 * budget * 16, [pk / 2**20 for pk in peaks]
+
+
+@pytest.mark.parametrize("side", [65, 129, 181])
+def test_box_route_peak_memory_is_bounded_by_the_budget(side):
+    # full 2-D boxes of up to half the budget: the dense box plus the grid
+    # kernel's chunks
+    rng = np.random.default_rng(side)
+    budget = 1 << 16
+    keys = _keys_in(rng, (side, side), side * side, [-(side // 2)] * 2)
+    coeff = rng.normal(size=len(keys)) + 0j
+    nu = rng.uniform(-4.0, 4.0, (1000, 2))
+    with patch.object(saft, "PHASE_BUDGET", budget), \
+            patch.object(saft, "grid_phase_sum", wraps=grid_phase_sum) as grid:
+        peak = _peak_bytes(lambda: _seq_phase_sum(nu, keys, coeff))
+    assert grid.called
+    # unchunked over the keys, the phase matrix would take 1000 x 32,761
+    # x 16 bytes (500 MiB) at side 181
+    assert peak < 2 * budget * 16, peak / 2**20

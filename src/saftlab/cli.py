@@ -633,13 +633,18 @@ def _cmd_selftest(args) -> int:
 # parser assembly and dispatch
 
 
-def _add_common(sp) -> None:
-    sp.add_argument("--tol", type=float, default=None,
-                    help="override the default tolerance of this command")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for any randomized trials")
-    sp.add_argument("--out", default=None,
-                    help="output file (default: stdout for tabular output)")
+def _add_common(sp, *, out: bool = True, tol: bool = False, seed: bool = False) -> None:
+    """The shared flags, offered only where the command reads them: a flag
+    that is accepted and then ignored would be silently wrong."""
+    if tol:
+        sp.add_argument("--tol", type=_positive(float), default=None,
+                        help="override the default tolerance of this command")
+    if seed:
+        sp.add_argument("--seed", type=int, default=0,
+                        help="seed for the randomized trials")
+    if out:
+        sp.add_argument("--out", default=None,
+                        help="output file (default: stdout for tabular output)")
 
 
 def build_parser() -> _Parser:
@@ -675,8 +680,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--trials", type=_positive(int), default=20)
     sp.add_argument("--params", default=None,
                     help="fixed parameter JSON (default: random valid blocks)")
-    sp.add_argument("--dim", type=int, default=1, help="dimension for random blocks")
-    _add_common(sp)
+    sp.add_argument("--dim", type=_positive(int), default=1,
+                    help="dimension for random blocks")
+    _add_common(sp, tol=True, seed=True)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("sis", help="generator Grammian profile and Riesz verdict")
@@ -698,7 +704,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--M", required=True, help='lattice matrix, e.g. "[[2,0],[0,2]]"')
     sp.add_argument("--cell-points", type=_positive(int), default=17,
                     help="mesh nodes per axis over one frequency cell")
-    _add_common(sp)
+    _add_common(sp, tol=True)
     sp.set_defaults(func=_cmd_dynsamp_check)
 
     sp = dsub.add_parser("recover", help="recover coefficients from measurements")
@@ -723,11 +729,10 @@ def build_parser() -> _Parser:
     sp.add_argument("--outdir", default=None, help="directory for figure CSVs + report.json")
     sp.add_argument("--threshold", type=_positive(float), default=1e-14,
                     help="relative cut for the generator sample table")
-    _add_common(sp)
     sp.set_defaults(func=_cmd_repro)
 
     sp = sub.add_parser("selftest", help="fast invariant suite")
-    _add_common(sp)
+    _add_common(sp, out=False, seed=True)
     sp.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -33,7 +33,10 @@ nu.t_m)``, and each site takes the route its sources allow:
   keys far apart would otherwise allocate and sum a box of zeros;
 * `kernel_quadrature` sums one exponential per (output, source) pair with
   the direct kernel `_phase_sum`.  It is the oracle the other routes are
-  checked against.
+  checked against.  Each exponential is formed from its phase reduced to
+  a fraction of a turn, as a real cosine and sine (`_phase_rows`), and
+  every step treats an output alone, so a point's value does not depend
+  on the batch it came in.
 """
 
 from __future__ import annotations
@@ -141,14 +144,38 @@ def lattice_shifts(n: int, cutoff: int) -> np.ndarray:
     return mesh([np.arange(-cutoff, cutoff + 1, dtype=float)] * n).reshape(-1, n)
 
 
+def _product(a, b) -> np.ndarray:
+    """``a * b`` with the real and imaginary parts formed apart, as
+    `SeqFn.scaled` does: numpy's vectorized complex multiply may round an
+    element by its place in the array, so a point would depend on its batch."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real, out.imag = a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real
+    return out
+
+
 def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """One chunk of `_phase_sum`, without BLAS calls: each would wake BLAS
-    worker threads that then spin through the next chunk's exponentials."""
+    worker threads that then spin through the next chunk's exponentials.
+
+    Still one exponential per (output, point): the phase ``nu.k`` in turns
+    is reduced to its fraction of a turn (``arg - rint(arg)`` is exact in
+    floating point and leaves ``|arg| <= 1/2``), scaled to an angle in
+    ``[-pi, pi]`` and formed as a real cosine and sine written into the
+    parts of one complex array.  Forming it then adds no error that grows
+    with the number of turns; the complex exponential of ``-2 i pi nu.k``
+    rounded ``2 pi nu.k`` at ``eps`` of its full size.
+    """
     arg = v[:, :1] * k[:, 0]
     for i in range(1, k.shape[1]):
         arg += v[:, i:i + 1] * k[:, i]
-    terms = -2j * np.pi * arg
-    np.exp(terms, out=terms)
+    arg -= np.rint(arg)
+    arg *= -2 * np.pi
+    terms = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=terms.real)
+    np.sin(arg, out=terms.imag)
+    if len(coeff) == 1:
+        # one term per row: numpy would run the product below down the rows
+        return _product(terms[:, 0], coeff[0])
     terms *= coeff
     return terms.sum(axis=1)
 
@@ -217,11 +244,23 @@ def _seq_phase_sum(nu: np.ndarray, keys: np.ndarray, coeff: np.ndarray) -> np.nd
 
 def _transform_at(p: SaftParams, out_points, summed) -> np.ndarray:
     """Modulated transform values at physical frequencies ``out_points``;
-    ``summed(nu)`` gives the source phase sums at ``nu = B^{-1} w``."""
+    ``summed(nu)`` gives the source phase sums at ``nu = B^{-1} w``.
+
+    ``nu`` is summed elementwise in one fixed order, as `modulation`'s
+    linear term, and the output factor is applied by `_product`: a matrix
+    product or numpy's complex multiply may round a point differently with
+    the size of its batch.  With a kernel that treats each output alone
+    (`_phase_sum`), a point's value then does not depend on its batch.
+    """
     w = np.asarray(out_points, dtype=float)
     wf = w.reshape(-1, p.n)
-    acc = summed(wf @ p.b_inv.T)
-    acc *= modulation(p, wf) / sqrt(p.abs_det_b)
+    nu = np.empty_like(wf)
+    for j in range(p.n):
+        row = 0.0
+        for i in range(p.n):
+            row = row + p.b_inv[j, i] * wf[:, i]
+        nu[:, j] = row
+    acc = _product(summed(nu), modulation(p, wf) * (1.0 / sqrt(p.abs_det_b)))
     return acc.reshape(w.shape[:-1])
 
 
@@ -238,6 +277,10 @@ def kernel_quadrature(
     each; ``out_points``: (..., n) arbitrary physical frequencies.  One
     exponential per (output, sample) pair, chunked over outputs by
     `PHASE_BUDGET` elements.  This is the direct-sum oracle backend.
+
+    Each exponential is the real cosine and sine of its phase reduced to a
+    fraction of a turn (`_phase_rows`), and a point's value is the same
+    bits alone, in any batch and in any order of its batch.
     """
     t = np.asarray(in_points, dtype=float).reshape(-1, p.n)
     fv = np.asarray(in_values).reshape(-1)

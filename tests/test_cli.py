@@ -424,6 +424,15 @@ def test_measurements_with_a_repeated_index_exit_1(work, tmp_path, capsys):
     ("sis", "--cell-points=0"),
     ("sis", "--cell-points=-3"),
     ("verify", "--trials=0"),
+    ("verify", "--dim=0"),
+    ("verify", "--dim=-1"),
+    ("verify", "--tol=0"),
+    ("verify", "--tol=-1"),
+    ("verify", "--tol=nan"),
+    ("verify", "--tol=inf"),
+    ("dynsamp check", "--tol=-1"),
+    ("dynsamp check", "--tol=nan"),
+    ("dynsamp check", "--tol=inf"),
     ("repro", "--threshold=-1"),
     ("repro", "--threshold=0"),
     ("repro", "--threshold=nan"),
@@ -438,6 +447,45 @@ def test_non_positive_counts_and_cuts_are_usage_errors(work, tmp_path, capsys, c
         "sis": ["sis", *model],
         "verify": ["verify", "--theorem", "dd", "--out", str(tmp_path / "v.csv")],
         "repro": ["repro", "section5", "--outdir", str(tmp_path / "out")],
+    }[command]
+    assert main(argv + [flag]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag.split("=")[0] in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("transform", "--tol=1e-3"),
+    ("transform", "--seed=1"),
+    ("dtsaft", "--tol=1e-3"),
+    ("dtsaft", "--seed=1"),
+    ("conv", "--tol=1e-3"),
+    ("sis", "--seed=1"),
+    ("dynsamp check", "--seed=1"),
+    ("dynsamp recover", "--tol=1e-3"),
+    ("repro", "--tol=1e-3"),
+    ("repro", "--seed=1"),
+    ("selftest", "--tol=1e-3"),
+    ("selftest", "--out=t.txt"),
+])
+def test_flags_a_command_would_ignore_are_usage_errors(work, tmp_path, capsys, command, flag):
+    # --tol, --seed and --out exist only where the command reads them
+    model = ["--params", str(work / "ft1.json"), "--phi", str(work / "phi1.grid"),
+             "--filter", str(work / "filt1.csv"), "--M", "[[2]]"]
+    argv = {
+        "transform": ["transform", "--params", str(work / "ft1.json"),
+                      "--in", str(work / "gauss.grid"), "--out", str(tmp_path / "F.grid")],
+        "dtsaft": ["dtsaft", "--params", str(work / "ft1.json"), "--seq", str(work / "seq.csv"),
+                   "--wgrid=-1:1:3", "--out", str(tmp_path / "t.csv")],
+        "conv": ["conv", "--kind", "dd", "--params", str(work / "ft1.json"),
+                 "--lhs", str(work / "filt1.csv"), "--rhs", str(work / "seq.csv"),
+                 "--out", str(tmp_path / "c.csv")],
+        "sis": ["sis", "--params", str(work / "ft1.json"), "--phi", str(work / "phi1.grid")],
+        "dynsamp check": ["dynsamp", "check", *model, "--out", str(tmp_path / "f.csv")],
+        "dynsamp recover": ["dynsamp", "recover", *model, "--measurements",
+                            str(work / "meas.csv"), "--out", str(tmp_path / "r.csv")],
+        "repro": ["repro", "section5", "--outdir", str(tmp_path / "out")],
+        "selftest": ["selftest"],
     }[command]
     assert main(argv + [flag]) == 64
     captured = capsys.readouterr()

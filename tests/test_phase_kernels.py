@@ -4,10 +4,16 @@ The oracles in ``phase_oracles.py`` sum one exponential per (output, sample)
 pair, outputs taken 4,096 at a time.  Two kernels replace them:
 
 * the direct kernel (`_phase_sum`, behind `kernel_quadrature` and the
-  sparse side of `_seq_phase_sum`) forms the same exponentials, in chunks
-  sized by an element budget.  It sums the phase ``nu.t`` elementwise and a
-  row's terms with numpy's pairwise sum, where the oracles used BLAS for
-  both, so values agree within those two rounding bounds;
+  sparse side of `_seq_phase_sum`) still forms one exponential per
+  (output, sample) pair, in chunks sized by an element budget.  It sums
+  the phase ``nu.t`` elementwise and a row's terms with numpy's pairwise
+  sum, where the oracles used BLAS for both, and it forms each exponential
+  as the real cosine and sine of the phase reduced to a fraction of a
+  turn, where the oracles took complex ``np.exp`` of the whole phase (and
+  rounded ``2 pi nu.t`` at its full size).  Values agree within those
+  rounding bounds.  Every step treats an output alone, so a point gets
+  the same bits alone as in any batch; and where the phase itself is exact
+  (a quarter turn past 10^6 turns), so is the exponential to a few eps;
 * the grid kernel (`grid_phase_sum`, `grid_quadrature`, the quad inverse,
   `sis.spectrum_at`, `filter_symbol` on grid filters, the image sum of
   `poisson_check`) forms one exponential per (output, axis sample) and adds
@@ -265,6 +271,55 @@ def test_poisson_check_matches_chunked_oracle(n, seed, budget, n_out):
         lhs_mass = float(np.sum(np.abs(gk))) / np.sqrt(p.abs_det_b)
         assert np.max(np.abs(got.lhs - ref.lhs)) <= _dot_bound(p, w, k, lhs_mass)
         assert np.max(np.abs(got.rhs - ref.rhs)) <= GRID_RTOL * images * _mass(p, g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("key", [10**6 + 1, -(10**6) - 3])
+def test_direct_kernel_reduces_each_phase_to_a_fraction_of_a_turn(n, key):
+    # nu.k = 250000.25 (or 750000.75, -250000.75, -750002.25) turns: the
+    # fraction of a turn is exact, so the exponentials are -i and +i to a
+    # few eps; rounding 2 pi nu.k at its full size is off by about 1e6 eps
+    k = np.array([[key] + [7, -5][:n - 1]], dtype=float)
+    nu = np.zeros((2, n))
+    nu[:, 0] = [0.25, 0.75]
+    got = _phase_sum(nu, k, np.array([1.0 + 0j]))
+    assert np.max(np.abs(got - np.array([-1j, 1j]))) <= 4 * EPS
+
+
+@st.composite
+def _wide_sparse_case(draw, n: int):
+    """A random block, a few keys spread over a box far wider than 32 keys
+    (the direct route of `_seq_phase_sum`), scattered quadrature points and
+    1 to 30 outputs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_params(n, rng)
+    k = draw(st.integers(2, 12))
+    corners = np.array([[-5000] * n, [5000] * n])
+    keys = np.concatenate([corners, rng.integers(-5000, 5001, (k - 2, n))])
+    s = SeqFn(n, {tuple(int(x) for x in key): complex(*rng.normal(size=2)) for key in keys})
+    t = rng.uniform(-3.0, 3.0, (draw(st.integers(1, 40)), n))
+    f = rng.normal(size=len(t)) + 1j * rng.normal(size=len(t))
+    w = rng.uniform(-6.0, 6.0, (draw(st.integers(1, 30)), n))
+    return p, s, (t, f), w, rng.permutation(len(w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_direct_kernel_values_do_not_depend_on_the_batch(n, data, budget):
+    # a point gets the same bits alone, in its batch and in a permuted batch
+    p, s, (t, f), w, perm = data.draw(_wide_sparse_case(n))
+    evaluators = {
+        "kernel_quadrature": lambda pts: kernel_quadrature(p, t, f, 0.3, pts),
+        "dtsaft": lambda pts: dtsaft(p, s, pts),
+    }
+    with patch.object(saft, "PHASE_BUDGET", budget), \
+            patch.object(saft, "grid_phase_sum", side_effect=AssertionError("box route")):
+        for name, fn in evaluators.items():
+            batch = fn(w)
+            alone = np.array([fn(w[i:i + 1])[0] for i in range(len(w))])
+            assert np.array_equal(batch, alone), name
+            assert np.array_equal(batch[perm], fn(w[perm])), name
 
 
 # ---------------------------------------------------------------------------

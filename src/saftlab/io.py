@@ -30,6 +30,7 @@ a table back with one ``np.loadtxt`` call.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,16 @@ __all__ = [
 ]
 
 _MAGIC = "SAFTGRID v1"
+
+#: grid header keys, checked in this order (``n`` first: each other line
+#: holds n fields): the type of a field, the test each field must pass,
+#: and what the line must hold
+_HEADER = {
+    "n": (int, lambda x: x >= 1, "one integer n >= 1"),
+    "shape": (int, lambda x: x >= 1, "n = {n} positive integers"),
+    "origin": (float, math.isfinite, "n = {n} finite numbers"),
+    "spacing": (float, lambda x: math.isfinite(x) and x > 0, "n = {n} finite positive numbers"),
+}
 
 #: rows `format_rows` holds as Python numbers at once
 ROW_CHUNK = 1 << 14
@@ -100,24 +111,31 @@ def read_grid(path) -> GridFn:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a {_MAGIC} file")
-    header: dict[str, list[str]] = {}
+    header: dict[str, str] = {}
     pos = 1
-    while pos < len(lines) and lines[pos].split()[0] in ("n", "shape", "origin", "spacing"):
-        key, *vals = lines[pos].split()
-        header[key] = vals
+    while pos < len(lines) and lines[pos].split()[0] in _HEADER:
+        key = lines[pos].split()[0]
+        if key in header:
+            raise ValueError(f"{path}: header line {lines[pos]!r} repeats {header[key]!r}")
+        header[key] = lines[pos]
         pos += 1
-    for key in ("n", "shape", "origin", "spacing"):
+    fields: dict[str, list] = {}
+    for key, (kind, ok, what) in _HEADER.items():
         if key not in header:
             raise ValueError(f"{path}: missing header line {key!r}")
-    n = int(header["n"][0])
-    shape = tuple(int(s) for s in header["shape"])
-    origin = np.array([float(x) for x in header["origin"]])
-    spacing = np.array([float(x) for x in header["spacing"]])
-    if len(shape) != n or origin.size != n or spacing.size != n:
-        raise ValueError(f"{path}: header lengths inconsistent with n={n}")
+        n = fields["n"][0] if fields else 1        # the n line holds one field
+        try:
+            vals = [kind(x) for x in header[key].split()[1:]]
+        except ValueError:
+            vals = []
+        if len(vals) != n or not all(map(ok, vals)):
+            raise ValueError(f"{path}: header line {header[key]!r} must hold {what.format(n=n)}")
+        fields[key] = vals
+    shape = tuple(fields["shape"])
+    origin, spacing = np.array(fields["origin"]), np.array(fields["spacing"])
     if pos < len(lines) and lines[pos].replace(" ", "") == "re,im":
         pos += 1
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     rows = lines[pos:]
     if len(rows) != count:
         raise ValueError(f"{path}: expected {count} value rows, found {len(rows)}")

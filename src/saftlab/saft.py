@@ -36,11 +36,14 @@ nu.t_m)``, and each site takes the route its sources allow:
   checked against.  Each exponential is formed from its phase reduced to
   a fraction of a turn, as a real cosine and sine (`_phase_rows`), and
   every step treats an output alone, so a point's value does not depend
-  on the batch it came in.
+  on the batch it came in.  The outputs are split over the usable cores
+  (`_WORKERS` threads, whose chunks share one `PHASE_BUDGET`); since each
+  output is summed alone, a value does not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import ceil, floor, prod, sqrt
 
@@ -71,6 +74,10 @@ DEFAULT_LATTICE_CUTOFF = 8
 
 #: complex elements (16 MiB) a chunk of outputs of a phase sum may hold
 PHASE_BUDGET = 1 << 20
+
+#: usable cores, the threads `_phase_sum` splits its outputs over
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 #: elements per support key up to which an integer support is summed over
 #: its dense bounding box (see `_seq_phase_sum`)
@@ -182,11 +189,43 @@ def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 
 def _phase_sum(nu: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """``sum_m coeff[m] exp(-2 i pi nu.k_m)`` for each row of ``nu`` (No, n),
-    one exponential per (output, point), chunks of ``PHASE_BUDGET // M`` rows."""
-    out = np.empty(nu.shape[0], dtype=complex)
-    step = max(1, PHASE_BUDGET // max(1, k.shape[0]))
-    for lo in range(0, nu.shape[0], step):
-        out[lo:lo + step] = _phase_rows(nu[lo:lo + step], k, coeff)
+    one exponential per (output, point).
+
+    The outputs are split into at most `_WORKERS` contiguous blocks: the
+    calling thread sums the first, a pool opened for this call the others.
+    Each block runs in chunks of ``PHASE_BUDGET // _WORKERS // M`` rows, so
+    the chunks of all threads together hold one budget; a call that fits
+    in one chunk runs inline.  `_phase_rows` treats each output alone, so
+    a value does not depend on the thread count.  Workers run under the
+    caller's floating-point error state, which numpy keeps per thread.
+    """
+    rows, m = nu.shape[0], max(1, k.shape[0])
+    out = np.empty(rows, dtype=complex)
+    step = max(1, PHASE_BUDGET // _WORKERS // m)
+    # a row of more than PHASE_BUDGET // _WORKERS terms is a chunk alone:
+    # then fewer blocks run at once, as many rows as fit one budget
+    blocks = min(_WORKERS, max(1, PHASE_BUDGET // (step * m)), -(-rows // step))
+    err = np.geterr()
+
+    def run(lo: int, hi: int) -> None:
+        with np.errstate(**err):
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                out[a:b] = _phase_rows(nu[a:b], k, coeff)
+
+    if blocks <= 1:
+        run(0, rows)
+        return out
+    # imported here: concurrent.futures (with logging) adds about 7 ms to
+    # every `import saftlab`, and most processes never split a call
+    from concurrent.futures import ThreadPoolExecutor
+
+    edges = [rows * i // blocks for i in range(blocks + 1)]
+    with ThreadPoolExecutor(blocks - 1) as pool:
+        futures = [pool.submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+        run(edges[0], edges[1])
+        for f in futures:
+            f.result()
     return out
 
 
@@ -280,7 +319,9 @@ def kernel_quadrature(
 
     Each exponential is the real cosine and sine of its phase reduced to a
     fraction of a turn (`_phase_rows`), and a point's value is the same
-    bits alone, in any batch and in any order of its batch.
+    bits alone, in any batch and in any order of its batch.  The outputs
+    are split over the usable cores, whose chunks together hold one
+    `PHASE_BUDGET`; a value is the same bits for any thread count.
     """
     t = np.asarray(in_points, dtype=float).reshape(-1, p.n)
     fv = np.asarray(in_values).reshape(-1)

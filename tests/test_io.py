@@ -179,6 +179,36 @@ def test_grid_reader_is_bit_equal_to_the_parse_loop(tmp_path, data, rows):
         np.testing.assert_array_equal(_bits(new.values), _bits(old.values))
 
 
+@pytest.mark.parametrize("line,bad", [
+    ("n 1", "n 0"),
+    ("n 1", "n 1.0"),
+    ("n 1", "n"),
+    ("shape 4", "shape 4.0"),
+    ("shape 4", "shape 0"),
+    ("shape 4", "shape -4"),
+    ("shape 4", "shape 2 2"),
+    ("origin -1.0", "origin nan"),
+    ("origin -1.0", "origin abc"),
+    ("origin -1.0", "origin -inf"),
+    ("spacing 0.5", "spacing inf"),
+    ("spacing 0.5", "spacing 0.0"),
+    ("spacing 0.5", "spacing -0.5"),
+    ("spacing 0.5", "spacing 0.5 0.5"),
+    ("spacing 0.5", "spacing 0.5\nshape 2"),      # a repeated line
+])
+def test_a_bad_grid_header_line_names_the_file_and_the_line(tmp_path, capsys, line, bad):
+    good = "SAFTGRID v1\nn 1\nshape 4\norigin -1.0\nspacing 0.5\nre,im\n" + "1.0,0.0\n" * 4
+    path = tmp_path / "bad.grid"
+    path.write_text(good.replace(line, bad))
+    named = bad.split("\n")[-1]
+    with pytest.raises(ValueError, match=rf"bad\.grid: header line {named!r} (must hold|repeats)"):
+        read_grid(path)
+    write_params(tmp_path / "ft1.json", preset("ft", 1))
+    assert main(["transform", "--params", str(tmp_path / "ft1.json"), "--in", str(path),
+                 "--out", str(tmp_path / "out.grid")]) == 1
+    assert f"{path}: header line {named!r}" in capsys.readouterr().err
+
+
 INDEX_FORMATS = ["{}", "{}.0", "{}.75", "{}e0", " {} "]
 
 

@@ -13,7 +13,9 @@ pair, outputs taken 4,096 at a time.  Two kernels replace them:
   rounded ``2 pi nu.t`` at its full size).  Values agree within those
   rounding bounds.  Every step treats an output alone, so a point gets
   the same bits alone as in any batch; and where the phase itself is exact
-  (a quarter turn past 10^6 turns), so is the exponential to a few eps;
+  (a quarter turn past 10^6 turns), so is the exponential to a few eps.
+  Its outputs are split over `_WORKERS` threads whose chunks share one
+  budget, and the bits do not depend on how many;
 * the grid kernel (`grid_phase_sum`, `grid_quadrature`, the quad inverse,
   `sis.spectrum_at`, `filter_symbol` on grid filters, the image sum of
   `poisson_check`) forms one exponential per (output, axis sample) and adds
@@ -33,6 +35,7 @@ Patching `PHASE_BUDGET` down to a few elements runs every case over many
 chunks, down to one output per chunk, and moves boxes onto the direct route.
 """
 
+import threading
 import tracemalloc
 from math import prod
 from unittest.mock import patch
@@ -323,6 +326,81 @@ def test_direct_kernel_values_do_not_depend_on_the_batch(n, data, budget):
 
 
 # ---------------------------------------------------------------------------
+# direct kernel over threads: `_WORKERS` blocks of outputs, one budget
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS, workers=st.sampled_from([2, 3, 5]))
+def test_direct_kernel_values_do_not_depend_on_the_thread_count(n, data, budget, workers):
+    p, s, (t, f), w, _ = data.draw(_wide_sparse_case(n))
+    evaluators = {
+        "_phase_sum": lambda: _phase_sum(w, t, f),
+        "kernel_quadrature": lambda: kernel_quadrature(p, t, f, 0.3, w),
+        "dtsaft": lambda: dtsaft(p, s, w),
+    }
+    with patch.object(saft, "PHASE_BUDGET", budget), \
+            patch.object(saft, "grid_phase_sum", side_effect=AssertionError("box route")):
+        for name, fn in evaluators.items():
+            with patch.object(saft, "_WORKERS", 1):
+                ref = fn()
+            with patch.object(saft, "_WORKERS", workers):
+                got = fn()
+            assert np.array_equal(_bits(got), _bits(ref)), name
+
+
+def _rows_and_points(seed: int):
+    """40 outputs and 8 points in 2-D: with `PHASE_BUDGET` 16, one output
+    per chunk, and as many blocks as `_WORKERS`."""
+    rng = np.random.default_rng(seed)
+    nu = rng.uniform(-1.0, 1.0, (40, 2))
+    k = rng.uniform(-3.0, 3.0, (8, 2))
+    return nu, k, rng.normal(size=8) + 1j * rng.normal(size=8)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+def test_an_error_in_a_worker_block_reaches_the_caller(workers):
+    nu, k, coeff = _rows_and_points(workers)
+    nu[-1, 0] = 1234.5                    # marks the last output, in the last block
+    raised_in = []
+    real = saft._phase_rows
+
+    def rows(v, *args):
+        if np.any(v[:, 0] == 1234.5):
+            raised_in.append(threading.current_thread())
+            raise RuntimeError("last block")
+        return real(v, *args)
+
+    baseline = threading.active_count()
+    with patch.object(saft, "_WORKERS", workers), patch.object(saft, "PHASE_BUDGET", 16), \
+            patch.object(saft, "_phase_rows", side_effect=rows):
+        with pytest.raises(RuntimeError, match="last block"):
+            _phase_sum(nu, k, coeff)
+    assert raised_in and raised_in[0] is not threading.main_thread()
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("where", ["source point", "last output"])
+def test_a_non_finite_point_raises_under_the_callers_errstate(workers, where):
+    # inf - rint(inf) is invalid; a worker thread starts with numpy's default
+    # error state, so only the caller's state handed over makes it raise
+    nu, k, coeff = _rows_and_points(workers)
+    if where == "source point":
+        k[3, 1] = np.inf
+    else:
+        nu[-1, 1] = np.inf
+    with patch.object(saft, "_WORKERS", workers), patch.object(saft, "PHASE_BUDGET", 16), \
+            np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            _phase_sum(nu, k, coeff)
+
+
+# ---------------------------------------------------------------------------
 # integer supports: the dense box on the grid kernel, or the direct kernel
 
 
@@ -423,8 +501,15 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("kernel", ["grid", "direct"])
-def test_peak_memory_is_bounded_by_the_budget(kernel):
+@pytest.mark.parametrize("kernel,workers", [
+    pytest.param("grid", 1, id="grid"),
+    pytest.param("direct", 1, id="direct"),
+    pytest.param("direct", 2, id="direct-2"),
+    pytest.param("direct", 4, id="direct-4"),
+    # a row of 16,641 terms exceeds budget / 8: fewer blocks run at once
+    pytest.param("direct", 8, id="direct-8"),
+])
+def test_peak_memory_is_bounded_by_the_budget(kernel, workers):
     rng = np.random.default_rng(11)
     budget = 1 << 16                      # 1 MiB of complex elements
     nu = rng.uniform(-4.0, 4.0, (1000, 2))
@@ -437,10 +522,11 @@ def test_peak_memory_is_bounded_by_the_budget(kernel):
         else:
             t = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
             run = lambda: _phase_sum(nu, t, vals.reshape(-1))
-        with patch.object(saft, "PHASE_BUDGET", budget):
+        with patch.object(saft, "PHASE_BUDGET", budget), patch.object(saft, "_WORKERS", workers):
             peaks.append(_peak_bytes(run))
-    # unchunked, the phase matrix alone would take 1000 x 16,641 x 16 bytes
-    # (254 MiB) at the larger grid
+    # the direct kernel's threads share the budget; unchunked, the phase
+    # matrix alone would take 1000 x 16,641 x 16 bytes (254 MiB) at the
+    # larger grid
     assert max(peaks) < 2 * budget * 16, [pk / 2**20 for pk in peaks]
 
 

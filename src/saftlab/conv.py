@@ -179,8 +179,9 @@ def conv_dd(params: SaftParams, s: SeqFn, c: SeqFn) -> SeqFn:
     products can differ from scalar ones by a few eps of the term sizes.
     Residues are kept: where a key's terms cancel exactly, such as the
     pairs (k, k') and (k', k) of antisymmetric factors, a complex result can
-    keep an entry with ``|value| <= 4 eps sum|terms|``; no threshold drops
-    it, so entry counts (such as ``report.json``'s ``sizes``) can include it.
+    keep an entry of about 1e-16 (``|value| <= 4 eps sum|terms|``); no
+    threshold drops it, and entry counts (such as ``report.json``'s
+    ``sizes``) include such entries.
     """
     require_valid(params)
     p = params

@@ -24,7 +24,12 @@ Parameter file
 Every CSV body, here and in the CLI and figure writers, goes through one
 codec: `format_rows` writes integers as ``str(int)`` and floats as
 ``repr(float)`` (Python's shortest round-trip form), and `parse_rows` reads
-a table back with one ``np.loadtxt`` call.
+a table back with one ``np.loadtxt`` call.  `format_rows` formats one
+column at a time; a float column that repeats values, such as a grid
+coordinate, calls ``repr`` once per distinct value, and the bytes are the
+same as one ``repr`` per value.  `write_grid` and `write_sequence` refuse
+a NaN or infinite value before they create the file, since no reader
+accepts one.
 """
 
 from __future__ import annotations
@@ -67,10 +72,17 @@ _HEADER = {
 #: rows `format_rows` holds as Python numbers at once
 ROW_CHUNK = 1 << 14
 
+#: `format_rows` looks at this many evenly spaced values of a float column,
+#: and formats each distinct value of the column once when at most
+#: `DEDUPE_SHARE` of them are distinct (a coordinate column of a grid)
+SAMPLE_ROWS = 1 << 10
+DEDUPE_SHARE = 0.5
 
-def require_finite(path, rows: list[str], values) -> None:
+
+def require_finite(path, rows, values) -> None:
     """Raise ValueError naming the file and the first data row (1-based,
-    after any header) whose value is NaN or infinite."""
+    after any header) whose value is NaN or infinite; ``rows[i]`` is the
+    text of the 0-based row i."""
     bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=complex)))
     if bad.size:
         i = int(bad[0])
@@ -81,16 +93,49 @@ def format_rows(header: list[str], *blocks) -> str:
     """The header lines, then one CSV row per row of the column blocks, as
     newline-terminated text.  A block is a (K, c) array or a (K,) column;
     integer blocks are written as ``str(int)``, all others as
-    ``repr(float)``.  One format string is mapped over the column lists,
-    `ROW_CHUNK` rows at a time."""
+    ``repr(float)``, so NaN and infinities are written as ``nan`` and
+    ``inf``.
+
+    Each column is a view of its block and is formatted on its own,
+    `ROW_CHUNK` rows at a time.  A float column that repeats values (see
+    `SAMPLE_ROWS`) calls ``repr`` once per distinct bit pattern and takes
+    each row's text from that table; the output bytes are the same as with
+    one ``repr`` per value."""
     blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
-    blocks = [b if b.dtype.kind in "iu" else b.astype(float, copy=False) for b in blocks]
-    row = ",".join(["{!r}"] * sum(b.shape[1] for b in blocks))
+    columns = [_column_text(col) for b in blocks for col in b.T]
     lines = list(header)
     for lo in range(0, len(blocks[0]), ROW_CHUNK):
-        cols = [col for b in blocks for col in b[lo:lo + ROW_CHUNK].T.tolist()]
-        lines.append("\n".join(map(row.format, *cols)))
-    return "\n".join(lines) + "\n"
+        cells = [text(lo, lo + ROW_CHUNK) for text in columns]
+        lines.append("\n".join(map(",".join, zip(*cells))))
+    lines.append("")                # the last newline, without a copy of the text
+    return "\n".join(lines) or "\n"
+
+
+def _column_text(col: np.ndarray):
+    """The function giving the text of rows ``lo:hi`` of the 1-D column
+    ``col`` (a view of its block, strided) as a list of str."""
+    if col.dtype.kind in "iu":
+        return lambda lo, hi: list(map(str, col[lo:hi].tolist()))
+    col = col.astype(float, copy=False)
+    bits = col.view(np.int64)        # keeps -0.0 and NaN payloads apart
+    sample = bits[::max(1, math.ceil(len(bits) / SAMPLE_ROWS))]
+    if len(np.unique(sample)) > DEDUPE_SHARE * len(sample):
+        return lambda lo, hi: list(map(repr, col[lo:hi].tolist()))
+    distinct, inv = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return lambda lo, hi: text[inv[lo:hi]].tolist()
+
+
+def _write_rows(path, values, header: list[str], *blocks) -> None:
+    """Write ``format_rows(header, *blocks)`` to `path`.  When a complex
+    value in `values` (one per row) is not finite, raise `require_finite`'s
+    error for its row instead and create no file: no reader accepts it."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        row = format_rows([], *(b[i:i + 1] for b in blocks))[:-1]
+        require_finite(path, {i: row}, values)
+    Path(path).write_text(format_rows(header, *blocks))
 
 
 def write_grid(path, g: GridFn) -> None:
@@ -103,7 +148,7 @@ def write_grid(path, g: GridFn) -> None:
         "re,im",
     ]
     flat = np.asarray(g.values, dtype=complex).reshape(-1)
-    Path(path).write_text(format_rows(header, np.column_stack([flat.real, flat.imag])))
+    _write_rows(path, flat, header, np.column_stack([flat.real, flat.imag]))
 
 
 def read_grid(path) -> GridFn:
@@ -149,7 +194,7 @@ def read_grid(path) -> GridFn:
 def write_sequence(path, s: SeqFn, header: bool = True) -> None:
     head = [",".join(f"k{i + 1}" for i in range(s.n)) + ",re,im"] if header else []
     keys, vals = s.as_arrays()
-    Path(path).write_text(format_rows(head, keys, np.column_stack([vals.real, vals.imag])))
+    _write_rows(path, vals, head, keys, np.column_stack([vals.real, vals.imag]))
 
 
 def read_sequence(path, n: int | None = None) -> SeqFn:

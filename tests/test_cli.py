@@ -373,6 +373,19 @@ def test_grid_with_a_nan_exits_1(work, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_transform_that_overflows_exits_1_and_writes_no_file(work, tmp_path, capsys):
+    huge = tmp_path / "huge.grid"
+    huge.write_text("SAFTGRID v1\nn 1\nshape 4\norigin -1.0\nspacing 0.5\nre,im\n"
+                    + "1e308,0.0\n" * 4)
+    out = tmp_path / "F.grid"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["transform", "--params", str(work / "ft1.json"), "--in", str(huge),
+                     "--out", str(out)])
+    assert code == 1
+    assert f"{out}: data row 1 ('nan,nan') has a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sequence_with_inf_exits_1(work, tmp_path, capsys):
     bad = tmp_path / "inf.csv"
     bad.write_text("k1,re,im\n0,1.0,0.0\n1,inf,0.0\n")

@@ -4,6 +4,8 @@ every reader's values must be identical, bit for bit."""
 
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import io_oracles as oracle
+import saftlab.io
 from saftlab.cli import main
 from saftlab.grid import GridFn, SeqFn, sample_generator, sampling_grid
 from saftlab.io import (
@@ -66,7 +69,7 @@ def _bits(a) -> np.ndarray:
 def test_grid_writer_matches_the_per_row_writer(tmp_path, data, n):
     shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
     size = int(np.prod(shape))
-    parts = data.draw(_block(size, 2))
+    parts = data.draw(_block(size, 2, FINITE))
     vals = np.empty(size, dtype=complex)
     vals.real, vals.imag = parts[:, 0], parts[:, 1]
     origin = data.draw(_block(1, n, FINITE))[0]
@@ -82,7 +85,7 @@ def test_grid_writer_matches_the_per_row_writer(tmp_path, data, n):
 def test_sequence_writer_matches_the_per_row_writer(tmp_path, data, n, header):
     index = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
     keys = data.draw(st.lists(st.tuples(*[index] * n), max_size=5, unique=True))
-    parts = data.draw(_block(len(keys), 2))
+    parts = data.draw(_block(len(keys), 2, FINITE))
     vals = np.empty(len(keys), dtype=complex)
     vals.real, vals.imag = parts[:, 0], parts[:, 1]
     s = SeqFn.from_arrays(n, np.array(keys, dtype=np.int64).reshape(-1, n), vals)
@@ -92,12 +95,101 @@ def test_sequence_writer_matches_the_per_row_writer(tmp_path, data, n, header):
 
 
 @SETTINGS
+@given(data=st.data(), rows=st.integers(1, 6), sequence=st.booleans())
+def test_writers_reject_a_non_finite_value_and_create_no_file(tmp_path, data, rows, sequence):
+    parts = data.draw(_block(rows, 2))
+    bad = data.draw(st.integers(0, 2 * rows - 1))
+    parts.flat[bad] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    vals = np.empty(rows, dtype=complex)
+    vals.real, vals.imag = parts[:, 0], parts[:, 1]
+    path = tmp_path / ("out.csv" if sequence else "out.grid")
+    path.unlink(missing_ok=True)
+    if sequence:
+        s = SeqFn.from_arrays(1, np.arange(rows).reshape(-1, 1), vals)   # drops zeros
+        keys, vals = s.as_arrays()
+        texts = [f"{k},{float(z.real)!r},{float(z.imag)!r}" for k, z in zip(keys[:, 0], vals)]
+    else:
+        texts = [f"{float(z.real)!r},{float(z.imag)!r}" for z in vals]
+    first = int(np.flatnonzero(~np.isfinite(vals))[0])
+    with pytest.raises(ValueError) as exc:
+        if sequence:
+            write_sequence(path, s)
+        else:
+            write_grid(path, GridFn(1, (rows,), [0.0], [1.0], vals))
+    assert str(exc.value) == \
+        f"{path}: data row {first + 1} ({texts[first]!r}) has a non-finite value"
+    assert not path.exists()
+
+
+@SETTINGS
 @given(data=st.data(), rows=ROWS, cols=st.integers(1, 4))
 def test_figure_writer_matches_the_per_row_writer(tmp_path, data, rows, cols):
     block = data.draw(_block(rows, cols))
     (tmp_path / "new.csv").write_text(format_rows(["a,b"], block))
     oracle.write_csv(tmp_path / "old.csv", "a,b", block)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# values that must keep their own text when a column is formatted once per
+# distinct value: signed zeros, NaNs with other payloads and signs,
+# infinities and subnormals
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+            0xFFFFFFFFFFFFFFFF]
+NASTY = np.concatenate([np.array(NAN_BITS, dtype=np.uint64).view(float),
+                        [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310]])
+BLOCK = st.one_of(
+    st.tuples(st.just("int"), st.integers(1, 3)),
+    st.tuples(st.just("float"), st.lists(st.sampled_from(["pool", "distinct"]),
+                                         min_size=1, max_size=3)),
+)
+
+
+def _column(rng, kind: str, rows: int, pool) -> np.ndarray:
+    """A column drawn from a small pool (repeating, like a grid coordinate)
+    or of random bit patterns (nearly all distinct), with a few values of
+    `NASTY` in it."""
+    if kind == "pool":
+        col = np.array(pool)[rng.integers(len(pool), size=rows)]
+    else:
+        col = rng.integers(-(2**63), 2**63 - 1, size=rows, dtype=np.int64).view(float)
+    at = rng.integers(rows, size=min(rows, 8)) if rows else []
+    col[at] = rng.choice(NASTY, size=len(at))
+    return col
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data(), rows=st.integers(0, 3000), chunk=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1), layout=st.lists(BLOCK, min_size=1, max_size=4))
+def test_columns_that_repeat_keep_the_per_row_text(tmp_path, data, rows, chunk, seed, layout):
+    rng = np.random.default_rng(seed)
+    pool = data.draw(st.lists(st.one_of(FLOAT, st.sampled_from(NASTY.tolist())),
+                              min_size=1, max_size=12))
+    blocks, texts = [], []
+    for kind, spec in layout:
+        if kind == "int":
+            block = rng.integers(-(2**63), 2**63 - 1, size=(rows, spec), dtype=np.int64)
+            texts.append([",".join(map(str, r)) for r in block.tolist()])
+        else:
+            block = np.column_stack([_column(rng, c, rows, pool) for c in spec])
+            oracle.write_csv(tmp_path / "old.csv", "a", block)
+            texts.append((tmp_path / "old.csv").read_text().split("\n")[1:-1])
+        blocks.append(block[:, 0] if block.shape[1] == 1 and rng.random() < 0.5 else block)
+    want = "\n".join(["a,b"] + [",".join(cells) for cells in zip(*texts)]) + "\n"
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", chunk):
+        assert format_rows(["a,b"], *blocks) == want
+
+
+def test_formatting_distinct_values_peaks_near_the_text_size():
+    # as many cells as each grid that the cli_files benchmark writes (513^2)
+    block = np.random.default_rng(5).standard_normal((263_169, 2))
+    tracemalloc.start()
+    try:
+        size = len(format_rows(["re,im"], block))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * size
 
 
 @SETTINGS

@@ -190,6 +190,26 @@ def _tensor_psi(nu: np.ndarray, spec: MeyerSpec) -> np.ndarray:
     return meyer_psi(nu[..., 0], spec) * meyer_psi(nu[..., 1], spec)
 
 
+def _window_checks(p: SaftParams, filt: SeqFn, nu0: np.ndarray, spec: MeyerSpec):
+    """(max |(chi_E - 1) a psi| over ``nu0 + lattice_shifts(2, 2)``, the shift
+    sum of psi on ``nu0``'s unit-cell images), from (N, 2, 5) per-axis values."""
+    def per_axis(nu):
+        x = nu[:, :, None] + np.arange(-2.0, 3.0)
+        return meyer_psi(x, spec), np.abs(x) <= spec.support_end
+
+    def tensor(a):  # (N, 25) products in shift order
+        return (a[:, 0, :, None] * a[:, 1, None, :]).reshape(-1, 25)
+
+    psi, inside = per_axis(nu0)
+    off = (tensor(inside).astype(float) - 1.0) * tensor(psi)
+    rows = np.flatnonzero(np.any(off, axis=1))
+    sym = filter_symbol(p, filt, nu0[rows, None, :] + lattice_shifts(2, 2))
+    phi0 = np.zeros(nu0.shape[0])
+    for term in tensor(per_axis(nu0 - np.floor(nu0))[0]).T:
+        phi0 += term
+    return float(np.max(np.abs(sym * off[rows]), initial=0.0)), phi0
+
+
 def build_example(
     params: SaftParams | None = None,
     c1: complex = 1.0,
@@ -210,7 +230,8 @@ def build_example(
     (w1+2w2)}; masking it with the indicator of the window's support box
     turns it into the band-limited filter whose action on the generator's
     span is identical (the masking residual is reported, and is zero by
-    support disjointness).
+    support disjointness; the comment at its evaluation says why the
+    per-axis form has the bits of the pointwise one).
     """
     p = preset("ft", n=2) if params is None else params
     require_valid(p)
@@ -250,23 +271,17 @@ def build_example(
 
     # masking identity: with the filter band-limited to the support box E,
     # (masked symbol) x (window) == (full symbol) x (window) at every
-    # shifted reduced frequency, because the window vanishes off E
+    # shifted reduced frequency, because the window vanishes off E; the
+    # periodization is 1-periodic, so it is summed on the unit-cell images.
+    # Both come from per-axis window values, with the filter symbol only on
+    # rows where (chi - 1) psi is nonzero, and keep the bits of the full
+    # (N, 25) evaluation: the per-axis values are the same floats as the
+    # broadcast ones; chi - 1 is exactly 0 or -1, and a complex times a real
+    # rounds each part once; a row's 25 symbols are formed as one matmul
+    # batch, as before, and the rows stay in order; the periodization adds
+    # its 25 terms in shift order.
     nu0 = (plan.w_points().reshape(-1, p.n)) @ p.b_inv.T
-    shifts = np.array(
-        [(i, j) for i in (-2, -1, 0, 1, 2) for j in (-2, -1, 0, 1, 2)], dtype=float
-    )
-    pts = nu0[:, None, :] + shifts[None, :, :]
-    chi = np.all(np.abs(pts) <= spec.support_end, axis=-1).astype(float)
-    sym = filter_symbol(p, filt, pts)
-    masking_residual = float(np.max(np.abs((chi - 1.0) * sym * _tensor_psi(pts, spec))))
-
-    # unsquared periodization of the window: bounded away from zero.  The
-    # sum is 1-periodic, so reduce to the unit cell before the local shifts.
-    nu_frac = nu0 - np.floor(nu0)
-    phi0 = np.zeros(nu_frac.shape[0])
-    for s in shifts:
-        phi0 += _tensor_psi(nu_frac + s, spec)
-    phi0_min = float(np.min(phi0))
+    masking_residual, phi0 = _window_checks(p, filt, nu0, spec)
 
     return ExampleScenario(
         params=p,
@@ -284,7 +299,7 @@ def build_example(
         discarded_l1=discarded_l1,
         model=model,
         masking_residual=masking_residual,
-        phi0_min=phi0_min,
+        phi0_min=float(np.min(phi0)),
     )
 
 
@@ -318,9 +333,8 @@ def window_periodization_check(
     x = mesh([np.arange(grid_n) / grid_n] * 2).reshape(-1, 2)
 
     freq0 = np.zeros(x.shape[0])
-    for i in (-1, 0, 1):
-        for j in (-1, 0, 1):
-            freq0 = freq0 + _tensor_psi(x + np.array([i, j], dtype=float), scenario.spec)
+    for s in lattice_shifts(2, 1):
+        freq0 = freq0 + _tensor_psi(x + s, scenario.spec)
     samp0 = folded_dt_values(pft, scenario.window_samples, shape).reshape(-1)
 
     level1 = conv_dd(pft, scenario.filt, scenario.window_samples)
@@ -383,58 +397,40 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path) -> dict:
     spec = scenario.spec
     outdir.mkdir(parents=True, exist_ok=True)
 
-    # every column is written as a float, the stem indices too
+    def write(name, header, *columns):
+        # every column is written as a float, the stem indices too
+        (outdir / name).write_text(format_rows([header], np.column_stack(columns)))
+
     xs = (np.arange(-600, 601)) / 400.0
-    (outdir / "fig01_psi.csv").write_text(
-        format_rows(["x,psi"], np.column_stack([xs, meyer_psi(xs, spec)]))
-    )
+    write("fig01_psi.csv", "x,psi", xs, meyer_psi(xs, spec))
 
     tmpl = scenario.model.spectrum
     nu = (tmpl.points() @ p.b_inv.T).reshape(-1, 2)
-    (outdir / "fig02_spectrum.csv").write_text(
-        format_rows(["nu1,nu2,window"], np.column_stack([nu, _tensor_psi(nu, spec)]))
-    )
+    write("fig02_spectrum.csv", "nu1,nu2,window", nu, _tensor_psi(nu, spec))
 
     f_grid = conv_sd(p, scenario.coeffs, scenario.model.phi)
     fpts = f_grid.points().reshape(-1, 2)
     fv = f_grid.values.reshape(-1)
-    (outdir / "fig03_f_real.csv").write_text(
-        format_rows(["x1,x2,value"], np.column_stack([fpts, fv.real]))
-    )
-    (outdir / "fig04_f_imag.csv").write_text(
-        format_rows(["x1,x2,value"], np.column_stack([fpts, fv.imag]))
-    )
+    write("fig03_f_real.csv", "x1,x2,value", fpts, fv.real)
+    write("fig04_f_imag.csv", "x1,x2,value", fpts, fv.imag)
 
     f_samples = conv_dd(p, scenario.coeffs, scenario.phi_samples)
     keys, vals = _restrict_stems(f_samples, 12)
-    (outdir / "fig05_samples_real.csv").write_text(
-        format_rows(["k1,k2,value"], np.column_stack([keys, vals.real]))
-    )
-    (outdir / "fig06_samples_imag.csv").write_text(
-        format_rows(["k1,k2,value"], np.column_stack([keys, vals.imag]))
-    )
+    write("fig05_samples_real.csv", "k1,k2,value", keys, vals.real)
+    write("fig06_samples_imag.csv", "k1,k2,value", keys, vals.imag)
 
     xg = mesh([np.arange(64) / 64.0] * 2).reshape(-1, 2)
     phi0 = periodized_window_transform(scenario, xg @ p.B.T)
-    (outdir / "fig07_periodization_real.csv").write_text(
-        format_rows(["w1,w2,value"], np.column_stack([xg, phi0.real]))
-    )
-    (outdir / "fig08_periodization_imag.csv").write_text(
-        format_rows(["w1,w2,value"], np.column_stack([xg, phi0.imag]))
-    )
+    write("fig07_periodization_real.csv", "w1,w2,value", xg, phi0.real)
+    write("fig08_periodization_imag.csv", "w1,w2,value", xg, phi0.imag)
 
     filtered = conv_sd(p, scenario.filt, scenario.model.phi)
     gpts = filtered.points().reshape(-1, 2)
-    gv = filtered.values.reshape(-1)
-    (outdir / "fig09_filtered_real.csv").write_text(
-        format_rows(["x1,x2,value"], np.column_stack([gpts, gv.real]))
-    )
+    write("fig09_filtered_real.csv", "x1,x2,value", gpts, filtered.values.reshape(-1).real)
 
     filt_samples = conv_dd(p, scenario.filt, scenario.phi_samples)
     keys, vals = _restrict_stems(filt_samples, 12)
-    (outdir / "fig10_samples_imag.csv").write_text(
-        format_rows(["k1,k2,value"], np.column_stack([keys, vals.imag]))
-    )
+    write("fig10_samples_imag.csv", "k1,k2,value", keys, vals.imag)
 
     return {
         "time_grid": list(scenario.model.phi.shape),

@@ -478,6 +478,7 @@ def test_non_positive_counts_and_cuts_are_usage_errors(work, tmp_path, capsys, c
     ("dynsamp recover", "--tol=1e-3"),
     ("repro", "--tol=1e-3"),
     ("repro", "--seed=1"),
+    ("repro", "--out=D"),  # a prefix of --outdir is not --outdir
     ("selftest", "--tol=1e-3"),
     ("selftest", "--out=t.txt"),
 ])

@@ -10,8 +10,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from saftlab.grid import SeqFn
+import repro_oracles as oracle
+from saftlab import repro
+from saftlab.grid import SeqFn, sampling_grid
 from saftlab.lattice import build_lattice
 from saftlab.params import preset, random_params
 from saftlab.repro import (
@@ -27,6 +31,7 @@ from saftlab.repro import (
     tensor_window_samples,
     window_periodization_check,
 )
+from saftlab.saft import saft_plan
 
 PSI_TIME_REFERENCE = {
     0: 1.0518219027880309742,
@@ -141,6 +146,84 @@ def test_scenario_invariants():
 def test_scenario_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         build_example(params=preset("ft", n=1))
+
+
+# the per-axis window checks against the full (N, 25) evaluation they replaced
+
+SPEC = MeyerSpec()
+EDGES = (SPEC.flat_end, SPEC.support_end)
+COMPLEX = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+
+
+def _near_edge(edge, sign, shift, steps):
+    # a coordinate that lands within a few ulps of +-edge after the shift
+    x = sign * edge - shift
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.copysign(np.inf, steps))
+    return float(x)
+
+
+COORD = st.one_of(
+    st.floats(-3, 3),
+    st.builds(_near_edge, st.sampled_from(EDGES), st.sampled_from((-1.0, 1.0)),
+              st.integers(-2, 2), st.integers(-3, 3)),
+)
+
+
+def _leaky_psi(monkeypatch):
+    # the window plus a bump just outside its support, so that some shifted
+    # points are live: (chi - 1) psi is nonzero there
+    psi = repro.meyer_psi
+
+    def leaky(x, spec=SPEC):
+        xa = np.abs(np.asarray(x, dtype=float))
+        bump = (xa > spec.support_end) & (xa < spec.support_end + 0.25)
+        return psi(x, spec) + np.where(bump, 1e-3 * (1.0 + xa), 0.0)
+
+    monkeypatch.setattr(repro, "meyer_psi", leaky)
+
+
+def _assert_same_bits(filt, nu0, p=None):
+    p = preset("ft", n=2) if p is None else p
+    got = repro._window_checks(p, filt, nu0, SPEC)
+    want = oracle.window_checks(p, filt, nu0, SPEC)
+    assert got[0].hex() == want[0].hex()
+    assert got[1].tobytes() == want[1].tobytes()
+    return got[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(coords=st.lists(COORD, min_size=2, max_size=80), c1=COMPLEX, c2=COMPLEX,
+       leak=st.booleans())
+def test_window_checks_match_the_full_evaluation(coords, c1, c2, leak):
+    with pytest.MonkeyPatch.context() as m:
+        if leak:
+            _leaky_psi(m)
+        filt = SeqFn.from_items(2, {(-1, -1): c1, (-1, -2): c2})
+        # the row of (0.7, 0) is live when the window leaks
+        nu0 = np.array(coords[: len(coords) // 2 * 2] + [0.7, 0.0]).reshape(-1, 2)
+        assert _assert_same_bits(filt, nu0) == 0.0 or leak
+
+
+@pytest.mark.parametrize("leak", [False, True])
+def test_window_checks_match_on_a_chirped_block(monkeypatch, leak):
+    # B^-1 is not diagonal, so no coordinate lies on a grid line
+    p = random_params(2, np.random.default_rng(31))
+    assert np.count_nonzero(p.b_inv - np.diag(np.diag(p.b_inv)))
+    if leak:
+        _leaky_psi(monkeypatch)
+    nu0 = saft_plan(p, sampling_grid(4.0, 8, n=2)).w_points().reshape(-1, 2) @ p.b_inv.T
+    filt = SeqFn.from_items(2, {(-1, -1): 0.8 + 0.3j, (-1, -2): -0.4 + 0.2j})
+    assert (_assert_same_bits(filt, nu0, p) > 0) == leak
+
+
+def test_scenario_window_checks_match_the_oracle():
+    p = random_params(2, np.random.default_rng(12))
+    sc = _small_scenario(params=p)
+    nu0 = saft_plan(p, sampling_grid(4.0, 8, n=2)).w_points().reshape(-1, 2) @ p.b_inv.T
+    residual, phi0 = oracle.window_checks(p, sc.filt, nu0, SPEC)
+    assert sc.masking_residual == residual == 0.0
+    assert sc.phi0_min.hex() == float(np.min(phi0)).hex()
 
 
 def test_window_periodization_two_routes():

@@ -22,9 +22,10 @@ nu.t_m)``, and each site takes the route its sources allow:
 
 * grid sources (`grid_quadrature`, the quad backends of `saft_forward` and
   `saft_inverse`, the image sum of `poisson_check`) are summed axis by axis
-  by `grid_phase_sum`.  The quad inverse's sources ``w = B nu`` form a
-  sheared grid, but ``nu'.(B nu) = (B^T nu').nu`` makes their sum separable
-  over the rectangular reduced grid ``nu``;
+  by `grid_phase_sum`: distinct coordinates x N_i exponentials plus the row
+  products.  The quad inverse's sources ``w = B nu`` form a sheared grid,
+  but ``nu'.(B nu) = (B^T nu').nu`` makes their sum separable over the
+  rectangular reduced grid ``nu``;
 * integer supports (`dtsaft`, the left side of `poisson_check`) go through
   `_seq_phase_sum`: over their dense bounding box on the grid kernel when
   that forms no more exponentials than the support has keys and the box is
@@ -32,13 +33,19 @@ nu.t_m)``, and each site takes the route its sources allow:
   directly over the keys.  The gate exists for sparse, wide supports: two
   keys far apart would otherwise allocate and sum a box of zeros;
 * `kernel_quadrature` sums one exponential per (output, source) pair with
-  the direct kernel `_phase_sum`.  It is the oracle the other routes are
-  checked against.  Each exponential is formed from its phase reduced to
-  a fraction of a turn, as a real cosine and sine (`_phase_rows`), and
-  every step treats an output alone, so a point's value does not depend
-  on the batch it came in.  The outputs are split over the usable cores
-  (`_WORKERS` threads, whose chunks share one `PHASE_BUDGET`); since each
-  output is summed alone, a value does not depend on the thread count.
+  the direct kernel `_phase_sum`, the oracle the other routes are checked
+  against.  The direct kernel's contract: each phase ``nu.t`` in turns is
+  reduced to its fraction of a turn (``arg - rint(arg)`` is exact and
+  leaves ``|arg| <= 1/2``) and formed as a real cosine and sine
+  (`_phase_rows`), so forming it adds no error that grows with the number
+  of turns.  No step calls BLAS, whose worker threads would spin through
+  the next chunk, and every step treats an output alone, so a point's
+  value does not depend on the batch it came in.  The outputs are split
+  into at most `_WORKERS` contiguous blocks, the calling thread summing the
+  first and a pool opened for the call the others, in chunks of
+  ``PHASE_BUDGET // _WORKERS // M`` rows that together hold one
+  `PHASE_BUDGET`; a value is the same bits for any thread count, and the
+  workers run under the caller's floating-point error state.
 """
 
 from __future__ import annotations
@@ -161,17 +168,7 @@ def _product(a, b) -> np.ndarray:
 
 
 def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """One chunk of `_phase_sum`, without BLAS calls: each would wake BLAS
-    worker threads that then spin through the next chunk's exponentials.
-
-    Still one exponential per (output, point): the phase ``nu.k`` in turns
-    is reduced to its fraction of a turn (``arg - rint(arg)`` is exact in
-    floating point and leaves ``|arg| <= 1/2``), scaled to an angle in
-    ``[-pi, pi]`` and formed as a real cosine and sine written into the
-    parts of one complex array.  Forming it then adds no error that grows
-    with the number of turns; the complex exponential of ``-2 i pi nu.k``
-    rounded ``2 pi nu.k`` at ``eps`` of its full size.
-    """
+    """One chunk of `_phase_sum` (the direct-kernel contract in the module docstring)."""
     arg = v[:, :1] * k[:, 0]
     for i in range(1, k.shape[1]):
         arg += v[:, i:i + 1] * k[:, i]
@@ -188,17 +185,8 @@ def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
 
 
 def _phase_sum(nu: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """``sum_m coeff[m] exp(-2 i pi nu.k_m)`` for each row of ``nu`` (No, n),
-    one exponential per (output, point).
-
-    The outputs are split into at most `_WORKERS` contiguous blocks: the
-    calling thread sums the first, a pool opened for this call the others.
-    Each block runs in chunks of ``PHASE_BUDGET // _WORKERS // M`` rows, so
-    the chunks of all threads together hold one budget; a call that fits
-    in one chunk runs inline.  `_phase_rows` treats each output alone, so
-    a value does not depend on the thread count.  Workers run under the
-    caller's floating-point error state, which numpy keeps per thread.
-    """
+    """``sum_m coeff[m] exp(-2 i pi nu.k_m)`` for each row of ``nu`` (No, n):
+    the direct kernel, whose contract is in the module docstring."""
     rows, m = nu.shape[0], max(1, k.shape[0])
     out = np.empty(rows, dtype=complex)
     step = max(1, PHASE_BUDGET // _WORKERS // m)
@@ -229,15 +217,24 @@ def _phase_sum(nu: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     return out
 
 
+def _axis_table(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``exp(-2 i pi u t)`` for the distinct coordinates ``u`` of one axis
+    against its samples ``t``: one row per coordinate."""
+    return np.exp(-2j * np.pi * (u[:, None] * t))
+
+
 def grid_phase_sum(nu, axes, values) -> np.ndarray:
     """``sum_a values[a] exp(-2 i pi sum_i nu_i axes[i][a_i])`` for each row
     of ``nu`` (No, n), over the grid spanned by the 1-D coordinates ``axes``.
 
-    The phase factorizes: per chunk of outputs, one table ``exp(-2 i pi nu_i
-    t_i)`` per axis, a matrix product over the first axis and a batched row
-    product over each further one; No * sum N_i exponentials, not No * prod
-    N_i, for the same terms in another order.  Chunks hold about
-    `PHASE_BUDGET` elements of tables and partial sums.
+    The phase factorizes.  Per chunk of outputs, each axis gets one table
+    row ``exp(-2 i pi u t_i)`` per distinct coordinate ``u`` (`_axis_table`;
+    ``-0.0`` shares the row of ``0.0``, both of phase 1), the first axis a
+    matrix product over those rows only, and each further axis a batched
+    row product per output: distinct coordinates x N_i exponentials plus the
+    row products, for the same terms as the No * prod N_i direct sum in
+    another order.  Chunks hold about `PHASE_BUDGET` elements of tables and
+    partial sums.
     """
     nu = np.asarray(nu, dtype=float).reshape(-1, len(axes))
     shape = tuple(len(t) for t in axes)
@@ -247,9 +244,11 @@ def grid_phase_sum(nu, axes, values) -> np.ndarray:
     out = np.empty(nu.shape[0], dtype=complex)
     for lo in range(0, nu.shape[0], step):
         v = nu[lo:lo + step]
-        acc = np.exp(-2j * np.pi * (v[:, :1] * axes[0])) @ vals    # (c, N_2 ... N_n)
+        u, inv = np.unique(v[:, 0], return_inverse=True)
+        acc = (_axis_table(u, axes[0]) @ vals)[inv]     # (c, N_2 ... N_n)
         for i in range(1, len(axes)):
-            table = np.exp(-2j * np.pi * (v[:, i:i + 1] * axes[i]))
+            u, inv = np.unique(v[:, i], return_inverse=True)
+            table = _axis_table(u, axes[i])[inv]
             acc = np.matmul(table[:, None, :], acc.reshape(len(v), shape[i], -1))[:, 0]
         out[lo:lo + step] = acc[:, 0]
     return out
@@ -261,11 +260,11 @@ def _seq_phase_sum(nu: np.ndarray, keys: np.ndarray, coeff: np.ndarray) -> np.nd
 
     When it is cheaper, the coefficients are scattered into the keys'
     bounding box N_1 x ... x N_n and summed by `grid_phase_sum` over its
-    integer axes: No * sum N_i exponentials and a matrix product over the
-    box, instead of No * K exponentials.  That route is taken when it forms
-    no more exponentials (sum N_i <= K), its box holds at most
-    `_BOX_PER_KEY` elements per key, and the box takes at most half of
-    `PHASE_BUDGET`, so that with the sum's chunks (about one budget) the
+    integer axes: distinct coordinates x N_i exponentials plus the row
+    products, instead of No * K exponentials.  That route is taken when it
+    forms no more exponentials even for distinct outputs (sum N_i <= K),
+    its box holds at most `_BOX_PER_KEY` elements per key, and the box
+    takes at most half of `PHASE_BUDGET`, so that with the sum's chunks (about one budget) the
     peak stays under twice the budget.  A sparse or wide support takes the
     direct `_phase_sum`, whose cost does not grow with the box.
     """
@@ -314,14 +313,8 @@ def kernel_quadrature(
 
     ``in_points``: (M, n) sample locations with quadrature weight ``weight``
     each; ``out_points``: (..., n) arbitrary physical frequencies.  One
-    exponential per (output, sample) pair, chunked over outputs by
-    `PHASE_BUDGET` elements.  This is the direct-sum oracle backend.
-
-    Each exponential is the real cosine and sine of its phase reduced to a
-    fraction of a turn (`_phase_rows`), and a point's value is the same
-    bits alone, in any batch and in any order of its batch.  The outputs
-    are split over the usable cores, whose chunks together hold one
-    `PHASE_BUDGET`; a value is the same bits for any thread count.
+    exponential per (output, sample) pair on the direct kernel `_phase_sum`
+    (its contract in the module docstring).  This is the direct-sum oracle.
     """
     t = np.asarray(in_points, dtype=float).reshape(-1, p.n)
     fv = np.asarray(in_values).reshape(-1)
@@ -396,7 +389,7 @@ def dtsaft(params: SaftParams, s: SeqFn, wgrid) -> GridFn | np.ndarray:
     modulus of the result is periodic with periodicity matrix ``B``.
 
     A support that fills enough of its bounding box is summed over that
-    box on the separable grid kernel (about sum N_i exponentials per
+    box on the separable grid kernel (at most sum N_i exponentials per
     output instead of K); a sparse or wide one directly over its keys,
     since its box would be mostly zeros (see `_seq_phase_sum`).  The two
     routes agree to rounding.

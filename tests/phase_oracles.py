@@ -10,6 +10,10 @@ inside its body; the two source-factor helpers they called
 (`_chirped_input`, `_seq_arrays`) are copied here as they were, since
 ``saftlab.saft`` no longer has them.  ``test_phase_kernels.py`` checks the
 budgeted direct kernel and the separable grid kernel against them.
+
+`grid_phase_sum` is the separable grid kernel as it was before it formed
+its axis tables and first-axis product once per distinct output
+coordinate of a chunk: one table row and one product row per output.
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ import numpy as np
 
 from saftlab.grid import GridFn, SeqFn, dft
 from saftlab.params import SaftParams, chirp, modulation, require_valid
-from saftlab.saft import DEFAULT_LATTICE_CUTOFF, PoissonReport, integer_samples
+from saftlab.saft import (
+    DEFAULT_LATTICE_CUTOFF,
+    PHASE_BUDGET,
+    PoissonReport,
+    integer_samples,
+)
 from saftlab.sis import resolved_band_mask
 
 #: output points per chunk in the direct-kernel path (bounds peak memory)
@@ -211,4 +220,30 @@ def quad_spectrum(model, g: GridFn, pts: np.ndarray) -> np.ndarray:
             p, g.points().reshape(-1, p.n), g.values.reshape(-1),
             g.cell_volume, pts[mask],
         )
+    return out
+
+
+def grid_phase_sum(nu, axes, values) -> np.ndarray:
+    """``sum_a values[a] exp(-2 i pi sum_i nu_i axes[i][a_i])`` for each row
+    of ``nu`` (No, n), over the grid spanned by the 1-D coordinates ``axes``.
+
+    The phase factorizes: per chunk of outputs, one table ``exp(-2 i pi nu_i
+    t_i)`` per axis, a matrix product over the first axis and a batched row
+    product over each further one; No * sum N_i exponentials, not No * prod
+    N_i, for the same terms in another order.  Chunks hold about
+    `PHASE_BUDGET` elements of tables and partial sums.
+    """
+    nu = np.asarray(nu, dtype=float).reshape(-1, len(axes))
+    shape = tuple(len(t) for t in axes)
+    vals = np.asarray(values, dtype=complex).reshape(shape[0], -1)
+    per_out = sum(shape) + 2 * vals.shape[1]
+    step = max(1, PHASE_BUDGET // per_out)
+    out = np.empty(nu.shape[0], dtype=complex)
+    for lo in range(0, nu.shape[0], step):
+        v = nu[lo:lo + step]
+        acc = np.exp(-2j * np.pi * (v[:, :1] * axes[0])) @ vals    # (c, N_2 ... N_n)
+        for i in range(1, len(axes)):
+            table = np.exp(-2j * np.pi * (v[:, i:i + 1] * axes[i]))
+            acc = np.matmul(table[:, None, :], acc.reshape(len(v), shape[i], -1))[:, 0]
+        out[lo:lo + step] = acc[:, 0]
     return out

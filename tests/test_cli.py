@@ -187,6 +187,15 @@ def test_verify_sd_in_two_dimensions(tmp_path):
     assert len(out.read_text().splitlines()) == 3      # comment, column names, one trial
 
 
+def test_verify_cc_in_two_dimensions(tmp_path):
+    # the factor transforms' outputs repeat each coordinate along the
+    # convolution grid, so the grid sum forms each axis table row once
+    out = tmp_path / "cc2.csv"
+    assert main(["verify", "--theorem", "cc", "--dim", "2", "--trials", "1",
+                 "--seed", "7", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3      # comment, column names, one trial
+
+
 # ---------------------------------------------------------------------------
 # sis
 

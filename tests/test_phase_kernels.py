@@ -18,10 +18,12 @@ pair, outputs taken 4,096 at a time.  Two kernels replace them:
   budget, and the bits do not depend on how many;
 * the grid kernel (`grid_phase_sum`, `grid_quadrature`, the quad inverse,
   `sis.spectrum_at`, `filter_symbol` on grid filters, the image sum of
-  `poisson_check`) forms one exponential per (output, axis sample) and adds
-  the same terms in a different order.  Its phases are rounded per axis, so
-  values agree within ``1e-12`` of the term mass ``sum |f| h^n / sqrt|det
-  B|``, which bounds every output of the sum.
+  `poisson_check`) forms one exponential per (distinct output coordinate
+  of a chunk, axis sample) and adds the same terms in a different order.
+  Its phases are rounded per axis, so values agree within ``1e-12`` of the
+  term mass ``sum |f| h^n / sqrt|det B|``, which bounds every output of the
+  sum.  Outputs drawn from small per-axis pools check it against its own
+  form before the per-chunk dedupe as well.
 
 Integer supports (`dtsaft`, the left side of `poisson_check`) go through
 `_seq_phase_sum`.  It sums over the support's dense bounding box on the grid
@@ -48,7 +50,7 @@ from hypothesis import strategies as st
 
 from saftlab import saft
 from saftlab.dynsamp import filter_symbol
-from saftlab.grid import GridFn, SeqFn, sample_generator, sampling_grid
+from saftlab.grid import GridFn, SeqFn, mesh, sample_generator, sampling_grid
 from saftlab.params import inverse_params, preset, random_params
 from saftlab.saft import (
     PHASE_BUDGET,
@@ -144,6 +146,58 @@ def test_grid_quadrature_on_a_shift_stack():
     assert got.shape == (9, 4, 17)
     ref = _direct(p, g, w.reshape(-1, 2)).reshape(got.shape)
     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@st.composite
+def _pooled_outputs(draw, n: int):
+    """A random complex grid on random, non-square axes (down to one
+    sample each), and outputs whose coordinates come from small per-axis
+    pools, so they repeat within and across chunks; a pool may hold both
+    ``0.0`` and ``-0.0``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = tuple(draw(st.integers(1, _MAX_SIDE[n])) for _ in range(n))
+    axes = [rng.uniform(-3.0, 3.0, m) for m in shape]
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    n_out = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 60)))
+    cols = []
+    for _ in range(n):
+        pool = list(rng.uniform(-6.0, 6.0, draw(st.integers(1, 4))))
+        pool += [0.0, -0.0] if draw(st.booleans()) else []
+        cols.append(rng.choice(pool, n_out))
+    return np.stack(cols, axis=-1), axes, vals
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_grid_phase_sum_of_repeated_coordinates_matches_the_oracles(n, data, budget):
+    nu, axes, vals = data.draw(_pooled_outputs(n))
+    with patch.object(saft, "PHASE_BUDGET", budget):
+        got = grid_phase_sum(nu, axes, vals)
+    before = oracle.grid_phase_sum(nu, axes, vals)
+    # the Fourier block has no chirp, offset or scale: the bare phase sum
+    direct = kernel_quadrature(preset("ft", n), mesh(axes).reshape(-1, n),
+                               vals.reshape(-1), 1.0, nu)
+    assert got.shape == before.shape == direct.shape == (len(nu),)
+    if len(nu):
+        bound = GRID_RTOL * float(np.sum(np.abs(vals)))
+        assert np.max(np.abs(got - before)) <= bound
+        assert np.max(np.abs(got - direct)) <= bound
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_grid_phase_sum_forms_one_table_row_per_distinct_coordinate(n, data, budget):
+    nu, axes, vals = data.draw(_pooled_outputs(n))
+    with patch.object(saft, "PHASE_BUDGET", budget), \
+            patch.object(saft, "_axis_table", wraps=saft._axis_table) as table:
+        grid_phase_sum(nu, axes, vals)
+    # chunks as the kernel sizes them; a set holds 0.0 and -0.0 once
+    step = max(1, budget // (sum(vals.shape) + 2 * prod(vals.shape[1:])))
+    want = [sorted(set(nu[lo:lo + step, i].tolist()))
+            for lo in range(0, len(nu), step) for i in range(n)]
+    assert [sorted(c.args[0].tolist()) for c in table.call_args_list] == want
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -264,8 +264,8 @@ def _seq_phase_sum(nu: np.ndarray, keys: np.ndarray, coeff: np.ndarray) -> np.nd
     products, instead of No * K exponentials.  That route is taken when it
     forms no more exponentials even for distinct outputs (sum N_i <= K),
     its box holds at most `_BOX_PER_KEY` elements per key, and the box
-    takes at most half of `PHASE_BUDGET`, so that with the sum's chunks (about one budget) the
-    peak stays under twice the budget.  A sparse or wide support takes the
+    takes at most half of `PHASE_BUDGET`, so that with the sum's chunks
+    (about one budget) the peak stays under twice the budget.  A sparse or wide support takes the
     direct `_phase_sum`, whose cost does not grow with the box.
     """
     if len(keys):

@@ -35,17 +35,12 @@ __all__ = [
     "pair_sums",
     "commute_check",
     "conv_power",
-    "comb_apply",
     "comb_power",
     "integer_alignment",
     "theorem_residual_cc",
     "theorem_residual_sd",
     "theorem_residual_dd",
-    "DEFAULT_SAMPLES_PER_UNIT",
 ]
-
-#: default sampling density for grids that must be closed under integer shifts
-DEFAULT_SAMPLES_PER_UNIT = 16
 
 #: support pairs `pair_sums` forms at once (about 130 bytes of temporaries each)
 PAIR_BUDGET = 1 << 18
@@ -228,16 +223,6 @@ def conv_power(params: SaftParams, a: GridFn, j: int) -> GridFn:
     for _ in range(j - 1):
         out = conv_cc(params, out, a)
     return out
-
-
-def comb_apply(params: SaftParams, coeffs: SeqFn, f: GridFn) -> GridFn:
-    """Apply the chirped point-mass comb with the given coefficients to ``f``.
-
-    Filtering by a comb supported on the integer lattice coincides with
-    `conv_sd` of its coefficient sequence — this alias exists so filter code
-    reads as filtering.
-    """
-    return conv_sd(params, coeffs, f)
 
 
 def comb_power(params: SaftParams, coeffs: SeqFn, j: int) -> SeqFn:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conv import comb_apply, conv_cc, conv_dd, pair_sums
+from .conv import conv_cc, conv_dd, conv_sd, pair_sums
 from .grid import GridFn, SeqFn, mesh
 from .lattice import SamplingLattice
 from .params import SaftParams, chirp, modulation, preset, require_valid
@@ -57,7 +57,6 @@ __all__ = [
     "MatrixField",
     "StabilityReport",
     "filtered_levels",
-    "coset_coefficients",
     "measure_from_samples",
     "generator_coset_samples",
     "sampled_generator",
@@ -134,7 +133,7 @@ def _apply_filter(p: SaftParams, a, f):
             raise ValueError("sequence signals take point-mass (sequence) filters")
         return conv_dd(p, a, f)
     if isinstance(a, SeqFn):
-        return comb_apply(p, a, f)
+        return conv_sd(p, a, f)
     return conv_cc(p, a, f)
 
 
@@ -160,19 +159,6 @@ def _window_mesh(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # chirp-corrected coset quantities
-
-
-def coset_coefficients(params: SaftParams, lat: SamplingLattice, s: SeqFn) -> list[SeqFn]:
-    """Chirp-corrected coset subsequences
-    ``sigma_l(r) = conj(lam)(r) lam(M^T r + eta_l) s(M^T r + eta_l)``.
-
-    Reduces to the plain coset split when the input chirp vanishes.
-    """
-    require_valid(params)
-    keys, vals = s.as_arrays()
-    r, j = lat.split(keys)
-    vals = vals * np.conj(chirp(params, r.astype(float))) * chirp(params, keys.astype(float))
-    return [SeqFn.from_arrays(lat.n, r[j == l], vals[j == l]) for l in range(lat.m)]
 
 
 def measure_from_samples(

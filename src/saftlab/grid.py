@@ -33,7 +33,6 @@ __all__ = [
     "reciprocal_grid",
     "dft",
     "sample_generator",
-    "register_generator",
 ]
 
 
@@ -112,18 +111,6 @@ class GridFn:
             and np.allclose(self.origin, other.origin, atol=tol, rtol=0)
             and np.allclose(self.spacing, other.spacing, atol=tol, rtol=0)
         )
-
-    def index_of(self, t) -> tuple:
-        """Index of the cell whose center is ``t``; raises if ``t`` is not a center."""
-        t = _as_vector(t, self.n, "t")
-        idx = (t - self.origin) / self.spacing - 0.5
-        k = np.rint(idx)
-        if not np.allclose(idx, k, atol=1e-9, rtol=0):
-            raise ValueError(f"point {t} is not a cell center of this grid")
-        k = k.astype(int)
-        if np.any(k < 0) or np.any(k >= np.array(self.shape)):
-            raise ValueError(f"point {t} lies outside the grid")
-        return tuple(int(j) for j in k)
 
 
 def mesh(axes) -> np.ndarray:
@@ -359,13 +346,6 @@ class SeqFn:
 # ---------------------------------------------------------------------------
 # named analytic generators
 
-_GENERATORS: dict[str, Callable] = {}
-
-
-def register_generator(name: str, fn: Callable) -> None:
-    """Register a pointwise generator ``fn(points, **params) -> values``."""
-    _GENERATORS[name] = fn
-
 
 def _gen_gaussian(pts, sigma=1.0, center=0.0, modulation=None, chirp=None):
     n = pts.shape[-1]
@@ -401,14 +381,16 @@ def _gen_meyer2d(pts):
     return (meyer_psi(pts[..., 0]) * meyer_psi(pts[..., 1])).astype(complex)
 
 
-register_generator("gaussian", _gen_gaussian)
-register_generator("chirped_gaussian", _gen_gaussian)  # alias; pass chirp=...
-register_generator("tent", _gen_tent)
-register_generator("meyer2d", _gen_meyer2d)
+#: pointwise generators ``fn(points, **params) -> values`` by name
+_GENERATORS: dict[str, Callable] = {
+    "gaussian": _gen_gaussian,
+    "tent": _gen_tent,
+    "meyer2d": _gen_meyer2d,
+}
 
 
 def sample_generator(name: str, grid: GridFn, **params) -> GridFn:
-    """Evaluate a registered analytic generator at the grid's cell centers.
+    """Evaluate a named analytic generator at the grid's cell centers.
 
     The ``file`` pseudo-generator loads a stored grid (``path=...``) and
     requires its geometry to match ``grid``.

@@ -20,7 +20,6 @@ Two unit-modulus scalar fields derived from a block appear throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -28,6 +27,7 @@ __all__ = [
     "SaftParams",
     "ValidityReport",
     "validate",
+    "require_valid",
     "preset",
     "inverse_params",
     "chirp",

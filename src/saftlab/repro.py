@@ -12,7 +12,6 @@ surfaces plus a JSON report are emitted for external plotting.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -455,7 +454,6 @@ def run_example(
     lat = scenario.lat
     lo = np.asarray(window[0], dtype=int)
     hi = np.asarray(window[1], dtype=int)
-    timings: dict[str, float] = {}
     report: dict = {
         "c1": [scenario.c1.real, scenario.c1.imag],
         "c2": [scenario.c2.real, scenario.c2.imag],
@@ -471,17 +469,13 @@ def run_example(
         },
     }
 
-    t0 = time.perf_counter()
     levels = filtered_levels(p, scenario.filt, scenario.phi_samples, lat.m, "cc")
     ms = measure_from_samples(p, lat, scenario.coeffs, levels)
-    timings["measure"] = time.perf_counter() - t0
     report["sizes"]["level_samples"] = [len(l) for l in levels]
     report["sizes"]["channel_samples"] = [len(v) for v in ms.levels]
 
-    t0 = time.perf_counter()
     field = build_B_window(p, lat, lo, hi, levels)
     stab = stability_report(field)
-    timings["field"] = time.perf_counter() - t0
     report["discrete_stability"] = {
         "verdict": stab.verdict,
         "min_abs_det": stab.min_abs_det,
@@ -493,9 +487,7 @@ def run_example(
 
     recovered: SeqFn | None = None
     if stab.ok:
-        t0 = time.perf_counter()
         recovered, _info = recover_discrete(ms, field, r_window=(lo, hi))
-        timings["recover_discrete"] = time.perf_counter() - t0
         diff = recovered.plus(scenario.coeffs.scaled(-1.0))
         report["recovery_error"] = diff.l2norm() / scenario.coeffs.l2norm()
     else:
@@ -512,12 +504,10 @@ def run_example(
     report["factorization_residual_2x2"] = None
     cont_ok = True
     if plain:
-        t0 = time.perf_counter()
         h_levels = [conv_dd(p, scenario.coeffs, lv) for lv in levels]
         wptsC, shapeC, loC, qsh = continuous_solve_grid(p, lat, lo, hi)
         Dfield = build_D(scenario.model, scenario.filt, lat, wptsC)
         stabD = stability_report(Dfield)
-        timings["periodization_field"] = time.perf_counter() - t0
         report["sizes"]["continuous_solve_grid"] = list(qsh)
         report["periodization_stability"] = {
             "verdict": stabD.verdict,
@@ -540,9 +530,7 @@ def run_example(
 
         cont_ok = stabD.ok
         if stabD.ok:
-            t0 = time.perf_counter()
             rec_c, _ic = recover_continuous(p, lat, h_levels, Dfield, (lo, hi))
-            timings["recover_continuous"] = time.perf_counter() - t0
             diff = rec_c.plus(scenario.coeffs.scaled(-1.0))
             report["recovery_error_continuous"] = (
                 diff.l2norm() / scenario.coeffs.l2norm()
@@ -555,15 +543,11 @@ def run_example(
         report["window_checks"] = window_periodization_check(scenario)
 
     report["verdict"] = "pass" if (stab.ok and cont_ok) else "fail"
-    report["timings"] = {k: round(v, 4) for k, v in timings.items()}
 
     if outdir is not None:
         out = Path(outdir)
-        t0 = time.perf_counter()
         report["sizes"].update(_emit_figures(scenario, out))
-        report["timings"]["figures"] = round(time.perf_counter() - t0, 4)
-        written = {k: v for k, v in report.items() if k != "timings"}
         (out / "report.json").write_text(
-            json.dumps(written, indent=2, sort_keys=True) + "\n"
+            json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
     return report, recovered

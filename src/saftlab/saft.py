@@ -69,10 +69,12 @@ __all__ = [
     "grid_quadrature",
     "grid_phase_sum",
     "lattice_shifts",
+    "integer_samples",
     "dtsaft",
     "poisson_check",
     "PoissonReport",
     "downsample",
+    "downsample_check",
     "parseval_check",
 ]
 
@@ -109,12 +111,6 @@ class SaftPlan:
         """Physical evaluation points ``w = B nu``, shape ``shape + (n,)``."""
         return self.out_template.points() @ self.params.B.T
 
-    def forward(self, f: GridFn) -> GridFn:
-        return saft_forward(self, f)
-
-    def inverse(self, F: GridFn) -> GridFn:
-        return saft_inverse(self, F)
-
 
 def saft_plan(
     params: SaftParams,
@@ -131,9 +127,8 @@ def saft_plan(
     require_valid(params)
     if params.n != grid.n:
         raise ValueError(f"params dimension {params.n} != grid dimension {grid.n}")
-    if backend not in ("fast", "quad", "quadrature", "chirp-dft"):
+    if backend not in ("fast", "quad"):
         raise ValueError(f"unknown backend {backend!r}")
-    backend = {"quadrature": "quad", "chirp-dft": "fast"}.get(backend, backend)
     out = out_grid if out_grid is not None else reciprocal_grid(grid)
     if out.n != grid.n:
         raise ValueError("output grid dimension mismatch")

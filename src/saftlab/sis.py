@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .conv import conv_sd
-from .grid import GridFn, SeqFn, mesh, reciprocal_grid
+from .grid import GridFn, SeqFn, mesh
 from .params import SaftParams, require_valid
 from .saft import (
     DEFAULT_LATTICE_CUTOFF, grid_quadrature, lattice_shifts, saft_forward, saft_plan,
@@ -43,7 +43,7 @@ __all__ = [
     "riesz_bounds",
     "RieszReport",
     "frame_check",
-    "wiener_norm",
+    "resolved_band_mask",
 ]
 
 #: relative decay budget for the generator spectrum at the working window edge
@@ -256,32 +256,3 @@ def frame_check(model: SisModel, s: SeqFn, per_axis: int = 32) -> dict:
     ratio = energy / norm2 if norm2 else 0.0
     return {"energy": energy, "coeff_energy": norm2, "ratio": ratio}
 
-
-def wiener_norm(f: GridFn, p: float) -> float:
-    """Sum over integer cells of the p-th power of the cell supremum of |f|.
-
-    Cell suprema are approximated by maxima over the grid samples falling in
-    each unit cell ``[k, k+1)^n``; at least 8 samples per axis per cell are
-    required for the approximation to be meaningful.
-    """
-    if p < 1:
-        raise ValueError("exponent must be >= 1")
-    if np.any(f.spacing > 1.0 / 8 + 1e-12):
-        raise ValueError(
-            f"grid spacing {f.spacing.tolist()} too coarse: need >= 8 samples "
-            "per axis per unit cell"
-        )
-    axes_cells = []
-    for i in range(f.n):
-        axes_cells.append(np.floor(f.axis_coords(i)).astype(int))
-    offsets = [c - c.min() for c in axes_cells]
-    counts = [o.max() + 1 for o in offsets]
-    flat_ids = np.zeros(f.shape, dtype=int)
-    for i in range(f.n):
-        shape = [1] * f.n
-        shape[i] = -1
-        stride = int(np.prod(counts[i + 1:])) if i + 1 < f.n else 1
-        flat_ids = flat_ids + offsets[i].reshape(shape) * stride
-    acc = np.zeros(int(np.prod(counts)))
-    np.maximum.at(acc, flat_ids.reshape(-1), np.abs(f.values).reshape(-1))
-    return float(np.sum(acc**p))

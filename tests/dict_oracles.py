@@ -122,33 +122,6 @@ def merge_sequence(lat: SamplingLattice, parts: list[SeqFn]) -> SeqFn:
     return SeqFn(n=lat.n, entries=entries)
 
 
-def coset_coefficients(params: SaftParams, lat: SamplingLattice, s: SeqFn) -> list[SeqFn]:
-    """Chirp-corrected coset subsequences
-    ``sigma_l(r) = conj(lam)(r) lam(M^T r + eta_l) s(M^T r + eta_l)``.
-
-    Reduces to the plain coset split when the input chirp vanishes.
-    """
-    require_valid(params)
-    rows_t = [list(col) for col in zip(*_int_rows(lat.M))]
-    det = _det_int(rows_t)
-    adj = _adjugate_int(rows_t)
-    n = lat.n
-    parts: list[dict] = [{} for _ in range(lat.m)]
-    for k, z in s.entries.items():
-        for j, rep in enumerate(lat.eta):
-            diff = [k[i] - rep[i] for i in range(n)]
-            num = [sum(adj[i][t] * diff[t] for t in range(n)) for i in range(n)]
-            if all(x % det == 0 for x in num):
-                r = tuple(x // det for x in num)
-                rf = np.array(r, dtype=float)
-                kf = np.array(k, dtype=float)
-                parts[j][r] = z * np.conj(chirp(params, rf)) * chirp(params, kf)
-                break
-        else:
-            raise AssertionError("coset decomposition failed")
-    return [SeqFn(n=n, entries=p) for p in parts]
-
-
 def measure_from_samples(
     params: SaftParams,
     lat: SamplingLattice,

@@ -203,7 +203,7 @@ def test_verify_cc_in_two_dimensions(tmp_path):
 def test_sis_report_and_verdict(work, tmp_path, capsys):
     report = tmp_path / "gram.csv"
     assert main(["sis", "--params", str(work / "ft1.json"), "--phi", str(work / "phi1.grid"),
-                 "--report", str(report), "--cell-points", "33"]) == 0
+                 "--out", str(report), "--cell-points", "33"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "pass"
     assert payload["lower"] > 0
@@ -222,7 +222,7 @@ def test_sis_report_keeps_the_cell_mesh_bytes(tmp_path, capsys, n):
                sample_generator("gaussian", sampling_grid(6, 16, n=n), sigma=0.6))
     report = tmp_path / "gram.csv"
     main(["sis", "--params", str(tmp_path / "p.json"), "--phi", str(tmp_path / "phi.grid"),
-          "--report", str(report), "--cell-points", "5"])
+          "--out", str(report), "--cell-points", "5"])
     capsys.readouterr()
 
     p = read_params(tmp_path / "p.json")
@@ -483,6 +483,7 @@ def test_non_positive_counts_and_cuts_are_usage_errors(work, tmp_path, capsys, c
     ("dtsaft", "--seed=1"),
     ("conv", "--tol=1e-3"),
     ("sis", "--seed=1"),
+    ("sis", "--report=x.csv"),  # the Grammian CSV goes to --out
     ("dynsamp check", "--seed=1"),
     ("dynsamp recover", "--tol=1e-3"),
     ("repro", "--tol=1e-3"),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from saftlab.conv import (
-    comb_apply,
     comb_power,
     commute_check,
     conv_cc,
@@ -117,13 +116,6 @@ def test_conv_sd_is_translate_sum():
     acc /= np.sqrt(p.abs_det_b)
     # interpolation lands exactly on grid points, so this is exact
     assert np.max(np.abs(out.values.reshape(-1) - acc)) < 1e-10
-
-
-def test_comb_apply_is_conv_sd():
-    p = preset("ft", 1)
-    s = SeqFn.from_items(1, {(0,): 2.0, (2,): -1.0})
-    phi = _gaussian(0.5, halfwidth=3)
-    assert np.array_equal(comb_apply(p, s, phi).values, conv_sd(p, s, phi).values)
 
 
 def test_conv_sd_empty_sequence_gives_zero():

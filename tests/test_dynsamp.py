@@ -6,21 +6,21 @@ finitely supported data, so coefficients must come back to rounding error,
 not merely to a modeling tolerance.
 """
 
+import importlib
 import inspect
+import pkgutil
 
 import dynsamp_oracles as oracle
 import numpy as np
 import pytest
 
 import saftlab
-from saftlab import dynsamp
 from saftlab.dynsamp import (
     MatrixField,
     build_B_from_samples,
     build_B_window,
     build_D,
     continuous_solve_grid,
-    coset_coefficients,
     filtered_levels,
     folded_dt_values,
     integer_sample_levels,
@@ -32,7 +32,7 @@ from saftlab.dynsamp import (
     stability_report,
 )
 from saftlab.grid import SeqFn, sample_generator, sampling_grid
-from saftlab.lattice import build_lattice, decompose, split_sequence
+from saftlab.lattice import build_lattice, decompose
 from saftlab.params import modulation, preset, random_params
 from saftlab.saft import dtsaft, kernel_quadrature
 from saftlab.sis import build_sis, resolved_band_mask
@@ -99,19 +99,6 @@ def test_classical_filtering_is_the_twisted_kernel_under_ft_bitwise(n):
     assert list(new.entries) == list(ref.entries)
     np.testing.assert_array_equal(_bits(list(new.entries.values())),
                                   _bits(list(ref.entries.values())))
-
-
-def test_coset_coefficients_reduce_to_plain_split_when_chirp_free():
-    p = preset("ft", 2)
-    lat = build_lattice([[2, 0], [0, 2]])
-    rng = np.random.default_rng(1)
-    s = _rand_seq(rng, 2, 12, 5)
-    twisted = coset_coefficients(p, lat, s)
-    plain = split_sequence(lat, s)
-    for a, b in zip(twisted, plain):
-        assert set(a.support()) == set(b.support())
-        for k in a.support():
-            assert a.get(k) == pytest.approx(b.get(k))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -463,15 +450,23 @@ def test_measurement_set_channel_count():
 # exports
 
 
-def test_every_public_dynsamp_function_and_class_is_exported():
+@pytest.mark.parametrize("name", sorted(
+    m.name for m in pkgutil.iter_modules(saftlab.__path__) if m.name != "cli"
+))
+def test_every_public_function_and_class_is_exported(name):
+    module = importlib.import_module(f"saftlab.{name}")
     public = {
-        name for name, obj in vars(dynsamp).items()
-        if not name.startswith("_")
+        key for key, obj in vars(module).items()
+        if not key.startswith("_")
         and (inspect.isfunction(obj) or inspect.isclass(obj))
-        and obj.__module__ == dynsamp.__name__
+        and obj.__module__ == module.__name__
     }
-    assert public == set(dynsamp.__all__)
+    assert public == set(module.__all__)
 
 
 def test_package_exports_exist():
+    assert set(saftlab.__all__) == {
+        "GridFn", "SeqFn", "SaftParams", "preset", "sampling_grid", "sample_generator",
+        "saft_plan", "saft_forward", "saft_inverse", "__version__",
+    }
     assert [name for name in saftlab.__all__ if not hasattr(saftlab, name)] == []

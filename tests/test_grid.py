@@ -13,7 +13,6 @@ from saftlab.grid import (
     grid_points,
     integrate,
     reciprocal_grid,
-    register_generator,
     sample_generator,
     sampling_grid,
     uniform_grid,
@@ -42,7 +41,6 @@ def test_sampling_grid_contains_integers():
     # 2d variant: cell centers on a tensor product
     g2 = sampling_grid(2, 2, n=2)
     assert g2.shape == (9, 9)
-    assert g2.index_of([0.0, 0.0]) == (4, 4)
 
 
 def test_sampling_grid_rejects_bad_args():
@@ -300,12 +298,6 @@ def test_tent_generator_support():
 def test_unknown_generator_raises():
     with pytest.raises(ValueError):
         sample_generator("nope", sampling_grid(1, 2))
-
-
-def test_register_generator_roundtrip():
-    register_generator("_test_const", lambda pts, value=1.0: np.full(pts.shape[:-1], value, dtype=complex))
-    g = sample_generator("_test_const", sampling_grid(1, 2), value=2.5)
-    assert np.all(g.values == 2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -411,7 +411,7 @@ def test_dtsaft_and_sis_files_are_the_per_row_text(files, tmp_path, capsys):
     assert (tmp_path / "dt.csv").read_text() == oracle.dtsaft_text(head, rows[:, :2], vals)
 
     assert main(["sis", "--params", str(files / "ft.json"), "--phi", str(files / "phi.grid"),
-                 "--report", str(tmp_path / "sis.csv"), "--cell-points", "4"]) == 0
+                 "--out", str(tmp_path / "sis.csv"), "--cell-points", "4"]) == 0
     head, rows = _table(tmp_path / "sis.csv")
     assert (tmp_path / "sis.csv").read_text() == \
         oracle.sis_text(head, rows[:, :2], rows[:, 2], rows[:, 3])

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from saftlab import conv
 from saftlab.conv import PAIR_BUDGET, conv_dd
-from saftlab.dynsamp import coset_coefficients, generator_coset_samples, measure_from_samples
+from saftlab.dynsamp import generator_coset_samples, measure_from_samples
 from saftlab.grid import SeqFn
 from saftlab.lattice import build_lattice, decompose, merge_sequence, split_sequence
 from saftlab.params import SaftParams, preset, random_params
@@ -220,16 +220,6 @@ def test_split_agrees_with_decompose_oracle_on_a_box(M):
         r, j = lat.split(keys, which)
         for k, rk, jk in zip(keys.tolist(), r.tolist(), j.tolist()):
             assert (tuple(rk), jk) == oracle.decompose(lat, k, which)
-
-
-@SETTINGS
-@given(case=_lattice_case(), seed=st.integers(0, 2**16))
-def test_coset_coefficients_match_oracle(case, seed):
-    n, lat, s = case
-    p = random_params(n, np.random.default_rng(seed))
-    new, ref = coset_coefficients(p, lat, s), oracle.coset_coefficients(p, lat, s)
-    for a, b in zip(new, ref):
-        _assert_matches(a, b, _abs_bound(b), exact=False)
 
 
 @SETTINGS

@@ -20,7 +20,6 @@ from saftlab.sis import (
     riesz_bounds,
     spectrum_at,
     synthesize,
-    wiener_norm,
 )
 
 GRAM_SIGMA = 0.6
@@ -164,23 +163,3 @@ def test_frame_energy_matches_synthesized_signal_energy():
     f = synthesize(m, s)
     direct = float(integrate(f.with_values(np.abs(f.values) ** 2)).real)
     assert rep["energy"] == pytest.approx(direct, rel=1e-9)
-
-
-def test_wiener_norm_single_cell_and_monotonicity():
-    g = uniform_grid(0.0, 4.0, 64)
-    vals = np.zeros(64)
-    vals[5] = 3.0  # one cell sees sup 3, all others 0
-    f = g.with_values(vals.astype(complex))
-    assert wiener_norm(f, 1) == pytest.approx(3.0)
-    assert wiener_norm(f, 2) == pytest.approx(9.0)
-    # adding mass in another cell increases the sum
-    vals[40] = 1.0
-    f2 = g.with_values(vals.astype(complex))
-    assert wiener_norm(f2, 1) == pytest.approx(4.0)
-
-
-def test_wiener_norm_guards():
-    with pytest.raises(ValueError):
-        wiener_norm(uniform_grid(0, 4, 16), 1)  # 4 samples per unit: too coarse
-    with pytest.raises(ValueError):
-        wiener_norm(uniform_grid(0, 1, 64), 0.5)

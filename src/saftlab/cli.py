@@ -32,6 +32,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -156,11 +157,15 @@ def _json_safe(value):
     return value
 
 
-def _emit_rows(path: Path | None, text: str) -> None:
+def _emit_rows(path: Path | None, text: str) -> TextIO:
+    """Write a table to ``path``, or to stdout without one; return the
+    stream for the summary line, stderr when the table took stdout, so
+    that stdout stays a valid table."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        path.write_text(text)
+        return sys.stderr
+    path.write_text(text)
+    return sys.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +301,9 @@ def _cmd_verify(args) -> int:
         "trial,residual",
     ]
     text = format_rows(header, np.arange(len(residuals)), np.array(residuals))
-    _emit_rows(Path(args.out) if args.out else None, text)
+    summary = _emit_rows(Path(args.out) if args.out else None, text)
     worst = max(residuals)
-    print(f"worst residual {worst:.3e} (tol {tol:g})")
+    print(f"worst residual {worst:.3e} (tol {tol:g})", file=summary)
     if worst > tol:
         raise ValidationFailure(
             f"{theorem} factorization residual {worst:.3e} exceeds {tol:g}"
@@ -322,24 +327,20 @@ def _cmd_sis(args) -> int:
     u = np.atleast_1d(grammian_unsquared(model, wpts))
     header = [",".join(f"w{i + 1}" for i in range(p.n)) + ",grammian,unsquared_sum"]
     text = format_rows(header, np.column_stack([wpts, g, u]))
-    _emit_rows(Path(args.out) if args.out else None, text)
+    summary = _emit_rows(Path(args.out) if args.out else None, text)
     rep = riesz_bounds(model, wpts)
     print(json.dumps({
         "lower": rep.eta1,
         "upper": rep.eta2,
         "argmin_w": rep.argmin.tolist(),
         "verdict": rep.verdict,
-    }, sort_keys=True))
+    }, sort_keys=True), file=summary)
     if not rep.ok:
         raise ValidationFailure(f"Riesz lower bound vanishes: {rep.verdict}")
     return EXIT_OK
 
 
-def _load_filter(path: str, n: int):
-    return _load_operand(path, n=n)
-
-
-def _sample_levels(p, lat, phi, filt, J: int):
+def _sample_levels(p, phi, filt, J: int):
     """Integer-sample sequences of the generator and its filtered iterates."""
     from .dynsamp import filtered_levels, sampled_generator
     from .grid import GridFn
@@ -358,9 +359,9 @@ def _cmd_dynsamp_check(args) -> int:
 
     p = _load_params(args.params)
     phi = _load_operand(args.phi)
-    filt = _load_filter(args.filter, p.n)
+    filt = _load_operand(args.filter, n=p.n)
     lat = build_lattice(_parse_int_matrix(args.M))
-    levels = _sample_levels(p, lat, phi, filt, lat.m)
+    levels = _sample_levels(p, phi, filt, lat.m)
     # the cell mesh q/count is the solve grid of the window [0, count - 1]
     last = [args.cell_points - 1] * p.n
     field = build_B_window(p, lat, [0] * p.n, last, levels)
@@ -380,13 +381,13 @@ def _cmd_dynsamp_check(args) -> int:
     entries = field.entries.reshape(len(field.wpoints), m * m)
     parts = np.stack([entries.real, entries.imag], axis=-1).reshape(len(entries), 2 * m * m)
     text = format_rows(header, np.column_stack([field.wpoints, parts, stab.abs_det, stab.cond]))
-    _emit_rows(Path(args.out) if args.out else None, text)
+    summary = _emit_rows(Path(args.out) if args.out else None, text)
     print(json.dumps({
         "verdict": stab.verdict,
         "min_abs_det": stab.min_abs_det,
         "argmin_w": stab.argmin_w.tolist(),
         "max_cond": _json_safe(stab.max_cond),
-    }, sort_keys=True))
+    }, sort_keys=True), file=summary)
     if not stab.ok:
         raise ValidationFailure(
             f"channel matrix fails at w = {stab.argmin_w.tolist()} "
@@ -427,7 +428,7 @@ def _cmd_dynsamp_recover(args) -> int:
 
     p = _load_params(args.params)
     phi = _load_operand(args.phi)
-    filt = _load_filter(args.filter, p.n)
+    filt = _load_operand(args.filter, n=p.n)
     lat = build_lattice(_parse_int_matrix(args.M))
     vlevels = _read_measurements(args.measurements, p.n)
     if len(vlevels) != lat.m:
@@ -444,7 +445,7 @@ def _cmd_dynsamp_recover(args) -> int:
 
     try:
         if args.method == "discrete":
-            levels = _sample_levels(p, lat, phi, filt, lat.m)
+            levels = _sample_levels(p, phi, filt, lat.m)
             field = build_B_window(p, lat, lo, hi, levels)
             ms = MeasurementSet(
                 params=p, lat=lat, levels=tuple(vlevels), window_lo=lo, window_hi=hi,

@@ -26,7 +26,8 @@ from math import prod, sqrt
 import numpy as np
 
 from .grid import GridFn, SeqFn, uniform_grid
-from .params import SaftParams, chirp, require_valid
+from .params import SaftParams, chirp, modulation, require_valid
+from .saft import dtsaft, grid_quadrature, saft_forward, saft_plan
 
 __all__ = [
     "conv_cc",
@@ -251,9 +252,6 @@ def theorem_residual_cc(params: SaftParams, f: GridFn, g: GridFn) -> float:
     there by grid quadrature (a separable Riemann sum, no FFT), so no code
     is shared between the sides.
     """
-    from .params import modulation
-    from .saft import grid_quadrature, saft_forward, saft_plan
-
     p = params
     h = conv_cc(p, f, g)
     plan = saft_plan(p, h)
@@ -270,9 +268,6 @@ def theorem_residual_cc(params: SaftParams, f: GridFn, g: GridFn) -> float:
 def theorem_residual_sd(params: SaftParams, s: SeqFn, phi: GridFn) -> float:
     """Relative L2 gap of the sequence-function factorization (the sequence
     enters through its discrete transform)."""
-    from .params import modulation
-    from .saft import dtsaft, grid_quadrature, saft_forward, saft_plan
-
     p = params
     h = conv_sd(p, s, phi)
     plan = saft_plan(p, h)
@@ -292,9 +287,6 @@ def theorem_residual_dd(
     """Relative sup gap of the sequence-sequence factorization at the given
     frequencies; every quantity is an exact finite sum, so this is a
     rounding-error check."""
-    from .params import modulation
-    from .saft import dtsaft
-
     p = params
     pts = np.asarray(wpts, dtype=float).reshape(-1, p.n)
     lhs = dtsaft(p, conv_dd(p, s, t), pts)

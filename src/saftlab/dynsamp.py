@@ -49,7 +49,7 @@ from .conv import conv_cc, conv_dd, conv_sd, pair_sums
 from .grid import GridFn, SeqFn, mesh
 from .lattice import SamplingLattice
 from .params import SaftParams, chirp, modulation, preset, require_valid
-from .saft import downsample, dtsaft, grid_phase_sum, lattice_shifts
+from .saft import downsample, dtsaft, grid_phase_sum, integer_samples, lattice_shifts
 from .sis import SisModel, spectrum_at
 
 __all__ = [
@@ -224,8 +224,6 @@ def sampled_generator(
     g: GridFn, threshold: float = SAMPLE_THRESHOLD
 ) -> SeqFn:
     """Integer samples of a grid function as a sequence, small values dropped."""
-    from .saft import integer_samples
-
     pts, vals = integer_samples(g)
     keep = np.abs(vals) > threshold
     return SeqFn.from_arrays(g.n, pts[keep].astype(np.int64), vals[keep])

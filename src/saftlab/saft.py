@@ -18,14 +18,17 @@ The fast path uses the factorization
 so one FFT plus two pointwise phase multiplications evaluates the transform.
 
 At arbitrary outputs every transform is a phase sum ``sum_m c_m exp(-2 i pi
-nu.t_m)``, and each site takes the route its sources allow:
+nu.t_m)`` in the reduced frequency ``nu = B^{-1} w`` (`_reduced`); only the
+output factor ``eta(w) / sqrt|det B|`` (`_modulated`) needs the physical
+point ``w``.  Each site takes the route its sources allow:
 
 * grid sources (`grid_quadrature`, the quad backends of `saft_forward` and
   `saft_inverse`, the image sum of `poisson_check`) are summed axis by axis
   by `grid_phase_sum`: distinct coordinates x N_i exponentials plus the row
-  products.  The quad inverse's sources ``w = B nu`` form a sheared grid,
-  but ``nu'.(B nu) = (B^T nu').nu`` makes their sum separable over the
-  rectangular reduced grid ``nu``;
+  products.  The quad forward sums at its stored grid ``nu`` itself.  The
+  quad inverse's sources ``w = B nu`` form a sheared grid, but the inverse
+  block's B is ``-B^T``, so the reduced output of ``t`` meets them at the
+  phase ``-t.nu``: it sums at ``-t`` over the rectangular grid ``nu``;
 * integer supports (`dtsaft`, the left side of `poisson_check`) go through
   `_seq_phase_sum`: over their dense bounding box on the grid kernel when
   that forms no more exponentials than the support has keys and the box is
@@ -275,25 +278,32 @@ def _seq_phase_sum(nu: np.ndarray, keys: np.ndarray, coeff: np.ndarray) -> np.nd
     return _phase_sum(nu, keys.astype(float), coeff)
 
 
-def _transform_at(p: SaftParams, out_points, summed) -> np.ndarray:
-    """Modulated transform values at physical frequencies ``out_points``;
-    ``summed(nu)`` gives the source phase sums at ``nu = B^{-1} w``.
+def _reduced(p: SaftParams, w) -> np.ndarray:
+    """Reduced frequencies ``nu = B^{-1} w`` of the physical points ``w``
+    (..., n), as rows (No, n).
 
     ``nu`` is summed elementwise in one fixed order, as `modulation`'s
-    linear term, and the output factor is applied by `_product`: a matrix
-    product or numpy's complex multiply may round a point differently with
-    the size of its batch.  With a kernel that treats each output alone
-    (`_phase_sum`), a point's value then does not depend on its batch.
+    linear term: a matrix product may round a point differently with the
+    size of its batch.
     """
-    w = np.asarray(out_points, dtype=float)
-    wf = w.reshape(-1, p.n)
+    wf = np.asarray(w, dtype=float).reshape(-1, p.n)
     nu = np.empty_like(wf)
     for j in range(p.n):
         row = 0.0
         for i in range(p.n):
             row = row + p.b_inv[j, i] * wf[:, i]
         nu[:, j] = row
-    acc = _product(summed(nu), modulation(p, wf) * (1.0 / sqrt(p.abs_det_b)))
+    return nu
+
+
+def _modulated(p: SaftParams, w, sums) -> np.ndarray:
+    """Transform values at the physical points ``w`` (..., n) from their
+    phase sums: the output factor ``eta(w) / sqrt|det B|`` applied by
+    `_product`, shaped ``w.shape[:-1]``.  With `_reduced` and a kernel
+    that treats each output alone (`_phase_sum`), a point's value does not
+    depend on its batch."""
+    w = np.asarray(w, dtype=float)
+    acc = _product(sums, modulation(p, w.reshape(-1, p.n)) * (1.0 / sqrt(p.abs_det_b)))
     return acc.reshape(w.shape[:-1])
 
 
@@ -312,19 +322,22 @@ def kernel_quadrature(
     (its contract in the module docstring).  This is the direct-sum oracle.
     """
     t = np.asarray(in_points, dtype=float).reshape(-1, p.n)
-    fv = np.asarray(in_values).reshape(-1)
-    # source-side factor: f(t) lambda(t) e^{2 i pi (B^{-1}P).t} * weight
-    src = fv * chirp(p, t) * np.exp(2j * np.pi * (t @ p.b_inv_p)) * weight
-    return _transform_at(p, out_points, lambda nu: _phase_sum(nu, t, src))
+    src = _chirped(p, t, np.asarray(in_values).reshape(-1)) * weight
+    return _modulated(p, out_points, _phase_sum(_reduced(p, out_points), t, src))
+
+
+def _grid_sums(p: SaftParams, g: GridFn, nu) -> np.ndarray:
+    """Phase sums of the chirped samples of ``g`` at the reduced
+    frequencies ``nu``, axis by axis with `grid_phase_sum`."""
+    axes = [g.axis_coords(i) for i in range(g.n)]
+    return grid_phase_sum(nu, axes, _chirped(p, g.points(), g.values) * g.cell_volume)
 
 
 def grid_quadrature(p: SaftParams, g: GridFn, out_points) -> np.ndarray:
     """The transform of ``g`` at arbitrary physical frequencies, the same
     Riemann sum as ``kernel_quadrature`` over all of ``g``'s samples but
     summed axis by axis with `grid_phase_sum`."""
-    src = _chirped(p, g.points(), g.values) * g.cell_volume
-    axes = [g.axis_coords(i) for i in range(g.n)]
-    return _transform_at(p, out_points, lambda nu: grid_phase_sum(nu, axes, src))
+    return _modulated(p, out_points, _grid_sums(p, g, _reduced(p, out_points)))
 
 
 def saft_forward(plan: SaftPlan, f: GridFn) -> GridFn:
@@ -338,7 +351,10 @@ def saft_forward(plan: SaftPlan, f: GridFn) -> GridFn:
         w_pts = plan.w_points()
         vals = ghat.values * modulation(p, w_pts) / sqrt(p.abs_det_b)
         return plan.out_template.with_values(vals)
-    return plan.out_template.with_values(grid_quadrature(p, f, plan.w_points()))
+    # the stored grid is nu itself: sum there, and use w = B nu only for
+    # the output factor
+    sums = _grid_sums(p, f, plan.out_template.points())
+    return plan.out_template.with_values(_modulated(p, plan.w_points(), sums))
 
 
 def saft_inverse(plan: SaftPlan, F: GridFn) -> GridFn:
@@ -360,15 +376,14 @@ def saft_inverse(plan: SaftPlan, F: GridFn) -> GridFn:
         pts = plan.in_template.points()
         vals = g.values * np.conj(chirp(p, pts)) * np.exp(-2j * np.pi * (pts @ p.b_inv_p))
         return plan.in_template.with_values(vals)
-    # the sources w = B nu sit on the sheared reduced grid; since
-    # nu'.(B nu) = (B^T nu').nu, their phase sum is separable over nu
+    # the inverse block's B is -B^T, so the reduced output of t meets the
+    # source w = B nu at phase -t.nu: sum at -t over the rectangular grid nu
     p_inv = inverse_params(p)
     out = plan.out_template
     src = _chirped(p_inv, plan.w_points(), F.values) * (p.abs_det_b * out.cell_volume)
     axes = [out.axis_coords(i) for i in range(p.n)]
-    vals = _transform_at(p_inv, plan.in_template.points(),
-                         lambda nu: grid_phase_sum(nu @ p.B, axes, src))
-    return plan.in_template.with_values(vals)
+    t = plan.in_template.points()
+    return plan.in_template.with_values(_modulated(p_inv, t, grid_phase_sum(-t, axes, src)))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +414,7 @@ def dtsaft(params: SaftParams, s: SeqFn, wgrid) -> GridFn | np.ndarray:
         raise ValueError(f"sequence dimension {s.n} != params dimension {p.n}")
     k, z = s.as_arrays()
     coeff = _chirped(p, k.astype(float), z)
-    vals = _transform_at(p, pts, lambda nu: _seq_phase_sum(nu, k, coeff))
+    vals = _modulated(p, pts, _seq_phase_sum(_reduced(p, pts), k, coeff))
     return wgrid.with_values(vals) if as_grid else vals
 
 
@@ -433,6 +448,17 @@ def integer_samples(g: GridFn, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarra
         axes_idx.append(idx)
     values = g.values[np.ix_(*axes_idx)]
     return mesh(axes_k).reshape(-1, g.n).astype(float), values.reshape(-1)
+
+
+def _boundary_max(values: np.ndarray) -> float:
+    """Largest modulus on the boundary shell of an n-D array."""
+    out = 0.0
+    for i in range(values.ndim):
+        sl = [slice(None)] * values.ndim
+        for edge in (0, -1):
+            sl[i] = edge
+            out = max(out, float(np.max(np.abs(values[tuple(sl)]))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -472,20 +498,13 @@ def poisson_check(
     wf = pts.reshape(-1, p.n)
 
     # decay check: max |g| on the boundary shell vs global max
-    mags = np.abs(g.values)
-    peak = float(mags.max()) if mags.size else 0.0
-    boundary = 0.0
-    for i in range(g.n):
-        sl = [slice(None)] * g.n
-        for edge in (0, -1):
-            sl[i] = edge
-            boundary = max(boundary, float(np.max(mags[tuple(sl)])))
-    decayed = peak == 0.0 or boundary <= 1e-12 * peak
+    peak = float(np.max(np.abs(g.values))) if g.values.size else 0.0
+    decayed = peak == 0.0 or _boundary_max(g.values) <= 1e-12 * peak
 
     # LHS: conj(eta)(w) * dtsaft of the integer samples
     kf, gk = integer_samples(g)
     coeff = _chirped(p, kf, gk)
-    nu = wf @ p.b_inv.T
+    nu = _reduced(p, wf)
     lhs = _seq_phase_sum(nu, kf.astype(np.int64), coeff) / sqrt(p.abs_det_b)
 
     # RHS: image sum of conj(eta)(w + Bn) (S g)(w + Bn); the two factors

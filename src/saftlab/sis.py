@@ -30,7 +30,8 @@ from .conv import conv_sd
 from .grid import GridFn, SeqFn, mesh
 from .params import SaftParams, require_valid
 from .saft import (
-    DEFAULT_LATTICE_CUTOFF, grid_quadrature, lattice_shifts, saft_forward, saft_plan,
+    DEFAULT_LATTICE_CUTOFF, _boundary_max, dtsaft, grid_quadrature, lattice_shifts,
+    saft_forward, saft_plan,
 )
 
 __all__ = [
@@ -66,16 +67,6 @@ class SisModel:
     spectrum: GridFn
     spectrum_fn: Callable | None
     decay_ok: bool
-
-
-def _boundary_max(values: np.ndarray) -> float:
-    out = 0.0
-    for i in range(values.ndim):
-        sl = [slice(None)] * values.ndim
-        for edge in (0, -1):
-            sl[i] = edge
-            out = max(out, float(np.max(np.abs(values[tuple(sl)]))))
-    return out
 
 
 def build_sis(
@@ -243,8 +234,6 @@ def frame_check(model: SisModel, s: SeqFn, per_axis: int = 32) -> dict:
     Riesz bounds.  The integrand is smooth and cell-periodic, so the
     midpoint rule converges spectrally in ``per_axis``.
     """
-    from .saft import dtsaft  # local import to avoid a cycle at module load
-
     p = model.params
     k, _ = s.as_arrays()
     npts = np.maximum(np.ptp(k, axis=0) + 1, per_axis) if len(k) else np.full(p.n, per_axis)

@@ -4,6 +4,7 @@ Everything runs in-process through ``saftlab.cli.main(argv)`` so exit codes
 and emitted files are asserted directly.
 """
 
+import io
 import json
 
 import numpy as np
@@ -291,6 +292,28 @@ def test_dynsamp_check_zero_filter_fails(work, tmp_path, capsys):
                  "--phi", str(work / "phi1.grid"), "--filter", str(work / "zero.csv"),
                  "--M", "[[2]]", "--out", str(tmp_path / "f.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, header_lines", [
+    ("sis", 1), ("dynsamp check", 1), ("verify", 2),
+])
+def test_a_table_on_stdout_is_csv_and_its_summary_goes_to_stderr(
+        work, capsys, command, header_lines):
+    model = ["--params", str(work / "ft1.json"), "--phi", str(work / "phi1.grid")]
+    argv = {
+        "sis": ["sis", *model, "--cell-points", "5"],
+        "dynsamp check": ["dynsamp", "check", *model, "--filter", str(work / "filt1.csv"),
+                          "--M", "[[2]]", "--cell-points", "5"],
+        "verify": ["verify", "--theorem", "dd", "--trials", "5", "--seed", "7"],
+    }[command]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    rows = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=header_lines, ndmin=2)
+    assert len(rows) == 5
+    if command == "verify":
+        assert err.startswith("worst residual")
+    else:
+        assert json.loads(err)["verdict"] == "pass"
 
 
 def test_dynsamp_recover_discrete(work, tmp_path):

@@ -62,6 +62,7 @@ from saftlab.saft import (
     integer_samples,
     kernel_quadrature,
     poisson_check,
+    saft_forward,
     saft_inverse,
     saft_plan,
 )
@@ -232,7 +233,8 @@ def test_spectrum_at_inside_and_outside_the_resolved_band(n, data, budget):
 @given(data=st.data(), budget=_BUDGETS)
 def test_quad_inverse_matches_direct_sum(n, data, budget):
     # the sources w = B nu of the quad inverse sit on a sheared grid; the
-    # grid kernel sums them over the rectangular reduced grid nu
+    # inverse block's B is -B^T, so the grid kernel sums at the outputs -t
+    # over the rectangular reduced grid nu
     p, g, _ = data.draw(_case(n))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     plan = saft_plan(p, g, "quad")
@@ -246,6 +248,37 @@ def test_quad_inverse_matches_direct_sum(n, data, budget):
                             weight, g.points().reshape(-1, n))
     mass = float(np.sum(np.abs(F.values))) * weight / np.sqrt(p_inv.abs_det_b)
     assert np.max(np.abs(got - ref)) <= GRID_RTOL * mass
+
+
+def _quad_table_rows(p, g: GridFn, budget: int) -> list[list[int]]:
+    """Rows of each `_axis_table` call of the quad forward and inverse of
+    ``g``, per transform: one list of row counts, axis by axis per chunk."""
+    plan = saft_plan(p, g, "quad")
+    rows = []
+    for run in (lambda: saft_forward(plan, g),
+                lambda: saft_inverse(plan, plan.out_template.with_values(g.values))):
+        with patch.object(saft, "PHASE_BUDGET", budget), \
+                patch.object(saft, "_axis_table", wraps=saft._axis_table) as table:
+            run()
+        rows.append([len(c.args[0]) for c in table.call_args_list])
+    return rows
+
+
+@pytest.mark.parametrize("budget", [4096, PHASE_BUDGET])
+def test_quad_transforms_form_at_most_one_table_row_per_grid_coordinate(budget):
+    # both sum at outputs on a rectangular grid (nu forward, -t inverse),
+    # so a chunk holds at most N_i distinct coordinates on axis i, for a
+    # sheared B as for a diagonal one; outputs that passed through w = B nu
+    # and back would carry rounding that splits equal coordinates
+    rng = np.random.default_rng(5)
+    sheared = random_params(2, rng)
+    assert sheared.B[0, 1] != 0 and sheared.B[1, 0] != 0
+    g = GridFn(2, (41, 30), np.array([-3.0, -2.5]), np.array([0.15, 0.17]),
+               rng.normal(size=(41, 30)) + 1j * rng.normal(size=(41, 30)))
+    got = _quad_table_rows(sheared, g, budget)
+    for counts in got:
+        assert all(c <= g.shape[i % 2] for i, c in enumerate(counts))
+    assert got == _quad_table_rows(preset("ft", 2), g, budget)
 
 
 def test_spectrum_at_uses_the_callback_only_for_the_generator():

@@ -746,7 +746,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        # numpy's warnings would come ahead of the writers' non-finite check
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ValidationFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -35,20 +35,24 @@ point ``w``.  Each site takes the route its sources allow:
   small (`_BOX_PER_KEY` elements per key, half of `PHASE_BUDGET`), else
   directly over the keys.  The gate exists for sparse, wide supports: two
   keys far apart would otherwise allocate and sum a box of zeros;
-* `kernel_quadrature` sums one exponential per (output, source) pair with
-  the direct kernel `_phase_sum`, the oracle the other routes are checked
-  against.  The direct kernel's contract: each phase ``nu.t`` in turns is
-  reduced to its fraction of a turn (``arg - rint(arg)`` is exact and
-  leaves ``|arg| <= 1/2``) and formed as a real cosine and sine
-  (`_phase_rows`), so forming it adds no error that grows with the number
-  of turns.  No step calls BLAS, whose worker threads would spin through
-  the next chunk, and every step treats an output alone, so a point's
-  value does not depend on the batch it came in.  The outputs are split
-  into at most `_WORKERS` contiguous blocks, the calling thread summing the
-  first and a pool opened for the call the others, in chunks of
-  ``PHASE_BUDGET // _WORKERS // M`` rows that together hold one
-  `PHASE_BUDGET`; a value is the same bits for any thread count, and the
-  workers run under the caller's floating-point error state.
+* `kernel_quadrature` sums one term per (output, source) pair with the
+  direct kernel `_phase_sum`, the oracle the other routes are checked
+  against.  M sources that repeat their coordinates (``2 sum_i U_i <= M``
+  for U_i distinct ones on axis i, as on a grid) get one table per axis
+  and chunk, over the distinct coordinates only, and a pair's exponential
+  is the product of its gathered entries, formed row by row; scattered
+  sources get one phase ``nu.t`` per pair.  The direct kernel's contract:
+  each phase in turns is reduced to its fraction of a turn (``arg -
+  rint(arg)`` is exact and leaves ``|arg| <= 1/2``) and formed as a real
+  cosine and sine (`_turns`), so forming it adds no error that grows with
+  the number of turns.  No step calls BLAS, whose worker threads would
+  spin through the next chunk, and every step treats an output alone, so
+  a point's value does not depend on the batch it came in.  The outputs
+  are split into at most `_WORKERS` contiguous blocks, the calling thread
+  summing the first and a pool opened for the call the others, in chunks
+  of at most ``PHASE_BUDGET // 32`` elements, which stay in cache; a
+  value is the same bits for any thread count, and the workers run under
+  the caller's floating-point error state.
 """
 
 from __future__ import annotations
@@ -165,16 +169,29 @@ def _product(a, b) -> np.ndarray:
     return out
 
 
-def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """One chunk of `_phase_sum` (the direct-kernel contract in the module docstring)."""
-    arg = v[:, :1] * k[:, 0]
-    for i in range(1, k.shape[1]):
-        arg += v[:, i:i + 1] * k[:, i]
+def _turns(arg: np.ndarray) -> np.ndarray:
+    """``exp(-2 i pi arg)``, ``arg`` in turns reduced in place to a fraction of a turn."""
     arg -= np.rint(arg)
     arg *= -2 * np.pi
-    terms = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=terms.real)
-    np.sin(arg, out=terms.imag)
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
+def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray, cols) -> np.ndarray:
+    """One chunk of `_phase_sum`: one phase per pair, or per-axis tables given ``cols``."""
+    if cols is None:
+        arg = v[:, :1] * k[:, 0]
+        for i in range(1, k.shape[1]):
+            arg += v[:, i:i + 1] * k[:, i]
+        terms = _turns(arg)
+    else:
+        terms = np.take(_turns(v[:, :1] * cols[0][0]), cols[0][1], axis=1)
+        for i, (u, inv) in enumerate(cols[1:], 1):
+            factors = np.take(_turns(v[:, i:i + 1] * u), inv, axis=1)
+            for row, factor in zip(terms, factors):   # row by row: see `_product`
+                row *= factor
     if len(coeff) == 1:
         # one term per row: numpy would run the product below down the rows
         return _product(terms[:, 0], coeff[0])
@@ -187,9 +204,11 @@ def _phase_sum(nu: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     the direct kernel, whose contract is in the module docstring."""
     rows, m = nu.shape[0], max(1, k.shape[0])
     out = np.empty(rows, dtype=complex)
-    step = max(1, PHASE_BUDGET // _WORKERS // m)
-    # a row of more than PHASE_BUDGET // _WORKERS terms is a chunk alone:
-    # then fewer blocks run at once, as many rows as fit one budget
+    cols = [np.unique(c, return_inverse=True) for c in k.T]
+    cols = cols if 2 * sum(len(u) for u, _ in cols) <= m else None
+    # chunks of at most PHASE_BUDGET // 32 elements stay in cache; a longer
+    # row is a chunk alone, and then fewer blocks run at once
+    step = max(1, min(PHASE_BUDGET // _WORKERS, PHASE_BUDGET // 32) // m)
     blocks = min(_WORKERS, max(1, PHASE_BUDGET // (step * m)), -(-rows // step))
     err = np.geterr()
 
@@ -197,7 +216,7 @@ def _phase_sum(nu: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
         with np.errstate(**err):
             for a in range(lo, hi, step):
                 b = min(a + step, hi)
-                out[a:b] = _phase_rows(nu[a:b], k, coeff)
+                out[a:b] = _phase_rows(nu[a:b], k, coeff, cols)
 
     if blocks <= 1:
         run(0, rows)
@@ -259,12 +278,13 @@ def _seq_phase_sum(nu: np.ndarray, keys: np.ndarray, coeff: np.ndarray) -> np.nd
     When it is cheaper, the coefficients are scattered into the keys'
     bounding box N_1 x ... x N_n and summed by `grid_phase_sum` over its
     integer axes: distinct coordinates x N_i exponentials plus the row
-    products, instead of No * K exponentials.  That route is taken when it
+    products, instead of No * K terms.  That route is taken when it
     forms no more exponentials even for distinct outputs (sum N_i <= K),
     its box holds at most `_BOX_PER_KEY` elements per key, and the box
     takes at most half of `PHASE_BUDGET`, so that with the sum's chunks
-    (about one budget) the peak stays under twice the budget.  A sparse or wide support takes the
-    direct `_phase_sum`, whose cost does not grow with the box.
+    (about one budget) the peak stays under twice the budget.  A sparse or
+    wide support takes the direct `_phase_sum`, whose cost does not grow
+    with the box (per-axis tables when the keys repeat coordinates).
     """
     if len(keys):
         lo, hi = keys.min(axis=0).tolist(), keys.max(axis=0).tolist()
@@ -318,8 +338,9 @@ def kernel_quadrature(
 
     ``in_points``: (M, n) sample locations with quadrature weight ``weight``
     each; ``out_points``: (..., n) arbitrary physical frequencies.  One
-    exponential per (output, sample) pair on the direct kernel `_phase_sum`
-    (its contract in the module docstring).  This is the direct-sum oracle.
+    term per (output, sample) pair on the direct kernel `_phase_sum` (its
+    contract and per-axis tables in the module docstring).  This is the
+    direct-sum oracle.
     """
     t = np.asarray(in_points, dtype=float).reshape(-1, p.n)
     src = _chirped(p, t, np.asarray(in_values).reshape(-1)) * weight

@@ -14,6 +14,11 @@ budgeted direct kernel and the separable grid kernel against them.
 `grid_phase_sum` is the separable grid kernel as it was before it formed
 its axis tables and first-axis product once per distinct output
 coordinate of a chunk: one table row and one product row per output.
+
+`_phase_rows` and `_phase_sum` are the budgeted direct kernel as it was
+before it formed per-axis tables over the sources' distinct coordinates:
+one reduced phase, cosine and sine per (output, source) pair, in chunks
+of ``PHASE_BUDGET // _WORKERS // M`` rows.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from saftlab.params import SaftParams, chirp, modulation, require_valid
 from saftlab.saft import (
     DEFAULT_LATTICE_CUTOFF,
     PHASE_BUDGET,
+    _WORKERS,
     PoissonReport,
+    _product,
     integer_samples,
 )
 from saftlab.sis import resolved_band_mask
@@ -246,4 +253,54 @@ def grid_phase_sum(nu, axes, values) -> np.ndarray:
             table = np.exp(-2j * np.pi * (v[:, i:i + 1] * axes[i]))
             acc = np.matmul(table[:, None, :], acc.reshape(len(v), shape[i], -1))[:, 0]
         out[lo:lo + step] = acc[:, 0]
+    return out
+
+
+def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """One chunk of `_phase_sum` (the direct-kernel contract in the module docstring)."""
+    arg = v[:, :1] * k[:, 0]
+    for i in range(1, k.shape[1]):
+        arg += v[:, i:i + 1] * k[:, i]
+    arg -= np.rint(arg)
+    arg *= -2 * np.pi
+    terms = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=terms.real)
+    np.sin(arg, out=terms.imag)
+    if len(coeff) == 1:
+        # one term per row: numpy would run the product below down the rows
+        return _product(terms[:, 0], coeff[0])
+    terms *= coeff
+    return terms.sum(axis=1)
+
+
+def _phase_sum(nu: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """``sum_m coeff[m] exp(-2 i pi nu.k_m)`` for each row of ``nu`` (No, n):
+    the direct kernel, whose contract is in the module docstring."""
+    rows, m = nu.shape[0], max(1, k.shape[0])
+    out = np.empty(rows, dtype=complex)
+    step = max(1, PHASE_BUDGET // _WORKERS // m)
+    # a row of more than PHASE_BUDGET // _WORKERS terms is a chunk alone:
+    # then fewer blocks run at once, as many rows as fit one budget
+    blocks = min(_WORKERS, max(1, PHASE_BUDGET // (step * m)), -(-rows // step))
+    err = np.geterr()
+
+    def run(lo: int, hi: int) -> None:
+        with np.errstate(**err):
+            for a in range(lo, hi, step):
+                b = min(a + step, hi)
+                out[a:b] = _phase_rows(nu[a:b], k, coeff)
+
+    if blocks <= 1:
+        run(0, rows)
+        return out
+    # imported here: concurrent.futures (with logging) adds about 7 ms to
+    # every `import saftlab`, and most processes never split a call
+    from concurrent.futures import ThreadPoolExecutor
+
+    edges = [rows * i // blocks for i in range(blocks + 1)]
+    with ThreadPoolExecutor(blocks - 1) as pool:
+        futures = [pool.submit(run, lo, hi) for lo, hi in zip(edges[1:-1], edges[2:])]
+        run(edges[0], edges[1])
+        for f in futures:
+            f.result()
     return out

@@ -354,7 +354,7 @@ def test_recover_continuous_exact():
     assert not extras or max(extras) < 1e-9
 
 
-# build_D against entries summed with the direct kernel: one exponential per
+# build_D against entries summed with the direct kernel: one term per
 # (frequency, grid sample), no separable sums
 
 

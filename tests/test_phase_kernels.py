@@ -4,14 +4,20 @@ The oracles in ``phase_oracles.py`` sum one exponential per (output, sample)
 pair, outputs taken 4,096 at a time.  Two kernels replace them:
 
 * the direct kernel (`_phase_sum`, behind `kernel_quadrature` and the
-  sparse side of `_seq_phase_sum`) still forms one exponential per
-  (output, sample) pair, in chunks sized by an element budget.  It sums
-  the phase ``nu.t`` elementwise and a row's terms with numpy's pairwise
-  sum, where the oracles used BLAS for both, and it forms each exponential
-  as the real cosine and sine of the phase reduced to a fraction of a
-  turn, where the oracles took complex ``np.exp`` of the whole phase (and
+  sparse side of `_seq_phase_sum`) still sums one term per (output,
+  sample) pair, in chunks sized by an element budget.  Scattered samples
+  get one phase ``nu.t`` per pair, summed elementwise; samples that repeat
+  their coordinates (a grid, integer points in a small box) take the table
+  route, where each axis gets one exponential per (output, distinct
+  coordinate) and a pair's term is the product of its gathered table
+  entries.  A row's terms go through numpy's pairwise sum, where the
+  oracles used BLAS for the phases and the sums, and every exponential is
+  the real cosine and sine of a phase reduced to a fraction of a turn,
+  where the oracles took complex ``np.exp`` of the whole phase (and
   rounded ``2 pi nu.t`` at its full size).  Values agree within those
-  rounding bounds.  Every step treats an output alone, so a point gets
+  rounding bounds, and the table route agrees with the per-pair kernel as
+  it was (kept in ``phase_oracles.py``) within a few eps of the term mass
+  per turn of phase.  Every step treats an output alone, so a point gets
   the same bits alone as in any batch; and where the phase itself is exact
   (a quarter turn past 10^6 turns), so is the exponential to a few eps.
   Its outputs are split over `_WORKERS` threads whose chunks share one
@@ -341,6 +347,54 @@ def test_dtsaft_matches_chunked_oracle(n, data, budget, size):
         assert np.array_equal(got, ref)
 
 
+def _turn_bound(nu, t, mass: float) -> float:
+    """Rounding allowed between the table route and one phase per pair:
+    the phase ``nu.t`` rounds per axis in one and as a sum in the other (up
+    to ``(n + 1) eps sum_i |nu_i t_i|`` turns apart), and the table route
+    multiplies n complex factors (a few eps each)."""
+    n = nu.shape[1]
+    turns = float(np.sum(np.abs(nu).max(axis=0) * np.abs(t).max(axis=0)))
+    return EPS * mass * (4 * n + 2 * np.pi * (n + 1) * turns)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_table_route_matches_both_oracles(n, data, budget):
+    p, s, (t, f), w, _ = data.draw(_repeated_case(n))
+    with patch.object(saft, "PHASE_BUDGET", budget):
+        got = _phase_sum(w, t, f)
+        quad = kernel_quadrature(p, t, f, 0.3, w)
+        dt = dtsaft(p, s, w)
+    # the kernel with one phase per pair, as it was
+    assert np.max(np.abs(got - oracle._phase_sum(w, t, f))) <= \
+        _turn_bound(w, t, float(np.sum(np.abs(f))))
+    # the output-chunked BLAS oracles
+    mass = 0.3 * float(np.sum(np.abs(f))) / np.sqrt(p.abs_det_b)
+    assert np.max(np.abs(quad - oracle.kernel_quadrature(p, t, f, 0.3, w))) <= \
+        _dot_bound(p, w, t, mass)
+    k, z = s.as_arrays()
+    mass = float(np.sum(np.abs(z))) / np.sqrt(p.abs_det_b)
+    assert np.max(np.abs(dt - oracle.dtsaft(p, s, w))) <= _dot_bound(p, w, k.astype(float), mass)
+
+
+@pytest.mark.parametrize("n,shape", [(2, (13, 11)), (3, (5, 4, 6))])
+@pytest.mark.parametrize("budget", [16, 4096, PHASE_BUDGET])
+def test_direct_kernel_forms_table_exponentials_only_for_repeated_coordinates(n, shape, budget):
+    # on grid sources each output forms sum_i N_i exponentials, one per
+    # distinct coordinate of each axis; scattered sources keep one per pair
+    rng = np.random.default_rng(budget)
+    grid = mesh([rng.uniform(-3.0, 3.0, side) for side in shape]).reshape(-1, n)
+    scattered = rng.uniform(-3.0, 3.0, grid.shape)
+    coeff = rng.normal(size=len(grid)) + 1j * rng.normal(size=len(grid))
+    nu = rng.uniform(-6.0, 6.0, (37, n))
+    for t, per_output in ((grid, sum(shape)), (scattered, len(grid))):
+        with patch.object(saft, "PHASE_BUDGET", budget), patch.object(saft, "_WORKERS", 1), \
+                patch.object(saft, "_turns", wraps=saft._turns) as turns:
+            _phase_sum(nu, t, coeff)
+        assert sum(c.args[0].size for c in turns.call_args_list) == len(nu) * per_output
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), budget=_BUDGETS, n_out=st.sampled_from([0, 1, 7]))
@@ -374,6 +428,10 @@ def test_direct_kernel_reduces_each_phase_to_a_fraction_of_a_turn(n, key):
     nu[:, 0] = [0.25, 0.75]
     got = _phase_sum(nu, k, np.array([1.0 + 0j]))
     assert np.max(np.abs(got - np.array([-1j, 1j]))) <= 4 * EPS
+    # the same point eight times over repeats every coordinate: the table
+    # route reduces each axis's phase alone
+    got = _phase_sum(nu, np.repeat(k, 8, axis=0), np.full(8, 0.125 + 0j))
+    assert np.max(np.abs(got - np.array([-1j, 1j]))) <= 4 * EPS
 
 
 @st.composite
@@ -393,12 +451,54 @@ def _wide_sparse_case(draw, n: int):
     return p, s, (t, f), w, rng.permutation(len(w))
 
 
+@st.composite
+def _repeated_case(draw, n: int):
+    """As `_wide_sparse_case`, but the points and keys repeat coordinates,
+    so that `_phase_sum` takes its table route (``2 sum_i U_i <= M`` for
+    U_i distinct coordinates on axis i).  The points are a grid (n >= 2),
+    integer points drawn from a small box, or points drawn from small
+    per-axis pools that may hold ``0.0`` next to ``-0.0``.  The keys come
+    from per-axis pools spanning [-5000, 5000], whose box the box route
+    refuses; distinct 1-D keys repeat no coordinate, so for n = 1 they keep
+    one phase per pair."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_params(n, rng)
+    kind = draw(st.sampled_from(["grid", "box", "pool"] if n > 1 else ["box", "pool"]))
+    if kind == "grid":
+        side = st.integers({2: 4, 3: 3}[n], 6)
+        t = mesh([rng.uniform(-3.0, 3.0, draw(side)) for _ in range(n)]).reshape(-1, n)
+    else:
+        if kind == "box":
+            pools = [np.arange(draw(st.integers(1, 5))) + float(rng.integers(-5, 6))
+                     for _ in range(n)]
+        else:
+            pools = [np.concatenate([rng.uniform(-3.0, 3.0, draw(st.integers(1, 4))),
+                                     [0.0, -0.0] if draw(st.booleans()) else []])
+                     for _ in range(n)]
+        m = draw(st.integers(2 * sum(map(len, pools)), 60))
+        t = np.stack([rng.choice(pool, m) for pool in pools], axis=-1)
+    f = rng.normal(size=len(t)) + 1j * rng.normal(size=len(t))
+    # 3, 4 or 3 values per axis: for n >= 2 enough tuples that 2 sum_i U_i <= K
+    pools = [np.concatenate([[-5000, 5000], rng.integers(-4999, 5000, {1: 1, 2: 2, 3: 1}[n])])
+             for _ in range(n)]
+    box = mesh(pools).reshape(-1, n)
+    k = draw(st.integers(min(len(box), 2 * sum(map(len, pools))), len(box)))
+    keys = box[rng.choice(len(box), k, replace=False)]
+    s = SeqFn(n, {tuple(int(x) for x in key): complex(*rng.normal(size=2)) for key in keys})
+    w = rng.uniform(-6.0, 6.0, (draw(st.integers(1, 30)), n))
+    return p, s, (t, f), w, rng.permutation(len(w))
+
+
+def _direct_case(n: int):
+    return st.one_of(_wide_sparse_case(n), _repeated_case(n))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @SETTINGS
 @given(data=st.data(), budget=_BUDGETS)
 def test_direct_kernel_values_do_not_depend_on_the_batch(n, data, budget):
     # a point gets the same bits alone, in its batch and in a permuted batch
-    p, s, (t, f), w, perm = data.draw(_wide_sparse_case(n))
+    p, s, (t, f), w, perm = data.draw(_direct_case(n))
     evaluators = {
         "kernel_quadrature": lambda pts: kernel_quadrature(p, t, f, 0.3, pts),
         "dtsaft": lambda pts: dtsaft(p, s, pts),
@@ -424,7 +524,7 @@ def _bits(a) -> np.ndarray:
 @SETTINGS
 @given(data=st.data(), budget=_BUDGETS, workers=st.sampled_from([2, 3, 5]))
 def test_direct_kernel_values_do_not_depend_on_the_thread_count(n, data, budget, workers):
-    p, s, (t, f), w, _ = data.draw(_wide_sparse_case(n))
+    p, s, (t, f), w, _ = data.draw(_direct_case(n))
     evaluators = {
         "_phase_sum": lambda: _phase_sum(w, t, f),
         "kernel_quadrature": lambda: kernel_quadrature(p, t, f, 0.3, w),
@@ -590,11 +690,15 @@ def _peak_bytes(fn) -> int:
 
 @pytest.mark.parametrize("kernel,workers", [
     pytest.param("grid", 1, id="grid"),
+    # grid sources: the direct kernel's table route
     pytest.param("direct", 1, id="direct"),
     pytest.param("direct", 2, id="direct-2"),
     pytest.param("direct", 4, id="direct-4"),
     # a row of 16,641 terms exceeds budget / 8: fewer blocks run at once
     pytest.param("direct", 8, id="direct-8"),
+    # scattered sources: one phase per pair
+    pytest.param("scattered", 1, id="direct-scattered"),
+    pytest.param("scattered", 2, id="direct-scattered-2"),
 ])
 def test_peak_memory_is_bounded_by_the_budget(kernel, workers):
     rng = np.random.default_rng(11)
@@ -608,6 +712,8 @@ def test_peak_memory_is_bounded_by_the_budget(kernel, workers):
             run = lambda: grid_phase_sum(nu, axes, vals)
         else:
             t = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+            if kernel == "scattered":
+                t = t + rng.uniform(-0.01, 0.01, t.shape)
             run = lambda: _phase_sum(nu, t, vals.reshape(-1))
         with patch.object(saft, "PHASE_BUDGET", budget), patch.object(saft, "_WORKERS", workers):
             peaks.append(_peak_bytes(run))

@@ -38,20 +38,20 @@ point ``w``.  Each site takes the route its sources allow:
 * `kernel_quadrature` sums one term per (output, source) pair with the
   direct kernel `_phase_sum`, the oracle the other routes are checked
   against.  M sources that repeat their coordinates (``2 sum_i U_i <= M``
-  for U_i distinct ones on axis i, as on a grid) get one table per axis
-  and chunk, over the distinct coordinates only, and a pair's exponential
-  is the product of its gathered entries, formed row by row; scattered
-  sources get one phase ``nu.t`` per pair.  The direct kernel's contract:
-  each phase in turns is reduced to its fraction of a turn (``arg -
-  rint(arg)`` is exact and leaves ``|arg| <= 1/2``) and formed as a real
-  cosine and sine (`_turns`), so forming it adds no error that grows with
-  the number of turns.  No step calls BLAS, whose worker threads would
-  spin through the next chunk, and every step treats an output alone, so
-  a point's value does not depend on the batch it came in.  The outputs
-  are split into at most `_WORKERS` contiguous blocks, the calling thread
-  summing the first and a pool opened for the call the others, in chunks
-  of at most ``PHASE_BUDGET // 32`` elements, which stay in cache; a
-  value is the same bits for any thread count, and the workers run under
+  for U_i distinct ones on axis i) get per-axis tables over the distinct
+  coordinates, a pair's exponential the product of its gathered entries;
+  scattered ones get one phase ``nu.t`` per pair.  The contract: each
+  phase in turns is reduced to its fraction of a turn (``arg - rint(arg)``
+  is exact and leaves ``|arg| <= 1/2``) and formed as a real cosine and
+  sine (`_turns`), so forming it adds no error that grows with the number
+  of turns.  No step calls BLAS, whose worker threads would spin through
+  the next chunk, and every step treats an output alone, so a point's
+  value does not depend on the batch it came in.  The outputs are split
+  into at most `_WORKERS` contiguous blocks, the calling thread summing the
+  first and a pool opened for the call the others, in chunks of
+  ``PHASE_BUDGET // _WORKERS // M`` rows that together hold one
+  `PHASE_BUDGET` (table chunks: ``PHASE_BUDGET // 32`` elements, in cache);
+  a value is the same bits for any thread count, and the workers run under
   the caller's floating-point error state.
 """
 
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 from math import ceil, floor, prod, sqrt
 
 import numpy as np
@@ -187,11 +188,13 @@ def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray, cols) -> np.nda
             arg += v[:, i:i + 1] * k[:, i]
         terms = _turns(arg)
     else:
-        terms = np.take(_turns(v[:, :1] * cols[0][0]), cols[0][1], axis=1)
+        # rows padded by one element, so that numpy runs each product below
+        # row by row rather than as one flat loop (see `_product`); "clip"
+        # lets np.take write into them without a buffer
+        terms = np.empty((len(v), k.shape[0] + 1), dtype=complex)[:, :-1]
+        np.take(_turns(v[:, :1] * cols[0][0]), cols[0][1], axis=1, out=terms, mode="clip")
         for i, (u, inv) in enumerate(cols[1:], 1):
-            factors = np.take(_turns(v[:, i:i + 1] * u), inv, axis=1)
-            for row, factor in zip(terms, factors):   # row by row: see `_product`
-                row *= factor
+            terms *= np.take(_turns(v[:, i:i + 1] * u), inv, axis=1)
     if len(coeff) == 1:
         # one term per row: numpy would run the product below down the rows
         return _product(terms[:, 0], coeff[0])
@@ -204,11 +207,14 @@ def _phase_sum(nu: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     the direct kernel, whose contract is in the module docstring."""
     rows, m = nu.shape[0], max(1, k.shape[0])
     out = np.empty(rows, dtype=complex)
-    cols = [np.unique(c, return_inverse=True) for c in k.T]
-    cols = cols if 2 * sum(len(u) for u, _ in cols) <= m else None
-    # chunks of at most PHASE_BUDGET // 32 elements stay in cache; a longer
-    # row is a chunk alone, and then fewer blocks run at once
-    step = max(1, min(PHASE_BUDGET // _WORKERS, PHASE_BUDGET // 32) // m)
+    # the table route where 2 sum_i U_i <= M (U_i distinct coordinates on
+    # axis i); it breaks even near sum_i U_i = M.  A plain sort counts U_i
+    # at a sixth of the inverse's cost, so scattered sources sort one column
+    counts = accumulate(len(np.unique(c)) for c in k.T)
+    cols = None if any(2 * u > m for u in counts) else [np.unique(c, return_inverse=True) for c in k.T]
+    # table chunks of at most PHASE_BUDGET // 32 elements stay in cache; a
+    # row longer than a chunk is a chunk alone, and then fewer blocks run
+    step = max(1, PHASE_BUDGET // max(_WORKERS, 32 if cols else 1) // m)
     blocks = min(_WORKERS, max(1, PHASE_BUDGET // (step * m)), -(-rows // step))
     err = np.geterr()
 
@@ -283,8 +289,8 @@ def _seq_phase_sum(nu: np.ndarray, keys: np.ndarray, coeff: np.ndarray) -> np.nd
     its box holds at most `_BOX_PER_KEY` elements per key, and the box
     takes at most half of `PHASE_BUDGET`, so that with the sum's chunks
     (about one budget) the peak stays under twice the budget.  A sparse or
-    wide support takes the direct `_phase_sum`, whose cost does not grow
-    with the box (per-axis tables when the keys repeat coordinates).
+    wide support takes the direct `_phase_sum` (tables if keys repeat
+    coordinates), whose cost does not grow with the box.
     """
     if len(keys):
         lo, hi = keys.min(axis=0).tolist(), keys.max(axis=0).tolist()
@@ -339,8 +345,7 @@ def kernel_quadrature(
     ``in_points``: (M, n) sample locations with quadrature weight ``weight``
     each; ``out_points``: (..., n) arbitrary physical frequencies.  One
     term per (output, sample) pair on the direct kernel `_phase_sum` (its
-    contract and per-axis tables in the module docstring).  This is the
-    direct-sum oracle.
+    tables and contract in the module docstring): the direct-sum oracle.
     """
     t = np.asarray(in_points, dtype=float).reshape(-1, p.n)
     src = _chirped(p, t, np.asarray(in_values).reshape(-1)) * weight

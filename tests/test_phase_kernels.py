@@ -382,17 +382,24 @@ def test_table_route_matches_both_oracles(n, data, budget):
 @pytest.mark.parametrize("budget", [16, 4096, PHASE_BUDGET])
 def test_direct_kernel_forms_table_exponentials_only_for_repeated_coordinates(n, shape, budget):
     # on grid sources each output forms sum_i N_i exponentials, one per
-    # distinct coordinate of each axis; scattered sources keep one per pair
+    # distinct coordinate of each axis, in chunks of budget // 32 elements;
+    # scattered sources keep one per pair in chunks of a whole budget, and
+    # the search for repeats sorts only their first column
     rng = np.random.default_rng(budget)
     grid = mesh([rng.uniform(-3.0, 3.0, side) for side in shape]).reshape(-1, n)
     scattered = rng.uniform(-3.0, 3.0, grid.shape)
     coeff = rng.normal(size=len(grid)) + 1j * rng.normal(size=len(grid))
     nu = rng.uniform(-6.0, 6.0, (37, n))
-    for t, per_output in ((grid, sum(shape)), (scattered, len(grid))):
+    cases = ((grid, sum(shape), 2 * n, budget // 32), (scattered, len(grid), 1, budget))
+    for t, per_output, sorts, chunk in cases:
         with patch.object(saft, "PHASE_BUDGET", budget), patch.object(saft, "_WORKERS", 1), \
-                patch.object(saft, "_turns", wraps=saft._turns) as turns:
+                patch.object(saft, "_turns", wraps=saft._turns) as turns, \
+                patch.object(saft, "_phase_rows", wraps=saft._phase_rows) as rows, \
+                patch.object(saft.np, "unique", wraps=np.unique) as unique:
             _phase_sum(nu, t, coeff)
         assert sum(c.args[0].size for c in turns.call_args_list) == len(nu) * per_output
+        assert unique.call_count == sorts
+        assert len(rows.call_args_list[0].args[0]) == min(len(nu), max(1, chunk // len(t)))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -489,8 +496,9 @@ def _repeated_case(draw, n: int):
     return p, s, (t, f), w, rng.permutation(len(w))
 
 
-def _direct_case(n: int):
-    return st.one_of(_wide_sparse_case(n), _repeated_case(n))
+# every example draws both: scattered sources and wide sparse keys (one
+# phase per pair), and sources that repeat their coordinates (the table route)
+_DIRECT_CASES = (_wide_sparse_case, _repeated_case)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -498,18 +506,19 @@ def _direct_case(n: int):
 @given(data=st.data(), budget=_BUDGETS)
 def test_direct_kernel_values_do_not_depend_on_the_batch(n, data, budget):
     # a point gets the same bits alone, in its batch and in a permuted batch
-    p, s, (t, f), w, perm = data.draw(_direct_case(n))
-    evaluators = {
-        "kernel_quadrature": lambda pts: kernel_quadrature(p, t, f, 0.3, pts),
-        "dtsaft": lambda pts: dtsaft(p, s, pts),
-    }
-    with patch.object(saft, "PHASE_BUDGET", budget), \
-            patch.object(saft, "grid_phase_sum", side_effect=AssertionError("box route")):
-        for name, fn in evaluators.items():
-            batch = fn(w)
-            alone = np.array([fn(w[i:i + 1])[0] for i in range(len(w))])
-            assert np.array_equal(batch, alone), name
-            assert np.array_equal(batch[perm], fn(w[perm])), name
+    for case in _DIRECT_CASES:
+        p, s, (t, f), w, perm = data.draw(case(n))
+        evaluators = {
+            "kernel_quadrature": lambda pts: kernel_quadrature(p, t, f, 0.3, pts),
+            "dtsaft": lambda pts: dtsaft(p, s, pts),
+        }
+        with patch.object(saft, "PHASE_BUDGET", budget), \
+                patch.object(saft, "grid_phase_sum", side_effect=AssertionError("box route")):
+            for name, fn in evaluators.items():
+                batch = fn(w)
+                alone = np.array([fn(w[i:i + 1])[0] for i in range(len(w))])
+                assert np.array_equal(batch, alone), (case.__name__, name)
+                assert np.array_equal(batch[perm], fn(w[perm])), (case.__name__, name)
 
 
 # ---------------------------------------------------------------------------
@@ -524,20 +533,21 @@ def _bits(a) -> np.ndarray:
 @SETTINGS
 @given(data=st.data(), budget=_BUDGETS, workers=st.sampled_from([2, 3, 5]))
 def test_direct_kernel_values_do_not_depend_on_the_thread_count(n, data, budget, workers):
-    p, s, (t, f), w, _ = data.draw(_direct_case(n))
-    evaluators = {
-        "_phase_sum": lambda: _phase_sum(w, t, f),
-        "kernel_quadrature": lambda: kernel_quadrature(p, t, f, 0.3, w),
-        "dtsaft": lambda: dtsaft(p, s, w),
-    }
-    with patch.object(saft, "PHASE_BUDGET", budget), \
-            patch.object(saft, "grid_phase_sum", side_effect=AssertionError("box route")):
-        for name, fn in evaluators.items():
-            with patch.object(saft, "_WORKERS", 1):
-                ref = fn()
-            with patch.object(saft, "_WORKERS", workers):
-                got = fn()
-            assert np.array_equal(_bits(got), _bits(ref)), name
+    for case in _DIRECT_CASES:
+        p, s, (t, f), w, _ = data.draw(case(n))
+        evaluators = {
+            "_phase_sum": lambda: _phase_sum(w, t, f),
+            "kernel_quadrature": lambda: kernel_quadrature(p, t, f, 0.3, w),
+            "dtsaft": lambda: dtsaft(p, s, w),
+        }
+        with patch.object(saft, "PHASE_BUDGET", budget), \
+                patch.object(saft, "grid_phase_sum", side_effect=AssertionError("box route")):
+            for name, fn in evaluators.items():
+                with patch.object(saft, "_WORKERS", 1):
+                    ref = fn()
+                with patch.object(saft, "_WORKERS", workers):
+                    got = fn()
+                assert np.array_equal(_bits(got), _bits(ref)), (case.__name__, name)
 
 
 def _rows_and_points(seed: int):

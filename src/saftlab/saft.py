@@ -35,24 +35,28 @@ point ``w``.  Each site takes the route its sources allow:
   small (`_BOX_PER_KEY` elements per key, half of `PHASE_BUDGET`), else
   directly over the keys.  The gate exists for sparse, wide supports: two
   keys far apart would otherwise allocate and sum a box of zeros;
-* `kernel_quadrature` sums one term per (output, source) pair with the
-  direct kernel `_phase_sum`, the oracle the other routes are checked
-  against.  M sources that repeat their coordinates (``2 sum_i U_i <= M``
-  for U_i distinct ones on axis i) get per-axis tables over the distinct
-  coordinates, a pair's exponential the product of its gathered entries;
-  scattered ones get one phase ``nu.t`` per pair.  The contract: each
-  phase in turns is reduced to its fraction of a turn (``arg - rint(arg)``
-  is exact and leaves ``|arg| <= 1/2``) and formed as a real cosine and
-  sine (`_turns`), so forming it adds no error that grows with the number
-  of turns.  No step calls BLAS, whose worker threads would spin through
-  the next chunk, and every step treats an output alone, so a point's
-  value does not depend on the batch it came in.  The outputs are split
-  into at most `_WORKERS` contiguous blocks, the calling thread summing the
-  first and a pool opened for the call the others, in chunks of
-  ``PHASE_BUDGET // _WORKERS // M`` rows that together hold one
-  `PHASE_BUDGET` (table chunks: ``PHASE_BUDGET // 32`` elements, in cache);
-  a value is the same bits for any thread count, and the workers run under
-  the caller's floating-point error state.
+* `kernel_quadrature` sums with the direct kernel `_phase_sum`, the oracle
+  the other routes are checked against.  M sources that repeat their
+  coordinates (``2 sum_i U_i <= M`` for U_i distinct ones on axis i) and
+  fill at least half of their box (``prod_i U_i <= 2M``, n >= 2 axes of two
+  or more each; grids) are scattered once into that dense box, a repeated
+  point's coefficients added, and each output contracts the box with one
+  table of U_i exponentials per axis, last axis first, with no gathers.  In
+  a sparser box they get the same tables, a pair's exponential the product
+  of its gathered entries; scattered ones get one phase ``nu.t`` per pair.
+  The contract: each phase in turns is reduced to its fraction of a turn
+  (``arg - rint(arg)`` is exact and leaves ``|arg| <= 1/2``) and formed as a
+  real cosine and sine (`_turns`), so forming it adds no error that grows
+  with the number of turns.  No step calls BLAS, whose worker threads would
+  spin through the next chunk, and every step treats an output alone, in a
+  fixed order, so a point's value does not depend on the batch it came in.
+  The outputs are split into at most `_WORKERS` contiguous blocks, the
+  calling thread summing the first and a pool opened for the call the
+  others, in chunks that together hold one `PHASE_BUDGET` (the box counted
+  in it): ``PHASE_BUDGET // _WORKERS`` elements per chunk on the per-pair
+  route, at most ``PHASE_BUDGET // 32`` on the tables and ``// 4`` on the
+  box, as timed on 2 cores.  A value is the same bits for any thread count,
+  and the workers run under the caller's floating-point error state.
 """
 
 from __future__ import annotations
@@ -202,27 +206,52 @@ def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray, cols) -> np.nda
     return terms.sum(axis=1)
 
 
+def _box_rows(v: np.ndarray, axes, box: np.ndarray) -> np.ndarray:
+    """One chunk of `_phase_sum`'s box route: the dense ``box`` over the
+    distinct coordinates ``axes`` contracted with one table per axis, last
+    axis first.  With two or more coordinates on each axis, the tables'
+    broadcast axes keep each product row by row (see `_product`) but the
+    last, (r, U_1) by (r, U_1), which writes into padded rows."""
+    acc = box
+    for i in range(len(axes) - 1, 0, -1):
+        table = _turns(v[:, i:i + 1] * axes[i]).reshape((len(v),) + (1,) * i + (-1,))
+        acc = (acc * table).sum(axis=-1)
+    terms = np.empty((len(v), len(axes[0]) + 1), dtype=complex)[:, :-1]
+    np.multiply(acc, _turns(v[:, :1] * axes[0]), out=terms)
+    return terms.sum(axis=1)
+
+
 def _phase_sum(nu: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """``sum_m coeff[m] exp(-2 i pi nu.k_m)`` for each row of ``nu`` (No, n):
-    the direct kernel, whose contract is in the module docstring."""
+    the direct kernel, whose routes and contract are in the module docstring.
+    The box route beats the tables from about 40% fill of a 32^2 box, so
+    it takes boxes at least half full."""
     rows, m = nu.shape[0], max(1, k.shape[0])
     out = np.empty(rows, dtype=complex)
-    # the table route where 2 sum_i U_i <= M (U_i distinct coordinates on
-    # axis i); it breaks even near sum_i U_i = M.  A plain sort counts U_i
-    # at a sixth of the inverse's cost, so scattered sources sort one column
+    # a plain sort counts U_i at a sixth of the inverse's cost, so scattered
+    # sources sort one column
     counts = accumulate(len(np.unique(c)) for c in k.T)
     cols = None if any(2 * u > m for u in counts) else [np.unique(c, return_inverse=True) for c in k.T]
-    # table chunks of at most PHASE_BUDGET // 32 elements stay in cache; a
-    # row longer than a chunk is a chunk alone, and then fewer blocks run
-    step = max(1, PHASE_BUDGET // max(_WORKERS, 32 if cols else 1) // m)
-    blocks = min(_WORKERS, max(1, PHASE_BUDGET // (step * m)), -(-rows // step))
+    shape = [len(u) for u, _ in cols or ()]
+    held = prod(shape)
+    if len(shape) > 1 and min(shape) > 1 and held <= 2 * m:
+        box = np.zeros(shape, dtype=complex)
+        np.add.at(box, tuple(inv for _, inv in cols), coeff)
+        rows_of, args, width, split = _box_rows, ([u for u, _ in cols], box), held, 4
+    else:
+        rows_of, args, width, split, held = _phase_rows, (k, coeff, cols), m, 32 if cols else 1, 0
+    # chunks of PHASE_BUDGET // max(_WORKERS, split) elements (split timed
+    # on 2 cores), the box counted in the budget; a row longer than a chunk
+    # is a chunk alone, and then fewer blocks run
+    step = max(1, PHASE_BUDGET // max(_WORKERS, split) // width)
+    blocks = min(_WORKERS, max(1, (PHASE_BUDGET - held) // (step * width)), -(-rows // step))
     err = np.geterr()
 
     def run(lo: int, hi: int) -> None:
         with np.errstate(**err):
             for a in range(lo, hi, step):
                 b = min(a + step, hi)
-                out[a:b] = _phase_rows(nu[a:b], k, coeff, cols)
+                out[a:b] = rows_of(nu[a:b], *args)
 
     if blocks <= 1:
         run(0, rows)
@@ -343,9 +372,10 @@ def kernel_quadrature(
     """Direct evaluation of the defining integral as a weighted kernel sum.
 
     ``in_points``: (M, n) sample locations with quadrature weight ``weight``
-    each; ``out_points``: (..., n) arbitrary physical frequencies.  One
-    term per (output, sample) pair on the direct kernel `_phase_sum` (its
-    tables and contract in the module docstring): the direct-sum oracle.
+    each; ``out_points``: (..., n) arbitrary physical frequencies.  The
+    direct-sum oracle: the direct kernel `_phase_sum` sums every sample for
+    every output, over the samples' dense box, per-axis tables or one phase
+    per pair (routes and contract in the module docstring).
     """
     t = np.asarray(in_points, dtype=float).reshape(-1, p.n)
     src = _chirped(p, t, np.asarray(in_values).reshape(-1)) * weight

@@ -7,21 +7,24 @@ pair, outputs taken 4,096 at a time.  Two kernels replace them:
   sparse side of `_seq_phase_sum`) still sums one term per (output,
   sample) pair, in chunks sized by an element budget.  Scattered samples
   get one phase ``nu.t`` per pair, summed elementwise; samples that repeat
-  their coordinates (a grid, integer points in a small box) take the table
-  route, where each axis gets one exponential per (output, distinct
-  coordinate) and a pair's term is the product of its gathered table
-  entries.  A row's terms go through numpy's pairwise sum, where the
-  oracles used BLAS for the phases and the sums, and every exponential is
-  the real cosine and sine of a phase reduced to a fraction of a turn,
-  where the oracles took complex ``np.exp`` of the whole phase (and
-  rounded ``2 pi nu.t`` at its full size).  Values agree within those
-  rounding bounds, and the table route agrees with the per-pair kernel as
-  it was (kept in ``phase_oracles.py``) within a few eps of the term mass
-  per turn of phase.  Every step treats an output alone, so a point gets
-  the same bits alone as in any batch; and where the phase itself is exact
-  (a quarter turn past 10^6 turns), so is the exponential to a few eps.
-  Its outputs are split over `_WORKERS` threads whose chunks share one
-  budget, and the bits do not depend on how many;
+  their coordinates get one exponential per (output, distinct coordinate)
+  on each axis.  Where they fill at least half of their box (a grid), the
+  box route contracts the dense box with those tables axis by axis; in a
+  sparser box (integer points, a quarter-full grid), the table route takes
+  a pair's term as the product of its gathered table entries.  A row's
+  terms go through numpy's pairwise sum, where the oracles used BLAS for
+  the phases and the sums, and every exponential is the real cosine and
+  sine of a phase reduced to a fraction of a turn, where the oracles took
+  complex ``np.exp`` of the whole phase (and rounded ``2 pi nu.t`` at its
+  full size).  Values agree within those rounding bounds, and the box and
+  table routes agree with the per-pair kernel as it was (kept in
+  ``phase_oracles.py``) within a few eps of the term mass per turn of
+  phase; so does `grid_quadrature` on the same boxes, within its own bound.
+  Every step treats an output alone, so a point gets the same bits alone
+  as in any batch; and where the phase itself is exact (a quarter turn
+  past 10^6 turns), so is the exponential to a few eps.  Its outputs are
+  split over `_WORKERS` threads whose chunks share one budget, and the
+  bits depend neither on how many nor on the budget;
 * the grid kernel (`grid_phase_sum`, `grid_quadrature`, the quad inverse,
   `sis.spectrum_at`, `filter_symbol` on grid filters, the image sum of
   `poisson_check`) forms one exponential per (distinct output coordinate
@@ -45,7 +48,7 @@ chunks, down to one output per chunk, and moves boxes onto the direct route.
 
 import threading
 import tracemalloc
-from math import prod
+from math import ceil, prod
 from unittest.mock import patch
 
 import numpy as np
@@ -378,28 +381,46 @@ def test_table_route_matches_both_oracles(n, data, budget):
     assert np.max(np.abs(dt - oracle.dtsaft(p, s, w))) <= _dot_bound(p, w, k.astype(float), mass)
 
 
+def _filled_cells(rng, shape, fill: float) -> np.ndarray:
+    """Flat indices of distinct cells of a box of ``shape``: a ``fill`` share
+    of them (rounded up), at least one on each coordinate of each axis."""
+    cover = np.ravel_multi_index([np.arange(max(shape)) % side for side in shape], shape)
+    rest = np.setdiff1d(np.arange(prod(shape)), cover)
+    more = rng.choice(rest, max(0, ceil(fill * prod(shape)) - len(cover)), replace=False)
+    return np.concatenate([cover, more])
+
+
 @pytest.mark.parametrize("n,shape", [(2, (13, 11)), (3, (5, 4, 6))])
 @pytest.mark.parametrize("budget", [16, 4096, PHASE_BUDGET])
-def test_direct_kernel_forms_table_exponentials_only_for_repeated_coordinates(n, shape, budget):
-    # on grid sources each output forms sum_i N_i exponentials, one per
-    # distinct coordinate of each axis, in chunks of budget // 32 elements;
-    # scattered sources keep one per pair in chunks of a whole budget, and
-    # the search for repeats sorts only their first column
+def test_direct_kernel_takes_the_route_its_box_fill_names(n, shape, budget):
+    # a full or half-full box: sum_i U_i exponentials per output contracted
+    # over the box, with no gathers, in chunks of budget // 4 elements; a
+    # quarter-full box: the same exponentials gathered per pair, in chunks
+    # of budget // 32; scattered sources: one per pair in chunks of a whole
+    # budget.  The search for repeats sorts only the scattered first column
     rng = np.random.default_rng(budget)
+    sparse = {2: (32, 32), 3: (8, 8, 8)}[n]
     grid = mesh([rng.uniform(-3.0, 3.0, side) for side in shape]).reshape(-1, n)
-    scattered = rng.uniform(-3.0, 3.0, grid.shape)
-    coeff = rng.normal(size=len(grid)) + 1j * rng.normal(size=len(grid))
+    quarter = mesh([rng.uniform(-3.0, 3.0, side) for side in sparse]).reshape(-1, n)
     nu = rng.uniform(-6.0, 6.0, (37, n))
-    cases = ((grid, sum(shape), 2 * n, budget // 32), (scattered, len(grid), 1, budget))
-    for t, per_output, sorts, chunk in cases:
+    cases = [(grid, "_box_rows", sum(shape), 2 * n, budget // 4, prod(shape)),
+             (grid[_filled_cells(rng, shape, 0.5)], "_box_rows", sum(shape), 2 * n,
+              budget // 4, prod(shape)),
+             (quarter[_filled_cells(rng, sparse, 0.25)], "_phase_rows", sum(sparse), 2 * n,
+              budget // 32, prod(sparse) // 4),
+             (rng.uniform(-3.0, 3.0, grid.shape), "_phase_rows", len(grid), 1, budget, len(grid))]
+    for t, route, per_output, sorts, chunk, width in cases:
+        coeff = rng.normal(size=len(t)) + 1j * rng.normal(size=len(t))
         with patch.object(saft, "PHASE_BUDGET", budget), patch.object(saft, "_WORKERS", 1), \
                 patch.object(saft, "_turns", wraps=saft._turns) as turns, \
-                patch.object(saft, "_phase_rows", wraps=saft._phase_rows) as rows, \
-                patch.object(saft.np, "unique", wraps=np.unique) as unique:
+                patch.object(saft, route, wraps=getattr(saft, route)) as rows, \
+                patch.object(saft.np, "unique", wraps=np.unique) as unique, \
+                patch.object(saft.np, "take", wraps=np.take) as take:
             _phase_sum(nu, t, coeff)
         assert sum(c.args[0].size for c in turns.call_args_list) == len(nu) * per_output
         assert unique.call_count == sorts
-        assert len(rows.call_args_list[0].args[0]) == min(len(nu), max(1, chunk // len(t)))
+        assert take.called == (route == "_phase_rows" and sorts > 1)
+        assert len(rows.call_args_list[0].args[0]) == min(len(nu), max(1, chunk // width))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -462,18 +483,20 @@ def _wide_sparse_case(draw, n: int):
 def _repeated_case(draw, n: int):
     """As `_wide_sparse_case`, but the points and keys repeat coordinates,
     so that `_phase_sum` takes its table route (``2 sum_i U_i <= M`` for
-    U_i distinct coordinates on axis i).  The points are a grid (n >= 2),
-    integer points drawn from a small box, or points drawn from small
-    per-axis pools that may hold ``0.0`` next to ``-0.0``.  The keys come
-    from per-axis pools spanning [-5000, 5000], whose box the box route
-    refuses; distinct 1-D keys repeat no coordinate, so for n = 1 they keep
-    one phase per pair."""
+    U_i distinct coordinates on axis i).  The points fill a quarter of a
+    box of random coordinates (n >= 2, the table route; `_box_sources` fill
+    more of it), or they are integer points drawn from a small box, or
+    points drawn from small per-axis pools that may hold ``0.0`` next to
+    ``-0.0``.  The keys come from per-axis pools spanning [-5000, 5000],
+    whose box `_seq_phase_sum` refuses; distinct 1-D keys repeat no
+    coordinate, so for n = 1 they keep one phase per pair."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = random_params(n, rng)
-    kind = draw(st.sampled_from(["grid", "box", "pool"] if n > 1 else ["box", "pool"]))
-    if kind == "grid":
-        side = st.integers({2: 4, 3: 3}[n], 6)
-        t = mesh([rng.uniform(-3.0, 3.0, draw(side)) for _ in range(n)]).reshape(-1, n)
+    kind = draw(st.sampled_from(["quarter", "box", "pool"] if n > 1 else ["box", "pool"]))
+    if kind == "quarter":
+        shape = tuple(draw(st.integers({2: 16, 3: 5}[n], {2: 20, 3: 6}[n])) for _ in range(n))
+        t = mesh([rng.uniform(-3.0, 3.0, side) for side in shape]).reshape(-1, n)
+        t = t[_filled_cells(rng, shape, 0.25)]
     else:
         if kind == "box":
             pools = [np.arange(draw(st.integers(1, 5))) + float(rng.integers(-5, 6))
@@ -496,9 +519,64 @@ def _repeated_case(draw, n: int):
     return p, s, (t, f), w, rng.permutation(len(w))
 
 
-# every example draws both: scattered sources and wide sparse keys (one
-# phase per pair), and sources that repeat their coordinates (the table route)
-_DIRECT_CASES = (_wide_sparse_case, _repeated_case)
+@st.composite
+def _box_sources(draw, n: int):
+    """A random block, 0, 1 or more outputs, and sources on a box of evenly
+    spaced coordinates (two or more per axis) that fill all of it or half,
+    plus repeats with fresh coefficients, at least enough that
+    ``2 sum_i U_i <= M``: for n >= 2 the direct kernel's box route.  The
+    box comes as a grid whose values add up each cell's coefficients."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = random_params(n, rng)
+    shape = tuple(draw(st.integers(2, _MAX_SIDE[n])) for _ in range(n))
+    cells = _filled_cells(rng, shape, draw(st.sampled_from([1.0, 0.5])))
+    extra = max(draw(st.integers(0, 10)), 2 * sum(shape) - len(cells))
+    cells = np.concatenate([cells, rng.choice(cells, extra)])
+    f = rng.normal(size=len(cells)) + 1j * rng.normal(size=len(cells))
+    dense = np.zeros(shape, dtype=complex)
+    np.add.at(dense, np.unravel_index(cells, shape), f)
+    g = GridFn(n, shape, rng.uniform(-3.0, 0.0, n), rng.uniform(0.1, 0.5, n), dense)
+    n_out = draw(st.one_of(st.sampled_from([0, 1]), st.integers(2, 60)))
+    return p, g, (g.points().reshape(-1, n)[cells], f), rng.uniform(-6.0, 6.0, (n_out, n))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_box_route_and_grid_quadrature_match_the_per_pair_oracle(n, data, budget):
+    # both sum the same box, with loops or with a GEMM; each is checked
+    # against the direct kernel as it was, one phase per pair over the
+    # sources as given, so a repeated point must add its coefficients
+    p, g, (t, f), w = data.draw(_box_sources(n))
+    with patch.object(saft, "PHASE_BUDGET", budget), \
+            patch.object(saft, "_box_rows", wraps=saft._box_rows) as box:
+        nu = saft._reduced(p, w)
+        got = _phase_sum(nu, t, f)
+        quad = kernel_quadrature(p, t, f, g.cell_volume, w)
+        grid = grid_quadrature(p, g, w)
+    assert box.called == (len(w) > 0)
+    assert got.shape == quad.shape == grid.shape == (len(w),)
+    if len(w):
+        mass = float(np.sum(np.abs(f)))
+        assert np.max(np.abs(got - oracle._phase_sum(nu, t, f))) <= _turn_bound(nu, t, mass)
+        src = saft._chirped(p, t, f) * g.cell_volume
+        ref = saft._modulated(p, w, oracle._phase_sum(nu, t, src))
+        mass *= g.cell_volume / np.sqrt(p.abs_det_b)
+        assert np.max(np.abs(quad - ref)) <= _turn_bound(nu, t, mass)
+        assert np.max(np.abs(grid - ref)) <= GRID_RTOL * mass
+
+
+@st.composite
+def _filled_case(draw, n: int):
+    """As `_wide_sparse_case`, but the points are `_box_sources`."""
+    p, s, _, w, perm = draw(_wide_sparse_case(n))
+    return p, s, draw(_box_sources(n))[2], w, perm
+
+
+# every example draws all three: scattered sources and wide sparse keys (one
+# phase per pair), sources that repeat their coordinates (mostly the table
+# route) and sources that fill their box (the box route for n >= 2)
+_DIRECT_CASES = (_wide_sparse_case, _repeated_case, _filled_case)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -540,12 +618,13 @@ def test_direct_kernel_values_do_not_depend_on_the_thread_count(n, data, budget,
             "kernel_quadrature": lambda: kernel_quadrature(p, t, f, 0.3, w),
             "dtsaft": lambda: dtsaft(p, s, w),
         }
-        with patch.object(saft, "PHASE_BUDGET", budget), \
-                patch.object(saft, "grid_phase_sum", side_effect=AssertionError("box route")):
+        # the reference runs on one thread at the default budget
+        with patch.object(saft, "grid_phase_sum", side_effect=AssertionError("box route")):
             for name, fn in evaluators.items():
                 with patch.object(saft, "_WORKERS", 1):
                     ref = fn()
-                with patch.object(saft, "_WORKERS", workers):
+                with patch.object(saft, "PHASE_BUDGET", budget), \
+                        patch.object(saft, "_WORKERS", workers):
                     got = fn()
                 assert np.array_equal(_bits(got), _bits(ref)), (case.__name__, name)
 
@@ -700,7 +779,7 @@ def _peak_bytes(fn) -> int:
 
 @pytest.mark.parametrize("kernel,workers", [
     pytest.param("grid", 1, id="grid"),
-    # grid sources: the direct kernel's table route
+    # grid sources: the direct kernel's box route
     pytest.param("direct", 1, id="direct"),
     pytest.param("direct", 2, id="direct-2"),
     pytest.param("direct", 4, id="direct-4"),
@@ -709,6 +788,9 @@ def _peak_bytes(fn) -> int:
     # scattered sources: one phase per pair
     pytest.param("scattered", 1, id="direct-scattered"),
     pytest.param("scattered", 2, id="direct-scattered-2"),
+    # a quarter of the grid: the table route
+    pytest.param("quarter", 1, id="direct-quarter"),
+    pytest.param("quarter", 2, id="direct-quarter-2"),
 ])
 def test_peak_memory_is_bounded_by_the_budget(kernel, workers):
     rng = np.random.default_rng(11)
@@ -722,9 +804,13 @@ def test_peak_memory_is_bounded_by_the_budget(kernel, workers):
             run = lambda: grid_phase_sum(nu, axes, vals)
         else:
             t = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+            coeff = vals.reshape(-1)
             if kernel == "scattered":
                 t = t + rng.uniform(-0.01, 0.01, t.shape)
-            run = lambda: _phase_sum(nu, t, vals.reshape(-1))
+            if kernel == "quarter":
+                cells = _filled_cells(rng, (side, side), 0.25)
+                t, coeff = t[cells], coeff[cells]
+            run = lambda: _phase_sum(nu, t, coeff)
         with patch.object(saft, "PHASE_BUDGET", budget), patch.object(saft, "_WORKERS", workers):
             peaks.append(_peak_bytes(run))
     # the direct kernel's threads share the budget; unchunked, the phase

@@ -358,6 +358,13 @@ def _require_stable(field: MatrixField, system: str) -> dict:
     return {"min_abs_det": rep.min_abs_det, "max_cond": rep.max_cond}
 
 
+def _require_on_grid(field: MatrixField, wpts: np.ndarray, grid: str) -> None:
+    """A solver precondition: ``field`` was evaluated at the points ``wpts``
+    of the solve grid that the message names."""
+    if field.wpoints.shape != wpts.shape or not np.allclose(field.wpoints, wpts, atol=1e-9):
+        raise ValueError(f"matrix field was not evaluated on the {grid}")
+
+
 # ---------------------------------------------------------------------------
 # recovery
 
@@ -379,8 +386,9 @@ def solve_grid(
     return xi @ params.B.T, shape, lo
 
 
-def _fold_to_box(keys: np.ndarray, weights: np.ndarray, shape: tuple) -> np.ndarray:
-    """Accumulate weighted integer keys into an index box modulo its extents."""
+def _folded_fft(p: SaftParams, keys: np.ndarray, weights: np.ndarray, shape: tuple) -> np.ndarray:
+    """Weighted integer keys accumulated into an index box modulo its
+    extents, then one FFT over the box, over ``sqrt|det B|``."""
     box = np.zeros(shape, dtype=complex)
     if keys.size:
         idx = np.ravel_multi_index(tuple((keys % np.array(shape)).T), shape)
@@ -389,7 +397,7 @@ def _fold_to_box(keys: np.ndarray, weights: np.ndarray, shape: tuple) -> np.ndar
             np.bincount(idx, weights=weights.real, minlength=size)
             + 1j * np.bincount(idx, weights=weights.imag, minlength=size)
         ).reshape(shape)
-    return box
+    return np.fft.fftn(box) / np.sqrt(p.abs_det_b)
 
 
 def folded_dt_values(p: SaftParams, s: SeqFn, shape: tuple) -> np.ndarray:
@@ -403,8 +411,7 @@ def folded_dt_values(p: SaftParams, s: SeqFn, shape: tuple) -> np.ndarray:
     k, v = s.as_arrays()
     kf = k.astype(float)
     wts = v * chirp(p, kf) * np.exp(2j * np.pi * (kf @ p.b_inv_p))
-    box = _fold_to_box(k, wts, shape)
-    return np.fft.fftn(box) / np.sqrt(p.abs_det_b)
+    return _folded_fft(p, k, wts, shape)
 
 
 def build_B_window(
@@ -426,15 +433,13 @@ def build_B_window(
     wpts, shape, lo = solve_grid(p, window_lo, window_hi)
     m = lat.m
     J = len(phi_levels)
-    sqrt_d = np.sqrt(p.abs_det_b)
     eta_flat = modulation(p, wpts)
     entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
     for j, samples in enumerate(phi_levels):
         for l, phi_lj in enumerate(generator_coset_samples(p, lat, samples)):
             rk, rv = phi_lj.as_arrays()
             wts = rv * np.exp(2j * np.pi * (rk.astype(float) @ p.b_inv_p))
-            box = _fold_to_box(rk, wts, shape)
-            entries[:, j, l] = eta_flat * (np.fft.fftn(box) / sqrt_d).reshape(-1)
+            entries[:, j, l] = eta_flat * _folded_fft(p, rk, wts, shape).reshape(-1)
     return MatrixField(wpoints=wpts, entries=entries, label="B")
 
 
@@ -477,13 +482,8 @@ def recover_discrete(
     lo, hi = (ms.window_lo, ms.window_hi) if r_window is None else (
         np.asarray(r_window[0], dtype=int), np.asarray(r_window[1], dtype=int))
     wpts, shape, lo = solve_grid(p, lo, hi)
-    if Bfield.wpoints.shape != wpts.shape or not np.allclose(
-        Bfield.wpoints, wpts, atol=1e-9
-    ):
-        raise ValueError(
-            "matrix field was not evaluated on the solve grid of the recovery "
-            "window; build it on dynsamp.solve_grid(params, lo, hi) points"
-        )
+    _require_on_grid(Bfield, wpts, "solve grid of the recovery window; build it on "
+                     "dynsamp.solve_grid(params, lo, hi) points")
     m = lat.m
     if ms.J != m:
         raise ValueError(f"need {m} channels for a square system, got {ms.J}")
@@ -580,13 +580,8 @@ def recover_continuous(
             "discrete route for general parameter blocks"
         )
     wpts, shape, lo, qshape = continuous_solve_grid(p, lat, window[0], window[1])
-    if Dfield.wpoints.shape != wpts.shape or not np.allclose(
-        Dfield.wpoints, wpts, atol=1e-9
-    ):
-        raise ValueError(
-            "matrix field was not evaluated on the continuous solve grid; "
-            "build it on dynsamp.continuous_solve_grid(...) points"
-        )
+    _require_on_grid(Dfield, wpts, "continuous solve grid; build it on "
+                     "dynsamp.continuous_solve_grid(...) points")
     m = lat.m
     if len(h_levels) != m:
         raise ValueError(f"need {m} channels for a square system, got {len(h_levels)}")

@@ -337,11 +337,6 @@ class SeqFn:
         np.add.at(out, inv[len(self):], other.values)
         return SeqFn.from_arrays(self.n, keys, out)
 
-    def thresholded(self, cutoff: float) -> "SeqFn":
-        """Drop entries with |value| < cutoff."""
-        keep = np.abs(self.values) >= cutoff
-        return SeqFn.from_arrays(self.n, self.keys[keep], self.values[keep])
-
 
 # ---------------------------------------------------------------------------
 # named analytic generators

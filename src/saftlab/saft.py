@@ -36,14 +36,14 @@ point ``w``.  Each site takes the route its sources allow:
   directly over the keys.  The gate exists for sparse, wide supports: two
   keys far apart would otherwise allocate and sum a box of zeros;
 * `kernel_quadrature` sums with the direct kernel `_phase_sum`, the oracle
-  the other routes are checked against.  M sources that repeat their
-  coordinates (``2 sum_i U_i <= M`` for U_i distinct ones on axis i) and
-  fill at least half of their box (``prod_i U_i <= 2M``, n >= 2 axes of two
-  or more each; grids) are scattered once into that dense box, a repeated
-  point's coefficients added, and each output contracts the box with one
-  table of U_i exponentials per axis, last axis first, with no gathers.  In
-  a sparser box they get the same tables, a pair's exponential the product
-  of its gathered entries; scattered ones get one phase ``nu.t`` per pair.
+  the other routes are checked against.  It takes one of two routes.  M
+  sources that repeat their coordinates (``2 sum_i U_i <= M`` for U_i
+  distinct ones on axis i) and fill at least a quarter of their box
+  (``prod_i U_i <= 4M``, n >= 2 axes of two or more each; grids) are
+  scattered once into that dense box, a repeated point's coefficients
+  added, and each output contracts the box with one table of U_i
+  exponentials per axis, last axis first, with no gathers.  All other
+  sources get one phase ``nu.t`` per pair.
   The contract: each phase in turns is reduced to its fraction of a turn
   (``arg - rint(arg)`` is exact and leaves ``|arg| <= 1/2``) and formed as a
   real cosine and sine (`_turns`), so forming it adds no error that grows
@@ -54,16 +54,15 @@ point ``w``.  Each site takes the route its sources allow:
   calling thread summing the first and a pool opened for the call the
   others, in chunks that together hold one `PHASE_BUDGET` (the box counted
   in it): ``PHASE_BUDGET // _WORKERS`` elements per chunk on the per-pair
-  route, at most ``PHASE_BUDGET // 32`` on the tables and ``// 4`` on the
-  box, as timed on 2 cores.  A value is the same bits for any thread count,
-  and the workers run under the caller's floating-point error state.
+  route and at most ``PHASE_BUDGET // 4`` on the box, as timed on 2 cores.
+  A value is the same bits for any thread count, and the workers run under
+  the caller's floating-point error state.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import accumulate
 from math import ceil, floor, prod, sqrt
 
 import numpy as np
@@ -184,21 +183,12 @@ def _turns(arg: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray, cols) -> np.ndarray:
-    """One chunk of `_phase_sum`: one phase per pair, or per-axis tables given ``cols``."""
-    if cols is None:
-        arg = v[:, :1] * k[:, 0]
-        for i in range(1, k.shape[1]):
-            arg += v[:, i:i + 1] * k[:, i]
-        terms = _turns(arg)
-    else:
-        # rows padded by one element, so that numpy runs each product below
-        # row by row rather than as one flat loop (see `_product`); "clip"
-        # lets np.take write into them without a buffer
-        terms = np.empty((len(v), k.shape[0] + 1), dtype=complex)[:, :-1]
-        np.take(_turns(v[:, :1] * cols[0][0]), cols[0][1], axis=1, out=terms, mode="clip")
-        for i, (u, inv) in enumerate(cols[1:], 1):
-            terms *= np.take(_turns(v[:, i:i + 1] * u), inv, axis=1)
+def _phase_rows(v: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """One chunk of `_phase_sum`'s per-pair route: one phase per pair."""
+    arg = v[:, :1] * k[:, 0]
+    for i in range(1, k.shape[1]):
+        arg += v[:, i:i + 1] * k[:, i]
+    terms = _turns(arg)
     if len(coeff) == 1:
         # one term per row: numpy would run the product below down the rows
         return _product(terms[:, 0], coeff[0])
@@ -224,22 +214,26 @@ def _box_rows(v: np.ndarray, axes, box: np.ndarray) -> np.ndarray:
 def _phase_sum(nu: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     """``sum_m coeff[m] exp(-2 i pi nu.k_m)`` for each row of ``nu`` (No, n):
     the direct kernel, whose routes and contract are in the module docstring.
-    The box route beats the tables from about 40% fill of a 32^2 box, so
-    it takes boxes at least half full."""
+    The box route beats one phase per pair from about 20% fill, so it takes
+    boxes at least a quarter full."""
     rows, m = nu.shape[0], max(1, k.shape[0])
     out = np.empty(rows, dtype=complex)
-    # a plain sort counts U_i at a sixth of the inverse's cost, so scattered
-    # sources sort one column
-    counts = accumulate(len(np.unique(c)) for c in k.T)
-    cols = None if any(2 * u > m for u in counts) else [np.unique(c, return_inverse=True) for c in k.T]
-    shape = [len(u) for u, _ in cols or ()]
+    # a plain sort counts U_i at a sixth of the inverse's cost, and the
+    # count stops at the first column past 2 sum_i U_i <= M, so scattered
+    # sources sort one column; only the box takes the inverses
+    shape = []
+    for c in k.T:
+        shape.append(len(np.unique(c)))
+        if 2 * sum(shape) > m:
+            break
     held = prod(shape)
-    if len(shape) > 1 and min(shape) > 1 and held <= 2 * m:
+    if len(shape) > 1 and 2 * sum(shape) <= m and min(shape) > 1 and held <= 4 * m:
+        cols = [np.unique(c, return_inverse=True) for c in k.T]
         box = np.zeros(shape, dtype=complex)
         np.add.at(box, tuple(inv for _, inv in cols), coeff)
         rows_of, args, width, split = _box_rows, ([u for u, _ in cols], box), held, 4
     else:
-        rows_of, args, width, split, held = _phase_rows, (k, coeff, cols), m, 32 if cols else 1, 0
+        rows_of, args, width, split, held = _phase_rows, (k, coeff), m, 1, 0
     # chunks of PHASE_BUDGET // max(_WORKERS, split) elements (split timed
     # on 2 cores), the box counted in the budget; a row longer than a chunk
     # is a chunk alone, and then fewer blocks run
@@ -318,8 +312,8 @@ def _seq_phase_sum(nu: np.ndarray, keys: np.ndarray, coeff: np.ndarray) -> np.nd
     its box holds at most `_BOX_PER_KEY` elements per key, and the box
     takes at most half of `PHASE_BUDGET`, so that with the sum's chunks
     (about one budget) the peak stays under twice the budget.  A sparse or
-    wide support takes the direct `_phase_sum` (tables if keys repeat
-    coordinates), whose cost does not grow with the box.
+    wide support takes the direct `_phase_sum`, whose cost does not grow
+    with the box.
     """
     if len(keys):
         lo, hi = keys.min(axis=0).tolist(), keys.max(axis=0).tolist()
@@ -374,8 +368,8 @@ def kernel_quadrature(
     ``in_points``: (M, n) sample locations with quadrature weight ``weight``
     each; ``out_points``: (..., n) arbitrary physical frequencies.  The
     direct-sum oracle: the direct kernel `_phase_sum` sums every sample for
-    every output, over the samples' dense box, per-axis tables or one phase
-    per pair (routes and contract in the module docstring).
+    every output, over the samples' dense box or one phase per pair (routes
+    and contract in the module docstring).
     """
     t = np.asarray(in_points, dtype=float).reshape(-1, p.n)
     src = _chirped(p, t, np.asarray(in_values).reshape(-1)) * weight

@@ -6,18 +6,17 @@ pair, outputs taken 4,096 at a time.  Two kernels replace them:
 * the direct kernel (`_phase_sum`, behind `kernel_quadrature` and the
   sparse side of `_seq_phase_sum`) still sums one term per (output,
   sample) pair, in chunks sized by an element budget.  Scattered samples
-  get one phase ``nu.t`` per pair, summed elementwise; samples that repeat
-  their coordinates get one exponential per (output, distinct coordinate)
-  on each axis.  Where they fill at least half of their box (a grid), the
-  box route contracts the dense box with those tables axis by axis; in a
-  sparser box (integer points, a quarter-full grid), the table route takes
-  a pair's term as the product of its gathered table entries.  A row's
-  terms go through numpy's pairwise sum, where the oracles used BLAS for
-  the phases and the sums, and every exponential is the real cosine and
-  sine of a phase reduced to a fraction of a turn, where the oracles took
+  get one phase ``nu.t`` per pair, summed elementwise.  Samples that repeat
+  their coordinates and fill at least a quarter of their box (a grid) take
+  the box route, which contracts the dense box with one table of
+  exponentials per (output, distinct coordinate) on each axis, axis by
+  axis; in a sparser box they get one phase per pair too.  A row's terms
+  go through numpy's pairwise sum, where the oracles used BLAS for the
+  phases and the sums, and every exponential is the real cosine and sine
+  of a phase reduced to a fraction of a turn, where the oracles took
   complex ``np.exp`` of the whole phase (and rounded ``2 pi nu.t`` at its
-  full size).  Values agree within those rounding bounds, and the box and
-  table routes agree with the per-pair kernel as it was (kept in
+  full size).  Values agree within those rounding bounds, and the box
+  route agrees with the per-pair kernel as it was (kept in
   ``phase_oracles.py``) within a few eps of the term mass per turn of
   phase; so does `grid_quadrature` on the same boxes, within its own bound.
   Every step treats an output alone, so a point gets the same bits alone
@@ -351,9 +350,9 @@ def test_dtsaft_matches_chunked_oracle(n, data, budget, size):
 
 
 def _turn_bound(nu, t, mass: float) -> float:
-    """Rounding allowed between the table route and one phase per pair:
-    the phase ``nu.t`` rounds per axis in one and as a sum in the other (up
-    to ``(n + 1) eps sum_i |nu_i t_i|`` turns apart), and the table route
+    """Rounding allowed between the box route and one phase per pair: the
+    phase ``nu.t`` rounds per axis in one and as a sum in the other (up to
+    ``(n + 1) eps sum_i |nu_i t_i|`` turns apart), and the box route
     multiplies n complex factors (a few eps each)."""
     n = nu.shape[1]
     turns = float(np.sum(np.abs(nu).max(axis=0) * np.abs(t).max(axis=0)))
@@ -363,7 +362,7 @@ def _turn_bound(nu, t, mass: float) -> float:
 @pytest.mark.parametrize("n", [1, 2, 3])
 @SETTINGS
 @given(data=st.data(), budget=_BUDGETS)
-def test_table_route_matches_both_oracles(n, data, budget):
+def test_repeated_coordinates_match_both_oracles(n, data, budget):
     p, s, (t, f), w, _ = data.draw(_repeated_case(n))
     with patch.object(saft, "PHASE_BUDGET", budget):
         got = _phase_sum(w, t, f)
@@ -393,23 +392,26 @@ def _filled_cells(rng, shape, fill: float) -> np.ndarray:
 @pytest.mark.parametrize("n,shape", [(2, (13, 11)), (3, (5, 4, 6))])
 @pytest.mark.parametrize("budget", [16, 4096, PHASE_BUDGET])
 def test_direct_kernel_takes_the_route_its_box_fill_names(n, shape, budget):
-    # a full or half-full box: sum_i U_i exponentials per output contracted
-    # over the box, with no gathers, in chunks of budget // 4 elements; a
-    # quarter-full box: the same exponentials gathered per pair, in chunks
-    # of budget // 32; scattered sources: one per pair in chunks of a whole
-    # budget.  The search for repeats sorts only the scattered first column
+    # a full, half-full or quarter-full box: sum_i U_i exponentials per
+    # output contracted over the box, in chunks of budget // 4 elements,
+    # after n plain sorts and n inverses; a box about 15% full, or one point
+    # repeated: one phase per pair in chunks of a whole budget, after n
+    # plain sorts and no inverse; scattered sources: the same, after
+    # sorting only their first column.  No route gathers
     rng = np.random.default_rng(budget)
     sparse = {2: (32, 32), 3: (8, 8, 8)}[n]
     grid = mesh([rng.uniform(-3.0, 3.0, side) for side in shape]).reshape(-1, n)
-    quarter = mesh([rng.uniform(-3.0, 3.0, side) for side in sparse]).reshape(-1, n)
+    wide = mesh([rng.uniform(-3.0, 3.0, side) for side in sparse]).reshape(-1, n)
     nu = rng.uniform(-6.0, 6.0, (37, n))
-    cases = [(grid, "_box_rows", sum(shape), 2 * n, budget // 4, prod(shape)),
-             (grid[_filled_cells(rng, shape, 0.5)], "_box_rows", sum(shape), 2 * n,
-              budget // 4, prod(shape)),
-             (quarter[_filled_cells(rng, sparse, 0.25)], "_phase_rows", sum(sparse), 2 * n,
-              budget // 32, prod(sparse) // 4),
-             (rng.uniform(-3.0, 3.0, grid.shape), "_phase_rows", len(grid), 1, budget, len(grid))]
-    for t, route, per_output, sorts, chunk, width in cases:
+    box, pairs = ("_box_rows", n, budget // 4), ("_phase_rows", 0, budget)
+    cases = [(grid, box, shape, n),
+             (grid[_filled_cells(rng, shape, 0.5)], box, shape, n),
+             (wide[_filled_cells(rng, sparse, 0.25)], box, sparse, n),
+             (wide[_filled_cells(rng, sparse, 0.15)], pairs, None, n),
+             (np.repeat(grid[:1], 8, axis=0), pairs, None, n),
+             (rng.uniform(-3.0, 3.0, grid.shape), pairs, None, 1)]
+    for t, (route, inverses, chunk), cells, sorts in cases:
+        per_output, width = (sum(cells), prod(cells)) if cells else (len(t), len(t))
         coeff = rng.normal(size=len(t)) + 1j * rng.normal(size=len(t))
         with patch.object(saft, "PHASE_BUDGET", budget), patch.object(saft, "_WORKERS", 1), \
                 patch.object(saft, "_turns", wraps=saft._turns) as turns, \
@@ -418,8 +420,9 @@ def test_direct_kernel_takes_the_route_its_box_fill_names(n, shape, budget):
                 patch.object(saft.np, "take", wraps=np.take) as take:
             _phase_sum(nu, t, coeff)
         assert sum(c.args[0].size for c in turns.call_args_list) == len(nu) * per_output
-        assert unique.call_count == sorts
-        assert take.called == (route == "_phase_rows" and sorts > 1)
+        assert [c.kwargs.get("return_inverse", False) for c in unique.call_args_list] == \
+            [False] * sorts + [True] * inverses
+        assert not take.called
         assert len(rows.call_args_list[0].args[0]) == min(len(nu), max(1, chunk // width))
 
 
@@ -456,8 +459,8 @@ def test_direct_kernel_reduces_each_phase_to_a_fraction_of_a_turn(n, key):
     nu[:, 0] = [0.25, 0.75]
     got = _phase_sum(nu, k, np.array([1.0 + 0j]))
     assert np.max(np.abs(got - np.array([-1j, 1j]))) <= 4 * EPS
-    # the same point eight times over repeats every coordinate: the table
-    # route reduces each axis's phase alone
+    # the same point eight times over repeats every coordinate, but its box
+    # has one cell: one phase per pair, reduced as a whole
     got = _phase_sum(nu, np.repeat(k, 8, axis=0), np.full(8, 0.125 + 0j))
     assert np.max(np.abs(got - np.array([-1j, 1j]))) <= 4 * EPS
 
@@ -481,22 +484,23 @@ def _wide_sparse_case(draw, n: int):
 
 @st.composite
 def _repeated_case(draw, n: int):
-    """As `_wide_sparse_case`, but the points and keys repeat coordinates,
-    so that `_phase_sum` takes its table route (``2 sum_i U_i <= M`` for
-    U_i distinct coordinates on axis i).  The points fill a quarter of a
-    box of random coordinates (n >= 2, the table route; `_box_sources` fill
-    more of it), or they are integer points drawn from a small box, or
-    points drawn from small per-axis pools that may hold ``0.0`` next to
-    ``-0.0``.  The keys come from per-axis pools spanning [-5000, 5000],
-    whose box `_seq_phase_sum` refuses; distinct 1-D keys repeat no
-    coordinate, so for n = 1 they keep one phase per pair."""
+    """As `_wide_sparse_case`, but the points and keys repeat coordinates
+    (``2 sum_i U_i <= M`` for U_i distinct coordinates on axis i), so that
+    `_phase_sum` counts them on every axis.  The points fill 15% of a box
+    of random coordinates (n >= 2, one phase per pair) or a quarter of it
+    (the box route at its cut; `_box_sources` fill more of it), or they are
+    integer points drawn from a small box, or points drawn from small
+    per-axis pools that may hold ``0.0`` next to ``-0.0``.  The keys come
+    from per-axis pools spanning [-5000, 5000], whose box `_seq_phase_sum`
+    refuses; distinct 1-D keys repeat no coordinate, so for n = 1 they keep
+    one phase per pair."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = random_params(n, rng)
-    kind = draw(st.sampled_from(["quarter", "box", "pool"] if n > 1 else ["box", "pool"]))
-    if kind == "quarter":
-        shape = tuple(draw(st.integers({2: 16, 3: 5}[n], {2: 20, 3: 6}[n])) for _ in range(n))
+    kind = draw(st.sampled_from(["sparse", "box", "pool"] if n > 1 else ["box", "pool"]))
+    if kind == "sparse":
+        shape = tuple(draw(st.integers({2: 28, 3: 7}[n], {2: 32, 3: 8}[n])) for _ in range(n))
         t = mesh([rng.uniform(-3.0, 3.0, side) for side in shape]).reshape(-1, n)
-        t = t[_filled_cells(rng, shape, 0.25)]
+        t = t[_filled_cells(rng, shape, draw(st.sampled_from([0.15, 0.25])))]
     else:
         if kind == "box":
             pools = [np.arange(draw(st.integers(1, 5))) + float(rng.integers(-5, 6))
@@ -522,14 +526,14 @@ def _repeated_case(draw, n: int):
 @st.composite
 def _box_sources(draw, n: int):
     """A random block, 0, 1 or more outputs, and sources on a box of evenly
-    spaced coordinates (two or more per axis) that fill all of it or half,
-    plus repeats with fresh coefficients, at least enough that
+    spaced coordinates (two or more per axis) that fill all of it, half or
+    a quarter, plus repeats with fresh coefficients, at least enough that
     ``2 sum_i U_i <= M``: for n >= 2 the direct kernel's box route.  The
     box comes as a grid whose values add up each cell's coefficients."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p = random_params(n, rng)
     shape = tuple(draw(st.integers(2, _MAX_SIDE[n])) for _ in range(n))
-    cells = _filled_cells(rng, shape, draw(st.sampled_from([1.0, 0.5])))
+    cells = _filled_cells(rng, shape, draw(st.sampled_from([1.0, 0.5, 0.25])))
     extra = max(draw(st.integers(0, 10)), 2 * sum(shape) - len(cells))
     cells = np.concatenate([cells, rng.choice(cells, extra)])
     f = rng.normal(size=len(cells)) + 1j * rng.normal(size=len(cells))
@@ -574,8 +578,8 @@ def _filled_case(draw, n: int):
 
 
 # every example draws all three: scattered sources and wide sparse keys (one
-# phase per pair), sources that repeat their coordinates (mostly the table
-# route) and sources that fill their box (the box route for n >= 2)
+# phase per pair), sources that repeat their coordinates (either route) and
+# sources that fill their box (the box route for n >= 2)
 _DIRECT_CASES = (_wide_sparse_case, _repeated_case, _filled_case)
 
 
@@ -788,7 +792,7 @@ def _peak_bytes(fn) -> int:
     # scattered sources: one phase per pair
     pytest.param("scattered", 1, id="direct-scattered"),
     pytest.param("scattered", 2, id="direct-scattered-2"),
-    # a quarter of the grid: the table route
+    # a quarter of the grid: the box route at its cut
     pytest.param("quarter", 1, id="direct-quarter"),
     pytest.param("quarter", 2, id="direct-quarter-2"),
 ])

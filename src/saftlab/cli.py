@@ -79,7 +79,7 @@ def _parse_axis_specs(text: str, what: str) -> list[tuple[float, float, int]]:
         if len(fields) != 3:
             raise ValueError(f"{what}: expected lo:hi:count, got {part!r}")
         lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
-        if count < 1 or hi <= lo:
+        if count < 1 or not -np.inf < lo < hi < np.inf:
             raise ValueError(f"{what}: bad range {part!r}")
         out.append((lo, hi, count))
     return out
@@ -121,8 +121,16 @@ def _parse_int_matrix(text: str) -> list:
     return value
 
 
-def _parse_complex(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("i", "j"))
+def _finite_complex(text: str) -> complex:
+    """argparse type: a finite complex number; a trailing ``i`` may stand for ``j``."""
+    t = text.replace(" ", "")
+    try:
+        value = complex(t[:-1] + "j" if t.endswith("i") else t)
+        if np.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite complex number, got {text!r}")
 
 
 def _load_params(path: str):
@@ -314,7 +322,7 @@ def _cmd_verify(args) -> int:
 def _cmd_sis(args) -> int:
     from .dynsamp import solve_grid
     from .io import format_rows
-    from .sis import build_sis, grammian, grammian_unsquared, riesz_bounds
+    from .sis import _riesz_report, _shift_values, build_sis
 
     p = _load_params(args.params)
     phi = _load_operand(args.phi)
@@ -323,12 +331,13 @@ def _cmd_sis(args) -> int:
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
     wpts, _shape, _lo = solve_grid(p, [0] * p.n, [args.cell_points - 1] * p.n)
-    g = np.atleast_1d(grammian(model, wpts))
-    u = np.atleast_1d(grammian_unsquared(model, wpts))
+    # one pass over the shift table serves both sums and the Riesz verdict
+    mags = _shift_values(model, wpts)
+    g, u = np.sum(mags**2, axis=-1), np.sum(mags, axis=-1)
     header = [",".join(f"w{i + 1}" for i in range(p.n)) + ",grammian,unsquared_sum"]
     text = format_rows(header, np.column_stack([wpts, g, u]))
     summary = _emit_rows(Path(args.out) if args.out else None, text)
-    rep = riesz_bounds(model, wpts)
+    rep = _riesz_report(wpts, g)
     print(json.dumps({
         "lower": rep.eta1,
         "upper": rep.eta2,
@@ -475,8 +484,8 @@ def _cmd_repro(args) -> int:
     params = _load_params(args.params) if args.params else None
     scenario = build_example(
         params=params,
-        c1=_parse_complex(args.c1),
-        c2=_parse_complex(args.c2),
+        c1=args.c1,
+        c2=args.c2,
         threshold=args.threshold,
     )
     report, _recovered = run_example(scenario, outdir=args.outdir)
@@ -719,8 +728,8 @@ def build_parser() -> _Parser:
     rep = sub.add_parser("repro", help="worked end-to-end examples")
     rsub = rep.add_subparsers(dest="subcommand", parser_class=_Parser)
     sp = rsub.add_parser("section5", help="two-dimensional recovery example")
-    sp.add_argument("--c1", default="1", help="first filter coefficient (complex)")
-    sp.add_argument("--c2", default="0.5", help="second filter coefficient (complex)")
+    sp.add_argument("--c1", type=_finite_complex, default="1", help="first filter coefficient")
+    sp.add_argument("--c2", type=_finite_complex, default="0.5", help="second filter coefficient")
     sp.add_argument("--params", default=None, help="parameter JSON (default: plain FT)")
     sp.add_argument("--outdir", default=None, help="directory for figure CSVs + report.json")
     sp.add_argument("--threshold", type=_positive(float), default=1e-14,

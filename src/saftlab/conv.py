@@ -25,7 +25,7 @@ from math import prod, sqrt
 
 import numpy as np
 
-from .grid import GridFn, SeqFn, uniform_grid
+from .grid import COORD_TOL, GridFn, SeqFn, uniform_grid
 from .params import SaftParams, chirp, modulation, require_valid
 from .saft import dtsaft, grid_quadrature, saft_forward, saft_plan
 
@@ -47,14 +47,14 @@ __all__ = [
 PAIR_BUDGET = 1 << 18
 
 
-def integer_alignment(g: GridFn, tol: float = 1e-9) -> np.ndarray:
+def integer_alignment(g: GridFn) -> np.ndarray:
     """Samples per unit length, verifying integer shifts map centers to centers.
 
     Returns the per-axis integer ``q = 1/spacing``; raises when the spacing
     does not divide 1.
     """
     q = np.round(1.0 / g.spacing).astype(int)
-    if np.any(q < 1) or np.max(np.abs(q * g.spacing - 1.0)) > tol:
+    if np.any(q < 1) or np.max(np.abs(q * g.spacing - 1.0)) > COORD_TOL:
         raise ValueError(
             f"grid spacing {g.spacing.tolist()} does not divide 1; integer "
             "translates would fall between cell centers"

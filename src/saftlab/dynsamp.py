@@ -79,6 +79,9 @@ SAMPLE_THRESHOLD = 1e-14
 #: a matrix field passes `stability_report` only with every condition number below this
 COND_MAX = 1e8
 
+#: the solvers drop recovered coefficients at or below this fraction of the largest one
+RECOVERED_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MeasurementSet:
@@ -162,18 +165,14 @@ def _window_mesh(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def measure_from_samples(
-    params: SaftParams,
-    lat: SamplingLattice,
-    s: SeqFn,
-    phi_levels: list[SeqFn],
-    window: tuple | None = None,
+    params: SaftParams, lat: SamplingLattice, s: SeqFn, phi_levels: list[SeqFn]
 ) -> MeasurementSet:
     """Channels computed exactly from integer samples of the filtered
     generators (no grids): v_j is the twisted semidiscrete sum of ``s``
     against ``phi_levels[j]`` restricted to the transposed lattice.
 
-    The support is finite (sum of the two supports), so with ``window=None``
-    the channels are complete — nothing is truncated.
+    The support is finite (sum of the two supports), so the channels are
+    complete — nothing is truncated — and the window is their bounding box.
     """
     require_valid(params)
     p = params
@@ -190,9 +189,7 @@ def measure_from_samples(
         seqs.append(SeqFn.from_arrays(lat.n, r, sums * fix))
         support.append(r)
     support = np.concatenate(support)
-    if window is not None:
-        lo_all, hi_all = (np.asarray(window[0], dtype=int), np.asarray(window[1], dtype=int))
-    elif len(support):
+    if len(support):
         lo_all, hi_all = support.min(axis=0), support.max(axis=0)
     else:
         lo_all, hi_all = np.zeros(lat.n, dtype=int), np.zeros(lat.n, dtype=int)
@@ -220,12 +217,11 @@ def generator_coset_samples(
     return [SeqFn.from_arrays(lat.n, -r[j == l], vals[j == l]) for l in range(lat.m)]
 
 
-def sampled_generator(
-    g: GridFn, threshold: float = SAMPLE_THRESHOLD
-) -> SeqFn:
-    """Integer samples of a grid function as a sequence, small values dropped."""
+def sampled_generator(g: GridFn) -> SeqFn:
+    """Integer samples of a grid function as a sequence, values of magnitude
+    up to `SAMPLE_THRESHOLD` dropped."""
     pts, vals = integer_samples(g)
-    keep = np.abs(vals) > threshold
+    keep = np.abs(vals) > SAMPLE_THRESHOLD
     return SeqFn.from_arrays(g.n, pts[keep].astype(np.int64), vals[keep])
 
 
@@ -455,18 +451,15 @@ def _invert_window_dft(Z: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(W)
 
 
-def _thresholded(n: int, keys: np.ndarray, vals: np.ndarray, rel: float) -> SeqFn:
-    """The entries with ``|value| > rel * max |value|``."""
+def _thresholded(n: int, keys: np.ndarray, vals: np.ndarray) -> SeqFn:
+    """The entries with ``|value| > RECOVERED_RTOL * max |value|``."""
     mags = np.abs(vals)
-    keep = mags > rel * mags.max(initial=0.0)
+    keep = mags > RECOVERED_RTOL * mags.max(initial=0.0)
     return SeqFn.from_arrays(n, keys[keep], vals[keep])
 
 
 def recover_discrete(
-    ms: MeasurementSet,
-    Bfield: MatrixField,
-    r_window: tuple | None = None,
-    threshold_rel: float = 1e-12,
+    ms: MeasurementSet, Bfield: MatrixField, r_window: tuple | None = None
 ) -> tuple[SeqFn, dict]:
     """Invert the per-frequency coset system and reassemble the coefficients.
 
@@ -511,7 +504,7 @@ def recover_discrete(
         kf = mtr + eta_l_arr[l]
         keys.append(np.rint(kf).astype(np.int64))
         vals.append(sig_c * np.exp(-2j * np.pi * (rf @ p.b_inv_p)) * np.conj(chirp(p, kf)))
-    return _thresholded(p.n, np.concatenate(keys), np.concatenate(vals), threshold_rel), info
+    return _thresholded(p.n, np.concatenate(keys), np.concatenate(vals)), info
 
 
 def continuous_solve_grid(
@@ -542,18 +535,9 @@ def continuous_solve_grid(
     return xi @ params.B.T, shape, lo, qshape
 
 
-def integer_sample_levels(
-    p: SaftParams,
-    a,
-    f: GridFn,
-    J: int,
-    threshold: float = SAMPLE_THRESHOLD,
-) -> list[SeqFn]:
+def integer_sample_levels(p: SaftParams, a, f: GridFn, J: int) -> list[SeqFn]:
     """Plain integer samples h_j = (a^j * f)|_Z^n with classical filtering."""
-    return [
-        sampled_generator(g, threshold)
-        for g in filtered_levels(p, a, f, J, "classical")
-    ]
+    return [sampled_generator(g) for g in filtered_levels(p, a, f, J, "classical")]
 
 
 def recover_continuous(
@@ -562,7 +546,6 @@ def recover_continuous(
     h_levels: list[SeqFn],
     Dfield: MatrixField,
     window: tuple,
-    threshold_rel: float = 1e-12,
 ) -> tuple[SeqFn, dict]:
     """Coefficient recovery from plain integer samples via periodization.
 
@@ -615,4 +598,4 @@ def recover_continuous(
         raise AssertionError("frequency tiling left holes; window padding bug")
     swin = _invert_window_dft(full, lo)
     keys = _window_mesh(lo, lo + np.array(shape) - 1)
-    return _thresholded(p.n, keys, swin.reshape(-1), threshold_rel), info
+    return _thresholded(p.n, keys, swin.reshape(-1)), info

@@ -35,6 +35,9 @@ __all__ = [
     "sample_generator",
 ]
 
+#: grid coordinates (origins, spacings, integers at cell centers) this close agree
+COORD_TOL = 1e-9
+
 
 def _as_vector(x, n: int, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
@@ -104,12 +107,12 @@ class GridFn:
     def with_values(self, values) -> "GridFn":
         return GridFn(self.n, self.shape, self.origin, self.spacing, values)
 
-    def same_geometry(self, other: "GridFn", tol: float = 1e-9) -> bool:
+    def same_geometry(self, other: "GridFn") -> bool:
         return (
             self.n == other.n
             and self.shape == other.shape
-            and np.allclose(self.origin, other.origin, atol=tol, rtol=0)
-            and np.allclose(self.spacing, other.spacing, atol=tol, rtol=0)
+            and np.allclose(self.origin, other.origin, atol=COORD_TOL, rtol=0)
+            and np.allclose(self.spacing, other.spacing, atol=COORD_TOL, rtol=0)
         )
 
 
@@ -119,8 +122,8 @@ def mesh(axes) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
-def uniform_grid(lo, hi, shape, values=None) -> GridFn:
-    """Midpoint partition of the box [lo, hi] with the given per-axis counts.
+def uniform_grid(lo, hi, shape) -> GridFn:
+    """Zero-valued midpoint partition of the box [lo, hi] with the given counts.
 
     ``lo``/``hi`` may be scalars (applied to every axis); ``shape`` may be an
     int or a tuple, and determines the dimension together with ``lo``/``hi``.
@@ -136,13 +139,11 @@ def uniform_grid(lo, hi, shape, values=None) -> GridFn:
     if np.any(hi <= lo):
         raise ValueError("hi must exceed lo componentwise")
     spacing = (hi - lo) / np.array(shape)
-    if values is None:
-        values = np.zeros(shape, dtype=complex)
-    return GridFn(n, shape, lo, spacing, values)
+    return GridFn(n, shape, lo, spacing, np.zeros(shape, dtype=complex))
 
 
-def sampling_grid(halfwidth: int, per_unit: int, n: int = 1, values=None) -> GridFn:
-    """Integer-aligned grid on [-L, L] with ``per_unit`` cells per unit length.
+def sampling_grid(halfwidth: int, per_unit: int, n: int = 1) -> GridFn:
+    """Zero-valued integer-aligned grid on [-L, L], ``per_unit`` cells per unit.
 
     The cell centers are ``-L + j / per_unit`` and contain every integer in
     [-L, L]; spacing is ``1 / per_unit``.  Use this for any function that will
@@ -154,9 +155,7 @@ def sampling_grid(halfwidth: int, per_unit: int, n: int = 1, values=None) -> Gri
     h = 1.0 / q
     N = 2 * L * q + 1
     origin = np.full(n, -L - h / 2.0)
-    if values is None:
-        values = np.zeros((N,) * n, dtype=complex)
-    return GridFn(n, (N,) * n, origin, np.full(n, h), values)
+    return GridFn(n, (N,) * n, origin, np.full(n, h), np.zeros((N,) * n, dtype=complex))
 
 
 def grid_points(f: GridFn) -> np.ndarray:

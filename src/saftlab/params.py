@@ -206,8 +206,8 @@ def validate(p: SaftParams, tol: float = DEFAULT_CONSTRAINT_TOL) -> ValidityRepo
     return ValidityReport(ok=not bad, residuals=dict(p._residuals), b_singular=p._b_singular, tol=tol)
 
 
-def require_valid(p: SaftParams, tol: float = DEFAULT_CONSTRAINT_TOL) -> None:
-    rep = validate(p, tol)
+def require_valid(p: SaftParams) -> None:
+    rep = validate(p)
     if not rep.ok:
         raise ValueError(f"invalid parameter block:\n{rep}")
 
@@ -352,36 +352,28 @@ def modulation(p: SaftParams, w) -> np.ndarray | complex:
 # random valid blocks for tests and the verify CLI
 
 
-def random_params(
-    n: int,
-    rng: np.random.Generator,
-    *,
-    blocks: int = 4,
-    scale: float = 1.0,
-    offsets: bool = True,
-    max_rate: float = 2.0,
-    min_det_b: float = 0.3,
-) -> SaftParams:
+def random_params(n: int, rng: np.random.Generator) -> SaftParams:
     """Draw a random valid parameter block.
 
-    The symplectic part is a product of elementary symplectic factors (free
-    propagation with a symmetric upper block, a thin-lens lower block, a
-    per-axis rotation, an axis scaling), so the constraints hold by
-    construction.  Draws are rejected until ``|det B| >= min_det_b`` and the
-    quadratic-phase rates ``||B^{-1}A||`` and ``||D B^{-1}||`` are at most
-    ``max_rate`` — bounded rates keep grid-based evaluations of the transform
-    well resolved at moderate grid sizes.
+    The symplectic part is a product of four elementary symplectic factors
+    (free propagation with a symmetric upper block, a thin-lens lower block,
+    a per-axis rotation, an axis scaling; symmetric entries uniform in
+    [-1, 1]), so the constraints hold by construction.  Draws are rejected
+    until ``|det B| >= 0.3`` and the quadratic-phase rates ``||B^{-1}A||``
+    and ``||D B^{-1}||`` are at most 2 — bounded rates keep grid-based
+    evaluations of the transform well resolved at moderate grid sizes.  The
+    offsets P and Q are uniform in [-1, 1].
     """
 
     def sym(k):
-        S = rng.uniform(-scale, scale, (k, k))
+        S = rng.uniform(-1.0, 1.0, (k, k))
         return (S + S.T) / 2.0
 
     I = np.eye(n)
     Z = np.zeros((n, n))
     for _ in range(256):
         S = np.eye(2 * n)
-        for _ in range(blocks):
+        for _ in range(4):
             kind = rng.integers(0, 4)
             if kind == 0:       # free propagation
                 T = sym(n)
@@ -399,13 +391,13 @@ def random_params(
             S = F @ S
         A, B = S[:n, :n], S[:n, n:]
         C, D = S[n:, :n], S[n:, n:]
-        if abs(np.linalg.det(B)) < min_det_b:
+        if abs(np.linalg.det(B)) < 0.3:
             continue
         b_inv = np.linalg.inv(B)
-        if np.linalg.norm(b_inv @ A, 2) > max_rate or np.linalg.norm(D @ b_inv, 2) > max_rate:
+        if np.linalg.norm(b_inv @ A, 2) > 2.0 or np.linalg.norm(D @ b_inv, 2) > 2.0:
             continue
-        P = rng.uniform(-1, 1, n) if offsets else np.zeros(n)
-        Q = rng.uniform(-1, 1, n) if offsets else np.zeros(n)
+        P = rng.uniform(-1, 1, n)
+        Q = rng.uniform(-1, 1, n)
         p = SaftParams(n, A, B, C, D, P, Q)
         if validate(p, 1e-9).ok:
             return p

@@ -19,6 +19,7 @@ import numpy as np
 
 from .conv import conv_dd, conv_sd
 from .dynsamp import (
+    SAMPLE_THRESHOLD,
     build_B_window,
     build_D,
     continuous_solve_grid,
@@ -39,7 +40,6 @@ from .saft import lattice_shifts, saft_inverse, saft_plan
 from .sis import SisModel, build_sis
 
 __all__ = [
-    "MeyerSpec",
     "ExampleScenario",
     "meyer_aux",
     "meyer_psi",
@@ -53,36 +53,27 @@ __all__ = [
     "run_example",
 ]
 
-DEFAULT_SAMPLE_THRESHOLD = 1e-14
 DEFAULT_TABLE_KMAX = 8192
-DEFAULT_TABLE_NFREQ = 1 << 17
+TABLE_NFREQ = 1 << 17
+
+#: the smooth window: 1 up to FLAT_END, a taper through the quartic
+#: x^4 (t0 + t1 x + t2 x^2 + t3 x^3) with TAPER = (t0, ..., t3) until SUPPORT_END, 0 beyond
+TAPER = (35.0, -84.0, 70.0, -20.0)
+FLAT_END = 1.0 / 3.0
+SUPPORT_END = 2.0 / 3.0
 
 
-@dataclass(frozen=True)
-class MeyerSpec:
-    """Constants of the smooth window.
-
-    ``taper`` holds the quartic transition polynomial coefficients (applied
-    as x^4 * (t0 + t1 x + t2 x^2 + t3 x^3)); the window is 1 up to
-    ``flat_end``, tapers until ``support_end``, and vanishes beyond.
-    """
-
-    taper: tuple = (35.0, -84.0, 70.0, -20.0)
-    flat_end: float = 1.0 / 3.0
-    support_end: float = 2.0 / 3.0
-
-
-def meyer_aux(x, spec: MeyerSpec = MeyerSpec()):
+def meyer_aux(x):
     """Transition profile v on [0, 1]: v(0)=0, v(1)=1, v(x)+v(1-x)=1, with
     three vanishing derivatives at both ends (that symmetry is what makes
     the window squares sum to one across the seam)."""
     xv = np.asarray(x, dtype=float)
-    t0, t1, t2, t3 = spec.taper
+    t0, t1, t2, t3 = TAPER
     out = xv**4 * (t0 + xv * (t1 + xv * (t2 + xv * t3)))
     return float(out) if out.ndim == 0 else out
 
 
-def meyer_psi(x, spec: MeyerSpec = MeyerSpec()):
+def meyer_psi(x):
     """Even frequency window: 1 on the flat core, cosine-of-taper on the
     transition band, 0 outside; continuous, and its squares over integer
     shifts form a partition of unity."""
@@ -90,32 +81,28 @@ def meyer_psi(x, spec: MeyerSpec = MeyerSpec()):
     scalar = arr.ndim == 0
     xa = np.abs(np.atleast_1d(arr))
     out = np.zeros_like(xa)
-    out[xa <= spec.flat_end] = 1.0
-    mid = (xa > spec.flat_end) & (xa < spec.support_end)
+    out[xa <= FLAT_END] = 1.0
+    mid = (xa > FLAT_END) & (xa < SUPPORT_END)
     if np.any(mid):
-        t = (xa[mid] - spec.flat_end) / (spec.support_end - spec.flat_end)
-        out[mid] = np.cos(0.5 * np.pi * meyer_aux(t, spec))
+        t = (xa[mid] - FLAT_END) / (SUPPORT_END - FLAT_END)
+        out[mid] = np.cos(0.5 * np.pi * meyer_aux(t))
     return float(out[0]) if scalar else out.reshape(arr.shape)
 
 
-def meyer_time_table(
-    kmax: int = DEFAULT_TABLE_KMAX,
-    nfreq: int = DEFAULT_TABLE_NFREQ,
-    spec: MeyerSpec = MeyerSpec(),
-) -> np.ndarray:
+def meyer_time_table(kmax: int = DEFAULT_TABLE_KMAX) -> np.ndarray:
     """Integer-argument samples of the window's time-domain profile.
 
-    The window is supported inside [-1, 1], so one DFT of its samples on
-    that interval yields every integer time sample at once; the only error
-    is index aliasing at offset nfreq/2, which the |t|^-4 tail puts below
-    double precision at the defaults.  Returns t[0..kmax] (the profile is
-    real and even).
+    The window is supported inside [-1, 1], so one DFT of its `TABLE_NFREQ`
+    samples on that interval yields every integer time sample at once; the
+    only error is index aliasing at offset TABLE_NFREQ/2, which the |t|^-4
+    tail puts below double precision for ``kmax`` up to the default.
+    Returns t[0..kmax] (the profile is real and even).
     """
-    if 2 * kmax >= nfreq:
-        raise ValueError("nfreq must exceed 2*kmax for the aliasing margin")
-    xi = -1.0 + 2.0 * np.arange(nfreq) / nfreq
-    coef = np.fft.ifft(meyer_psi(xi, spec))
-    idx = (2 * np.arange(kmax + 1)) % nfreq
+    if 2 * kmax >= TABLE_NFREQ:
+        raise ValueError("kmax must stay below TABLE_NFREQ/2 for the aliasing margin")
+    xi = -1.0 + 2.0 * np.arange(TABLE_NFREQ) / TABLE_NFREQ
+    coef = np.fft.ifft(meyer_psi(xi))
+    idx = (2 * np.arange(kmax + 1)) % TABLE_NFREQ
     return 2.0 * np.real(coef[idx])
 
 
@@ -168,7 +155,6 @@ class ExampleScenario:
     """Everything the worked example needs, fully constructed."""
 
     params: SaftParams
-    spec: MeyerSpec
     c1: complex
     c2: complex
     lat: SamplingLattice
@@ -185,16 +171,16 @@ class ExampleScenario:
     phi0_min: float
 
 
-def _tensor_psi(nu: np.ndarray, spec: MeyerSpec) -> np.ndarray:
-    return meyer_psi(nu[..., 0], spec) * meyer_psi(nu[..., 1], spec)
+def _tensor_psi(nu: np.ndarray) -> np.ndarray:
+    return meyer_psi(nu[..., 0]) * meyer_psi(nu[..., 1])
 
 
-def _window_checks(p: SaftParams, filt: SeqFn, nu0: np.ndarray, spec: MeyerSpec):
+def _window_checks(p: SaftParams, filt: SeqFn, nu0: np.ndarray):
     """(max |(chi_E - 1) a psi| over ``nu0 + lattice_shifts(2, 2)``, the shift
     sum of psi on ``nu0``'s unit-cell images), from (N, 2, 5) per-axis values."""
     def per_axis(nu):
         x = nu[:, :, None] + np.arange(-2.0, 3.0)
-        return meyer_psi(x, spec), np.abs(x) <= spec.support_end
+        return meyer_psi(x), np.abs(x) <= SUPPORT_END
 
     def tensor(a):  # (N, 25) products in shift order
         return (a[:, 0, :, None] * a[:, 1, None, :]).reshape(-1, 25)
@@ -213,24 +199,26 @@ def build_example(
     params: SaftParams | None = None,
     c1: complex = 1.0,
     c2: complex = 0.5,
-    threshold: float = DEFAULT_SAMPLE_THRESHOLD,
+    threshold: float = SAMPLE_THRESHOLD,
     halfwidth: float = 8.0,
     per_unit: int = 16,
     table_kmax: int = DEFAULT_TABLE_KMAX,
-    cutoff: int = 8,
-    spec: MeyerSpec = MeyerSpec(),
 ) -> ExampleScenario:
     """Assemble the worked scenario.
 
-    The generator is chosen so its transform is exactly the tensor window
-    on the reduced frequencies: for non-Fourier parameter blocks that means
-    dividing the window profile by the input chirp and offset phase.  The
-    point-mass filter has symbol c1 e^{2 i pi (w1+w2)} + c2 e^{2 i pi
-    (w1+2w2)}; masking it with the indicator of the window's support box
-    turns it into the band-limited filter whose action on the generator's
-    span is identical (the masking residual is reported, and is zero by
-    support disjointness; the comment at its evaluation says why the
-    per-axis form has the bits of the pointwise one).
+    The window is the fixed one of `meyer_psi`; its time table has
+    ``table_kmax + 1`` samples, and products below ``threshold`` relative to
+    the center are dropped.  The model truncates its shift sums at
+    `saft.DEFAULT_LATTICE_CUTOFF`.  The generator is chosen so its transform
+    is exactly the tensor window on the reduced frequencies: for non-Fourier
+    parameter blocks that means dividing the window profile by the input
+    chirp and offset phase.  The point-mass filter has symbol
+    c1 e^{2 i pi (w1+w2)} + c2 e^{2 i pi (w1+2w2)}; masking it with the
+    indicator of the window's support box turns it into the band-limited
+    filter whose action on the generator's span is identical (the masking
+    residual is reported, and is zero by support disjointness; the comment
+    at its evaluation says why the per-axis form has the bits of the
+    pointwise one).
     """
     p = preset("ft", n=2) if params is None else params
     require_valid(p)
@@ -242,7 +230,7 @@ def build_example(
     coeffs = SeqFn.from_items(2, {(1, 0): 1.0, (0, 1): 2.0})
     lat = build_lattice([[2, 0], [0, 2]])
 
-    table = meyer_time_table(table_kmax, spec=spec)
+    table = meyer_time_table(table_kmax)
     window, kept_l1, discarded_l1 = tensor_window_samples(table, threshold)
 
     # generator samples: window divided by the input-side phases, so the
@@ -259,14 +247,14 @@ def build_example(
         wf = np.asarray(wpts, dtype=float)
         nu = wf @ p.b_inv.T
         return (
-            modulation(p, wf) * _tensor_psi(nu, spec) / np.sqrt(p.abs_det_b)
+            modulation(p, wf) * _tensor_psi(nu) / np.sqrt(p.abs_det_b)
         ).astype(complex)
 
     tgrid = sampling_grid(halfwidth, per_unit, n=2)
     plan = saft_plan(p, tgrid)
     spec_grid = plan.out_template.with_values(spectrum_fn(plan.w_points()))
     phi_grid = saft_inverse(plan, spec_grid)
-    model = build_sis(p, phi_grid, cutoff=cutoff, spectrum_fn=spectrum_fn)
+    model = build_sis(p, phi_grid, spectrum_fn=spectrum_fn)
 
     # masking identity: with the filter band-limited to the support box E,
     # (masked symbol) x (window) == (full symbol) x (window) at every
@@ -280,11 +268,10 @@ def build_example(
     # batch, as before, and the rows stay in order; the periodization adds
     # its 25 terms in shift order.
     nu0 = (plan.w_points().reshape(-1, p.n)) @ p.b_inv.T
-    masking_residual, phi0 = _window_checks(p, filt, nu0, spec)
+    masking_residual, phi0 = _window_checks(p, filt, nu0)
 
     return ExampleScenario(
         params=p,
-        spec=spec,
         c1=c1,
         c2=c2,
         lat=lat,
@@ -302,15 +289,13 @@ def build_example(
     )
 
 
-def periodized_window_transform(
-    scenario: ExampleScenario, x_points: np.ndarray, cutoff: int = 2
-) -> np.ndarray:
+def periodized_window_transform(scenario: ExampleScenario, x_points: np.ndarray) -> np.ndarray:
     """Shift sum of the generator transform with the squared conjugate
     modulation weights, evaluated at physical frequencies (the diagonal
     factor of the channel-matrix factorization)."""
     p = scenario.params
     pts = np.asarray(x_points, dtype=float)
-    stacked = pts[..., None, :] + lattice_shifts(2, cutoff)
+    stacked = pts[..., None, :] + lattice_shifts(2, 2)
     eta_sq = np.conj(modulation(p, stacked)) ** 2
     vals = scenario.model.spectrum_fn(stacked)
     return np.sum(eta_sq * vals, axis=-1)
@@ -333,7 +318,7 @@ def window_periodization_check(
 
     freq0 = np.zeros(x.shape[0])
     for s in lattice_shifts(2, 1):
-        freq0 = freq0 + _tensor_psi(x + s, scenario.spec)
+        freq0 = freq0 + _tensor_psi(x + s)
     samp0 = folded_dt_values(pft, scenario.window_samples, shape).reshape(-1)
 
     level1 = conv_dd(pft, scenario.filt, scenario.window_samples)
@@ -393,7 +378,6 @@ def _restrict_stems(s: SeqFn, radius: int) -> tuple[np.ndarray, np.ndarray]:
 def _emit_figures(scenario: ExampleScenario, outdir: Path) -> dict:
     """Deterministic CSV surfaces for external plotting; returns sizes."""
     p = scenario.params
-    spec = scenario.spec
     outdir.mkdir(parents=True, exist_ok=True)
 
     def write(name, header, *columns):
@@ -401,11 +385,11 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path) -> dict:
         (outdir / name).write_text(format_rows([header], np.column_stack(columns)))
 
     xs = (np.arange(-600, 601)) / 400.0
-    write("fig01_psi.csv", "x,psi", xs, meyer_psi(xs, spec))
+    write("fig01_psi.csv", "x,psi", xs, meyer_psi(xs))
 
     tmpl = scenario.model.spectrum
     nu = (tmpl.points() @ p.b_inv.T).reshape(-1, 2)
-    write("fig02_spectrum.csv", "nu1,nu2,window", nu, _tensor_psi(nu, spec))
+    write("fig02_spectrum.csv", "nu1,nu2,window", nu, _tensor_psi(nu))
 
     f_grid = conv_sd(p, scenario.coeffs, scenario.model.phi)
     fpts = f_grid.points().reshape(-1, 2)

@@ -67,7 +67,7 @@ from math import ceil, floor, prod, sqrt
 
 import numpy as np
 
-from .grid import GridFn, SeqFn, dft, mesh, reciprocal_grid
+from .grid import COORD_TOL, GridFn, SeqFn, dft, mesh, reciprocal_grid
 from .lattice import SamplingLattice
 from .params import SaftParams, chirp, inverse_params, modulation, require_valid
 
@@ -472,7 +472,7 @@ def dtsaft(params: SaftParams, s: SeqFn, wgrid) -> GridFn | np.ndarray:
 # summation identities
 
 
-def integer_samples(g: GridFn, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def integer_samples(g: GridFn) -> tuple[np.ndarray, np.ndarray]:
     """Integer lattice points covered by ``g`` and the grid values there.
 
     Requires every integer point inside the grid's span to coincide with a
@@ -483,13 +483,13 @@ def integer_samples(g: GridFn, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarra
     for i in range(g.n):
         coords = g.axis_coords(i)
         h = g.spacing[i]
-        k_lo = ceil(coords[0] - tol)
-        k_hi = floor(coords[-1] + tol)
+        k_lo = ceil(coords[0] - COORD_TOL)
+        k_hi = floor(coords[-1] + COORD_TOL)
         if k_hi < k_lo:
             raise ValueError("grid spans no integer points on axis %d" % i)
         ks = np.arange(k_lo, k_hi + 1)
         idx = np.round((ks - coords[0]) / h).astype(int)
-        if np.max(np.abs(coords[idx] - ks)) > tol:
+        if np.max(np.abs(coords[idx] - ks)) > COORD_TOL:
             raise ValueError(
                 "integer points are not cell centers on axis %d; "
                 "sample the function on an integer-aligned grid" % i

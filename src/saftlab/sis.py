@@ -50,6 +50,9 @@ __all__ = [
 #: relative decay budget for the generator spectrum at the working window edge
 DECAY_TOL = 1e-10
 
+#: `riesz_bounds` passes only with the Grammian's minimum above this fraction of its maximum
+RIESZ_RTOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SisModel:
@@ -70,18 +73,15 @@ class SisModel:
 
 
 def build_sis(
-    params: SaftParams,
-    phi: GridFn,
-    cutoff: int = DEFAULT_LATTICE_CUTOFF,
-    spectrum_fn: Callable | None = None,
-    strict: bool = True,
+    params: SaftParams, phi: GridFn, spectrum_fn: Callable | None = None, strict: bool = True
 ) -> SisModel:
     """Construct the model and run the spectrum decay check.
 
-    The generator's transform must be negligible (< `DECAY_TOL` relative)
-    at the edge of the working frequency window, otherwise Grammian sums
-    truncated at ``cutoff`` shifts are meaningless; with ``strict`` the
-    violation raises, otherwise it is recorded on the model.
+    The model's Grammian sums run over the shifts up to
+    `saft.DEFAULT_LATTICE_CUTOFF` per axis.  The generator's transform must
+    be negligible (< `DECAY_TOL` relative) at the edge of the working
+    frequency window, otherwise those truncated sums are meaningless; with
+    ``strict`` the violation raises, otherwise it is recorded on the model.
     """
     require_valid(params)
     if params.n != phi.n:
@@ -104,7 +104,7 @@ def build_sis(
     return SisModel(
         params=params,
         phi=phi,
-        cutoff=int(cutoff),
+        cutoff=DEFAULT_LATTICE_CUTOFF,
         spectrum=cached,
         spectrum_fn=spectrum_fn,
         decay_ok=decay_ok,
@@ -205,24 +205,24 @@ class RieszReport:
         return (self.eta1, self.eta2)
 
 
-def riesz_bounds(
-    model: SisModel,
-    wgrid,
-    lower_threshold: float = 1e-8,
-) -> RieszReport:
+def riesz_bounds(model: SisModel, wgrid) -> RieszReport:
     """Extremes of the Grammian over a grid covering one fundamental cell.
 
-    ``eta1 > lower_threshold * eta2`` is the pass condition; a vanishing
-    lower bound means the translates fail to form a Riesz family.
+    ``eta1 > RIESZ_RTOL * eta2`` is the pass condition; a vanishing lower
+    bound means the translates fail to form a Riesz family.
     """
     pts = wgrid.points() if isinstance(wgrid, GridFn) else np.asarray(wgrid, dtype=float)
     flat = pts.reshape(-1, model.params.n)
-    g = grammian(model, flat)
+    return _riesz_report(flat, grammian(model, flat))
+
+
+def _riesz_report(flat: np.ndarray, g: np.ndarray) -> RieszReport:
+    """The `riesz_bounds` verdict from Grammian values ``g`` at the points ``flat``."""
     i_min = int(np.argmin(g))
     i_max = int(np.argmax(g))
     eta1 = float(g[i_min])
     eta2 = float(g[i_max])
-    verdict = "pass" if eta1 > lower_threshold * max(eta2, 1e-300) else "fail (lower bound vanishes)"
+    verdict = "pass" if eta1 > RIESZ_RTOL * max(eta2, 1e-300) else "fail (lower bound vanishes)"
     return RieszReport(eta1=eta1, eta2=eta2, argmin=flat[i_min], argmax=flat[i_max], verdict=verdict)
 
 

@@ -127,14 +127,13 @@ def measure_from_samples(
     lat: SamplingLattice,
     s: SeqFn,
     phi_levels: list[SeqFn],
-    window: tuple | None = None,
 ) -> MeasurementSet:
     """Channels computed exactly from integer samples of the filtered
     generators (no grids): v_j is the twisted semidiscrete sum of ``s``
     against ``phi_levels[j]`` restricted to the transposed lattice.
 
-    The support is finite (sum of the two supports), so with ``window=None``
-    the channels are complete — nothing is truncated.
+    The support is finite (sum of the two supports), so the channels are
+    complete — nothing is truncated — and the window is their bounding box.
     """
     require_valid(params)
     p = params
@@ -173,8 +172,6 @@ def measure_from_samples(
             hi = karr.max(axis=0)
             lo_all = lo if lo_all is None else np.minimum(lo_all, lo)
             hi_all = hi if hi_all is None else np.maximum(hi_all, hi)
-    if window is not None:
-        lo_all, hi_all = (np.asarray(window[0], dtype=int), np.asarray(window[1], dtype=int))
     if lo_all is None:
         lo_all = np.zeros(lat.n, dtype=int)
         hi_all = np.zeros(lat.n, dtype=int)

@@ -15,24 +15,24 @@ from __future__ import annotations
 import numpy as np
 
 from saftlab.dynsamp import filter_symbol
-from saftlab.repro import _tensor_psi
+from saftlab.repro import SUPPORT_END, _tensor_psi
 
 
-def window_checks(p, filt, nu0, spec):
+def window_checks(p, filt, nu0):
     """(masking residual, periodization array) on the reduced frequencies
     ``nu0`` (N, 2)."""
     shifts = np.array(
         [(i, j) for i in (-2, -1, 0, 1, 2) for j in (-2, -1, 0, 1, 2)], dtype=float
     )
     pts = nu0[:, None, :] + shifts[None, :, :]
-    chi = np.all(np.abs(pts) <= spec.support_end, axis=-1).astype(float)
+    chi = np.all(np.abs(pts) <= SUPPORT_END, axis=-1).astype(float)
     sym = filter_symbol(p, filt, pts)
-    masking_residual = float(np.max(np.abs((chi - 1.0) * sym * _tensor_psi(pts, spec))))
+    masking_residual = float(np.max(np.abs((chi - 1.0) * sym * _tensor_psi(pts))))
 
     # unsquared periodization of the window: bounded away from zero.  The
     # sum is 1-periodic, so reduce to the unit cell before the local shifts.
     nu_frac = nu0 - np.floor(nu0)
     phi0 = np.zeros(nu_frac.shape[0])
     for s in shifts:
-        phi0 += _tensor_psi(nu_frac + s, spec)
+        phi0 += _tensor_psi(nu_frac + s)
     return masking_residual, phi0

@@ -11,7 +11,8 @@ import warnings
 import numpy as np
 import pytest
 
-from saftlab.cli import main
+from saftlab import sis
+from saftlab.cli import build_parser, main
 from saftlab.dynsamp import (
     build_B_from_samples,
     filtered_levels,
@@ -121,6 +122,15 @@ def test_dtsaft_stdout_and_file(work, tmp_path, capsys):
     w, re, im = (float(x) for x in lines[1].split(","))
     assert w == -1.0
     assert "np.float64" not in out.read_text()
+
+
+@pytest.mark.parametrize("axis", ["nan:1:3", "0:inf:2"])
+def test_a_non_finite_wgrid_bound_exits_1(work, tmp_path, capsys, axis):
+    out = tmp_path / "dt.csv"
+    assert main(["dtsaft", "--params", str(work / "ft1.json"), "--seq", str(work / "seq.csv"),
+                 f"--wgrid={axis}", "--out", str(out)]) == 1
+    assert "bad range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_conv_dd_writes_sequence(work, tmp_path):
@@ -238,6 +248,21 @@ def test_sis_report_keeps_the_cell_mesh_bytes(tmp_path, capsys, n):
         for pt, gv, uv in zip(wpts, g, u)
     ]
     assert report.read_text() == "\n".join(rows) + "\n"
+
+
+def test_sis_evaluates_the_shift_table_once(work, monkeypatch, capsys):
+    calls = []
+    shift_values = sis._shift_values
+
+    def spy(model, w):
+        calls.append(np.shape(w))
+        return shift_values(model, w)
+
+    monkeypatch.setattr(sis, "_shift_values", spy)
+    assert main(["sis", "--params", str(work / "ft1.json"), "--phi", str(work / "phi1.grid"),
+                 "--cell-points", "9"]) == 0
+    capsys.readouterr()
+    assert calls == [(9, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +395,12 @@ def test_removed_threads_flag_is_a_usage_error(capsys):
     assert main(["selftest", "--threads", "2"]) == 64
 
 
+def test_filter_taps_parse_as_complex_numbers():
+    for text, value in [("1", 1 + 0j), ("0.5-0.25j", 0.5 - 0.25j), ("1+2i", 1 + 2j)]:
+        args = build_parser().parse_args(["repro", "section5", f"--c1={text}", f"--c2={text}"])
+        assert args.c1 == args.c2 == value
+
+
 def test_missing_file_exits_1(tmp_path):
     assert main(["transform", "--params", str(tmp_path / "absent.json"),
                  "--in", str(tmp_path / "absent.grid"), "--out", str(tmp_path / "o.grid")]) == 1
@@ -488,6 +519,10 @@ def test_measurements_with_a_repeated_index_exit_1(work, tmp_path, capsys):
     ("repro", "--threshold=0"),
     ("repro", "--threshold=nan"),
     ("repro", "--threshold=inf"),
+    ("repro", "--c1=nan"),
+    ("repro", "--c1=inf"),
+    ("repro", "--c2=1+nanj"),
+    ("repro", "--c1=x"),
 ])
 def test_non_positive_counts_and_cuts_are_usage_errors(work, tmp_path, capsys, command, flag):
     # every other argument is valid, so the flag alone must be the error

@@ -6,6 +6,7 @@ finitely supported data, so coefficients must come back to rounding error,
 not merely to a modeling tolerance.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -449,6 +450,60 @@ def test_measurement_set_channel_count():
 # ---------------------------------------------------------------------------
 # exports
 
+#: the defaulted parameters of every public function and method, and the
+#: defaulted fields of every dataclass, per module; each is an option that
+#: some caller sets, so adding one means adding it here
+KNOBS = {
+    "dynsamp": {
+        "build_D": ("cutoff", "J"),
+        "stability_report": ("det_rtol",),
+        "recover_discrete": ("r_window",),
+    },
+    "grid": {"sampling_grid": ("n",), "dft": ("sign", "out")},
+    "io": {"read_sequence": ("n",), "write_sequence": ("header",)},
+    "lattice": {"SamplingLattice.split": ("which",), "decompose": ("which",)},
+    "params": {"SaftParams.is_chirp_free": ("tol",), "validate": ("tol",), "preset": ("n",)},
+    "repro": {
+        "meyer_time_table": ("kmax",),
+        "build_example": (
+            "params", "c1", "c2", "threshold", "halfwidth", "per_unit", "table_kmax",
+        ),
+        "window_periodization_check": ("grid_n",),
+        "run_example": ("outdir", "window"),
+    },
+    "saft": {
+        "SaftPlan": ("backend",),
+        "saft_plan": ("backend", "out_grid"),
+        "poisson_check": ("cutoff",),
+    },
+    "sis": {"build_sis": ("spectrum_fn", "strict"), "spectrum_at": ("grid",),
+            "frame_check": ("per_axis",)},
+}
+
+
+def _knobs(module) -> dict:
+    def defaulted(fn):
+        return tuple(k for k, v in inspect.signature(fn).parameters.items()
+                     if v.default is not v.empty)
+
+    out = {}
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if inspect.isfunction(obj):
+            out[name] = defaulted(obj)
+        elif inspect.isclass(obj):
+            if dataclasses.is_dataclass(obj):
+                out[name] = tuple(
+                    f.name for f in dataclasses.fields(obj)
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING
+                )
+            for key, attr in vars(obj).items():
+                fn = getattr(attr, "__func__", attr)      # class and static methods
+                if not key.startswith("_") and inspect.isfunction(fn):
+                    out[f"{name}.{key}"] = defaulted(fn)
+    return {k: v for k, v in out.items() if v}
+
 
 @pytest.mark.parametrize("name", sorted(
     m.name for m in pkgutil.iter_modules(saftlab.__path__) if m.name != "cli"
@@ -462,6 +517,7 @@ def test_every_public_function_and_class_is_exported(name):
         and obj.__module__ == module.__name__
     }
     assert public == set(module.__all__)
+    assert _knobs(module) == KNOBS.get(name, {})
 
 
 def test_package_exports_exist():

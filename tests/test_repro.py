@@ -19,7 +19,8 @@ from saftlab.grid import SeqFn, sampling_grid
 from saftlab.lattice import build_lattice
 from saftlab.params import preset, random_params
 from saftlab.repro import (
-    MeyerSpec,
+    FLAT_END,
+    SUPPORT_END,
     build_example,
     channel_vandermonde,
     factorization_residual,
@@ -102,7 +103,7 @@ def test_time_table_quartic_decay():
 
 def test_time_table_alias_guard():
     with pytest.raises(ValueError):
-        meyer_time_table(kmax=512, nfreq=1024)
+        meyer_time_table(kmax=1 << 16)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +151,7 @@ def test_scenario_rejects_wrong_dimension():
 
 # the per-axis window checks against the full (N, 25) evaluation they replaced
 
-SPEC = MeyerSpec()
-EDGES = (SPEC.flat_end, SPEC.support_end)
+EDGES = (FLAT_END, SUPPORT_END)
 COMPLEX = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
 
 
@@ -175,18 +175,18 @@ def _leaky_psi(monkeypatch):
     # points are live: (chi - 1) psi is nonzero there
     psi = repro.meyer_psi
 
-    def leaky(x, spec=SPEC):
+    def leaky(x):
         xa = np.abs(np.asarray(x, dtype=float))
-        bump = (xa > spec.support_end) & (xa < spec.support_end + 0.25)
-        return psi(x, spec) + np.where(bump, 1e-3 * (1.0 + xa), 0.0)
+        bump = (xa > SUPPORT_END) & (xa < SUPPORT_END + 0.25)
+        return psi(x) + np.where(bump, 1e-3 * (1.0 + xa), 0.0)
 
     monkeypatch.setattr(repro, "meyer_psi", leaky)
 
 
 def _assert_same_bits(filt, nu0, p=None):
     p = preset("ft", n=2) if p is None else p
-    got = repro._window_checks(p, filt, nu0, SPEC)
-    want = oracle.window_checks(p, filt, nu0, SPEC)
+    got = repro._window_checks(p, filt, nu0)
+    want = oracle.window_checks(p, filt, nu0)
     assert got[0].hex() == want[0].hex()
     assert got[1].tobytes() == want[1].tobytes()
     return got[0]
@@ -221,7 +221,7 @@ def test_scenario_window_checks_match_the_oracle():
     p = random_params(2, np.random.default_rng(12))
     sc = _small_scenario(params=p)
     nu0 = saft_plan(p, sampling_grid(4.0, 8, n=2)).w_points().reshape(-1, 2) @ p.b_inv.T
-    residual, phi0 = oracle.window_checks(p, sc.filt, nu0, SPEC)
+    residual, phi0 = oracle.window_checks(p, sc.filt, nu0)
     assert sc.masking_residual == residual == 0.0
     assert sc.phi0_min.hex() == float(np.min(phi0)).hex()
 

@@ -159,12 +159,6 @@ def _require_out(args, what: str) -> Path:
     return Path(args.out)
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not np.isfinite(value):
-        return repr(value)
-    return value
-
-
 def _emit_rows(path: Path | None, text: str) -> TextIO:
     """Write a table to ``path``, or to stdout without one; return the
     stream for the summary line, stderr when the table took stdout, so
@@ -391,12 +385,7 @@ def _cmd_dynsamp_check(args) -> int:
     parts = np.stack([entries.real, entries.imag], axis=-1).reshape(len(entries), 2 * m * m)
     text = format_rows(header, np.column_stack([field.wpoints, parts, stab.abs_det, stab.cond]))
     summary = _emit_rows(Path(args.out) if args.out else None, text)
-    print(json.dumps({
-        "verdict": stab.verdict,
-        "min_abs_det": stab.min_abs_det,
-        "argmin_w": stab.argmin_w.tolist(),
-        "max_cond": _json_safe(stab.max_cond),
-    }, sort_keys=True), file=summary)
+    print(json.dumps(stab.summary(), sort_keys=True), file=summary)
     if not stab.ok:
         raise ValidationFailure(
             f"channel matrix fails at w = {stab.argmin_w.tolist()} "
@@ -456,10 +445,8 @@ def _cmd_dynsamp_recover(args) -> int:
         if args.method == "discrete":
             levels = _sample_levels(p, phi, filt, lat.m)
             field = build_B_window(p, lat, lo, hi, levels)
-            ms = MeasurementSet(
-                params=p, lat=lat, levels=tuple(vlevels), window_lo=lo, window_hi=hi,
-            )
-            recovered, info = recover_discrete(ms, field, r_window=(lo, hi))
+            ms = MeasurementSet(params=p, lat=lat, levels=tuple(vlevels))
+            recovered, info = recover_discrete(ms, field, window=(lo, hi))
         else:
             model = build_sis(p, phi)
             wpts, _shape, _lo, _qshape = continuous_solve_grid(p, lat, lo, hi)
@@ -482,12 +469,9 @@ def _cmd_repro(args) -> int:
     from .repro import build_example, run_example
 
     params = _load_params(args.params) if args.params else None
-    scenario = build_example(
-        params=params,
-        c1=args.c1,
-        c2=args.c2,
-        threshold=args.threshold,
-    )
+    # without the flag, build_example's own default threshold applies
+    kw = {} if args.threshold is None else {"threshold": args.threshold}
+    scenario = build_example(params=params, c1=args.c1, c2=args.c2, **kw)
     report, _recovered = run_example(scenario, outdir=args.outdir)
     summary_keys = (
         "verdict", "min_det_E", "min_det_D", "recovery_error",
@@ -684,10 +668,13 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="seeded residual trials for the identities")
     sp.add_argument("--theorem", choices=("cc", "sd", "dd", "commute"), required=True)
     sp.add_argument("--trials", type=_positive(int), default=20)
-    sp.add_argument("--params", default=None,
-                    help="fixed parameter JSON (default: random valid blocks)")
-    sp.add_argument("--dim", type=_positive(int), default=1,
-                    help="dimension for random blocks")
+    blocks = sp.add_mutually_exclusive_group()
+    blocks.add_argument("--params", default=None,
+                        help="fixed parameter JSON (default: random valid blocks)")
+    # a string default is converted by the type, so an explicit "--dim 1"
+    # is still not the default object and conflicts with --params
+    blocks.add_argument("--dim", type=_positive(int), default="1",
+                        help="dimension for random blocks")
     _add_common(sp, tol=True, seed=True)
     sp.set_defaults(func=_cmd_verify)
 
@@ -732,8 +719,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--c2", type=_finite_complex, default="0.5", help="second filter coefficient")
     sp.add_argument("--params", default=None, help="parameter JSON (default: plain FT)")
     sp.add_argument("--outdir", default=None, help="directory for figure CSVs + report.json")
-    sp.add_argument("--threshold", type=_positive(float), default=1e-14,
-                    help="relative cut for the generator sample table")
+    sp.add_argument("--threshold", type=_positive(float), default=None,
+                    help="relative cut for the generator sample table "
+                         "(default: dynsamp.SAMPLE_THRESHOLD)")
     sp.set_defaults(func=_cmd_repro)
 
     sp = sub.add_parser("selftest", help="fast invariant suite")

@@ -85,13 +85,11 @@ RECOVERED_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Per-channel sample sequences over a common finite index window."""
+    """Per-channel sample sequences on the transposed lattice."""
 
     params: SaftParams
     lat: SamplingLattice
     levels: tuple[SeqFn, ...]
-    window_lo: np.ndarray
-    window_hi: np.ndarray
 
     @property
     def J(self) -> int:
@@ -124,6 +122,20 @@ class StabilityReport:
     @property
     def ok(self) -> bool:
         return self.verdict == "pass"
+
+    def summary(self) -> dict:
+        """The verdict and its extremes as strict JSON values: a non-finite
+        figure (a singular point's condition number) is written as its
+        ``repr``, such as ``"inf"``."""
+        def safe(x: float):
+            return x if np.isfinite(x) else repr(x)
+
+        return {
+            "verdict": self.verdict,
+            "min_abs_det": safe(self.min_abs_det),
+            "argmin_w": self.argmin_w.tolist(),
+            "max_cond": safe(self.max_cond),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +184,14 @@ def measure_from_samples(
     against ``phi_levels[j]`` restricted to the transposed lattice.
 
     The support is finite (sum of the two supports), so the channels are
-    complete — nothing is truncated — and the window is their bounding box.
+    complete: nothing is truncated.
     """
     require_valid(params)
     p = params
     sqrt_d = np.sqrt(p.abs_det_b)
     sk, sv = s.as_arrays()
     zc = sv * chirp(p, sk.astype(float))
-    seqs, support = [], [np.zeros((0, lat.n), dtype=np.int64)]
+    seqs = []
     for h in phi_levels:
         hk, hv = h.as_arrays()
         keys, sums = pair_sums(sk, zc, hk, (hv * chirp(p, hk.astype(float)),))
@@ -187,16 +199,7 @@ def measure_from_samples(
         r, sums = r[j == 0], sums[j == 0]
         fix = np.conj(chirp(p, r.astype(float))) / sqrt_d
         seqs.append(SeqFn.from_arrays(lat.n, r, sums * fix))
-        support.append(r)
-    support = np.concatenate(support)
-    if len(support):
-        lo_all, hi_all = support.min(axis=0), support.max(axis=0)
-    else:
-        lo_all, hi_all = np.zeros(lat.n, dtype=int), np.zeros(lat.n, dtype=int)
-    return MeasurementSet(
-        params=p, lat=lat, levels=tuple(seqs),
-        window_lo=lo_all, window_hi=hi_all,
-    )
+    return MeasurementSet(params=p, lat=lat, levels=tuple(seqs))
 
 
 def generator_coset_samples(
@@ -229,8 +232,8 @@ def sampled_generator(g: GridFn) -> SeqFn:
 # matrix fields
 
 
-def _as_points(wgrid, n: int) -> np.ndarray:
-    pts = wgrid.points() if isinstance(wgrid, GridFn) else np.asarray(wgrid, dtype=float)
+def _as_points(wpts, n: int) -> np.ndarray:
+    pts = np.asarray(wpts, dtype=float)
     if pts.shape[-1] != n:
         raise ValueError(f"points must have trailing dimension {n}")
     return pts.reshape(-1, n)
@@ -239,15 +242,16 @@ def _as_points(wgrid, n: int) -> np.ndarray:
 def build_B_from_samples(
     params: SaftParams,
     lat: SamplingLattice,
-    wgrid,
+    wpts,
     phi_levels: list[SeqFn],
 ) -> MatrixField:
     """Discrete-characterization field from integer samples of the filtered
-    generators: entry (j, l) is the transform of the chirp-corrected coset
-    subsequence of ``phi_levels[j]``."""
+    generators at the physical frequencies ``wpts`` (..., n): entry (j, l)
+    is the transform of the chirp-corrected coset subsequence of
+    ``phi_levels[j]``."""
     require_valid(params)
     p = params
-    wpts = _as_points(wgrid, p.n)
+    wpts = _as_points(wpts, p.n)
     m = lat.m
     J = len(phi_levels)
     entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
@@ -272,11 +276,12 @@ def build_D(
     model: SisModel,
     a,
     lat: SamplingLattice,
-    wgrid,
+    wpts,
     cutoff: int | None = None,
     J: int | None = None,
 ) -> MatrixField:
-    """Periodization-characterization field: entry (j, v) is
+    """Periodization-characterization field at the physical frequencies
+    ``wpts`` (..., n): entry (j, v) is
 
         Phi_j(M^{-1}(w + gamma_v)),
         Phi_j(x) = sum_n conj(eta)^2(x + n) * (S phi_j)(x + n),
@@ -291,7 +296,7 @@ def build_D(
     m = lat.m
     J = m if J is None else int(J)
     K = model.cutoff if cutoff is None else int(cutoff)
-    wpts = _as_points(wgrid, p.n)
+    wpts = _as_points(wpts, p.n)
     minv = lat.m_inverse()
     gammas = np.array(lat.gamma, dtype=float)
     # evaluation points x_v = M^{-1}(w + gamma_v): (Np, m, n)
@@ -459,22 +464,20 @@ def _thresholded(n: int, keys: np.ndarray, vals: np.ndarray) -> SeqFn:
 
 
 def recover_discrete(
-    ms: MeasurementSet, Bfield: MatrixField, r_window: tuple | None = None
+    ms: MeasurementSet, Bfield: MatrixField, window: tuple
 ) -> tuple[SeqFn, dict]:
     """Invert the per-frequency coset system and reassemble the coefficients.
 
-    ``r_window`` bounds the coset-index support of the unknown coefficients
-    (default: the measurement window).  ``Bfield`` must be evaluated on the
-    dual `solve_grid` of that window — the per-coset inversion is then an
-    exact inverse DFT after removing the unimodular factors.  Raises when
-    the field fails `stability_report`; the info dict carries its min |det|
-    and max condition number.
+    ``window`` = ``(lo, hi)`` bounds the coset-index support of the unknown
+    coefficients.  ``Bfield`` must be evaluated on the dual `solve_grid` of
+    that window — the per-coset inversion is then an exact inverse DFT
+    after removing the unimodular factors.  Raises when the field fails
+    `stability_report`; the info dict carries its min |det| and max
+    condition number.
     """
     p = ms.params
     lat = ms.lat
-    lo, hi = (ms.window_lo, ms.window_hi) if r_window is None else (
-        np.asarray(r_window[0], dtype=int), np.asarray(r_window[1], dtype=int))
-    wpts, shape, lo = solve_grid(p, lo, hi)
+    wpts, shape, lo = solve_grid(p, window[0], window[1])
     _require_on_grid(Bfield, wpts, "solve grid of the recovery window; build it on "
                      "dynsamp.solve_grid(params, lo, hi) points")
     m = lat.m

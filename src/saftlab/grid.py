@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -244,9 +244,9 @@ class SeqFn:
 
     ``keys`` (K, n) int64 holds distinct indices in lexicographic order (the
     order of ``sorted()`` on tuples), ``values`` (K,) complex their nonzero
-    values; both are read-only.  ``SeqFn(n, mapping)`` and `from_items`
-    convert through `from_arrays`.  ``entries`` is a read-only
-    ``{index tuple: complex}`` view, built on first access.
+    values; both are read-only.  ``SeqFn(n, mapping)`` converts through
+    `from_arrays`.  ``entries`` is a read-only ``{index tuple: complex}``
+    view, built on first access.
     """
 
     n: int
@@ -259,10 +259,6 @@ class SeqFn:
         if bad is not None:
             raise ValueError(f"index {bad} has wrong length for n={n}")
         self._assign(n, np.array(keys, dtype=np.int64).reshape(-1, n), list(entries.values()))
-
-    @classmethod
-    def from_items(cls, n: int, items: Mapping | Iterable) -> "SeqFn":
-        return cls(n, items if isinstance(items, Mapping) else dict(items))
 
     @classmethod
     def from_arrays(cls, n: int, keys, vals) -> "SeqFn":
@@ -311,9 +307,6 @@ class SeqFn:
     def as_arrays(self):
         """The stored (sorted) keys and values: (K, n) int64 and (K,) complex."""
         return self.keys, self.values
-
-    def support(self):
-        return list(map(tuple, self.keys.tolist()))
 
     def l2norm(self) -> float:
         # np.hypot rounds as Python's abs(complex) does; np.abs may not

@@ -14,7 +14,7 @@ Grid file ("SAFTGRID v1")
 
 Sequence file
     CSV rows ``k1,...,kn,re,im`` with integer indices; a header line is
-    optional on read and written by default.
+    optional on read and always written.
 
 Parameter file
     JSON, either the full block ``{"n":, "A":, "B":, "C":, "D":, "P":, "Q":}``
@@ -191,8 +191,8 @@ def read_grid(path) -> GridFn:
     )
 
 
-def write_sequence(path, s: SeqFn, header: bool = True) -> None:
-    head = [",".join(f"k{i + 1}" for i in range(s.n)) + ",re,im"] if header else []
+def write_sequence(path, s: SeqFn) -> None:
+    head = [",".join(f"k{i + 1}" for i in range(s.n)) + ",re,im"]
     keys, vals = s.as_arrays()
     _write_rows(path, vals, head, keys, np.column_stack([vals.real, vals.imag]))
 

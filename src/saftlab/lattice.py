@@ -115,29 +115,23 @@ class SamplingLattice:
         one final division)."""
         return self.adj.astype(float) / self.det
 
-    def split(self, keys, which: str = "MT") -> tuple[np.ndarray, np.ndarray]:
+    def split(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """Coset decomposition of many integer vectors at once.
 
         Writes each row ``k`` of ``keys`` (shape (K, n), integer) as
-        ``k = M^T r + eta_j`` (``which="MT"``, the default) or
-        ``k = M r + gamma_j`` (``which="M"``) and returns ``(r, j)``: an int64
-        array of shape (K, n) and the coset indices, shape (K,).  The
-        decomposition is total and unique.
+        ``k = M^T r + eta_j`` and returns ``(r, j)``: an int64 array of
+        shape (K, n) and the coset indices, shape (K,).  The decomposition
+        is total and unique.
 
         Arithmetic is exact in int64: ``adj(M^T) k`` is zero modulo ``det``
         precisely on ``M^T Z^n``, so its residues name the coset, and the
         division that yields ``r`` has no remainder.  Keys must be small
         enough that ``adj k`` fits in int64.
         """
-        if which.upper() in ("MT", "M^T"):
-            adj, reps = self.adj.T, self.eta        # adj(M^T) = adj(M)^T
-        elif which.upper() == "M":
-            adj, reps = self.adj, self.gamma
-        else:
-            raise ValueError("which must be 'M' or 'MT'")
         keys = np.asarray(keys, dtype=np.int64).reshape(-1, self.n)
-        num = keys @ adj.T
-        rep_num = np.array(reps, dtype=np.int64) @ adj.T
+        # rows adj(M^T) k: adj(M^T) = adj(M)^T
+        num = keys @ self.adj
+        rep_num = np.array(self.eta, dtype=np.int64) @ self.adj
         shape = (self.m,) * self.n
         codes = np.ravel_multi_index(tuple((num % self.m).T), shape)
         rep_codes = np.ravel_multi_index(tuple((rep_num % self.m).T), shape)
@@ -175,16 +169,15 @@ def build_lattice(M) -> SamplingLattice:
     return lat
 
 
-def decompose(lat: SamplingLattice, k, which: str = "MT") -> tuple[tuple[int, ...], int]:
-    """Write an integer vector as ``M^T r + eta_j`` (or ``M r + gamma_j``).
+def decompose(lat: SamplingLattice, k) -> tuple[tuple[int, ...], int]:
+    """Write an integer vector as ``M^T r + eta_j``.
 
-    Returns ``(r, j)``; the decomposition is total and unique.  ``which`` is
-    ``"MT"`` (default, input-side cosets) or ``"M"``.
+    Returns ``(r, j)``; the decomposition is total and unique.
     """
     k = [int(round(x)) for x in np.asarray(k).reshape(-1)]
     if len(k) != lat.n:
         raise ValueError(f"index must have length {lat.n}")
-    r, j = lat.split([k], which)
+    r, j = lat.split([k])
     return tuple(int(x) for x in r[0]), int(j[0])
 
 

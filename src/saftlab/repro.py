@@ -226,8 +226,8 @@ def build_example(
         raise ValueError("the worked example is two-dimensional")
     c1 = complex(c1)
     c2 = complex(c2)
-    filt = SeqFn.from_items(2, {(-1, -1): c1, (-1, -2): c2})
-    coeffs = SeqFn.from_items(2, {(1, 0): 1.0, (0, 1): 2.0})
+    filt = SeqFn.from_arrays(2, np.array([[-1, -1], [-1, -2]]), [c1, c2])
+    coeffs = SeqFn.from_arrays(2, np.array([[1, 0], [0, 1]]), [1.0, 2.0])
     lat = build_lattice([[2, 0], [0, 2]])
 
     table = meyer_time_table(table_kmax)
@@ -460,18 +460,13 @@ def run_example(
 
     field = build_B_window(p, lat, lo, hi, levels)
     stab = stability_report(field)
-    report["discrete_stability"] = {
-        "verdict": stab.verdict,
-        "min_abs_det": stab.min_abs_det,
-        "argmin_w": stab.argmin_w.tolist(),
-        "max_cond": stab.max_cond,
-    }
+    report["discrete_stability"] = stab.summary()
     wpts, shape, _ = solve_grid(p, lo, hi)
     report["sizes"]["solve_grid"] = list(shape)
 
     recovered: SeqFn | None = None
     if stab.ok:
-        recovered, _info = recover_discrete(ms, field, r_window=(lo, hi))
+        recovered, _info = recover_discrete(ms, field, window=(lo, hi))
         diff = recovered.plus(scenario.coeffs.scaled(-1.0))
         report["recovery_error"] = diff.l2norm() / scenario.coeffs.l2norm()
     else:
@@ -493,12 +488,7 @@ def run_example(
         Dfield = build_D(scenario.model, scenario.filt, lat, wptsC)
         stabD = stability_report(Dfield)
         report["sizes"]["continuous_solve_grid"] = list(qsh)
-        report["periodization_stability"] = {
-            "verdict": stabD.verdict,
-            "min_abs_det": stabD.min_abs_det,
-            "argmin_w": stabD.argmin_w.tolist(),
-            "max_cond": stabD.max_cond,
-        }
+        report["periodization_stability"] = stabD.summary()
         _, detE = channel_vandermonde(scenario, lat, wptsC)
         report["min_det_E"] = float(np.min(np.abs(detE)))
         resid, min_det_d = factorization_residual(scenario, lat, Dfield)

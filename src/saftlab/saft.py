@@ -108,49 +108,30 @@ _BOX_PER_KEY = 32
 class SaftPlan:
     """Pairing of a parameter block with input/output grid geometry.
 
-    ``out_template`` lives in the reduced-frequency frame; for the fast
-    backend its spacing must equal the native DFT resolution
-    ``1/(N_i h_i)`` of the input grid (its origin is free).
+    ``out_template`` is the reciprocal grid of ``in_template`` in the
+    reduced-frequency frame: spacing ``1/(N_i h_i)``, centered about 0.
     """
 
     params: SaftParams
     in_template: GridFn
     out_template: GridFn
-    backend: str = "fast"
+    backend: str
 
     def w_points(self) -> np.ndarray:
         """Physical evaluation points ``w = B nu``, shape ``shape + (n,)``."""
         return self.out_template.points() @ self.params.B.T
 
 
-def saft_plan(
-    params: SaftParams,
-    grid: GridFn,
-    backend: str = "fast",
-    out_grid: GridFn | None = None,
-) -> SaftPlan:
-    """Build a transform plan for functions sampled like ``grid``.
-
-    ``out_grid`` (reduced-frequency frame) defaults to the self-centered
-    reciprocal grid of ``grid``; the fast backend rejects spacings that do
-    not match the DFT resolution of the input.
-    """
+def saft_plan(params: SaftParams, grid: GridFn, backend: str = "fast") -> SaftPlan:
+    """Build a transform plan for functions sampled like ``grid``; the
+    output lives on the self-centered reciprocal grid of ``grid``."""
     require_valid(params)
     if params.n != grid.n:
         raise ValueError(f"params dimension {params.n} != grid dimension {grid.n}")
     if backend not in ("fast", "quad"):
         raise ValueError(f"unknown backend {backend!r}")
-    out = out_grid if out_grid is not None else reciprocal_grid(grid)
-    if out.n != grid.n:
-        raise ValueError("output grid dimension mismatch")
-    if backend == "fast":
-        native = 1.0 / (np.array(grid.shape) * grid.spacing)
-        if not np.allclose(out.spacing, native, rtol=1e-12, atol=0):
-            raise ValueError(
-                "fast backend needs output spacing equal to the DFT resolution "
-                f"{native.tolist()} of the input grid; got {out.spacing.tolist()}"
-            )
-    return SaftPlan(params=params, in_template=grid, out_template=out, backend=backend)
+    return SaftPlan(params=params, in_template=grid, out_template=reciprocal_grid(grid),
+                    backend=backend)
 
 
 def _chirped(p: SaftParams, t: np.ndarray, values) -> np.ndarray:
@@ -440,13 +421,11 @@ def saft_inverse(plan: SaftPlan, F: GridFn) -> GridFn:
 # discrete-time transform
 
 
-def dtsaft(params: SaftParams, s: SeqFn, wgrid) -> GridFn | np.ndarray:
-    """Discrete-time transform: exact finite sum over the support of ``s``.
-
-    ``wgrid`` is either a `GridFn` whose points are the physical evaluation
-    frequencies (result: grid of the same geometry) or a plain array of
-    points with trailing dimension n (result: array of values).  The
-    modulus of the result is periodic with periodicity matrix ``B``.
+def dtsaft(params: SaftParams, s: SeqFn, wpts) -> np.ndarray:
+    """Discrete-time transform: exact finite sum over the support of ``s``
+    at the physical frequencies ``wpts`` (..., n); returns values of shape
+    ``wpts.shape[:-1]``.  The modulus of the result is periodic with
+    periodicity matrix ``B``.
 
     A support that fills enough of its bounding box is summed over that
     box on the separable grid kernel (at most sum N_i exponentials per
@@ -456,16 +435,14 @@ def dtsaft(params: SaftParams, s: SeqFn, wgrid) -> GridFn | np.ndarray:
     """
     require_valid(params)
     p = params
-    as_grid = isinstance(wgrid, GridFn)
-    pts = wgrid.points() if as_grid else np.asarray(wgrid, dtype=float)
+    pts = np.asarray(wpts, dtype=float)
     if pts.shape[-1] != p.n:
         raise ValueError(f"evaluation points must have trailing dimension {p.n}")
     if s.n != p.n:
         raise ValueError(f"sequence dimension {s.n} != params dimension {p.n}")
     k, z = s.as_arrays()
     coeff = _chirped(p, k.astype(float), z)
-    vals = _modulated(p, pts, _seq_phase_sum(_reduced(p, pts), k, coeff))
-    return wgrid.with_values(vals) if as_grid else vals
+    return _modulated(p, pts, _seq_phase_sum(_reduced(p, pts), k, coeff))
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +500,12 @@ class PoissonReport:
 def poisson_check(
     params: SaftParams,
     g: GridFn,
-    wgrid,
+    wpts,
     cutoff: int = DEFAULT_LATTICE_CUTOFF,
 ) -> PoissonReport:
     """Residual of the summation identity linking integer samples of ``g``
-    to the lattice of modulated transform values:
+    to the lattice of modulated transform values, at the physical points
+    ``wpts`` (..., n):
 
         conj(eta)(w) (S g|_Z)(w)  =  sum_n conj(eta)(w + B n) (S g)(w + B n)
 
@@ -543,8 +521,7 @@ def poisson_check(
     """
     require_valid(params)
     p = params
-    as_grid = isinstance(wgrid, GridFn)
-    pts = wgrid.points() if as_grid else np.asarray(wgrid, dtype=float)
+    pts = np.asarray(wpts, dtype=float)
     wf = pts.reshape(-1, p.n)
 
     # decay check: max |g| on the boundary shell vs global max

@@ -40,7 +40,6 @@ __all__ = [
     "spectrum_at",
     "synthesize",
     "grammian",
-    "grammian_unsquared",
     "riesz_bounds",
     "RieszReport",
     "frame_check",
@@ -180,14 +179,6 @@ def grammian(model: SisModel, w) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def grammian_unsquared(model: SisModel, w) -> float | np.ndarray:
-    """Companion sum of unsquared magnitudes (reported alongside the
-    Grammian; some stability statements are phrased with this sum)."""
-    mags = _shift_values(model, w)
-    out = np.sum(mags, axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class RieszReport:
     eta1: float
@@ -205,14 +196,14 @@ class RieszReport:
         return (self.eta1, self.eta2)
 
 
-def riesz_bounds(model: SisModel, wgrid) -> RieszReport:
-    """Extremes of the Grammian over a grid covering one fundamental cell.
+def riesz_bounds(model: SisModel, wpts) -> RieszReport:
+    """Extremes of the Grammian over points ``wpts`` (..., n) covering one
+    fundamental cell.
 
     ``eta1 > RIESZ_RTOL * eta2`` is the pass condition; a vanishing lower
     bound means the translates fail to form a Riesz family.
     """
-    pts = wgrid.points() if isinstance(wgrid, GridFn) else np.asarray(wgrid, dtype=float)
-    flat = pts.reshape(-1, model.params.n)
+    flat = np.asarray(wpts, dtype=float).reshape(-1, model.params.n)
     return _riesz_report(flat, grammian(model, flat))
 
 

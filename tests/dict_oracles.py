@@ -5,6 +5,8 @@ These are the entry-by-entry versions that the array kernels in
 ``saftlab.dynsamp`` replaced, kept verbatim as test oracles: every loop here
 walks a Python dict one entry at a time, with exact Python-int lattice
 arithmetic.  ``test_kernels.py`` checks the array kernels against them.
+`decompose` keeps only the ``M^T`` side, and `measure_from_samples` no
+longer computes a window bounding box, like the library versions.
 
 `l2norm`, `scaled` and `plus` are the methods of the dict-backed `SeqFn`,
 with ``self`` as their first argument; ``test_grid.py`` checks the
@@ -67,25 +69,17 @@ def downsample(lat: SamplingLattice, c: SeqFn) -> SeqFn:
     return SeqFn(n=n, entries=entries)
 
 
-def decompose(lat: SamplingLattice, k, which: str = "MT") -> tuple[tuple[int, ...], int]:
-    """Write an integer vector as ``M^T r + eta_j`` (or ``M r + gamma_j``).
+def decompose(lat: SamplingLattice, k) -> tuple[tuple[int, ...], int]:
+    """Write an integer vector as ``M^T r + eta_j``.
 
-    Returns ``(r, j)``; the decomposition is total and unique.  ``which`` is
-    ``"MT"`` (default, input-side cosets) or ``"M"``.
+    Returns ``(r, j)``; the decomposition is total and unique.
     """
     k = tuple(int(round(x)) for x in np.asarray(k).reshape(-1))
     n = lat.n
     if len(k) != n:
         raise ValueError(f"index must have length {n}")
-    rows = _int_rows(lat.M)
-    if which.upper() in ("MT", "M^T"):
-        reps = lat.eta
-        mat = [list(col) for col in zip(*rows)]
-    elif which.upper() == "M":
-        reps = lat.gamma
-        mat = rows
-    else:
-        raise ValueError("which must be 'M' or 'MT'")
+    reps = lat.eta
+    mat = [list(col) for col in zip(*_int_rows(lat.M))]
     det = _det_int(mat)
     adj = _adjugate_int(mat)
     for j, rep in enumerate(reps):
@@ -103,7 +97,7 @@ def split_sequence(lat: SamplingLattice, s: SeqFn) -> list[SeqFn]:
         raise ValueError(f"sequence dimension {s.n} != lattice dimension {lat.n}")
     parts: list[dict] = [{} for _ in range(lat.m)]
     for k, z in s.entries.items():
-        r, j = decompose(lat, k, "MT")
+        r, j = decompose(lat, k)
         parts[j][r] = z
     return [SeqFn(n=s.n, entries=p) for p in parts]
 
@@ -133,7 +127,7 @@ def measure_from_samples(
     against ``phi_levels[j]`` restricted to the transposed lattice.
 
     The support is finite (sum of the two supports), so the channels are
-    complete — nothing is truncated — and the window is their bounding box.
+    complete: nothing is truncated.
     """
     require_valid(params)
     p = params
@@ -142,8 +136,6 @@ def measure_from_samples(
     adj_t = _np_adj(mt)
     sqrt_d = np.sqrt(p.abs_det_b)
     seqs = []
-    lo_all = None
-    hi_all = None
     for h in phi_levels:
         acc: dict[tuple, complex] = {}
         if s.entries and h.entries:
@@ -166,19 +158,7 @@ def measure_from_samples(
         else:
             entries = {}
         seqs.append(SeqFn(n=lat.n, entries=entries))
-        if entries:
-            karr = np.array(list(entries), dtype=int)
-            lo = karr.min(axis=0)
-            hi = karr.max(axis=0)
-            lo_all = lo if lo_all is None else np.minimum(lo_all, lo)
-            hi_all = hi if hi_all is None else np.maximum(hi_all, hi)
-    if lo_all is None:
-        lo_all = np.zeros(lat.n, dtype=int)
-        hi_all = np.zeros(lat.n, dtype=int)
-    return MeasurementSet(
-        params=p, lat=lat, levels=tuple(seqs),
-        window_lo=lo_all, window_hi=hi_all,
-    )
+    return MeasurementSet(params=p, lat=lat, levels=tuple(seqs))
 
 
 def _np_adj(mat: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ channels exactly from integer samples.  The ``classical_*`` helpers filtered
 without the chirp twist; that is the twisted kernel under the plain Fourier
 block.  They are kept verbatim as test oracles, apart from dropping the
 leading underscore of the ``classical_*`` names, an unused local, and the
-``filter_kind`` field that `MeasurementSet` no longer has:
-``test_dynsamp.py`` checks the library against them.
+``filter_kind``, ``window_lo`` and ``window_hi`` fields that
+`MeasurementSet` no longer has: ``test_dynsamp.py`` checks the library
+against them.
 """
 
 from __future__ import annotations
@@ -146,7 +147,4 @@ def measure(
     for g in levels_g:
         vals, _ = _grid_value_at_integers(g, pts)
         seqs.append(SeqFn.from_arrays(lat.n, kmesh, vals * fix))
-    return MeasurementSet(
-        params=p, lat=lat, levels=tuple(seqs),
-        window_lo=lo, window_hi=hi,
-    )
+    return MeasurementSet(params=p, lat=lat, levels=tuple(seqs))

@@ -4,7 +4,8 @@
 Each writer formats one value at a time with ``repr``; each reader converts
 one field at a time with ``float``.  The CLI writers are the row-building
 parts of the ``dtsaft``, ``sis``, ``dynsamp check`` and ``verify`` commands,
-joined as the old ``_emit_rows`` joined them.  ``test_io.py`` checks the
+joined as the old ``_emit_rows`` joined them.  `write_sequence` always
+writes its header, as the library's does now.  ``test_io.py`` checks the
 codec against them.
 """
 
@@ -72,11 +73,9 @@ def read_grid(path) -> GridFn:
     )
 
 
-def write_sequence(path, s: SeqFn, header: bool = True) -> None:
+def write_sequence(path, s: SeqFn) -> None:
     path = Path(path)
-    lines = []
-    if header:
-        lines.append(",".join(f"k{i + 1}" for i in range(s.n)) + ",re,im")
+    lines = [",".join(f"k{i + 1}" for i in range(s.n)) + ",re,im"]
     keys, vals = s.as_arrays()
     for k, re, im in zip(keys.tolist(), vals.real.tolist(), vals.imag.tolist()):
         lines.append(",".join(map(str, k)) + f",{re!r},{im!r}")

@@ -65,7 +65,7 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 def _rand_seq(rng, n=1, count=6, radius=3):
     keys = rng.integers(-radius, radius + 1, (count, n))
-    return SeqFn.from_items(
+    return SeqFn(
         n, {tuple(k): complex(a, b) for k, (a, b) in zip(keys, rng.normal(size=(count, 2)))}
     )
 
@@ -342,7 +342,7 @@ def test_criterion_11_degenerate_filters_fail_loudly(tmp_path):
     write_params(tmp_path / "p.json", p1)
     g = sampling_grid(6, 16)
     write_grid(tmp_path / "phi.grid", sample_generator("gaussian", g, sigma=0.6))
-    write_sequence(tmp_path / "zero.csv", SeqFn.from_items(1, {}))
+    write_sequence(tmp_path / "zero.csv", SeqFn(1, {}))
 
     code_zero_filter = main(
         ["dynsamp", "check", "--params", str(tmp_path / "p.json"),

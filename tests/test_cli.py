@@ -31,7 +31,7 @@ from saftlab.io import (
 )
 from saftlab.lattice import build_lattice
 from saftlab.params import preset, random_params
-from saftlab.sis import build_sis, grammian, grammian_unsquared, synthesize
+from saftlab.sis import build_sis, grammian, synthesize
 
 TRUTH = {(0,): 1.0 + 0.0j, (2,): -1.0 + 0.0j, (3,): 0.5j}
 FILTER_1D = {(0,): 1.0, (1,): 0.5}
@@ -50,14 +50,14 @@ def work(tmp_path_factory):
     write_grid(d / "phi1.grid", phi)
     write_grid(d / "gauss.grid", sample_generator("gaussian", g, sigma=0.8, center=0.3))
 
-    filt = SeqFn.from_items(1, FILTER_1D)
+    filt = SeqFn(1, FILTER_1D)
     write_sequence(d / "filt1.csv", filt)
-    write_sequence(d / "seq.csv", SeqFn.from_items(1, {(-1,): 0.5 + 0.25j, (0,): 1.0, (2,): -0.75}))
-    write_sequence(d / "zero.csv", SeqFn.from_items(1, {}))
+    write_sequence(d / "seq.csv", SeqFn(1, {(-1,): 0.5 + 0.25j, (0,): 1.0, (2,): -0.75}))
+    write_sequence(d / "zero.csv", SeqFn(1, {}))
 
     # measurements for both recovery methods, from library primitives
     lat = build_lattice([[2]])
-    c = SeqFn.from_items(1, TRUTH)
+    c = SeqFn(1, TRUTH)
     levels = [sampled_generator(lv) for lv in filtered_levels(p1, filt, phi, lat.m, "cc")]
     ms = measure_from_samples(p1, lat, c, levels)
     _write_measurements(d / "meas.csv", ms.levels, 1)
@@ -242,7 +242,7 @@ def test_sis_report_keeps_the_cell_mesh_bytes(tmp_path, capsys, n):
     axes = [np.arange(5) / 5] * n
     wpts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n) @ p.B.T
     g = np.atleast_1d(grammian(model, wpts))
-    u = np.atleast_1d(grammian_unsquared(model, wpts))
+    u = np.sum(sis._shift_values(model, wpts), axis=-1)
     rows = [",".join(f"w{i + 1}" for i in range(n)) + ",grammian,unsquared_sum"] + [
         ",".join(repr(float(x)) for x in pt) + f",{float(gv)!r},{float(uv)!r}"
         for pt, gv, uv in zip(wpts, g, u)
@@ -291,7 +291,7 @@ def test_dynsamp_check_csv_is_the_sample_route_field(tmp_path, capsys, n, M):
                sample_generator("gaussian", sampling_grid(2, 4, n=n), sigma=0.5))
     keys = [tuple(k) for k in rng.integers(-1, 2, size=(3, n))]
     write_sequence(tmp_path / "a.csv",
-                   SeqFn.from_items(n, {k: complex(*rng.normal(size=2)) for k in keys}))
+                   SeqFn(n, {k: complex(*rng.normal(size=2)) for k in keys}))
     out = tmp_path / "field.csv"
     main(["dynsamp", "check", "--params", str(tmp_path / "p.json"),
           "--phi", str(tmp_path / "phi.grid"), "--filter", str(tmp_path / "a.csv"),
@@ -313,11 +313,50 @@ def test_dynsamp_check_csv_is_the_sample_route_field(tmp_path, capsys, n, M):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _strict_json(text: str):
+    """``json.loads`` that rejects the non-standard NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_dynsamp_check_zero_filter_fails(work, tmp_path, capsys):
     code = main(["dynsamp", "check", "--params", str(work / "ft1.json"),
                  "--phi", str(work / "phi1.grid"), "--filter", str(work / "zero.csv"),
                  "--M", "[[2]]", "--out", str(tmp_path / "f.csv")])
     assert code == 2
+    summary = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    assert summary["verdict"] == "fail" and summary["max_cond"] == "inf"
+
+
+@pytest.mark.parametrize("c1, c2", [("1", "0"), ("0", "0")])
+def test_a_singular_section5_report_is_strict_json(tmp_path, capsys, c1, c2):
+    # a singular field has an infinite condition number, which json.dumps
+    # would write as the non-standard Infinity
+    assert main(["repro", "section5", f"--c1={c1}", f"--c2={c2}",
+                 "--outdir", str(tmp_path)]) == 2
+    report = _strict_json((tmp_path / "report.json").read_text())
+    assert report["verdict"] == "fail"
+    assert report["periodization_stability"]["max_cond"] == "inf"
+
+
+def test_repro_threshold_defaults_to_the_library_constant(monkeypatch, capsys):
+    from saftlab import repro
+    from saftlab.dynsamp import SAMPLE_THRESHOLD
+
+    assert build_parser().parse_args(["repro", "section5"]).threshold is None
+    built = []
+    build_example = repro.build_example
+
+    def spy(**kw):
+        built.append(build_example(**kw))
+        return built[-1]
+
+    monkeypatch.setattr(repro, "build_example", spy)
+    monkeypatch.setattr(repro, "run_example", lambda sc, outdir: ({"verdict": "pass"}, None))
+    assert main(["repro", "section5"]) == 0
+    assert built[0].sample_threshold == SAMPLE_THRESHOLD
 
 
 @pytest.mark.parametrize("command, header_lines", [
@@ -555,6 +594,8 @@ def test_non_positive_counts_and_cuts_are_usage_errors(work, tmp_path, capsys, c
     ("repro", "--out=D"),  # a prefix of --outdir is not --outdir
     ("selftest", "--tol=1e-3"),
     ("selftest", "--out=t.txt"),
+    ("verify --params", "--dim=3"),  # a fixed block has its own dimension
+    ("verify --params", "--dim=1"),
 ])
 def test_flags_a_command_would_ignore_are_usage_errors(work, tmp_path, capsys, command, flag):
     # --tol, --seed and --out exist only where the command reads them
@@ -574,6 +615,8 @@ def test_flags_a_command_would_ignore_are_usage_errors(work, tmp_path, capsys, c
                             str(work / "meas.csv"), "--out", str(tmp_path / "r.csv")],
         "repro": ["repro", "section5", "--outdir", str(tmp_path / "out")],
         "selftest": ["selftest"],
+        "verify --params": ["verify", "--theorem", "dd", "--trials", "2",
+                            "--params", str(work / "ft1.json"), "--out", str(tmp_path / "v.csv")],
     }[command]
     assert main(argv + [flag]) == 64
     captured = capsys.readouterr()

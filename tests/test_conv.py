@@ -26,7 +26,7 @@ def _gaussian(sigma, center=0.0, halfwidth=6, per_unit=16):
 
 def _rand_seq(rng, n=1, count=5, radius=3):
     keys = rng.integers(-radius, radius + 1, (count, n))
-    return SeqFn.from_items(
+    return SeqFn(
         n, {tuple(k): complex(a, b) for k, (a, b) in zip(keys, rng.normal(size=(count, 2)))}
     )
 
@@ -70,12 +70,12 @@ def test_conv_cc_commutative():
 
 def test_conv_dd_ft_is_plain_discrete_convolution():
     p = preset("ft", 1)
-    a = SeqFn.from_items(1, {(0,): 1.0, (1,): 2.0, (3,): -1.0})
-    b = SeqFn.from_items(1, {(-1,): 0.5, (0,): 1.0})
+    a = SeqFn(1, {(0,): 1.0, (1,): 2.0, (3,): -1.0})
+    b = SeqFn(1, {(-1,): 0.5, (0,): 1.0})
     c = conv_dd(p, a, b)
     # coefficients of (1 + 2x + 0x^2 - x^3)(0.5/x + 1)
     want = {(-1,): 0.5, (0,): 2.0, (1,): 2.0, (2,): -0.5, (3,): -1.0}
-    assert set(c.support()) == set(want)
+    assert set(c.entries) == set(want)
     for k, v in want.items():
         assert c.get(k) == pytest.approx(v)
 
@@ -83,10 +83,10 @@ def test_conv_dd_ft_is_plain_discrete_convolution():
 def test_conv_dd_comb_squared():
     # the worked filter coefficients used downstream: {(-1,-1): 1, (-1,-2): 1/2}
     p = preset("ft", 2)
-    a = SeqFn.from_items(2, {(-1, -1): 1.0, (-1, -2): 0.5})
+    a = SeqFn(2, {(-1, -1): 1.0, (-1, -2): 0.5})
     c = comb_power(p, a, 2)
     want = {(-2, -2): 1.0, (-2, -3): 1.0, (-2, -4): 0.25}
-    assert set(c.support()) == set(want)
+    assert set(c.entries) == set(want)
     for k, v in want.items():
         assert c.get(k) == pytest.approx(v)
 
@@ -94,7 +94,7 @@ def test_conv_dd_comb_squared():
 def test_conv_sd_is_translate_sum():
     rng = np.random.default_rng(11)
     p = random_params(1, rng)
-    s = SeqFn.from_items(1, {(1,): 1.5, (-2,): 1j})
+    s = SeqFn(1, {(1,): 1.5, (-2,): 1j})
     phi = _gaussian(0.7, halfwidth=4)
     out = conv_sd(p, s, phi)
     # independent direct evaluation of the weighted translate sum
@@ -121,7 +121,7 @@ def test_conv_sd_is_translate_sum():
 def test_conv_sd_empty_sequence_gives_zero():
     p = preset("ft", 1)
     phi = _gaussian(0.5, halfwidth=3)
-    out = conv_sd(p, SeqFn.from_items(1, {}), phi)
+    out = conv_sd(p, SeqFn(1, {}), phi)
     assert np.all(out.values == 0)
 
 
@@ -130,7 +130,7 @@ def test_power_rejects_nonpositive_order():
     with pytest.raises(ValueError):
         conv_power(p, _gaussian(0.5), 0)
     with pytest.raises(ValueError):
-        comb_power(p, SeqFn.from_items(1, {(0,): 1.0}), 0)
+        comb_power(p, SeqFn(1, {(0,): 1.0}), 0)
 
 
 def test_conv_power_iterates():
@@ -144,9 +144,9 @@ def test_conv_power_iterates():
 def test_dimension_mismatch_raises():
     p = preset("ft", 1)
     with pytest.raises(ValueError):
-        conv_sd(p, SeqFn.from_items(2, {(0, 0): 1.0}), _gaussian(0.5))
+        conv_sd(p, SeqFn(2, {(0, 0): 1.0}), _gaussian(0.5))
     with pytest.raises(ValueError):
-        conv_dd(p, SeqFn.from_items(1, {(0,): 1.0}), SeqFn.from_items(2, {(0, 0): 1.0}))
+        conv_dd(p, SeqFn(1, {(0,): 1.0}), SeqFn(2, {(0, 0): 1.0}))
 
 
 # ---------------------------------------------------------------------------

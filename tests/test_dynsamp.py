@@ -33,7 +33,7 @@ from saftlab.dynsamp import (
     stability_report,
 )
 from saftlab.grid import SeqFn, sample_generator, sampling_grid
-from saftlab.lattice import build_lattice, decompose
+from saftlab.lattice import build_lattice
 from saftlab.params import modulation, preset, random_params
 from saftlab.saft import dtsaft, kernel_quadrature
 from saftlab.sis import build_sis, resolved_band_mask
@@ -41,14 +41,14 @@ from saftlab.sis import build_sis, resolved_band_mask
 
 def _rand_seq(rng, n, count, radius):
     keys = rng.integers(-radius, radius + 1, (count, n))
-    return SeqFn.from_items(
+    return SeqFn(
         n, {tuple(k): complex(a, b) for k, (a, b) in zip(keys, rng.normal(size=(count, 2)))}
     )
 
 
 def _r_window(lat, s, pad=0):
     """Smallest coset-index window containing every index of ``s``."""
-    rs = np.array([decompose(lat, k, "MT")[0] for k in s.support()])
+    rs, _ = lat.split(s.keys)
     return rs.min(axis=0) - pad, rs.max(axis=0) + pad
 
 
@@ -63,7 +63,7 @@ def test_filtered_levels_shape_and_identity_level():
     p = preset("ft", 1)
     g = sampling_grid(4, 8)
     phi = sample_generator("gaussian", g, sigma=0.6)
-    a = SeqFn.from_items(1, ASYM_FILTER_1D)
+    a = SeqFn(1, ASYM_FILTER_1D)
     levels = filtered_levels(p, a, phi, 3, "cc")
     assert len(levels) == 3
     assert levels[0] is phi
@@ -110,7 +110,7 @@ def test_measure_routes_agree(seed):
     g = sampling_grid(6, 16)
     phi = sample_generator("gaussian", g, sigma=0.6)
     model = build_sis(p, phi)
-    a = SeqFn.from_items(1, ASYM_FILTER_1D)
+    a = SeqFn(1, ASYM_FILTER_1D)
     c = _rand_seq(rng, 1, 4, 2)
 
     grid_ms = oracle.measure(model, c, a, lat)
@@ -118,7 +118,7 @@ def test_measure_routes_agree(seed):
     exact_ms = measure_from_samples(p, lat, c, phi_levels)
 
     for gch, ech in zip(grid_ms.levels, exact_ms.levels):
-        for k in gch.support():
+        for k in gch.entries:
             assert abs(gch.get(k) - ech.get(k)) < 1e-10
 
 
@@ -142,6 +142,19 @@ def test_build_B_window_matches_sample_route():
     fast = build_B_window(p, lat, lo, hi, phi_levels)
     slow = build_B_from_samples(p, lat, wpts, phi_levels)
     assert np.max(np.abs(fast.entries - slow.entries)) < 1e-12
+
+
+def test_matrix_fields_reject_points_of_another_dimension():
+    # both fields take (..., n) point arrays and name the dimension they need
+    rng = np.random.default_rng(10)
+    p = preset("ft", 1)
+    lat = build_lattice([[2]])
+    wrong = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="trailing dimension 1"):
+        build_B_from_samples(p, lat, wrong, [_rand_seq(rng, 1, 4, 2) for _ in range(2)])
+    model = build_sis(p, sample_generator("gaussian", sampling_grid(6, 16), sigma=0.6))
+    with pytest.raises(ValueError, match="trailing dimension 1"):
+        build_D(model, SeqFn(1, ASYM_FILTER_1D), lat, wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +182,7 @@ def test_even_filter_even_generator_is_singular_at_band_midpoint():
     lat = build_lattice([[2]])
     g = sampling_grid(6, 16)
     phi = sample_generator("gaussian", g, sigma=0.6)
-    a = SeqFn.from_items(1, {(-1,): 0.5, (1,): 0.5})
+    a = SeqFn(1, {(-1,): 0.5, (1,): 0.5})
     levels = [sampled_generator(lv) for lv in filtered_levels(p, a, phi, lat.m, "cc")]
     # even window extent puts a solve node exactly at the half-band frequency
     field = build_B_window(p, lat, [-4], [3], levels)
@@ -185,14 +198,14 @@ def test_zero_filter_gives_singular_system():
     lat = build_lattice([[2]])
     g = sampling_grid(6, 16)
     phi = sample_generator("gaussian", g, sigma=0.6)
-    zero = SeqFn.from_items(1, {})
+    zero = SeqFn(1, {})
     levels = [sampled_generator(lv) for lv in filtered_levels(p, zero, phi, lat.m, "cc")]
     field = build_B_window(p, lat, [-4], [4], levels)
     assert not stability_report(field).ok
     c = _rand_seq(rng, 1, 3, 2)
     ms = measure_from_samples(p, lat, c, levels)
     with pytest.raises(ValueError, match="singular"):
-        recover_discrete(ms, field, r_window=([-4], [4]))
+        recover_discrete(ms, field, window=([-4], [4]))
 
 
 def _nearly_singular_at(field, i, margin):
@@ -223,7 +236,7 @@ def test_recover_discrete_enforces_the_stability_verdict():
     ratio = rep.abs_det[3] / np.prod(np.linalg.norm(bad.entries[3], axis=1))
     assert 1e-13 < ratio < 1e-8 and not rep.ok
     with pytest.raises(ValueError, match="singular") as err:
-        recover_discrete(ms, bad, r_window=(lo, hi))
+        recover_discrete(ms, bad, window=(lo, hi))
     assert str(rep.argmin_w.tolist()) in str(err.value)
 
 
@@ -233,7 +246,7 @@ def test_recover_continuous_enforces_the_stability_verdict():
     lat = build_lattice([[2]])
     phi = sample_generator("gaussian", sampling_grid(6, 16), sigma=0.55)
     model = build_sis(p, phi)
-    a = SeqFn.from_items(1, ASYM_FILTER_1D)
+    a = SeqFn(1, ASYM_FILTER_1D)
     c = _rand_seq(rng, 1, 4, 2)
     from saftlab.sis import synthesize
 
@@ -266,11 +279,11 @@ def test_recover_discrete_exact_1d(seed):
     lo, hi = _r_window(lat, c, pad=1)
     field = build_B_window(p, lat, lo, hi, phi_levels)
     assert stability_report(field, det_rtol=1e-10).ok
-    rec, info = recover_discrete(ms, field, r_window=(lo, hi))
+    rec, info = recover_discrete(ms, field, window=(lo, hi))
     assert info["min_abs_det"] > 0
-    for k in c.support():
+    for k in c.entries:
         assert abs(rec.get(k) - c.get(k)) < 1e-10
-    extras = [abs(rec.get(k)) for k in rec.support() if k not in set(c.support())]
+    extras = [abs(rec.get(k)) for k in rec.entries if k not in c.entries]
     assert not extras or max(extras) < 1e-10
 
 
@@ -284,8 +297,8 @@ def test_recover_discrete_exact_2d_chirped():
     lo, hi = _r_window(lat, c, pad=1)
     field = build_B_window(p, lat, lo, hi, phi_levels)
     assert stability_report(field, det_rtol=1e-10).ok
-    rec, _ = recover_discrete(ms, field, r_window=(lo, hi))
-    for k in c.support():
+    rec, _ = recover_discrete(ms, field, window=(lo, hi))
+    for k in c.entries:
         assert abs(rec.get(k) - c.get(k)) < 1e-9
 
 
@@ -298,11 +311,11 @@ def test_recover_discrete_rejects_mismatched_field():
     ms = measure_from_samples(p, lat, c, phi_levels)
     field = build_B_window(p, lat, [-9], [9], phi_levels)  # wrong window
     with pytest.raises(ValueError, match="solve grid"):
-        recover_discrete(ms, field, r_window=([-2], [2]))
+        recover_discrete(ms, field, window=([-2], [2]))
     with pytest.raises(ValueError, match="channels"):
         bad = measure_from_samples(p, lat, c, phi_levels[:1])
         f2 = build_B_window(p, lat, [-2], [2], phi_levels[:1])
-        recover_discrete(bad, f2, r_window=([-2], [2]))
+        recover_discrete(bad, f2, window=([-2], [2]))
 
 
 def test_recover_discrete_grid_route_end_to_end():
@@ -314,15 +327,15 @@ def test_recover_discrete_grid_route_end_to_end():
     g = sampling_grid(8, 16)
     phi = sample_generator("gaussian", g, sigma=0.6)
     model = build_sis(p, phi)
-    a = SeqFn.from_items(1, ASYM_FILTER_1D)
+    a = SeqFn(1, ASYM_FILTER_1D)
     c = _rand_seq(rng, 1, 5, 3)
     ms = oracle.measure(model, c, a, lat)
     lo, hi = _r_window(lat, c, pad=2)
     levels = [sampled_generator(lv) for lv in filtered_levels(p, a, phi, lat.m, "cc")]
     field = build_B_window(p, lat, lo, hi, levels)
     assert stability_report(field).ok
-    rec, _ = recover_discrete(ms, field, r_window=(lo, hi))
-    for k in c.support():
+    rec, _ = recover_discrete(ms, field, window=(lo, hi))
+    for k in c.entries:
         assert abs(rec.get(k) - c.get(k)) < 1e-9
 
 
@@ -337,21 +350,21 @@ def test_recover_continuous_exact():
     g = sampling_grid(8, 16)
     phi = sample_generator("gaussian", g, sigma=0.55)
     model = build_sis(p, phi)
-    a = SeqFn.from_items(1, ASYM_FILTER_1D)
+    a = SeqFn(1, ASYM_FILTER_1D)
     c = _rand_seq(rng, 1, 5, 3)
     from saftlab.sis import synthesize
 
     f = synthesize(model, c)
     h_levels = integer_sample_levels(p, a, f, lat.m)
-    keys = np.array(list(c.support()))
+    keys = c.keys
     lo, hi = keys.min(axis=0) - 1, keys.max(axis=0) + 1
     wpts, shape, lo_pad, qshape = continuous_solve_grid(p, lat, lo, hi)
     field = build_D(model, a, lat, wpts, J=lat.m)
     assert stability_report(field).ok
     rec, info = recover_continuous(p, lat, h_levels, field, window=(lo, hi))
-    for k in c.support():
+    for k in c.entries:
         assert abs(rec.get(k) - c.get(k)) < 1e-9
-    extras = [abs(rec.get(k)) for k in rec.support() if k not in set(c.support())]
+    extras = [abs(rec.get(k)) for k in rec.entries if k not in c.entries]
     assert not extras or max(extras) < 1e-9
 
 
@@ -391,7 +404,7 @@ def test_build_D_chirped_branch_matches_direct_sums(n, M, a):
     lat = build_lattice(M)
     phi = sample_generator("gaussian", sampling_grid(3, 8, n=n), sigma=0.6)
     model = build_sis(p, phi, strict=False)
-    filt = SeqFn.from_items(n, a)
+    filt = SeqFn(n, a)
     wpts = rng.uniform(-0.5, 0.5, (5, n))
     field = build_D(model, filt, lat, wpts, cutoff=2, J=2)
     pts = _shift_stack(p, lat, wpts, 2)
@@ -430,8 +443,8 @@ def test_continuous_route_guards():
         recover_continuous(
             p,
             lat,
-            [SeqFn.from_items(1, {}), SeqFn.from_items(1, {})],
-            build_B_window(preset("ft", 1), lat, [0], [3], [SeqFn.from_items(1, {(0,): 1.0})] * 2),
+            [SeqFn(1, {}), SeqFn(1, {})],
+            build_B_window(preset("ft", 1), lat, [0], [3], [SeqFn(1, {(0,): 1.0})] * 2),
             window=([0], [3]),
         )
     with pytest.raises(ValueError, match="diagonal"):
@@ -457,11 +470,9 @@ KNOBS = {
     "dynsamp": {
         "build_D": ("cutoff", "J"),
         "stability_report": ("det_rtol",),
-        "recover_discrete": ("r_window",),
     },
     "grid": {"sampling_grid": ("n",), "dft": ("sign", "out")},
-    "io": {"read_sequence": ("n",), "write_sequence": ("header",)},
-    "lattice": {"SamplingLattice.split": ("which",), "decompose": ("which",)},
+    "io": {"read_sequence": ("n",)},
     "params": {"SaftParams.is_chirp_free": ("tol",), "validate": ("tol",), "preset": ("n",)},
     "repro": {
         "meyer_time_table": ("kmax",),
@@ -472,8 +483,7 @@ KNOBS = {
         "run_example": ("outdir", "window"),
     },
     "saft": {
-        "SaftPlan": ("backend",),
-        "saft_plan": ("backend", "out_grid"),
+        "saft_plan": ("backend",),
         "poisson_check": ("cutoff",),
     },
     "sis": {"build_sis": ("spectrum_fn", "strict"), "spectrum_at": ("grid",),

@@ -138,14 +138,14 @@ def test_dft_rejects_incompatible_target():
 
 
 def test_seqfn_prunes_zeros_and_normalizes_keys():
-    s = SeqFn.from_items(2, {(0, 0): 1.0, (1, -2): 0.0, (2, 2): 3j})
-    assert set(s.support()) == {(0, 0), (2, 2)}
+    s = SeqFn(2, {(0, 0): 1.0, (1, -2): 0.0, (2, 2): 3j})
+    assert set(s.entries) == {(0, 0), (2, 2)}
     assert s.get((1, -2)) == 0
     assert s.get(np.array([2, 2])) == 3j
 
 
 def test_seqfn_arrays_sorted_and_l2():
-    s = SeqFn.from_items(1, {(3,): 1.0, (-1,): 2.0})
+    s = SeqFn(1, {(3,): 1.0, (-1,): 2.0})
     keys, vals = s.as_arrays()
     assert keys.tolist() == [[-1], [3]]
     assert vals.tolist() == [2.0, 1.0]
@@ -153,13 +153,13 @@ def test_seqfn_arrays_sorted_and_l2():
 
 
 def test_seqfn_algebra():
-    a = SeqFn.from_items(1, {(0,): 1.0, (1,): 2.0})
-    b = SeqFn.from_items(1, {(1,): -2.0, (5,): 1e-20})
+    a = SeqFn(1, {(0,): 1.0, (1,): 2.0})
+    b = SeqFn(1, {(1,): -2.0, (5,): 1e-20})
     c = a.plus(b)
-    assert set(c.support()) == {(0,), (5,)}
+    assert set(c.entries) == {(0,), (5,)}
     assert a.scaled(2j).get((1,)) == 4j
     with pytest.raises(ValueError):
-        a.plus(SeqFn.from_items(2, {(0, 0): 1.0}))
+        a.plus(SeqFn(2, {(0, 0): 1.0}))
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,11 +171,11 @@ def test_seqfn_algebra():
     )
 )
 def test_seqfn_plus_scaled_consistent(items):
-    s = SeqFn.from_items(1, {(k,): v for k, v in items.items()})
+    s = SeqFn(1, {(k,): v for k, v in items.items()})
     z = s.plus(s.scaled(-1.0))
-    assert len(z.support()) == 0
+    assert len(z) == 0
     doubled = s.plus(s)
-    for k in s.support():
+    for k in s.entries:
         assert doubled.get(k) == pytest.approx(2 * s.get(k))
 
 
@@ -204,7 +204,7 @@ def test_seqfn_stores_the_sorted_nonzero_items(data, n):
     perm = data.draw(st.permutations(range(len(items))))
     keys = np.array([items[i][0] for i in perm], dtype=np.int64).reshape(-1, n)
     vals = np.array([items[i][1] for i in perm], dtype=complex)
-    for s in (SeqFn(n, d), SeqFn.from_items(n, d), SeqFn.from_arrays(n, keys, vals)):
+    for s in (SeqFn(n, d), SeqFn.from_arrays(n, keys, vals)):
         assert s.keys.dtype == np.int64 and s.keys.shape == (len(want), n)
         assert [tuple(k) for k in s.keys.tolist()] == [k for k, _ in want]
         np.testing.assert_array_equal(_bits(s.values), _bits([v for _, v in want]))
@@ -317,13 +317,13 @@ def test_grid_file_roundtrip(tmp_path):
 
 
 def test_sequence_file_roundtrip(tmp_path):
-    s = SeqFn.from_items(2, {(0, 1): 1.5 - 2j, (-3, 4): 0.25})
+    s = SeqFn(2, {(0, 1): 1.5 - 2j, (-3, 4): 0.25})
     path = tmp_path / "s.csv"
     write_sequence(path, s)
     back = read_sequence(path)
     assert back.n == 2
-    assert set(back.support()) == set(s.support())
-    for k in s.support():
+    assert set(back.entries) == set(s.entries)
+    for k in s.entries:
         assert back.get(k) == pytest.approx(s.get(k))
     assert "np.float64" not in path.read_text()
 
@@ -331,11 +331,11 @@ def test_sequence_file_roundtrip(tmp_path):
 def test_zero_sequence_roundtrip(tmp_path):
     # an all-zero sequence prunes to an empty map; the file keeps only the
     # header and must read back as the zero sequence, not an error
-    z = SeqFn.from_items(2, {(0, 0): 0.0})
+    z = SeqFn(2, {(0, 0): 0.0})
     path = tmp_path / "zero.csv"
     write_sequence(path, z)
     back = read_sequence(path)
-    assert back.n == 2 and len(back.support()) == 0
+    assert back.n == 2 and len(back) == 0
 
 
 def test_params_file_roundtrip(tmp_path):

@@ -81,16 +81,16 @@ def test_grid_writer_matches_the_per_row_writer(tmp_path, data, n):
 
 
 @SETTINGS
-@given(data=st.data(), n=st.integers(1, 3), header=st.booleans())
-def test_sequence_writer_matches_the_per_row_writer(tmp_path, data, n, header):
+@given(data=st.data(), n=st.integers(1, 3))
+def test_sequence_writer_matches_the_per_row_writer(tmp_path, data, n):
     index = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
     keys = data.draw(st.lists(st.tuples(*[index] * n), max_size=5, unique=True))
     parts = data.draw(_block(len(keys), 2, FINITE))
     vals = np.empty(len(keys), dtype=complex)
     vals.real, vals.imag = parts[:, 0], parts[:, 1]
     s = SeqFn.from_arrays(n, np.array(keys, dtype=np.int64).reshape(-1, n), vals)
-    write_sequence(tmp_path / "new.csv", s, header=header)
-    oracle.write_sequence(tmp_path / "old.csv", s, header=header)
+    write_sequence(tmp_path / "new.csv", s)
+    oracle.write_sequence(tmp_path / "old.csv", s)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
@@ -398,8 +398,7 @@ def files(tmp_path_factory):
     write_params(d / "frft.json", preset("separable_frft", theta=[0.7, 1.1]))
     write_params(d / "ft.json", preset("ft", 2))
     write_grid(d / "phi.grid", sample_generator("gaussian", sampling_grid(2, 16, n=2), sigma=0.5))
-    write_sequence(d / "a.csv", SeqFn.from_items(2, {(0, 0): 0.7 + 0.1j, (-1, -1): 1.0,
-                                                      (-1, -2): 0.5}))
+    write_sequence(d / "a.csv", SeqFn(2, {(0, 0): 0.7 + 0.1j, (-1, -1): 1.0, (-1, -2): 0.5}))
     return d
 
 

@@ -48,19 +48,9 @@ def test_decompose_partitions_a_box(M):
     n = lat.n
     mt = lat.M.T
     for k in itertools.product(range(-4, 5), repeat=n):
-        r, j = decompose(lat, k, "MT")
+        r, j = decompose(lat, k)
         rebuilt = mt @ np.array(r) + np.array(lat.eta[j])
         assert tuple(rebuilt) == k
-
-
-def test_decompose_m_side():
-    lat = build_lattice([[2, 1], [0, 2]])
-    for k in itertools.product(range(-3, 4), repeat=2):
-        r, j = decompose(lat, k, "M")
-        rebuilt = lat.M @ np.array(r) + np.array(lat.gamma[j])
-        assert tuple(rebuilt) == k
-    with pytest.raises(ValueError):
-        decompose(lat, (1, 1), "bogus")
 
 
 @settings(max_examples=30, deadline=None)
@@ -77,23 +67,23 @@ def test_split_merge_roundtrip(ms, items):
     if abs(ms[0] * ms[3] - ms[1] * ms[2]) == 0:
         return
     lat = build_lattice(M)
-    s = SeqFn.from_items(2, items)
+    s = SeqFn(2, items)
     parts = split_sequence(lat, s)
     assert len(parts) == lat.m
     back = merge_sequence(lat, parts)
-    assert set(back.support()) == set(s.support())
-    for k in s.support():
+    assert set(back.entries) == set(s.entries)
+    for k in s.entries:
         assert back.get(k) == s.get(k)
 
 
 def test_split_preserves_mass():
     lat = build_lattice([[2, 0], [0, 3]])
     rng = np.random.default_rng(8)
-    s = SeqFn.from_items(
+    s = SeqFn(
         2, {(int(a), int(b)): complex(rng.normal(), rng.normal()) for a, b in rng.integers(-6, 7, (20, 2))}
     )
     parts = split_sequence(lat, s)
-    assert sum(len(p.support()) for p in parts) == len(s.support())
+    assert sum(len(p) for p in parts) == len(s)
     total = sum(p.l2norm() ** 2 for p in parts)
     assert total == pytest.approx(s.l2norm() ** 2, rel=1e-12)
 
@@ -101,4 +91,4 @@ def test_split_preserves_mass():
 def test_merge_requires_full_part_list():
     lat = build_lattice([[2]])
     with pytest.raises(ValueError):
-        merge_sequence(lat, [SeqFn.from_items(1, {})])
+        merge_sequence(lat, [SeqFn(1, {})])

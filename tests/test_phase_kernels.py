@@ -336,7 +336,7 @@ def test_dtsaft_matches_chunked_oracle(n, data, budget, size):
     p, _, w = data.draw(_case(n))
     rng = np.random.default_rng(size)
     keys = rng.integers(-6, 7, (size, n))
-    s = SeqFn.from_items(n, {tuple(k): complex(*rng.normal(size=2)) for k in keys})
+    s = SeqFn(n, {tuple(k): complex(*rng.normal(size=2)) for k in keys})
     with patch.object(saft, "PHASE_BUDGET", budget):
         got = dtsaft(p, s, w)
     ref = oracle.dtsaft(p, s, w)

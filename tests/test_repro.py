@@ -139,7 +139,7 @@ def test_scenario_invariants():
     # the unsquared periodization of the window lives in [1, 2]
     assert 1.0 - 1e-12 <= sc.phi0_min <= 2.0 + 1e-12
     assert sc.filt.get((-1, -1)) == 1.0 and sc.filt.get((-1, -2)) == 0.5
-    assert set(sc.coeffs.support()) == {(1, 0), (0, 1)}
+    assert set(sc.coeffs.entries) == {(1, 0), (0, 1)}
     assert sc.lat.m == 4
     assert sc.discarded_l1 < 1e-6  # short table still captures nearly all mass
 
@@ -199,7 +199,7 @@ def test_window_checks_match_the_full_evaluation(coords, c1, c2, leak):
     with pytest.MonkeyPatch.context() as m:
         if leak:
             _leaky_psi(m)
-        filt = SeqFn.from_items(2, {(-1, -1): c1, (-1, -2): c2})
+        filt = SeqFn(2, {(-1, -1): c1, (-1, -2): c2})
         # the row of (0.7, 0) is live when the window leaks
         nu0 = np.array(coords[: len(coords) // 2 * 2] + [0.7, 0.0]).reshape(-1, 2)
         assert _assert_same_bits(filt, nu0) == 0.0 or leak
@@ -213,7 +213,7 @@ def test_window_checks_match_on_a_chirped_block(monkeypatch, leak):
     if leak:
         _leaky_psi(monkeypatch)
     nu0 = saft_plan(p, sampling_grid(4.0, 8, n=2)).w_points().reshape(-1, 2) @ p.b_inv.T
-    filt = SeqFn.from_items(2, {(-1, -1): 0.8 + 0.3j, (-1, -2): -0.4 + 0.2j})
+    filt = SeqFn(2, {(-1, -1): 0.8 + 0.3j, (-1, -2): -0.4 + 0.2j})
     assert (_assert_same_bits(filt, nu0, p) > 0) == leak
 
 
@@ -280,7 +280,7 @@ def test_run_example_small_pass():
     assert report["factorization_residual"] < 1e-8
     assert report["min_det_E"] > 11.9
     assert recovered is not None
-    for k in sc.coeffs.support():
+    for k in sc.coeffs.entries:
         assert abs(recovered.get(k) - sc.coeffs.get(k)) < 1e-8
 
 

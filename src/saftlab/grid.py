@@ -253,7 +253,7 @@ class SeqFn:
     keys: np.ndarray
     values: np.ndarray
 
-    def __init__(self, n: int, entries: Mapping = MappingProxyType({})):
+    def __init__(self, n: int, entries: Mapping):
         keys = [tuple(int(x) for x in k) for k in entries]
         bad = next((k for k in keys if len(k) != n), None)
         if bad is not None:

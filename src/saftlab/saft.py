@@ -28,7 +28,10 @@ point ``w``.  Each site takes the route its sources allow:
   products.  The quad forward sums at its stored grid ``nu`` itself.  The
   quad inverse's sources ``w = B nu`` form a sheared grid, but the inverse
   block's B is ``-B^T``, so the reduced output of ``t`` meets them at the
-  phase ``-t.nu``: it sums at ``-t`` over the rectangular grid ``nu``;
+  phase ``-t.nu``: it sums at ``-t`` over the rectangular grid ``nu``.
+  Its matrix products run on the calling thread (`_blas_on_caller`): one
+  handed to OpenBLAS's pool would leave the pool's idle worker spinning
+  for about 0.1 s of CPU after the call, over the direct kernel's threads;
 * integer supports (`dtsaft`, the left side of `poisson_check`) go through
   `_seq_phase_sum`: over their dense bounding box on the grid kernel when
   that forms no more exponentials than the support has keys and the box is
@@ -47,9 +50,10 @@ point ``w``.  Each site takes the route its sources allow:
   The contract: each phase in turns is reduced to its fraction of a turn
   (``arg - rint(arg)`` is exact and leaves ``|arg| <= 1/2``) and formed as a
   real cosine and sine (`_turns`), so forming it adds no error that grows
-  with the number of turns.  No step calls BLAS, whose worker threads would
-  spin through the next chunk, and every step treats an output alone, in a
-  fixed order, so a point's value does not depend on the batch it came in.
+  with the number of turns.  The direct kernel calls no BLAS, whose worker
+  threads would spin through the next chunk, and every step treats an
+  output alone, in a fixed order, so a point's value does not depend on the
+  batch it came in.
   The outputs are split into at most `_WORKERS` contiguous blocks, the
   calling thread summing the first and a pool opened for the call the
   others, in chunks that together hold one `PHASE_BUDGET` (the box counted
@@ -61,7 +65,9 @@ point ``w``.  Each site takes the route its sources allow:
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from dataclasses import dataclass
 from math import ceil, floor, prod, sqrt
 
@@ -102,6 +108,79 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 #: elements per support key up to which an integer support is summed over
 #: its dense bounding box (see `_seq_phase_sum`)
 _BOX_PER_KEY = 32
+
+#: OpenBLAS thread-count symbols (get, set): numpy 2 wheels, numpy 1.x
+#: wheels, plain builds
+_OPENBLAS_NAMES = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_paths() -> list[str]:
+    """Paths of the mapped libraries whose path names OpenBLAS (Linux only)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return []
+    return sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
+
+
+def _openblas_threads():
+    """The loaded OpenBLAS's ``(get_num_threads, set_num_threads)``, or None
+    when no mapped library exports a known pair (MKL, Accelerate, not Linux)."""
+    libs = []
+    for path in _openblas_paths():
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    for get_name, set_name in _OPENBLAS_NAMES:
+        for lib in libs:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _BlasPin:
+    """Scoped pin of OpenBLAS to the calling thread: inside, BLAS runs on one
+    thread; the first caller in saves the count and the last out restores it,
+    so nested use and overlapping threads never leave the process pinned.
+    The pair is resolved on first use, so importing saftlab does no work."""
+
+    def __init__(self, resolve):
+        self._resolve = resolve
+        self._pair = None
+        self._resolved = False
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._resolved:
+                self._pair, self._resolved = self._resolve(), True
+            if self._pair is not None:
+                if self._depth == 0:
+                    self._saved = self._pair[0]()
+                    self._pair[1](1)
+                self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            if self._pair is not None:
+                self._depth -= 1
+                if self._depth == 0:
+                    self._pair[1](self._saved)
+
+
+#: held around the grid kernel's products (see the module docstring)
+_blas_on_caller = _BlasPin(_openblas_threads)
 
 
 @dataclass(frozen=True)
@@ -261,7 +340,9 @@ def grid_phase_sum(nu, axes, values) -> np.ndarray:
     row product per output: distinct coordinates x N_i exponentials plus the
     row products, for the same terms as the No * prod N_i direct sum in
     another order.  Chunks hold about `PHASE_BUDGET` elements of tables and
-    partial sums.
+    partial sums.  The products run under `_blas_on_caller`, on the calling
+    thread, so their bits do not depend on OpenBLAS's thread count; while
+    the loop runs, OpenBLAS runs on one thread for the whole process.
     """
     nu = np.asarray(nu, dtype=float).reshape(-1, len(axes))
     shape = tuple(len(t) for t in axes)
@@ -269,15 +350,16 @@ def grid_phase_sum(nu, axes, values) -> np.ndarray:
     per_out = sum(shape) + 2 * vals.shape[1]
     step = max(1, PHASE_BUDGET // per_out)
     out = np.empty(nu.shape[0], dtype=complex)
-    for lo in range(0, nu.shape[0], step):
-        v = nu[lo:lo + step]
-        u, inv = np.unique(v[:, 0], return_inverse=True)
-        acc = (_axis_table(u, axes[0]) @ vals)[inv]     # (c, N_2 ... N_n)
-        for i in range(1, len(axes)):
-            u, inv = np.unique(v[:, i], return_inverse=True)
-            table = _axis_table(u, axes[i])[inv]
-            acc = np.matmul(table[:, None, :], acc.reshape(len(v), shape[i], -1))[:, 0]
-        out[lo:lo + step] = acc[:, 0]
+    with _blas_on_caller:
+        for lo in range(0, nu.shape[0], step):
+            v = nu[lo:lo + step]
+            u, inv = np.unique(v[:, 0], return_inverse=True)
+            acc = (_axis_table(u, axes[0]) @ vals)[inv]     # (c, N_2 ... N_n)
+            for i in range(1, len(axes)):
+                u, inv = np.unique(v[:, i], return_inverse=True)
+                table = _axis_table(u, axes[i])[inv]
+                acc = np.matmul(table[:, None, :], acc.reshape(len(v), shape[i], -1))[:, 0]
+            out[lo:lo + step] = acc[:, 0]
     return out
 
 

@@ -752,6 +752,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
+    except MemoryError as exc:
+        # an input too large for this machine, such as a huge --wgrid count
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_STRUCTURAL
 
 
 if __name__ == "__main__":

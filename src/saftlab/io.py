@@ -27,15 +27,22 @@ codec: `format_rows` writes integers as ``str(int)`` and floats as
 a table back with one ``np.loadtxt`` call.  `format_rows` formats one
 column at a time; a float column that repeats values, such as a grid
 coordinate, calls ``repr`` once per distinct value, and the bytes are the
-same as one ``repr`` per value.  `write_grid` and `write_sequence` refuse
-a NaN or infinite value before they create the file, since no reader
-accepts one.
+same as one ``repr`` per value.  On Linux a table of at least two
+`ROW_CHUNK` chunks is formatted in two processes: `format_rows` forks
+once, and a child formats the second half of the rows and sends its text
+back through a pipe; the bytes are the same as in one process.
+`write_grid` and `write_sequence` refuse a NaN or infinite value before
+they create the file, since no reader accepts one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,15 +107,98 @@ def format_rows(header: list[str], *blocks) -> str:
     `ROW_CHUNK` rows at a time.  A float column that repeats values (see
     `SAMPLE_ROWS`) calls ``repr`` once per distinct bit pattern and takes
     each row's text from that table; the output bytes are the same as with
-    one ``repr`` per value."""
+    one ``repr`` per value.  On Linux, with no other Python thread running,
+    a table of at least two chunks is formatted in two processes (see
+    `_format_in_two`); when the child cannot be started or fails, this
+    process formats every row, so the bytes never change."""
     blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
     columns = [_column_text(col) for b in blocks for col in b.T]
-    lines = list(header)
-    for lo in range(0, len(blocks[0]), ROW_CHUNK):
-        cells = [text(lo, lo + ROW_CHUNK) for text in columns]
-        lines.append("\n".join(map(",".join, zip(*cells))))
+    rows = len(blocks[0])
+    chunks = _format_in_two(columns, rows) if _may_fork(rows) else None
+    if chunks is None:
+        chunks = _format_chunks(columns, 0, rows)
+    lines = list(header) + chunks
     lines.append("")                # the last newline, without a copy of the text
     return "\n".join(lines) or "\n"
+
+
+def _format_chunks(columns, lo: int, hi: int) -> list[str]:
+    """The text of rows ``lo:hi``, one str per `ROW_CHUNK` rows, each
+    without its last newline."""
+    chunks = []
+    for start in range(lo, hi, ROW_CHUNK):
+        cells = [text(start, min(start + ROW_CHUNK, hi)) for text in columns]
+        chunks.append("\n".join(map(",".join, zip(*cells))))
+    return chunks
+
+
+def _may_fork(rows: int) -> bool:
+    """Whether `format_rows` formats `rows` rows in two processes: at least
+    two chunks, on Linux, and no other Python thread alive (one holding a
+    lock at the fork would leave it held in the child)."""
+    return (rows >= 2 * ROW_CHUNK and sys.platform.startswith("linux")
+            and threading.active_count() == 1)
+
+
+def _format_in_two(columns, rows: int) -> list[str] | None:
+    """`_format_chunks` of all rows, the second half of the chunks
+    formatted by one forked child and read back from a pipe as ASCII; None
+    when the fork fails or the child does not exit with status 0.
+
+    The read end is closed before the child is reaped on every path, so a
+    child blocked on a full pipe gets EPIPE and exits instead of hanging.
+    The tail's bytes are decoded one pipe read at a time, so this process
+    never holds the tail as bytes and as str at once."""
+    split = ROW_CHUNK * (math.ceil(rows / ROW_CHUNK) // 2)
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork whenever a second OS thread is
+            # alive, and OpenBLAS keeps one from ``import numpy`` on.  The
+            # child is safe all the same: it runs only tolist, repr,
+            # str.join, os.write and os._exit, never BLAS, and no other
+            # Python thread exists (`_may_fork`).
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        _child(columns, split, rows, r, w)
+    pieces = []
+    try:
+        os.close(w)
+        chunks = _format_chunks(columns, 0, split)
+        while piece := os.read(r, 1 << 16):
+            pieces.append(piece.decode("ascii"))
+    finally:
+        os.close(r)
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        return None
+    chunks.append("".join(pieces))
+    return chunks
+
+
+def _child(columns, lo: int, hi: int, r: int, w: int) -> None:
+    """In the forked child: write the text of rows ``lo:hi`` to `w` and
+    leave through ``os._exit``, so no inherited stdio buffer, atexit hook
+    or caller's ``finally`` runs a second time; status 0 only when every
+    byte was written."""
+    status = 1
+    try:
+        os.close(r)
+        data = memoryview("\n".join(_format_chunks(columns, lo, hi)).encode("ascii"))
+        while data:
+            data = data[os.write(w, data):]
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _column_text(col: np.ndarray):

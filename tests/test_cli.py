@@ -133,6 +133,21 @@ def test_a_non_finite_wgrid_bound_exits_1(work, tmp_path, capsys, axis):
     assert not out.exists()
 
 
+def test_running_out_of_memory_exits_1_with_an_error_line(work, tmp_path, monkeypatch, capsys):
+    # what a huge --wgrid count gives (numpy's _ArrayMemoryError is a MemoryError)
+    def huge(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array with shape (200000, 200000)")
+
+    monkeypatch.setattr("saftlab.saft.dtsaft", huge)
+    out = tmp_path / "dt.csv"
+    assert main(["dtsaft", "--params", str(work / "ft1.json"), "--seq", str(work / "seq.csv"),
+                 "--wgrid=-1:1:200000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 298. GiB for an array with " \
+                  "shape (200000, 200000)\n"
+    assert not out.exists()
+
+
 def test_conv_dd_writes_sequence(work, tmp_path):
     out = tmp_path / "sq.csv"
     assert main(["conv", "--kind", "dd", "--params", str(work / "ft1.json"),

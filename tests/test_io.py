@@ -4,6 +4,10 @@ every reader's values must be identical, bit for bit."""
 
 import json
 import math
+import os
+import signal
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -190,6 +194,170 @@ def test_formatting_distinct_values_peaks_near_the_text_size():
     finally:
         tracemalloc.stop()
     assert peak <= 3.2 * size
+
+
+# ---------------------------------------------------------------------------
+# the two-process writer: on Linux a table of at least two ROW_CHUNK chunks
+# is formatted by this process and one forked child
+
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                reason="format_rows forks only on Linux")
+real_fork = os.fork         # the stand-ins below call it while os.fork is patched
+
+
+def _per_row_text(header, block: np.ndarray, keys=None) -> str:
+    keys = np.zeros((len(block), 0), dtype=np.int64) if keys is None else keys
+    rows = [",".join([*map(str, k), *map(repr, r)]) for k, r in zip(keys.tolist(), block.tolist())]
+    return "\n".join(header + rows + [""]) or "\n"
+
+
+def _open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd"))
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _forks(calls: list):
+    """An ``os.fork`` that counts its calls in `calls`."""
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+    return fork
+
+
+@linux_only
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), chunk=st.integers(1, 6), chunks=st.integers(0, 7),
+       off=st.integers(-1, 1), header=st.booleans(), ints=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_two_processes_write_the_one_process_bytes(data, chunk, chunks, off, header, ints, seed):
+    rows = max(0, chunks * chunk + off)
+    rng = np.random.default_rng(seed)
+    pool = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e16, -1e16, 0.1, 2.0**53 + 2]
+    # a repeating column (the dedupe route), a column of drawn values and a
+    # column spread over all magnitudes, subnormals included
+    block = np.column_stack([
+        np.array(pool)[rng.integers(len(pool), size=rows)],
+        data.draw(_block(rows, 1, FINITE))[:, 0],
+        rng.standard_normal(rows) * 10.0 ** rng.integers(-320, 300, size=rows),
+    ])
+    keys = rng.integers(-(2**63), 2**63 - 1, size=(rows, ints), dtype=np.int64)
+    head = ["k,a,b,c"] if header else []
+    calls = []
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", chunk), \
+            mock.patch.object(os, "fork", _forks(calls)):
+        text = format_rows(head, keys, block) if ints else format_rows(head, block)
+        with mock.patch.object(saftlab.io, "_may_fork", lambda rows: False):
+            serial = format_rows(head, keys, block) if ints else format_rows(head, block)
+    assert calls == ([os.getpid()] if rows >= 2 * chunk else [])
+    assert text == serial == _per_row_text(head, block, keys)
+    assert _no_child_left()
+
+
+@linux_only
+def test_a_large_table_forks_once_and_leaves_no_child_or_descriptor():
+    block = np.random.default_rng(3).standard_normal((2 * saftlab.io.ROW_CHUNK + 5, 2))
+    fds, calls = _open_fds(), []
+    with mock.patch.object(os, "fork", _forks(calls)):
+        text = format_rows(["re,im"], block)
+    assert calls == [os.getpid()]
+    assert text == _per_row_text(["re,im"], block)
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+def _child_exits_3():
+    pid = real_fork()
+    if pid == 0:
+        os._exit(3)
+    return pid
+
+
+def _child_dies_mid_write():
+    pid = real_fork()
+    if pid == 0:
+        real = os.write
+
+        def write(fd, data):     # replaces os.write in the child only
+            real(fd, bytes(data[:100]))
+            raise OSError("no space left")
+        os.write = write
+    return pid
+
+
+def _fails():
+    raise OSError("resource temporarily unavailable")
+
+
+@linux_only
+@pytest.mark.parametrize("call,fake", [("pipe", _fails), ("fork", _fails),
+                                       ("fork", _child_exits_3), ("fork", _child_dies_mid_write)])
+def test_a_failed_fork_or_child_falls_back_to_one_process(call, fake):
+    block = np.random.default_rng(4).standard_normal((40, 2))
+    want = _per_row_text(["re,im"], block)
+    fds = _open_fds()
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", 8), mock.patch.object(os, call, fake):
+        assert format_rows(["re,im"], block) == want
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+@linux_only
+def test_an_error_in_the_parent_reaps_a_child_blocked_on_a_full_pipe():
+    # the child's half is far over a pipe's 64 KiB, so it blocks in
+    # os.write until the parent closes the read end
+    block = np.random.default_rng(5).standard_normal((40_000, 2))
+    real, parent = saftlab.io._column_text, os.getpid()
+
+    def column_text(col):
+        text = real(col)
+
+        def guarded(lo, hi):
+            if os.getpid() == parent:
+                raise MemoryError
+            return text(lo, hi)
+        return guarded
+
+    def hung(signum, frame):
+        raise TimeoutError("the child was never reaped")
+
+    fds, previous = _open_fds(), signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with mock.patch.object(saftlab.io, "ROW_CHUNK", 1000), \
+                mock.patch.object(saftlab.io, "_column_text", column_text), \
+                pytest.raises(MemoryError):
+            format_rows(["re,im"], block)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+@linux_only
+def test_no_fork_while_another_thread_runs():
+    block = np.random.default_rng(6).standard_normal((40, 2))
+    stop, calls = threading.Event(), []
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with mock.patch.object(saftlab.io, "ROW_CHUNK", 8), \
+                mock.patch.object(os, "fork", _forks(calls)):
+            text = format_rows(["re,im"], block)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert calls == []
+    assert text == _per_row_text(["re,im"], block)
 
 
 @SETTINGS

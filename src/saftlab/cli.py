@@ -145,10 +145,13 @@ def _load_params(path: str):
     return p
 
 
-def _load_operand(path: str, n: int | None = None):
+def _load_operand(path: str, n: int | None = None, grid_flag: str | None = None):
+    """A sequence CSV or a grid file; only a grid file for ``grid_flag``."""
     from .io import read_grid, read_sequence
 
     if str(path).endswith(".csv"):
+        if grid_flag:
+            raise ValueError(f"{grid_flag} needs a grid file, got the sequence CSV {path}")
         return read_sequence(path, n=n)
     return read_grid(path)
 
@@ -180,7 +183,7 @@ def _cmd_transform(args, direction: str) -> int:
     from .saft import saft_forward, saft_inverse, saft_plan
 
     p = _load_params(args.params)
-    g = _load_operand(args.infile)
+    g = _load_operand(args.infile, grid_flag="--in")
     out_path = _require_out(args, direction)
     if direction == "transform":
         plan = saft_plan(p, g, backend=args.backend)
@@ -319,7 +322,7 @@ def _cmd_sis(args) -> int:
     from .sis import _riesz_report, _shift_values, build_sis
 
     p = _load_params(args.params)
-    phi = _load_operand(args.phi)
+    phi = _load_operand(args.phi, grid_flag="--phi")
     try:
         model = build_sis(p, phi)
     except ValueError as exc:
@@ -355,15 +358,24 @@ def _sample_levels(p, phi, filt, J: int):
     return filtered_levels(p, filt, samples, J, "cc")
 
 
-def _cmd_dynsamp_check(args) -> int:
-    from .dynsamp import build_B_window, stability_report
-    from .io import format_rows
+def _load_dynsamp_inputs(args):
+    """`dynsamp`'s block, generator grid, filter and lattice of the same dimension."""
     from .lattice import build_lattice
 
     p = _load_params(args.params)
-    phi = _load_operand(args.phi)
+    phi = _load_operand(args.phi, grid_flag="--phi")
     filt = _load_operand(args.filter, n=p.n)
     lat = build_lattice(_parse_int_matrix(args.M))
+    if lat.n != p.n:
+        raise ValueError(f"--M is {lat.n}x{lat.n}, but the parameter block has dimension {p.n}")
+    return p, phi, filt, lat
+
+
+def _cmd_dynsamp_check(args) -> int:
+    from .dynsamp import build_B_window, stability_report
+    from .io import format_rows
+
+    p, phi, filt, lat = _load_dynsamp_inputs(args)
     levels = _sample_levels(p, phi, filt, lat.m)
     # the cell mesh q/count is the solve grid of the window [0, count - 1]
     last = [args.cell_points - 1] * p.n
@@ -421,13 +433,9 @@ def _cmd_dynsamp_recover(args) -> int:
         recover_discrete,
     )
     from .io import write_sequence
-    from .lattice import build_lattice
     from .sis import build_sis
 
-    p = _load_params(args.params)
-    phi = _load_operand(args.phi)
-    filt = _load_operand(args.filter, n=p.n)
-    lat = build_lattice(_parse_int_matrix(args.M))
+    p, phi, filt, lat = _load_dynsamp_inputs(args)
     vlevels = _read_measurements(args.measurements, p.n)
     if len(vlevels) != lat.m:
         raise ValueError(
@@ -448,9 +456,9 @@ def _cmd_dynsamp_recover(args) -> int:
             ms = MeasurementSet(params=p, lat=lat, levels=tuple(vlevels))
             recovered, info = recover_discrete(ms, field, window=(lo, hi))
         else:
-            model = build_sis(p, phi)
+            # refuses a block the route does not take before any field work
             wpts, _shape, _lo, _qshape = continuous_solve_grid(p, lat, lo, hi)
-            field = build_D(model, filt, lat, wpts)
+            field = build_D(build_sis(p, phi), filt, lat, wpts)
             recovered, info = recover_continuous(p, lat, vlevels, field, (lo, hi))
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc

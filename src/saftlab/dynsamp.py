@@ -48,8 +48,9 @@ import numpy as np
 from .conv import conv_cc, conv_dd, conv_sd, pair_sums
 from .grid import GridFn, SeqFn, mesh
 from .lattice import SamplingLattice
-from .params import SaftParams, chirp, modulation, preset, require_valid
-from .saft import downsample, dtsaft, grid_phase_sum, integer_samples, lattice_shifts
+from .params import (SaftParams, _fixed_product, _offset_phase, _physical_points, _reduced_points,
+                     chirp, modulation, preset, require_valid)
+from .saft import _chirped, downsample, dtsaft, grid_phase_sum, integer_samples, lattice_shifts
 from .sis import SisModel, spectrum_at
 
 __all__ = [
@@ -102,7 +103,6 @@ class MatrixField:
 
     wpoints: np.ndarray          # (Np, n)
     entries: np.ndarray          # (Np, m, m)
-    label: str
 
     @property
     def m(self) -> int:
@@ -114,7 +114,6 @@ class StabilityReport:
     min_abs_det: float
     argmin_w: np.ndarray
     max_cond: float
-    argmax_w: np.ndarray
     verdict: str
     abs_det: np.ndarray          # (Np,) |det| per frequency point
     cond: np.ndarray             # (Np,) condition number, inf where singular
@@ -260,7 +259,7 @@ def build_B_from_samples(
             rk, rv = phi_lj.as_arrays()
             corrected = SeqFn.from_arrays(p.n, rk, rv * np.conj(chirp(p, rk.astype(float))))
             entries[:, j, l] = dtsaft(p, corrected, wpts)
-    return MatrixField(wpoints=wpts, entries=entries, label="B")
+    return MatrixField(wpoints=wpts, entries=entries)
 
 
 def filter_symbol(p: SaftParams, a, pts_xi: np.ndarray) -> np.ndarray:
@@ -300,21 +299,21 @@ def build_D(
     minv = lat.m_inverse()
     gammas = np.array(lat.gamma, dtype=float)
     # evaluation points x_v = M^{-1}(w + gamma_v): (Np, m, n)
-    x = (wpts[:, None, :] + gammas[None, :, :]) @ minv.T
+    x = _fixed_product(wpts[:, None, :] + gammas, minv)
     pts = x[:, :, None, :] + lattice_shifts(p.n, K)      # (Np, m, S, n)
     eta_sq = np.conj(modulation(p, pts)) ** 2
 
     entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
     if p.is_chirp_free(1e-14):
         base = spectrum_at(model, pts)                    # (Np, m, S)
-        sym = filter_symbol(p, a, (pts - p.P) @ p.b_inv.T)
+        sym = filter_symbol(p, a, _reduced_points(p, pts - p.P))
         for j in range(J):
             entries[:, j, :] = np.sum(eta_sq * sym**j * base, axis=-1)
     else:
         for j, phi_j in enumerate(filtered_levels(p, a, model.phi, J, "classical")):
             vals = spectrum_at(model, pts, None if j == 0 else phi_j)
             entries[:, j, :] = np.sum(eta_sq * vals, axis=-1)
-    return MatrixField(wpoints=wpts, entries=entries, label="D")
+    return MatrixField(wpoints=wpts, entries=entries)
 
 
 def stability_report(field: MatrixField, det_rtol: float = 1e-8) -> StabilityReport:
@@ -334,13 +333,12 @@ def stability_report(field: MatrixField, det_rtol: float = 1e-8) -> StabilityRep
     conds = np.where(np.isfinite(conds), conds, np.inf)
     margin = dets - det_rtol * hadamard
     i_det = int(np.argmin(dets))
-    i_cond = int(np.argmax(conds))
-    ok = margin.min() > 0 and conds[i_cond] < COND_MAX
+    max_cond = float(conds.max())
+    ok = margin.min() > 0 and max_cond < COND_MAX
     return StabilityReport(
         min_abs_det=float(dets[i_det]),
         argmin_w=field.wpoints[i_det],
-        max_cond=float(conds[i_cond]),
-        argmax_w=field.wpoints[i_cond],
+        max_cond=max_cond,
         verdict="pass" if ok else "fail",
         abs_det=dets,
         cond=conds,
@@ -384,7 +382,7 @@ def solve_grid(
     hi = np.asarray(window_hi, dtype=int)
     shape = tuple(int(b - a + 1) for a, b in zip(lo, hi))
     xi = mesh([np.arange(N) / N for N in shape]).reshape(-1, len(shape))
-    return xi @ params.B.T, shape, lo
+    return _physical_points(params, xi), shape, lo
 
 
 def _folded_fft(p: SaftParams, keys: np.ndarray, weights: np.ndarray, shape: tuple) -> np.ndarray:
@@ -410,9 +408,7 @@ def folded_dt_values(p: SaftParams, s: SeqFn, shape: tuple) -> np.ndarray:
     window box exactly and one FFT evaluates every node.
     """
     k, v = s.as_arrays()
-    kf = k.astype(float)
-    wts = v * chirp(p, kf) * np.exp(2j * np.pi * (kf @ p.b_inv_p))
-    return _folded_fft(p, k, wts, shape)
+    return _folded_fft(p, k, _chirped(p, k.astype(float), v), shape)
 
 
 def build_B_window(
@@ -439,9 +435,9 @@ def build_B_window(
     for j, samples in enumerate(phi_levels):
         for l, phi_lj in enumerate(generator_coset_samples(p, lat, samples)):
             rk, rv = phi_lj.as_arrays()
-            wts = rv * np.exp(2j * np.pi * (rk.astype(float) @ p.b_inv_p))
+            wts = rv * np.exp(2j * np.pi * _offset_phase(p, rk))
             entries[:, j, l] = eta_flat * _folded_fft(p, rk, wts, shape).reshape(-1)
-    return MatrixField(wpoints=wpts, entries=entries, label="B")
+    return MatrixField(wpoints=wpts, entries=entries)
 
 
 def _invert_window_dft(Z: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -496,17 +492,16 @@ def recover_discrete(
     X = np.linalg.solve(Bfield.entries, rhs[..., None])[..., 0]   # (Np, m)
 
     rmesh = _window_mesh(lo, lo + np.array(shape) - 1)
-    rf = rmesh.astype(float)
-    mtr = rf @ lat.M.astype(float)                          # M^T r
-    eta_l_arr = np.array(lat.eta, dtype=float)
+    mtr = _fixed_product(rmesh, lat.M.T)                    # M^T r, exact in int64
+    offset = np.exp(-2j * np.pi * _offset_phase(p, rmesh))
     sqrt_d = np.sqrt(p.abs_det_b)
     keys, vals = [], []
     for l in range(m):
         Z = (sqrt_d * np.conj(eta_w) * X[:, l]).reshape(shape)
         sig_c = _invert_window_dft(Z, lo).reshape(-1)
-        kf = mtr + eta_l_arr[l]
-        keys.append(np.rint(kf).astype(np.int64))
-        vals.append(sig_c * np.exp(-2j * np.pi * (rf @ p.b_inv_p)) * np.conj(chirp(p, kf)))
+        k = mtr + np.array(lat.eta[l], dtype=np.int64)
+        keys.append(k)
+        vals.append(sig_c * offset * np.conj(chirp(p, k.astype(float))))
     return _thresholded(p.n, np.concatenate(keys), np.concatenate(vals)), info
 
 
@@ -522,8 +517,14 @@ def continuous_solve_grid(
     (diagonal) lattice stride; the solve points are then w = M q / N over
     the reduced q-range, and the m channel values per point tile the full
     DFT grid of the window exactly once.  Returns (points, full shape,
-    padded window_lo, reduced q shape).
+    padded window_lo, reduced q shape).  Any block but plain Fourier raises.
     """
+    if not params.is_plain_fourier():
+        raise ValueError(
+            "the periodization recovery route is implemented for the plain "
+            "Fourier block (A = D = 0, B = I, zero offsets); use the "
+            "discrete route for general parameter blocks"
+        )
     M = lat.M
     diag = np.diag(M)
     if not np.array_equal(M, np.diag(diag)):
@@ -535,7 +536,7 @@ def continuous_solve_grid(
     shape = tuple(int(x) for x in (shape + pad))
     qshape = tuple(int(N // d) for N, d in zip(shape, diag))
     xi = mesh([np.arange(Nq) * d / N for Nq, d, N in zip(qshape, diag, shape)]).reshape(-1, lat.n)
-    return xi @ params.B.T, shape, lo, qshape
+    return _physical_points(params, xi), shape, lo, qshape
 
 
 def integer_sample_levels(p: SaftParams, a, f: GridFn, J: int) -> list[SeqFn]:
@@ -559,12 +560,6 @@ def recover_continuous(
     `stability_report`.
     """
     p = params
-    if not p.is_plain_fourier():
-        raise ValueError(
-            "the periodization recovery route is implemented for the plain "
-            "Fourier block (A = D = 0, B = I, zero offsets); use the "
-            "discrete route for general parameter blocks"
-        )
     wpts, shape, lo, qshape = continuous_solve_grid(p, lat, window[0], window[1])
     _require_on_grid(Dfield, wpts, "continuous solve grid; build it on "
                      "dynsamp.continuous_solve_grid(...) points")

@@ -309,7 +309,7 @@ def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarr
     one of the wrong width, raises ValueError naming the file and the first
     row that is not ``width + 2`` numbers (such as ``1_0`` or ``#``) as a
     1-based data row, like `require_finite`.  Index fields are read as
-    floats and truncated toward zero.
+    floats; one that is not an integer in int64's range is refused by row.
     """
     if not lines:
         return np.zeros((0, width), dtype=np.int64), np.zeros(0, dtype=complex)
@@ -320,12 +320,12 @@ def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarr
     if table.shape[1] != width + 2:
         raise _bad_row(path, lines, width)
     index = table[:, :width]
-    bad = np.flatnonzero(~np.all((index >= -(2.0**63)) & (index < 2.0**63), axis=1))
+    ok = (index >= -(2.0**63)) & (index < 2.0**63) & (index == np.trunc(index))
+    bad = np.flatnonzero(~np.all(ok, axis=1))
     if bad.size:
         i = int(bad[0])
-        raise ValueError(
-            f"{path}: data row {i + 1} ({lines[i]!r}) has a non-finite or out-of-range index"
-        )
+        raise ValueError(f"{path}: data row {i + 1} ({lines[i]!r}) has a non-finite, "
+                         "out-of-range or non-integer index")
     vals = np.ascontiguousarray(table[:, width:]).view(complex)[:, 0]
     require_finite(path, lines, vals)
     return index.astype(np.int64), vals

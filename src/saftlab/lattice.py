@@ -121,14 +121,16 @@ class SamplingLattice:
         Writes each row ``k`` of ``keys`` (shape (K, n), integer) as
         ``k = M^T r + eta_j`` and returns ``(r, j)``: an int64 array of
         shape (K, n) and the coset indices, shape (K,).  The decomposition
-        is total and unique.
+        is total and unique; keys of any other shape raise ValueError.
 
         Arithmetic is exact in int64: ``adj(M^T) k`` is zero modulo ``det``
         precisely on ``M^T Z^n``, so its residues name the coset, and the
         division that yields ``r`` has no remainder.  Keys must be small
         enough that ``adj k`` fits in int64.
         """
-        keys = np.asarray(keys, dtype=np.int64).reshape(-1, self.n)
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.ndim != 2 or keys.shape[1] != self.n:
+            raise ValueError(f"keys must have shape (K, {self.n}), got {keys.shape}")
         # rows adj(M^T) k: adj(M^T) = adj(M)^T
         num = keys @ self.adj
         rep_num = np.array(self.eta, dtype=np.int64) @ self.adj

@@ -132,29 +132,16 @@ class SaftParams:
     def abs_det_b(self) -> float:
         return abs(self._det_b)
 
-    @property
-    def b_inv(self) -> np.ndarray:
-        if self._b_inv is None:
+    def _inverse_cache(self, name: str) -> np.ndarray:
+        value = getattr(self, name)
+        if value is None:
             raise ValueError("B is numerically singular; this operation needs B^{-1}")
-        return self._b_inv
+        return value
 
-    @property
-    def b_inv_a(self) -> np.ndarray:
-        if self._b_inv_a is None:
-            raise ValueError("B is numerically singular; this operation needs B^{-1}")
-        return self._b_inv_a
-
-    @property
-    def d_b_inv(self) -> np.ndarray:
-        if self._d_b_inv is None:
-            raise ValueError("B is numerically singular; this operation needs B^{-1}")
-        return self._d_b_inv
-
-    @property
-    def b_inv_p(self) -> np.ndarray:
-        if self._b_inv_p is None:
-            raise ValueError("B is numerically singular; this operation needs B^{-1}")
-        return self._b_inv_p
+    b_inv = property(lambda self: self._inverse_cache("_b_inv"))
+    b_inv_a = property(lambda self: self._inverse_cache("_b_inv_a"))
+    d_b_inv = property(lambda self: self._inverse_cache("_d_b_inv"))
+    b_inv_p = property(lambda self: self._inverse_cache("_b_inv_p"))
 
     def is_chirp_free(self, tol: float = 0.0) -> bool:
         """True when the input-side quadratic phase vanishes (A == 0)."""
@@ -305,22 +292,51 @@ def inverse_params(p: SaftParams) -> SaftParams:
 
 
 # ---------------------------------------------------------------------------
-# unit-modulus factors
+# frame conversions and unit-modulus factors
 
 
-def _quad_phase(points: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """``t^T m t`` per point, summed in one fixed order of elementwise
-    operations, so a point gets the same bits alone as in any batch (a
-    batched einsum may reorder the sum with the batch size)."""
+def _fixed_sums(x, m):
+    """``x @ m.T`` for points ``x`` (..., n), yielded as one array (...) per row
+    of ``m``, output j summed as ``0 + m[j,0] x_0 + m[j,1] x_1 + ...`` in index
+    order.  Unlike a BLAS product, a point gets the same bits alone as in any
+    batch and no thread pool wakes; integer operands stay exact integers."""
+    xs = np.moveaxis(np.asarray(x), -1, 0)
+    if len(xs) != np.shape(m)[-1]:
+        raise ValueError(f"points must have trailing dimension {np.shape(m)[-1]}")
+    for row in m:
+        acc = 0
+        for c, xi in zip(row, xs):
+            acc = acc + c * xi
+        yield acc
+
+
+def _fixed_product(x, m) -> np.ndarray:
+    """`_fixed_sums` as one array (..., k) for ``m`` (k, n)."""
+    return np.stack(list(_fixed_sums(x, m)), axis=-1)
+
+
+def _reduced_points(p: SaftParams, w) -> np.ndarray:
+    """Reduced frequencies ``nu = B^{-1} w`` of the physical points ``w`` (..., n)."""
+    return _fixed_product(w, p.b_inv)
+
+
+def _physical_points(p: SaftParams, nu) -> np.ndarray:
+    """Physical points ``w = B nu`` of the reduced frequencies ``nu`` (..., n)."""
+    return _fixed_product(nu, p.B)
+
+
+def _offset_phase(p: SaftParams, t) -> np.ndarray:
+    """The input offset's phase ``t . B^{-1}P`` in turns at the points ``t`` (..., n)."""
+    return next(_fixed_sums(t, p.b_inv_p[None, :]))
+
+
+def _quad_phase(points, m: np.ndarray) -> np.ndarray:
+    """``t^T m t`` per point, ``m t`` from `_fixed_sums` and the outer sum in
+    index order too, so a point gets the same bits alone as in any batch."""
     pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != n:
-        raise ValueError(f"points must have trailing dimension {n}")
     ph = 0.0
-    for i in range(n):
-        row = 0.0
-        for j in range(n):
-            row = row + m[i, j] * pts[..., j]
-        ph = ph + pts[..., i] * row
+    for ti, row in zip(np.moveaxis(pts, -1, 0), _fixed_sums(pts, m)):
+        ph = ph + ti * row
     return ph
 
 
@@ -330,20 +346,17 @@ def chirp(p: SaftParams, t) -> np.ndarray | complex:
     ``t`` may be a single n-vector or an array of shape (..., n).  The result
     has unit modulus exactly (a purely imaginary exponent is used).
     """
-    ph = _quad_phase(t, p.b_inv_a, p.n)
+    ph = _quad_phase(t, p.b_inv_a)
     out = np.exp(1j * np.pi * ph)
     return complex(out) if out.ndim == 0 else out
 
 
 def modulation(p: SaftParams, w) -> np.ndarray | complex:
     """Output-side phase ``exp(i*pi w^T D B^{-1} w + 2i*pi (Q^T - P^T D B^{-1}) w)``,
-    both terms summed elementwise in a fixed order, as in `_quad_phase`."""
+    both terms summed elementwise in a fixed order (`_fixed_sums`)."""
     w_arr = np.asarray(w, dtype=float)
-    quad = _quad_phase(w_arr, p.d_b_inv, p.n)
-    lin = 0.0
-    for i in range(p.n):
-        lin = lin + w_arr[..., i] * p._mod_lin[i]
-    ph = quad + 2.0 * lin
+    quad = _quad_phase(w_arr, p.d_b_inv)
+    ph = quad + 2.0 * next(_fixed_sums(w_arr, p._mod_lin[None, :]))
     out = np.exp(1j * np.pi * ph)
     return complex(out) if out.ndim == 0 else out
 

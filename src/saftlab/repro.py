@@ -35,7 +35,8 @@ from .dynsamp import (
 from .grid import SeqFn, mesh, sampling_grid
 from .io import format_rows
 from .lattice import SamplingLattice, build_lattice
-from .params import SaftParams, chirp, modulation, preset, require_valid
+from .params import (SaftParams, _fixed_product, _offset_phase, _physical_points, _reduced_points,
+                     chirp, modulation, preset, require_valid)
 from .saft import lattice_shifts, saft_inverse, saft_plan
 from .sis import SisModel, build_sis
 
@@ -160,7 +161,6 @@ class ExampleScenario:
     lat: SamplingLattice
     filt: SeqFn
     coeffs: SeqFn
-    psi_table: np.ndarray
     window_samples: SeqFn       # plain tensor-window integer samples
     phi_samples: SeqFn          # generator samples (window / input phases)
     sample_threshold: float
@@ -240,14 +240,13 @@ def build_example(
     else:
         keys, vals = window.as_arrays()
         kf = keys.astype(float)
-        fac = np.conj(chirp(p, kf)) * np.exp(-2j * np.pi * (kf @ p.b_inv_p))
+        fac = np.conj(chirp(p, kf)) * np.exp(-2j * np.pi * _offset_phase(p, kf))
         phi_samples = SeqFn.from_arrays(2, keys, vals * fac)
 
     def spectrum_fn(wpts):
         wf = np.asarray(wpts, dtype=float)
-        nu = wf @ p.b_inv.T
         return (
-            modulation(p, wf) * _tensor_psi(nu) / np.sqrt(p.abs_det_b)
+            modulation(p, wf) * _tensor_psi(_reduced_points(p, wf)) / np.sqrt(p.abs_det_b)
         ).astype(complex)
 
     tgrid = sampling_grid(halfwidth, per_unit, n=2)
@@ -267,7 +266,7 @@ def build_example(
     # rounds each part once; a row's 25 symbols are formed as one matmul
     # batch, as before, and the rows stay in order; the periodization adds
     # its 25 terms in shift order.
-    nu0 = (plan.w_points().reshape(-1, p.n)) @ p.b_inv.T
+    nu0 = plan.out_template.points().reshape(-1, p.n)
     masking_residual, phi0 = _window_checks(p, filt, nu0)
 
     return ExampleScenario(
@@ -277,7 +276,6 @@ def build_example(
         lat=lat,
         filt=filt,
         coeffs=coeffs,
-        psi_table=table,
         window_samples=window,
         phi_samples=phi_samples,
         sample_threshold=threshold,
@@ -342,8 +340,8 @@ def channel_vandermonde(
     pts = np.asarray(wpts, dtype=float).reshape(-1, p.n)
     minv = lat.m_inverse()
     gam = np.array(lat.gamma, dtype=float)
-    x = (pts[:, None, :] + gam[None, :, :]) @ minv.T
-    beta = filter_symbol(p, scenario.filt, (x - p.P) @ p.b_inv.T)
+    x = _fixed_product(pts[:, None, :] + gam, minv)
+    beta = filter_symbol(p, scenario.filt, _reduced_points(p, x - p.P))
     m = lat.m
     det = np.ones(pts.shape[0], dtype=complex)
     for v in range(m):
@@ -388,7 +386,7 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path) -> dict:
     write("fig01_psi.csv", "x,psi", xs, meyer_psi(xs))
 
     tmpl = scenario.model.spectrum
-    nu = (tmpl.points() @ p.b_inv.T).reshape(-1, 2)
+    nu = tmpl.points().reshape(-1, 2)
     write("fig02_spectrum.csv", "nu1,nu2,window", nu, _tensor_psi(nu))
 
     f_grid = conv_sd(p, scenario.coeffs, scenario.model.phi)
@@ -403,7 +401,7 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path) -> dict:
     write("fig06_samples_imag.csv", "k1,k2,value", keys, vals.imag)
 
     xg = mesh([np.arange(64) / 64.0] * 2).reshape(-1, 2)
-    phi0 = periodized_window_transform(scenario, xg @ p.B.T)
+    phi0 = periodized_window_transform(scenario, _physical_points(p, xg))
     write("fig07_periodization_real.csv", "w1,w2,value", xg, phi0.real)
     write("fig08_periodization_imag.csv", "w1,w2,value", xg, phi0.imag)
 

@@ -18,7 +18,8 @@ The fast path uses the factorization
 so one FFT plus two pointwise phase multiplications evaluates the transform.
 
 At arbitrary outputs every transform is a phase sum ``sum_m c_m exp(-2 i pi
-nu.t_m)`` in the reduced frequency ``nu = B^{-1} w`` (`_reduced`); only the
+nu.t_m)`` in the reduced frequency ``nu = B^{-1} w`` (`params._reduced_points`,
+summed in a fixed order like every conversion between the frames); only the
 output factor ``eta(w) / sqrt|det B|`` (`_modulated`) needs the physical
 point ``w``.  Each site takes the route its sources allow:
 
@@ -75,7 +76,8 @@ import numpy as np
 
 from .grid import COORD_TOL, GridFn, SeqFn, dft, mesh, reciprocal_grid
 from .lattice import SamplingLattice
-from .params import SaftParams, chirp, inverse_params, modulation, require_valid
+from .params import (SaftParams, _fixed_product, _offset_phase, _physical_points, _reduced_points,
+                     chirp, inverse_params, modulation, require_valid)
 
 __all__ = [
     "SaftPlan",
@@ -198,7 +200,7 @@ class SaftPlan:
 
     def w_points(self) -> np.ndarray:
         """Physical evaluation points ``w = B nu``, shape ``shape + (n,)``."""
-        return self.out_template.points() @ self.params.B.T
+        return _physical_points(self.params, self.out_template.points())
 
 
 def saft_plan(params: SaftParams, grid: GridFn, backend: str = "fast") -> SaftPlan:
@@ -216,7 +218,7 @@ def saft_plan(params: SaftParams, grid: GridFn, backend: str = "fast") -> SaftPl
 def _chirped(p: SaftParams, t: np.ndarray, values) -> np.ndarray:
     """Source-side factors values * exp(i pi t.B^{-1}A t) * exp(2 i pi
     (B^{-1}P).t) at the points ``t`` (..., n)."""
-    return values * chirp(p, t) * np.exp(2j * np.pi * (t @ p.b_inv_p))
+    return values * chirp(p, t) * np.exp(2j * np.pi * _offset_phase(p, t))
 
 
 def lattice_shifts(n: int, cutoff: int) -> np.ndarray:
@@ -390,28 +392,10 @@ def _seq_phase_sum(nu: np.ndarray, keys: np.ndarray, coeff: np.ndarray) -> np.nd
     return _phase_sum(nu, keys.astype(float), coeff)
 
 
-def _reduced(p: SaftParams, w) -> np.ndarray:
-    """Reduced frequencies ``nu = B^{-1} w`` of the physical points ``w``
-    (..., n), as rows (No, n).
-
-    ``nu`` is summed elementwise in one fixed order, as `modulation`'s
-    linear term: a matrix product may round a point differently with the
-    size of its batch.
-    """
-    wf = np.asarray(w, dtype=float).reshape(-1, p.n)
-    nu = np.empty_like(wf)
-    for j in range(p.n):
-        row = 0.0
-        for i in range(p.n):
-            row = row + p.b_inv[j, i] * wf[:, i]
-        nu[:, j] = row
-    return nu
-
-
 def _modulated(p: SaftParams, w, sums) -> np.ndarray:
     """Transform values at the physical points ``w`` (..., n) from their
     phase sums: the output factor ``eta(w) / sqrt|det B|`` applied by
-    `_product`, shaped ``w.shape[:-1]``.  With `_reduced` and a kernel
+    `_product`, shaped ``w.shape[:-1]``.  With `_reduced_points` and a kernel
     that treats each output alone (`_phase_sum`), a point's value does not
     depend on its batch."""
     w = np.asarray(w, dtype=float)
@@ -436,7 +420,8 @@ def kernel_quadrature(
     """
     t = np.asarray(in_points, dtype=float).reshape(-1, p.n)
     src = _chirped(p, t, np.asarray(in_values).reshape(-1)) * weight
-    return _modulated(p, out_points, _phase_sum(_reduced(p, out_points), t, src))
+    nu = _reduced_points(p, out_points).reshape(-1, p.n)
+    return _modulated(p, out_points, _phase_sum(nu, t, src))
 
 
 def _grid_sums(p: SaftParams, g: GridFn, nu) -> np.ndarray:
@@ -450,7 +435,7 @@ def grid_quadrature(p: SaftParams, g: GridFn, out_points) -> np.ndarray:
     """The transform of ``g`` at arbitrary physical frequencies, the same
     Riemann sum as ``kernel_quadrature`` over all of ``g``'s samples but
     summed axis by axis with `grid_phase_sum`."""
-    return _modulated(p, out_points, _grid_sums(p, g, _reduced(p, out_points)))
+    return _modulated(p, out_points, _grid_sums(p, g, _reduced_points(p, out_points)))
 
 
 def saft_forward(plan: SaftPlan, f: GridFn) -> GridFn:
@@ -487,7 +472,7 @@ def saft_inverse(plan: SaftPlan, F: GridFn) -> GridFn:
         ghat = plan.out_template.with_values(ghat_vals)
         g = dft(ghat, sign=+1, out=plan.in_template)
         pts = plan.in_template.points()
-        vals = g.values * np.conj(chirp(p, pts)) * np.exp(-2j * np.pi * (pts @ p.b_inv_p))
+        vals = g.values * np.conj(chirp(p, pts)) * np.exp(-2j * np.pi * _offset_phase(p, pts))
         return plan.in_template.with_values(vals)
     # the inverse block's B is -B^T, so the reduced output of t meets the
     # source w = B nu at phase -t.nu: sum at -t over the rectangular grid nu
@@ -524,7 +509,7 @@ def dtsaft(params: SaftParams, s: SeqFn, wpts) -> np.ndarray:
         raise ValueError(f"sequence dimension {s.n} != params dimension {p.n}")
     k, z = s.as_arrays()
     coeff = _chirped(p, k.astype(float), z)
-    return _modulated(p, pts, _seq_phase_sum(_reduced(p, pts), k, coeff))
+    return _modulated(p, pts, _seq_phase_sum(_reduced_points(p, pts).reshape(-1, p.n), k, coeff))
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +598,7 @@ def poisson_check(
     # LHS: conj(eta)(w) * dtsaft of the integer samples
     kf, gk = integer_samples(g)
     coeff = _chirped(p, kf, gk)
-    nu = _reduced(p, wf)
+    nu = _reduced_points(p, wf)
     lhs = _seq_phase_sum(nu, kf.astype(np.int64), coeff) / sqrt(p.abs_det_b)
 
     # RHS: image sum of conj(eta)(w + Bn) (S g)(w + Bn); the two factors
@@ -678,8 +663,7 @@ def downsample_check(
     minv = lat.m_inverse()
     gam = np.array(lat.gamma, dtype=float)
     # u_v = B M^{-1} (B^{-1} w - gamma_v), stacked over cosets
-    u = (pts @ p.b_inv.T)[:, None, :] - gam[None, :, :]
-    u = u @ (p.B @ minv).T
+    u = _physical_points(p, _fixed_product(_reduced_points(p, pts)[:, None, :] - gam, minv))
     coset = np.conj(modulation(p, u)) * dtsaft(p, c, u)
     rhs = modulation(p, pts) * np.sum(coset, axis=1) / lat.m
     # scale by the coset sum's pre-cancellation magnitude: when the sequence
@@ -709,7 +693,6 @@ def parseval_check(params: SaftParams, s: SeqFn) -> dict:
     spread = (k.max(axis=0) - k.min(axis=0)).astype(int)
     npts = np.maximum(spread + 1, 4)
     xi = mesh([(np.arange(m) + 0.5) / m for m in npts])
-    w = xi @ p.B.T
-    vals = dtsaft(p, s, w)
+    vals = dtsaft(p, s, _physical_points(p, xi))
     lhs = float(np.mean(np.abs(vals) ** 2) * p.abs_det_b)
     return {"cell_integral": lhs, "energy": rhs, "abs_err": abs(lhs - rhs)}

@@ -28,7 +28,7 @@ import numpy as np
 
 from .conv import conv_sd
 from .grid import GridFn, SeqFn, mesh
-from .params import SaftParams, require_valid
+from .params import SaftParams, _physical_points, _reduced_points, require_valid
 from .saft import (
     DEFAULT_LATTICE_CUTOFF, _boundary_max, dtsaft, grid_quadrature, lattice_shifts,
     saft_forward, saft_plan,
@@ -116,15 +116,14 @@ def resolved_band_mask(model: SisModel, w_points: np.ndarray) -> np.ndarray:
     Quadrature over a step-``h`` grid aliases with period ``1/h`` in reduced
     frequency, so values requested outside the cached band would be garbage.
     The construction-time decay check bounds the true transform there below
-    ``DECAY_TOL`` (relative), so callers treat it as zero instead.
+    ``DECAY_TOL`` (relative), so callers treat it as zero instead.  ``nu``
+    has the bits that `saft.grid_quadrature` sums at.
     """
     tmpl = model.spectrum
-    pts = np.asarray(w_points, dtype=float)
-    nu = pts.reshape(-1, model.params.n) @ model.params.b_inv.T
+    nu = _reduced_points(model.params, w_points)
     lo = tmpl.origin - 0.5 * tmpl.spacing
     hi = tmpl.origin + (np.asarray(tmpl.shape) - 0.5) * tmpl.spacing
-    ok = np.all((nu >= lo) & (nu <= hi), axis=-1)
-    return ok.reshape(pts.shape[:-1])
+    return np.all((nu >= lo) & (nu <= hi), axis=-1)
 
 
 def spectrum_at(model: SisModel, w_points, grid: GridFn | None = None) -> np.ndarray:
@@ -163,7 +162,7 @@ def _shift_values(model: SisModel, w) -> np.ndarray:
     single = pts.ndim == 1
     if single:
         pts = pts[None, :]
-    shifts = lattice_shifts(p.n, model.cutoff) @ p.B.T
+    shifts = _physical_points(p, lattice_shifts(p.n, model.cutoff))
     stacked = pts[..., None, :] + shifts
     mags = np.abs(spectrum_at(model, stacked))
     return mags[0] if single else mags
@@ -228,7 +227,7 @@ def frame_check(model: SisModel, s: SeqFn, per_axis: int = 32) -> dict:
     p = model.params
     k, _ = s.as_arrays()
     npts = np.maximum(np.ptp(k, axis=0) + 1, per_axis) if len(k) else np.full(p.n, per_axis)
-    w = mesh([(np.arange(m) + 0.5) / m for m in npts]) @ p.B.T
+    w = _physical_points(p, mesh([(np.arange(m) + 0.5) / m for m in npts]))
     ss = np.abs(dtsaft(p, s, w)) ** 2
     g = grammian(model, w)
     energy = float(np.mean(ss * g) * p.abs_det_b)

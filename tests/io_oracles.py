@@ -84,13 +84,16 @@ def write_sequence(path, s: SeqFn) -> None:
 
 def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
     """CSV rows ``i_1,...,i_width,re,im``: the (K, width) int64 columns and
-    the K finite complex values."""
+    the K finite complex values; a non-integer index is refused."""
     ints, vals = [], []
     for ln in lines:
         parts = ln.split(",")
         if len(parts) != width + 2:
             raise ValueError(f"{path}: row {ln!r} needs {width} index columns and re,im")
-        ints.append([int(float(x)) for x in parts[:width]])
+        index = [float(x) for x in parts[:width]]
+        if not all(x.is_integer() for x in index):
+            raise ValueError(f"{path}: row {ln!r} has a non-integer index")
+        ints.append([int(x) for x in index])
         vals.append(complex(float(parts[width]), float(parts[width + 1])))
     require_finite(path, lines, vals)
     return np.array(ints, dtype=np.int64).reshape(-1, width), np.array(vals, dtype=complex)

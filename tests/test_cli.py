@@ -6,11 +6,16 @@ and emitted files are asserted directly.
 
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import saftlab
 from saftlab import sis
 from saftlab.cli import build_parser, main
 from saftlab.dynsamp import (
@@ -30,7 +35,7 @@ from saftlab.io import (
     write_sequence,
 )
 from saftlab.lattice import build_lattice
-from saftlab.params import preset, random_params
+from saftlab.params import _physical_points, preset, random_params
 from saftlab.sis import build_sis, grammian, synthesize
 
 TRUTH = {(0,): 1.0 + 0.0j, (2,): -1.0 + 0.0j, (3,): 0.5j}
@@ -242,7 +247,8 @@ def test_sis_report_and_verdict(work, tmp_path, capsys):
 @pytest.mark.parametrize("n", [1, 2])
 def test_sis_report_keeps_the_cell_mesh_bytes(tmp_path, capsys, n):
     # sis evaluates on the solve grid of [0, count - 1]; its report must be
-    # the one built on the cell mesh q / count by hand, byte for byte
+    # the one built on the cell mesh q / count by hand, mapped to w = B q /
+    # count by the one frame conversion, byte for byte
     rng = np.random.default_rng(70 + n)
     write_params(tmp_path / "p.json", random_params(n, rng))
     write_grid(tmp_path / "phi.grid",
@@ -255,7 +261,7 @@ def test_sis_report_keeps_the_cell_mesh_bytes(tmp_path, capsys, n):
     p = read_params(tmp_path / "p.json")
     model = build_sis(p, read_grid(tmp_path / "phi.grid"))
     axes = [np.arange(5) / 5] * n
-    wpts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n) @ p.B.T
+    wpts = _physical_points(p, np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n))
     g = np.atleast_1d(grammian(model, wpts))
     u = np.sum(sis._shift_values(model, wpts), axis=-1)
     rows = [",".join(f"w{i + 1}" for i in range(n)) + ",grammian,unsquared_sum"] + [
@@ -424,6 +430,110 @@ def test_dynsamp_recover_zero_filter_fails(work, tmp_path):
                  "--M", "[[2]]", "--measurements", str(work / "meas.csv"),
                  "--method", "discrete", "--out", str(tmp_path / "r.csv")])
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# refused inputs: exit 1 or 2 with one message line, no traceback
+
+
+@pytest.fixture(scope="module")
+def work2(tmp_path_factory):
+    """A 2-D block, generator, filter and measurement file."""
+    d = tmp_path_factory.mktemp("cli2")
+    write_params(d / "ft2.json", preset("ft", 2))
+    write_grid(d / "phi2.grid", sample_generator("gaussian", sampling_grid(2, 8, n=2), sigma=0.5))
+    write_sequence(d / "filt2.csv", SeqFn(2, {(0, 0): 1.0, (1, 0): 0.5}))
+    (d / "meas2.csv").write_text("k1,k2,channel,re,im\n0,0,0,1.0,0.0\n0,0,1,0.5,0.0\n")
+    (d / "halves.csv").write_text("k1,re,im\n1.5,1.0,0.0\n-0.7,2.0,0.0\n")
+    return d
+
+
+def _refused(capsys, argv, code: int, prefix: str = "error:") -> str:
+    """Run ``argv`` in process; it must exit ``code`` with one stderr line."""
+    assert main(argv) == code
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix), err
+    return err[0]
+
+
+@pytest.mark.parametrize("method", [None, "discrete", "continuous"])
+def test_dynsamp_refuses_a_lattice_of_another_dimension(work2, tmp_path, capsys, method):
+    # a 1 x 1 lattice with a 2-D block once split (K, 2) keys as (2K, 1)
+    argv = ["dynsamp", "check" if method is None else "recover",
+            "--params", str(work2 / "ft2.json"), "--phi", str(work2 / "phi2.grid"),
+            "--filter", str(work2 / "filt2.csv"), "--M", "[[2]]"]
+    if method:
+        argv += ["--measurements", str(work2 / "meas2.csv"), "--method", method,
+                 "--out", str(tmp_path / "r.csv")]
+    line = _refused(capsys, argv, 1)
+    assert "--M is 1x1" in line and "dimension 2" in line
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["transform", "inverse"])
+def test_in_refuses_a_sequence_csv(work, tmp_path, capsys, command):
+    line = _refused(capsys, [command, "--params", str(work / "ft1.json"),
+                             "--in", str(work / "seq.csv"), "--out", str(tmp_path / "F.grid")], 1)
+    assert "--in needs a grid file" in line
+
+
+@pytest.mark.parametrize("command", ["sis", "dynsamp check", "dynsamp recover"])
+def test_phi_refuses_a_sequence_csv(work, tmp_path, capsys, command):
+    argv = command.split() + ["--params", str(work / "ft1.json"), "--phi", str(work / "seq.csv")]
+    if command != "sis":
+        argv += ["--filter", str(work / "filt1.csv"), "--M", "[[2]]"]
+    if command == "dynsamp recover":
+        argv += ["--measurements", str(work / "meas.csv"), "--out", str(tmp_path / "r.csv")]
+    assert "--phi needs a grid file" in _refused(capsys, argv, 1)
+
+
+def test_a_non_integer_index_is_refused_by_row(work, work2, tmp_path, capsys):
+    # the keys 1.5 and -0.7 were once read as 1 and 0
+    line = _refused(capsys, ["dtsaft", "--params", str(work / "ft1.json"),
+                             "--seq", str(work2 / "halves.csv"), "--wgrid=-1:1:3",
+                             "--out", str(tmp_path / "t.csv")], 1)
+    assert "data row 1 ('1.5,1.0,0.0') has a non-finite, out-of-range or non-integer index" in line
+
+
+def test_continuous_recovery_refuses_a_general_block_before_any_field_work(
+        work, tmp_path, capsys, monkeypatch):
+    from saftlab import dynsamp
+
+    calls = []
+    monkeypatch.setattr(dynsamp, "build_D", lambda *a, **k: calls.append("build_D"))
+    monkeypatch.setattr(sis, "build_sis", lambda *a, **k: calls.append("build_sis"))
+    line = _refused(capsys, ["dynsamp", "recover", "--params", str(work / "frft.json"),
+                             "--phi", str(work / "phi1.grid"), "--filter", str(work / "filt1.csv"),
+                             "--M", "[[2]]", "--measurements", str(work / "meas_cont.csv"),
+                             "--method", "continuous", "--out", str(tmp_path / "r.csv")],
+                    2, "validation failure:")
+    assert "implemented for the plain Fourier block" in line
+    assert calls == []
+
+
+def test_refused_inputs_exit_the_same_as_a_subprocess(work, work2, tmp_path):
+    # the exit codes and message lines hold outside the in-process main too
+    env = dict(os.environ, PYTHONPATH=str(Path(saftlab.__file__).parents[1]))
+    cases = [
+        (["dynsamp", "check", "--params", str(work2 / "ft2.json"), "--phi",
+          str(work2 / "phi2.grid"), "--filter", str(work2 / "filt2.csv"), "--M", "[[2]]"],
+         1, "error: --M is 1x1"),
+        (["sis", "--params", str(work / "ft1.json"), "--phi", str(work / "seq.csv")],
+         1, "error: --phi needs a grid file"),
+        (["dtsaft", "--params", str(work / "ft1.json"), "--seq", str(work2 / "halves.csv"),
+          "--wgrid=-1:1:3"], 1, f"error: {work2 / 'halves.csv'}: data row 1"),
+        (["dynsamp", "recover", "--params", str(work / "frft.json"), "--phi",
+          str(work / "phi1.grid"), "--filter", str(work / "filt1.csv"), "--M", "[[2]]",
+          "--measurements", str(work / "meas_cont.csv"), "--method", "continuous",
+          "--out", str(tmp_path / "r.csv")], 2, "validation failure: the periodization"),
+    ]
+    for argv, code, start in cases:
+        run = subprocess.run([sys.executable, "-m", "saftlab.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == code, run.stderr
+        assert "Traceback" not in run.stderr
+        assert run.stderr.strip().splitlines() == [run.stderr.strip()]
+        assert run.stderr.startswith(start)
 
 
 # ---------------------------------------------------------------------------

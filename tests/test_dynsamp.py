@@ -216,7 +216,7 @@ def _nearly_singular_at(field, i, margin):
     v = ent[i, 0]
     u = np.array([-np.conj(v[1]), np.conj(v[0])])
     ent[i, 1] = v + margin * u
-    return MatrixField(wpoints=field.wpoints, entries=ent, label=field.label)
+    return MatrixField(wpoints=field.wpoints, entries=ent)
 
 
 def test_recover_discrete_enforces_the_stability_verdict():

@@ -88,6 +88,14 @@ def test_split_preserves_mass():
     assert total == pytest.approx(s.l2norm() ** 2, rel=1e-12)
 
 
+def test_split_refuses_keys_of_another_width():
+    # a reshape would read (K, 2) keys as (2K, 1) keys of a 1-D lattice
+    with pytest.raises(ValueError, match=r"shape \(K, 1\)"):
+        build_lattice([[2]]).split(np.zeros((3, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match=r"shape \(K, 2\)"):
+        build_lattice([[2, 0], [0, 2]]).split(np.zeros(4, dtype=np.int64))
+
+
 def test_merge_requires_full_part_list():
     lat = build_lattice([[2]])
     with pytest.raises(ValueError):

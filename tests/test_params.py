@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saftlab.grid import sample_generator, sampling_grid
 from saftlab.params import (
     SaftParams,
+    _offset_phase,
+    _physical_points,
+    _reduced_points,
     chirp,
     inverse_params,
     modulation,
@@ -15,6 +19,7 @@ from saftlab.params import (
     require_valid,
     validate,
 )
+from saftlab.sis import build_sis, resolved_band_mask
 
 ALL_PRESETS = [
     ("ft", dict(n=1)),
@@ -164,14 +169,18 @@ def test_random_params_deterministic_per_seed():
 @pytest.mark.parametrize("n", [2, 3])
 def test_phase_factors_give_a_point_the_same_bits_alone_and_in_a_batch(n):
     # kernels evaluate these per chunk of outputs, so a value must not
-    # depend on how many other points share its call
+    # depend on how many other points share its call; the frame conversions
+    # and the band test feed them
     rng = np.random.default_rng(40 + n)
+    phi = sample_generator("gaussian", sampling_grid(2, 4, n=n), sigma=0.5)
     for _ in range(20):
         p = random_params(n, rng)
+        model = build_sis(p, phi, strict=False)
         w = rng.uniform(-8.0, 8.0, (400, n))
-        for fn in (chirp, modulation):
+        for fn in (chirp, modulation, _reduced_points, _physical_points, _offset_phase,
+                   lambda _p, x: resolved_band_mask(model, x)):
             batch = fn(p, w)
             alone = np.array([fn(p, pt) for pt in w])
-            stacked = fn(p, w.reshape(20, 20, n)).reshape(-1)
+            stacked = fn(p, w.reshape(20, 20, n)).reshape(batch.shape)
             assert np.array_equal(batch, alone)
             assert np.array_equal(batch, stacked)

@@ -59,7 +59,7 @@ from hypothesis import strategies as st
 from saftlab import saft
 from saftlab.dynsamp import filter_symbol
 from saftlab.grid import GridFn, SeqFn, mesh, sample_generator, sampling_grid
-from saftlab.params import inverse_params, preset, random_params
+from saftlab.params import _reduced_points, inverse_params, preset, random_params
 from saftlab.saft import (
     PHASE_BUDGET,
     _phase_sum,
@@ -554,7 +554,7 @@ def test_box_route_and_grid_quadrature_match_the_per_pair_oracle(n, data, budget
     p, g, (t, f), w = data.draw(_box_sources(n))
     with patch.object(saft, "PHASE_BUDGET", budget), \
             patch.object(saft, "_box_rows", wraps=saft._box_rows) as box:
-        nu = saft._reduced(p, w)
+        nu = _reduced_points(p, w)
         got = _phase_sum(nu, t, f)
         quad = kernel_quadrature(p, t, f, g.cell_volume, w)
         grid = grid_quadrature(p, g, w)

@@ -1,0 +1,59 @@
+"""Where `src/saftlab` may form a matrix product.
+
+A product over point arrays goes through `params._fixed_product`, which sums
+each output in index order: a BLAS product may round a point by the size of
+its batch, and a large one wakes OpenBLAS's thread pool, whose idle worker
+then spins after the call.  Only the functions listed here may use ``@``,
+``matmul``, ``dot`` or ``einsum``; the list must match the code exactly.
+"""
+
+import ast
+from pathlib import Path
+
+import saftlab
+
+ALLOWED = {
+    # the grid kernel's GEMM, pinned to the calling thread
+    ("saft.py", "grid_phase_sum"),
+    # n x n algebra of the block itself
+    ("params.py", "SaftParams.__post_init__"),
+    ("params.py", "inverse_params"),
+    ("params.py", "random_params"),
+    # exact integer lattice code
+    ("lattice.py", "_coset_reps"),
+    ("lattice.py", "SamplingLattice.split"),
+    ("lattice.py", "merge_sequence"),
+    # a generator's plane wave and chirp
+    ("grid.py", "_gen_gaussian"),
+    # the filter symbol's complex mat-vec, which report.json's bits rest on
+    ("dynsamp.py", "filter_symbol"),
+}
+
+_NAMES = {"matmul", "dot", "einsum"}
+
+
+def _product_sites(path: Path) -> set[tuple[str, str, int]]:
+    """(file, qualified name of the enclosing top-level function or method,
+    line) of each product; a nested helper counts as its parent."""
+    sites = set()
+
+    def visit(node, scope, in_function):
+        if not in_function and isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope, in_function = scope + (node.name,), isinstance(node, ast.FunctionDef)
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _NAMES):
+            sites.add((path.name, ".".join(scope) or "<module>", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, in_function)
+
+    visit(ast.parse(path.read_text()), (), False)
+    return sites
+
+
+def test_matrix_products_stay_in_the_listed_functions():
+    src = Path(saftlab.__file__).parent
+    sites = set().union(*(_product_sites(f) for f in sorted(src.glob("*.py"))))
+    stray = sorted(s for s in sites if s[:2] not in ALLOWED)
+    assert not stray, f"matrix products outside the allowed functions: {stray}"
+    assert {s[:2] for s in sites} == ALLOWED, "an allowed function no longer forms a product"

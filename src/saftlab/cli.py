@@ -156,6 +156,14 @@ def _load_operand(path: str, n: int | None = None, grid_flag: str | None = None)
     return read_grid(path)
 
 
+def _of_dimension(flag: str, operand, p):
+    """`operand`, refused unless it has the parameter block's dimension."""
+    if operand.n != p.n:
+        raise ValueError(f"{flag} has dimension {operand.n}, but the parameter block has "
+                         f"dimension {p.n}")
+    return operand
+
+
 def _require_out(args, what: str) -> Path:
     if args.out is None:
         raise ValueError(f"{what} needs --out")
@@ -322,7 +330,7 @@ def _cmd_sis(args) -> int:
     from .sis import _riesz_report, _shift_values, build_sis
 
     p = _load_params(args.params)
-    phi = _load_operand(args.phi, grid_flag="--phi")
+    phi = _of_dimension("--phi", _load_operand(args.phi, grid_flag="--phi"), p)
     try:
         model = build_sis(p, phi)
     except ValueError as exc:
@@ -363,8 +371,8 @@ def _load_dynsamp_inputs(args):
     from .lattice import build_lattice
 
     p = _load_params(args.params)
-    phi = _load_operand(args.phi, grid_flag="--phi")
-    filt = _load_operand(args.filter, n=p.n)
+    phi = _of_dimension("--phi", _load_operand(args.phi, grid_flag="--phi"), p)
+    filt = _of_dimension("--filter", _load_operand(args.filter, n=p.n), p)
     lat = build_lattice(_parse_int_matrix(args.M))
     if lat.n != p.n:
         raise ValueError(f"--M is {lat.n}x{lat.n}, but the parameter block has dimension {p.n}")

@@ -27,10 +27,16 @@ codec: `format_rows` writes integers as ``str(int)`` and floats as
 a table back with one ``np.loadtxt`` call.  `format_rows` formats one
 column at a time; a float column that repeats values, such as a grid
 coordinate, calls ``repr`` once per distinct value, and the bytes are the
-same as one ``repr`` per value.  On Linux a table of at least two
-`ROW_CHUNK` chunks is formatted in two processes: `format_rows` forks
-once, and a child formats the second half of the rows and sends its text
-back through a pipe; the bytes are the same as in one process.
+same as one ``repr`` per value.
+
+The package forks in one place, `_forked`, and only on Linux with no other
+Python thread alive; every caller falls back to this process when the
+child cannot be started or fails, so no output depends on the fork.
+`format_rows` forks for a table of at least two `ROW_CHUNK` chunks: a
+child formats the second half of the rows and sends its text back through
+a pipe.  `_writing_tables`, the writer of ``repro section5``'s figure CSVs,
+forks once for all of them: a child formats and writes every file in one
+process while the caller's recovery runs.
 `write_grid` and `write_sequence` refuse a NaN or infinite value before
 they create the file, since no reader accepts one.
 """
@@ -43,6 +49,7 @@ import os
 import sys
 import threading
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -111,12 +118,19 @@ def format_rows(header: list[str], *blocks) -> str:
     a table of at least two chunks is formatted in two processes (see
     `_format_in_two`); when the child cannot be started or fails, this
     process formats every row, so the bytes never change."""
+    columns, rows = _columns(blocks)
+    if _may_fork(rows):
+        return _joined(header, _format_in_two(columns, rows))
+    return _joined(header, _format_chunks(columns, 0, rows))
+
+
+def _columns(blocks) -> tuple[list, int]:
+    """`_column_text` of every column of the blocks, and their row count."""
     blocks = [b[:, None] if b.ndim == 1 else b for b in map(np.asarray, blocks)]
-    columns = [_column_text(col) for b in blocks for col in b.T]
-    rows = len(blocks[0])
-    chunks = _format_in_two(columns, rows) if _may_fork(rows) else None
-    if chunks is None:
-        chunks = _format_chunks(columns, 0, rows)
+    return [_column_text(col) for b in blocks for col in b.T], len(blocks[0])
+
+
+def _joined(header: list[str], chunks: list[str]) -> str:
     lines = list(header) + chunks
     lines.append("")                # the last newline, without a copy of the text
     return "\n".join(lines) or "\n"
@@ -133,17 +147,58 @@ def _format_chunks(columns, lo: int, hi: int) -> list[str]:
 
 
 def _may_fork(rows: int) -> bool:
-    """Whether `format_rows` formats `rows` rows in two processes: at least
-    two chunks, on Linux, and no other Python thread alive (one holding a
-    lock at the fork would leave it held in the child)."""
-    return (rows >= 2 * ROW_CHUNK and sys.platform.startswith("linux")
-            and threading.active_count() == 1)
+    """Whether `format_rows` splits a table of `rows` rows between two
+    processes: at least two chunks (`_forked` decides whether it can)."""
+    return rows >= 2 * ROW_CHUNK
 
 
-def _format_in_two(columns, rows: int) -> list[str] | None:
-    """`_format_chunks` of all rows, the second half of the chunks
-    formatted by one forked child and read back from a pipe as ASCII; None
-    when the fork fails or the child does not exit with status 0.
+@contextmanager
+def _forked(child, fallback):
+    """Run ``child()`` in one forked child process while the with-block runs
+    in this one, and yield whether the child was started.
+
+    This is the package's one fork.  It forks only on Linux with no other
+    Python thread alive: a thread holding a lock at the fork would leave it
+    held in the child.  The child leaves through ``os._exit``, with status 0
+    only when ``child()`` returned, so no inherited stdio buffer, atexit
+    hook or caller's ``finally`` runs a second time.  The child is reaped
+    when the block ends, on every path.  When the block completed but the
+    child could not be started or did not exit with status 0, ``fallback()``
+    then does the child's work in this process, so no output depends on the
+    fork."""
+    pid = None
+    if sys.platform.startswith("linux") and threading.active_count() == 1:
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on fork whenever a second OS thread is
+                # alive, and OpenBLAS keeps one from ``import numpy`` on.  The
+                # child is safe all the same as long as it never calls BLAS:
+                # the callers' children only sort, index and format columns
+                # and write the text, and no other Python thread exists.
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            pass
+    if pid == 0:
+        status = 1
+        try:
+            child()
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        yield pid is not None
+    finally:
+        ok = pid is not None and os.waitpid(pid, 0)[1] == 0
+    if not ok:
+        fallback()
+
+
+def _format_in_two(columns, rows: int) -> list[str]:
+    """`_format_chunks` of all rows: this process formats the first half of
+    the chunks while a `_forked` child formats the second half and sends
+    it back through a pipe as ASCII.
 
     The read end is closed before the child is reaped on every path, so a
     child blocked on a full pipe gets EPIPE and exits instead of hanging.
@@ -153,52 +208,50 @@ def _format_in_two(columns, rows: int) -> list[str] | None:
     try:
         r, w = os.pipe()
     except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on fork whenever a second OS thread is
-            # alive, and OpenBLAS keeps one from ``import numpy`` on.  The
-            # child is safe all the same: it runs only tolist, repr,
-            # str.join, os.write and os._exit, never BLAS, and no other
-            # Python thread exists (`_may_fork`).
-            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except OSError:
+        return _format_chunks(columns, 0, rows)
+    chunks: list[str] = []
+
+    def send_tail():
         os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        _child(columns, split, rows, r, w)
-    pieces = []
-    try:
-        os.close(w)
-        chunks = _format_chunks(columns, 0, split)
-        while piece := os.read(r, 1 << 16):
-            pieces.append(piece.decode("ascii"))
-    finally:
-        os.close(r)
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        return None
-    chunks.append("".join(pieces))
+        data = memoryview("\n".join(_format_chunks(columns, split, rows)).encode("ascii"))
+        while data:
+            data = data[os.write(w, data):]
+
+    def format_all():
+        chunks[:] = _format_chunks(columns, 0, rows)
+
+    with _forked(send_tail, format_all) as started:
+        try:
+            os.close(w)
+            if started:
+                chunks.extend(_format_chunks(columns, 0, split))
+                pieces = []
+                while piece := os.read(r, 1 << 16):
+                    pieces.append(piece.decode("ascii"))
+                chunks.append("".join(pieces))
+        finally:
+            os.close(r)
     return chunks
 
 
-def _child(columns, lo: int, hi: int, r: int, w: int) -> None:
-    """In the forked child: write the text of rows ``lo:hi`` to `w` and
-    leave through ``os._exit``, so no inherited stdio buffer, atexit hook
-    or caller's ``finally`` runs a second time; status 0 only when every
-    byte was written."""
-    status = 1
-    try:
-        os.close(r)
-        data = memoryview("\n".join(_format_chunks(columns, lo, hi)).encode("ascii"))
-        while data:
-            data = data[os.write(w, data):]
-        status = 0
-    finally:
-        os._exit(status)
+@contextmanager
+def _writing_tables(tables):
+    """Write each ``(path, header, *blocks)`` of `tables` as
+    ``format_rows(header, *blocks)`` while the with-block runs.
+
+    One `_forked` child formats every table in one process (no nested
+    fork) and writes the files; this process reaps it when the block ends,
+    on every path.  When the block completed but the child could not be
+    started or failed, this process writes every file itself, so the bytes
+    never change.  The blocks must be built before the block starts: the
+    child sees them as they were at the fork."""
+    def write_all():
+        for path, header, *blocks in tables:
+            columns, rows = _columns(blocks)
+            Path(path).write_text(_joined(header, _format_chunks(columns, 0, rows)))
+
+    with _forked(write_all, write_all):
+        yield
 
 
 def _column_text(col: np.ndarray):

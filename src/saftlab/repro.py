@@ -33,7 +33,7 @@ from .dynsamp import (
     stability_report,
 )
 from .grid import SeqFn, mesh, sampling_grid
-from .io import format_rows
+from .io import _writing_tables
 from .lattice import SamplingLattice, build_lattice
 from .params import (SaftParams, _fixed_product, _offset_phase, _physical_points, _reduced_points,
                      chirp, modulation, preset, require_valid)
@@ -373,47 +373,55 @@ def _restrict_stems(s: SeqFn, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return keys[keep], vals[keep]
 
 
-def _emit_figures(scenario: ExampleScenario, outdir: Path) -> dict:
-    """Deterministic CSV surfaces for external plotting; returns sizes."""
+def _emit_figures(scenario: ExampleScenario, outdir: Path, levels: list,
+                  h0: SeqFn) -> tuple[list, dict]:
+    """Deterministic CSV surfaces for external plotting, as the
+    ``(path, header, block)`` tables of `io._writing_tables`, and their grid
+    sizes for report.json.
+
+    Only the arrays are formed here, before any recovery work, so that one
+    forked child can write the text while the recovery runs.  Three tables
+    take what `run_example` computed: fig05/06 are ``h0``, the coefficients
+    convolved with the generator samples, and fig10 is ``levels[1]``, the
+    filter applied once to those samples."""
     p = scenario.params
     outdir.mkdir(parents=True, exist_ok=True)
+    tables = []
 
-    def write(name, header, *columns):
+    def table(name, header, *columns):
         # every column is written as a float, the stem indices too
-        (outdir / name).write_text(format_rows([header], np.column_stack(columns)))
+        tables.append((outdir / name, [header], np.column_stack(columns)))
 
     xs = (np.arange(-600, 601)) / 400.0
-    write("fig01_psi.csv", "x,psi", xs, meyer_psi(xs))
+    table("fig01_psi.csv", "x,psi", xs, meyer_psi(xs))
 
     tmpl = scenario.model.spectrum
     nu = tmpl.points().reshape(-1, 2)
-    write("fig02_spectrum.csv", "nu1,nu2,window", nu, _tensor_psi(nu))
+    table("fig02_spectrum.csv", "nu1,nu2,window", nu, _tensor_psi(nu))
 
     f_grid = conv_sd(p, scenario.coeffs, scenario.model.phi)
     fpts = f_grid.points().reshape(-1, 2)
     fv = f_grid.values.reshape(-1)
-    write("fig03_f_real.csv", "x1,x2,value", fpts, fv.real)
-    write("fig04_f_imag.csv", "x1,x2,value", fpts, fv.imag)
+    table("fig03_f_real.csv", "x1,x2,value", fpts, fv.real)
+    table("fig04_f_imag.csv", "x1,x2,value", fpts, fv.imag)
 
-    f_samples = conv_dd(p, scenario.coeffs, scenario.phi_samples)
-    keys, vals = _restrict_stems(f_samples, 12)
-    write("fig05_samples_real.csv", "k1,k2,value", keys, vals.real)
-    write("fig06_samples_imag.csv", "k1,k2,value", keys, vals.imag)
+    keys, vals = _restrict_stems(h0, 12)
+    table("fig05_samples_real.csv", "k1,k2,value", keys, vals.real)
+    table("fig06_samples_imag.csv", "k1,k2,value", keys, vals.imag)
 
     xg = mesh([np.arange(64) / 64.0] * 2).reshape(-1, 2)
     phi0 = periodized_window_transform(scenario, _physical_points(p, xg))
-    write("fig07_periodization_real.csv", "w1,w2,value", xg, phi0.real)
-    write("fig08_periodization_imag.csv", "w1,w2,value", xg, phi0.imag)
+    table("fig07_periodization_real.csv", "w1,w2,value", xg, phi0.real)
+    table("fig08_periodization_imag.csv", "w1,w2,value", xg, phi0.imag)
 
     filtered = conv_sd(p, scenario.filt, scenario.model.phi)
     gpts = filtered.points().reshape(-1, 2)
-    write("fig09_filtered_real.csv", "x1,x2,value", gpts, filtered.values.reshape(-1).real)
+    table("fig09_filtered_real.csv", "x1,x2,value", gpts, filtered.values.reshape(-1).real)
 
-    filt_samples = conv_dd(p, scenario.filt, scenario.phi_samples)
-    keys, vals = _restrict_stems(filt_samples, 12)
-    write("fig10_samples_imag.csv", "k1,k2,value", keys, vals.imag)
+    keys, vals = _restrict_stems(levels[1], 12)
+    table("fig10_samples_imag.csv", "k1,k2,value", keys, vals.imag)
 
-    return {
+    return tables, {
         "time_grid": list(scenario.model.phi.shape),
         "spectrum_grid": list(tmpl.shape),
         "f_grid": list(f_grid.shape),
@@ -428,12 +436,15 @@ def run_example(
     """Measure, check stability, recover along both routes, verify the
     factorizations, and (optionally) emit figure CSVs and report.json.
 
+    With `outdir`, one forked child writes the figure CSVs while the
+    recovery runs (`io._writing_tables`, which writes them in this process
+    when it cannot fork), and report.json is written once every figure is
+    complete.
+
     Returns (report, recovered coefficients or None).  A structurally
     degenerate filter (vanishing symbol differences) produces verdict
     "fail" with the offending frequency, never a silent wrong answer.
     """
-    p = scenario.params
-    lat = scenario.lat
     lo = np.asarray(window[0], dtype=int)
     hi = np.asarray(window[1], dtype=int)
     report: dict = {
@@ -451,7 +462,31 @@ def run_example(
         },
     }
 
-    levels = filtered_levels(p, scenario.filt, scenario.phi_samples, lat.m, "cc")
+    p = scenario.params
+    levels = filtered_levels(p, scenario.filt, scenario.phi_samples, scenario.lat.m, "cc")
+    if outdir is None:
+        return report, _recover(scenario, levels, None, lo, hi, report)
+
+    # the coefficients through the generator samples: figures 5 and 6, and
+    # the continuous route's first measurement
+    h0 = conv_dd(p, scenario.coeffs, levels[0])
+    out = Path(outdir)
+    figures, sizes = _emit_figures(scenario, out, levels, h0)
+    with _writing_tables(figures):
+        recovered = _recover(scenario, levels, h0, lo, hi, report)
+    report["sizes"].update(sizes)
+    (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return report, recovered
+
+
+def _recover(scenario: ExampleScenario, levels: list, h0: SeqFn | None,
+             lo: np.ndarray, hi: np.ndarray, report: dict) -> SeqFn | None:
+    """`run_example`'s measurement, stability scans, recoveries and checks,
+    recorded in `report`; returns the discrete route's coefficients, or
+    None when its field is unstable.  `h0`, when given, is
+    ``conv_dd(p, coeffs, levels[0])``."""
+    p = scenario.params
+    lat = scenario.lat
     ms = measure_from_samples(p, lat, scenario.coeffs, levels)
     report["sizes"]["level_samples"] = [len(l) for l in levels]
     report["sizes"]["channel_samples"] = [len(v) for v in ms.levels]
@@ -470,9 +505,6 @@ def run_example(
     else:
         report["recovery_error"] = None
 
-    # periodization route and factorization checks need plain-Fourier blocks
-    plain = p.is_plain_fourier()
-
     report["min_det_E"] = None
     report["min_det_D"] = None
     report["recovery_error_continuous"] = None
@@ -480,8 +512,11 @@ def run_example(
     report["factorization_residual"] = None
     report["factorization_residual_2x2"] = None
     cont_ok = True
-    if plain:
-        h_levels = [conv_dd(p, scenario.coeffs, lv) for lv in levels]
+    # periodization route and factorization checks need plain-Fourier blocks
+    if p.is_plain_fourier():
+        if h0 is None:
+            h0 = conv_dd(p, scenario.coeffs, levels[0])
+        h_levels = [h0] + [conv_dd(p, scenario.coeffs, lv) for lv in levels[1:]]
         wptsC, shapeC, loC, qsh = continuous_solve_grid(p, lat, lo, hi)
         Dfield = build_D(scenario.model, scenario.filt, lat, wptsC)
         stabD = stability_report(Dfield)
@@ -515,11 +550,4 @@ def run_example(
         report["window_checks"] = window_periodization_check(scenario)
 
     report["verdict"] = "pass" if (stab.ok and cont_ok) else "fail"
-
-    if outdir is not None:
-        out = Path(outdir)
-        report["sizes"].update(_emit_figures(scenario, out))
-        (out / "report.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
-        )
-    return report, recovered
+    return recovered

@@ -470,6 +470,43 @@ def test_dynsamp_refuses_a_lattice_of_another_dimension(work2, tmp_path, capsys,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["transform", "sis", "dynsamp check",
+                                     "dynsamp recover discrete", "dynsamp recover continuous"])
+def test_a_grid_of_another_dimension_is_structural(work, work2, tmp_path, capsys, command):
+    # a 1-D grid with a 2-D block; sis and dynsamp once exited 2 on it
+    words = command.split()
+    argv = words[:2] if words[0] == "dynsamp" else words[:1]
+    argv += ["--params", str(work2 / "ft2.json")]
+    grid = str(work / "phi1.grid")
+    if command == "transform":
+        argv += ["--in", grid, "--out", str(tmp_path / "F.grid")]
+    else:
+        argv += ["--phi", grid]
+    if words[0] == "dynsamp":
+        argv += ["--filter", str(work2 / "filt2.csv"), "--M", "[[2,0],[0,2]]"]
+    if len(words) == 3:
+        argv += ["--measurements", str(work2 / "meas2.csv"), "--method", words[2],
+                 "--out", str(tmp_path / "r.csv")]
+    line = _refused(capsys, argv, 1)
+    assert "dimension 1" in line and "dimension 2" in line
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("method", [None, "discrete", "continuous"])
+def test_dynsamp_refuses_a_filter_grid_of_another_dimension(work, work2, tmp_path, capsys,
+                                                            method):
+    # dynsamp recover --method discrete once exited 2 on it
+    argv = ["dynsamp", "check" if method is None else "recover",
+            "--params", str(work2 / "ft2.json"), "--phi", str(work2 / "phi2.grid"),
+            "--filter", str(work / "phi1.grid"), "--M", "[[2,0],[0,2]]"]
+    if method:
+        argv += ["--measurements", str(work2 / "meas2.csv"), "--method", method,
+                 "--out", str(tmp_path / "r.csv")]
+    line = _refused(capsys, argv, 1)
+    assert line.startswith("error: --filter has dimension 1") and "dimension 2" in line
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["transform", "inverse"])
 def test_in_refuses_a_sequence_csv(work, tmp_path, capsys, command):
     line = _refused(capsys, [command, "--params", str(work / "ft1.json"),

@@ -2,6 +2,7 @@
 loops it replaced (kept in ``io_oracles.py``): every writer's bytes and
 every reader's values must be identical, bit for bit."""
 
+import ast
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import signal
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -343,7 +345,7 @@ def test_an_error_in_the_parent_reaps_a_child_blocked_on_a_full_pipe():
 
 
 @linux_only
-def test_no_fork_while_another_thread_runs():
+def test_no_fork_while_another_thread_runs(tmp_path):
     block = np.random.default_rng(6).standard_normal((40, 2))
     stop, calls = threading.Event(), []
     thread = threading.Thread(target=stop.wait)
@@ -352,12 +354,92 @@ def test_no_fork_while_another_thread_runs():
         with mock.patch.object(saftlab.io, "ROW_CHUNK", 8), \
                 mock.patch.object(os, "fork", _forks(calls)):
             text = format_rows(["re,im"], block)
+        tables = _tables(tmp_path)
+        with mock.patch.object(os, "fork", _forks(calls)), saftlab.io._writing_tables(tables):
+            pass
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert calls == []
     assert text == _per_row_text(["re,im"], block)
+    _assert_written(tables)
+
+
+# ---------------------------------------------------------------------------
+# the figure writer: one forked child writes every table while the caller's
+# with-block runs; this process writes them itself when the child cannot
+
+
+def _tables(tmp_path) -> list:
+    """(path, header, keys, block) tables; with `ROW_CHUNK` 8 the first two
+    are long enough for `format_rows` to split them."""
+    rng = np.random.default_rng(8)
+    return [(tmp_path / f"t{i}.csv", [f"k,a,b{i}"], rng.integers(-9, 9, size=(rows, 1)),
+             rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-300, 300, size=(rows, 2)))
+            for i, rows in enumerate((40, 17, 3, 0))]
+
+
+def _assert_written(tables) -> None:
+    for path, header, keys, block in tables:
+        assert path.read_text() == _per_row_text(header, block, keys), path.name
+
+
+def _logged_forks(log):
+    """An ``os.fork`` that appends the calling pid to the file `log`, so a
+    fork made in a child is seen too."""
+    def fork():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_fork()
+    return fork
+
+
+def _child_dies_mid_file_write():
+    pid = real_fork()
+    if pid == 0:
+        real = Path.write_text
+
+        def write_text(self, data, *args, **kwargs):    # in the child only
+            real(self, data[:20], *args, **kwargs)
+            raise OSError("no space left")
+        Path.write_text = write_text
+    return pid
+
+
+@linux_only
+def test_the_figure_writer_forks_once_and_writes_every_table(tmp_path):
+    tables, log, fds = _tables(tmp_path), tmp_path / "forks.log", _open_fds()
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", 8), \
+            mock.patch.object(os, "fork", _logged_forks(log)), \
+            saftlab.io._writing_tables(tables):
+        pass
+    # the child formats every table in one process: no nested fork
+    assert log.read_text().split() == [str(os.getpid())]
+    _assert_written(tables)
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+@linux_only
+@pytest.mark.parametrize("fake", [_fails, _child_exits_3, _child_dies_mid_file_write])
+def test_a_failed_figure_child_leaves_this_process_to_write_every_table(tmp_path, fake):
+    tables, fds = _tables(tmp_path), _open_fds()
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", 8), mock.patch.object(os, "fork", fake), \
+            saftlab.io._writing_tables(tables):
+        pass
+    _assert_written(tables)
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+def test_os_fork_is_called_in_one_place():
+    src = Path(saftlab.io.__file__).parent
+    sites = [(f.name, node.lineno) for f in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(f.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr.startswith("fork")
+             or isinstance(node, ast.alias) and node.name.startswith("fork")]
+    assert len(sites) == 1 and sites[0][0] == "io.py", sites
 
 
 @SETTINGS

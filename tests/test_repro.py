@@ -7,6 +7,11 @@ DFT-based table is tested against them.
 """
 
 import json
+import os
+import sys
+import time
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -319,6 +324,72 @@ def test_figures_and_report_deterministic(tmp_path):
     assert data["verdict"] == "pass"
     assert "timings" not in data  # wall-clock noise must not break determinism
     assert rep1.keys() == rep2.keys()
+
+
+real_fork = os.fork
+
+
+def _counted_fork(calls: list):
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+    return fork
+
+
+def _no_fork():
+    raise OSError("resource temporarily unavailable")
+
+
+def _slow_child_fork():
+    # the child starts writing only after the parent's recovery is done
+    pid = real_fork()
+    if pid == 0:
+        time.sleep(0.5)
+    return pid
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
+def test_report_json_follows_every_complete_figure(tmp_path):
+    sc = _small_scenario()
+    window = ((-4, -4), (4, 4))
+    with mock.patch.object(os, "fork", _no_fork):
+        run_example(sc, outdir=tmp_path / "alone", window=window)
+    want = {p.name: p.read_bytes() for p in (tmp_path / "alone").iterdir()}
+    assert sum(name.startswith("fig") for name in want) == 10
+
+    real_write, seen = Path.write_text, {}
+
+    def write_text(self, data, *args, **kwargs):
+        if self.name == "report.json":
+            seen.update((p.name, p.read_bytes()) for p in self.parent.glob("fig*.csv"))
+        return real_write(self, data, *args, **kwargs)
+
+    calls = []
+    with mock.patch.object(os, "fork", _counted_fork(calls)):
+        run_example(sc, outdir=tmp_path / "forked", window=window)
+        with mock.patch.object(Path, "write_text", write_text), \
+                mock.patch.object(os, "fork", _slow_child_fork):
+            run_example(sc, outdir=tmp_path / "slow", window=window)
+    assert calls == [os.getpid()]
+    for name in ("forked", "slow"):
+        assert {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} == want
+    assert seen == {name: data for name, data in want.items() if name.startswith("fig")}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
+def test_an_error_during_the_recovery_reaps_the_figure_child(tmp_path):
+    def fails(*args, **kwargs):
+        raise MemoryError
+
+    fds, calls = set(os.listdir("/proc/self/fd")), []
+    with mock.patch.object(repro, "recover_discrete", fails), \
+            mock.patch.object(os, "fork", _counted_fork(calls)), pytest.raises(MemoryError):
+        run_example(_small_scenario(), outdir=tmp_path, window=((-4, -4), (4, 4)))
+    assert calls == [os.getpid()]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert set(os.listdir("/proc/self/fd")) == fds
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_factorization_residual_consistency():

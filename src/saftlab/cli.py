@@ -109,6 +109,8 @@ def _parse_window(text: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         a, b = int(fields[0]), int(fields[1])
         if b < a:
             raise ValueError(f"window: empty range {part!r}")
+        if not -2**62 <= a <= b < 2**62:       # so the extent fits in int64
+            raise ValueError(f"window: bound beyond 2**62 in magnitude in {part!r}")
         lo.append(a)
         hi.append(b)
     return np.array(lo), np.array(hi)
@@ -116,8 +118,10 @@ def _parse_window(text: str, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _parse_int_matrix(text: str) -> list:
     value = json.loads(text)
-    if isinstance(value, (int, float)):
-        raise ValueError("lattice matrix must be a JSON array of rows")
+    # numpy would read true as 1 in a row of numbers
+    if not isinstance(value, list) or any(
+            isinstance(x, bool) for row in value if isinstance(row, list) for x in row):
+        raise ValueError("lattice matrix must be a JSON array of rows of integers")
     return value
 
 

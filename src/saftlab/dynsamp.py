@@ -30,9 +30,9 @@ them is what makes the per-frequency identity exact for every valid
 parameter block rather than only chirp-free ones.
 
 Two independent characterizations are implemented: the discrete one above
-(`build_B_window` / `recover_discrete`) and a periodization-based one
-(`build_D` / `recover_continuous`) that works from plain integer samples
-``h_j = (a^j * f)|_Z^n`` with classical filtering.
+(`build_B_window` / `recover_discrete`) and, for the plain Fourier block
+only, a periodization-based one (`build_D` / `recover_continuous`) that
+works from plain integer samples ``h_j = (a^j * f)|_Z^n``.
 
 Everything accepts filters as either grid functions or finitely supported
 coefficient sequences (point-mass combs); the comb route is exact and is
@@ -103,10 +103,6 @@ class MatrixField:
 
     wpoints: np.ndarray          # (Np, n)
     entries: np.ndarray          # (Np, m, m)
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -271,49 +267,44 @@ def filter_symbol(p: SaftParams, a, pts_xi: np.ndarray) -> np.ndarray:
     return grid_phase_sum(pts_xi, axes, a.values * a.cell_volume).reshape(pts_xi.shape[:-1])
 
 
-def build_D(
-    model: SisModel,
-    a,
-    lat: SamplingLattice,
-    wpts,
-    cutoff: int | None = None,
-    J: int | None = None,
-) -> MatrixField:
+def _require_plain_fourier(params: SaftParams) -> None:
+    """`build_D`'s and `continuous_solve_grid`'s precondition."""
+    if not params.is_plain_fourier():
+        raise ValueError(
+            "the periodization recovery route is implemented for the plain "
+            "Fourier block (A = D = 0, B = I, zero offsets); use the "
+            "discrete route for general parameter blocks"
+        )
+
+
+def build_D(model: SisModel, a, lat: SamplingLattice, wpts) -> MatrixField:
     """Periodization-characterization field at the physical frequencies
-    ``wpts`` (..., n): entry (j, v) is
+    ``wpts`` (..., n): the m-by-m entry (j, v) is
 
         Phi_j(M^{-1}(w + gamma_v)),
         Phi_j(x) = sum_n conj(eta)^2(x + n) * (S phi_j)(x + n),
 
     with ``phi_j`` the j-fold *classical* filter power applied to the
-    generator.  For chirp-free blocks the filtered transform factorizes into
-    (filter symbol)^j times the generator transform, which is exact and
-    cheap; otherwise the filtered generator grids are materialized.
+    generator and ``n`` up to ``model.cutoff`` per axis.  Only the plain
+    Fourier block is taken (others raise before a point is formed); there
+    the filtered transform is (filter symbol)^j times the generator's.
     """
     p = model.params
     require_valid(p)
+    _require_plain_fourier(p)
     m = lat.m
-    J = m if J is None else int(J)
-    K = model.cutoff if cutoff is None else int(cutoff)
     wpts = _as_points(wpts, p.n)
     minv = lat.m_inverse()
     gammas = np.array(lat.gamma, dtype=float)
     # evaluation points x_v = M^{-1}(w + gamma_v): (Np, m, n)
     x = _fixed_product(wpts[:, None, :] + gammas, minv)
-    pts = x[:, :, None, :] + lattice_shifts(p.n, K)      # (Np, m, S, n)
+    pts = x[:, :, None, :] + lattice_shifts(p.n, model.cutoff)     # (Np, m, S, n)
     eta_sq = np.conj(modulation(p, pts)) ** 2
 
-    entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
-    if p.is_chirp_free(1e-14):
-        base = spectrum_at(model, pts)                    # (Np, m, S)
-        sym = filter_symbol(p, a, _reduced_points(p, pts - p.P))
-        for j in range(J):
-            entries[:, j, :] = np.sum(eta_sq * sym**j * base, axis=-1)
-    else:
-        for j, phi_j in enumerate(filtered_levels(p, a, model.phi, J, "classical")):
-            vals = spectrum_at(model, pts, None if j == 0 else phi_j)
-            entries[:, j, :] = np.sum(eta_sq * vals, axis=-1)
-    return MatrixField(wpoints=wpts, entries=entries)
+    base = spectrum_at(model, pts)                                  # (Np, m, S)
+    sym = filter_symbol(p, a, _reduced_points(p, pts - p.P))
+    rows = [np.sum(eta_sq * sym**j * base, axis=-1) for j in range(m)]
+    return MatrixField(wpoints=wpts, entries=np.stack(rows, axis=1))
 
 
 def stability_report(field: MatrixField, det_rtol: float = 1e-8) -> StabilityReport:
@@ -519,12 +510,7 @@ def continuous_solve_grid(
     DFT grid of the window exactly once.  Returns (points, full shape,
     padded window_lo, reduced q shape).  Any block but plain Fourier raises.
     """
-    if not params.is_plain_fourier():
-        raise ValueError(
-            "the periodization recovery route is implemented for the plain "
-            "Fourier block (A = D = 0, B = I, zero offsets); use the "
-            "discrete route for general parameter blocks"
-        )
+    _require_plain_fourier(params)
     M = lat.M
     diag = np.diag(M)
     if not np.array_equal(M, np.diag(diag)):
@@ -580,15 +566,13 @@ def recover_continuous(
     C = np.linalg.solve(Dfield.entries, rhs[..., None])[..., 0]   # (Np, m)
 
     # scatter the channel values onto the full DFT grid of the window
-    diag = np.diag(lat.M)
     full = np.zeros(shape, dtype=complex)
     filled = np.zeros(shape, dtype=bool)
     q_idx = mesh([np.arange(Nq) for Nq in qshape]).reshape(-1, lat.n)
-    minv_gamma = np.array(lat.gamma, dtype=float) / diag   # M^{-1} gamma_v
     for v in range(m):
         # reduced node q/N plus the coset offset gamma_v/diag lands on the
-        # full-grid node (q + N*gamma_v/diag)/N
-        offs = np.round(np.array(shape) * minv_gamma[v]).astype(int)
+        # full-grid node (q + N*gamma_v/diag)/N, and N/diag = qshape exactly
+        offs = np.array(qshape) * np.array(lat.gamma[v])
         pidx = (q_idx + offs[None, :]) % np.array(shape)[None, :]
         full[tuple(pidx.T)] = C[:, v]
         filled[tuple(pidx.T)] = True

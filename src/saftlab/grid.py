@@ -15,6 +15,7 @@ Two grid constructors cover the two use cases:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -238,6 +239,17 @@ def dft(f: GridFn, sign: int = -1, out: GridFn | None = None) -> GridFn:
 # sequences
 
 
+def _index(k, n: int) -> tuple:
+    """``k`` as a tuple of ``n`` Python ints; anything else raises ValueError."""
+    try:
+        out = tuple(map(operator.index, k))
+    except TypeError:
+        out = None
+    if out is None or len(out) != n:
+        raise ValueError(f"index {k!r} is not a tuple of {n} integers")
+    return out
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SeqFn:
     """A finitely supported complex sequence on Z^n, stored as two arrays.
@@ -254,10 +266,7 @@ class SeqFn:
     values: np.ndarray
 
     def __init__(self, n: int, entries: Mapping):
-        keys = [tuple(int(x) for x in k) for k in entries]
-        bad = next((k for k in keys if len(k) != n), None)
-        if bad is not None:
-            raise ValueError(f"index {bad} has wrong length for n={n}")
+        keys = [_index(k, n) for k in entries]
         self._assign(n, np.array(keys, dtype=np.int64).reshape(-1, n), list(entries.values()))
 
     @classmethod
@@ -301,7 +310,7 @@ class SeqFn:
         return len(self.values)
 
     def get(self, k) -> complex:
-        hit = np.flatnonzero(np.all(self.keys == [int(x) for x in k], axis=1))
+        hit = np.flatnonzero(np.all(self.keys == _index(k, self.n), axis=1))
         return complex(self.values[hit[0]]) if hit.size else 0j
 
     def as_arrays(self):
@@ -360,37 +369,18 @@ def _gen_tent(pts, center=0.5, width=0.5):
     return vals.astype(complex)
 
 
-def _gen_meyer2d(pts):
-    if pts.shape[-1] != 2:
-        raise ValueError("meyer2d generator is two-dimensional")
-    from .repro import meyer_psi
-
-    return (meyer_psi(pts[..., 0]) * meyer_psi(pts[..., 1])).astype(complex)
-
-
 #: pointwise generators ``fn(points, **params) -> values`` by name
 _GENERATORS: dict[str, Callable] = {
     "gaussian": _gen_gaussian,
     "tent": _gen_tent,
-    "meyer2d": _gen_meyer2d,
 }
 
 
 def sample_generator(name: str, grid: GridFn, **params) -> GridFn:
-    """Evaluate a named analytic generator at the grid's cell centers.
-
-    The ``file`` pseudo-generator loads a stored grid (``path=...``) and
-    requires its geometry to match ``grid``.
-    """
-    if name == "file":
-        from .io import read_grid
-
-        loaded = read_grid(params["path"])
-        if not loaded.same_geometry(grid):
-            raise ValueError("stored grid geometry does not match the requested grid")
-        return loaded
+    """Evaluate a named analytic generator (``gaussian`` or ``tent``) at the
+    grid's cell centers; ``params`` are the generator's keyword arguments."""
     try:
         fn = _GENERATORS[name]
     except KeyError:
-        raise ValueError(f"unknown generator {name!r}; known: {sorted(_GENERATORS)} + ['file']") from None
+        raise ValueError(f"unknown generator {name!r}; known: {sorted(_GENERATORS)}") from None
     return grid.with_values(fn(grid.points(), **params))

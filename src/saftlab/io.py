@@ -408,12 +408,20 @@ def sequence_from_rows(path, n: int, keys, vals) -> SeqFn:
 
 
 def params_from_dict(d: dict) -> SaftParams:
+    if not isinstance(d, dict):
+        raise ValueError(f"parameter file must hold a JSON object, got {type(d).__name__}")
     d = dict(d)
+    n = d.pop("n", None)
+    # int() would truncate a float or true and overflow on 1e400
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n <= 0):
+        raise ValueError(f"parameter file: n must be a positive integer, got {n!r}")
     if "preset" in d:
         kind = d.pop("preset")
-        n = d.pop("n", None)
+        if not isinstance(kind, str):
+            raise ValueError(f"parameter file: preset must be a name, got {kind!r}")
         return preset(kind, n=n, **d)
-    n = int(d["n"])
+    if n is None:
+        raise KeyError("n")
     zeros_v = [0.0] * n
     return SaftParams(
         n,

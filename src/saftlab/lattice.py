@@ -30,8 +30,10 @@ def _int_rows(M) -> list[list[int]]:
     arr = np.asarray(M)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"M must be a square matrix, got shape {arr.shape}")
-    if not np.allclose(arr, np.round(arr)):
-        raise ValueError("M must have integer entries")
+    # a string, null or an int past int64 makes a non-numeric array
+    if arr.dtype.kind not in "iuf" or not np.all(np.abs(arr) < 2.0**63) \
+            or not np.allclose(arr, np.round(arr)):
+        raise ValueError("M must have integer entries of magnitude below 2**63")
     return [[int(round(x)) for x in row] for row in arr]
 
 

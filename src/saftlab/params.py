@@ -125,10 +125,6 @@ class SaftParams:
     # -- cached views ------------------------------------------------------
 
     @property
-    def det_b(self) -> float:
-        return self._det_b
-
-    @property
     def abs_det_b(self) -> float:
         return abs(self._det_b)
 

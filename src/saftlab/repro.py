@@ -531,7 +531,7 @@ def _recover(scenario: ExampleScenario, levels: list, h0: SeqFn | None,
         # printed two-channel subsystem: cosets {0, (0,1)} of diag(1, 2)
         lat2 = build_lattice([[1, 0], [0, 2]])
         w9 = mesh([np.arange(9) / 9.0] * 2).reshape(-1, 2)
-        D2 = build_D(scenario.model, scenario.filt, lat2, w9, J=2)
+        D2 = build_D(scenario.model, scenario.filt, lat2, w9)
         resid2, _ = factorization_residual(scenario, lat2, D2)
         report["factorization_residual_2x2"] = resid2
 

@@ -126,24 +126,22 @@ def resolved_band_mask(model: SisModel, w_points: np.ndarray) -> np.ndarray:
     return np.all((nu >= lo) & (nu <= hi), axis=-1)
 
 
-def spectrum_at(model: SisModel, w_points, grid: GridFn | None = None) -> np.ndarray:
+def spectrum_at(model: SisModel, w_points) -> np.ndarray:
     """Generator transform at arbitrary physical frequencies.
 
     Uses the exact callback when present, else the Riemann sum of the
     defining integral over the generator grid, summed axis by axis
-    (`saft.grid_quadrature`; no interpolation).  ``grid`` (no callback)
-    replaces the generator by a grid with its spacing, e.g. a filtered one.
-    Quadrature is restricted to the resolved band; outside it the value is
-    reported as zero, which the decay check keeps below ``DECAY_TOL`` (a
-    filter's absolute sum only scales that bound).
+    (`saft.grid_quadrature`; no interpolation).  Quadrature is restricted
+    to the resolved band; outside it the value is reported as zero, which
+    the decay check keeps below ``DECAY_TOL``.
     """
     pts = np.asarray(w_points, dtype=float)
-    if grid is None and model.spectrum_fn is not None:
+    if model.spectrum_fn is not None:
         return np.asarray(model.spectrum_fn(pts), dtype=complex)
     mask = resolved_band_mask(model, pts)
     out = np.zeros(pts.shape[:-1], dtype=complex)
     if np.any(mask):
-        out[mask] = grid_quadrature(model.params, model.phi if grid is None else grid, pts[mask])
+        out[mask] = grid_quadrature(model.params, model.phi, pts[mask])
     return out
 
 
@@ -153,19 +151,11 @@ def synthesize(model: SisModel, s: SeqFn) -> GridFn:
 
 
 def _shift_values(model: SisModel, w) -> np.ndarray:
-    """|S phi| at all cutoff-window lattice shifts of each input point.
-
-    Returns magnitudes with shape ``w.shape[:-1] + (num_shifts,)``.
-    """
+    """|S phi| at every cutoff-window lattice shift of each point ``w``
+    (..., n), shape ``w.shape[:-1] + (num_shifts,)``."""
     p = model.params
-    pts = np.asarray(w, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
     shifts = _physical_points(p, lattice_shifts(p.n, model.cutoff))
-    stacked = pts[..., None, :] + shifts
-    mags = np.abs(spectrum_at(model, stacked))
-    return mags[0] if single else mags
+    return np.abs(spectrum_at(model, np.asarray(w, dtype=float)[..., None, :] + shifts))
 
 
 def grammian(model: SisModel, w) -> float | np.ndarray:

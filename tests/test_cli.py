@@ -524,6 +524,34 @@ def test_phi_refuses_a_sequence_csv(work, tmp_path, capsys, command):
     assert "--phi needs a grid file" in _refused(capsys, argv, 1)
 
 
+@pytest.mark.parametrize("M, window, params_text", [
+    ('[["a",0],[0,2]]', None, None),
+    ('[[null,0],[0,2]]', None, None),
+    ('[[Infinity,0],[0,2]]', None, None),
+    ('[[true,0],[0,2]]', None, None),
+    ('[[2,0],[0,1]]', "0:99999999999999999999,0:1", None),
+    ('[[2,0],[0,1]]', None, '[1,2]'),
+    ('[[2,0],[0,1]]', None, '{"preset": 5}'),
+    ('[[2,0],[0,1]]', None, '{"n": 1e400, "A": 0, "B": 1, "C": -1, "D": 0}'),
+], ids=["M-string", "M-null", "M-infinity", "M-true", "window-past-int64",
+        "params-list", "params-preset-number", "params-n-infinite"])
+def test_malformed_values_exit_1_with_one_error_line(work2, tmp_path, capsys, M, window,
+                                                     params_text):
+    # each once ended in a TypeError, OverflowError or AttributeError
+    # traceback, and a true in --M was read as 1
+    params = work2 / "ft2.json"
+    if params_text is not None:
+        params = tmp_path / "p.json"
+        params.write_text(params_text)
+    argv = ["dynsamp", "check" if window is None else "recover", "--params", str(params),
+            "--phi", str(work2 / "phi2.grid"), "--filter", str(work2 / "filt2.csv"), "--M", M]
+    if window is not None:
+        argv += ["--measurements", str(work2 / "meas2.csv"), "--method", "discrete",
+                 f"--window={window}", "--out", str(tmp_path / "r.csv")]
+    _refused(capsys, argv, 1)
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_a_non_integer_index_is_refused_by_row(work, work2, tmp_path, capsys):
     # the keys 1.5 and -0.7 were once read as 1 and 0
     line = _refused(capsys, ["dtsaft", "--params", str(work / "ft1.json"),

@@ -359,7 +359,7 @@ def test_recover_continuous_exact():
     keys = c.keys
     lo, hi = keys.min(axis=0) - 1, keys.max(axis=0) + 1
     wpts, shape, lo_pad, qshape = continuous_solve_grid(p, lat, lo, hi)
-    field = build_D(model, a, lat, wpts, J=lat.m)
+    field = build_D(model, a, lat, wpts)
     assert stability_report(field).ok
     rec, info = recover_continuous(p, lat, h_levels, field, window=(lo, hi))
     for k in c.entries:
@@ -391,32 +391,33 @@ def _direct_band_transform(model, g, pts):
     return out
 
 
-@pytest.mark.parametrize("n, M, a", [
-    (1, [[2]], {(0,): 1.0, (1,): 0.5}),
-    (2, [[2, 0], [0, 1]], {(0, 0): 1.0, (1, 0): 0.5, (0, -1): -0.25j}),
-])
-def test_build_D_chirped_branch_matches_direct_sums(n, M, a):
-    # chirped block: every filter level is materialized as a grid and its
-    # transform taken over the generator's resolved band
-    rng = np.random.default_rng(1100 + n)
-    p = random_params(n, rng)
-    assert not p.is_chirp_free(1e-14)
-    lat = build_lattice(M)
-    phi = sample_generator("gaussian", sampling_grid(3, 8, n=n), sigma=0.6)
+@pytest.mark.parametrize("block", ["chirped", "scaled"])
+def test_build_D_refuses_blocks_that_are_not_plain_fourier(monkeypatch, block):
+    # a chirped block (A != 0) and a chirp-free one with B = 2I: the
+    # periodization route takes neither, so no transform is evaluated
+    from saftlab import dynsamp
+
+    rng = np.random.default_rng(1100)
+    p = random_params(2, rng) if block == "chirped" else preset(
+        "separable_lct", a=[0.0, 0.0], b=[2.0, 2.0], c=[-0.5, -0.5], d=[0.0, 0.0])
+    assert p.is_chirp_free(1e-14) == (block == "scaled")
+    phi = sample_generator("gaussian", sampling_grid(3, 8, n=2), sigma=0.6)
     model = build_sis(p, phi, strict=False)
-    filt = SeqFn(n, a)
-    wpts = rng.uniform(-0.5, 0.5, (5, n))
-    field = build_D(model, filt, lat, wpts, cutoff=2, J=2)
-    pts = _shift_stack(p, lat, wpts, 2)
-    eta_sq = np.conj(modulation(p, pts)) ** 2
-    for j, g in enumerate(filtered_levels(p, filt, phi, 2, "classical")):
-        ref = np.sum(eta_sq * _direct_band_transform(model, g, pts), axis=-1)
-        assert np.max(np.abs(field.entries[:, j, :] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    lat = build_lattice([[2, 0], [0, 1]])
+    calls = []
+    monkeypatch.setattr(dynsamp, "spectrum_at", lambda *a: calls.append(a))
+    with pytest.raises(ValueError) as err:
+        build_D(model, SeqFn(2, {(0, 0): 1.0, (1, 0): 0.5}), lat, rng.uniform(-0.5, 0.5, (5, 2)))
+    with pytest.raises(ValueError) as want:
+        continuous_solve_grid(p, lat, [0, 0], [3, 3])
+    assert str(err.value) == str(want.value)
+    assert "plain Fourier block" in str(err.value)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_build_D_grid_filter_symbol_matches_direct_sums(n):
-    # chirp-free block, filter given as a grid: entries are sums of
+    # plain Fourier block, filter given as a grid: entries are sums of
     # (filter symbol)^j times the generator transform
     rng = np.random.default_rng(1200 + n)
     p = preset("ft", n)
@@ -426,8 +427,8 @@ def test_build_D_grid_filter_symbol_matches_direct_sums(n):
     filt = sample_generator("gaussian", sampling_grid(1, 8, n=n), sigma=0.3,
                             modulation=list(rng.uniform(-1, 1, n)))
     wpts = rng.uniform(-0.5, 0.5, (5, n))
-    field = build_D(model, filt, lat, wpts, cutoff=2, J=2)
-    pts = _shift_stack(p, lat, wpts, 2)
+    field = build_D(model, filt, lat, wpts)
+    pts = _shift_stack(p, lat, wpts, model.cutoff)
     # plain Fourier: the symbol is the transform of the filter grid
     sym = _direct_transform(p, filt, pts)
     base = _direct_band_transform(model, phi, pts)
@@ -467,10 +468,7 @@ def test_measurement_set_channel_count():
 #: defaulted fields of every dataclass, per module; each is an option that
 #: some caller sets, so adding one means adding it here
 KNOBS = {
-    "dynsamp": {
-        "build_D": ("cutoff", "J"),
-        "stability_report": ("det_rtol",),
-    },
+    "dynsamp": {"stability_report": ("det_rtol",)},
     "grid": {"sampling_grid": ("n",), "dft": ("sign", "out")},
     "io": {"read_sequence": ("n",)},
     "params": {"SaftParams.is_chirp_free": ("tol",), "validate": ("tol",), "preset": ("n",)},
@@ -486,8 +484,7 @@ KNOBS = {
         "saft_plan": ("backend",),
         "poisson_check": ("cutoff",),
     },
-    "sis": {"build_sis": ("spectrum_fn", "strict"), "spectrum_at": ("grid",),
-            "frame_check": ("per_axis",)},
+    "sis": {"build_sis": ("spectrum_fn", "strict"), "frame_check": ("per_axis",)},
 }
 
 

@@ -1,11 +1,15 @@
 """Grids, sequences, the continuous-normalization DFT, and file round-trips."""
 
+import ast
+from pathlib import Path
+
 import dict_oracles as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import saftlab.grid
 from saftlab.grid import (
     GridFn,
     SeqFn,
@@ -217,8 +221,21 @@ def test_seqfn_repeated_keys_raise():
         SeqFn.from_arrays(2, np.array([[1, -2], [0, 0], [1, -2]]), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="repeated index"):
         SeqFn.from_arrays(1, np.array([[4], [4]]), [0.0, 1.0])    # also with a zero value
-    with pytest.raises(ValueError, match="repeated index"):
-        SeqFn(2, {(0.5, 0): 1.0, (0, 0): 2.0})                    # both are index (0, 0)
+    with pytest.raises(ValueError, match="not a tuple of 2 integers"):
+        SeqFn(2, {(0.5, 0): 1.0, (0, 0): 2.0})          # both were once read as (0, 0)
+
+
+def test_seqfn_refuses_float_and_wrong_length_indices():
+    # float indices were once truncated: (1.7, 2.2) read entry (1, 2)
+    s = SeqFn(2, {(0, 0): 1.5, (1, 2): 2.0})
+    for k in [(0,), (1, 2, 0), (1.7, 2.2), (1.0, 2), np.array([1.0, 2.0])]:
+        with pytest.raises(ValueError, match="index"):
+            s.get(k)
+    assert s.get((np.int64(1), np.int32(2))) == s.get(np.array([1, 2])) == 2.0
+    for entries in [{(0.5,): 1.0}, {(1.0,): 1.0}, {(0, 0): 1.0}]:
+        with pytest.raises(ValueError, match="index"):
+            SeqFn(1, entries)
+    assert SeqFn(1, {(np.int64(-3),): 1.0}).keys.tolist() == [[-3]]
 
 
 def test_seqfn_is_read_only():
@@ -297,6 +314,15 @@ def test_tent_generator_support():
 def test_unknown_generator_raises():
     with pytest.raises(ValueError):
         sample_generator("nope", sampling_grid(1, 2))
+
+
+def test_grid_imports_no_other_saftlab_module():
+    # grid is the package's base layer: every other module builds on it
+    tree = ast.parse(Path(saftlab.grid.__file__).read_text())
+    sources = ["." * node.level + (node.module or "") for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    sources += [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    assert [s for s in sources if s.startswith(".") or s.split(".")[0] == "saftlab"] == []
 
 
 # ---------------------------------------------------------------------------

@@ -398,7 +398,7 @@ def test_factorization_residual_consistency():
 
     lo, hi = np.array([-4, -4]), np.array([4, 4])
     wpts, _, _, _ = continuous_solve_grid(sc.params, sc.lat, lo, hi)
-    field = build_D(sc.model, sc.filt, sc.lat, wpts, J=sc.lat.m)
+    field = build_D(sc.model, sc.filt, sc.lat, wpts)
     resid, min_det = factorization_residual(sc, sc.lat, field)
     assert resid < 1e-8
     assert min_det > 0

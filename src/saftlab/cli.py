@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from pathlib import Path
 from typing import TextIO
@@ -114,6 +116,16 @@ def _parse_window(text: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         lo.append(a)
         hi.append(b)
     return np.array(lo), np.array(hi)
+
+
+def _require_window_fits(lo: np.ndarray, hi: np.ndarray, m: int) -> None:
+    """Refuses a recovery window whose matrix field, one m x m complex
+    matrix per window point, would not fit in physical memory."""
+    points = math.prod(b - a + 1 for a, b in zip(lo.tolist(), hi.tolist()))
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if points * m * m * np.dtype(complex).itemsize > memory:
+        raise ValueError(f"--window spans {points} points; their {m}x{m} matrix field "
+                         f"would not fit in the {memory} bytes of physical memory")
 
 
 def _parse_int_matrix(text: str) -> list:
@@ -445,6 +457,7 @@ def _cmd_dynsamp_recover(args) -> int:
         recover_discrete,
     )
     from .io import write_sequence
+    from .saft import downsample
     from .sis import build_sis
 
     p, phi, filt, lat = _load_dynsamp_inputs(args)
@@ -459,6 +472,7 @@ def _cmd_dynsamp_recover(args) -> int:
     else:
         keys = np.concatenate([s.keys for s in vlevels])
         lo, hi = keys.min(axis=0), keys.max(axis=0)
+    _require_window_fits(lo, hi, lat.m)
     out_path = _require_out(args, "dynsamp recover")
 
     try:
@@ -471,7 +485,11 @@ def _cmd_dynsamp_recover(args) -> int:
             # refuses a block the route does not take before any field work
             wpts, _shape, _lo, _qshape = continuous_solve_grid(p, lat, lo, hi)
             field = build_D(build_sis(p, phi), filt, lat, wpts)
-            recovered, info = recover_continuous(p, lat, vlevels, field, (lo, hi))
+            # the rows are plain integer samples; the channels are their
+            # values on M^T Z^n
+            ms = MeasurementSet(params=p, lat=lat,
+                                levels=tuple(downsample(lat, h) for h in vlevels))
+            recovered, info = recover_continuous(ms, field, (lo, hi))
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
     write_sequence(out_path, recovered)

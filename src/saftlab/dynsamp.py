@@ -31,8 +31,10 @@ parameter block rather than only chirp-free ones.
 
 Two independent characterizations are implemented: the discrete one above
 (`build_B_window` / `recover_discrete`) and, for the plain Fourier block
-only, a periodization-based one (`build_D` / `recover_continuous`) that
-works from plain integer samples ``h_j = (a^j * f)|_Z^n``.
+only, a periodization-based one (`build_D` / `recover_continuous`).  Both
+solvers take the same `MeasurementSet`: there the chirp is 1 and
+``|det B| = 1``, so the channels are the plain integer samples
+``h_j = (a^j * f)|_Z^n`` kept on ``M^T Z^n``.
 
 Everything accepts filters as either grid functions or finitely supported
 coefficient sequences (point-mass combs); the comb route is exact and is
@@ -50,7 +52,7 @@ from .grid import GridFn, SeqFn, mesh
 from .lattice import SamplingLattice
 from .params import (SaftParams, _fixed_product, _offset_phase, _physical_points, _reduced_points,
                      chirp, modulation, preset, require_valid)
-from .saft import _chirped, downsample, dtsaft, grid_phase_sum, integer_samples, lattice_shifts
+from .saft import _chirped, dtsaft, grid_phase_sum, integer_samples, lattice_shifts
 from .sis import SisModel, spectrum_at
 
 __all__ = [
@@ -336,25 +338,6 @@ def stability_report(field: MatrixField, det_rtol: float = 1e-8) -> StabilityRep
     )
 
 
-def _require_stable(field: MatrixField, system: str) -> dict:
-    """The `stability_report` verdict as a solver precondition; returns the
-    health figures for the solver's info dict."""
-    rep = stability_report(field)
-    if not rep.ok:
-        raise ValueError(
-            f"{system} system is singular at w = {rep.argmin_w.tolist()} "
-            f"(min |det| = {rep.min_abs_det:.3e}, max cond = {rep.max_cond:.3e})"
-        )
-    return {"min_abs_det": rep.min_abs_det, "max_cond": rep.max_cond}
-
-
-def _require_on_grid(field: MatrixField, wpts: np.ndarray, grid: str) -> None:
-    """A solver precondition: ``field`` was evaluated at the points ``wpts``
-    of the solve grid that the message names."""
-    if field.wpoints.shape != wpts.shape or not np.allclose(field.wpoints, wpts, atol=1e-9):
-        raise ValueError(f"matrix field was not evaluated on the {grid}")
-
-
 # ---------------------------------------------------------------------------
 # recovery
 
@@ -450,6 +433,30 @@ def _thresholded(n: int, keys: np.ndarray, vals: np.ndarray) -> SeqFn:
     return SeqFn.from_arrays(n, keys[keep], vals[keep])
 
 
+def _solve(ms: MeasurementSet, field: MatrixField, wpts: np.ndarray, grid: str,
+           system: str, column) -> tuple[np.ndarray, dict]:
+    """The solve step of both routes: ``field`` must be evaluated at the
+    points ``wpts`` of the solve grid that ``grid`` names, ``ms`` must hold
+    one channel per coset, and ``field`` must pass the `stability_report`
+    verdict.  ``column`` maps a channel to its right-hand column on the
+    grid.  Returns the solutions (Np, m) and the health figures for the
+    solver's info dict."""
+    if field.wpoints.shape != wpts.shape or not np.allclose(field.wpoints, wpts, atol=1e-9):
+        raise ValueError(f"matrix field was not evaluated on the {grid}")
+    m = ms.lat.m
+    if ms.J != m:
+        raise ValueError(f"need {m} channels for a square system, got {ms.J}")
+    rep = stability_report(field)
+    if not rep.ok:
+        raise ValueError(
+            f"{system} system is singular at w = {rep.argmin_w.tolist()} "
+            f"(min |det| = {rep.min_abs_det:.3e}, max cond = {rep.max_cond:.3e})"
+        )
+    rhs = np.stack([column(v) for v in ms.levels], axis=-1)
+    X = np.linalg.solve(field.entries, rhs[..., None])[..., 0]
+    return X, {"min_abs_det": rep.min_abs_det, "max_cond": rep.max_cond}
+
+
 def recover_discrete(
     ms: MeasurementSet, Bfield: MatrixField, window: tuple
 ) -> tuple[SeqFn, dict]:
@@ -465,29 +472,18 @@ def recover_discrete(
     p = ms.params
     lat = ms.lat
     wpts, shape, lo = solve_grid(p, window[0], window[1])
-    _require_on_grid(Bfield, wpts, "solve grid of the recovery window; build it on "
-                     "dynsamp.solve_grid(params, lo, hi) points")
-    m = lat.m
-    if ms.J != m:
-        raise ValueError(f"need {m} channels for a square system, got {ms.J}")
-    info = _require_stable(Bfield, "coset")
     eta_w = modulation(p, wpts)
     # one eta from the channel transform itself, one from the identity
-    rhs = np.stack(
-        [
-            eta_w**2 * folded_dt_values(p, ms.levels[j], shape).reshape(-1)
-            for j in range(m)
-        ],
-        axis=-1,
-    )
-    X = np.linalg.solve(Bfield.entries, rhs[..., None])[..., 0]   # (Np, m)
+    X, info = _solve(ms, Bfield, wpts, "solve grid of the recovery window; build it on "
+                     "dynsamp.solve_grid(params, lo, hi) points", "coset",
+                     lambda v: eta_w**2 * folded_dt_values(p, v, shape).reshape(-1))
 
     rmesh = _window_mesh(lo, lo + np.array(shape) - 1)
     mtr = _fixed_product(rmesh, lat.M.T)                    # M^T r, exact in int64
     offset = np.exp(-2j * np.pi * _offset_phase(p, rmesh))
     sqrt_d = np.sqrt(p.abs_det_b)
     keys, vals = [], []
-    for l in range(m):
+    for l in range(lat.m):
         Z = (sqrt_d * np.conj(eta_w) * X[:, l]).reshape(shape)
         sig_c = _invert_window_dft(Z, lo).reshape(-1)
         k = mtr + np.array(lat.eta[l], dtype=np.int64)
@@ -531,39 +527,29 @@ def integer_sample_levels(p: SaftParams, a, f: GridFn, J: int) -> list[SeqFn]:
 
 
 def recover_continuous(
-    params: SaftParams,
-    lat: SamplingLattice,
-    h_levels: list[SeqFn],
-    Dfield: MatrixField,
-    window: tuple,
+    ms: MeasurementSet, Dfield: MatrixField, window: tuple
 ) -> tuple[SeqFn, dict]:
-    """Coefficient recovery from plain integer samples via periodization.
+    """Coefficient recovery from the channels ``v_j(r) = h_j(M^T r)`` via
+    periodization, where ``h_j = (a^j * f)|_Z^n`` are the plain integer
+    samples (for the plain Fourier block, the channels `measure_from_samples`
+    forms).
 
-    Solves ``m * conj(eta)(w) (S [keep M^T-samples of h_j])(w) = sum_v
-    D[j][v] C_v(w)`` per frequency, reads the coefficient symbol off the
-    ``C_v`` channels, and inverts it over the (padded) coefficient window.
-    ``Dfield`` must be evaluated on `continuous_solve_grid` points and pass
-    `stability_report`.
+    Solves ``m * conj(eta)(w) (S v_j)(w) = sum_v D[j][v] C_v(w)`` per
+    frequency, reads the coefficient symbol off the ``C_v`` channels, and
+    inverts it over the (padded) coefficient window.  ``Dfield`` must be
+    evaluated on `continuous_solve_grid` points and pass `stability_report`,
+    as `recover_discrete` requires of its field.
     """
-    p = params
+    p = ms.params
+    lat = ms.lat
     wpts, shape, lo, qshape = continuous_solve_grid(p, lat, window[0], window[1])
-    _require_on_grid(Dfield, wpts, "continuous solve grid; build it on "
-                     "dynsamp.continuous_solve_grid(...) points")
     m = lat.m
-    if len(h_levels) != m:
-        raise ValueError(f"need {m} channels for a square system, got {len(h_levels)}")
-    info = _require_stable(Dfield, "periodization")
     # the solve nodes are w = q*diag/N, i.e. reduced nodes q/qshape for the
-    # downsampled channel sequences, so the folded evaluator applies; the
+    # channel sequences on M^T Z^n, so the folded evaluator applies; the
     # conj(eta) of the identity cancels the transform's own eta exactly
-    rhs = np.stack(
-        [
-            m * folded_dt_values(p, downsample(lat, h), qshape).reshape(-1)
-            for h in h_levels
-        ],
-        axis=-1,
-    )
-    C = np.linalg.solve(Dfield.entries, rhs[..., None])[..., 0]   # (Np, m)
+    C, info = _solve(ms, Dfield, wpts, "continuous solve grid; build it on "
+                     "dynsamp.continuous_solve_grid(...) points", "periodization",
+                     lambda v: m * folded_dt_values(p, v, qshape).reshape(-1))
 
     # scatter the channel values onto the full DFT grid of the window
     full = np.zeros(shape, dtype=complex)

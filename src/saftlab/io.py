@@ -19,7 +19,8 @@ Sequence file
 Parameter file
     JSON, either the full block ``{"n":, "A":, "B":, "C":, "D":, "P":, "Q":}``
     or a preset form such as ``{"preset": "ft", "n": 2}`` /
-    ``{"preset": "separable_frft", "theta": [0.7]}``.
+    ``{"preset": "separable_frft", "theta": [0.7]}``.  A key its form does
+    not read, or an ``n`` that its preset's arguments contradict, is refused.
 
 Every CSV body, here and in the CLI and figure writers, goes through one
 codec: `format_rows` writes integers as ``str(int)`` and floats as
@@ -422,6 +423,9 @@ def params_from_dict(d: dict) -> SaftParams:
         return preset(kind, n=n, **d)
     if n is None:
         raise KeyError("n")
+    unread = sorted(set(d) - set("ABCDPQ"))
+    if unread:
+        raise ValueError(f"parameter file: the full block does not take {', '.join(unread)}")
     zeros_v = [0.0] * n
     return SaftParams(
         n,

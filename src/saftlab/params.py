@@ -199,7 +199,15 @@ def require_valid(p: SaftParams) -> None:
 # presets
 
 
-def preset(kind: str, n: int | None = None, **kwargs) -> SaftParams:
+#: the keyword arguments each preset kind reads
+_PRESET_KEYS = {
+    "ft": (), "lct": tuple("ABCD"), "separable_lct": tuple("abcd"), "separable_frft": ("theta",),
+    "nonseparable_fresnel": ("B",), "separable_fresnel": ("b",), "separable_lorentz": ("phi",),
+    "custom": tuple("ABCDPQ"),
+}
+
+
+def preset(kind: str, /, n: int | None = None, **kwargs) -> SaftParams:
     """Construct a named special-case parameter block.
 
     Kinds (all validated to 1e-12 before returning):
@@ -212,8 +220,17 @@ def preset(kind: str, n: int | None = None, **kwargs) -> SaftParams:
     - ``separable_fresnel``: A=D=I, C=0, B=diag(b).
     - ``separable_lorentz``: rapidities phi_i; A=D=diag(cosh), B=C=diag(sinh).
     - ``custom``: full A, B, C, D, P, Q.
+
+    A keyword the kind does not read, or an ``n`` that its arguments
+    contradict, raises.
     """
     kind = kind.lower().replace("-", "_")
+    if kind not in _PRESET_KEYS:
+        raise ValueError(f"unknown preset kind {kind!r}")
+    unread = sorted(set(kwargs) - set(_PRESET_KEYS[kind]))
+    if unread:
+        raise ValueError(f"preset {kind!r} does not take {', '.join(unread)}")
+    dim = n
     if kind == "ft":
         if n is None:
             raise ValueError("ft preset needs the dimension n")
@@ -253,15 +270,15 @@ def preset(kind: str, n: int | None = None, **kwargs) -> SaftParams:
             raise ValueError("lorentz rapidity 0 gives a singular B")
         ch, sh = np.diag(np.cosh(phi)), np.diag(np.sinh(phi))
         p = SaftParams(n, ch, sh, sh, ch, np.zeros(n), np.zeros(n))
-    elif kind == "custom":
+    else:
         A = np.asarray(kwargs["A"], dtype=float)
         n = A.shape[0] if A.ndim else 1
         p = SaftParams(
             n, kwargs["A"], kwargs["B"], kwargs["C"], kwargs["D"],
             kwargs.get("P", np.zeros(n)), kwargs.get("Q", np.zeros(n)),
         )
-    else:
-        raise ValueError(f"unknown preset kind {kind!r}")
+    if dim is not None and dim != n:
+        raise ValueError(f"preset {kind!r}: n = {dim}, but its arguments give dimension {n}")
     rep = validate(p, 1e-12)
     if not rep.ok:
         raise ValueError(f"preset {kind!r} arguments give an invalid block:\n{rep}")

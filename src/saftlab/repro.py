@@ -373,17 +373,15 @@ def _restrict_stems(s: SeqFn, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return keys[keep], vals[keep]
 
 
-def _emit_figures(scenario: ExampleScenario, outdir: Path, levels: list,
-                  h0: SeqFn) -> tuple[list, dict]:
+def _emit_figures(scenario: ExampleScenario, outdir: Path, levels: list) -> tuple[list, dict]:
     """Deterministic CSV surfaces for external plotting, as the
     ``(path, header, block)`` tables of `io._writing_tables`, and their grid
     sizes for report.json.
 
     Only the arrays are formed here, before any recovery work, so that one
-    forked child can write the text while the recovery runs.  Three tables
-    take what `run_example` computed: fig05/06 are ``h0``, the coefficients
-    convolved with the generator samples, and fig10 is ``levels[1]``, the
-    filter applied once to those samples."""
+    forked child can write the text while the recovery runs.  fig05/06 are
+    the coefficients convolved with the generator samples ``levels[0]``,
+    and fig10 is ``levels[1]``, the filter applied once to those samples."""
     p = scenario.params
     outdir.mkdir(parents=True, exist_ok=True)
     tables = []
@@ -405,7 +403,7 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path, levels: list,
     table("fig03_f_real.csv", "x1,x2,value", fpts, fv.real)
     table("fig04_f_imag.csv", "x1,x2,value", fpts, fv.imag)
 
-    keys, vals = _restrict_stems(h0, 12)
+    keys, vals = _restrict_stems(conv_dd(p, scenario.coeffs, levels[0]), 12)
     table("fig05_samples_real.csv", "k1,k2,value", keys, vals.real)
     table("fig06_samples_imag.csv", "k1,k2,value", keys, vals.imag)
 
@@ -465,26 +463,23 @@ def run_example(
     p = scenario.params
     levels = filtered_levels(p, scenario.filt, scenario.phi_samples, scenario.lat.m, "cc")
     if outdir is None:
-        return report, _recover(scenario, levels, None, lo, hi, report)
+        return report, _recover(scenario, levels, lo, hi, report)
 
-    # the coefficients through the generator samples: figures 5 and 6, and
-    # the continuous route's first measurement
-    h0 = conv_dd(p, scenario.coeffs, levels[0])
     out = Path(outdir)
-    figures, sizes = _emit_figures(scenario, out, levels, h0)
+    figures, sizes = _emit_figures(scenario, out, levels)
     with _writing_tables(figures):
-        recovered = _recover(scenario, levels, h0, lo, hi, report)
+        recovered = _recover(scenario, levels, lo, hi, report)
     report["sizes"].update(sizes)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report, recovered
 
 
-def _recover(scenario: ExampleScenario, levels: list, h0: SeqFn | None,
-             lo: np.ndarray, hi: np.ndarray, report: dict) -> SeqFn | None:
+def _recover(scenario: ExampleScenario, levels: list, lo: np.ndarray, hi: np.ndarray,
+             report: dict) -> SeqFn | None:
     """`run_example`'s measurement, stability scans, recoveries and checks,
     recorded in `report`; returns the discrete route's coefficients, or
-    None when its field is unstable.  `h0`, when given, is
-    ``conv_dd(p, coeffs, levels[0])``."""
+    None when its field is unstable.  Both routes solve from the one
+    `MeasurementSet`."""
     p = scenario.params
     lat = scenario.lat
     ms = measure_from_samples(p, lat, scenario.coeffs, levels)
@@ -514,9 +509,6 @@ def _recover(scenario: ExampleScenario, levels: list, h0: SeqFn | None,
     cont_ok = True
     # periodization route and factorization checks need plain-Fourier blocks
     if p.is_plain_fourier():
-        if h0 is None:
-            h0 = conv_dd(p, scenario.coeffs, levels[0])
-        h_levels = [h0] + [conv_dd(p, scenario.coeffs, lv) for lv in levels[1:]]
         wptsC, shapeC, loC, qsh = continuous_solve_grid(p, lat, lo, hi)
         Dfield = build_D(scenario.model, scenario.filt, lat, wptsC)
         stabD = stability_report(Dfield)
@@ -537,7 +529,7 @@ def _recover(scenario: ExampleScenario, levels: list, h0: SeqFn | None,
 
         cont_ok = stabD.ok
         if stabD.ok:
-            rec_c, _ic = recover_continuous(p, lat, h_levels, Dfield, (lo, hi))
+            rec_c, _ic = recover_continuous(ms, Dfield, (lo, hi))
             diff = rec_c.plus(scenario.coeffs.scaled(-1.0))
             report["recovery_error_continuous"] = (
                 diff.l2norm() / scenario.coeffs.l2norm()

@@ -533,12 +533,19 @@ def test_phi_refuses_a_sequence_csv(work, tmp_path, capsys, command):
     ('[[2,0],[0,1]]', None, '[1,2]'),
     ('[[2,0],[0,1]]', None, '{"preset": 5}'),
     ('[[2,0],[0,1]]', None, '{"n": 1e400, "A": 0, "B": 1, "C": -1, "D": 0}'),
+    ('[[2,0],[0,1]]', None, '{"preset": "ft", "n": 2, "bogus": 1}'),
+    ('[[2,0],[0,1]]', None, '{"preset": "ft", "n": 2, "kind": 1}'),
+    ('[[2,0],[0,1]]', None, '{"preset": "separable_frft", "theta": [0.7], "n": 2}'),
+    ('[[2,0],[0,1]]', None, '{"n": 2, "A": [[0,0],[0,0]], "B": [[1,0],[0,1]], '
+                            '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,0]], "bogus": 1}'),
 ], ids=["M-string", "M-null", "M-infinity", "M-true", "window-past-int64",
-        "params-list", "params-preset-number", "params-n-infinite"])
+        "params-list", "params-preset-number", "params-n-infinite", "params-preset-unread-key",
+        "params-preset-kind-key", "params-preset-n-disagrees", "params-block-unread-key"])
 def test_malformed_values_exit_1_with_one_error_line(work2, tmp_path, capsys, M, window,
                                                      params_text):
     # each once ended in a TypeError, OverflowError or AttributeError
-    # traceback, and a true in --M was read as 1
+    # traceback, a true in --M was read as 1, or a key the parameter file's
+    # form does not read was ignored
     params = work2 / "ft2.json"
     if params_text is not None:
         params = tmp_path / "p.json"
@@ -550,6 +557,26 @@ def test_malformed_values_exit_1_with_one_error_line(work2, tmp_path, capsys, M,
                  f"--window={window}", "--out", str(tmp_path / "r.csv")]
     _refused(capsys, argv, 1)
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["discrete", "continuous"])
+def test_recover_refuses_a_window_past_physical_memory(work2, tmp_path, capsys, monkeypatch,
+                                                      method):
+    # inside the 2**62 bound, but its matrix field would not fit: numpy once
+    # refused it with "array is too big" and the command exited 2
+    from saftlab import dynsamp
+
+    calls = []
+    for name in ("build_B_window", "build_D", "continuous_solve_grid"):
+        monkeypatch.setattr(dynsamp, name, lambda *a, name=name: calls.append(name))
+    line = _refused(capsys, [
+        "dynsamp", "recover", "--params", str(work2 / "ft2.json"),
+        "--phi", str(work2 / "phi2.grid"), "--filter", str(work2 / "filt2.csv"),
+        "--M", "[[2,0],[0,1]]", "--measurements", str(work2 / "meas2.csv"),
+        "--method", method, "--window=0:4611686018427387903,0:1",
+        "--out", str(tmp_path / "r.csv")], 1)
+    assert line.startswith("error: --window spans 9223372036854775808 points"), line
+    assert calls == [] and not any(tmp_path.iterdir())
 
 
 def test_a_non_integer_index_is_refused_by_row(work, work2, tmp_path, capsys):

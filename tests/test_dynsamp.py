@@ -18,6 +18,7 @@ import pytest
 import saftlab
 from saftlab.dynsamp import (
     MatrixField,
+    MeasurementSet,
     build_B_from_samples,
     build_B_window,
     build_D,
@@ -35,7 +36,7 @@ from saftlab.dynsamp import (
 from saftlab.grid import SeqFn, sample_generator, sampling_grid
 from saftlab.lattice import build_lattice
 from saftlab.params import modulation, preset, random_params
-from saftlab.saft import dtsaft, kernel_quadrature
+from saftlab.saft import downsample, dtsaft, kernel_quadrature
 from saftlab.sis import build_sis, resolved_band_mask
 
 
@@ -53,6 +54,11 @@ def _r_window(lat, s, pad=0):
 
 
 ASYM_FILTER_1D = {(0,): 1.0, (1,): 0.5}
+
+
+def _channels(p, lat, h_levels):
+    """The measurement set of plain integer samples: each kept on M^T Z^n."""
+    return MeasurementSet(params=p, lat=lat, levels=tuple(downsample(lat, h) for h in h_levels))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +266,7 @@ def test_recover_continuous_enforces_the_stability_verdict():
     ratio = rep.abs_det[1] / np.prod(np.linalg.norm(bad.entries[1], axis=1))
     assert 1e-13 < ratio < 1e-8 and not rep.ok
     with pytest.raises(ValueError, match="singular") as err:
-        recover_continuous(p, lat, h_levels, bad, window=(lo, hi))
+        recover_continuous(_channels(p, lat, h_levels), bad, window=(lo, hi))
     assert str(rep.argmin_w.tolist()) in str(err.value)
 
 
@@ -361,11 +367,27 @@ def test_recover_continuous_exact():
     wpts, shape, lo_pad, qshape = continuous_solve_grid(p, lat, lo, hi)
     field = build_D(model, a, lat, wpts)
     assert stability_report(field).ok
-    rec, info = recover_continuous(p, lat, h_levels, field, window=(lo, hi))
+    rec, info = recover_continuous(_channels(p, lat, h_levels), field, window=(lo, hi))
     for k in c.entries:
         assert abs(rec.get(k) - c.get(k)) < 1e-9
     extras = [abs(rec.get(k)) for k in rec.entries if k not in c.entries]
     assert not extras or max(extras) < 1e-9
+
+
+def test_recover_continuous_refuses_a_wrong_channel_count_like_recover_discrete():
+    p = preset("ft", 1)
+    lat = build_lattice([[2]])
+    phi = sample_generator("gaussian", sampling_grid(6, 16), sigma=0.55)
+    a = SeqFn(1, ASYM_FILTER_1D)
+    one = MeasurementSet(params=p, lat=lat, levels=(SeqFn(1, {(0,): 1.0}),))
+    lo, hi = np.array([-3]), np.array([3])
+    wpts, _, _, _ = continuous_solve_grid(p, lat, lo, hi)
+    with pytest.raises(ValueError) as err:
+        recover_continuous(one, build_D(build_sis(p, phi), a, lat, wpts), window=(lo, hi))
+    levels = [sampled_generator(lv) for lv in filtered_levels(p, a, phi, lat.m, "cc")]
+    with pytest.raises(ValueError) as want:
+        recover_discrete(one, build_B_window(p, lat, lo, hi, levels), window=(lo, hi))
+    assert str(err.value) == str(want.value) == "need 2 channels for a square system, got 1"
 
 
 # build_D against entries summed with the direct kernel: one term per
@@ -442,9 +464,7 @@ def test_continuous_route_guards():
     lat = build_lattice([[2]])
     with pytest.raises(ValueError, match="plain"):
         recover_continuous(
-            p,
-            lat,
-            [SeqFn(1, {}), SeqFn(1, {})],
+            _channels(p, lat, [SeqFn(1, {}), SeqFn(1, {})]),
             build_B_window(preset("ft", 1), lat, [0], [3], [SeqFn(1, {(0,): 1.0})] * 2),
             window=([0], [3]),
         )

@@ -252,6 +252,22 @@ def test_measure_from_samples_matches_oracle(data, case, levels):
         _assert_matches(a, b, bound, exact)
 
 
+@SETTINGS
+@given(data=st.data(), n=st.sampled_from([1, 2, 3]), real=st.booleans(),
+       levels=st.integers(1, 3))
+def test_plain_fourier_channels_are_the_downsampled_integer_samples(data, n, real, levels):
+    # the continuous route once built its channels as downsample(conv_dd(...));
+    # under the plain Fourier block the chirp is 1 + 0j and |det B| = 1, so
+    # measure_from_samples must give the same keys and the same bits
+    p = preset("ft", n)
+    lat = build_lattice(data.draw(st.sampled_from(LATTICES[n])))
+    s = data.draw(_seq(n, real))
+    phi = [data.draw(_seq(n, real, max_size=10, radius=7)) for _ in range(levels)]
+    for new, h in zip(measure_from_samples(p, lat, s, phi).levels, phi):
+        (ka, va), (kb, vb) = new.as_arrays(), downsample(lat, conv_dd(p, s, h)).as_arrays()
+        assert ka.tobytes() == kb.tobytes() and va.tobytes() == vb.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # SeqFn array construction
 

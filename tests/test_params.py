@@ -101,6 +101,18 @@ def test_preset_rejects_singular_angles():
         preset("no_such_kind", n=1)
 
 
+def test_preset_refuses_keys_it_does_not_read_and_a_disagreeing_n():
+    with pytest.raises(ValueError, match="'ft' does not take theta"):
+        preset("ft", 2, theta=[1.0])
+    # kind is positional-only, so a stray kind is one more unread key
+    with pytest.raises(ValueError, match="'ft' does not take kind"):
+        preset("ft", n=2, **{"kind": 1})
+    with pytest.raises(ValueError, match="n = 2, but its arguments give dimension 1"):
+        preset("separable_frft", theta=[0.7], n=2)
+    assert preset("separable_frft", theta=[0.7, 1.1], n=2).n == 2
+    assert preset("custom", A=[[0.6]], B=[[1.25]], C=[[-0.416]], D=[[0.8]], P=[0.3]).n == 1
+
+
 def test_inverse_params_is_an_involution():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):

@@ -57,3 +57,17 @@ def test_matrix_products_stay_in_the_listed_functions():
     stray = sorted(s for s in sites if s[:2] not in ALLOWED)
     assert not stray, f"matrix products outside the allowed functions: {stray}"
     assert {s[:2] for s in sites} == ALLOWED, "an allowed function no longer forms a product"
+
+
+def _solve_sites(path: Path) -> list[tuple[str, int]]:
+    """(file, line) of each ``linalg.solve`` in ``path``."""
+    return [(path.name, node.lineno) for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and node.attr == "solve"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+
+
+def test_one_linear_solve_serves_both_recovery_routes():
+    # recover_discrete and recover_continuous share dynsamp._solve
+    src = Path(saftlab.__file__).parent
+    sites = [s for f in sorted(src.glob("*.py")) for s in _solve_sites(f)]
+    assert len(sites) == 1 and sites[0][0] == "dynsamp.py", sites

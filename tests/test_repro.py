@@ -6,6 +6,7 @@ the defining cosine-taper integral; they are frozen here and the fast
 DFT-based table is tested against them.
 """
 
+import contextlib
 import json
 import os
 import sys
@@ -390,6 +391,34 @@ def test_an_error_during_the_recovery_reaps_the_figure_child(tmp_path):
         os.waitpid(-1, os.WNOHANG)
     assert set(os.listdir("/proc/self/fd")) == fds
     assert not (tmp_path / "report.json").exists()
+
+
+def test_run_example_measures_once_for_both_routes(tmp_path):
+    # the continuous route solves from the discrete route's measurement set:
+    # three filter levels, the figures' samples and the window check form
+    # the only sequence products, and nothing is downsampled
+    import saftlab
+
+    calls = {"conv_dd": 0, "downsample": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    with contextlib.ExitStack() as stack:
+        for module in vars(saftlab).values():
+            if getattr(module, "__package__", None) == "saftlab":
+                for name in calls:
+                    if hasattr(module, name):
+                        stack.enter_context(mock.patch.object(
+                            module, name, counted(name, getattr(module, name))))
+        stack.enter_context(mock.patch.object(os, "fork", _no_fork))
+        report, _ = run_example(_small_scenario(), outdir=tmp_path, window=((-4, -4), (4, 4)))
+    assert report["verdict"] == "pass"
+    assert report["recovery_error_continuous"] < 1e-9
+    assert calls["conv_dd"] <= 5 and calls["downsample"] == 0
 
 
 def test_factorization_residual_consistency():

@@ -223,7 +223,7 @@ def _cmd_transform(args, direction: str) -> int:
 
 
 def _cmd_dtsaft(args) -> int:
-    from .io import format_rows, read_sequence
+    from .io import _require_finite_rows, format_rows, read_sequence
     from .saft import dtsaft
 
     p = _load_params(args.params)
@@ -231,8 +231,10 @@ def _cmd_dtsaft(args) -> int:
     pts = _mesh_from_specs(_parse_axis_specs(args.wgrid, "--wgrid"), p.n)
     vals = dtsaft(p, s, pts)
     header = [",".join(f"w{i + 1}" for i in range(p.n)) + ",re,im"]
-    text = format_rows(header, np.column_stack([pts, vals.real, vals.imag]))
-    _emit_rows(Path(args.out) if args.out else None, text)
+    table = np.column_stack([pts, vals.real, vals.imag])
+    # a transform that overflowed is refused before any row is written
+    _require_finite_rows(args.out or "dtsaft output", vals, table)
+    _emit_rows(Path(args.out) if args.out else None, format_rows(header, table))
     return EXIT_OK
 
 
@@ -404,10 +406,7 @@ def _cmd_dynsamp_check(args) -> int:
     # the cell mesh q/count is the solve grid of the window [0, count - 1]
     last = [args.cell_points - 1] * p.n
     field = build_B_window(p, lat, [0] * p.n, last, levels)
-    kw = {}
-    if args.tol is not None:
-        kw["det_rtol"] = args.tol
-    stab = stability_report(field, **kw)
+    stab = field.stability if args.tol is None else stability_report(field, args.tol)
 
     m = lat.m
     header = [
@@ -419,7 +418,7 @@ def _cmd_dynsamp_check(args) -> int:
     # entry columns B_jl re, im in row-major (j, l) order
     entries = field.entries.reshape(len(field.wpoints), m * m)
     parts = np.stack([entries.real, entries.imag], axis=-1).reshape(len(entries), 2 * m * m)
-    text = format_rows(header, np.column_stack([field.wpoints, parts, stab.abs_det, stab.cond]))
+    text = format_rows(header, np.column_stack([field.wpoints, parts, np.abs(stab.det), stab.cond]))
     summary = _emit_rows(Path(args.out) if args.out else None, text)
     print(json.dumps(stab.summary(), sort_keys=True), file=summary)
     if not stab.ok:
@@ -480,7 +479,7 @@ def _cmd_dynsamp_recover(args) -> int:
             levels = _sample_levels(p, phi, filt, lat.m)
             field = build_B_window(p, lat, lo, hi, levels)
             ms = MeasurementSet(params=p, lat=lat, levels=tuple(vlevels))
-            recovered, info = recover_discrete(ms, field, window=(lo, hi))
+            solve = recover_discrete
         else:
             # refuses a block the route does not take before any field work
             wpts, _shape, _lo, _qshape = continuous_solve_grid(p, lat, lo, hi)
@@ -489,7 +488,13 @@ def _cmd_dynsamp_recover(args) -> int:
             # values on M^T Z^n
             ms = MeasurementSet(params=p, lat=lat,
                                 levels=tuple(downsample(lat, h) for h in vlevels))
-            recovered, info = recover_continuous(ms, field, (lo, hi))
+            solve = recover_continuous
+    except ValueError as exc:
+        raise ValidationFailure(str(exc)) from exc
+    # a field that overflowed is refused (exit 1) before the solver judges it
+    stab = field.stability
+    try:
+        recovered = solve(ms, field, (lo, hi))
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
     write_sequence(out_path, recovered)
@@ -497,8 +502,8 @@ def _cmd_dynsamp_recover(args) -> int:
         "method": args.method,
         "entries": len(recovered),
         "window": [lo.tolist(), hi.tolist()],
-        "min_abs_det": info["min_abs_det"],
-        "max_cond": info["max_cond"],
+        "min_abs_det": stab.min_abs_det,
+        "max_cond": stab.max_cond,
     }, sort_keys=True))
     return EXIT_OK
 

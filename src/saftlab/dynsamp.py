@@ -44,6 +44,7 @@ what the worked-example reproduction uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +107,11 @@ class MatrixField:
     wpoints: np.ndarray          # (Np, n)
     entries: np.ndarray          # (Np, m, m)
 
+    @cached_property
+    def stability(self) -> StabilityReport:
+        """`stability_report` at its default margin, scanned once per field."""
+        return stability_report(self)
+
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -113,7 +119,7 @@ class StabilityReport:
     argmin_w: np.ndarray
     max_cond: float
     verdict: str
-    abs_det: np.ndarray          # (Np,) |det| per frequency point
+    det: np.ndarray              # (Np,) complex determinant per frequency point
     cond: np.ndarray             # (Np,) condition number, inf where singular
 
     @property
@@ -279,6 +285,11 @@ def _require_plain_fourier(params: SaftParams) -> None:
         )
 
 
+def _coset_points(lat: SamplingLattice, x: np.ndarray) -> np.ndarray:
+    """The dual-coset points ``M^{-1}(x + gamma_v)``, (..., m, n) for ``x`` (..., n)."""
+    return _fixed_product(x[..., None, :] + np.array(lat.gamma, dtype=float), lat.m_inverse())
+
+
 def build_D(model: SisModel, a, lat: SamplingLattice, wpts) -> MatrixField:
     """Periodization-characterization field at the physical frequencies
     ``wpts`` (..., n): the m-by-m entry (j, v) is
@@ -296,11 +307,8 @@ def build_D(model: SisModel, a, lat: SamplingLattice, wpts) -> MatrixField:
     _require_plain_fourier(p)
     m = lat.m
     wpts = _as_points(wpts, p.n)
-    minv = lat.m_inverse()
-    gammas = np.array(lat.gamma, dtype=float)
-    # evaluation points x_v = M^{-1}(w + gamma_v): (Np, m, n)
-    x = _fixed_product(wpts[:, None, :] + gammas, minv)
-    pts = x[:, :, None, :] + lattice_shifts(p.n, model.cutoff)     # (Np, m, S, n)
+    # the dual-coset points M^{-1}(w + gamma_v), shifted: (Np, m, S, n)
+    pts = _coset_points(lat, wpts)[:, :, None, :] + lattice_shifts(p.n, model.cutoff)
     eta_sq = np.conj(modulation(p, pts)) ** 2
 
     base = spectrum_at(model, pts)                                  # (Np, m, S)
@@ -315,10 +323,16 @@ def stability_report(field: MatrixField, det_rtol: float = 1e-8) -> StabilityRep
 
     Pass requires ``|det| > det_rtol * prod(row norms)`` (a scale-free
     Hadamard-style margin) and condition number below `COND_MAX` at every
-    grid point.
+    grid point.  Raises ValueError at the first point whose entries or
+    determinant are not finite, which no margin can judge.
     """
     ent = field.entries
-    dets = np.abs(np.linalg.det(ent))
+    det = np.linalg.det(ent)
+    bad = np.flatnonzero(~(np.isfinite(ent).all(axis=(1, 2)) & np.isfinite(det)))
+    if bad.size:
+        raise ValueError(f"matrix field overflows at w = {field.wpoints[bad[0]].tolist()}: "
+                         "an entry or the determinant is not finite")
+    dets = np.abs(det)
     row_norms = np.linalg.norm(ent, axis=2)
     hadamard = np.prod(row_norms, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -333,7 +347,7 @@ def stability_report(field: MatrixField, det_rtol: float = 1e-8) -> StabilityRep
         argmin_w=field.wpoints[i_det],
         max_cond=max_cond,
         verdict="pass" if ok else "fail",
-        abs_det=dets,
+        det=det,
         cond=conds,
     )
 
@@ -434,49 +448,46 @@ def _thresholded(n: int, keys: np.ndarray, vals: np.ndarray) -> SeqFn:
 
 
 def _solve(ms: MeasurementSet, field: MatrixField, wpts: np.ndarray, grid: str,
-           system: str, column) -> tuple[np.ndarray, dict]:
+           system: str, column) -> np.ndarray:
     """The solve step of both routes: ``field`` must be evaluated at the
     points ``wpts`` of the solve grid that ``grid`` names, ``ms`` must hold
-    one channel per coset, and ``field`` must pass the `stability_report`
-    verdict.  ``column`` maps a channel to its right-hand column on the
-    grid.  Returns the solutions (Np, m) and the health figures for the
-    solver's info dict."""
+    one channel per coset, and ``field.stability``, the field's one scan,
+    must pass.  ``column`` maps a channel to its right-hand column on the
+    grid.  Returns the solutions (Np, m)."""
     if field.wpoints.shape != wpts.shape or not np.allclose(field.wpoints, wpts, atol=1e-9):
         raise ValueError(f"matrix field was not evaluated on the {grid}")
     m = ms.lat.m
     if ms.J != m:
         raise ValueError(f"need {m} channels for a square system, got {ms.J}")
-    rep = stability_report(field)
+    rep = field.stability
     if not rep.ok:
         raise ValueError(
             f"{system} system is singular at w = {rep.argmin_w.tolist()} "
             f"(min |det| = {rep.min_abs_det:.3e}, max cond = {rep.max_cond:.3e})"
         )
     rhs = np.stack([column(v) for v in ms.levels], axis=-1)
-    X = np.linalg.solve(field.entries, rhs[..., None])[..., 0]
-    return X, {"min_abs_det": rep.min_abs_det, "max_cond": rep.max_cond}
+    return np.linalg.solve(field.entries, rhs[..., None])[..., 0]
 
 
 def recover_discrete(
     ms: MeasurementSet, Bfield: MatrixField, window: tuple
-) -> tuple[SeqFn, dict]:
+) -> SeqFn:
     """Invert the per-frequency coset system and reassemble the coefficients.
 
     ``window`` = ``(lo, hi)`` bounds the coset-index support of the unknown
     coefficients.  ``Bfield`` must be evaluated on the dual `solve_grid` of
     that window — the per-coset inversion is then an exact inverse DFT
-    after removing the unimodular factors.  Raises when the field fails
-    `stability_report`; the info dict carries its min |det| and max
-    condition number.
+    after removing the unimodular factors.  Raises when ``Bfield.stability``
+    fails; its min |det| and max condition number are read there.
     """
     p = ms.params
     lat = ms.lat
     wpts, shape, lo = solve_grid(p, window[0], window[1])
     eta_w = modulation(p, wpts)
     # one eta from the channel transform itself, one from the identity
-    X, info = _solve(ms, Bfield, wpts, "solve grid of the recovery window; build it on "
-                     "dynsamp.solve_grid(params, lo, hi) points", "coset",
-                     lambda v: eta_w**2 * folded_dt_values(p, v, shape).reshape(-1))
+    X = _solve(ms, Bfield, wpts, "solve grid of the recovery window; build it on "
+               "dynsamp.solve_grid(params, lo, hi) points", "coset",
+               lambda v: eta_w**2 * folded_dt_values(p, v, shape).reshape(-1))
 
     rmesh = _window_mesh(lo, lo + np.array(shape) - 1)
     mtr = _fixed_product(rmesh, lat.M.T)                    # M^T r, exact in int64
@@ -489,7 +500,7 @@ def recover_discrete(
         k = mtr + np.array(lat.eta[l], dtype=np.int64)
         keys.append(k)
         vals.append(sig_c * offset * np.conj(chirp(p, k.astype(float))))
-    return _thresholded(p.n, np.concatenate(keys), np.concatenate(vals)), info
+    return _thresholded(p.n, np.concatenate(keys), np.concatenate(vals))
 
 
 def continuous_solve_grid(
@@ -528,7 +539,7 @@ def integer_sample_levels(p: SaftParams, a, f: GridFn, J: int) -> list[SeqFn]:
 
 def recover_continuous(
     ms: MeasurementSet, Dfield: MatrixField, window: tuple
-) -> tuple[SeqFn, dict]:
+) -> SeqFn:
     """Coefficient recovery from the channels ``v_j(r) = h_j(M^T r)`` via
     periodization, where ``h_j = (a^j * f)|_Z^n`` are the plain integer
     samples (for the plain Fourier block, the channels `measure_from_samples`
@@ -537,8 +548,8 @@ def recover_continuous(
     Solves ``m * conj(eta)(w) (S v_j)(w) = sum_v D[j][v] C_v(w)`` per
     frequency, reads the coefficient symbol off the ``C_v`` channels, and
     inverts it over the (padded) coefficient window.  ``Dfield`` must be
-    evaluated on `continuous_solve_grid` points and pass `stability_report`,
-    as `recover_discrete` requires of its field.
+    evaluated on `continuous_solve_grid` points and ``Dfield.stability``
+    must pass, as `recover_discrete` requires of its field.
     """
     p = ms.params
     lat = ms.lat
@@ -547,9 +558,9 @@ def recover_continuous(
     # the solve nodes are w = q*diag/N, i.e. reduced nodes q/qshape for the
     # channel sequences on M^T Z^n, so the folded evaluator applies; the
     # conj(eta) of the identity cancels the transform's own eta exactly
-    C, info = _solve(ms, Dfield, wpts, "continuous solve grid; build it on "
-                     "dynsamp.continuous_solve_grid(...) points", "periodization",
-                     lambda v: m * folded_dt_values(p, v, qshape).reshape(-1))
+    C = _solve(ms, Dfield, wpts, "continuous solve grid; build it on "
+               "dynsamp.continuous_solve_grid(...) points", "periodization",
+               lambda v: m * folded_dt_values(p, v, qshape).reshape(-1))
 
     # scatter the channel values onto the full DFT grid of the window
     full = np.zeros(shape, dtype=complex)
@@ -566,4 +577,4 @@ def recover_continuous(
         raise AssertionError("frequency tiling left holes; window padding bug")
     swin = _invert_window_dft(full, lo)
     keys = _window_mesh(lo, lo + np.array(shape) - 1)
-    return _thresholded(p.n, keys, swin.reshape(-1)), info
+    return _thresholded(p.n, keys, swin.reshape(-1))

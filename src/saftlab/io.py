@@ -270,15 +270,22 @@ def _column_text(col: np.ndarray):
     return lambda lo, hi: text[inv[lo:hi]].tolist()
 
 
-def _write_rows(path, values, header: list[str], *blocks) -> None:
-    """Write ``format_rows(header, *blocks)`` to `path`.  When a complex
-    value in `values` (one per row) is not finite, raise `require_finite`'s
-    error for its row instead and create no file: no reader accepts it."""
+def _require_finite_rows(path, values, *blocks) -> None:
+    """When a complex value in `values` (one per row of the column blocks)
+    is not finite, raise `require_finite`'s error for its row, formatted as
+    `format_rows` would write it."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])
         row = format_rows([], *(b[i:i + 1] for b in blocks))[:-1]
         require_finite(path, {i: row}, values)
+
+
+def _write_rows(path, values, header: list[str], *blocks) -> None:
+    """Write ``format_rows(header, *blocks)`` to `path`, or raise
+    `_require_finite_rows`' error and create no file: no reader accepts a
+    non-finite value."""
+    _require_finite_rows(path, values, *blocks)
     Path(path).write_text(format_rows(header, *blocks))
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .conv import conv_dd, conv_sd
 from .dynsamp import (
     SAMPLE_THRESHOLD,
+    _coset_points,
     build_B_window,
     build_D,
     continuous_solve_grid,
@@ -30,12 +31,11 @@ from .dynsamp import (
     recover_continuous,
     recover_discrete,
     solve_grid,
-    stability_report,
 )
 from .grid import SeqFn, mesh, sampling_grid
 from .io import _writing_tables
 from .lattice import SamplingLattice, build_lattice
-from .params import (SaftParams, _fixed_product, _offset_phase, _physical_points, _reduced_points,
+from .params import (SaftParams, _offset_phase, _physical_points, _reduced_points,
                      chirp, modulation, preset, require_valid)
 from .saft import lattice_shifts, saft_inverse, saft_plan
 from .sis import SisModel, build_sis
@@ -338,10 +338,7 @@ def channel_vandermonde(
     product of pairwise differences."""
     p = scenario.params
     pts = np.asarray(wpts, dtype=float).reshape(-1, p.n)
-    minv = lat.m_inverse()
-    gam = np.array(lat.gamma, dtype=float)
-    x = _fixed_product(pts[:, None, :] + gam, minv)
-    beta = filter_symbol(p, scenario.filt, _reduced_points(p, x - p.P))
+    beta = filter_symbol(p, scenario.filt, _reduced_points(p, _coset_points(lat, pts) - p.P))
     m = lat.m
     det = np.ones(pts.shape[0], dtype=complex)
     for v in range(m):
@@ -358,12 +355,12 @@ def factorization_residual(
 
     Row j of the periodization field is (symbol)^j times row 0, so its
     determinant must equal the Vandermonde determinant of the symbols times
-    the product of the row-0 entries.  Returns (max residual, min |det|).
+    the product of the row-0 entries.  The determinants are those of
+    ``field.stability``.  Returns (max residual, min |Vandermonde det|).
     """
     _, detE = channel_vandermonde(scenario, lat, field.wpoints)
-    detD = np.linalg.det(field.entries)
     predicted = detE * np.prod(field.entries[:, 0, :], axis=-1)
-    return float(np.max(np.abs(detD - predicted))), float(np.min(np.abs(detD)))
+    return float(np.max(np.abs(field.stability.det - predicted))), float(np.min(np.abs(detE)))
 
 
 def _restrict_stems(s: SeqFn, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -487,14 +484,14 @@ def _recover(scenario: ExampleScenario, levels: list, lo: np.ndarray, hi: np.nda
     report["sizes"]["channel_samples"] = [len(v) for v in ms.levels]
 
     field = build_B_window(p, lat, lo, hi, levels)
-    stab = stability_report(field)
+    stab = field.stability
     report["discrete_stability"] = stab.summary()
     wpts, shape, _ = solve_grid(p, lo, hi)
     report["sizes"]["solve_grid"] = list(shape)
 
     recovered: SeqFn | None = None
     if stab.ok:
-        recovered, _info = recover_discrete(ms, field, window=(lo, hi))
+        recovered = recover_discrete(ms, field, window=(lo, hi))
         diff = recovered.plus(scenario.coeffs.scaled(-1.0))
         report["recovery_error"] = diff.l2norm() / scenario.coeffs.l2norm()
     else:
@@ -511,14 +508,12 @@ def _recover(scenario: ExampleScenario, levels: list, lo: np.ndarray, hi: np.nda
     if p.is_plain_fourier():
         wptsC, shapeC, loC, qsh = continuous_solve_grid(p, lat, lo, hi)
         Dfield = build_D(scenario.model, scenario.filt, lat, wptsC)
-        stabD = stability_report(Dfield)
+        stabD = Dfield.stability
         report["sizes"]["continuous_solve_grid"] = list(qsh)
         report["periodization_stability"] = stabD.summary()
-        _, detE = channel_vandermonde(scenario, lat, wptsC)
-        report["min_det_E"] = float(np.min(np.abs(detE)))
-        resid, min_det_d = factorization_residual(scenario, lat, Dfield)
-        report["factorization_residual"] = resid
-        report["min_det_D"] = min_det_d
+        report["factorization_residual"], report["min_det_E"] = factorization_residual(
+            scenario, lat, Dfield)
+        report["min_det_D"] = stabD.min_abs_det
 
         # printed two-channel subsystem: cosets {0, (0,1)} of diag(1, 2)
         lat2 = build_lattice([[1, 0], [0, 2]])
@@ -529,7 +524,7 @@ def _recover(scenario: ExampleScenario, levels: list, lo: np.ndarray, hi: np.nda
 
         cont_ok = stabD.ok
         if stabD.ok:
-            rec_c, _ic = recover_continuous(ms, Dfield, (lo, hi))
+            rec_c = recover_continuous(ms, Dfield, (lo, hi))
             diff = rec_c.plus(scenario.coeffs.scaled(-1.0))
             report["recovery_error_continuous"] = (
                 diff.l2norm() / scenario.coeffs.l2norm()

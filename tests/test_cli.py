@@ -436,6 +436,47 @@ def test_dynsamp_recover_zero_filter_fails(work, tmp_path):
 # refused inputs: exit 1 or 2 with one message line, no traceback
 
 
+#: 1-D blocks whose transforms or channel fields overflow: a huge offset
+#: turns the phases into NaN, and B = 1e-300 makes every field determinant
+#: infinite though each entry is finite
+OVERFLOWING_BLOCKS = {
+    "offset-1e308": '{"n": 1, "A": [[0]], "B": [[1]], "C": [[-1]], "D": [[0]], '
+                    '"P": [1e308], "Q": [0]}',
+    "B-1e-300": '{"n": 1, "A": [[0]], "B": [[1e-300]], "C": [[-1e300]], "D": [[0]], '
+                '"P": [0], "Q": [0]}',
+}
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "file"])
+def test_dtsaft_refuses_a_non_finite_transform(work, tmp_path, capsys, out):
+    params = tmp_path / "p.json"
+    params.write_text(OVERFLOWING_BLOCKS["offset-1e308"])
+    argv = ["dtsaft", "--params", str(params), "--seq", str(work / "seq.csv"), "--wgrid=-1:1:9"]
+    path = tmp_path / "dt.csv"
+    assert main(argv + ["--out", str(path)] if out else argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0], err
+    assert captured.out == "" and not path.exists()
+
+
+@pytest.mark.parametrize("block", sorted(OVERFLOWING_BLOCKS))
+@pytest.mark.parametrize("command", ["check", "recover"])
+def test_dynsamp_refuses_an_overflowing_field(work, tmp_path, capsys, block, command):
+    # the offset block once failed in numpy's SVD, and B = 1e-300 exited 2
+    # with "min |det| = inf" and wrote inf into the table
+    params = tmp_path / "p.json"
+    params.write_text(OVERFLOWING_BLOCKS[block])
+    out = tmp_path / "out.csv"
+    argv = ["dynsamp", command, "--params", str(params), "--phi", str(work / "phi1.grid"),
+            "--filter", str(work / "filt1.csv"), "--M", "[[2]]", "--out", str(out)]
+    if command == "recover":
+        argv += ["--measurements", str(work / "meas.csv"), "--method", "discrete"]
+    err = _refused(capsys, argv, 1)
+    assert "overflows at w = " in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def work2(tmp_path_factory):
     """A 2-D block, generator, filter and measurement file."""

@@ -239,7 +239,7 @@ def test_recover_discrete_enforces_the_stability_verdict():
     assert stability_report(good).ok
     bad = _nearly_singular_at(good, 3, 1e-10)
     rep = stability_report(bad)
-    ratio = rep.abs_det[3] / np.prod(np.linalg.norm(bad.entries[3], axis=1))
+    ratio = np.abs(rep.det[3]) / np.prod(np.linalg.norm(bad.entries[3], axis=1))
     assert 1e-13 < ratio < 1e-8 and not rep.ok
     with pytest.raises(ValueError, match="singular") as err:
         recover_discrete(ms, bad, window=(lo, hi))
@@ -263,7 +263,7 @@ def test_recover_continuous_enforces_the_stability_verdict():
     assert stability_report(good).ok
     bad = _nearly_singular_at(good, 1, 1e-10)
     rep = stability_report(bad)
-    ratio = rep.abs_det[1] / np.prod(np.linalg.norm(bad.entries[1], axis=1))
+    ratio = np.abs(rep.det[1]) / np.prod(np.linalg.norm(bad.entries[1], axis=1))
     assert 1e-13 < ratio < 1e-8 and not rep.ok
     with pytest.raises(ValueError, match="singular") as err:
         recover_continuous(_channels(p, lat, h_levels), bad, window=(lo, hi))
@@ -285,8 +285,8 @@ def test_recover_discrete_exact_1d(seed):
     lo, hi = _r_window(lat, c, pad=1)
     field = build_B_window(p, lat, lo, hi, phi_levels)
     assert stability_report(field, det_rtol=1e-10).ok
-    rec, info = recover_discrete(ms, field, window=(lo, hi))
-    assert info["min_abs_det"] > 0
+    rec = recover_discrete(ms, field, window=(lo, hi))
+    assert field.stability.min_abs_det > 0
     for k in c.entries:
         assert abs(rec.get(k) - c.get(k)) < 1e-10
     extras = [abs(rec.get(k)) for k in rec.entries if k not in c.entries]
@@ -303,7 +303,7 @@ def test_recover_discrete_exact_2d_chirped():
     lo, hi = _r_window(lat, c, pad=1)
     field = build_B_window(p, lat, lo, hi, phi_levels)
     assert stability_report(field, det_rtol=1e-10).ok
-    rec, _ = recover_discrete(ms, field, window=(lo, hi))
+    rec = recover_discrete(ms, field, window=(lo, hi))
     for k in c.entries:
         assert abs(rec.get(k) - c.get(k)) < 1e-9
 
@@ -340,7 +340,7 @@ def test_recover_discrete_grid_route_end_to_end():
     levels = [sampled_generator(lv) for lv in filtered_levels(p, a, phi, lat.m, "cc")]
     field = build_B_window(p, lat, lo, hi, levels)
     assert stability_report(field).ok
-    rec, _ = recover_discrete(ms, field, window=(lo, hi))
+    rec = recover_discrete(ms, field, window=(lo, hi))
     for k in c.entries:
         assert abs(rec.get(k) - c.get(k)) < 1e-9
 
@@ -367,7 +367,7 @@ def test_recover_continuous_exact():
     wpts, shape, lo_pad, qshape = continuous_solve_grid(p, lat, lo, hi)
     field = build_D(model, a, lat, wpts)
     assert stability_report(field).ok
-    rec, info = recover_continuous(_channels(p, lat, h_levels), field, window=(lo, hi))
+    rec = recover_continuous(_channels(p, lat, h_levels), field, window=(lo, hi))
     for k in c.entries:
         assert abs(rec.get(k) - c.get(k)) < 1e-9
     extras = [abs(rec.get(k)) for k in rec.entries if k not in c.entries]

@@ -59,15 +59,27 @@ def test_matrix_products_stay_in_the_listed_functions():
     assert {s[:2] for s in sites} == ALLOWED, "an allowed function no longer forms a product"
 
 
-def _solve_sites(path: Path) -> list[tuple[str, int]]:
-    """(file, line) of each ``linalg.solve`` in ``path``."""
+def _linalg_sites(path: Path, name: str) -> list[tuple[str, int]]:
+    """(file, line) of each ``linalg.<name>`` in ``path``."""
     return [(path.name, node.lineno) for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Attribute) and node.attr == "solve"
+            if isinstance(node, ast.Attribute) and node.attr == name
             and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
 
 
 def test_one_linear_solve_serves_both_recovery_routes():
     # recover_discrete and recover_continuous share dynsamp._solve
     src = Path(saftlab.__file__).parent
-    sites = [s for f in sorted(src.glob("*.py")) for s in _solve_sites(f)]
+    sites = [s for f in sorted(src.glob("*.py")) for s in _linalg_sites(f, "solve")]
     assert len(sites) == 1 and sites[0][0] == "dynsamp.py", sites
+
+
+def test_one_stability_scan_takes_the_field_determinants():
+    # stability_report is the one place a channel-matrix field's determinants
+    # and condition numbers are formed; the solvers, repro's checks and the
+    # CLI read MatrixField.stability (params.py's determinants of B are the
+    # block's own n x n algebra)
+    src = Path(saftlab.__file__).parent
+    for name in ("det", "cond"):
+        sites = [s for f in ("dynsamp.py", "repro.py", "cli.py")
+                 for s in _linalg_sites(src / f, name)]
+        assert len(sites) == 1 and sites[0][0] == "dynsamp.py", (name, sites)

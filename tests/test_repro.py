@@ -396,14 +396,19 @@ def test_an_error_during_the_recovery_reaps_the_figure_child(tmp_path):
 def test_run_example_measures_once_for_both_routes(tmp_path):
     # the continuous route solves from the discrete route's measurement set:
     # three filter levels, the figures' samples and the window check form
-    # the only sequence products, and nothing is downsampled
+    # the only sequence products, and nothing is downsampled; each field (B,
+    # D and the printed 2 x 2 D) is scanned once, and the solvers and the
+    # factorization check read that scan
     import saftlab
 
-    calls = {"conv_dd": 0, "downsample": 0}
+    calls = {"conv_dd": 0, "downsample": 0, "stability_report": 0}
+    fields = []
 
     def counted(name, fn):
         def spy(*args, **kwargs):
             calls[name] += 1
+            if name == "stability_report":
+                fields.append(args[0])
             return fn(*args, **kwargs)
         return spy
 
@@ -419,6 +424,8 @@ def test_run_example_measures_once_for_both_routes(tmp_path):
     assert report["verdict"] == "pass"
     assert report["recovery_error_continuous"] < 1e-9
     assert calls["conv_dd"] <= 5 and calls["downsample"] == 0
+    assert calls["stability_report"] == 3
+    assert all(field.stability is field.stability for field in fields)
 
 
 def test_factorization_residual_consistency():

@@ -20,8 +20,8 @@ residual over tolerance, singular channel matrix, fail verdict); 1
 structural problems (unreadable files, malformed values); 64 usage errors.
 
 File formats are those of `saftlab.io`: "SAFTGRID v1" text grids, sequence
-CSVs ``k1,...,kn,re,im``, parameter JSON (full blocks or preset form).
-Measurement CSVs add a channel column: ``k1,...,kn,channel,re,im``.
+CSVs ``k1,...,kn,re,im``, measurement CSVs ``k1,...,kn,channel,re,im`` and
+parameter JSON (full blocks or preset form).
 Identical invocations write identical files; random trials derive from
 ``--seed`` and the seed is recorded in the output header.
 """
@@ -327,13 +327,20 @@ def _cmd_verify(args) -> int:
     for trial in range(args.trials):
         p = fixed if fixed is not None else random_params(args.dim, rng)
         residuals.append(_verify_trial(theorem, p, rng))
+    residuals = np.array(residuals)
+    # NaN compares false with the tolerance, so a trial that overflowed is
+    # refused before any row is written
+    bad = np.flatnonzero(~np.isfinite(residuals))
+    if bad.size:
+        raise ValueError(f"{theorem} trial {bad[0]} has a non-finite residual "
+                         f"({float(residuals[bad[0]])})")
     header = [
         f"# theorem={theorem} trials={args.trials} seed={seed} tol={tol!r}",
         "trial,residual",
     ]
-    text = format_rows(header, np.arange(len(residuals)), np.array(residuals))
+    text = format_rows(header, np.arange(len(residuals)), residuals)
     summary = _emit_rows(Path(args.out) if args.out else None, text)
-    worst = max(residuals)
+    worst = residuals.max()
     print(f"worst residual {worst:.3e} (tol {tol:g})", file=summary)
     if worst > tol:
         raise ValidationFailure(
@@ -429,23 +436,6 @@ def _cmd_dynsamp_check(args) -> int:
     return EXIT_OK
 
 
-def _read_measurements(path: str, n: int):
-    """Measurement CSV with a channel column -> list of sequences."""
-    from .io import parse_rows, sequence_from_rows
-
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if lines and lines[0].lower().startswith("k1"):
-        lines = lines[1:]
-    if not lines:
-        raise ValueError(f"{path}: no measurement rows")
-    rows, vals = parse_rows(path, lines, n + 1)      # k1..kn,channel
-    keys, chans = rows[:, :n], rows[:, n]
-    J = int(chans.max()) + 1
-    if not np.array_equal(np.unique(chans), np.arange(J)):
-        raise ValueError(f"{path}: channel indices must be 0..J-1")
-    return [sequence_from_rows(path, n, keys[chans == j], vals[chans == j]) for j in range(J)]
-
-
 def _cmd_dynsamp_recover(args) -> int:
     from .dynsamp import (
         MeasurementSet,
@@ -455,12 +445,12 @@ def _cmd_dynsamp_recover(args) -> int:
         recover_continuous,
         recover_discrete,
     )
-    from .io import write_sequence
+    from .io import read_measurements, write_sequence
     from .saft import downsample
     from .sis import build_sis
 
     p, phi, filt, lat = _load_dynsamp_inputs(args)
-    vlevels = _read_measurements(args.measurements, p.n)
+    vlevels = read_measurements(args.measurements, p.n)
     if len(vlevels) != lat.m:
         raise ValueError(
             f"{len(vlevels)} channels for a lattice of index {lat.m}; "

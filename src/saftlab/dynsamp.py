@@ -513,9 +513,10 @@ def continuous_solve_grid(
 
     The coefficient window is padded so each axis extent is divisible by the
     (diagonal) lattice stride; the solve points are then w = M q / N over
-    the reduced q-range, and the m channel values per point tile the full
-    DFT grid of the window exactly once.  Returns (points, full shape,
-    padded window_lo, reduced q shape).  Any block but plain Fourier raises.
+    the reduced q-range (its `solve_grid`: q d / N and q / (N / d) round the
+    same rational), and the m channel values per point tile the full DFT
+    grid of the window exactly once.  Returns (points, full shape, padded
+    window_lo, reduced q shape).  Any block but plain Fourier raises.
     """
     _require_plain_fourier(params)
     M = lat.M
@@ -525,11 +526,9 @@ def continuous_solve_grid(
     lo = np.asarray(window_lo, dtype=int)
     hi = np.asarray(window_hi, dtype=int)
     shape = hi - lo + 1
-    pad = (-shape) % diag
-    shape = tuple(int(x) for x in (shape + pad))
-    qshape = tuple(int(N // d) for N, d in zip(shape, diag))
-    xi = mesh([np.arange(Nq) * d / N for Nq, d, N in zip(qshape, diag, shape)]).reshape(-1, lat.n)
-    return _physical_points(params, xi), shape, lo, qshape
+    shape += (-shape) % diag
+    wpts, qshape, _ = solve_grid(params, lo, lo + shape // diag - 1)
+    return wpts, tuple(int(x) for x in shape), lo, qshape
 
 
 def integer_sample_levels(p: SaftParams, a, f: GridFn, J: int) -> list[SeqFn]:

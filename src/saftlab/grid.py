@@ -28,9 +28,7 @@ __all__ = [
     "SeqFn",
     "uniform_grid",
     "sampling_grid",
-    "grid_points",
     "mesh",
-    "integrate",
     "reciprocal_grid",
     "dft",
     "sample_generator",
@@ -157,16 +155,6 @@ def sampling_grid(halfwidth: int, per_unit: int, n: int = 1) -> GridFn:
     N = 2 * L * q + 1
     origin = np.full(n, -L - h / 2.0)
     return GridFn(n, (N,) * n, origin, np.full(n, h), np.zeros((N,) * n, dtype=complex))
-
-
-def grid_points(f: GridFn) -> np.ndarray:
-    """Cell centers of ``f`` flattened to shape (prod(shape), n), row-major."""
-    return f.points().reshape(-1, f.n)
-
-
-def integrate(f: GridFn) -> complex:
-    """Midpoint-rule integral: sum of values times the cell volume."""
-    return complex(f.values.sum() * f.cell_volume)
 
 
 def reciprocal_grid(f: GridFn) -> GridFn:

@@ -14,7 +14,12 @@ Grid file ("SAFTGRID v1")
 
 Sequence file
     CSV rows ``k1,...,kn,re,im`` with integer indices; a header line is
-    optional on read and always written.
+    optional on read and always written.  `read_sequence` takes the
+    dimension n from its caller.
+
+Measurement file
+    A sequence file with a channel column, ``k1,...,kn,channel,re,im``: the
+    channels' sequences, read by `read_measurements`.
 
 Parameter file
     JSON, either the full block ``{"n":, "A":, "B":, "C":, "D":, "P":, "Q":}``
@@ -62,6 +67,7 @@ __all__ = [
     "read_grid",
     "write_grid",
     "read_sequence",
+    "read_measurements",
     "write_sequence",
     "read_params",
     "write_params",
@@ -69,7 +75,6 @@ __all__ = [
     "require_finite",
     "format_rows",
     "parse_rows",
-    "sequence_from_rows",
 ]
 
 _MAGIC = "SAFTGRID v1"
@@ -348,18 +353,33 @@ def write_sequence(path, s: SeqFn) -> None:
     _write_rows(path, vals, head, keys, np.column_stack([vals.real, vals.imag]))
 
 
-def read_sequence(path, n: int | None = None) -> SeqFn:
+def _data_lines(path) -> list[str]:
+    """The stripped, non-blank lines of the CSV file at `path`, without its
+    optional ``k1,...`` header line."""
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if n is None and lines:
-        n = len(lines[0].split(",")) - 2       # header or row k1,...,kn,re,im
-    if lines and lines[0].lower().startswith("k1"):
-        lines = lines[1:]
-    # a header-only file is the zero sequence (all-zero entries are never
-    # stored), representable only when the dimension is known
-    if n is None or n < 1:
-        raise ValueError(f"{path}: empty sequence file or rows without k1,re,im")
-    keys, vals = parse_rows(path, lines, n)
-    return sequence_from_rows(path, n, keys, vals)
+    return lines[1:] if lines and lines[0].lower().startswith("k1") else lines
+
+
+def read_sequence(path, n: int) -> SeqFn:
+    """The sequence of dimension `n` in the sequence CSV at `path`; a file
+    without data rows is the zero sequence (all-zero entries are never
+    stored)."""
+    keys, vals = parse_rows(path, _data_lines(path), n)
+    return _sequence_from_rows(path, n, keys, vals)
+
+
+def read_measurements(path, n: int) -> list[SeqFn]:
+    """The measurement CSV at `path` as one sequence of dimension `n` per
+    channel, in channel order; the channels present must be 0..J-1."""
+    lines = _data_lines(path)
+    if not lines:
+        raise ValueError(f"{path}: no measurement rows")
+    rows, vals = parse_rows(path, lines, n + 1)      # k1..kn,channel
+    keys, chans = rows[:, :n], rows[:, n]
+    J = int(chans.max()) + 1
+    if not np.array_equal(np.unique(chans), np.arange(J)):
+        raise ValueError(f"{path}: channel indices must be 0..J-1")
+    return [_sequence_from_rows(path, n, keys[chans == j], vals[chans == j]) for j in range(J)]
 
 
 def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -406,7 +426,7 @@ def _bad_row(path, lines: list[str], width: int) -> ValueError:
     return ValueError(f"{path}: rows need {width} index columns and re,im")
 
 
-def sequence_from_rows(path, n: int, keys, vals) -> SeqFn:
+def _sequence_from_rows(path, n: int, keys, vals) -> SeqFn:
     """`SeqFn.from_arrays` with its errors (such as a repeated index)
     naming the file."""
     try:

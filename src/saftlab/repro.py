@@ -57,6 +57,12 @@ __all__ = [
 DEFAULT_TABLE_KMAX = 8192
 TABLE_NFREQ = 1 << 17
 
+#: the coefficient index window (lower corner, upper corner) `run_example` recovers
+EXAMPLE_WINDOW = ((-8, -8), (8, 8))
+
+#: `window_periodization_check`'s mesh points per axis of the unit cell
+CHECK_GRID_N = 33
+
 #: the smooth window: 1 up to FLAT_END, a taper through the quartic
 #: x^4 (t0 + t1 x + t2 x^2 + t3 x^3) with TAPER = (t0, ..., t3) until SUPPORT_END, 0 beyond
 TAPER = (35.0, -84.0, 70.0, -20.0)
@@ -299,10 +305,9 @@ def periodized_window_transform(scenario: ExampleScenario, x_points: np.ndarray)
     return np.sum(eta_sq * vals, axis=-1)
 
 
-def window_periodization_check(
-    scenario: ExampleScenario, grid_n: int = 33
-) -> dict:
-    """Two-route check of the window periodization and its filter pull-out.
+def window_periodization_check(scenario: ExampleScenario) -> dict:
+    """Two-route check of the window periodization and its filter pull-out,
+    on the `CHECK_GRID_N` x `CHECK_GRID_N` mesh of the unit cell.
 
     Route one periodizes the analytic spectrum directly; route two
     transforms the thresholded integer samples (a genuinely independent
@@ -311,8 +316,8 @@ def window_periodization_check(
     unfiltered one.  Residuals are bounded by the discarded sample mass.
     """
     pft = preset("ft", n=2)
-    shape = (grid_n, grid_n)
-    x = mesh([np.arange(grid_n) / grid_n] * 2).reshape(-1, 2)
+    shape = (CHECK_GRID_N, CHECK_GRID_N)
+    x = mesh([np.arange(CHECK_GRID_N) / CHECK_GRID_N] * 2).reshape(-1, 2)
 
     freq0 = np.zeros(x.shape[0])
     for s in lattice_shifts(2, 1):
@@ -424,12 +429,11 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path, levels: list) -> tupl
 
 
 def run_example(
-    scenario: ExampleScenario,
-    outdir: str | Path | None = None,
-    window: tuple = ((-8, -8), (8, 8)),
+    scenario: ExampleScenario, outdir: str | Path | None = None
 ) -> tuple[dict, SeqFn | None]:
-    """Measure, check stability, recover along both routes, verify the
-    factorizations, and (optionally) emit figure CSVs and report.json.
+    """Measure, check stability, recover the coefficients on the index
+    window `EXAMPLE_WINDOW` along both routes, verify the factorizations,
+    and (optionally) emit figure CSVs and report.json.
 
     With `outdir`, one forked child writes the figure CSVs while the
     recovery runs (`io._writing_tables`, which writes them in this process
@@ -440,8 +444,7 @@ def run_example(
     degenerate filter (vanishing symbol differences) produces verdict
     "fail" with the offending frequency, never a silent wrong answer.
     """
-    lo = np.asarray(window[0], dtype=int)
-    hi = np.asarray(window[1], dtype=int)
+    lo, hi = np.array(EXAMPLE_WINDOW, dtype=int)
     report: dict = {
         "c1": [scenario.c1.real, scenario.c1.imag],
         "c2": [scenario.c2.real, scenario.c2.imag],

@@ -564,12 +564,7 @@ class PoissonReport:
     rhs: np.ndarray
 
 
-def poisson_check(
-    params: SaftParams,
-    g: GridFn,
-    wpts,
-    cutoff: int = DEFAULT_LATTICE_CUTOFF,
-) -> PoissonReport:
+def poisson_check(params: SaftParams, g: GridFn, wpts) -> PoissonReport:
     """Residual of the summation identity linking integer samples of ``g``
     to the lattice of modulated transform values, at the physical points
     ``wpts`` (..., n):
@@ -579,10 +574,10 @@ def poisson_check(
     Both sides are computed independently: the left as the exact finite sum
     over integer samples, the right by direct quadrature of the transform at
     the shifted points.  The image sum is truncated at ``||n - n_0||_inf <=
-    cutoff``, where ``n_0`` (per point) is the image nearest the peak of the
-    spectrum of the chirped, offset input: a linear offset phase moves that
-    peak off zero, and a window centred on ``n = 0`` would cut off images
-    that carry most of the mass.
+    DEFAULT_LATTICE_CUTOFF``, where ``n_0`` (per point) is the image nearest
+    the peak of the spectrum of the chirped, offset input: a linear offset
+    phase moves that peak off zero, and a window centred on ``n = 0`` would
+    cut off images that carry most of the mass.
     A decay flag is set when the input's boundary values are not negligible
     (the identity then cannot be expected to hold numerically).
     """
@@ -607,7 +602,7 @@ def poisson_check(
     spec = dft(chirped)
     nu_peak = spec.points()[np.unravel_index(np.argmax(np.abs(spec.values)), spec.shape)]
     centre = nu + np.rint(nu_peak - nu)     # the image B^{-1}w + n_0 nearest the peak
-    shifts = lattice_shifts(p.n, cutoff)
+    shifts = lattice_shifts(p.n, DEFAULT_LATTICE_CUTOFF)
     freq = centre[:, None, :] + shifts      # B^{-1} w + n, (points, images, n)
     axes = [g.axis_coords(i) for i in range(g.n)]
     images = grid_phase_sum(freq, axes, chirped.values * g.cell_volume)

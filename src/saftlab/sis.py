@@ -52,6 +52,9 @@ DECAY_TOL = 1e-10
 #: `riesz_bounds` passes only with the Grammian's minimum above this fraction of its maximum
 RIESZ_RTOL = 1e-8
 
+#: `frame_check`'s fewest midpoint-rule points per axis of the frequency cell
+FRAME_MESH = 32
+
 
 @dataclass(frozen=True)
 class SisModel:
@@ -68,19 +71,16 @@ class SisModel:
     cutoff: int
     spectrum: GridFn
     spectrum_fn: Callable | None
-    decay_ok: bool
 
 
-def build_sis(
-    params: SaftParams, phi: GridFn, spectrum_fn: Callable | None = None, strict: bool = True
-) -> SisModel:
+def build_sis(params: SaftParams, phi: GridFn, spectrum_fn: Callable | None = None) -> SisModel:
     """Construct the model and run the spectrum decay check.
 
     The model's Grammian sums run over the shifts up to
     `saft.DEFAULT_LATTICE_CUTOFF` per axis.  The generator's transform must
     be negligible (< `DECAY_TOL` relative) at the edge of the working
-    frequency window, otherwise those truncated sums are meaningless; with
-    ``strict`` the violation raises, otherwise it is recorded on the model.
+    frequency window, otherwise those truncated sums are meaningless; a
+    generator that fails the check is refused with a ValueError.
     """
     require_valid(params)
     if params.n != phi.n:
@@ -93,12 +93,11 @@ def build_sis(
     else:
         cached = saft_forward(plan, phi)
     peak = float(np.max(np.abs(cached.values))) if cached.values.size else 0.0
-    decay_ok = peak == 0.0 or _boundary_max(cached.values) <= DECAY_TOL * peak
-    if strict and not decay_ok:
+    if not (peak == 0.0 or _boundary_max(cached.values) <= DECAY_TOL * peak):
         raise ValueError(
             "generator spectrum does not decay below "
             f"{DECAY_TOL:g} (relative) at the working window edge; enlarge "
-            "the generator grid or pass strict=False"
+            "the generator grid"
         )
     return SisModel(
         params=params,
@@ -106,7 +105,6 @@ def build_sis(
         cutoff=DEFAULT_LATTICE_CUTOFF,
         spectrum=cached,
         spectrum_fn=spectrum_fn,
-        decay_ok=decay_ok,
     )
 
 
@@ -180,10 +178,6 @@ class RieszReport:
     def ok(self) -> bool:
         return self.verdict == "pass"
 
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.eta1, self.eta2)
-
 
 def riesz_bounds(model: SisModel, wpts) -> RieszReport:
     """Extremes of the Grammian over points ``wpts`` (..., n) covering one
@@ -206,17 +200,18 @@ def _riesz_report(flat: np.ndarray, g: np.ndarray) -> RieszReport:
     return RieszReport(eta1=eta1, eta2=eta2, argmin=flat[i_min], argmax=flat[i_max], verdict=verdict)
 
 
-def frame_check(model: SisModel, s: SeqFn, per_axis: int = 32) -> dict:
+def frame_check(model: SisModel, s: SeqFn) -> dict:
     """Spot-check the frame inequality for one coefficient sequence.
 
     The synthesized signal's transform energy equals the cell integral of
     ``|S s|^2 G``; dividing by the sequence energy must land between the
     Riesz bounds.  The integrand is smooth and cell-periodic, so the
-    midpoint rule converges spectrally in ``per_axis``.
+    midpoint rule on at least `FRAME_MESH` points per axis (more when the
+    sequence's index spread is wider) converges spectrally.
     """
     p = model.params
     k, _ = s.as_arrays()
-    npts = np.maximum(np.ptp(k, axis=0) + 1, per_axis) if len(k) else np.full(p.n, per_axis)
+    npts = np.maximum(np.ptp(k, axis=0) + 1, FRAME_MESH) if len(k) else np.full(p.n, FRAME_MESH)
     w = _physical_points(p, mesh([(np.arange(m) + 0.5) / m for m in npts]))
     ss = np.abs(dtsaft(p, s, w)) ** 2
     g = grammian(model, w)

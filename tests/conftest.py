@@ -1,7 +1,17 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from saftlab import sis
 from saftlab.params import preset, random_params
+
+
+def coarse_sis(params, phi, spectrum_fn=None):
+    """`sis.build_sis` of a generator grid too coarse for its spectrum to
+    pass the decay check, with the check switched off for this one call."""
+    with patch.object(sis, "DECAY_TOL", np.inf):
+        return sis.build_sis(params, phi, spectrum_fn)
 
 
 @pytest.fixture

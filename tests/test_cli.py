@@ -158,7 +158,7 @@ def test_conv_dd_writes_sequence(work, tmp_path):
     assert main(["conv", "--kind", "dd", "--params", str(work / "ft1.json"),
                  "--lhs", str(work / "filt1.csv"), "--rhs", str(work / "filt1.csv"),
                  "--out", str(out)]) == 0
-    sq = read_sequence(out)
+    sq = read_sequence(out, n=1)
     assert sq.get((0,)) == pytest.approx(1.0)
     assert sq.get((1,)) == pytest.approx(1.0)
     assert sq.get((2,)) == pytest.approx(0.25)
@@ -408,7 +408,7 @@ def test_dynsamp_recover_discrete(work, tmp_path):
                  "--phi", str(work / "phi1.grid"), "--filter", str(work / "filt1.csv"),
                  "--M", "[[2]]", "--measurements", str(work / "meas.csv"),
                  "--method", "discrete", "--out", str(out)]) == 0
-    rec = read_sequence(out)
+    rec = read_sequence(out, n=1)
     for k, v in TRUTH.items():
         assert abs(rec.get(k) - v) < 1e-9
 
@@ -419,7 +419,7 @@ def test_dynsamp_recover_continuous(work, tmp_path):
                  "--phi", str(work / "phi1.grid"), "--filter", str(work / "filt1.csv"),
                  "--M", "[[2]]", "--measurements", str(work / "meas_cont.csv"),
                  "--method", "continuous", "--out", str(out)]) == 0
-    rec = read_sequence(out)
+    rec = read_sequence(out, n=1)
     for k, v in TRUTH.items():
         assert abs(rec.get(k) - v) < 1e-9
 
@@ -457,6 +457,21 @@ def test_dtsaft_refuses_a_non_finite_transform(work, tmp_path, capsys, out):
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "non-finite" in err[0], err
+    assert captured.out == "" and not path.exists()
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["stdout", "file"])
+@pytest.mark.parametrize("theorem", ["dd", "sd"])
+def test_verify_refuses_a_non_finite_residual(tmp_path, capsys, theorem, out):
+    # a NaN residual is not above the tolerance: these trials once wrote rows
+    # of nan, printed "worst residual nan" and exited 0
+    params = tmp_path / "p.json"
+    params.write_text(OVERFLOWING_BLOCKS["offset-1e308"])
+    argv = ["verify", "--theorem", theorem, "--params", str(params), "--trials", "2"]
+    path = tmp_path / "v.csv"
+    assert main(argv + ["--out", str(path)] if out else argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {theorem} trial 0 has a non-finite residual (nan)\n"
     assert captured.out == "" and not path.exists()
 
 

@@ -15,7 +15,7 @@ from saftlab.conv import (
     theorem_residual_dd,
     theorem_residual_sd,
 )
-from saftlab.grid import SeqFn, grid_points, sample_generator, sampling_grid, uniform_grid
+from saftlab.grid import SeqFn, sample_generator, sampling_grid, uniform_grid
 from saftlab.params import preset, random_params
 
 
@@ -43,7 +43,7 @@ def test_conv_cc_ft_matches_closed_form():
     f = _gaussian(0.6)
     g = _gaussian(0.8)
     h = conv_cc(p, f, g)
-    xs = grid_points(h)[:, 0]
+    xs = h.points().reshape(-1, h.n)[:, 0]
     r = np.hypot(0.6, 0.8)
     want = 0.6 * 0.8 / r * np.exp(-np.pi * (xs / r) ** 2)
     assert np.max(np.abs(h.values.reshape(-1) - want)) < 1e-12
@@ -100,9 +100,9 @@ def test_conv_sd_is_translate_sum():
     # independent direct evaluation of the weighted translate sum
     from saftlab.params import chirp
 
-    xs = grid_points(out)[:, 0]
+    xs = out.points().reshape(-1, out.n)[:, 0]
     acc = np.zeros_like(xs, dtype=complex)
-    phi_xs = grid_points(phi)[:, 0]
+    phi_xs = phi.points().reshape(-1, phi.n)[:, 0]
     for k, z in [((1,), 1.5), ((-2,), 1j)]:
         shifted = np.interp(xs - k[0], phi_xs, phi.values.real) + 1j * np.interp(
             xs - k[0], phi_xs, phi.values.imag

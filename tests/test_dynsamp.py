@@ -6,14 +6,18 @@ finitely supported data, so coefficients must come back to rounding error,
 not merely to a modeling tolerance.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import dynsamp_oracles as oracle
 import numpy as np
 import pytest
+from conftest import coarse_sis
 
 import saftlab
 from saftlab.dynsamp import (
@@ -33,9 +37,9 @@ from saftlab.dynsamp import (
     solve_grid,
     stability_report,
 )
-from saftlab.grid import SeqFn, sample_generator, sampling_grid
+from saftlab.grid import SeqFn, mesh, sample_generator, sampling_grid
 from saftlab.lattice import build_lattice
-from saftlab.params import modulation, preset, random_params
+from saftlab.params import _physical_points, modulation, preset, random_params
 from saftlab.saft import downsample, dtsaft, kernel_quadrature
 from saftlab.sis import build_sis, resolved_band_mask
 
@@ -424,7 +428,7 @@ def test_build_D_refuses_blocks_that_are_not_plain_fourier(monkeypatch, block):
         "separable_lct", a=[0.0, 0.0], b=[2.0, 2.0], c=[-0.5, -0.5], d=[0.0, 0.0])
     assert p.is_chirp_free(1e-14) == (block == "scaled")
     phi = sample_generator("gaussian", sampling_grid(3, 8, n=2), sigma=0.6)
-    model = build_sis(p, phi, strict=False)
+    model = coarse_sis(p, phi)
     lat = build_lattice([[2, 0], [0, 1]])
     calls = []
     monkeypatch.setattr(dynsamp, "spectrum_at", lambda *a: calls.append(a))
@@ -445,7 +449,7 @@ def test_build_D_grid_filter_symbol_matches_direct_sums(n):
     p = preset("ft", n)
     lat = build_lattice(np.diag([2] + [1] * (n - 1)).tolist())
     phi = sample_generator("gaussian", sampling_grid(3, 8, n=n), sigma=0.6)
-    model = build_sis(p, phi, strict=False)
+    model = coarse_sis(p, phi)
     filt = sample_generator("gaussian", sampling_grid(1, 8, n=n), sigma=0.3,
                             modulation=list(rng.uniform(-1, 1, n)))
     wpts = rng.uniform(-0.5, 0.5, (5, n))
@@ -472,6 +476,26 @@ def test_continuous_route_guards():
         continuous_solve_grid(preset("ft", 2), build_lattice([[2, 1], [0, 2]]), [0, 0], [3, 3])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_continuous_solve_points_are_the_solve_grid_of_the_reduced_window(n):
+    # the periodization nodes q d / N of the padded window and the solve
+    # grid's q / (N / d) are correctly rounded quotients of the same
+    # rational, so they have the same bits
+    p = preset("ft", n)
+    for diag in [(1,) * n, (2,) * n, (3,) + (1,) * (n - 1), (2, 3, 4)[:n]]:
+        lat = build_lattice(np.diag(diag))
+        for lo, hi in [((0,) * n, (3,) * n), ((-8,) * n, (8,) * n),
+                       ((-3,) * n, (4, 5, 6)[:n]), ((-5,) * n, (10,) * n)]:
+            wpts, shape, lo_pad, qshape = continuous_solve_grid(p, lat, lo, hi)
+            assert all(N % d == 0 and N - d < b - a + 1 <= N
+                       for N, d, a, b in zip(shape, diag, lo, hi))
+            assert qshape == tuple(N // d for N, d in zip(shape, diag))
+            nodes = mesh([np.arange(Nq) * d / N for Nq, d, N in zip(qshape, diag, shape)])
+            want = _physical_points(p, nodes.reshape(-1, n))
+            assert wpts.tobytes() == want.tobytes()
+            assert np.array_equal(lo_pad, lo)
+
+
 def test_measurement_set_channel_count():
     rng = np.random.default_rng(7)
     p = preset("ft", 1)
@@ -490,22 +514,42 @@ def test_measurement_set_channel_count():
 KNOBS = {
     "dynsamp": {"stability_report": ("det_rtol",)},
     "grid": {"sampling_grid": ("n",), "dft": ("sign", "out")},
-    "io": {"read_sequence": ("n",)},
     "params": {"SaftParams.is_chirp_free": ("tol",), "validate": ("tol",), "preset": ("n",)},
     "repro": {
         "meyer_time_table": ("kmax",),
         "build_example": (
             "params", "c1", "c2", "threshold", "halfwidth", "per_unit", "table_kmax",
         ),
-        "window_periodization_check": ("grid_n",),
-        "run_example": ("outdir", "window"),
+        "run_example": ("outdir",),
     },
-    "saft": {
-        "saft_plan": ("backend",),
-        "poisson_check": ("cutoff",),
-    },
-    "sis": {"build_sis": ("spectrum_fn", "strict"), "frame_check": ("per_axis",)},
+    "saft": {"saft_plan": ("backend",)},
+    "sis": {"build_sis": ("spectrum_fn",)},
 }
+
+
+#: the exported names no program reaches: no `src/` code references them
+#: outside their own definition (by name or attribute), and no `benchmarks/`
+#: file names them.  These are the README's capabilities; any other such name
+#: is an option or helper that only tests use, to be deleted
+TEST_ONLY = {"conv_power", "comb_power", "riesz_bounds", "frame_check"}
+
+
+def test_every_export_but_the_readme_capabilities_is_reached_by_a_program():
+    src = Path(saftlab.__file__).parent
+    bench = [path.read_text() for path in (src.parents[1] / "benchmarks").rglob("*")
+             if path.suffix in (".py", ".md")]
+    reached = set()
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            own = getattr(node, "name", None)
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if isinstance(sub, (ast.Name, ast.Attribute)) and name != own:
+                    reached.add(name)
+    exported = {name for m in pkgutil.iter_modules(saftlab.__path__) if m.name != "cli"
+                for name in importlib.import_module(f"saftlab.{m.name}").__all__}
+    assert {name for name in exported - reached
+            if not any(re.search(rf"\b{name}\b", text) for text in bench)} == TEST_ONLY
 
 
 def _knobs(module) -> dict:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import coarse_sis
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from saftlab.params import (
     require_valid,
     validate,
 )
-from saftlab.sis import build_sis, resolved_band_mask
+from saftlab.sis import resolved_band_mask
 
 ALL_PRESETS = [
     ("ft", dict(n=1)),
@@ -187,7 +188,7 @@ def test_phase_factors_give_a_point_the_same_bits_alone_and_in_a_batch(n):
     phi = sample_generator("gaussian", sampling_grid(2, 4, n=n), sigma=0.5)
     for _ in range(20):
         p = random_params(n, rng)
-        model = build_sis(p, phi, strict=False)
+        model = coarse_sis(p, phi)
         w = rng.uniform(-8.0, 8.0, (400, n))
         for fn in (chirp, modulation, _reduced_points, _physical_points, _offset_phase,
                    lambda _p, x: resolved_band_mask(model, x)):

@@ -53,6 +53,7 @@ from unittest.mock import patch
 import numpy as np
 import phase_oracles as oracle
 import pytest
+from conftest import coarse_sis
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -61,6 +62,7 @@ from saftlab.dynsamp import filter_symbol
 from saftlab.grid import GridFn, SeqFn, mesh, sample_generator, sampling_grid
 from saftlab.params import _reduced_points, inverse_params, preset, random_params
 from saftlab.saft import (
+    DEFAULT_LATTICE_CUTOFF,
     PHASE_BUDGET,
     _phase_sum,
     _seq_phase_sum,
@@ -74,7 +76,7 @@ from saftlab.saft import (
     saft_inverse,
     saft_plan,
 )
-from saftlab.sis import build_sis, resolved_band_mask, spectrum_at
+from saftlab.sis import resolved_band_mask, spectrum_at
 
 EPS = np.finfo(float).eps
 GRID_RTOL = 1e-12
@@ -216,7 +218,7 @@ def test_spectrum_at_inside_and_outside_the_resolved_band(n, data, budget):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     p = random_params(n, rng)
     phi = sample_generator("gaussian", sampling_grid(2, 4, n=n), sigma=0.6)
-    model = build_sis(p, phi, strict=False)
+    model = coarse_sis(p, phi)
     tmpl = model.spectrum
     half = 0.5 * np.asarray(tmpl.shape) * tmpl.spacing
     centre = tmpl.origin + half
@@ -289,8 +291,7 @@ def test_quad_transforms_form_at_most_one_table_row_per_grid_coordinate(budget):
 def test_spectrum_at_uses_the_callback_only_for_the_generator():
     p = preset("ft", 1)
     phi = sample_generator("gaussian", sampling_grid(4, 8), sigma=0.6)
-    exact = build_sis(p, phi, spectrum_fn=lambda w: np.full(w.shape[:-1], 7.0 + 0j),
-                      strict=False)
+    exact = coarse_sis(p, phi, spectrum_fn=lambda w: np.full(w.shape[:-1], 7.0 + 0j))
     w = np.array([[0.1], [0.3]])
     with patch.object(sis, "grid_quadrature", side_effect=AssertionError("quadrature ran")):
         assert np.all(spectrum_at(exact, w) == 7.0)
@@ -432,12 +433,12 @@ def test_poisson_check_matches_chunked_oracle(n, seed, budget, n_out):
                          modulation=list(rng.uniform(-1, 1, n)))
     w = rng.uniform(-2.0, 2.0, (n_out, n))
     with patch.object(saft, "PHASE_BUDGET", budget):
-        got = poisson_check(p, g, w, cutoff=2)
-    ref = oracle.poisson_check(p, g, w, cutoff=2)
+        got = poisson_check(p, g, w)
+    ref = oracle.poisson_check(p, g, w, cutoff=DEFAULT_LATTICE_CUTOFF)
     assert got.lhs.shape == ref.lhs.shape == (n_out,)
     assert got.decayed == ref.decayed
     if n_out:
-        images = (2 * 2 + 1) ** n
+        images = (2 * DEFAULT_LATTICE_CUTOFF + 1) ** n
         k, gk = integer_samples(g)
         lhs_mass = float(np.sum(np.abs(gk))) / np.sqrt(p.abs_det_b)
         assert np.max(np.abs(got.lhs - ref.lhs)) <= _dot_bound(p, w, k, lhs_mass)

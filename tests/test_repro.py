@@ -234,7 +234,7 @@ def test_scenario_window_checks_match_the_oracle():
 
 def test_window_periodization_two_routes():
     sc = _small_scenario(table_kmax=2048)
-    rep = window_periodization_check(sc, grid_n=17)
+    rep = window_periodization_check(sc)
     # residuals are bounded by the discarded tail mass
     bound = max(1e-10, 10 * sc.discarded_l1)
     assert rep["periodization_residual"] < bound
@@ -278,7 +278,7 @@ def test_channel_vandermonde_full_lattice_min_modulus():
 
 def test_run_example_small_pass():
     sc = _small_scenario()
-    report, recovered = run_example(sc, window=((-4, -4), (4, 4)))
+    report, recovered = run_example(sc)
     assert report["verdict"] == "pass"
     assert report["recovery_error"] < 1e-8
     assert report["recovery_error_continuous"] < 1e-6
@@ -294,7 +294,7 @@ def test_run_example_chirped_block_discrete_only():
     rng = np.random.default_rng(12)
     p = random_params(2, rng)
     sc = _small_scenario(params=p)
-    report, recovered = run_example(sc, window=((-4, -4), (4, 4)))
+    report, recovered = run_example(sc)
     assert report["verdict"] == "pass"
     assert report["recovery_error"] < 1e-8
     # the periodization route requires the plain Fourier block
@@ -303,7 +303,7 @@ def test_run_example_chirped_block_discrete_only():
 
 def test_run_example_degenerate_filter_fails_loudly():
     sc = _small_scenario(c1=0.0, c2=0.0)
-    report, recovered = run_example(sc, window=((-4, -4), (4, 4)))
+    report, recovered = run_example(sc)
     assert report["verdict"] == "fail"
     assert recovered is None
     assert report["recovery_error"] is None
@@ -314,8 +314,8 @@ def test_figures_and_report_deterministic(tmp_path):
     sc = _small_scenario()
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    rep1, _ = run_example(sc, outdir=out1, window=((-4, -4), (4, 4)))
-    rep2, _ = run_example(sc, outdir=out2, window=((-4, -4), (4, 4)))
+    rep1, _ = run_example(sc, outdir=out1)
+    rep2, _ = run_example(sc, outdir=out2)
     names = sorted(p.name for p in out1.iterdir())
     assert "report.json" in names
     assert sum(1 for n in names if n.startswith("fig")) == 10
@@ -352,9 +352,8 @@ def _slow_child_fork():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
 def test_report_json_follows_every_complete_figure(tmp_path):
     sc = _small_scenario()
-    window = ((-4, -4), (4, 4))
     with mock.patch.object(os, "fork", _no_fork):
-        run_example(sc, outdir=tmp_path / "alone", window=window)
+        run_example(sc, outdir=tmp_path / "alone")
     want = {p.name: p.read_bytes() for p in (tmp_path / "alone").iterdir()}
     assert sum(name.startswith("fig") for name in want) == 10
 
@@ -367,10 +366,10 @@ def test_report_json_follows_every_complete_figure(tmp_path):
 
     calls = []
     with mock.patch.object(os, "fork", _counted_fork(calls)):
-        run_example(sc, outdir=tmp_path / "forked", window=window)
+        run_example(sc, outdir=tmp_path / "forked")
         with mock.patch.object(Path, "write_text", write_text), \
                 mock.patch.object(os, "fork", _slow_child_fork):
-            run_example(sc, outdir=tmp_path / "slow", window=window)
+            run_example(sc, outdir=tmp_path / "slow")
     assert calls == [os.getpid()]
     for name in ("forked", "slow"):
         assert {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} == want
@@ -385,7 +384,7 @@ def test_an_error_during_the_recovery_reaps_the_figure_child(tmp_path):
     fds, calls = set(os.listdir("/proc/self/fd")), []
     with mock.patch.object(repro, "recover_discrete", fails), \
             mock.patch.object(os, "fork", _counted_fork(calls)), pytest.raises(MemoryError):
-        run_example(_small_scenario(), outdir=tmp_path, window=((-4, -4), (4, 4)))
+        run_example(_small_scenario(), outdir=tmp_path)
     assert calls == [os.getpid()]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -420,7 +419,7 @@ def test_run_example_measures_once_for_both_routes(tmp_path):
                         stack.enter_context(mock.patch.object(
                             module, name, counted(name, getattr(module, name))))
         stack.enter_context(mock.patch.object(os, "fork", _no_fork))
-        report, _ = run_example(_small_scenario(), outdir=tmp_path, window=((-4, -4), (4, 4)))
+        report, _ = run_example(_small_scenario(), outdir=tmp_path)
     assert report["verdict"] == "pass"
     assert report["recovery_error_continuous"] < 1e-9
     assert calls["conv_dd"] <= 5 and calls["downsample"] == 0

@@ -516,13 +516,18 @@ def continuous_solve_grid(
     the reduced q-range (its `solve_grid`: q d / N and q / (N / d) round the
     same rational), and the m channel values per point tile the full DFT
     grid of the window exactly once.  Returns (points, full shape, padded
-    window_lo, reduced q shape).  Any block but plain Fourier raises.
+    window_lo, reduced q shape).  Any block but plain Fourier raises, and so
+    does a lattice matrix that is not diagonal or has a negative entry (the
+    nodes and the coset tiling assume d > 0).
     """
     _require_plain_fourier(params)
     M = lat.M
     diag = np.diag(M)
     if not np.array_equal(M, np.diag(diag)):
         raise ValueError("the periodization route requires a diagonal lattice matrix")
+    if np.any(diag < 0):
+        raise ValueError(f"the periodization route requires positive diagonal entries, "
+                         f"got {diag.tolist()}; |M| generates the same lattice")
     lo = np.asarray(window_lo, dtype=int)
     hi = np.asarray(window_hi, dtype=int)
     shape = hi - lo + 1

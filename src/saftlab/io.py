@@ -41,8 +41,8 @@ child cannot be started or fails, so no output depends on the fork.
 `format_rows` forks for a table of at least two `ROW_CHUNK` chunks: a
 child formats the second half of the rows and sends its text back through
 a pipe.  `_writing_tables`, the writer of ``repro section5``'s figure CSVs,
-forks once for all of them: a child formats and writes every file in one
-process while the caller's recovery runs.
+forks once for all the tables it is given: a child formats and writes every
+file in one process while the caller's recovery runs.
 `write_grid` and `write_sequence` refuse a NaN or infinite value before
 they create the file, since no reader accepts one.
 """

@@ -33,7 +33,7 @@ from .dynsamp import (
     solve_grid,
 )
 from .grid import SeqFn, mesh, sampling_grid
-from .io import _writing_tables
+from .io import _writing_tables, format_rows
 from .lattice import SamplingLattice, build_lattice
 from .params import (SaftParams, _offset_phase, _physical_points, _reduced_points,
                      chirp, modulation, preset, require_valid)
@@ -62,6 +62,9 @@ EXAMPLE_WINDOW = ((-8, -8), (8, 8))
 
 #: `window_periodization_check`'s mesh points per axis of the unit cell
 CHECK_GRID_N = 33
+
+#: the rows of reduced frequencies `_window_checks` evaluates at a time
+_CHECK_ROWS = 1 << 12
 
 #: the smooth window: 1 up to FLAT_END, a taper through the quartic
 #: x^4 (t0 + t1 x + t2 x^2 + t3 x^3) with TAPER = (t0, ..., t3) until SUPPORT_END, 0 beyond
@@ -128,18 +131,15 @@ def tensor_window_samples(
     if t0 == 0:
         raise ValueError("degenerate window: zero center sample")
     rel = np.abs(table) / t0
-    kmax = len(table) - 1
-    k1_list: list[np.ndarray] = []
-    k2_list: list[np.ndarray] = []
-    for k1 in range(kmax + 1):
-        if rel[k1] == 0.0:
-            continue
-        k2 = np.nonzero(rel > threshold / rel[k1])[0]
-        if k2.size:
-            k1_list.append(np.full(k2.size, k1, dtype=np.int64))
-            k2_list.append(k2.astype(np.int64))
-    K1 = np.concatenate(k1_list) if k1_list else np.zeros(0, dtype=np.int64)
-    K2 = np.concatenate(k2_list) if k2_list else np.zeros(0, dtype=np.int64)
+    asc = np.argsort(rel)
+    k1s = np.flatnonzero(rel)
+    counts = rel.size - np.searchsorted(rel[asc], threshold / rel[k1s], side="right")
+    # the k2 that k1 keeps, rel[k2] > threshold / rel[k1], are the first
+    # counts[k1] of the descending order; each run is put back in index order
+    K1 = np.repeat(k1s, counts)
+    K2 = asc[::-1][np.arange(K1.size) - np.repeat(np.cumsum(counts) - counts, counts)]
+    order = np.lexsort((K2, K1))
+    K1, K2 = K1[order], K2[order]
     V = table[K1] * table[K2]
     keys, vals = [], []
     kept_l1 = 0.0
@@ -183,22 +183,30 @@ def _tensor_psi(nu: np.ndarray) -> np.ndarray:
 
 def _window_checks(p: SaftParams, filt: SeqFn, nu0: np.ndarray):
     """(max |(chi_E - 1) a psi| over ``nu0 + lattice_shifts(2, 2)``, the shift
-    sum of psi on ``nu0``'s unit-cell images), from (N, 2, 5) per-axis values."""
+    sum of psi on ``nu0``'s unit-cell images), from (rows, 2, 5) per-axis
+    values, `_CHECK_ROWS` rows of ``nu0`` at a time.  The filter symbol is
+    evaluated once, on the rows of every chunk where (chi_E - 1) psi is
+    nonzero."""
     def per_axis(nu):
         x = nu[:, :, None] + np.arange(-2.0, 3.0)
         return meyer_psi(x), np.abs(x) <= SUPPORT_END
 
-    def tensor(a):  # (N, 25) products in shift order
+    def tensor(a):  # (rows, 25) products in shift order
         return (a[:, 0, :, None] * a[:, 1, None, :]).reshape(-1, 25)
 
-    psi, inside = per_axis(nu0)
-    off = (tensor(inside).astype(float) - 1.0) * tensor(psi)
-    rows = np.flatnonzero(np.any(off, axis=1))
-    sym = filter_symbol(p, filt, nu0[rows, None, :] + lattice_shifts(2, 2))
+    def off(nu):  # (chi_E - 1) psi
+        psi, inside = per_axis(nu)
+        return (tensor(inside).astype(float) - 1.0) * tensor(psi)
+
     phi0 = np.zeros(nu0.shape[0])
-    for term in tensor(per_axis(nu0 - np.floor(nu0))[0]).T:
-        phi0 += term
-    return float(np.max(np.abs(sym * off[rows]), initial=0.0)), phi0
+    live = np.zeros(nu0.shape[0], dtype=bool)
+    for lo in range(0, nu0.shape[0], _CHECK_ROWS):
+        nu = nu0[lo:lo + _CHECK_ROWS]
+        live[lo:lo + _CHECK_ROWS] = np.any(off(nu), axis=1)
+        for term in tensor(per_axis(nu - np.floor(nu))[0]).T:
+            phi0[lo:lo + _CHECK_ROWS] += term
+    sym = filter_symbol(p, filt, nu0[live, None, :] + lattice_shifts(2, 2))
+    return float(np.max(np.abs(sym * off(nu0[live])), initial=0.0)), phi0
 
 
 def build_example(
@@ -265,13 +273,15 @@ def build_example(
     # (masked symbol) x (window) == (full symbol) x (window) at every
     # shifted reduced frequency, because the window vanishes off E; the
     # periodization is 1-periodic, so it is summed on the unit-cell images.
-    # Both come from per-axis window values, with the filter symbol only on
-    # rows where (chi - 1) psi is nonzero, and keep the bits of the full
-    # (N, 25) evaluation: the per-axis values are the same floats as the
-    # broadcast ones; chi - 1 is exactly 0 or -1, and a complex times a real
-    # rounds each part once; a row's 25 symbols are formed as one matmul
-    # batch, as before, and the rows stay in order; the periodization adds
-    # its 25 terms in shift order.
+    # Both come from per-axis window values, in chunks of rows, with the
+    # filter symbol only on rows where (chi - 1) psi is nonzero, and keep
+    # the bits of the full (N, 25) evaluation: the rows are independent and
+    # the per-axis values are the same floats as the broadcast ones; chi - 1
+    # is exactly 0 or -1, and a complex times a real rounds each part once;
+    # the live rows of every chunk go to one `filter_symbol` call, so its
+    # matmul sees the batch it saw before, a row's 25 symbols at a time, and
+    # the rows stay in order; a max is exact; the periodization adds each
+    # row's 25 terms in shift order.
     nu0 = plan.out_template.points().reshape(-1, p.n)
     masking_residual, phi0 = _window_checks(p, filt, nu0)
 
@@ -375,15 +385,14 @@ def _restrict_stems(s: SeqFn, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return keys[keep], vals[keep]
 
 
-def _emit_figures(scenario: ExampleScenario, outdir: Path, levels: list) -> tuple[list, dict]:
-    """Deterministic CSV surfaces for external plotting, as the
-    ``(path, header, block)`` tables of `io._writing_tables`, and their grid
-    sizes for report.json.
+def _emit_figures(scenario: ExampleScenario, outdir: Path) -> tuple[list, dict]:
+    """The figure CSVs but fig10, as the ``(path, header, block)`` tables of
+    `io._writing_tables`, and their grid sizes for report.json.
 
-    Only the arrays are formed here, before any recovery work, so that one
-    forked child can write the text while the recovery runs.  fig05/06 are
-    the coefficients convolved with the generator samples ``levels[0]``,
-    and fig10 is ``levels[1]``, the filter applied once to those samples."""
+    They need no filtered level: fig05/06 are the coefficients convolved
+    with the generator samples ``scenario.phi_samples`` (the level 0 of
+    `filtered_levels`), so one forked child can write the text while the
+    levels and the recovery are computed.  fig10 is `_fig10`."""
     p = scenario.params
     outdir.mkdir(parents=True, exist_ok=True)
     tables = []
@@ -405,7 +414,7 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path, levels: list) -> tupl
     table("fig03_f_real.csv", "x1,x2,value", fpts, fv.real)
     table("fig04_f_imag.csv", "x1,x2,value", fpts, fv.imag)
 
-    keys, vals = _restrict_stems(conv_dd(p, scenario.coeffs, levels[0]), 12)
+    keys, vals = _restrict_stems(conv_dd(p, scenario.coeffs, scenario.phi_samples), 12)
     table("fig05_samples_real.csv", "k1,k2,value", keys, vals.real)
     table("fig06_samples_imag.csv", "k1,k2,value", keys, vals.imag)
 
@@ -418,14 +427,20 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path, levels: list) -> tupl
     gpts = filtered.points().reshape(-1, 2)
     table("fig09_filtered_real.csv", "x1,x2,value", gpts, filtered.values.reshape(-1).real)
 
-    keys, vals = _restrict_stems(levels[1], 12)
-    table("fig10_samples_imag.csv", "k1,k2,value", keys, vals.imag)
-
     return tables, {
         "time_grid": list(scenario.model.phi.shape),
         "spectrum_grid": list(tmpl.shape),
         "f_grid": list(f_grid.shape),
     }
+
+
+def _fig10(outdir: Path, levels: list) -> None:
+    """Write fig10, ``levels[1]`` (the filter applied once to the generator
+    samples) on the stems with max |k_i| <= 12.  Its at most 625 rows are
+    formatted in this process: `format_rows` splits no table that small."""
+    keys, vals = _restrict_stems(levels[1], 12)
+    (outdir / "fig10_samples_imag.csv").write_text(
+        format_rows(["k1,k2,value"], np.column_stack([keys, vals.imag])))
 
 
 def run_example(
@@ -435,10 +450,11 @@ def run_example(
     window `EXAMPLE_WINDOW` along both routes, verify the factorizations,
     and (optionally) emit figure CSVs and report.json.
 
-    With `outdir`, one forked child writes the figure CSVs while the
-    recovery runs (`io._writing_tables`, which writes them in this process
-    when it cannot fork), and report.json is written once every figure is
-    complete.
+    With `outdir`, one forked child writes nine figure CSVs
+    (`_emit_figures`) while this process computes the filtered levels,
+    writes fig10 and runs the recovery (`io._writing_tables`, which writes
+    the nine in this process after the recovery when it cannot fork), and
+    report.json is written once all ten figures are complete.
 
     Returns (report, recovered coefficients or None).  A structurally
     degenerate filter (vanishing symbol differences) produces verdict
@@ -460,15 +476,19 @@ def run_example(
         },
     }
 
-    p = scenario.params
-    levels = filtered_levels(p, scenario.filt, scenario.phi_samples, scenario.lat.m, "cc")
+    def levels():
+        return filtered_levels(scenario.params, scenario.filt, scenario.phi_samples,
+                               scenario.lat.m, "cc")
+
     if outdir is None:
-        return report, _recover(scenario, levels, lo, hi, report)
+        return report, _recover(scenario, levels(), lo, hi, report)
 
     out = Path(outdir)
-    figures, sizes = _emit_figures(scenario, out, levels)
+    figures, sizes = _emit_figures(scenario, out)
     with _writing_tables(figures):
-        recovered = _recover(scenario, levels, lo, hi, report)
+        filtered = levels()
+        _fig10(out, filtered)
+        recovered = _recover(scenario, filtered, lo, hi, report)
     report["sizes"].update(sizes)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report, recovered

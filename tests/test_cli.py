@@ -659,6 +659,19 @@ def test_continuous_recovery_refuses_a_general_block_before_any_field_work(
     assert calls == []
 
 
+def test_continuous_recovery_refuses_a_negative_lattice_entry(work, tmp_path, capsys):
+    # [[-2]] generates the lattice of [[2]]; the route once padded the window
+    # by -2, solved on an empty grid and exited 1 with numpy's "attempt to
+    # get argmin of an empty sequence"
+    line = _refused(capsys, ["dynsamp", "recover", "--params", str(work / "ft1.json"),
+                             "--phi", str(work / "phi1.grid"), "--filter", str(work / "filt1.csv"),
+                             "--M", "[[-2]]", "--measurements", str(work / "meas_cont.csv"),
+                             "--method", "continuous", "--out", str(tmp_path / "r.csv")],
+                    2, "validation failure:")
+    assert "positive diagonal entries, got [-2]" in line
+    assert not any(tmp_path.iterdir())
+
+
 def test_refused_inputs_exit_the_same_as_a_subprocess(work, work2, tmp_path):
     # the exit codes and message lines hold outside the in-process main too
     env = dict(os.environ, PYTHONPATH=str(Path(saftlab.__file__).parents[1]))

@@ -134,6 +134,50 @@ def test_tensor_samples_quadrant_symmetry_and_mass():
     assert len(s2.entries) > len(s.entries)
 
 
+# the sorted window table against the loop it replaced
+
+# t[0..kmax] of an even profile with a nonzero center; ties and exact zeros
+# (both signs) are common
+TABLE_VALUE = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, 1e-3]),
+                        st.floats(-2, 2, allow_subnormal=False))
+TABLE = st.builds(lambda t0, rest: np.array([t0] + rest),
+                  st.floats(0.1, 2) | st.floats(-2, -0.1),
+                  st.lists(TABLE_VALUE, max_size=40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=TABLE, data=st.data())
+def test_tensor_window_samples_match_the_loop(table, data):
+    rel = np.abs(table) / abs(table[0])
+    top = float(np.max(rel)) ** 2
+    # from 0 up to above every product, exact products (the boundary of
+    # the strict comparison) included
+    threshold = data.draw(st.one_of(
+        st.floats(0.0, 1.5 * top),
+        st.just(1.5 * top),
+        st.builds(lambda i, j: float(rel[i % rel.size] * rel[j % rel.size]),
+                  st.integers(0, 100), st.integers(0, 100))))
+    with np.errstate(all="ignore"):
+        got = tensor_window_samples(table, threshold)
+        want = oracle.tensor_window_samples(table, threshold)
+    (gk, gv), (wk, wv) = got[0].as_arrays(), want[0].as_arrays()
+    assert np.array_equal(gk, wk)
+    assert gv.tobytes() == wv.tobytes()
+    assert got[1].hex() == want[1].hex() and got[2].hex() == want[2].hex()
+    if threshold >= 1.5 * top:
+        assert len(got[0]) == 0
+
+
+def test_tensor_window_samples_match_the_loop_on_the_default_table():
+    table = meyer_time_table()
+    got = tensor_window_samples(table, repro.SAMPLE_THRESHOLD)
+    want = oracle.tensor_window_samples(table, repro.SAMPLE_THRESHOLD)
+    assert len(got[0]) == len(want[0]) > 40000
+    assert np.array_equal(got[0].as_arrays()[0], want[0].as_arrays()[0])
+    assert got[0].as_arrays()[1].tobytes() == want[0].as_arrays()[1].tobytes()
+    assert (got[1], got[2]) == (want[1], want[2])
+
+
 # ---------------------------------------------------------------------------
 # scenario construction
 
@@ -230,6 +274,33 @@ def test_scenario_window_checks_match_the_oracle():
     residual, phi0 = oracle.window_checks(p, sc.filt, nu0)
     assert sc.masking_residual == residual == 0.0
     assert sc.phi0_min.hex() == float(np.min(phi0)).hex()
+
+
+def _chirped_nu0():
+    p = random_params(2, np.random.default_rng(31))
+    return p, saft_plan(p, sampling_grid(4.0, 8, n=2)).w_points().reshape(-1, 2) @ p.b_inv.T
+
+
+@pytest.mark.parametrize("rows", [1, 4096, "N"])
+@pytest.mark.parametrize("case", ["scenario", "scenario leaking", "chirped", "chirped leaking"])
+def test_window_checks_keep_their_bits_at_any_chunk_size(monkeypatch, rows, case):
+    if case.startswith("scenario"):
+        # the reduced frequencies build_example checks (B = I)
+        sc = _small_scenario()
+        p, filt = sc.params, sc.filt
+        nu0 = saft_plan(p, sampling_grid(4.0, 8, n=2)).out_template.points().reshape(-1, 2)
+    else:
+        (p, nu0), filt = _chirped_nu0(), SeqFn(2, {(-1, -1): 0.8 + 0.3j, (-1, -2): -0.4 + 0.2j})
+    if case.endswith("leaking"):
+        _leaky_psi(monkeypatch)
+    monkeypatch.setattr(repro, "_CHECK_ROWS", nu0.shape[0] if rows == "N" else rows)
+    calls = []
+    symbol = repro.filter_symbol
+    monkeypatch.setattr(repro, "filter_symbol", lambda *a: calls.append(1) or symbol(*a))
+    residual = _assert_same_bits(filt, nu0, p)
+    # the live rows of every chunk share one symbol batch
+    assert calls == [1]
+    assert (residual > 0) == case.endswith("leaking")
 
 
 def test_window_periodization_two_routes():
@@ -390,6 +461,52 @@ def test_an_error_during_the_recovery_reaps_the_figure_child(tmp_path):
         os.waitpid(-1, os.WNOHANG)
     assert set(os.listdir("/proc/self/fd")) == fds
     assert not (tmp_path / "report.json").exists()
+
+
+def _failing_child_fork():
+    # the child cannot write, so it exits nonzero and the parent falls back
+    pid = real_fork()
+    if pid == 0:
+        Path.write_text = lambda *args, **kwargs: _no_fork()
+    return pid
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks only on Linux")
+@pytest.mark.parametrize("fork", ["forked", "no fork", "child fails"])
+def test_the_figure_child_starts_before_the_levels_and_fig10_precedes_the_report(
+        tmp_path, fork):
+    sc = _small_scenario()
+    run_example(sc, outdir=tmp_path / "want")
+    want = {p.name: p.read_bytes() for p in (tmp_path / "want").iterdir()}
+
+    parent, events, seen = os.getpid(), [], {}
+    real_write, levels = Path.write_text, repro.filtered_levels
+
+    def write_text(self, data, *args, **kwargs):
+        if os.getpid() == parent:
+            events.append(self.name)
+            if self.name == "report.json":
+                seen.update((p.name, p.read_bytes()) for p in self.parent.glob("fig*.csv"))
+        return real_write(self, data, *args, **kwargs)
+
+    def forks(start):
+        def fork():
+            events.append("fork")
+            return start()
+        return fork
+
+    start = {"forked": real_fork, "no fork": _no_fork, "child fails": _failing_child_fork}
+    with mock.patch.object(Path, "write_text", write_text), \
+            mock.patch.object(os, "fork", forks(start[fork])), \
+            mock.patch.object(repro, "filtered_levels",
+                              lambda *a: events.append("levels") or levels(*a)):
+        run_example(sc, outdir=tmp_path / "got")
+    assert {p.name: p.read_bytes() for p in (tmp_path / "got").iterdir()} == want
+    assert seen == {name: data for name, data in want.items() if name.startswith("fig")}
+    # this process writes fig10 while the child writes the other nine, or
+    # writes them itself once the block is over
+    nine = [] if fork == "forked" else sorted(n for n in want if n < "fig10")
+    assert events == ["fork", "levels", "fig10_samples_imag.csv", *nine, "report.json"]
 
 
 def test_run_example_measures_once_for_both_routes(tmp_path):

@@ -275,10 +275,10 @@ def _random_sequence(rng, n: int, count: int = 6, radius: int = 3):
     from .grid import SeqFn
 
     keys = rng.integers(-radius, radius + 1, size=(count, n))
-    entries = {}
-    for k in keys:
-        entries[tuple(int(x) for x in k)] = complex(*rng.normal(size=2))
-    return SeqFn(n=n, entries=entries)
+    vals = rng.normal(size=(count, 2)).view(complex)[:, 0]
+    # a repeated key keeps its last draw
+    _, last = np.unique(keys[::-1], axis=0, return_index=True)
+    return SeqFn.from_arrays(n, keys[count - 1 - last], vals[count - 1 - last])
 
 
 def _random_gaussian(rng, grid):

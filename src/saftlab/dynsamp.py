@@ -53,7 +53,7 @@ from .grid import GridFn, SeqFn, mesh
 from .lattice import SamplingLattice
 from .params import (SaftParams, _fixed_product, _offset_phase, _physical_points, _reduced_points,
                      chirp, modulation, preset, require_valid)
-from .saft import _chirped, dtsaft, grid_phase_sum, integer_samples, lattice_shifts
+from .saft import _chirped, _phase_sum, dtsaft, grid_phase_sum, integer_samples, lattice_shifts
 from .sis import SisModel, spectrum_at
 
 __all__ = [
@@ -267,10 +267,12 @@ def build_B_from_samples(
 
 
 def filter_symbol(p: SaftParams, a, pts_xi: np.ndarray) -> np.ndarray:
-    """Classical frequency symbol of the filter at reduced frequencies."""
+    """Classical frequency symbol of the filter at the reduced frequencies
+    ``pts_xi`` (..., n): a comb by the direct kernel (`saft._phase_sum`), so a
+    point's symbol does not depend on its batch, a grid filter by the grid kernel."""
     if isinstance(a, SeqFn):
         k, v = a.as_arrays()
-        return np.exp(-2j * np.pi * (pts_xi @ k.astype(float).T)) @ v
+        return _phase_sum(pts_xi.reshape(-1, p.n), k.astype(float), v).reshape(pts_xi.shape[:-1])
     axes = [a.axis_coords(i) for i in range(p.n)]
     return grid_phase_sum(pts_xi, axes, a.values * a.cell_volume).reshape(pts_xi.shape[:-1])
 
@@ -283,11 +285,6 @@ def _require_plain_fourier(params: SaftParams) -> None:
             "Fourier block (A = D = 0, B = I, zero offsets); use the "
             "discrete route for general parameter blocks"
         )
-
-
-def _coset_points(lat: SamplingLattice, x: np.ndarray) -> np.ndarray:
-    """The dual-coset points ``M^{-1}(x + gamma_v)``, (..., m, n) for ``x`` (..., n)."""
-    return _fixed_product(x[..., None, :] + np.array(lat.gamma, dtype=float), lat.m_inverse())
 
 
 def build_D(model: SisModel, a, lat: SamplingLattice, wpts) -> MatrixField:
@@ -308,7 +305,7 @@ def build_D(model: SisModel, a, lat: SamplingLattice, wpts) -> MatrixField:
     m = lat.m
     wpts = _as_points(wpts, p.n)
     # the dual-coset points M^{-1}(w + gamma_v), shifted: (Np, m, S, n)
-    pts = _coset_points(lat, wpts)[:, :, None, :] + lattice_shifts(p.n, model.cutoff)
+    pts = lat.coset_points(wpts)[:, :, None, :] + lattice_shifts(p.n, model.cutoff)
     eta_sq = np.conj(modulation(p, pts)) ** 2
 
     base = spectrum_at(model, pts)                                  # (Np, m, S)

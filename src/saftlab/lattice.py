@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SeqFn
+from .params import _fixed_product
 
 __all__ = [
     "SamplingLattice",
@@ -98,7 +99,8 @@ class SamplingLattice:
 
     ``adj`` and ``det`` are the exact integer adjugate and (signed)
     determinant of ``M``, computed once by `build_lattice`; every coset
-    computation goes through `split`.
+    split goes through `split`, and every dual-coset point through
+    `coset_points`.
     """
 
     M: np.ndarray
@@ -116,6 +118,11 @@ class SamplingLattice:
         """Float inverse of M (adjugate over determinant, so exact up to
         one final division)."""
         return self.adj.astype(float) / self.det
+
+    def coset_points(self, x: np.ndarray) -> np.ndarray:
+        """The dual-coset points ``M^{-1}(x + gamma_v)``, (..., m, n) for ``x`` (..., n),
+        summed in a fixed order (`params._fixed_product`) like every frame conversion."""
+        return _fixed_product(x[..., None, :] + np.array(self.gamma, dtype=float), self.m_inverse())
 
     def split(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """Coset decomposition of many integer vectors at once.

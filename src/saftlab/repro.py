@@ -20,7 +20,6 @@ import numpy as np
 from .conv import conv_dd, conv_sd
 from .dynsamp import (
     SAMPLE_THRESHOLD,
-    _coset_points,
     build_B_window,
     build_D,
     continuous_solve_grid,
@@ -184,9 +183,9 @@ def _tensor_psi(nu: np.ndarray) -> np.ndarray:
 def _window_checks(p: SaftParams, filt: SeqFn, nu0: np.ndarray):
     """(max |(chi_E - 1) a psi| over ``nu0 + lattice_shifts(2, 2)``, the shift
     sum of psi on ``nu0``'s unit-cell images), from (rows, 2, 5) per-axis
-    values, `_CHECK_ROWS` rows of ``nu0`` at a time.  The filter symbol is
-    evaluated once, on the rows of every chunk where (chi_E - 1) psi is
-    nonzero."""
+    values, `_CHECK_ROWS` rows of ``nu0`` at a time.  The filter symbol takes
+    one call (each has a fixed cost) on the rows of every chunk where
+    (chi_E - 1) psi is nonzero."""
     def per_axis(nu):
         x = nu[:, :, None] + np.arange(-2.0, 3.0)
         return meyer_psi(x), np.abs(x) <= SUPPORT_END
@@ -273,15 +272,10 @@ def build_example(
     # (masked symbol) x (window) == (full symbol) x (window) at every
     # shifted reduced frequency, because the window vanishes off E; the
     # periodization is 1-periodic, so it is summed on the unit-cell images.
-    # Both come from per-axis window values, in chunks of rows, with the
-    # filter symbol only on rows where (chi - 1) psi is nonzero, and keep
-    # the bits of the full (N, 25) evaluation: the rows are independent and
-    # the per-axis values are the same floats as the broadcast ones; chi - 1
-    # is exactly 0 or -1, and a complex times a real rounds each part once;
-    # the live rows of every chunk go to one `filter_symbol` call, so its
-    # matmul sees the batch it saw before, a row's 25 symbols at a time, and
-    # the rows stay in order; a max is exact; the periodization adds each
-    # row's 25 terms in shift order.
+    # Per-axis values in chunks of rows keep the bits of the full (N, 25)
+    # evaluation: the per-axis values are the same floats as the broadcast
+    # ones, chi - 1 is exactly 0 or -1, a point's symbol does not depend on
+    # its batch, a max is exact, and phi0 adds each row's terms in order.
     nu0 = plan.out_template.points().reshape(-1, p.n)
     masking_residual, phi0 = _window_checks(p, filt, nu0)
 
@@ -353,7 +347,7 @@ def channel_vandermonde(
     product of pairwise differences."""
     p = scenario.params
     pts = np.asarray(wpts, dtype=float).reshape(-1, p.n)
-    beta = filter_symbol(p, scenario.filt, _reduced_points(p, _coset_points(lat, pts) - p.P))
+    beta = filter_symbol(p, scenario.filt, _reduced_points(p, lat.coset_points(pts) - p.P))
     m = lat.m
     det = np.ones(pts.shape[0], dtype=complex)
     for v in range(m):

@@ -39,15 +39,15 @@ point ``w``.  Each site takes the route its sources allow:
   small (`_BOX_PER_KEY` elements per key, half of `PHASE_BUDGET`), else
   directly over the keys.  The gate exists for sparse, wide supports: two
   keys far apart would otherwise allocate and sum a box of zeros;
-* `kernel_quadrature` sums with the direct kernel `_phase_sum`, the oracle
-  the other routes are checked against.  It takes one of two routes.  M
-  sources that repeat their coordinates (``2 sum_i U_i <= M`` for U_i
-  distinct ones on axis i) and fill at least a quarter of their box
-  (``prod_i U_i <= 4M``, n >= 2 axes of two or more each; grids) are
-  scattered once into that dense box, a repeated point's coefficients
-  added, and each output contracts the box with one table of U_i
-  exponentials per axis, last axis first, with no gathers.  All other
-  sources get one phase ``nu.t`` per pair.
+* `kernel_quadrature` and a comb's filter symbol (`dynsamp.filter_symbol`)
+  sum with the direct kernel `_phase_sum`, the oracle the other routes are
+  checked against.  It takes one of two routes.  M sources that repeat
+  their coordinates (``2 sum_i U_i <= M`` for U_i distinct ones on axis i)
+  and fill at least a quarter of their box (``prod_i U_i <= 4M``, n >= 2
+  axes of two or more each; grids) are scattered once into that dense box,
+  a repeated point's coefficients added, and each output contracts the box
+  with one table of U_i exponentials per axis, last axis first, with no
+  gathers.  All other sources get one phase ``nu.t`` per pair.
   The contract: each phase in turns is reduced to its fraction of a turn
   (``arg - rint(arg)`` is exact and leaves ``|arg| <= 1/2``) and formed as a
   real cosine and sine (`_turns`), so forming it adds no error that grows
@@ -76,7 +76,7 @@ import numpy as np
 
 from .grid import COORD_TOL, GridFn, SeqFn, dft, mesh, reciprocal_grid
 from .lattice import SamplingLattice
-from .params import (SaftParams, _fixed_product, _offset_phase, _physical_points, _reduced_points,
+from .params import (SaftParams, _offset_phase, _physical_points, _reduced_points,
                      chirp, inverse_params, modulation, require_valid)
 
 __all__ = [
@@ -280,6 +280,8 @@ def _phase_sum(nu: np.ndarray, k: np.ndarray, coeff: np.ndarray) -> np.ndarray:
     boxes at least a quarter full."""
     rows, m = nu.shape[0], max(1, k.shape[0])
     out = np.empty(rows, dtype=complex)
+    if not rows:    # before np.unique, whose first call imports numpy.ma
+        return out
     # a plain sort counts U_i at a sixth of the inverse's cost, and the
     # count stops at the first column past 2 sum_i U_i <= M, so scattered
     # sources sort one column; only the box takes the inverses
@@ -655,10 +657,8 @@ def downsample_check(
         )
     pts = np.asarray(wpts, dtype=float).reshape(-1, p.n)
     lhs = dtsaft(p, downsample(lat, c), pts)
-    minv = lat.m_inverse()
-    gam = np.array(lat.gamma, dtype=float)
     # u_v = B M^{-1} (B^{-1} w - gamma_v), stacked over cosets
-    u = _physical_points(p, _fixed_product(_reduced_points(p, pts)[:, None, :] - gam, minv))
+    u = _physical_points(p, -lat.coset_points(-_reduced_points(p, pts)))
     coset = np.conj(modulation(p, u)) * dtsaft(p, c, u)
     rhs = modulation(p, pts) * np.sum(coset, axis=1) / lat.m
     # scale by the coset sum's pre-cancellation magnitude: when the sequence

@@ -10,6 +10,9 @@ inside its body; the two source-factor helpers they called
 (`_chirped_input`, `_seq_arrays`) are copied here as they were, since
 ``saftlab.saft`` no longer has them.  ``test_phase_kernels.py`` checks the
 budgeted direct kernel and the separable grid kernel against them.
+`filter_symbol`'s comb branch is also the complex mat-vec ``np.exp(...) @ v``
+that ``saftlab.dynsamp.filter_symbol`` ran on combs before it took the
+direct kernel; being BLAS, it rounds a point by its batch.
 
 `grid_phase_sum` is the separable grid kernel as it was before it formed
 its axis tables and first-axis product once per distinct output

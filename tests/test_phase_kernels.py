@@ -3,10 +3,11 @@
 The oracles in ``phase_oracles.py`` sum one exponential per (output, sample)
 pair, outputs taken 4,096 at a time.  Two kernels replace them:
 
-* the direct kernel (`_phase_sum`, behind `kernel_quadrature` and the
-  sparse side of `_seq_phase_sum`) still sums one term per (output,
-  sample) pair, in chunks sized by an element budget.  Scattered samples
-  get one phase ``nu.t`` per pair, summed elementwise.  Samples that repeat
+* the direct kernel (`_phase_sum`, behind `kernel_quadrature`, the
+  sparse side of `_seq_phase_sum` and `filter_symbol` on combs, where it
+  replaced a complex mat-vec) still sums one term per (output, sample)
+  pair, in chunks sized by an element budget.  Scattered samples get one
+  phase ``nu.t`` per pair, summed elementwise.  Samples that repeat
   their coordinates and fill at least a quarter of their box (a grid) take
   the box route, which contracts the dense box with one table of
   exponentials per (output, distinct coordinate) on each axis, axis by
@@ -145,6 +146,48 @@ def test_filter_symbol_of_a_grid_filter_matches_direct_sum(n, data, budget):
     if len(w):
         mass = float(np.sum(np.abs(g.values))) * g.cell_volume
         assert np.max(np.abs(got - ref)) <= GRID_RTOL * mass
+
+
+@st.composite
+def _comb_case(draw, n: int):
+    """A comb of 1 to 12 distinct taps in [-6, 6]^n, or in 2-D the worked
+    example's taps at (-1, -1) and (-1, -2) with 0.5j and 0.25 + 0.5j and a
+    row at (0.7, 0), whose symbol a BLAS mat-vec rounds by its batch;
+    each of 1 to 30 reduced frequencies comes with a stack of integer
+    shifts, and a permutation of the flattened points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 30))
+    centres = rng.uniform(-3.0, 3.0, (rows, 1, n))
+    if n == 2 and draw(st.booleans()):
+        filt = SeqFn.from_arrays(2, np.array([[-1, -1], [-1, -2]]), [0.5j, 0.25 + 0.5j])
+        centres[0] = (0.7, 0.0)
+    else:
+        keys = np.unique(rng.integers(-6, 7, (draw(st.integers(1, 12)), n)), axis=0)
+        vals = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        filt = SeqFn.from_arrays(n, keys, vals)
+    pts = centres + saft.lattice_shifts(n, draw(st.integers(0, 2)))
+    return filt, pts, rng.permutation(pts.size // n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@SETTINGS
+@given(data=st.data(), budget=_BUDGETS)
+def test_filter_symbol_of_a_comb_does_not_depend_on_the_batch(n, data, budget):
+    # the direct kernel: a point's symbol has the same bits alone, in its
+    # batch and in a permuted flat batch, and it agrees with the mat-vec
+    filt, pts, perm = data.draw(_comb_case(n))
+    p, flat = preset("ft", n), pts.reshape(-1, n)
+    with patch.object(saft, "PHASE_BUDGET", budget):
+        got = filter_symbol(p, filt, pts)
+        alone = np.array([filter_symbol(p, filt, x[None])[0] for x in flat])
+        permuted = filter_symbol(p, filt, flat[perm])
+    assert got.shape == pts.shape[:-1]
+    assert np.array_equal(_bits(got.reshape(-1)), _bits(alone))
+    assert np.array_equal(_bits(got.reshape(-1)[perm]), _bits(permuted))
+    k, v = filt.as_arrays()
+    ref = oracle.filter_symbol(p, filt, pts)
+    bound = _dot_bound(p, flat, k.astype(float), float(np.sum(np.abs(v))))
+    assert np.max(np.abs(got - ref)) <= bound
 
 
 def test_grid_quadrature_on_a_shift_stack():
@@ -770,6 +813,10 @@ def test_phase_sums_of_no_terms_are_zero():
 
 
 def _peak_bytes(fn) -> int:
+    # the first np.unique in a process imports numpy.ma (about 1.1 MiB
+    # traced), which is no part of a kernel's peak
+    import numpy.ma  # noqa: F401
+
     tracemalloc.start()
     try:
         fn()
@@ -789,6 +836,9 @@ def _peak_bytes(fn) -> int:
     # scattered sources: one phase per pair
     pytest.param("scattered", 1, id="direct-scattered"),
     pytest.param("scattered", 2, id="direct-scattered-2"),
+    # a comb's filter symbol: integer taps scattered over a +-500 box
+    pytest.param("comb", 1, id="comb-symbol"),
+    pytest.param("comb", 2, id="comb-symbol-2"),
     # a quarter of the grid: the box route at its cut
     pytest.param("quarter", 1, id="direct-quarter"),
     pytest.param("quarter", 2, id="direct-quarter-2"),
@@ -803,6 +853,10 @@ def test_peak_memory_is_bounded_by_the_budget(kernel, workers):
         vals = rng.normal(size=(side, side)) + 0j
         if kernel == "grid":
             run = lambda: grid_phase_sum(nu, axes, vals)
+        elif kernel == "comb":
+            taps = _keys_in(rng, (1001, 1001), side * side, [-500, -500])
+            comb = SeqFn.from_arrays(2, taps, vals.reshape(-1))
+            run = lambda: filter_symbol(preset("ft", 2), comb, nu)
         else:
             t = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
             coeff = vals.reshape(-1)

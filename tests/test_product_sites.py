@@ -25,8 +25,6 @@ ALLOWED = {
     ("lattice.py", "merge_sequence"),
     # a generator's plane wave and chirp
     ("grid.py", "_gen_gaussian"),
-    # the filter symbol's complex mat-vec, which report.json's bits rest on
-    ("dynsamp.py", "filter_symbol"),
 }
 
 _NAMES = {"matmul", "dot", "einsum"}
@@ -57,6 +55,17 @@ def test_matrix_products_stay_in_the_listed_functions():
     stray = sorted(s for s in sites if s[:2] not in ALLOWED)
     assert not stray, f"matrix products outside the allowed functions: {stray}"
     assert {s[:2] for s in sites} == ALLOWED, "an allowed function no longer forms a product"
+
+
+def test_dual_coset_points_are_formed_in_lattice_alone():
+    # M^{-1} reaches the code only through SamplingLattice.coset_points, so
+    # build_D, the channel Vandermonde and downsample_check share one sum
+    src = Path(saftlab.__file__).parent
+    sites = [(f.name, node.lineno) for f in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(f.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "m_inverse"]
+    assert sites and {name for name, _ in sites} == {"lattice.py"}, sites
 
 
 def _linalg_sites(path: Path, name: str) -> list[tuple[str, int]]:

@@ -336,11 +336,12 @@ def stability_report(field: MatrixField, det_rtol: float = 1e-8) -> StabilityRep
         conds = np.linalg.cond(ent)
     conds = np.where(np.isfinite(conds), conds, np.inf)
     margin = dets - det_rtol * hadamard
-    i_det = int(np.argmin(dets))
+    # |det| ties in exact arithmetic differ in the last bits: take the first node
+    i_det = int(np.argmax(dets <= dets.min() * (1 + 4 * np.finfo(float).eps)))
     max_cond = float(conds.max())
     ok = margin.min() > 0 and max_cond < COND_MAX
     return StabilityReport(
-        min_abs_det=float(dets[i_det]),
+        min_abs_det=float(dets.min()),
         argmin_w=field.wpoints[i_det],
         max_cond=max_cond,
         verdict="pass" if ok else "fail",

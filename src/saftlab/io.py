@@ -30,7 +30,7 @@ Parameter file
 Every CSV body, here and in the CLI and figure writers, goes through one
 codec: `format_rows` writes integers as ``str(int)`` and floats as
 ``repr(float)`` (Python's shortest round-trip form), and `parse_rows` reads
-a table back with one ``np.loadtxt`` call.  `format_rows` formats one
+a table back with ``np.loadtxt``.  `format_rows` formats one
 column at a time; a float column that repeats values, such as a grid
 coordinate, calls ``repr`` once per distinct value, and the bytes are the
 same as one ``repr`` per value.
@@ -38,9 +38,10 @@ same as one ``repr`` per value.
 The package forks in one place, `_forked`, and only on Linux with no other
 Python thread alive; every caller falls back to this process when the
 child cannot be started or fails, so no output depends on the fork.
-`format_rows` forks for a table of at least two `ROW_CHUNK` chunks: a
-child formats the second half of the rows and sends its text back through
-a pipe.  `_writing_tables`, the writer of ``repro section5``'s figure CSVs,
+`format_rows` and `parse_rows` fork for a table of at least two
+`ROW_CHUNK` chunks (`_in_two`): a child formats or parses the second half
+of the rows and sends its text or float64 rows back through a pipe.
+`_writing_tables`, the writer of ``repro section5``'s figure CSVs,
 forks once for all the tables it is given: a child formats and writes every
 file in one process while the caller's recovery runs.
 `write_grid` and `write_sequence` refuse a NaN or infinite value before
@@ -122,12 +123,13 @@ def format_rows(header: list[str], *blocks) -> str:
     each row's text from that table; the output bytes are the same as with
     one ``repr`` per value.  On Linux, with no other Python thread running,
     a table of at least two chunks is formatted in two processes (see
-    `_format_in_two`); when the child cannot be started or fails, this
-    process formats every row, so the bytes never change."""
+    `_in_two`); when the child cannot be started or fails, this process
+    formats every row, so the bytes never change."""
     columns, rows = _columns(blocks)
-    if _may_fork(rows):
-        return _joined(header, _format_in_two(columns, rows))
-    return _joined(header, _format_chunks(columns, 0, rows))
+    return _joined(header, _in_two(
+        rows, lambda lo, hi: _format_chunks(columns, lo, hi),
+        lambda lo, hi: "\n".join(_format_chunks(columns, lo, hi)).encode("ascii"),
+        lambda split, r: _take_text(_format_chunks(columns, 0, split), r)))
 
 
 def _columns(blocks) -> tuple[list, int]:
@@ -153,7 +155,7 @@ def _format_chunks(columns, lo: int, hi: int) -> list[str]:
 
 
 def _may_fork(rows: int) -> bool:
-    """Whether `format_rows` splits a table of `rows` rows between two
+    """Whether `_in_two` splits a table of `rows` rows between two
     processes: at least two chunks (`_forked` decides whether it can)."""
     return rows >= 2 * ROW_CHUNK
 
@@ -179,8 +181,8 @@ def _forked(child, fallback):
                 # Python 3.12+ warns on fork whenever a second OS thread is
                 # alive, and OpenBLAS keeps one from ``import numpy`` on.  The
                 # child is safe all the same as long as it never calls BLAS:
-                # the callers' children only sort, index and format columns
-                # and write the text, and no other Python thread exists.
+                # the callers' children only sort, index, format and parse columns
+                # and send or write the result, and no other Python thread exists.
                 warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded",
                                         DeprecationWarning)
                 pid = os.fork()
@@ -201,43 +203,47 @@ def _forked(child, fallback):
         fallback()
 
 
-def _format_in_two(columns, rows: int) -> list[str]:
-    """`_format_chunks` of all rows: this process formats the first half of
-    the chunks while a `_forked` child formats the second half and sends
-    it back through a pipe as ASCII.
+def _in_two(rows: int, part, send, take):
+    """``part(0, rows)``, in two processes when `_may_fork`: a `_forked`
+    child sends ``send(split, rows)`` down a pipe while ``take(split, r)``
+    does the first rows here and joins the child's from the read end `r`.
+    When the child cannot be started or fails, or `take` returns None, this
+    process runs ``part(0, rows)``, so no output depends on the fork.
 
     The read end is closed before the child is reaped on every path, so a
-    child blocked on a full pipe gets EPIPE and exits instead of hanging.
-    The tail's bytes are decoded one pipe read at a time, so this process
-    never holds the tail as bytes and as str at once."""
+    child blocked on a full pipe gets EPIPE and exits instead of hanging."""
+    if not _may_fork(rows):
+        return part(0, rows)
     split = ROW_CHUNK * (math.ceil(rows / ROW_CHUNK) // 2)
     try:
         r, w = os.pipe()
     except OSError:
-        return _format_chunks(columns, 0, rows)
-    chunks: list[str] = []
+        return part(0, rows)
+    got = []
 
     def send_tail():
         os.close(r)
-        data = memoryview("\n".join(_format_chunks(columns, split, rows)).encode("ascii"))
+        data = memoryview(send(split, rows)).cast("B")
         while data:
             data = data[os.write(w, data):]
 
-    def format_all():
-        chunks[:] = _format_chunks(columns, 0, rows)
-
-    with _forked(send_tail, format_all) as started:
+    with _forked(send_tail, got.clear) as started:
         try:
             os.close(w)
             if started:
-                chunks.extend(_format_chunks(columns, 0, split))
-                pieces = []
-                while piece := os.read(r, 1 << 16):
-                    pieces.append(piece.decode("ascii"))
-                chunks.append("".join(pieces))
+                got.append(take(split, r))
         finally:
             os.close(r)
-    return chunks
+    return got[0] if got and got[0] is not None else part(0, rows)
+
+
+def _take_text(chunks: list[str], r: int) -> list[str]:
+    """`chunks` and the child's text, decoded one pipe read at a time so
+    that it is never held as bytes and as str at once."""
+    pieces = []
+    while piece := os.read(r, 1 << 16):
+        pieces.append(piece.decode("ascii"))
+    return chunks + ["".join(pieces)]
 
 
 @contextmanager
@@ -308,8 +314,7 @@ def write_grid(path, g: GridFn) -> None:
 
 
 def read_grid(path) -> GridFn:
-    text = Path(path).read_text()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = list(filter(None, map(str.strip, Path(path).read_text().splitlines())))
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a {_MAGIC} file")
     header: dict[str, str] = {}
@@ -356,7 +361,7 @@ def write_sequence(path, s: SeqFn) -> None:
 def _data_lines(path) -> list[str]:
     """The stripped, non-blank lines of the CSV file at `path`, without its
     optional ``k1,...`` header line."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = list(filter(None, map(str.strip, Path(path).read_text().splitlines())))
     return lines[1:] if lines and lines[0].lower().startswith("k1") else lines
 
 
@@ -386,16 +391,34 @@ def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarr
     """CSV rows ``i_1,...,i_width,re,im`` (stripped, none blank): the
     (K, width) int64 columns and the K finite complex values.
 
-    One ``np.loadtxt`` call parses the whole table.  A table it rejects, or
-    one of the wrong width, raises ValueError naming the file and the first
-    row that is not ``width + 2`` numbers (such as ``1_0`` or ``#``) as a
-    1-based data row, like `require_finite`.  Index fields are read as
-    floats; one that is not an integer in int64's range is refused by row.
+    ``np.loadtxt`` parses the table, a large one in two processes (see
+    `_in_two`) that fill one table: a child's half is read straight into
+    it.  A table ``np.loadtxt`` rejects, or one of the wrong width, raises
+    ValueError naming the file and the first row that is not ``width + 2``
+    numbers (such as ``1_0`` or ``#``) as a 1-based data row, like
+    `require_finite`.  Index fields are read as floats; one that is not an
+    integer in int64's range is refused by row.
     """
     if not lines:
         return np.zeros((0, width), dtype=np.int64), np.zeros(0, dtype=complex)
+
+    def load(lo, hi):
+        return np.loadtxt(lines[lo:hi], delimiter=",", ndmin=2, comments=None)
+
+    def take(split, r):     # None unless r holds exactly the rows from split on
+        table = np.empty((len(lines), width + 2))
+        for lo in range(0, split, ROW_CHUNK):       # no second copy of the half
+            chunk = load(lo, lo + ROW_CHUNK)
+            if chunk.shape != (ROW_CHUNK, width + 2):
+                return None
+            table[lo:lo + ROW_CHUNK] = chunk
+        tail = memoryview(table[split:]).cast("B")
+        while tail and (got := os.readv(r, [tail])):
+            tail = tail[got:]
+        return None if tail or os.read(r, 1) else table
+
     try:
-        table = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
+        table = _in_two(len(lines), load, load, take)
     except ValueError:
         raise _bad_row(path, lines, width) from None
     if table.shape[1] != width + 2:

@@ -184,6 +184,21 @@ def test_stability_report_pass_and_margin_knob():
     assert not stability_report(field, det_rtol=1e3).ok
 
 
+@pytest.mark.parametrize("order", [(2, 3), (3, 2)])
+def test_nodes_tied_within_rounding_report_the_first_node(order):
+    # nodes 2 and 3 differ by one ulp, in either order; node 1 is 16 eps
+    # above the minimum, outside the 4 eps tie
+    low = 0.8885263529672334
+    dets = np.empty(5)
+    dets[[0, 1, 4]] = 3.0, low * (1 + 16 * np.finfo(float).eps), 2.0
+    dets[list(order)] = low, np.nextafter(low, 1.0)
+    field = MatrixField(wpoints=np.arange(10.0).reshape(5, 2) / 10,
+                        entries=dets.astype(complex).reshape(5, 1, 1))
+    rep = stability_report(field)
+    assert rep.argmin_w.tolist() == [0.4, 0.5]
+    assert rep.min_abs_det == low
+
+
 def test_even_filter_even_generator_is_singular_at_band_midpoint():
     # a symmetric filter on a symmetric generator makes two channels
     # proportional at the frequency where the filter symbol vanishes; the

@@ -260,6 +260,18 @@ def test_two_processes_write_the_one_process_bytes(data, chunk, chunks, off, hea
             serial = format_rows(head, keys, block) if ints else format_rows(head, block)
     assert calls == ([os.getpid()] if rows >= 2 * chunk else [])
     assert text == serial == _per_row_text(head, block, keys)
+    # the reader splits the same cut: k..., b, c parsed back bit for bit
+    lines, calls[:] = [ln for ln in format_rows([], keys, block[:, 1:]).splitlines() if ln], []
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", chunk), \
+            mock.patch.object(os, "fork", _forks(calls)):
+        index, vals = parse_rows("t.csv", lines, ints)
+        with mock.patch.object(saftlab.io, "_may_fork", lambda rows: False):
+            serial = parse_rows("t.csv", lines, ints)
+    assert calls == ([os.getpid()] if rows >= 2 * chunk else [])
+    assert index.dtype == serial[0].dtype and index.shape == serial[0].shape == (rows, ints)
+    np.testing.assert_array_equal(index, serial[0])
+    np.testing.assert_array_equal(_bits(vals), _bits(serial[1]))
+    np.testing.assert_array_equal(_bits(vals), _bits(block[:, 1:].copy().view(complex)[:, 0]))
     assert _no_child_left()
 
 
@@ -267,10 +279,12 @@ def test_two_processes_write_the_one_process_bytes(data, chunk, chunks, off, hea
 def test_a_large_table_forks_once_and_leaves_no_child_or_descriptor():
     block = np.random.default_rng(3).standard_normal((2 * saftlab.io.ROW_CHUNK + 5, 2))
     fds, calls = _open_fds(), []
-    with mock.patch.object(os, "fork", _forks(calls)):
+    with mock.patch.object(os, "fork", _forks(calls)):      # once to write, once to read
         text = format_rows(["re,im"], block)
-    assert calls == [os.getpid()]
+        vals = parse_rows("t.csv", text.splitlines()[1:], 0)[1]
+    assert calls == [os.getpid()] * 2
     assert text == _per_row_text(["re,im"], block)
+    np.testing.assert_array_equal(_bits(vals), _bits(block.view(complex)[:, 0]))
     assert _no_child_left()
     assert _open_fds() == fds
 
@@ -307,6 +321,66 @@ def test_a_failed_fork_or_child_falls_back_to_one_process(call, fake):
     fds = _open_fds()
     with mock.patch.object(saftlab.io, "ROW_CHUNK", 8), mock.patch.object(os, call, fake):
         assert format_rows(["re,im"], block) == want
+        vals = parse_rows("t.csv", want.splitlines()[1:], 0)[1]
+    np.testing.assert_array_equal(_bits(vals), _bits(block.view(complex)[:, 0]))
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+@linux_only
+@pytest.mark.parametrize("cut", [lambda t: t[:-1], lambda t: np.vstack([t, t[:1]])])
+def test_a_child_table_of_the_wrong_size_is_not_used(cut):
+    # the child exits 0 but sends one row too few or too many
+    block = np.random.default_rng(9).standard_normal((40, 2))
+    lines = format_rows([], block).splitlines()
+    real, parent, fds = np.loadtxt, os.getpid(), _open_fds()
+
+    def loadtxt(*args, **kwargs):
+        table = real(*args, **kwargs)
+        return table if os.getpid() == parent else cut(table)
+
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", 8), mock.patch.object(np, "loadtxt", loadtxt):
+        vals = parse_rows("t.csv", lines, 0)[1]
+    np.testing.assert_array_equal(_bits(vals), _bits(block.view(complex)[:, 0]))
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+def _bad_row_error(lines, width, **patches) -> str:
+    with mock.patch.multiple(saftlab.io, **patches), pytest.raises(ValueError) as exc:
+        parse_rows("t.csv", lines, width)
+    return str(exc.value)
+
+
+@linux_only
+@pytest.mark.parametrize("bad", ["1_0,1.0,0.0", "0,1.0", "0,1.0,0.0,2.0", "0.5,1.0,0.0",
+                                 "0,nan,0.0", "0,1.0,-inf"])
+@pytest.mark.parametrize("at", [0, 15, 16, 17, 39])
+def test_a_bad_row_in_either_half_names_the_row_as_one_process_does(bad, at):
+    # 40 rows in chunks of 8: this process parses rows 0-15, the child 16-39
+    lines = [f"{k},{k}.5,-0.25" for k in range(40)]
+    lines[at] = bad
+    calls, fds = [], _open_fds()
+    with mock.patch.object(os, "fork", _forks(calls)):
+        two = _bad_row_error(lines, 1, ROW_CHUNK=8)
+    assert calls == [os.getpid()]
+    assert two == _bad_row_error(lines, 1, ROW_CHUNK=8, _may_fork=lambda rows: False)
+    assert f"t.csv: data row {at + 1} ({bad!r})" in two
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+@linux_only
+@pytest.mark.parametrize("row", ["{},1.0", "{}"])
+@pytest.mark.parametrize("rows", [range(8, 16), range(16, 40)])
+def test_a_chunk_or_half_of_the_wrong_width_names_its_first_row(rows, row):
+    # each part parses alone, but this process's chunk 8-15 or the child's
+    # half 16-39 has two columns or one (which would broadcast), not three
+    lines = [row.format(k) if k in rows else f"{k},{k}.5,-0.25" for k in range(40)]
+    fds = _open_fds()
+    two = _bad_row_error(lines, 1, ROW_CHUNK=8)
+    assert two == _bad_row_error(lines, 1, ROW_CHUNK=8, _may_fork=lambda rows: False)
+    assert f"t.csv: data row {rows[0] + 1} ({lines[rows[0]]!r}) needs 1 index columns" in two
     assert _no_child_left()
     assert _open_fds() == fds
 
@@ -345,6 +419,33 @@ def test_an_error_in_the_parent_reaps_a_child_blocked_on_a_full_pipe():
 
 
 @linux_only
+def test_an_error_in_the_parent_reaps_a_child_blocked_on_a_full_parse_pipe():
+    # the child's 20,000 rows are 320 KiB of float64, far over a pipe's 64 KiB
+    lines = format_rows([], np.random.default_rng(5).standard_normal((40_000, 2))).splitlines()
+    real, parent = np.loadtxt, os.getpid()
+
+    def loadtxt(*args, **kwargs):
+        if os.getpid() == parent:
+            raise MemoryError
+        return real(*args, **kwargs)
+
+    def hung(signum, frame):
+        raise TimeoutError("the child was never reaped")
+
+    fds, previous = _open_fds(), signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with mock.patch.object(saftlab.io, "ROW_CHUNK", 1000), \
+                mock.patch.object(np, "loadtxt", loadtxt), pytest.raises(MemoryError):
+            parse_rows("t.csv", lines, 0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+@linux_only
 def test_no_fork_while_another_thread_runs(tmp_path):
     block = np.random.default_rng(6).standard_normal((40, 2))
     stop, calls = threading.Event(), []
@@ -354,6 +455,7 @@ def test_no_fork_while_another_thread_runs(tmp_path):
         with mock.patch.object(saftlab.io, "ROW_CHUNK", 8), \
                 mock.patch.object(os, "fork", _forks(calls)):
             text = format_rows(["re,im"], block)
+            vals = parse_rows("t.csv", text.splitlines()[1:], 0)[1]
         tables = _tables(tmp_path)
         with mock.patch.object(os, "fork", _forks(calls)), saftlab.io._writing_tables(tables):
             pass
@@ -363,6 +465,7 @@ def test_no_fork_while_another_thread_runs(tmp_path):
     assert not thread.is_alive()
     assert calls == []
     assert text == _per_row_text(["re,im"], block)
+    np.testing.assert_array_equal(_bits(vals), _bits(block.view(complex)[:, 0]))
     _assert_written(tables)
 
 

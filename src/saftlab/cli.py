@@ -73,6 +73,13 @@ def _positive(kind):
     return positive
 
 
+def _seed(text: str) -> int:
+    """argparse type: a seed of ``np.random.default_rng``, an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_axis_specs(text: str, what: str) -> list[tuple[float, float, int]]:
     """Parse ``lo:hi:count`` per axis, comma-separated."""
     out = []
@@ -663,7 +670,7 @@ def _add_common(sp, *, out: bool = True, tol: bool = False, seed: bool = False) 
         sp.add_argument("--tol", type=_positive(float), default=None,
                         help="override the default tolerance of this command")
     if seed:
-        sp.add_argument("--seed", type=int, default=0,
+        sp.add_argument("--seed", type=_seed, default=0,
                         help="seed for the randomized trials")
     if out:
         sp.add_argument("--out", default=None,

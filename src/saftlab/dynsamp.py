@@ -36,6 +36,9 @@ solvers take the same `MeasurementSet`: there the chirp is 1 and
 ``|det B| = 1``, so the channels are the plain integer samples
 ``h_j = (a^j * f)|_Z^n`` kept on ``M^T Z^n``.
 
+The coset index is an array axis, not a loop: one split and one FFT per
+level for the B field, one inverse DFT and one transpose for the solves.
+
 Everything accepts filters as either grid functions or finitely supported
 coefficient sequences (point-mass combs); the comb route is exact and is
 what the worked-example reproduction uses.
@@ -209,18 +212,21 @@ def generator_coset_samples(
     params: SaftParams,
     lat: SamplingLattice,
     phi_j_samples: SeqFn,
-) -> list[SeqFn]:
-    """Coset subsequences of integer generator samples, one per ``eta_l``:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coset subsequences of integer generator samples as arrays ``(l, r,
+    values)``: ``values[i] = phi_l^j(r[i])`` with ``l = l[i]`` and
     ``phi_l^j(r) = phi_j(M^T r - eta_l) * lam(M^T r - eta_l)``.
 
     ``phi_j_samples`` holds integer samples of the filtered generator (keys
     are the integer points); each key ``k`` lands in the one coset with
-    ``k + eta_l = M^T r``, found by a single split of ``-k``.
+    ``k + eta_l = M^T r``, found by a single split of ``-k``.  Rows are
+    sorted by coset, then lexicographically by ``r``: each coset's slice is
+    in the order a `SeqFn` of it would store.
     """
     keys, vals = phi_j_samples.as_arrays()
-    r, j = lat.split(-keys)                     # -k = M^T r'' + eta_l, r = -r''
-    vals = vals * chirp(params, keys.astype(float))
-    return [SeqFn.from_arrays(lat.n, -r[j == l], vals[j == l]) for l in range(lat.m)]
+    r, l = lat.split(-keys)                     # -k = M^T r'' + eta_l, r = -r''
+    order = np.lexsort((*(-r).T[::-1], l))
+    return l[order], -r[order], (vals * chirp(params, keys.astype(float)))[order]
 
 
 def sampled_generator(g: GridFn) -> SeqFn:
@@ -255,14 +261,12 @@ def build_B_from_samples(
     require_valid(params)
     p = params
     wpts = _as_points(wpts, p.n)
-    m = lat.m
-    J = len(phi_levels)
-    entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
+    entries = np.zeros((wpts.shape[0], len(phi_levels), lat.m), dtype=complex)
     for j, samples in enumerate(phi_levels):
-        for l, phi_lj in enumerate(generator_coset_samples(p, lat, samples)):
-            rk, rv = phi_lj.as_arrays()
-            corrected = SeqFn.from_arrays(p.n, rk, rv * np.conj(chirp(p, rk.astype(float))))
-            entries[:, j, l] = dtsaft(p, corrected, wpts)
+        l, rk, rv = generator_coset_samples(p, lat, samples)
+        rv = rv * np.conj(chirp(p, rk.astype(float)))          # chirp-corrected
+        for c in range(lat.m):
+            entries[:, j, c] = dtsaft(p, SeqFn.from_arrays(p.n, rk[l == c], rv[l == c]), wpts)
     return MatrixField(wpoints=wpts, entries=entries)
 
 
@@ -373,16 +377,14 @@ def solve_grid(
 
 def _folded_fft(p: SaftParams, keys: np.ndarray, weights: np.ndarray, shape: tuple) -> np.ndarray:
     """Weighted integer keys accumulated into an index box modulo its
-    extents, then one FFT over the box, over ``sqrt|det B|``."""
-    box = np.zeros(shape, dtype=complex)
-    if keys.size:
-        idx = np.ravel_multi_index(tuple((keys % np.array(shape)).T), shape)
-        size = int(np.prod(shape))
-        box = (
-            np.bincount(idx, weights=weights.real, minlength=size)
-            + 1j * np.bincount(idx, weights=weights.imag, minlength=size)
-        ).reshape(shape)
-    return np.fft.fftn(box) / np.sqrt(p.abs_det_b)
+    extents, then one FFT over the box's last ``p.n`` axes, over ``sqrt|det B|``."""
+    idx = np.ravel_multi_index(tuple((keys % np.array(shape)).T), shape)
+    size = int(np.prod(shape))
+    box = (
+        np.bincount(idx, weights=weights.real, minlength=size)
+        + 1j * np.bincount(idx, weights=weights.imag, minlength=size)
+    ).reshape(shape)
+    return np.fft.fftn(box, axes=tuple(range(-p.n, 0))) / np.sqrt(p.abs_det_b)
 
 
 def folded_dt_values(p: SaftParams, s: SeqFn, shape: tuple) -> np.ndarray:
@@ -407,35 +409,31 @@ def build_B_window(
     """Discrete-characterization field on a recovery window's solve grid.
 
     Matches `build_B_from_samples` evaluated on `solve_grid` points, but
-    computes each entry by index folding plus one FFT, which stays cheap
-    for very large generator-sample supports.  The coset chirp and the
-    transform chirp cancel exactly, leaving only the offset phase.
+    folds each level into one box per coset and runs one FFT over them, which
+    stays cheap for very large generator-sample supports.  The coset chirp
+    and the transform chirp cancel exactly, leaving only the offset phase.
     """
     require_valid(params)
     p = params
     wpts, shape, lo = solve_grid(p, window_lo, window_hi)
-    m = lat.m
-    J = len(phi_levels)
     eta_flat = modulation(p, wpts)
-    entries = np.zeros((wpts.shape[0], J, m), dtype=complex)
+    entries = np.zeros((wpts.shape[0], len(phi_levels), lat.m), dtype=complex)
     for j, samples in enumerate(phi_levels):
-        for l, phi_lj in enumerate(generator_coset_samples(p, lat, samples)):
-            rk, rv = phi_lj.as_arrays()
-            wts = rv * np.exp(2j * np.pi * _offset_phase(p, rk))
-            entries[:, j, l] = eta_flat * _folded_fft(p, rk, wts, shape).reshape(-1)
+        l, rk, rv = generator_coset_samples(p, lat, samples)
+        wts = rv * np.exp(2j * np.pi * _offset_phase(p, rk))
+        boxes = _folded_fft(p, np.column_stack([l, rk]), wts, (lat.m, *shape))
+        entries[:, j, :] = (eta_flat * boxes.reshape(lat.m, -1)).T
     return MatrixField(wpoints=wpts, entries=entries)
 
 
 def _invert_window_dft(Z: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Values y(lo + idx) from samples of Y(xi_q) = sum_r y(r) e^{-2 i pi r.xi_q}."""
-    shape = Z.shape
-    W = Z.copy()
-    for i, N in enumerate(shape):
+    """Values y(lo + idx) from samples of Y(xi_q) = sum_r y(r) e^{-2 i pi r.xi_q}
+    on the last ``len(lo)`` axes of ``Z`` (any leading axes index a batch)."""
+    n = len(lo)
+    for i, N in enumerate(Z.shape[-n:]):
         ph = np.exp(2j * np.pi * lo[i] * np.arange(N) / N)
-        sl = [None] * len(shape)
-        sl[i] = slice(None)
-        W = W * ph[tuple(sl)]
-    return np.fft.ifftn(W)
+        Z = Z * ph.reshape((N,) + (1,) * (n - 1 - i))
+    return np.fft.ifftn(Z, axes=tuple(range(-n, 0)))
 
 
 def _thresholded(n: int, keys: np.ndarray, vals: np.ndarray) -> SeqFn:
@@ -488,17 +486,13 @@ def recover_discrete(
                lambda v: eta_w**2 * folded_dt_values(p, v, shape).reshape(-1))
 
     rmesh = _window_mesh(lo, lo + np.array(shape) - 1)
-    mtr = _fixed_product(rmesh, lat.M.T)                    # M^T r, exact in int64
+    # keys M^T r + eta_l, coset by coset, exact in int64
+    keys = _fixed_product(rmesh, lat.M.T) + np.array(lat.eta, dtype=np.int64)[:, None, :]
     offset = np.exp(-2j * np.pi * _offset_phase(p, rmesh))
-    sqrt_d = np.sqrt(p.abs_det_b)
-    keys, vals = [], []
-    for l in range(lat.m):
-        Z = (sqrt_d * np.conj(eta_w) * X[:, l]).reshape(shape)
-        sig_c = _invert_window_dft(Z, lo).reshape(-1)
-        k = mtr + np.array(lat.eta[l], dtype=np.int64)
-        keys.append(k)
-        vals.append(sig_c * offset * np.conj(chirp(p, k.astype(float))))
-    return _thresholded(p.n, np.concatenate(keys), np.concatenate(vals))
+    Z = (np.sqrt(p.abs_det_b) * np.conj(eta_w) * X.T).reshape(lat.m, *shape)
+    sig_c = _invert_window_dft(Z, lo).reshape(lat.m, -1)
+    vals = sig_c * offset * np.conj(chirp(p, keys.astype(float)))
+    return _thresholded(p.n, keys.reshape(-1, p.n), vals.reshape(-1))
 
 
 def continuous_solve_grid(
@@ -556,27 +550,18 @@ def recover_continuous(
     p = ms.params
     lat = ms.lat
     wpts, shape, lo, qshape = continuous_solve_grid(p, lat, window[0], window[1])
-    m = lat.m
     # the solve nodes are w = q*diag/N, i.e. reduced nodes q/qshape for the
     # channel sequences on M^T Z^n, so the folded evaluator applies; the
     # conj(eta) of the identity cancels the transform's own eta exactly
     C = _solve(ms, Dfield, wpts, "continuous solve grid; build it on "
                "dynsamp.continuous_solve_grid(...) points", "periodization",
-               lambda v: m * folded_dt_values(p, v, qshape).reshape(-1))
+               lambda v: lat.m * folded_dt_values(p, v, qshape).reshape(-1))
 
-    # scatter the channel values onto the full DFT grid of the window
-    full = np.zeros(shape, dtype=complex)
-    filled = np.zeros(shape, dtype=bool)
-    q_idx = mesh([np.arange(Nq) for Nq in qshape]).reshape(-1, lat.n)
-    for v in range(m):
-        # reduced node q/N plus the coset offset gamma_v/diag lands on the
-        # full-grid node (q + N*gamma_v/diag)/N, and N/diag = qshape exactly
-        offs = np.array(qshape) * np.array(lat.gamma[v])
-        pidx = (q_idx + offs[None, :]) % np.array(shape)[None, :]
-        full[tuple(pidx.T)] = C[:, v]
-        filled[tuple(pidx.T)] = True
-    if not np.all(filled):
-        raise AssertionError("frequency tiling left holes; window padding bug")
+    # reduced node q/N plus the coset offset gamma_v/diag is the full-grid node
+    # (q + N*gamma_v/diag)/N with N/diag = qshape, and the gamma_v of a positive
+    # diagonal M run over prod [0, d_i) in C order: full-grid axis i is (gamma_i, q_i)
+    axes = [a for i in range(lat.n) for a in (lat.n + i, i)]
+    full = C.reshape(*qshape, *np.diag(lat.M)).transpose(axes).reshape(shape)
     swin = _invert_window_dft(full, lo)
     keys = _window_mesh(lo, lo + np.array(shape) - 1)
     return _thresholded(p.n, keys, swin.reshape(-1))

@@ -437,15 +437,22 @@ def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarr
 
 def _bad_row(path, lines: list[str], width: int) -> ValueError:
     """The error naming the first row that ``np.loadtxt`` cannot read alone
-    as ``width + 2`` numbers; called only for a table it rejected."""
-    for i, ln in enumerate(lines):
+    as ``width + 2`` numbers; called only for a table it rejected.  Rows are
+    read `ROW_CHUNK` at a time, and one by one only in the first chunk that
+    is not a table of that width."""
+    def fault(rows):
         try:
-            if np.loadtxt([ln], delimiter=",", comments=None).size == width + 2:
-                continue
-            what = f"needs {width} index columns and re,im"
+            if np.loadtxt(rows, delimiter=",", ndmin=2, comments=None).shape[1] == width + 2:
+                return None
+            return f"needs {width} index columns and re,im"
         except ValueError:
-            what = "has a field that is not a number"
-        return ValueError(f"{path}: data row {i + 1} ({ln!r}) {what}")
+            return "has a field that is not a number"
+
+    for lo in range(0, len(lines), ROW_CHUNK):
+        if fault(lines[lo:lo + ROW_CHUNK]):
+            for i, ln in enumerate(lines[lo:lo + ROW_CHUNK], lo):
+                if what := fault([ln]):
+                    return ValueError(f"{path}: data row {i + 1} ({ln!r}) {what}")
     return ValueError(f"{path}: rows need {width} index columns and re,im")
 
 

@@ -5,8 +5,9 @@ Each writer formats one value at a time with ``repr``; each reader converts
 one field at a time with ``float``.  The CLI writers are the row-building
 parts of the ``dtsaft``, ``sis``, ``dynsamp check`` and ``verify`` commands,
 joined as the old ``_emit_rows`` joined them.  `write_sequence` always
-writes its header, as the library's does now.  ``test_io.py`` checks the
-codec against them.
+writes its header, as the library's does now.  `bad_row` is the search
+for a rejected table's first bad row, one row at a time, before it went a
+chunk at a time.  ``test_io.py`` checks the codec against them.
 """
 
 from __future__ import annotations
@@ -151,3 +152,17 @@ def dynsamp_check_text(header: list[str], wpoints, entries, abs_det, cond) -> st
         cells.append(repr(float(cond[i])) if np.isfinite(cond[i]) else "inf")
         rows.append(",".join(cells))
     return emit_text(header, rows)
+
+
+def bad_row(path, lines: list[str], width: int) -> ValueError:
+    """The error naming the first row that ``np.loadtxt`` cannot read alone
+    as ``width + 2`` numbers; called only for a table it rejected."""
+    for i, ln in enumerate(lines):
+        try:
+            if np.loadtxt([ln], delimiter=",", comments=None).size == width + 2:
+                continue
+            what = f"needs {width} index columns and re,im"
+        except ValueError:
+            what = "has a field that is not a number"
+        return ValueError(f"{path}: data row {i + 1} ({ln!r}) {what}")
+    return ValueError(f"{path}: rows need {width} index columns and re,im")

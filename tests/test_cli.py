@@ -715,6 +715,17 @@ def test_usage_errors_exit_64(capsys):
     assert main(["verify", "--theorem", "nope"]) == 64
 
 
+@pytest.mark.parametrize("argv", [["verify", "--theorem", "dd", "--trials", "1"], ["selftest"]])
+def test_a_negative_seed_is_a_usage_error_and_zero_a_seed(capsys, argv):
+    # np.random.default_rng refuses a negative seed; the parser refuses it first
+    for seed in ("-1", "x"):
+        assert main(argv + ["--seed", seed]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: saftlab")
+        assert f"argument --seed: must be a non-negative integer, got '{seed}'" in captured.err
+    assert main(argv + ["--seed", "0"]) == 0
+
+
 def test_removed_threads_flag_is_a_usage_error(capsys):
     # the flag set BLAS variables after numpy had loaded, so it did nothing
     assert main(["selftest", "--threads", "2"]) == 64

@@ -18,6 +18,8 @@ import dynsamp_oracles as oracle
 import numpy as np
 import pytest
 from conftest import coarse_sis
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import saftlab
 from saftlab.dynsamp import (
@@ -407,6 +409,82 @@ def test_recover_continuous_refuses_a_wrong_channel_count_like_recover_discrete(
     with pytest.raises(ValueError) as want:
         recover_discrete(one, build_B_window(p, lat, lo, hi, levels), window=(lo, hi))
     assert str(err.value) == str(want.value) == "need 2 channels for a square system, got 1"
+
+
+# the coset index as an array axis, bit for bit against the per-coset loops
+
+#: sheared and negative-determinant lattices in 1-D, 2-D and 3-D
+COSET_LATTICES = [
+    [[2]], [[3]], [[-2]],
+    [[2, 0], [0, 2]], [[2, 1], [0, 3]], [[1, 2], [3, 1]],
+    [[1, 1, 0], [0, 2, 1], [1, 0, 2]], [[0, 1, 0], [1, 0, 0], [0, 0, 2]],
+]
+
+#: positive diagonals with unequal entries, the periodization route's lattices
+DIAGONALS = [(2,), (3,), (1, 2), (2, 1), (3, 2), (2, 3), (1, 2, 3), (2, 1, 2)]
+
+COSET_SETTINGS = settings(max_examples=30, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+
+def _coset_case(data, lattices):
+    """A lattice from ``lattices``, a seeded rng and a window of extent 1 to 4 per axis."""
+    lat = build_lattice(data.draw(st.sampled_from(lattices)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    lo = rng.integers(-3, 2, lat.n)
+    return lat, rng, lo, lo + rng.integers(0, 4, lat.n)
+
+
+def _well_posed_field(rng, wpts, m):
+    """A random field that passes `stability_report`: m I plus entries in the unit square."""
+    size = (len(wpts), m, m)
+    ent = m * np.eye(m) + rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+    return MatrixField(wpoints=wpts, entries=ent)
+
+
+def _random_channels(rng, p, lat):
+    return MeasurementSet(params=p, lat=lat, levels=tuple(
+        _rand_seq(rng, lat.n, int(rng.integers(1, 10)), 4) for _ in range(lat.m)))
+
+
+def _assert_same_sequence(new, ref):
+    np.testing.assert_array_equal(new.keys, ref.keys)
+    np.testing.assert_array_equal(_bits(new.values), _bits(ref.values))
+
+
+@COSET_SETTINGS
+@given(data=st.data())
+def test_build_B_window_is_bit_equal_to_the_per_coset_loop(data):
+    lat, rng, lo, hi = _coset_case(data, COSET_LATTICES)
+    p = preset("ft", lat.n) if data.draw(st.booleans()) else random_params(lat.n, rng)
+    levels = [_rand_seq(rng, lat.n, int(rng.integers(0, 12)), 5)
+              for _ in range(data.draw(st.integers(1, 3)))]
+    new = build_B_window(p, lat, lo, hi, levels)
+    ref = oracle.build_B_window(p, lat, lo, hi, levels)
+    np.testing.assert_array_equal(new.wpoints, ref.wpoints)
+    np.testing.assert_array_equal(_bits(new.entries), _bits(ref.entries))
+
+
+@COSET_SETTINGS
+@given(data=st.data())
+def test_recover_discrete_is_bit_equal_to_the_per_coset_loop(data):
+    lat, rng, lo, hi = _coset_case(data, COSET_LATTICES)
+    p = preset("ft", lat.n) if data.draw(st.booleans()) else random_params(lat.n, rng)
+    field = _well_posed_field(rng, solve_grid(p, lo, hi)[0], lat.m)
+    ms = _random_channels(rng, p, lat)
+    _assert_same_sequence(recover_discrete(ms, field, window=(lo, hi)),
+                          oracle.recover_discrete(ms, field, window=(lo, hi)))
+
+
+@COSET_SETTINGS
+@given(data=st.data())
+def test_recover_continuous_is_bit_equal_to_the_coset_scatter(data):
+    lat, rng, lo, hi = _coset_case(data, [np.diag(d) for d in DIAGONALS])
+    p = preset("ft", lat.n)
+    field = _well_posed_field(rng, continuous_solve_grid(p, lat, lo, hi)[0], lat.m)
+    ms = _random_channels(rng, p, lat)
+    _assert_same_sequence(recover_continuous(ms, field, window=(lo, hi)),
+                          oracle.recover_continuous(ms, field, window=(lo, hi)))
 
 
 # build_D against entries summed with the direct kernel: one term per

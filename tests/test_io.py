@@ -718,6 +718,31 @@ def test_a_rejected_table_names_its_first_bad_row(lines, width, row):
     assert "usecols" not in str(exc.value)
 
 
+@SETTINGS
+@given(rows=st.integers(1, 40), data=st.data(), width=st.integers(0, 2), chunk=st.integers(1, 9),
+       bad=st.sampled_from(["1_0,{}", "{}", "{},0.0,1.0,2.0,3.0", "#,{}", "{},x"]))
+def test_the_chunked_bad_row_search_names_the_row_the_row_by_row_search_names(
+        rows, data, width, chunk, bad):
+    lines = [",".join([str(k)] * width + [f"{k}.5", "-0.25"]) for k in range(rows)]
+    for at in data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=3)):
+        lines[at] = bad.format(",".join(["0"] * width + ["1.0"]))
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", chunk):
+        new = saftlab.io._bad_row("t.csv", lines, width)
+    assert str(new) == str(oracle.bad_row("t.csv", lines, width))
+
+
+@pytest.mark.parametrize("chunk", [8, None])
+def test_a_table_bad_in_its_last_row_is_searched_a_chunk_at_a_time(chunk):
+    chunk = chunk or saftlab.io.ROW_CHUNK
+    rows = 3 * chunk + 5
+    lines = [f"{k},{k}.5,-0.25" for k in range(rows - 1)] + ["0,1_0,0.0"]
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", chunk), \
+            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        err = saftlab.io._bad_row("t.csv", lines, 1)
+    assert str(err) == f"t.csv: data row {rows} ('0,1_0,0.0') has a field that is not a number"
+    assert loadtxt.call_count <= math.ceil(rows / chunk) + chunk
+
+
 @pytest.mark.parametrize("index", ["1e300", "nan", "-inf", "9223372036854775808"])
 def test_an_index_beyond_int64_names_the_file_and_row(index):
     with pytest.raises(ValueError, match=r"t\.csv: data row 2 .* index"):

@@ -223,15 +223,18 @@ def test_split_agrees_with_decompose_oracle_on_a_box(M):
 @SETTINGS
 @given(case=_lattice_case(), seed=st.integers(0, 2**16))
 def test_generator_coset_samples_match_oracle(case, seed):
-    # one split returns every coset; each must be the per-coset dict oracle's
+    # one split returns every coset as rows sorted by coset, then by r in a
+    # SeqFn's order; each coset's rows must be the per-coset dict oracle's
     n, lat, s = case
     p = random_params(n, np.random.default_rng(seed))
-    new = generator_coset_samples(p, lat, s)
-    assert len(new) == lat.m
-    for l, part in enumerate(new):
-        ref = oracle.generator_coset_samples(p, lat, s, l, chirped=True)
+    l, r, v = generator_coset_samples(p, lat, s)
+    assert len(l) == len(r) == len(v) == len(s.entries)
+    assert np.all(np.diff(l) >= 0)
+    for c in range(lat.m):
+        part = SeqFn.from_arrays(n, r[l == c], v[l == c])
+        np.testing.assert_array_equal(part.keys, r[l == c])
+        ref = oracle.generator_coset_samples(p, lat, s, c, chirped=True)
         _assert_matches(part, ref, _abs_bound(ref), exact=False)
-    assert sum(len(part.entries) for part in new) == len(s.entries)
 
 
 @SETTINGS

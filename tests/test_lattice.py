@@ -18,6 +18,14 @@ def test_basic_counts_and_zero_first():
     assert lat.gamma[0] == (0, 0) and lat.eta[0] == (0, 0)
 
 
+@pytest.mark.parametrize("diag", [(2,), (3,), (1, 2), (3, 2), (2, 3), (2, 2), (1, 2, 3),
+                                  (2, 1, 2)])
+def test_positive_diagonal_gamma_runs_over_the_box_in_c_order(diag):
+    # recover_continuous tiles the full DFT grid by one transpose on this order
+    lat = build_lattice(np.diag(diag))
+    assert lat.gamma == tuple(itertools.product(*map(range, diag)))
+
+
 def test_m_inverse_exact():
     lat = build_lattice([[2, 1], [0, 3]])
     assert np.allclose(lat.M @ lat.m_inverse(), np.eye(2), atol=1e-15)

@@ -87,7 +87,11 @@ def _parse_axis_specs(text: str, what: str) -> list[tuple[float, float, int]]:
         fields = part.split(":")
         if len(fields) != 3:
             raise ValueError(f"{what}: expected lo:hi:count, got {part!r}")
-        lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
+        try:
+            lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
+        except ValueError:
+            raise ValueError(f"{what}: lo and hi must be numbers and count an integer, "
+                             f"got {part!r}") from None
         if count < 1 or not -np.inf < lo < hi < np.inf:
             raise ValueError(f"{what}: bad range {part!r}")
         out.append((lo, hi, count))
@@ -115,7 +119,10 @@ def _parse_window(text: str, n: int) -> tuple[np.ndarray, np.ndarray]:
         fields = part.split(":")
         if len(fields) != 2:
             raise ValueError(f"window: expected lo:hi, got {part!r}")
-        a, b = int(fields[0]), int(fields[1])
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ValueError(f"--window: lo and hi must be integers, got {part!r}") from None
         if b < a:
             raise ValueError(f"window: empty range {part!r}")
         if not -2**62 <= a <= b < 2**62:       # so the extent fits in int64

@@ -36,8 +36,8 @@ coordinate, calls ``repr`` once per distinct value, and the bytes are the
 same as one ``repr`` per value.
 
 The package forks in one place, `_forked`, and only on Linux with no other
-Python thread alive; every caller falls back to this process when the
-child cannot be started or fails, so no output depends on the fork.
+Python thread alive; when the child cannot be started or fails, this
+process does the child's work alone, so no output depends on the fork.
 `format_rows` and `parse_rows` fork for a table of at least two
 `ROW_CHUNK` chunks (`_in_two`): a child formats or parses the second half
 of the rows and sends its text or float64 rows back through a pipe.
@@ -90,7 +90,8 @@ _HEADER = {
     "spacing": (float, lambda x: math.isfinite(x) and x > 0, "n = {n} finite positive numbers"),
 }
 
-#: rows `format_rows` holds as Python numbers at once
+#: rows `format_rows` holds as Python numbers, and `parse_rows` hands to
+#: ``np.loadtxt``, at once; `_in_two` splits a table at a multiple of it
 ROW_CHUNK = 1 << 14
 
 #: `format_rows` looks at this many evenly spaced values of a float column,
@@ -124,12 +125,15 @@ def format_rows(header: list[str], *blocks) -> str:
     one ``repr`` per value.  On Linux, with no other Python thread running,
     a table of at least two chunks is formatted in two processes (see
     `_in_two`); when the child cannot be started or fails, this process
-    formats every row, so the bytes never change."""
+    formats the child's rows too, so the bytes never change."""
     columns, rows = _columns(blocks)
-    return _joined(header, _in_two(
+    # the child's text is decoded one pipe read at a time, so that it is
+    # never held as bytes and as str at once
+    parts = _in_two(
         rows, lambda lo, hi: _format_chunks(columns, lo, hi),
         lambda lo, hi: "\n".join(_format_chunks(columns, lo, hi)).encode("ascii"),
-        lambda split, r: _take_text(_format_chunks(columns, 0, split), r)))
+        lambda split, r: ["".join(iter(lambda: os.read(r, 1 << 16).decode("ascii"), ""))])
+    return _joined(header, [chunk for part in parts for chunk in part])
 
 
 def _columns(blocks) -> tuple[list, int]:
@@ -203,23 +207,25 @@ def _forked(child, fallback):
         fallback()
 
 
-def _in_two(rows: int, part, send, take):
-    """``part(0, rows)``, in two processes when `_may_fork`: a `_forked`
-    child sends ``send(split, rows)`` down a pipe while ``take(split, r)``
-    does the first rows here and joins the child's from the read end `r`.
-    When the child cannot be started or fails, or `take` returns None, this
-    process runs ``part(0, rows)``, so no output depends on the fork.
+def _in_two(rows: int, part, send, receive) -> list:
+    """``[part(0, rows)]``, or when `_may_fork` ``[part(0, split), tail]``
+    for a `split` that is a multiple of `ROW_CHUNK`: a `_forked` child
+    sends ``send(split, rows)`` down a pipe while this process runs
+    ``part(0, split)``, then ``receive(split, r)`` reads the read end `r`
+    and is the tail, or None when the child's rows are not all there.  When
+    the child cannot be started or fails, or `receive` gives None, the tail
+    is ``part(split, rows)`` run here: only the child's half is redone.
 
     The read end is closed before the child is reaped on every path, so a
     child blocked on a full pipe gets EPIPE and exits instead of hanging."""
     if not _may_fork(rows):
-        return part(0, rows)
+        return [part(0, rows)]
     split = ROW_CHUNK * (math.ceil(rows / ROW_CHUNK) // 2)
     try:
         r, w = os.pipe()
     except OSError:
-        return part(0, rows)
-    got = []
+        return [part(0, rows)]
+    tail = []
 
     def send_tail():
         os.close(r)
@@ -227,23 +233,15 @@ def _in_two(rows: int, part, send, take):
         while data:
             data = data[os.write(w, data):]
 
-    with _forked(send_tail, got.clear) as started:
+    with _forked(send_tail, tail.clear) as started:
         try:
             os.close(w)
-            if started:
-                got.append(take(split, r))
+            head = part(0, split)
+            if started and (got := receive(split, r)) is not None:
+                tail.append(got)
         finally:
             os.close(r)
-    return got[0] if got and got[0] is not None else part(0, rows)
-
-
-def _take_text(chunks: list[str], r: int) -> list[str]:
-    """`chunks` and the child's text, decoded one pipe read at a time so
-    that it is never held as bytes and as str at once."""
-    pieces = []
-    while piece := os.read(r, 1 << 16):
-        pieces.append(piece.decode("ascii"))
-    return chunks + ["".join(pieces)]
+    return [head, tail[0] if tail else part(split, rows)]
 
 
 @contextmanager
@@ -381,19 +379,21 @@ def read_measurements(path, n: int) -> list[SeqFn]:
         raise ValueError(f"{path}: no measurement rows")
     rows, vals = parse_rows(path, lines, n + 1)      # k1..kn,channel
     keys, chans = rows[:, :n], rows[:, n]
-    J = int(chans.max()) + 1
-    if not np.array_equal(np.unique(chans), np.arange(J)):
+    present = np.unique(chans)      # sorted and distinct: 0..J-1 when its ends are
+    if present[0] != 0 or present[-1] != len(present) - 1:
         raise ValueError(f"{path}: channel indices must be 0..J-1")
-    return [_sequence_from_rows(path, n, keys[chans == j], vals[chans == j]) for j in range(J)]
+    return [_sequence_from_rows(path, n, keys[chans == j], vals[chans == j]) for j in present]
 
 
 def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
     """CSV rows ``i_1,...,i_width,re,im`` (stripped, none blank): the
     (K, width) int64 columns and the K finite complex values.
 
-    ``np.loadtxt`` parses the table, a large one in two processes (see
-    `_in_two`) that fill one table: a child's half is read straight into
-    it.  A table ``np.loadtxt`` rejects, or one of the wrong width, raises
+    One loop parses rows ``lo:hi`` `ROW_CHUNK` at a time with
+    ``np.loadtxt`` into one preallocated table; a large table is parsed in
+    two processes (see `_in_two`), and the child's half is read straight
+    into the table.  At the first chunk ``np.loadtxt`` rejects, or of the
+    wrong width, the loop reads that chunk's rows one by one and raises
     ValueError naming the file and the first row that is not ``width + 2``
     numbers (such as ``1_0`` or ``#``) as a 1-based data row, like
     `require_finite`.  Index fields are read as floats; one that is not an
@@ -401,28 +401,27 @@ def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarr
     """
     if not lines:
         return np.zeros((0, width), dtype=np.int64), np.zeros(0, dtype=complex)
+    table = np.empty((len(lines), width + 2))
 
-    def load(lo, hi):
-        return np.loadtxt(lines[lo:hi], delimiter=",", ndmin=2, comments=None)
+    def part(lo, hi):           # rows lo:hi into the table, or the first bad row's error
+        for start in range(lo, hi, ROW_CHUNK):
+            rows = lines[start:min(start + ROW_CHUNK, hi)]
+            chunk, _ = _loaded(rows, width)
+            if chunk is None:
+                for i, ln in enumerate(rows, start):
+                    if what := _loaded([ln], width)[1]:
+                        raise ValueError(f"{path}: data row {i + 1} ({ln!r}) {what}")
+                raise ValueError(f"{path}: rows need {width} index columns and re,im")
+            table[start:start + len(rows)] = chunk
+        return table[lo:hi]
 
-    def take(split, r):     # None unless r holds exactly the rows from split on
-        table = np.empty((len(lines), width + 2))
-        for lo in range(0, split, ROW_CHUNK):       # no second copy of the half
-            chunk = load(lo, lo + ROW_CHUNK)
-            if chunk.shape != (ROW_CHUNK, width + 2):
-                return None
-            table[lo:lo + ROW_CHUNK] = chunk
-        tail = memoryview(table[split:]).cast("B")
+    def receive(split, r):      # None unless r holds exactly the rows from split on
+        tail = memoryview(table[split:]).cast("B")      # no second copy of the half
         while tail and (got := os.readv(r, [tail])):
             tail = tail[got:]
-        return None if tail or os.read(r, 1) else table
+        return None if tail or os.read(r, 1) else table[split:]
 
-    try:
-        table = _in_two(len(lines), load, load, take)
-    except ValueError:
-        raise _bad_row(path, lines, width) from None
-    if table.shape[1] != width + 2:
-        raise _bad_row(path, lines, width)
+    _in_two(len(lines), part, part, receive)
     index = table[:, :width]
     ok = (index >= -(2.0**63)) & (index < 2.0**63) & (index == np.trunc(index))
     bad = np.flatnonzero(~np.all(ok, axis=1))
@@ -435,25 +434,16 @@ def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarr
     return index.astype(np.int64), vals
 
 
-def _bad_row(path, lines: list[str], width: int) -> ValueError:
-    """The error naming the first row that ``np.loadtxt`` cannot read alone
-    as ``width + 2`` numbers; called only for a table it rejected.  Rows are
-    read `ROW_CHUNK` at a time, and one by one only in the first chunk that
-    is not a table of that width."""
-    def fault(rows):
-        try:
-            if np.loadtxt(rows, delimiter=",", ndmin=2, comments=None).shape[1] == width + 2:
-                return None
-            return f"needs {width} index columns and re,im"
-        except ValueError:
-            return "has a field that is not a number"
-
-    for lo in range(0, len(lines), ROW_CHUNK):
-        if fault(lines[lo:lo + ROW_CHUNK]):
-            for i, ln in enumerate(lines[lo:lo + ROW_CHUNK], lo):
-                if what := fault([ln]):
-                    return ValueError(f"{path}: data row {i + 1} ({ln!r}) {what}")
-    return ValueError(f"{path}: rows need {width} index columns and re,im")
+def _loaded(rows: list[str], width: int):
+    """``np.loadtxt`` of the CSV rows as a (len(rows), width + 2) table and
+    None, or None and why the rows are not such a table."""
+    try:
+        table = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None, "has a field that is not a number"
+    if table.shape != (len(rows), width + 2):
+        return None, f"needs {width} index columns and re,im"
+    return table, None
 
 
 def _sequence_from_rows(path, n: int, keys, vals) -> SeqFn:

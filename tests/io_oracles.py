@@ -7,15 +7,25 @@ parts of the ``dtsaft``, ``sis``, ``dynsamp check`` and ``verify`` commands,
 joined as the old ``_emit_rows`` joined them.  `write_sequence` always
 writes its header, as the library's does now.  `bad_row` is the search
 for a rejected table's first bad row, one row at a time, before it went a
-chunk at a time.  ``test_io.py`` checks the codec against them.
+chunk at a time.  `whole_table_parse_rows`, with its `_bad_row` and
+`_in_two`, is the reader before every part of a table went through one
+chunk loop: one ``np.loadtxt`` call per process on the whole of its part,
+the whole table parsed again after a failed child, and a bad-row search
+from the first row.  It is kept verbatim apart from its name and the
+``saftlab.io.`` before ``ROW_CHUNK``, ``_may_fork`` and ``_forked``, so
+that a patched chunk size splits it where it splits the library.
+``test_io.py`` checks the codec against them.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from pathlib import Path
 
 import numpy as np
 
+import saftlab.io
 from saftlab.grid import GridFn, SeqFn
 from saftlab.io import require_finite
 
@@ -166,3 +176,110 @@ def bad_row(path, lines: list[str], width: int) -> ValueError:
             what = "has a field that is not a number"
         return ValueError(f"{path}: data row {i + 1} ({ln!r}) {what}")
     return ValueError(f"{path}: rows need {width} index columns and re,im")
+
+
+# ---------------------------------------------------------------------------
+# the reader before its one chunk loop
+
+
+def whole_table_parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSV rows ``i_1,...,i_width,re,im`` (stripped, none blank): the
+    (K, width) int64 columns and the K finite complex values.
+
+    ``np.loadtxt`` parses the table, a large one in two processes (see
+    `_in_two`) that fill one table: a child's half is read straight into
+    it.  A table ``np.loadtxt`` rejects, or one of the wrong width, raises
+    ValueError naming the file and the first row that is not ``width + 2``
+    numbers (such as ``1_0`` or ``#``) as a 1-based data row, like
+    `require_finite`.  Index fields are read as floats; one that is not an
+    integer in int64's range is refused by row.
+    """
+    if not lines:
+        return np.zeros((0, width), dtype=np.int64), np.zeros(0, dtype=complex)
+
+    def load(lo, hi):
+        return np.loadtxt(lines[lo:hi], delimiter=",", ndmin=2, comments=None)
+
+    def take(split, r):     # None unless r holds exactly the rows from split on
+        table = np.empty((len(lines), width + 2))
+        for lo in range(0, split, saftlab.io.ROW_CHUNK):       # no second copy of the half
+            chunk = load(lo, lo + saftlab.io.ROW_CHUNK)
+            if chunk.shape != (saftlab.io.ROW_CHUNK, width + 2):
+                return None
+            table[lo:lo + saftlab.io.ROW_CHUNK] = chunk
+        tail = memoryview(table[split:]).cast("B")
+        while tail and (got := os.readv(r, [tail])):
+            tail = tail[got:]
+        return None if tail or os.read(r, 1) else table
+
+    try:
+        table = _in_two(len(lines), load, load, take)
+    except ValueError:
+        raise _bad_row(path, lines, width) from None
+    if table.shape[1] != width + 2:
+        raise _bad_row(path, lines, width)
+    index = table[:, :width]
+    ok = (index >= -(2.0**63)) & (index < 2.0**63) & (index == np.trunc(index))
+    bad = np.flatnonzero(~np.all(ok, axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{path}: data row {i + 1} ({lines[i]!r}) has a non-finite, "
+                         "out-of-range or non-integer index")
+    vals = np.ascontiguousarray(table[:, width:]).view(complex)[:, 0]
+    require_finite(path, lines, vals)
+    return index.astype(np.int64), vals
+
+
+def _bad_row(path, lines: list[str], width: int) -> ValueError:
+    """The error naming the first row that ``np.loadtxt`` cannot read alone
+    as ``width + 2`` numbers; called only for a table it rejected.  Rows are
+    read `ROW_CHUNK` at a time, and one by one only in the first chunk that
+    is not a table of that width."""
+    def fault(rows):
+        try:
+            if np.loadtxt(rows, delimiter=",", ndmin=2, comments=None).shape[1] == width + 2:
+                return None
+            return f"needs {width} index columns and re,im"
+        except ValueError:
+            return "has a field that is not a number"
+
+    for lo in range(0, len(lines), saftlab.io.ROW_CHUNK):
+        if fault(lines[lo:lo + saftlab.io.ROW_CHUNK]):
+            for i, ln in enumerate(lines[lo:lo + saftlab.io.ROW_CHUNK], lo):
+                if what := fault([ln]):
+                    return ValueError(f"{path}: data row {i + 1} ({ln!r}) {what}")
+    return ValueError(f"{path}: rows need {width} index columns and re,im")
+
+
+def _in_two(rows: int, part, send, take):
+    """``part(0, rows)``, in two processes when `_may_fork`: a `_forked`
+    child sends ``send(split, rows)`` down a pipe while ``take(split, r)``
+    does the first rows here and joins the child's from the read end `r`.
+    When the child cannot be started or fails, or `take` returns None, this
+    process runs ``part(0, rows)``, so no output depends on the fork.
+
+    The read end is closed before the child is reaped on every path, so a
+    child blocked on a full pipe gets EPIPE and exits instead of hanging."""
+    if not saftlab.io._may_fork(rows):
+        return part(0, rows)
+    split = saftlab.io.ROW_CHUNK * (math.ceil(rows / saftlab.io.ROW_CHUNK) // 2)
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return part(0, rows)
+    got = []
+
+    def send_tail():
+        os.close(r)
+        data = memoryview(send(split, rows)).cast("B")
+        while data:
+            data = data[os.write(w, data):]
+
+    with saftlab.io._forked(send_tail, got.clear) as started:
+        try:
+            os.close(w)
+            if started:
+                got.append(take(split, r))
+        finally:
+            os.close(r)
+    return got[0] if got and got[0] is not None else part(0, rows)

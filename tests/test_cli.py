@@ -138,6 +138,17 @@ def test_a_non_finite_wgrid_bound_exits_1(work, tmp_path, capsys, axis):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("axis", ["0:1:1e3", "0:1:x", "x:1:3", "0:x:3"])
+def test_a_non_numeric_wgrid_field_names_the_flag_and_the_range(work, tmp_path, capsys, axis):
+    # once Python's bare "could not convert string to float: 'x'"
+    out = tmp_path / "dt.csv"
+    line = _refused(capsys, ["dtsaft", "--params", str(work / "ft1.json"),
+                             "--seq", str(work / "seq.csv"), f"--wgrid={axis}",
+                             "--out", str(out)], 1)
+    assert line == f"error: --wgrid: lo and hi must be numbers and count an integer, got {axis!r}"
+    assert not out.exists()
+
+
 def test_running_out_of_memory_exits_1_with_an_error_line(work, tmp_path, monkeypatch, capsys):
     # what a huge --wgrid count gives (numpy's _ArrayMemoryError is a MemoryError)
     def huge(*args, **kwargs):
@@ -633,6 +644,33 @@ def test_recover_refuses_a_window_past_physical_memory(work2, tmp_path, capsys, 
         "--out", str(tmp_path / "r.csv")], 1)
     assert line.startswith("error: --window spans 9223372036854775808 points"), line
     assert calls == [] and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("window, part", [("1.5:3", "1.5:3"), ("0:1,x:2", "x:2"),
+                                          ("0:1e3,0:1", "0:1e3")])
+def test_a_non_integer_window_bound_names_the_flag_and_the_range(work2, tmp_path, capsys,
+                                                                 window, part):
+    # once Python's bare "invalid literal for int() with base 10: '1.5'"
+    line = _refused(capsys, [
+        "dynsamp", "recover", "--params", str(work2 / "ft2.json"),
+        "--phi", str(work2 / "phi2.grid"), "--filter", str(work2 / "filt2.csv"),
+        "--M", "[[2,0],[0,1]]", "--measurements", str(work2 / "meas2.csv"),
+        "--method", "discrete", "--window", window, "--out", str(tmp_path / "r.csv")], 1)
+    assert line == f"error: --window: lo and hi must be integers, got {part!r}"
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_channel_past_the_channel_count_is_refused_by_its_rule(work2, tmp_path, capsys):
+    # channel 1e18 once ended in "error: out of memory: Unable to allocate 6.94 EiB"
+    meas = tmp_path / "meas.csv"
+    meas.write_text("k1,k2,channel,re,im\n0,0,0,1.0,0.0\n0,0,1e18,0.5,0.0\n")
+    line = _refused(capsys, [
+        "dynsamp", "recover", "--params", str(work2 / "ft2.json"),
+        "--phi", str(work2 / "phi2.grid"), "--filter", str(work2 / "filt2.csv"),
+        "--M", "[[2,0],[0,1]]", "--measurements", str(meas), "--method", "discrete",
+        "--out", str(tmp_path / "r.csv")], 1)
+    assert line == f"error: {meas}: channel indices must be 0..J-1"
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_a_non_integer_index_is_refused_by_row(work, work2, tmp_path, capsys):

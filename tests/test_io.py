@@ -26,6 +26,7 @@ from saftlab.io import (
     format_rows,
     parse_rows,
     read_grid,
+    read_measurements,
     read_sequence,
     write_grid,
     write_params,
@@ -346,10 +347,46 @@ def test_a_child_table_of_the_wrong_size_is_not_used(cut):
     assert _open_fds() == fds
 
 
-def _bad_row_error(lines, width, **patches) -> str:
+@linux_only
+@pytest.mark.parametrize("fake", [_child_exits_3, _child_dies_mid_write])
+def test_a_failed_child_is_redone_for_its_half_only(fake):
+    # 40 rows in chunks of 8: this process does rows 0-15, the child 16-39;
+    # after the child fails this process does rows 16-39, not 0-39
+    block = np.random.default_rng(10).standard_normal((40, 2))
+    lines = format_rows([], block).splitlines()
+    real_format, real_load, parent = saftlab.io._format_chunks, np.loadtxt, os.getpid()
+    formatted, loaded = [], []
+
+    def format_chunks(columns, lo, hi):
+        if os.getpid() == parent:
+            formatted.append((lo, hi))
+        return real_format(columns, lo, hi)
+
+    def loadtxt(rows, *args, **kwargs):
+        if os.getpid() == parent:
+            loaded.append(len(rows))
+        return real_load(rows, *args, **kwargs)
+
+    with mock.patch.multiple(saftlab.io, ROW_CHUNK=8, _format_chunks=format_chunks), \
+            mock.patch.object(os, "fork", fake), mock.patch.object(np, "loadtxt", loadtxt):
+        text = format_rows([], block)
+        vals = parse_rows("t.csv", lines, 0)[1]
+    assert formatted == [(0, 16), (16, 40)]
+    assert loaded == [8] * 5
+    assert text == _per_row_text([], block)
+    np.testing.assert_array_equal(_bits(vals), _bits(block.view(complex)[:, 0]))
+    assert _no_child_left()
+
+
+def _bad_row_error(lines, width, parse=parse_rows, **patches) -> str:
     with mock.patch.multiple(saftlab.io, **patches), pytest.raises(ValueError) as exc:
-        parse_rows("t.csv", lines, width)
+        parse("t.csv", lines, width)
     return str(exc.value)
+
+
+def _oracle_error(lines, width, **patches) -> str:
+    """The error of the reader before its one chunk loop."""
+    return _bad_row_error(lines, width, oracle.whole_table_parse_rows, **patches)
 
 
 @linux_only
@@ -365,6 +402,7 @@ def test_a_bad_row_in_either_half_names_the_row_as_one_process_does(bad, at):
         two = _bad_row_error(lines, 1, ROW_CHUNK=8)
     assert calls == [os.getpid()]
     assert two == _bad_row_error(lines, 1, ROW_CHUNK=8, _may_fork=lambda rows: False)
+    assert two == _oracle_error(lines, 1, ROW_CHUNK=8)
     assert f"t.csv: data row {at + 1} ({bad!r})" in two
     assert _no_child_left()
     assert _open_fds() == fds
@@ -380,6 +418,7 @@ def test_a_chunk_or_half_of_the_wrong_width_names_its_first_row(rows, row):
     fds = _open_fds()
     two = _bad_row_error(lines, 1, ROW_CHUNK=8)
     assert two == _bad_row_error(lines, 1, ROW_CHUNK=8, _may_fork=lambda rows: False)
+    assert two == _oracle_error(lines, 1, ROW_CHUNK=8)
     assert f"t.csv: data row {rows[0] + 1} ({lines[rows[0]]!r}) needs 1 index columns" in two
     assert _no_child_left()
     assert _open_fds() == fds
@@ -718,29 +757,101 @@ def test_a_rejected_table_names_its_first_bad_row(lines, width, row):
     assert "usecols" not in str(exc.value)
 
 
+NO_FORK = {"_may_fork": lambda rows: False}
+
+
 @SETTINGS
 @given(rows=st.integers(1, 40), data=st.data(), width=st.integers(0, 2), chunk=st.integers(1, 9),
        bad=st.sampled_from(["1_0,{}", "{}", "{},0.0,1.0,2.0,3.0", "#,{}", "{},x"]))
 def test_the_chunked_bad_row_search_names_the_row_the_row_by_row_search_names(
         rows, data, width, chunk, bad):
+    # parse_rows' one chunk loop, in two processes and in one
     lines = [",".join([str(k)] * width + [f"{k}.5", "-0.25"]) for k in range(rows)]
     for at in data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=3)):
         lines[at] = bad.format(",".join(["0"] * width + ["1.0"]))
-    with mock.patch.object(saftlab.io, "ROW_CHUNK", chunk):
-        new = saftlab.io._bad_row("t.csv", lines, width)
-    assert str(new) == str(oracle.bad_row("t.csv", lines, width))
+    want = str(oracle.bad_row("t.csv", lines, width))
+    assert _bad_row_error(lines, width, ROW_CHUNK=chunk) == want
+    assert _bad_row_error(lines, width, ROW_CHUNK=chunk, **NO_FORK) == want
+    assert _oracle_error(lines, width, ROW_CHUNK=chunk) == want
 
 
 @pytest.mark.parametrize("chunk", [8, None])
 def test_a_table_bad_in_its_last_row_is_searched_a_chunk_at_a_time(chunk):
+    # this process parses its half, then (the child failed) the child's
+    # half, then the last chunk's rows one by one: at most rows + chunk rows
     chunk = chunk or saftlab.io.ROW_CHUNK
     rows = 3 * chunk + 5
     lines = [f"{k},{k}.5,-0.25" for k in range(rows - 1)] + ["0,1_0,0.0"]
-    with mock.patch.object(saftlab.io, "ROW_CHUNK", chunk), \
-            mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-        err = saftlab.io._bad_row("t.csv", lines, 1)
-    assert str(err) == f"t.csv: data row {rows} ('0,1_0,0.0') has a field that is not a number"
-    assert loadtxt.call_count <= math.ceil(rows / chunk) + chunk
+    real, parent = np.loadtxt, os.getpid()
+    for patches in ({}, NO_FORK):
+        loaded = []
+
+        def loadtxt(lines, *args, **kwargs):
+            if os.getpid() == parent:
+                loaded.append(len(lines))
+            return real(lines, *args, **kwargs)
+
+        with mock.patch.object(np, "loadtxt", loadtxt):
+            err = _bad_row_error(lines, 1, ROW_CHUNK=chunk, **patches)
+        assert err == f"t.csv: data row {rows} ('0,1_0,0.0') has a field that is not a number"
+        assert sum(loaded) <= rows + chunk
+        assert len(loaded) <= math.ceil(rows / chunk) + 1 + chunk
+    assert err == _oracle_error(lines, 1, ROW_CHUNK=chunk)
+
+
+TOKENS = ["1_0", "x", "#", "nan", "-inf", "0.5", "1e300", "9223372036854775808", "-0.0"]
+
+
+@SETTINGS
+@given(rows=st.integers(1, 40), data=st.data(), width=st.integers(0, 2), chunk=st.integers(1, 9))
+def test_parse_rows_gives_the_arrays_or_the_error_of_the_whole_table_reader(
+        rows, data, width, chunk):
+    # a table with up to two edited rows: a field replaced, a field added
+    # or the last field dropped
+    lines = [",".join([str(k - 20)] * width + [f"{k}.5", "-0.25"]) for k in range(rows)]
+    for at in data.draw(st.lists(st.integers(0, rows - 1), max_size=2, unique=True)):
+        fields = lines[at].split(",")
+        edit = data.draw(st.sampled_from(["replace", "add", "drop"]))
+        if edit == "replace":
+            fields[data.draw(st.integers(0, width + 1))] = data.draw(st.sampled_from(TOKENS))
+        lines[at] = ",".join(fields + ["1.0"] if edit == "add" else fields[:-1]
+                             if edit == "drop" else fields)
+
+    def outcome(parse, **patches):
+        try:
+            with mock.patch.multiple(saftlab.io, ROW_CHUNK=chunk, **patches):
+                index, vals = parse("t.csv", lines, width)
+        except ValueError as exc:
+            return str(exc)
+        return index.dtype, index.shape, index.tolist(), _bits(vals).tolist()
+
+    want = outcome(oracle.whole_table_parse_rows)
+    assert outcome(parse_rows) == want
+    assert outcome(parse_rows, **NO_FORK) == want
+
+
+@pytest.mark.parametrize("channel", ["20000000", "1e18"])
+def test_a_gap_in_the_channels_is_refused_before_a_table_of_its_size(tmp_path, channel):
+    # the reader once built np.arange(max channel + 1): 153.6 MiB traced at
+    # channel 20,000,000, and "out of memory" instead of this error at 1e18
+    path = tmp_path / "m.csv"
+    path.write_text(f"k1,channel,re,im\n0,0,1.0,0.0\n1,{channel},0.5,0.0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"m\.csv: channel indices must be 0\.\.J-1"):
+            read_measurements(path, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_measurement_channels_come_back_in_channel_order(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("k1,channel,re,im\n0,2,1.0,0.0\n1,0,0.5,0.0\n2,1,0.25,0.0\n3,0,2.0,0.0\n")
+    got = read_measurements(path, 1)
+    assert [s.keys.tolist() for s in got] == [[[1], [3]], [[2]], [[0]]]
+    assert [s.values.tolist() for s in got] == [[0.5, 2.0], [0.25], [1.0]]
 
 
 @pytest.mark.parametrize("index", ["1e300", "nan", "-inf", "9223372036854775808"])

@@ -80,56 +80,30 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _parse_axis_specs(text: str, what: str) -> list[tuple[float, float, int]]:
-    """Parse ``lo:hi:count`` per axis, comma-separated."""
-    out = []
-    for part in text.split(","):
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise ValueError(f"{what}: expected lo:hi:count, got {part!r}")
-        try:
-            lo, hi, count = float(fields[0]), float(fields[1]), int(fields[2])
-        except ValueError:
-            raise ValueError(f"{what}: lo and hi must be numbers and count an integer, "
-                             f"got {part!r}") from None
-        if count < 1 or not -np.inf < lo < hi < np.inf:
-            raise ValueError(f"{what}: bad range {part!r}")
-        out.append((lo, hi, count))
-    return out
-
-
-def _mesh_from_specs(specs: list[tuple[float, float, int]], n: int) -> np.ndarray:
-    from .grid import mesh
-
-    if len(specs) == 1 and n > 1:
-        specs = specs * n
-    if len(specs) != n:
-        raise ValueError(f"need {n} axis ranges, got {len(specs)}")
-    return mesh([np.linspace(lo, hi, count) for lo, hi, count in specs]).reshape(-1, n)
-
-
-def _parse_window(text: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _axis_ranges(text: str, n: int, flag: str, kinds: tuple, ok, rule: str) -> list[tuple]:
+    """The n comma-separated ranges of `text`, one per axis (a single range
+    stands for every axis), each of ``len(kinds)`` fields ``lo:hi`` or
+    ``lo:hi:count`` read by `kinds` and passing ``ok(*fields)``, which
+    `rule` states; every refusal names `flag` and the range."""
     parts = text.split(",")
-    if len(parts) == 1 and n > 1:
-        parts = parts * n
+    if len(parts) == 1:
+        parts *= n
     if len(parts) != n:
-        raise ValueError(f"window needs {n} lo:hi ranges, got {len(parts)}")
-    lo, hi = [], []
+        raise ValueError(f"{flag}: need {n} axis ranges, got {len(parts)}")
+    out = []
     for part in parts:
         fields = part.split(":")
-        if len(fields) != 2:
-            raise ValueError(f"window: expected lo:hi, got {part!r}")
+        if len(fields) != len(kinds):
+            raise ValueError(f"{flag}: expected {':'.join(['lo', 'hi', 'count'][:len(kinds)])}, "
+                             f"got {part!r}")
         try:
-            a, b = int(fields[0]), int(fields[1])
+            out.append(tuple(kind(x) for kind, x in zip(kinds, fields)))
         except ValueError:
-            raise ValueError(f"--window: lo and hi must be integers, got {part!r}") from None
-        if b < a:
-            raise ValueError(f"window: empty range {part!r}")
-        if not -2**62 <= a <= b < 2**62:       # so the extent fits in int64
-            raise ValueError(f"window: bound beyond 2**62 in magnitude in {part!r}")
-        lo.append(a)
-        hi.append(b)
-    return np.array(lo), np.array(hi)
+            what = "integers" if kinds[0] is int else "numbers and count an integer"
+            raise ValueError(f"{flag}: lo and hi must be {what}, got {part!r}") from None
+        if not ok(*out[-1]):
+            raise ValueError(f"{flag}: bad range {part!r}, need {rule}")
+    return out
 
 
 def _require_window_fits(lo: np.ndarray, hi: np.ndarray, m: int) -> None:
@@ -200,14 +174,16 @@ def _require_out(args, what: str) -> Path:
     return Path(args.out)
 
 
-def _emit_rows(path: Path | None, text: str) -> TextIO:
-    """Write a table to ``path``, or to stdout without one; return the
-    stream for the summary line, stderr when the table took stdout, so
-    that stdout stays a valid table."""
-    if path is None:
-        sys.stdout.write(text)
+def _emit_rows(out: str | None, header: list[str], *blocks) -> TextIO:
+    """Write a table (`io._table_pieces`) to the file `out`, or to stdout
+    when `out` is None or empty; return the stream for the summary line,
+    stderr when the table took stdout, so that stdout stays a valid table."""
+    from .io import _table_pieces, _write_table
+
+    if not out:
+        sys.stdout.writelines(_table_pieces(header, *blocks))
         return sys.stderr
-    path.write_text(text)
+    _write_table(out, header, *blocks)
     return sys.stdout
 
 
@@ -237,18 +213,22 @@ def _cmd_transform(args, direction: str) -> int:
 
 
 def _cmd_dtsaft(args) -> int:
-    from .io import _require_finite_rows, format_rows, read_sequence
+    from .grid import mesh
+    from .io import _require_finite_rows, read_sequence
     from .saft import dtsaft
 
     p = _load_params(args.params)
     s = read_sequence(args.seq, n=p.n)
-    pts = _mesh_from_specs(_parse_axis_specs(args.wgrid, "--wgrid"), p.n)
+    ranges = _axis_ranges(args.wgrid, p.n, "--wgrid", (float, float, int),
+                          lambda lo, hi, count: -np.inf < lo < hi < np.inf and count >= 1,
+                          "finite lo < hi and count >= 1")
+    pts = mesh([np.linspace(*r) for r in ranges]).reshape(-1, p.n)
     vals = dtsaft(p, s, pts)
     header = [",".join(f"w{i + 1}" for i in range(p.n)) + ",re,im"]
     table = np.column_stack([pts, vals.real, vals.imag])
     # a transform that overflowed is refused before any row is written
     _require_finite_rows(args.out or "dtsaft output", vals, table)
-    _emit_rows(Path(args.out) if args.out else None, format_rows(header, table))
+    _emit_rows(args.out, header, table)
     return EXIT_OK
 
 
@@ -329,7 +309,6 @@ def _verify_trial(theorem: str, p, rng) -> float:
 
 
 def _cmd_verify(args) -> int:
-    from .io import format_rows
     from .params import random_params
 
     theorem = args.theorem
@@ -352,8 +331,7 @@ def _cmd_verify(args) -> int:
         f"# theorem={theorem} trials={args.trials} seed={seed} tol={tol!r}",
         "trial,residual",
     ]
-    text = format_rows(header, np.arange(len(residuals)), residuals)
-    summary = _emit_rows(Path(args.out) if args.out else None, text)
+    summary = _emit_rows(args.out, header, np.arange(len(residuals)), residuals)
     worst = residuals.max()
     print(f"worst residual {worst:.3e} (tol {tol:g})", file=summary)
     if worst > tol:
@@ -365,7 +343,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sis(args) -> int:
     from .dynsamp import solve_grid
-    from .io import format_rows
     from .sis import _riesz_report, _shift_values, build_sis
 
     p = _load_params(args.params)
@@ -379,8 +356,7 @@ def _cmd_sis(args) -> int:
     mags = _shift_values(model, wpts)
     g, u = np.sum(mags**2, axis=-1), np.sum(mags, axis=-1)
     header = [",".join(f"w{i + 1}" for i in range(p.n)) + ",grammian,unsquared_sum"]
-    text = format_rows(header, np.column_stack([wpts, g, u]))
-    summary = _emit_rows(Path(args.out) if args.out else None, text)
+    summary = _emit_rows(args.out, header, np.column_stack([wpts, g, u]))
     rep = _riesz_report(wpts, g)
     print(json.dumps({
         "lower": rep.eta1,
@@ -420,7 +396,6 @@ def _load_dynsamp_inputs(args):
 
 def _cmd_dynsamp_check(args) -> int:
     from .dynsamp import build_B_window, stability_report
-    from .io import format_rows
 
     p, phi, filt, lat = _load_dynsamp_inputs(args)
     levels = _sample_levels(p, phi, filt, lat.m)
@@ -439,8 +414,8 @@ def _cmd_dynsamp_check(args) -> int:
     # entry columns B_jl re, im in row-major (j, l) order
     entries = field.entries.reshape(len(field.wpoints), m * m)
     parts = np.stack([entries.real, entries.imag], axis=-1).reshape(len(entries), 2 * m * m)
-    text = format_rows(header, np.column_stack([field.wpoints, parts, np.abs(stab.det), stab.cond]))
-    summary = _emit_rows(Path(args.out) if args.out else None, text)
+    table = np.column_stack([field.wpoints, parts, np.abs(stab.det), stab.cond])
+    summary = _emit_rows(args.out, header, table)
     print(json.dumps(stab.summary(), sort_keys=True), file=summary)
     if not stab.ok:
         raise ValidationFailure(
@@ -471,7 +446,9 @@ def _cmd_dynsamp_recover(args) -> int:
             "the per-frequency system must be square"
         )
     if args.window:
-        lo, hi = _parse_window(args.window, p.n)
+        lo, hi = np.array(_axis_ranges(args.window, p.n, "--window", (int, int),
+                                       lambda lo, hi: -2**62 <= lo <= hi < 2**62,
+                                       "lo <= hi, both within 2**62 in magnitude")).T
     else:
         keys = np.concatenate([s.keys for s in vlevels])
         lo, hi = keys.min(axis=0), keys.max(axis=0)

@@ -28,20 +28,24 @@ Parameter file
     not read, or an ``n`` that its preset's arguments contradict, is refused.
 
 Every CSV body, here and in the CLI and figure writers, goes through one
-codec: `format_rows` writes integers as ``str(int)`` and floats as
+codec: `_table_pieces` writes integers as ``str(int)`` and floats as
 ``repr(float)`` (Python's shortest round-trip form), and `parse_rows` reads
-a table back with ``np.loadtxt``.  `format_rows` formats one
-column at a time; a float column that repeats values, such as a grid
-coordinate, calls ``repr`` once per distinct value, and the bytes are the
-same as one ``repr`` per value.
+a table back with ``np.loadtxt``.  `_table_pieces` formats one column at a
+time; a float column that repeats values, such as a grid coordinate, calls
+``repr`` once per distinct value, and the bytes are the same as one
+``repr`` per value.  It returns the table as newline-terminated pieces of
+at most `ROW_CHUNK` rows (and the forked child's half, below); every table
+sink writes those pieces to its open file or stdout one by one
+(`_write_table`), and no sink holds one str of the whole file.
+`format_rows` is their join.
 
 The package forks in one place, `_forked`, and only on Linux with no other
-Python thread alive; when the child cannot be started or fails, this
-process does the child's work alone, so no output depends on the fork.
-`format_rows` and `parse_rows` fork for a table of at least two
-`ROW_CHUNK` chunks (`_in_two`): a child formats or parses the second half
-of the rows and sends its text or float64 rows back through a pipe.
-`_writing_tables`, the writer of ``repro section5``'s figure CSVs,
+Python thread alive, never from a forked child; when the child cannot be
+started or fails, this process does the child's work alone, so no output
+depends on the fork.  `_table_pieces` and `parse_rows` fork for a table of
+at least two `ROW_CHUNK` chunks (`_in_two`): a child formats or parses the
+second half of the rows and sends its text or float64 rows back through a
+pipe.  `_writing_tables`, the writer of ``repro section5``'s figure CSVs,
 forks once for all the tables it is given: a child formats and writes every
 file in one process while the caller's recovery runs.
 `write_grid` and `write_sequence` refuse a NaN or infinite value before
@@ -90,11 +94,11 @@ _HEADER = {
     "spacing": (float, lambda x: math.isfinite(x) and x > 0, "n = {n} finite positive numbers"),
 }
 
-#: rows `format_rows` holds as Python numbers, and `parse_rows` hands to
+#: rows `_table_pieces` holds as Python numbers, and `parse_rows` hands to
 #: ``np.loadtxt``, at once; `_in_two` splits a table at a multiple of it
 ROW_CHUNK = 1 << 14
 
-#: `format_rows` looks at this many evenly spaced values of a float column,
+#: `_table_pieces` looks at this many evenly spaced values of a float column,
 #: and formats each distinct value of the column once when at most
 #: `DEDUPE_SHARE` of them are distinct (a coordinate column of a grid)
 SAMPLE_ROWS = 1 << 10
@@ -112,9 +116,16 @@ def require_finite(path, rows, values) -> None:
 
 
 def format_rows(header: list[str], *blocks) -> str:
+    """The table of `_table_pieces` as one str."""
+    return "".join(_table_pieces(header, *blocks))
+
+
+def _table_pieces(header: list[str], *blocks) -> list[str]:
     """The header lines, then one CSV row per row of the column blocks, as
-    newline-terminated text.  A block is a (K, c) array or a (K,) column;
-    integer blocks are written as ``str(int)``, all others as
+    newline-terminated pieces: one per header line, one per `ROW_CHUNK`
+    rows formatted in this process and, for a table split in two, the
+    forked child's rows as one piece.  A block is a (K, c) array or a (K,)
+    column; integer blocks are written as ``str(int)``, all others as
     ``repr(float)``, so NaN and infinities are written as ``nan`` and
     ``inf``.
 
@@ -131,9 +142,9 @@ def format_rows(header: list[str], *blocks) -> str:
     # never held as bytes and as str at once
     parts = _in_two(
         rows, lambda lo, hi: _format_chunks(columns, lo, hi),
-        lambda lo, hi: "\n".join(_format_chunks(columns, lo, hi)).encode("ascii"),
+        lambda lo, hi: "".join(_format_chunks(columns, lo, hi)).encode("ascii"),
         lambda split, r: ["".join(iter(lambda: os.read(r, 1 << 16).decode("ascii"), ""))])
-    return _joined(header, [chunk for part in parts for chunk in part])
+    return [line + "\n" for line in header] + [c for part in parts for c in part] or ["\n"]
 
 
 def _columns(blocks) -> tuple[list, int]:
@@ -142,20 +153,23 @@ def _columns(blocks) -> tuple[list, int]:
     return [_column_text(col) for b in blocks for col in b.T], len(blocks[0])
 
 
-def _joined(header: list[str], chunks: list[str]) -> str:
-    lines = list(header) + chunks
-    lines.append("")                # the last newline, without a copy of the text
-    return "\n".join(lines) or "\n"
-
-
 def _format_chunks(columns, lo: int, hi: int) -> list[str]:
-    """The text of rows ``lo:hi``, one str per `ROW_CHUNK` rows, each
-    without its last newline."""
+    """The text of rows ``lo:hi``, one newline-terminated str per
+    `ROW_CHUNK` rows."""
     chunks = []
     for start in range(lo, hi, ROW_CHUNK):
         cells = [text(start, min(start + ROW_CHUNK, hi)) for text in columns]
-        chunks.append("\n".join(map(",".join, zip(*cells))))
+        chunks.append("\n".join(map(",".join, zip(*cells))) + "\n")
     return chunks
+
+
+def _write_table(path, header: list[str], *blocks) -> None:
+    """Write the table's `_table_pieces` one by one to the file at `path`,
+    opened once every piece is formatted: a table that cannot be formatted
+    (a `MemoryError`, say) creates no file."""
+    pieces = _table_pieces(header, *blocks)
+    with open(path, "w") as fh:
+        fh.writelines(pieces)
 
 
 def _may_fork(rows: int) -> bool:
@@ -164,22 +178,27 @@ def _may_fork(rows: int) -> bool:
     return rows >= 2 * ROW_CHUNK
 
 
+#: whether this process is a `_forked` child
+_in_child = False
+
+
 @contextmanager
 def _forked(child, fallback):
     """Run ``child()`` in one forked child process while the with-block runs
     in this one, and yield whether the child was started.
 
     This is the package's one fork.  It forks only on Linux with no other
-    Python thread alive: a thread holding a lock at the fork would leave it
-    held in the child.  The child leaves through ``os._exit``, with status 0
-    only when ``child()`` returned, so no inherited stdio buffer, atexit
-    hook or caller's ``finally`` runs a second time.  The child is reaped
-    when the block ends, on every path.  When the block completed but the
-    child could not be started or did not exit with status 0, ``fallback()``
-    then does the child's work in this process, so no output depends on the
-    fork."""
+    Python thread alive (a thread holding a lock at the fork would leave it
+    held in the child), and never in a child it forked.  The child leaves
+    through ``os._exit``, with status 0 only when ``child()`` returned, so
+    no inherited stdio buffer, atexit hook or caller's ``finally`` runs a
+    second time.  The child is reaped when the block ends, on every path.
+    When the block completed but the child could not be started or did not
+    exit with status 0, ``fallback()`` then does the child's work in this
+    process, so no output depends on the fork."""
+    global _in_child
     pid = None
-    if sys.platform.startswith("linux") and threading.active_count() == 1:
+    if sys.platform.startswith("linux") and threading.active_count() == 1 and not _in_child:
         try:
             with warnings.catch_warnings():
                 # Python 3.12+ warns on fork whenever a second OS thread is
@@ -193,7 +212,7 @@ def _forked(child, fallback):
         except OSError:
             pass
     if pid == 0:
-        status = 1
+        _in_child, status = True, 1
         try:
             child()
             status = 0
@@ -246,19 +265,18 @@ def _in_two(rows: int, part, send, receive) -> list:
 
 @contextmanager
 def _writing_tables(tables):
-    """Write each ``(path, header, *blocks)`` of `tables` as
-    ``format_rows(header, *blocks)`` while the with-block runs.
+    """Write each ``(path, header, *blocks)`` of `tables` with `_write_table`
+    while the with-block runs.
 
-    One `_forked` child formats every table in one process (no nested
-    fork) and writes the files; this process reaps it when the block ends,
-    on every path.  When the block completed but the child could not be
-    started or failed, this process writes every file itself, so the bytes
-    never change.  The blocks must be built before the block starts: the
-    child sees them as they were at the fork."""
+    One `_forked` child formats every table in that one process (`_forked`
+    does not fork again) and writes the files; this process reaps it when
+    the block ends, on every path.  When the block completed but the child
+    could not be started or failed, this process writes every file itself,
+    so the bytes never change.  The blocks must be built before the block
+    starts: the child sees them as they were at the fork."""
     def write_all():
         for path, header, *blocks in tables:
-            columns, rows = _columns(blocks)
-            Path(path).write_text(_joined(header, _format_chunks(columns, 0, rows)))
+            _write_table(path, header, *blocks)
 
     with _forked(write_all, write_all):
         yield
@@ -291,11 +309,10 @@ def _require_finite_rows(path, values, *blocks) -> None:
 
 
 def _write_rows(path, values, header: list[str], *blocks) -> None:
-    """Write ``format_rows(header, *blocks)`` to `path`, or raise
-    `_require_finite_rows`' error and create no file: no reader accepts a
-    non-finite value."""
+    """`_write_table` to `path`, or raise `_require_finite_rows`' error and
+    create no file: no reader accepts a non-finite value."""
     _require_finite_rows(path, values, *blocks)
-    Path(path).write_text(format_rows(header, *blocks))
+    _write_table(path, header, *blocks)
 
 
 def write_grid(path, g: GridFn) -> None:
@@ -312,7 +329,7 @@ def write_grid(path, g: GridFn) -> None:
 
 
 def read_grid(path) -> GridFn:
-    lines = list(filter(None, map(str.strip, Path(path).read_text().splitlines())))
+    lines = _lines(path)
     if not lines or lines[0] != _MAGIC:
         raise ValueError(f"{path}: not a {_MAGIC} file")
     header: dict[str, str] = {}
@@ -356,10 +373,15 @@ def write_sequence(path, s: SeqFn) -> None:
     _write_rows(path, vals, head, keys, np.column_stack([vals.real, vals.imag]))
 
 
+def _lines(path) -> list[str]:
+    """The stripped, non-blank lines of the text file at `path`."""
+    return list(filter(None, map(str.strip, Path(path).read_text().splitlines())))
+
+
 def _data_lines(path) -> list[str]:
-    """The stripped, non-blank lines of the CSV file at `path`, without its
-    optional ``k1,...`` header line."""
-    lines = list(filter(None, map(str.strip, Path(path).read_text().splitlines())))
+    """`_lines` of the CSV file at `path`, without its optional ``k1,...``
+    header line."""
+    lines = _lines(path)
     return lines[1:] if lines and lines[0].lower().startswith("k1") else lines
 
 

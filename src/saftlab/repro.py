@@ -32,7 +32,7 @@ from .dynsamp import (
     solve_grid,
 )
 from .grid import SeqFn, mesh, sampling_grid
-from .io import _writing_tables, format_rows
+from .io import _write_table, _writing_tables
 from .lattice import SamplingLattice, build_lattice
 from .params import (SaftParams, _offset_phase, _physical_points, _reduced_points,
                      chirp, modulation, preset, require_valid)
@@ -431,10 +431,10 @@ def _emit_figures(scenario: ExampleScenario, outdir: Path) -> tuple[list, dict]:
 def _fig10(outdir: Path, levels: list) -> None:
     """Write fig10, ``levels[1]`` (the filter applied once to the generator
     samples) on the stems with max |k_i| <= 12.  Its at most 625 rows are
-    formatted in this process: `format_rows` splits no table that small."""
+    formatted in this process: `io._table_pieces` splits none that small."""
     keys, vals = _restrict_stems(levels[1], 12)
-    (outdir / "fig10_samples_imag.csv").write_text(
-        format_rows(["k1,k2,value"], np.column_stack([keys, vals.imag])))
+    _write_table(outdir / "fig10_samples_imag.csv", ["k1,k2,value"],
+                 np.column_stack([keys, vals.imag]))
 
 
 def run_example(

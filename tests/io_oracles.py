@@ -14,7 +14,11 @@ the whole table parsed again after a failed child, and a bad-row search
 from the first row.  It is kept verbatim apart from its name and the
 ``saftlab.io.`` before ``ROW_CHUNK``, ``_may_fork`` and ``_forked``, so
 that a patched chunk size splits it where it splits the library.
-``test_io.py`` checks the codec against them.
+`format_rows`, `_joined`, `_format_chunks` and `_write_rows` are the
+writer before every table went out as pieces: one str of the whole file,
+joined from chunks without their last newline, and ``Path.write_text``.
+They are kept verbatim apart from the ``saftlab.io.`` before
+``ROW_CHUNK``, ``_columns``, ``_in_two`` and ``_require_finite_rows``.  ``test_io.py`` checks the codec against them.
 """
 
 from __future__ import annotations
@@ -283,3 +287,56 @@ def _in_two(rows: int, part, send, take):
         finally:
             os.close(r)
     return got[0] if got and got[0] is not None else part(0, rows)
+
+
+# ---------------------------------------------------------------------------
+# the writer before its table pieces
+
+
+def format_rows(header: list[str], *blocks) -> str:
+    """The header lines, then one CSV row per row of the column blocks, as
+    newline-terminated text.  A block is a (K, c) array or a (K,) column;
+    integer blocks are written as ``str(int)``, all others as
+    ``repr(float)``, so NaN and infinities are written as ``nan`` and
+    ``inf``.
+
+    Each column is a view of its block and is formatted on its own,
+    `ROW_CHUNK` rows at a time.  A float column that repeats values (see
+    `SAMPLE_ROWS`) calls ``repr`` once per distinct bit pattern and takes
+    each row's text from that table; the output bytes are the same as with
+    one ``repr`` per value.  On Linux, with no other Python thread running,
+    a table of at least two chunks is formatted in two processes (see
+    `_in_two`); when the child cannot be started or fails, this process
+    formats the child's rows too, so the bytes never change."""
+    columns, rows = saftlab.io._columns(blocks)
+    # the child's text is decoded one pipe read at a time, so that it is
+    # never held as bytes and as str at once
+    parts = saftlab.io._in_two(
+        rows, lambda lo, hi: _format_chunks(columns, lo, hi),
+        lambda lo, hi: "\n".join(_format_chunks(columns, lo, hi)).encode("ascii"),
+        lambda split, r: ["".join(iter(lambda: os.read(r, 1 << 16).decode("ascii"), ""))])
+    return _joined(header, [chunk for part in parts for chunk in part])
+
+
+def _joined(header: list[str], chunks: list[str]) -> str:
+    lines = list(header) + chunks
+    lines.append("")                # the last newline, without a copy of the text
+    return "\n".join(lines) or "\n"
+
+
+def _format_chunks(columns, lo: int, hi: int) -> list[str]:
+    """The text of rows ``lo:hi``, one str per `ROW_CHUNK` rows, each
+    without its last newline."""
+    chunks = []
+    for start in range(lo, hi, saftlab.io.ROW_CHUNK):
+        cells = [text(start, min(start + saftlab.io.ROW_CHUNK, hi)) for text in columns]
+        chunks.append("\n".join(map(",".join, zip(*cells))))
+    return chunks
+
+
+def _write_rows(path, values, header: list[str], *blocks) -> None:
+    """Write ``format_rows(header, *blocks)`` to `path`, or raise
+    `_require_finite_rows`' error and create no file: no reader accepts a
+    non-finite value."""
+    saftlab.io._require_finite_rows(path, values, *blocks)
+    Path(path).write_text(format_rows(header, *blocks))

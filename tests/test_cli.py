@@ -660,6 +660,47 @@ def test_a_non_integer_window_bound_names_the_flag_and_the_range(work2, tmp_path
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flag, ranges, line", [
+    ("--wgrid", "0:1:3,0:1:3,0:1:3", "need 2 axis ranges, got 3"),
+    ("--wgrid", "0:1", "expected lo:hi:count, got '0:1'"),
+    ("--wgrid", "1:0:3", "bad range '1:0:3', need finite lo < hi and count >= 1"),
+    ("--wgrid", "0:1:0", "bad range '0:1:0', need finite lo < hi and count >= 1"),
+    ("--window", "0:1,0:1,0:1", "need 2 axis ranges, got 3"),
+    ("--window", "0:1:2", "expected lo:hi, got '0:1:2'"),
+    ("--window", "3:1", "bad range '3:1', need lo <= hi, both within 2**62 in magnitude"),
+    ("--window", "0:1,0:4611686018427387904",
+     "bad range '0:4611686018427387904', need lo <= hi, both within 2**62 in magnitude"),
+])
+def test_every_axis_range_refusal_names_its_flag(work2, tmp_path, capsys, flag, ranges, line):
+    # the count refusals once read "need 2 axis ranges, got 3" and "window
+    # needs 2 lo:hi ranges, got 3", and the other --window ones "window: ..."
+    if flag == "--wgrid":
+        argv = ["dtsaft", "--params", str(work2 / "ft2.json"), "--seq", str(work2 / "filt2.csv")]
+    else:
+        argv = ["dynsamp", "recover", "--params", str(work2 / "ft2.json"),
+                "--phi", str(work2 / "phi2.grid"), "--filter", str(work2 / "filt2.csv"),
+                "--M", "[[2,0],[0,1]]", "--measurements", str(work2 / "meas2.csv"),
+                "--method", "discrete"]
+    argv += [f"{flag}={ranges}", "--out", str(tmp_path / "r.csv")]
+    assert _refused(capsys, argv, 1) == f"error: {flag}: {line}"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_a_table_on_stdout_is_its_out_file(work2, tmp_path, capsys, monkeypatch, fork):
+    # 81 rows in chunks of 8: formatted in two processes on Linux
+    monkeypatch.setattr(saftlab.io, "ROW_CHUNK", 8)
+    if not fork:
+        monkeypatch.setattr(saftlab.io, "_may_fork", lambda rows: False)
+    argv = ["dtsaft", "--params", str(work2 / "ft2.json"), "--seq", str(work2 / "filt2.csv"),
+            "--wgrid=-0.5:0.5:9"]
+    assert main(argv) == 0
+    shown = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+    assert (tmp_path / "t.csv").read_text() == shown
+    assert len(shown.splitlines()) == 82 and shown.endswith("\n")
+
+
 def test_a_channel_past_the_channel_count_is_refused_by_its_rule(work2, tmp_path, capsys):
     # channel 1e18 once ended in "error: out of memory: Unable to allocate 6.94 EiB"
     meas = tmp_path / "meas.csv"

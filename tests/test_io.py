@@ -199,6 +199,21 @@ def test_formatting_distinct_values_peaks_near_the_text_size():
     assert peak <= 3.2 * size
 
 
+def test_writing_a_grid_sized_table_peaks_below_twice_the_file_size(tmp_path):
+    # as many rows as each grid that the cli_files benchmark writes (513^2):
+    # the pieces go to the open file one by one, so no str of the whole file
+    # and no encoded copy of it is held (2.0x the file size before)
+    block = np.random.default_rng(5).standard_normal((263_169, 2))
+    values, path = block.view(complex)[:, 0], tmp_path / "t.csv"
+    tracemalloc.start()
+    try:
+        saftlab.io._write_rows(path, values, ["re,im"], block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.8 * path.stat().st_size
+
+
 # ---------------------------------------------------------------------------
 # the two-process writer: on Linux a table of at least two ROW_CHUNK chunks
 # is formatted by this process and one forked child
@@ -378,6 +393,73 @@ def test_a_failed_child_is_redone_for_its_half_only(fake):
     assert _no_child_left()
 
 
+#: the ``os.fork`` stand-ins the writer must give the same bytes under
+WRITER_FORKS = {"on": real_fork, "fails": _fails, "child exits 3": _child_exits_3,
+                "child dies mid-write": _child_dies_mid_write}
+
+
+@linux_only
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(chunk=st.integers(1, 6), rows=st.integers(0, 40), header=st.booleans(),
+       fork=st.sampled_from([*WRITER_FORKS, "off"]), seed=st.integers(0, 2**32 - 1))
+def test_every_table_sink_writes_the_whole_file_writers_bytes(tmp_path, chunk, rows, header,
+                                                              fork, seed):
+    # the grid and sequence writer, the figure writer and format_rows against
+    # the writer that joined one str of the whole file
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(-(2**63), 2**63 - 1, size=(rows, 2), dtype=np.int64)
+    block = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-320, 300, size=(rows, 2))
+    values, head = block.copy().view(complex)[:, 0], ["k1,k2,re,im"] if header else []
+    may_fork = (lambda rows: False) if fork == "off" else saftlab.io._may_fork
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", chunk):
+        oracle._write_rows(tmp_path / "old.csv", values, head, keys, block)
+        want = oracle.format_rows(head, keys, block)
+        with mock.patch.object(os, "fork", WRITER_FORKS.get(fork, real_fork)), \
+                mock.patch.object(saftlab.io, "_may_fork", may_fork):
+            saftlab.io._write_rows(tmp_path / "new.csv", values, head, keys, block)
+            with saftlab.io._writing_tables([(tmp_path / "fig.csv", head, keys, block)]):
+                pass
+            text = format_rows(head, keys, block)
+    assert text == want == (tmp_path / "old.csv").read_text()
+    for name in ("new.csv", "fig.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "old.csv").read_bytes(), name
+    assert _no_child_left()
+
+
+def _formats_once():
+    """A `_format_chunks` that raises MemoryError on its second call."""
+    real, calls = saftlab.io._format_chunks, []
+
+    def format_chunks(columns, lo, hi):
+        calls.append((lo, hi))
+        if len(calls) == 2:
+            raise MemoryError
+        return real(columns, lo, hi)
+    return format_chunks
+
+
+@pytest.mark.parametrize("fake", [_fails, _child_exits_3])
+def test_a_table_that_runs_out_of_memory_creates_no_file(tmp_path, capsys, fake):
+    # 40 rows in chunks of 8: this process formats rows 0-15, then the
+    # failed child's rows 16-39, and runs out of memory there, with pieces
+    # of the table already made
+    write_params(tmp_path / "ft.json", preset("ft", 1))
+    write_sequence(tmp_path / "s.csv", SeqFn(1, {(0,): 1.0, (2,): -0.5j}))
+    out, grid = tmp_path / "t.csv", tmp_path / "g.grid"
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", 8), mock.patch.object(os, "fork", fake):
+        with mock.patch.object(saftlab.io, "_format_chunks", _formats_once()), \
+                pytest.raises(MemoryError):
+            write_grid(grid, GridFn(1, (40,), [0.0], [1.0], np.arange(40.0) + 0.5j))
+        with mock.patch.object(saftlab.io, "_format_chunks", _formats_once()):
+            assert main(["dtsaft", "--params", str(tmp_path / "ft.json"),
+                         "--seq", str(tmp_path / "s.csv"), "--wgrid=-1:1:40",
+                         "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not grid.exists() and not out.exists()
+    assert _no_child_left()
+
+
 def _bad_row_error(lines, width, parse=parse_rows, **patches) -> str:
     with mock.patch.multiple(saftlab.io, **patches), pytest.raises(ValueError) as exc:
         parse("t.csv", lines, width)
@@ -540,12 +622,10 @@ def _logged_forks(log):
 def _child_dies_mid_file_write():
     pid = real_fork()
     if pid == 0:
-        real = Path.write_text
-
-        def write_text(self, data, *args, **kwargs):    # in the child only
-            real(self, data[:20], *args, **kwargs)
+        def write_table(path, header, *blocks):         # in the child only
+            Path(path).write_text(format_rows(header, *blocks)[:20])
             raise OSError("no space left")
-        Path.write_text = write_text
+        saftlab.io._write_table = write_table
     return pid
 
 

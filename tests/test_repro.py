@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro_oracles as oracle
+import saftlab.io
 from saftlab import repro
 from saftlab.grid import SeqFn, sampling_grid
 from saftlab.lattice import build_lattice
@@ -467,7 +468,7 @@ def _failing_child_fork():
     # the child cannot write, so it exits nonzero and the parent falls back
     pid = real_fork()
     if pid == 0:
-        Path.write_text = lambda *args, **kwargs: _no_fork()
+        saftlab.io._write_table = lambda *args: _no_fork()
     return pid
 
 
@@ -479,14 +480,20 @@ def test_the_figure_child_starts_before_the_levels_and_fig10_precedes_the_report
     run_example(sc, outdir=tmp_path / "want")
     want = {p.name: p.read_bytes() for p in (tmp_path / "want").iterdir()}
 
+    # every figure goes out through the table writer, report.json through
+    # Path.write_text
     parent, events, seen = os.getpid(), [], {}
-    real_write, levels = Path.write_text, repro.filtered_levels
+    real_table, real_write, levels = saftlab.io._write_table, Path.write_text, repro.filtered_levels
+
+    def write_table(path, *args):
+        if os.getpid() == parent:
+            events.append(Path(path).name)
+        return real_table(path, *args)
 
     def write_text(self, data, *args, **kwargs):
-        if os.getpid() == parent:
+        if os.getpid() == parent and self.name == "report.json":
             events.append(self.name)
-            if self.name == "report.json":
-                seen.update((p.name, p.read_bytes()) for p in self.parent.glob("fig*.csv"))
+            seen.update((p.name, p.read_bytes()) for p in self.parent.glob("fig*.csv"))
         return real_write(self, data, *args, **kwargs)
 
     def forks(start):
@@ -496,7 +503,9 @@ def test_the_figure_child_starts_before_the_levels_and_fig10_precedes_the_report
         return fork
 
     start = {"forked": real_fork, "no fork": _no_fork, "child fails": _failing_child_fork}
-    with mock.patch.object(Path, "write_text", write_text), \
+    with mock.patch.object(saftlab.io, "_write_table", write_table), \
+            mock.patch.object(repro, "_write_table", write_table), \
+            mock.patch.object(Path, "write_text", write_text), \
             mock.patch.object(os, "fork", forks(start[fork])), \
             mock.patch.object(repro, "filtered_levels",
                               lambda *a: events.append("levels") or levels(*a)):

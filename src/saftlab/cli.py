@@ -73,6 +73,13 @@ def _positive(kind):
     return positive
 
 
+def _path(text: str) -> str:
+    """argparse type: an output path, which may not be empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _seed(text: str) -> int:
     """argparse type: a seed of ``np.random.default_rng``, an integer >= 0."""
     if not text.isdecimal():
@@ -168,19 +175,13 @@ def _of_dimension(flag: str, operand, p):
     return operand
 
 
-def _require_out(args, what: str) -> Path:
-    if args.out is None:
-        raise ValueError(f"{what} needs --out")
-    return Path(args.out)
-
-
 def _emit_rows(out: str | None, header: list[str], *blocks) -> TextIO:
     """Write a table (`io._table_pieces`) to the file `out`, or to stdout
-    when `out` is None or empty; return the stream for the summary line,
-    stderr when the table took stdout, so that stdout stays a valid table."""
+    when `out` is None; return the stream for the summary line, stderr when
+    the table took stdout, so that stdout stays a valid table."""
     from .io import _table_pieces, _write_table
 
-    if not out:
+    if out is None:
         sys.stdout.writelines(_table_pieces(header, *blocks))
         return sys.stderr
     _write_table(out, header, *blocks)
@@ -198,7 +199,7 @@ def _cmd_transform(args, direction: str) -> int:
 
     p = _load_params(args.params)
     g = _load_operand(args.infile, grid_flag="--in")
-    out_path = _require_out(args, direction)
+    out_path = Path(args.out)
     if direction == "transform":
         plan = saft_plan(p, g, backend=args.backend)
         result = saft_forward(plan, g)
@@ -248,7 +249,7 @@ def _cmd_conv(args) -> int:
             f"kind {kind!r} needs ({want_l.__name__}, {want_r.__name__}); "
             f"got ({type(lhs).__name__}, {type(rhs).__name__})"
         )
-    out_path = _require_out(args, "conv")
+    out_path = Path(args.out)
     if kind == "cc":
         result = conv_cc(p, lhs, rhs)
         write_grid(out_path, result)
@@ -453,7 +454,6 @@ def _cmd_dynsamp_recover(args) -> int:
         keys = np.concatenate([s.keys for s in vlevels])
         lo, hi = keys.min(axis=0), keys.max(axis=0)
     _require_window_fits(lo, hi, lat.m)
-    out_path = _require_out(args, "dynsamp recover")
 
     try:
         if args.method == "discrete":
@@ -478,7 +478,7 @@ def _cmd_dynsamp_recover(args) -> int:
         recovered = solve(ms, field, (lo, hi))
     except ValueError as exc:
         raise ValidationFailure(str(exc)) from exc
-    write_sequence(out_path, recovered)
+    write_sequence(args.out, recovered)
     print(json.dumps({
         "method": args.method,
         "entries": len(recovered),
@@ -647,18 +647,20 @@ def _cmd_selftest(args) -> int:
 # parser assembly and dispatch
 
 
-def _add_common(sp, *, out: bool = True, tol: bool = False, seed: bool = False) -> None:
+def _add_common(sp, *, out: str | None = "table", tol: bool = False, seed: bool = False) -> None:
     """The shared flags, offered only where the command reads them: a flag
-    that is accepted and then ignored would be silently wrong."""
+    that is accepted and then ignored would be silently wrong.  `out` is
+    "table" (stdout without --out), "file" (--out required) or None."""
     if tol:
         sp.add_argument("--tol", type=_positive(float), default=None,
                         help="override the default tolerance of this command")
     if seed:
         sp.add_argument("--seed", type=_seed, default=0,
                         help="seed for the randomized trials")
-    if out:
-        sp.add_argument("--out", default=None,
-                        help="output file (default: stdout for tabular output)")
+    if out == "table":
+        sp.add_argument("--out", type=_path, help="output file (default: stdout)")
+    elif out == "file":
+        sp.add_argument("--out", type=_path, required=True, help="output file")
 
 
 def build_parser() -> _Parser:
@@ -670,7 +672,7 @@ def build_parser() -> _Parser:
         sp.add_argument("--params", required=True, help="parameter JSON")
         sp.add_argument("--in", dest="infile", required=True, help="input grid")
         sp.add_argument("--backend", choices=("fast", "quad"), default="fast")
-        _add_common(sp)
+        _add_common(sp, out="file")
         sp.set_defaults(func=lambda a, d=name: _cmd_transform(a, d))
 
     sp = sub.add_parser("dtsaft", help="discrete-time transform of a sequence")
@@ -686,7 +688,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--params", required=True)
     sp.add_argument("--lhs", required=True, help=".grid or .csv operand")
     sp.add_argument("--rhs", required=True, help=".grid or .csv operand")
-    _add_common(sp)
+    _add_common(sp, out="file")
     sp.set_defaults(func=_cmd_conv)
 
     sp = sub.add_parser("verify", help="seeded residual trials for the identities")
@@ -733,7 +735,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--method", choices=("discrete", "continuous"), default="discrete")
     sp.add_argument("--window", default=None,
                     help="coefficient index window lo:hi per axis, comma-separated")
-    _add_common(sp)
+    _add_common(sp, out="file")
     sp.set_defaults(func=_cmd_dynsamp_recover)
 
     rep = sub.add_parser("repro", help="worked end-to-end examples")
@@ -742,14 +744,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--c1", type=_finite_complex, default="1", help="first filter coefficient")
     sp.add_argument("--c2", type=_finite_complex, default="0.5", help="second filter coefficient")
     sp.add_argument("--params", default=None, help="parameter JSON (default: plain FT)")
-    sp.add_argument("--outdir", default=None, help="directory for figure CSVs + report.json")
+    sp.add_argument("--outdir", type=_path, help="directory for figure CSVs + report.json")
     sp.add_argument("--threshold", type=_positive(float), default=None,
                     help="relative cut for the generator sample table "
                          "(default: dynsamp.SAMPLE_THRESHOLD)")
     sp.set_defaults(func=_cmd_repro)
 
     sp = sub.add_parser("selftest", help="fast invariant suite")
-    _add_common(sp, out=False, seed=True)
+    _add_common(sp, out=None, seed=True)
     sp.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -33,8 +33,8 @@ codec: `_table_pieces` writes integers as ``str(int)`` and floats as
 a table back with ``np.loadtxt``.  `_table_pieces` formats one column at a
 time; a float column that repeats values, such as a grid coordinate, calls
 ``repr`` once per distinct value, and the bytes are the same as one
-``repr`` per value.  It returns the table as newline-terminated pieces of
-at most `ROW_CHUNK` rows (and the forked child's half, below); every table
+``repr`` per value.  It returns the table as pieces of at most `ROW_CHUNK`
+rows (and the forked child's half in pipe reads, below); every table
 sink writes those pieces to its open file or stdout one by one
 (`_write_table`), and no sink holds one str of the whole file.
 `format_rows` is their join.
@@ -122,9 +122,9 @@ def format_rows(header: list[str], *blocks) -> str:
 
 def _table_pieces(header: list[str], *blocks) -> list[str]:
     """The header lines, then one CSV row per row of the column blocks, as
-    newline-terminated pieces: one per header line, one per `ROW_CHUNK`
-    rows formatted in this process and, for a table split in two, the
-    forked child's rows as one piece.  A block is a (K, c) array or a (K,)
+    pieces: one per header line, one per `ROW_CHUNK` rows formatted in
+    this process and, for a table split in two, the forked child's rows as
+    the 64 KiB pipe reads they arrived in.  A block is a (K, c) array or a (K,)
     column; integer blocks are written as ``str(int)``, all others as
     ``repr(float)``, so NaN and infinities are written as ``nan`` and
     ``inf``.
@@ -138,12 +138,12 @@ def _table_pieces(header: list[str], *blocks) -> list[str]:
     `_in_two`); when the child cannot be started or fails, this process
     formats the child's rows too, so the bytes never change."""
     columns, rows = _columns(blocks)
-    # the child's text is decoded one pipe read at a time, so that it is
-    # never held as bytes and as str at once
+    # the child's text is kept as its decoded pipe reads, so that no str of
+    # its half is formed and then held beside its encoding as it is written
     parts = _in_two(
         rows, lambda lo, hi: _format_chunks(columns, lo, hi),
         lambda lo, hi: "".join(_format_chunks(columns, lo, hi)).encode("ascii"),
-        lambda split, r: ["".join(iter(lambda: os.read(r, 1 << 16).decode("ascii"), ""))])
+        lambda split, r: list(iter(lambda: os.read(r, 1 << 16).decode("ascii"), "")))
     return [line + "\n" for line in header] + [c for part in parts for c in part] or ["\n"]
 
 
@@ -174,8 +174,9 @@ def _write_table(path, header: list[str], *blocks) -> None:
 
 def _may_fork(rows: int) -> bool:
     """Whether `_in_two` splits a table of `rows` rows between two
-    processes: at least two chunks (`_forked` decides whether it can)."""
-    return rows >= 2 * ROW_CHUNK
+    processes: at least two chunks, outside a `_forked` child, which
+    cannot fork again (`_forked` decides whether this process can)."""
+    return rows >= 2 * ROW_CHUNK and not _in_child
 
 
 #: whether this process is a `_forked` child

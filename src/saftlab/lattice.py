@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -38,42 +39,27 @@ def _int_rows(M) -> list[list[int]]:
     return [[int(round(x)) for x in row] for row in arr]
 
 
-def _det_int(rows: list[list[int]]) -> int:
-    # Bareiss fraction-free elimination: exact over Python ints.
-    a = [row[:] for row in rows]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _adjugate_int(rows: list[list[int]]) -> list[list[int]]:
+def _det_adj(rows: list[list[int]]) -> tuple[int, list[list[int]] | None]:
+    """``det M`` and ``adj M = det M * M^{-1}`` of the integer matrix `rows`,
+    from one Gauss-Jordan elimination of ``[M | I]`` over exact fractions;
+    the adjugate is None when M is singular."""
     n = len(rows)
-    if n == 1:
-        return [[1]]
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n) if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * _det_int(minor)
-    return adj
+    a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv], det = a[piv], a[k], -det
+        pivot = a[k][k]
+        det *= pivot
+        a[k] = [x / pivot for x in a[k]]
+        for i in range(n):
+            if i != k and (f := a[i][k]):
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return int(det), [[int(det * x) for x in row[n:]] for row in a]
 
 
 def _coset_reps(mat: np.ndarray, det: int, adj: np.ndarray) -> list[tuple[int, ...]]:
@@ -157,27 +143,18 @@ def build_lattice(M) -> SamplingLattice:
     Raises ValueError for singular or non-integer ``M``.
     """
     rows = _int_rows(M)
-    det = _det_int(rows)
+    det, adj = _det_adj(rows)
     if det == 0:
         raise ValueError("M is singular")
     m = abs(det)
-    mat = np.array(rows, dtype=np.int64)
-    adj = np.array(_adjugate_int(rows), dtype=np.int64)
+    mat, adj = np.array(rows, dtype=np.int64), np.array(adj, dtype=np.int64)
+    mat.setflags(write=False)
+    adj.setflags(write=False)
     gamma = _coset_reps(mat, det, adj)
     eta = _coset_reps(mat.T, det, adj.T)
     if len(gamma) != m or len(eta) != m:
         raise AssertionError(f"expected {m} coset reps, found {len(gamma)}/{len(eta)}")
-    lat = SamplingLattice(
-        M=mat,
-        m=m,
-        gamma=tuple(gamma),
-        eta=tuple(eta),
-        adj=adj,
-        det=det,
-    )
-    lat.M.setflags(write=False)
-    lat.adj.setflags(write=False)
-    return lat
+    return SamplingLattice(M=mat, m=m, gamma=tuple(gamma), eta=tuple(eta), adj=adj, det=det)
 
 
 def decompose(lat: SamplingLattice, k) -> tuple[tuple[int, ...], int]:

@@ -20,6 +20,7 @@ Two unit-modulus scalar fields derived from a block appear throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,11 @@ DEFAULT_CONSTRAINT_TOL = 1e-10
 SINGULARITY_RTOL = 1e-12
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _as_matrix(x, n: int, name: str) -> np.ndarray:
     m = np.asarray(x, dtype=float)
     if m.ndim == 0:
@@ -63,12 +69,13 @@ def _as_offset(x, n: int, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SaftParams:
-    """Immutable parameter block; ``B^{-1}`` and friends are cached once.
+    """Immutable parameter block; ``B^{-1}`` and the matrices derived from it
+    are formed on first read, read-only.
 
     Construction only enforces structural consistency (shapes).  Constraint
     residuals are computed and stored so `validate` can report them; if ``B``
-    is numerically singular the cached inverse is absent and operations that
-    need it raise.
+    is numerically singular, reading ``B^{-1}`` or anything formed from it
+    raises ValueError.
     """
 
     n: int
@@ -89,7 +96,7 @@ class SaftParams:
         for name in "PQ":
             object.__setattr__(self, name, _as_offset(getattr(self, name), n, name))
         for name in "ABCDPQ":
-            getattr(self, name).setflags(write=False)
+            _read_only(getattr(self, name))
 
         A, B, C, D = self.A, self.B, self.C, self.D
         det_b = float(np.linalg.det(B))
@@ -97,7 +104,7 @@ class SaftParams:
         # floor applied after the power so an all-zero B cannot underflow
         # the threshold to 0 and slip past the guard
         singular = abs(det_b) < SINGULARITY_RTOL * max(norm_b**n, 1e-300)
-        object.__setattr__(self, "_det_b", det_b)
+        object.__setattr__(self, "abs_det_b", abs(det_b))
         object.__setattr__(self, "_b_singular", bool(singular))
         residuals = {
             "ab_symmetry": float(np.max(np.abs(A @ B.T - B @ A.T))),
@@ -105,39 +112,32 @@ class SaftParams:
             "symplectic_identity": float(np.max(np.abs(A @ D.T - B @ C.T - np.eye(n)))),
         }
         object.__setattr__(self, "_residuals", residuals)
-        if not singular:
-            b_inv = np.linalg.inv(B)
-            caches = {
-                "_b_inv": b_inv,
-                "_b_inv_a": b_inv @ A,          # symmetric for valid blocks
-                "_d_b_inv": D @ b_inv,
-                "_b_inv_p": b_inv @ self.P,
-                # linear coefficient of the modulation phase: Q - (D B^{-1})^T P
-                "_mod_lin": self.Q - (D @ b_inv).T @ self.P,
-            }
-            for k, v in caches.items():
-                v.setflags(write=False)
-                object.__setattr__(self, k, v)
-        else:
-            for k in ("_b_inv", "_b_inv_a", "_d_b_inv", "_b_inv_p", "_mod_lin"):
-                object.__setattr__(self, k, None)
 
-    # -- cached views ------------------------------------------------------
-
-    @property
-    def abs_det_b(self) -> float:
-        return abs(self._det_b)
-
-    def _inverse_cache(self, name: str) -> np.ndarray:
-        value = getattr(self, name)
-        if value is None:
+    @cached_property
+    def b_inv(self) -> np.ndarray:
+        """``B^{-1}``; every derived matrix is formed from it, so a
+        numerically singular B raises here alone."""
+        if self._b_singular:
             raise ValueError("B is numerically singular; this operation needs B^{-1}")
-        return value
+        return _read_only(np.linalg.inv(self.B))
 
-    b_inv = property(lambda self: self._inverse_cache("_b_inv"))
-    b_inv_a = property(lambda self: self._inverse_cache("_b_inv_a"))
-    d_b_inv = property(lambda self: self._inverse_cache("_d_b_inv"))
-    b_inv_p = property(lambda self: self._inverse_cache("_b_inv_p"))
+    @cached_property
+    def b_inv_a(self) -> np.ndarray:
+        """``B^{-1} A``, symmetric for valid blocks."""
+        return _read_only(self.b_inv @ self.A)
+
+    @cached_property
+    def d_b_inv(self) -> np.ndarray:
+        return _read_only(self.D @ self.b_inv)
+
+    @cached_property
+    def b_inv_p(self) -> np.ndarray:
+        return _read_only(self.b_inv @ self.P)
+
+    @cached_property
+    def _mod_lin(self) -> np.ndarray:
+        """The modulation phase's linear coefficient ``Q - (D B^{-1})^T P``."""
+        return _read_only(self.Q - self.d_b_inv.T @ self.P)
 
     def is_chirp_free(self, tol: float = 0.0) -> bool:
         """True when the input-side quadratic phase vanishes (A == 0)."""
@@ -199,11 +199,57 @@ def require_valid(p: SaftParams) -> None:
 # presets
 
 
-#: the keyword arguments each preset kind reads
-_PRESET_KEYS = {
-    "ft": (), "lct": tuple("ABCD"), "separable_lct": tuple("abcd"), "separable_frft": ("theta",),
-    "nonseparable_fresnel": ("B",), "separable_fresnel": ("b",), "separable_lorentz": ("phi",),
-    "custom": tuple("ABCDPQ"),
+def _dim(a: np.ndarray) -> int:
+    """A block matrix's dimension: its first axis, 1 for a scalar."""
+    return a.shape[0] if a.ndim else 1
+
+
+def _vector(kwargs: dict, key: str) -> np.ndarray:
+    return np.atleast_1d(np.asarray(kwargs[key], dtype=float))
+
+
+def _ft(kwargs, n):
+    if n is None:
+        raise ValueError("ft preset needs the dimension n")
+    Z, I = np.zeros((n, n)), np.eye(n)
+    return Z, I, -I, Z
+
+
+def _fresnel(B: np.ndarray):
+    # a diagonal B always passes
+    if np.max(np.abs(B - B.T)) > 1e-12:
+        raise ValueError("nonseparable fresnel block requires a symmetric B")
+    I, Z = np.eye(_dim(B)), np.zeros((_dim(B), _dim(B)))
+    return I, B, Z, I
+
+
+def _cos_sin(v: np.ndarray, cos, sin, sign: float, singular: str):
+    """A = D = diag(cos v), B = diag(sin v), C = sign * B, for the circular
+    or the hyperbolic cos and sin."""
+    if np.any(np.abs(sin(v)) < 1e-12):
+        raise ValueError(singular)
+    c, s = np.diag(cos(v)), np.diag(sin(v))
+    return c, s, sign * s, c
+
+
+def _full(kwargs, n):
+    return np.asarray(kwargs["A"], dtype=float), kwargs["B"], kwargs["C"], kwargs["D"]
+
+
+#: each preset kind: the keyword arguments it reads, and the builder of its
+#: blocks (A, B, C, D) from those arguments and the ``n`` given to `preset`
+_PRESETS = {
+    "ft": ((), _ft),
+    "lct": (tuple("ABCD"), _full),
+    "separable_lct": (tuple("abcd"),
+                      lambda kw, n: [np.diag(v) for v in [_vector(kw, k) for k in "abcd"]]),
+    "separable_frft": (("theta",), lambda kw, n: _cos_sin(
+        _vector(kw, "theta"), np.cos, np.sin, -1.0, "frft angles with sin(theta) = 0 give a singular B")),
+    "nonseparable_fresnel": (("B",), lambda kw, n: _fresnel(np.asarray(kw["B"], dtype=float))),
+    "separable_fresnel": (("b",), lambda kw, n: _fresnel(np.diag(_vector(kw, "b")))),
+    "separable_lorentz": (("phi",), lambda kw, n: _cos_sin(
+        _vector(kw, "phi"), np.cosh, np.sinh, 1.0, "lorentz rapidity 0 gives a singular B")),
+    "custom": (tuple("ABCDPQ"), _full),
 }
 
 
@@ -216,69 +262,27 @@ def preset(kind: str, /, n: int | None = None, **kwargs) -> SaftParams:
     - ``lct``: full matrices A, B, C, D (P=Q=0).
     - ``separable_lct``: per-axis diagonals a, b, c, d (P=Q=0).
     - ``separable_frft``: angles theta_i; A=D=diag(cos), B=-C=diag(sin).
-    - ``nonseparable_fresnel``: A=D=I, C=0, B symmetric.
+    - ``nonseparable_fresnel``: A=D=I, C=0, B symmetric (a scalar is 1x1).
     - ``separable_fresnel``: A=D=I, C=0, B=diag(b).
     - ``separable_lorentz``: rapidities phi_i; A=D=diag(cosh), B=C=diag(sinh).
     - ``custom``: full A, B, C, D, P, Q.
 
-    A keyword the kind does not read, or an ``n`` that its arguments
-    contradict, raises.
+    The dimension is A's first axis (1 for a scalar A), and offsets not
+    given are zero.  A keyword the kind does not read raises, and so does
+    an ``n`` that the arguments contradict.
     """
     kind = kind.lower().replace("-", "_")
-    if kind not in _PRESET_KEYS:
+    if kind not in _PRESETS:
         raise ValueError(f"unknown preset kind {kind!r}")
-    unread = sorted(set(kwargs) - set(_PRESET_KEYS[kind]))
+    keys, build = _PRESETS[kind]
+    unread = sorted(set(kwargs) - set(keys))
     if unread:
         raise ValueError(f"preset {kind!r} does not take {', '.join(unread)}")
-    dim = n
-    if kind == "ft":
-        if n is None:
-            raise ValueError("ft preset needs the dimension n")
-        Z, I = np.zeros((n, n)), np.eye(n)
-        p = SaftParams(n, Z, I, -I, Z, np.zeros(n), np.zeros(n))
-    elif kind == "lct":
-        A = np.asarray(kwargs["A"], dtype=float)
-        n = A.shape[0] if A.ndim else 1
-        p = SaftParams(n, kwargs["A"], kwargs["B"], kwargs["C"], kwargs["D"], np.zeros(n), np.zeros(n))
-    elif kind == "separable_lct":
-        a, b, c, d = (np.atleast_1d(np.asarray(kwargs[k], dtype=float)) for k in "abcd")
-        n = a.size
-        p = SaftParams(n, np.diag(a), np.diag(b), np.diag(c), np.diag(d), np.zeros(n), np.zeros(n))
-    elif kind == "separable_frft":
-        theta = np.atleast_1d(np.asarray(kwargs["theta"], dtype=float))
-        n = theta.size
-        if np.any(np.abs(np.sin(theta)) < 1e-12):
-            raise ValueError("frft angles with sin(theta) = 0 give a singular B")
-        cos, sin = np.diag(np.cos(theta)), np.diag(np.sin(theta))
-        p = SaftParams(n, cos, sin, -sin, cos, np.zeros(n), np.zeros(n))
-    elif kind == "nonseparable_fresnel":
-        B = np.asarray(kwargs["B"], dtype=float)
-        n = B.shape[0]
-        if np.max(np.abs(B - B.T)) > 1e-12:
-            raise ValueError("nonseparable fresnel block requires a symmetric B")
-        I, Z = np.eye(n), np.zeros((n, n))
-        p = SaftParams(n, I, B, Z, I, np.zeros(n), np.zeros(n))
-    elif kind == "separable_fresnel":
-        b = np.atleast_1d(np.asarray(kwargs["b"], dtype=float))
-        n = b.size
-        I, Z = np.eye(n), np.zeros((n, n))
-        p = SaftParams(n, I, np.diag(b), Z, I, np.zeros(n), np.zeros(n))
-    elif kind == "separable_lorentz":
-        phi = np.atleast_1d(np.asarray(kwargs["phi"], dtype=float))
-        n = phi.size
-        if np.any(np.abs(np.sinh(phi)) < 1e-12):
-            raise ValueError("lorentz rapidity 0 gives a singular B")
-        ch, sh = np.diag(np.cosh(phi)), np.diag(np.sinh(phi))
-        p = SaftParams(n, ch, sh, sh, ch, np.zeros(n), np.zeros(n))
-    else:
-        A = np.asarray(kwargs["A"], dtype=float)
-        n = A.shape[0] if A.ndim else 1
-        p = SaftParams(
-            n, kwargs["A"], kwargs["B"], kwargs["C"], kwargs["D"],
-            kwargs.get("P", np.zeros(n)), kwargs.get("Q", np.zeros(n)),
-        )
-    if dim is not None and dim != n:
-        raise ValueError(f"preset {kind!r}: n = {dim}, but its arguments give dimension {n}")
+    A, B, C, D = build(kwargs, n)
+    dim = _dim(np.asarray(A, dtype=float))
+    p = SaftParams(dim, A, B, C, D, kwargs.get("P", np.zeros(dim)), kwargs.get("Q", np.zeros(dim)))
+    if n is not None and n != dim:
+        raise ValueError(f"preset {kind!r}: n = {n}, but its arguments give dimension {dim}")
     rep = validate(p, 1e-12)
     if not rep.ok:
         raise ValueError(f"preset {kind!r} arguments give an invalid block:\n{rep}")

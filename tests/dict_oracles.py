@@ -18,10 +18,11 @@ from __future__ import annotations
 from math import sqrt
 
 import numpy as np
+from construction_oracles import _adjugate_int, _det_int
 
 from saftlab.dynsamp import MeasurementSet
 from saftlab.grid import SeqFn
-from saftlab.lattice import SamplingLattice, _adjugate_int, _det_int, _int_rows
+from saftlab.lattice import SamplingLattice, _int_rows
 from saftlab.params import SaftParams, chirp, require_valid
 
 

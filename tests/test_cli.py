@@ -794,6 +794,72 @@ def test_usage_errors_exit_64(capsys):
     assert main(["verify", "--theorem", "nope"]) == 64
 
 
+def _command_argv(work, command: str) -> list[str]:
+    """A run of `command` that succeeds with every input from `work`, less
+    its --out or --outdir."""
+    model = ["--params", str(work / "ft1.json"), "--phi", str(work / "phi1.grid")]
+    dyn = [*model, "--filter", str(work / "filt1.csv"), "--M", "[[2]]"]
+    return {
+        "transform": ["transform", "--params", str(work / "ft1.json"),
+                      "--in", str(work / "gauss.grid")],
+        "inverse": ["inverse", "--params", str(work / "ft1.json"), "--in", str(work / "gauss.grid")],
+        "dtsaft": ["dtsaft", "--params", str(work / "ft1.json"), "--seq", str(work / "seq.csv"),
+                   "--wgrid=-1:1:3"],
+        "conv": ["conv", "--kind", "dd", "--params", str(work / "ft1.json"),
+                 "--lhs", str(work / "filt1.csv"), "--rhs", str(work / "seq.csv")],
+        "verify": ["verify", "--theorem", "dd", "--trials", "1"],
+        "sis": ["sis", *model, "--cell-points", "3"],
+        "dynsamp check": ["dynsamp", "check", *dyn, "--cell-points", "3"],
+        "dynsamp recover": ["dynsamp", "recover", *dyn, "--measurements", str(work / "meas.csv")],
+        "repro section5": ["repro", "section5"],
+    }[command]
+
+
+#: the commands whose output is always a file, and those that write a table
+#: to stdout without --out
+FILE_COMMANDS = ["transform", "inverse", "conv", "dynsamp recover"]
+TABLE_COMMANDS = ["dtsaft", "verify", "sis", "dynsamp check"]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS + TABLE_COMMANDS + ["repro section5"])
+def test_an_empty_out_or_outdir_is_a_usage_error(work, tmp_path, capsys, monkeypatch, command):
+    # an empty --out once sent a table to stdout but failed transform with
+    # "Is a directory: '.'", and an empty --outdir wrote into the current directory
+    monkeypatch.chdir(tmp_path)
+    flag = "--outdir" if command.startswith("repro") else "--out"
+    assert main(_command_argv(work, command) + [flag, ""]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {flag}: must not be empty" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_a_missing_out_is_a_usage_error_before_any_input_is_read(work, tmp_path, capsys, command):
+    argv = [str(tmp_path / "absent") if arg.startswith(str(work)) else arg
+            for arg in _command_argv(work, command)]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and "the following arguments are required: --out" in captured.err
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS + TABLE_COMMANDS)
+def test_out_help_says_stdout_only_where_a_table_goes_there(capsys, command):
+    assert main([*command.split(), "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--out OUT output file" in text
+    assert ("(default: stdout)" in text) == (command in TABLE_COMMANDS)
+
+
+def test_a_scalar_b_fresnel_preset_is_the_1x1_block(work, tmp_path, capsys):
+    # the scalar once ended in an IndexError traceback inside preset
+    for name, B in (("scalar", "2.0"), ("matrix", "[[2.0]]")):
+        (tmp_path / f"{name}.json").write_text(f'{{"preset": "nonseparable_fresnel", "B": {B}}}')
+        assert main(["dtsaft", "--params", str(tmp_path / f"{name}.json"),
+                     "--seq", str(work / "seq.csv"), "--wgrid=-1:1:5",
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+    assert (tmp_path / "scalar.csv").read_bytes() == (tmp_path / "matrix.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["verify", "--theorem", "dd", "--trials", "1"], ["selftest"]])
 def test_a_negative_seed_is_a_usage_error_and_zero_a_seed(capsys, argv):
     # np.random.default_rng refuses a negative seed; the parser refuses it first

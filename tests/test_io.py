@@ -201,8 +201,9 @@ def test_formatting_distinct_values_peaks_near_the_text_size():
 
 def test_writing_a_grid_sized_table_peaks_below_twice_the_file_size(tmp_path):
     # as many rows as each grid that the cli_files benchmark writes (513^2):
-    # the pieces go to the open file one by one, so no str of the whole file
-    # and no encoded copy of it is held (2.0x the file size before)
+    # the pieces go to the open file one by one, and the forked child's half
+    # stays in its pipe reads, so no str of the whole file or of that half is
+    # held beside its encoding (2.0x the file size, then 1.61x, before)
     block = np.random.default_rng(5).standard_normal((263_169, 2))
     values, path = block.view(complex)[:, 0], tmp_path / "t.csv"
     tracemalloc.start()
@@ -211,7 +212,7 @@ def test_writing_a_grid_sized_table_peaks_below_twice_the_file_size(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.8 * path.stat().st_size
+    assert peak <= 1.3 * path.stat().st_size
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +589,21 @@ def test_no_fork_while_another_thread_runs(tmp_path):
     assert text == _per_row_text(["re,im"], block)
     np.testing.assert_array_equal(_bits(vals), _bits(block.view(complex)[:, 0]))
     _assert_written(tables)
+
+
+def test_a_forked_child_formats_and_parses_a_large_table_without_a_pipe():
+    # the figure child, which cannot fork again, once opened and closed a
+    # pipe for each table of two chunks or more before doing the work alone
+    block = np.random.default_rng(7).standard_normal((40, 2))
+    pipes, real_pipe = [], os.pipe
+    with mock.patch.object(saftlab.io, "ROW_CHUNK", 8), \
+            mock.patch.object(saftlab.io, "_in_child", True), \
+            mock.patch.object(os, "pipe", lambda: pipes.append(1) or real_pipe()):
+        text = format_rows(["re,im"], block)
+        vals = parse_rows("t.csv", text.splitlines()[1:], 0)[1]
+    assert pipes == []
+    assert text == _per_row_text(["re,im"], block)
+    np.testing.assert_array_equal(_bits(vals), _bits(block.view(complex)[:, 0]))
 
 
 # ---------------------------------------------------------------------------

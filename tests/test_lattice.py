@@ -4,11 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from construction_oracles import _adjugate_int, _det_int
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saftlab.grid import SeqFn
-from saftlab.lattice import build_lattice, decompose, merge_sequence, split_sequence
+from saftlab.lattice import _det_adj, build_lattice, decompose, merge_sequence, split_sequence
 
 
 def test_basic_counts_and_zero_first():
@@ -108,3 +109,36 @@ def test_merge_requires_full_part_list():
     lat = build_lattice([[2]])
     with pytest.raises(ValueError):
         merge_sequence(lat, [SeqFn(1, {})])
+
+
+def _int_matrices(n: int, lo: int, hi: int):
+    """n x n integer matrices, a singular one (a row a multiple of another) now and then."""
+    rows = st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    square = st.lists(rows, min_size=n, max_size=n)
+    return square | square.flatmap(lambda m: st.integers(-3, 3).map(
+        lambda c: m[:-1] + [[c * x for x in m[0]]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 4).flatmap(lambda n: _int_matrices(n, -50, 50)))
+def test_one_elimination_gives_the_bareiss_determinant_and_the_cofactor_adjugate(m):
+    det, adj = _det_adj(m)
+    assert det == _det_int(m)
+    # a singular M has no M^{-1} to scale, and build_lattice refuses it
+    assert adj == (_adjugate_int(m) if det else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 3).flatmap(lambda n: _int_matrices(n, -3, 3)))
+def test_a_lattices_determinant_and_adjugate_are_the_oracles(m):
+    det = _det_int(m)
+    if det == 0:
+        with pytest.raises(ValueError, match="M is singular"):
+            build_lattice(m)
+        return
+    lat = build_lattice(m)
+    adj = np.array(_adjugate_int(m), dtype=np.int64)
+    assert lat.det == det and lat.m == abs(det)
+    assert lat.adj.dtype == adj.dtype and lat.adj.tobytes() == adj.tobytes()
+    assert lat.M.tolist() == m and lat.M.dtype == np.int64
+    assert not lat.M.flags.writeable and not lat.adj.flags.writeable

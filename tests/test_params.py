@@ -1,5 +1,6 @@
 """Parameter blocks: constraints, presets, inversion, phase factors."""
 
+import construction_oracles as oracle
 import numpy as np
 import pytest
 from conftest import coarse_sis
@@ -197,3 +198,109 @@ def test_phase_factors_give_a_point_the_same_bits_alone_and_in_a_batch(n):
             stacked = fn(p, w.reshape(20, 20, n)).reshape(batch.shape)
             assert np.array_equal(batch, alone)
             assert np.array_equal(batch, stacked)
+
+
+# ---------------------------------------------------------------------------
+# one preset table against the if chain it replaced, and the derived matrices
+
+
+def _outcome(build):
+    """The block's n and matrices as bytes, or the error's type and text."""
+    try:
+        p = build()
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+    return p.n, [(getattr(p, k).shape, getattr(p, k).tobytes()) for k in "ABCDPQ"]
+
+
+_entry = st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0]) | st.floats(-3.0, 3.0)
+
+
+def _per_axis(k):
+    return _entry | st.lists(_entry, min_size=k, max_size=k)
+
+
+def _square(k):
+    return _entry | st.lists(st.lists(_entry, min_size=k, max_size=k), min_size=k, max_size=k)
+
+
+@st.composite
+def _preset_calls(draw):
+    """A kind, with each key it reads drawn (or left out), an unread key now
+    and then and an ``n`` that may contradict the arguments."""
+    kind = draw(st.sampled_from(sorted(oracle._PRESET_KEYS)))
+    k = draw(st.integers(1, 3))
+    kwargs = {}
+    if kind in ("lct", "custom") and draw(st.booleans()):
+        p = random_params(k, np.random.default_rng(draw(st.integers(0, 2**16))))
+        kwargs = {name: getattr(p, name).tolist() for name in "ABCDPQ"[:6 if kind == "custom" else 4]}
+    if kind == "separable_lct" and draw(st.booleans()):
+        theta = np.array(draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k)))
+        kwargs = dict(zip("abcd", (np.cos(theta), np.sin(theta), -np.sin(theta), np.cos(theta))))
+    for key in oracle._PRESET_KEYS[kind]:
+        if key not in kwargs and draw(st.integers(0, 9)):
+            if key == "B" and kind == "nonseparable_fresnel" and draw(st.booleans()):
+                m = np.array(draw(_square(k)), ndmin=2)
+                kwargs[key] = ((m + m.T) / 2).tolist()      # symmetric
+            elif key in "PQ":
+                kwargs[key] = draw(_per_axis(k))
+            else:
+                kwargs[key] = draw(_square(k) if key in "ABCD" else _per_axis(k))
+    if not draw(st.integers(0, 9)):
+        kwargs["theta" if kind != "separable_frft" else "b"] = [0.5]
+    n = draw(st.none() | st.integers(1, 3))
+    return kind, n, kwargs
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=_preset_calls())
+def test_every_preset_kind_gives_the_if_chains_block_or_error(call):
+    kind, n, kwargs = call
+    new = _outcome(lambda: preset(kind, n, **kwargs))
+    if kind == "nonseparable_fresnel" and "B" in kwargs and np.ndim(kwargs["B"]) == 0:
+        # the if chain crashed on a scalar B; the table reads it as the 1x1 block
+        kwargs = {**kwargs, "B": [[kwargs["B"]]]}
+    assert new == _outcome(lambda: oracle.preset(kind, n, **kwargs))
+
+
+def test_a_scalar_fresnel_b_is_the_one_by_one_block():
+    with pytest.raises(IndexError):     # the if chain's crash
+        oracle.preset("nonseparable_fresnel", B=2.0)
+    p = preset("nonseparable_fresnel", B=2.0)
+    assert p.n == 1 and p.B.tolist() == [[2.0]] and p.A.tolist() == [[1.0]] == p.D.tolist()
+    assert p.C.tolist() == [[0.0]]
+
+
+#: the matrices a block derives from B^{-1}, each with the expression that formed
+#: it at construction before they were formed on first read
+_DERIVED = {
+    "b_inv": lambda p, b_inv: b_inv,
+    "b_inv_a": lambda p, b_inv: b_inv @ p.A,
+    "d_b_inv": lambda p, b_inv: p.D @ b_inv,
+    "b_inv_p": lambda p, b_inv: b_inv @ p.P,
+    "_mod_lin": lambda p, b_inv: p.Q - (p.D @ b_inv).T @ p.P,
+}
+
+
+def test_derived_matrices_have_the_eager_bits_are_read_only_and_formed_once():
+    rng = np.random.default_rng(34)
+    blocks = [random_params(n, rng) for n in (1, 2, 3) for _ in range(10)]
+    blocks += [preset(kind, **kwargs) for kind, kwargs in ALL_PRESETS]
+    for p in blocks:
+        b_inv = np.linalg.inv(p.B)
+        for name, eager in _DERIVED.items():
+            got, want = getattr(p, name), eager(p, b_inv)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+            assert not got.flags.writeable, name
+            assert getattr(p, name) is got, name
+
+
+def test_a_singular_b_refuses_every_derived_matrix_and_the_modulation_alike():
+    Z, I = np.zeros((2, 2)), np.eye(2)
+    p = SaftParams(2, Z, Z, I, Z, np.zeros(2), np.zeros(2))
+    reads = [lambda name=name: getattr(p, name) for name in _DERIVED]
+    reads += [lambda: modulation(p, [0.5, 0.25]), lambda: chirp(p, [0.5, 0.25])]
+    for read in reads * 2:      # a refusal is not cached: the second read raises too
+        with pytest.raises(ValueError) as exc:
+            read()
+        assert str(exc.value) == "B is numerically singular; this operation needs B^{-1}"

@@ -15,8 +15,13 @@ import saftlab
 ALLOWED = {
     # the grid kernel's GEMM, pinned to the calling thread
     ("saft.py", "grid_phase_sum"),
-    # n x n algebra of the block itself
+    # n x n algebra of the block itself: its constraint residuals and the
+    # matrices derived from B^{-1}, each formed on first read
     ("params.py", "SaftParams.__post_init__"),
+    ("params.py", "SaftParams.b_inv_a"),
+    ("params.py", "SaftParams.d_b_inv"),
+    ("params.py", "SaftParams.b_inv_p"),
+    ("params.py", "SaftParams._mod_lin"),
     ("params.py", "inverse_params"),
     ("params.py", "random_params"),
     # exact integer lattice code

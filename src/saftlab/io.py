@@ -31,12 +31,14 @@ Every CSV body, here and in the CLI and figure writers, goes through one
 codec: `_table_pieces` writes integers as ``str(int)`` and floats as
 ``repr(float)`` (Python's shortest round-trip form), and `parse_rows` reads
 a table back with ``np.loadtxt``.  `_table_pieces` formats one column at a
-time; a float column that repeats values, such as a grid coordinate, calls
-``repr`` once per distinct value, and the bytes are the same as one
-``repr`` per value.  It returns the table as pieces of at most `ROW_CHUNK`
-rows (and the forked child's half in pipe reads, below); every table
-sink writes those pieces to its open file or stdout one by one
-(`_write_table`), and no sink holds one str of the whole file.
+time; a float column that repeats values, such as a grid coordinate or a
+grid of mostly exact zeros, calls ``repr`` once per distinct value in each
+chunk of at most `ROW_CHUNK` (16,384) rows, in whichever process formats
+that chunk, and the bytes are the same as one ``repr`` per value.  It
+returns the table as pieces of at most `ROW_CHUNK` rows (and the forked
+child's half in pipe reads, below); every table sink writes those pieces
+to its open file or stdout one by one (`_write_table`), and no sink holds
+one str of the whole file.
 `format_rows` is their join.
 
 The package forks in one place, `_forked`, and only on Linux with no other
@@ -99,7 +101,7 @@ _HEADER = {
 ROW_CHUNK = 1 << 14
 
 #: `_table_pieces` looks at this many evenly spaced values of a float column,
-#: and formats each distinct value of the column once when at most
+#: and formats each distinct value once per `ROW_CHUNK` chunk when at most
 #: `DEDUPE_SHARE` of them are distinct (a coordinate column of a grid)
 SAMPLE_ROWS = 1 << 10
 DEDUPE_SHARE = 0.5
@@ -131,12 +133,14 @@ def _table_pieces(header: list[str], *blocks) -> list[str]:
 
     Each column is a view of its block and is formatted on its own,
     `ROW_CHUNK` rows at a time.  A float column that repeats values (see
-    `SAMPLE_ROWS`) calls ``repr`` once per distinct bit pattern and takes
-    each row's text from that table; the output bytes are the same as with
-    one ``repr`` per value.  On Linux, with no other Python thread running,
-    a table of at least two chunks is formatted in two processes (see
-    `_in_two`); when the child cannot be started or fails, this process
-    formats the child's rows too, so the bytes never change."""
+    `SAMPLE_ROWS`) calls ``repr`` once per distinct bit pattern of each
+    chunk of at most 16,384 rows, in whichever process formats that chunk,
+    and takes each row's text from that chunk's table; the output bytes are
+    the same as with one ``repr`` per value.  On Linux, with no other
+    Python thread running, a table of at least two chunks is formatted in
+    two processes (see `_in_two`); when the child cannot be started or
+    fails, this process formats the child's rows too, so the bytes never
+    change."""
     columns, rows = _columns(blocks)
     # the child's text is kept as its decoded pipe reads, so that no str of
     # its half is formed and then held beside its encoding as it is written
@@ -285,7 +289,12 @@ def _writing_tables(tables):
 
 def _column_text(col: np.ndarray):
     """The function giving the text of rows ``lo:hi`` of the 1-D column
-    ``col`` (a view of its block, strided) as a list of str."""
+    ``col`` (a view of its block, strided) as a list of str.
+
+    Only `SAMPLE_ROWS` values of a float column are looked at here.  When
+    they repeat, each call keys its rows ``lo:hi`` (one chunk of at most
+    16,384 rows) by bit pattern and formats each distinct value once, in
+    whichever process formats that chunk."""
     if col.dtype.kind in "iu":
         return lambda lo, hi: list(map(str, col[lo:hi].tolist()))
     col = col.astype(float, copy=False)
@@ -293,9 +302,12 @@ def _column_text(col: np.ndarray):
     sample = bits[::max(1, math.ceil(len(bits) / SAMPLE_ROWS))]
     if len(np.unique(sample)) > DEDUPE_SHARE * len(sample):
         return lambda lo, hi: list(map(repr, col[lo:hi].tolist()))
-    distinct, inv = np.unique(bits, return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
-    return lambda lo, hi: text[inv[lo:hi]].tolist()
+
+    def text(lo, hi):
+        distinct, inv = np.unique(bits[lo:hi], return_inverse=True)
+        reprs = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+        return reprs[inv].tolist()
+    return text
 
 
 def _require_finite_rows(path, values, *blocks) -> None:

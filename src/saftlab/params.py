@@ -204,8 +204,13 @@ def _dim(a: np.ndarray) -> int:
     return a.shape[0] if a.ndim else 1
 
 
-def _vector(kwargs: dict, key: str) -> np.ndarray:
-    return np.atleast_1d(np.asarray(kwargs[key], dtype=float))
+def _vector(kind: str, key: str, value) -> np.ndarray:
+    """A per-axis argument as a float vector, a scalar as one axis."""
+    v = np.atleast_1d(np.asarray(value, dtype=float))
+    if v.ndim > 1:
+        raise ValueError(f"preset {kind!r}: {key} must be a scalar or a vector, "
+                         f"got shape {v.shape}")
+    return v
 
 
 def _ft(kwargs, n):
@@ -237,18 +242,18 @@ def _full(kwargs, n):
 
 
 #: each preset kind: the keyword arguments it reads, and the builder of its
-#: blocks (A, B, C, D) from those arguments and the ``n`` given to `preset`
+#: blocks (A, B, C, D) from those arguments and the ``n`` given to `preset`;
+#: a lower-case argument is per axis (`_vector`), an upper-case one a matrix
 _PRESETS = {
     "ft": ((), _ft),
     "lct": (tuple("ABCD"), _full),
-    "separable_lct": (tuple("abcd"),
-                      lambda kw, n: [np.diag(v) for v in [_vector(kw, k) for k in "abcd"]]),
+    "separable_lct": (tuple("abcd"), lambda kw, n: [np.diag(kw[k]) for k in "abcd"]),
     "separable_frft": (("theta",), lambda kw, n: _cos_sin(
-        _vector(kw, "theta"), np.cos, np.sin, -1.0, "frft angles with sin(theta) = 0 give a singular B")),
+        kw["theta"], np.cos, np.sin, -1.0, "frft angles with sin(theta) = 0 give a singular B")),
     "nonseparable_fresnel": (("B",), lambda kw, n: _fresnel(np.asarray(kw["B"], dtype=float))),
-    "separable_fresnel": (("b",), lambda kw, n: _fresnel(np.diag(_vector(kw, "b")))),
+    "separable_fresnel": (("b",), lambda kw, n: _fresnel(np.diag(kw["b"]))),
     "separable_lorentz": (("phi",), lambda kw, n: _cos_sin(
-        _vector(kw, "phi"), np.cosh, np.sinh, 1.0, "lorentz rapidity 0 gives a singular B")),
+        kw["phi"], np.cosh, np.sinh, 1.0, "lorentz rapidity 0 gives a singular B")),
     "custom": (tuple("ABCDPQ"), _full),
 }
 
@@ -278,7 +283,8 @@ def preset(kind: str, /, n: int | None = None, **kwargs) -> SaftParams:
     unread = sorted(set(kwargs) - set(keys))
     if unread:
         raise ValueError(f"preset {kind!r} does not take {', '.join(unread)}")
-    A, B, C, D = build(kwargs, n)
+    A, B, C, D = build({k: _vector(kind, k, v) if k.islower() else v
+                        for k, v in kwargs.items()}, n)
     dim = _dim(np.asarray(A, dtype=float))
     p = SaftParams(dim, A, B, C, D, kwargs.get("P", np.zeros(dim)), kwargs.get("Q", np.zeros(dim)))
     if n is not None and n != dim:

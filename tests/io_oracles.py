@@ -18,7 +18,13 @@ that a patched chunk size splits it where it splits the library.
 writer before every table went out as pieces: one str of the whole file,
 joined from chunks without their last newline, and ``Path.write_text``.
 They are kept verbatim apart from the ``saftlab.io.`` before
-``ROW_CHUNK``, ``_columns``, ``_in_two`` and ``_require_finite_rows``.  ``test_io.py`` checks the codec against them.
+``ROW_CHUNK``, ``_columns``, ``_in_two`` and ``_require_finite_rows``, and
+`format_rows`' docstring, which says how ``_columns`` dedupes now.
+`_column_text` is the column formatter before a repeating column was
+deduped one chunk at a time: one ``np.unique`` and one ``repr`` per
+distinct value over the whole column, in the caller, before any fork.  It
+is kept verbatim apart from the ``saftlab.io.`` before ``SAMPLE_ROWS`` and
+``DEDUPE_SHARE``.  ``test_io.py`` checks the codec against them.
 """
 
 from __future__ import annotations
@@ -302,9 +308,10 @@ def format_rows(header: list[str], *blocks) -> str:
 
     Each column is a view of its block and is formatted on its own,
     `ROW_CHUNK` rows at a time.  A float column that repeats values (see
-    `SAMPLE_ROWS`) calls ``repr`` once per distinct bit pattern and takes
-    each row's text from that table; the output bytes are the same as with
-    one ``repr`` per value.  On Linux, with no other Python thread running,
+    `SAMPLE_ROWS`) calls ``repr`` once per distinct bit pattern of each
+    chunk of at most 16,384 rows, in whichever process formats that chunk,
+    and takes each row's text from that chunk's table; the output bytes are
+    the same as with one ``repr`` per value.  On Linux, with no other Python thread running,
     a table of at least two chunks is formatted in two processes (see
     `_in_two`); when the child cannot be started or fails, this process
     formats the child's rows too, so the bytes never change."""
@@ -340,3 +347,22 @@ def _write_rows(path, values, header: list[str], *blocks) -> None:
     non-finite value."""
     saftlab.io._require_finite_rows(path, values, *blocks)
     Path(path).write_text(format_rows(header, *blocks))
+
+
+# ---------------------------------------------------------------------------
+# the column formatter before a repeating column was deduped per chunk
+
+
+def _column_text(col: np.ndarray):
+    """The function giving the text of rows ``lo:hi`` of the 1-D column
+    ``col`` (a view of its block, strided) as a list of str."""
+    if col.dtype.kind in "iu":
+        return lambda lo, hi: list(map(str, col[lo:hi].tolist()))
+    col = col.astype(float, copy=False)
+    bits = col.view(np.int64)        # keeps -0.0 and NaN payloads apart
+    sample = bits[::max(1, math.ceil(len(bits) / saftlab.io.SAMPLE_ROWS))]
+    if len(np.unique(sample)) > saftlab.io.DEDUPE_SHARE * len(sample):
+        return lambda lo, hi: list(map(repr, col[lo:hi].tolist()))
+    distinct, inv = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
+    return lambda lo, hi: text[inv[lo:hi]].tolist()

@@ -603,11 +603,13 @@ def test_phi_refuses_a_sequence_csv(work, tmp_path, capsys, command):
     ('[[2,0],[0,1]]', None, '{"preset": "ft", "n": 2, "bogus": 1}'),
     ('[[2,0],[0,1]]', None, '{"preset": "ft", "n": 2, "kind": 1}'),
     ('[[2,0],[0,1]]', None, '{"preset": "separable_frft", "theta": [0.7], "n": 2}'),
+    ('[[2,0],[0,1]]', None, '{"preset": "separable_frft", "theta": [[0.7, 1.1]]}'),
     ('[[2,0],[0,1]]', None, '{"n": 2, "A": [[0,0],[0,0]], "B": [[1,0],[0,1]], '
                             '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,0]], "bogus": 1}'),
 ], ids=["M-string", "M-null", "M-infinity", "M-true", "window-past-int64",
         "params-list", "params-preset-number", "params-n-infinite", "params-preset-unread-key",
-        "params-preset-kind-key", "params-preset-n-disagrees", "params-block-unread-key"])
+        "params-preset-kind-key", "params-preset-n-disagrees", "params-preset-matrix-angles",
+        "params-block-unread-key"])
 def test_malformed_values_exit_1_with_one_error_line(work2, tmp_path, capsys, M, window,
                                                      params_text):
     # each once ended in a TypeError, OverflowError or AttributeError

@@ -187,16 +187,86 @@ def test_columns_that_repeat_keep_the_per_row_text(tmp_path, data, rows, chunk, 
         assert format_rows(["a,b"], *blocks) == want
 
 
+def _zero_heavy(rows: int) -> np.ndarray:
+    """A (rows, 2) block whose rows are 65% exact zeros, like the generator
+    grid the cli_files benchmark sets up, whose far cells underflow: both
+    columns take the dedupe route."""
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((rows, 2))
+    block[rng.random(rows) < 0.65] = 0.0
+    return block
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(data=st.data(), rows=st.integers(0, 3000), chunk=st.integers(1, 7),
+       fork=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_a_column_deduped_per_chunk_is_the_whole_column_text(data, rows, chunk, fork, seed):
+    # each chunk keys its own rows by bit pattern: -0.0, NaN payloads and
+    # subnormals keep their own text in every chunk, in either process
+    rng = np.random.default_rng(seed)
+    pool = data.draw(st.lists(st.one_of(FLOAT, st.sampled_from(NASTY.tolist())),
+                              min_size=1, max_size=12))
+    block = np.column_stack([_column(rng, "pool", rows, pool), _column(rng, "pool", rows, NASTY)])
+    keys = rng.integers(-9, 9, size=(rows, 1), dtype=np.int64)
+    with mock.patch.multiple(saftlab.io, _column_text=oracle._column_text,
+                             _may_fork=lambda rows: False):
+        want = format_rows(["k,a,b"], keys, block)
+    may_fork = saftlab.io._may_fork if fork else (lambda rows: False)
+    with mock.patch.multiple(saftlab.io, ROW_CHUNK=chunk, _may_fork=may_fork):
+        assert format_rows(["k,a,b"], keys, block) == want
+    assert _no_child_left()
+
+
+def test_a_repeating_column_is_deduped_one_chunk_at_a_time():
+    # the whole column was once deduped in the caller, before the fork:
+    # only the sample is looked at there now, and each chunk in the process
+    # that formats it
+    block, where, seen = _zero_heavy(263_169), [], []
+    real_unique = np.unique
+
+    def unique(a, *args, **kwargs):
+        seen.append((where[-1], len(a)))
+        return real_unique(a, *args, **kwargs)
+
+    def inside(name):
+        real = getattr(saftlab.io, name)
+
+        def call(*args):
+            where.append(name)
+            try:
+                return real(*args)
+            finally:
+                where.pop()
+        return call
+
+    with mock.patch.object(np, "unique", unique), \
+            mock.patch.multiple(saftlab.io, _columns=inside("_columns"),
+                                _format_chunks=inside("_format_chunks"),
+                                _may_fork=lambda rows: False):
+        text = format_rows(["re,im"], block)
+    assert text == _per_row_text(["re,im"], block)
+    chunks = math.ceil(len(block) / saftlab.io.ROW_CHUNK)
+    sizes = {name: [size for at, size in seen if at == name]
+             for name in ("_columns", "_format_chunks")}
+    assert len(seen) == 2 + 2 * chunks == sum(map(len, sizes.values()))
+    assert max(sizes["_columns"]) <= saftlab.io.SAMPLE_ROWS
+    assert max(sizes["_format_chunks"]) <= saftlab.io.ROW_CHUNK
+    assert sum(sizes["_format_chunks"]) == 2 * len(block)
+
+
 def test_formatting_distinct_values_peaks_near_the_text_size():
-    # as many cells as each grid that the cli_files benchmark writes (513^2)
-    block = np.random.default_rng(5).standard_normal((263_169, 2))
-    tracemalloc.start()
-    try:
-        size = len(format_rows(["re,im"], block))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.2 * size
+    # as many cells as each grid that the cli_files benchmark writes (513^2):
+    # nearly all distinct (the plain route), and 65% exact zeros (the dedupe
+    # route, which peaked at 4.66x when it deduped the whole column at once)
+    for block in (np.random.default_rng(5).standard_normal((263_169, 2)), _zero_heavy(263_169)):
+        tracemalloc.start()
+        try:
+            size = len(format_rows(["re,im"], block))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * size
 
 
 def test_writing_a_grid_sized_table_peaks_below_twice_the_file_size(tmp_path):

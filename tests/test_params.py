@@ -115,6 +115,19 @@ def test_preset_refuses_keys_it_does_not_read_and_a_disagreeing_n():
     assert preset("custom", A=[[0.6]], B=[[1.25]], C=[[-0.416]], D=[[0.8]], P=[0.3]).n == 1
 
 
+@pytest.mark.parametrize("kind, key, value, shape", [
+    ("separable_frft", "theta", [[0.7, 1.1]], (1, 2)),
+    ("separable_fresnel", "b", [[1, 2], [3, 4]], (2, 2)),
+    ("separable_lorentz", "phi", [[[0.5]]], (1, 1, 1)),
+])
+def test_preset_refuses_a_per_axis_argument_of_two_or_more_dimensions(kind, key, value, shape):
+    # np.diag once took its diagonal, and the block's shape check failed instead
+    with pytest.raises(ValueError) as err:
+        preset(kind, **{key: value})
+    assert str(err.value) == (f"preset {kind!r}: {key} must be a scalar or a vector, "
+                              f"got shape {shape}")
+
+
 def test_inverse_params_is_an_involution():
     rng = np.random.default_rng(7)
     for n in (1, 2, 3):

@@ -24,8 +24,10 @@ Measurement file
 Parameter file
     JSON, either the full block ``{"n":, "A":, "B":, "C":, "D":, "P":, "Q":}``
     or a preset form such as ``{"preset": "ft", "n": 2}`` /
-    ``{"preset": "separable_frft", "theta": [0.7]}``.  A key its form does
-    not read, or an ``n`` that its preset's arguments contradict, is refused.
+    ``{"preset": "separable_frft", "theta": [0.7]}``.  A file that names no
+    preset is the ``custom`` kind: every form takes `params.preset`'s rules
+    (``n`` optional, a missing, unread or non-finite entry refused), and the
+    caller of `read_params` validates the block (the CLI at 1e-10).
 
 Every CSV body, here and in the CLI and figure writers, goes through one
 codec: `_table_pieces` writes integers as ``str(int)`` and floats as
@@ -68,7 +70,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import GridFn, SeqFn
-from .params import SaftParams, preset
+from .params import SaftParams, _block
 
 __all__ = [
     "read_grid",
@@ -498,22 +500,10 @@ def params_from_dict(d: dict) -> SaftParams:
     # int() would truncate a float or true and overflow on 1e400
     if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n <= 0):
         raise ValueError(f"parameter file: n must be a positive integer, got {n!r}")
-    if "preset" in d:
-        kind = d.pop("preset")
-        if not isinstance(kind, str):
-            raise ValueError(f"parameter file: preset must be a name, got {kind!r}")
-        return preset(kind, n=n, **d)
-    if n is None:
-        raise KeyError("n")
-    unread = sorted(set(d) - set("ABCDPQ"))
-    if unread:
-        raise ValueError(f"parameter file: the full block does not take {', '.join(unread)}")
-    zeros_v = [0.0] * n
-    return SaftParams(
-        n,
-        d["A"], d["B"], d["C"], d["D"],
-        d.get("P", zeros_v), d.get("Q", zeros_v),
-    )
+    kind = d.pop("preset", "custom")
+    if not isinstance(kind, str):
+        raise ValueError(f"parameter file: preset must be a name, got {kind!r}")
+    return _block(kind, n, d)
 
 
 def read_params(path) -> SaftParams:

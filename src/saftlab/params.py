@@ -55,6 +55,8 @@ def _as_matrix(x, n: int, name: str) -> np.ndarray:
         m = m.reshape(1, 1)
     if m.shape != (n, n):
         raise ValueError(f"{name} must be {n}x{n}, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has a non-finite entry")
     return m
 
 
@@ -64,6 +66,8 @@ def _as_offset(x, n: int, name: str) -> np.ndarray:
         v = np.zeros(n)
     if v.shape != (n,):
         raise ValueError(f"{name} must be a length-{n} vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has a non-finite entry")
     return v
 
 
@@ -180,12 +184,13 @@ class ValidityReport:
 def validate(p: SaftParams, tol: float = DEFAULT_CONSTRAINT_TOL) -> ValidityReport:
     """Check the symplectic constraints and B's invertibility.
 
-    Structural problems (wrong shapes) raise at construction time and never
-    reach here; this reports constraint failures.
+    Structural problems (wrong shapes, non-finite entries) raise at
+    construction time and never reach here; this reports constraint
+    failures, and a residual that overflowed to NaN fails too.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    bad = p._b_singular or any(r > tol for r in p._residuals.values())
+    bad = p._b_singular or not all(r <= tol for r in p._residuals.values())
     return ValidityReport(ok=not bad, residuals=dict(p._residuals), b_singular=p._b_singular, tol=tol)
 
 
@@ -205,11 +210,13 @@ def _dim(a: np.ndarray) -> int:
 
 
 def _vector(kind: str, key: str, value) -> np.ndarray:
-    """A per-axis argument as a float vector, a scalar as one axis."""
+    """A per-axis argument as a finite float vector, a scalar as one axis."""
     v = np.atleast_1d(np.asarray(value, dtype=float))
     if v.ndim > 1:
         raise ValueError(f"preset {kind!r}: {key} must be a scalar or a vector, "
                          f"got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"preset {kind!r}: {key} has a non-finite entry")
     return v
 
 
@@ -258,6 +265,26 @@ _PRESETS = {
 }
 
 
+def _block(kind: str, n: int | None, kwargs: dict) -> SaftParams:
+    """`preset` without its validation, which a parameter file's reader leaves to its caller."""
+    kind = kind.lower().replace("-", "_")
+    if kind not in _PRESETS:
+        raise ValueError(f"unknown preset kind {kind!r}")
+    keys, build = _PRESETS[kind]
+    unread = sorted(set(kwargs) - set(keys))
+    if unread:
+        raise ValueError(f"preset {kind!r} does not take {', '.join(unread)}")
+    if missing := [k for k in keys if k not in kwargs.keys() | {"P", "Q"}]:
+        raise ValueError(f"preset {kind!r} needs {', '.join(missing)}")
+    A, B, C, D = build({k: _vector(kind, k, v) if k.islower() else v
+                        for k, v in kwargs.items()}, n)
+    dim = _dim(np.asarray(A, dtype=float))
+    p = SaftParams(dim, A, B, C, D, kwargs.get("P", np.zeros(dim)), kwargs.get("Q", np.zeros(dim)))
+    if n is not None and n != dim:
+        raise ValueError(f"preset {kind!r}: n = {n}, but its arguments give dimension {dim}")
+    return p
+
+
 def preset(kind: str, /, n: int | None = None, **kwargs) -> SaftParams:
     """Construct a named special-case parameter block.
 
@@ -273,22 +300,12 @@ def preset(kind: str, /, n: int | None = None, **kwargs) -> SaftParams:
     - ``custom``: full A, B, C, D, P, Q.
 
     The dimension is A's first axis (1 for a scalar A), and offsets not
-    given are zero.  A keyword the kind does not read raises, and so does
-    an ``n`` that the arguments contradict.
+    given are zero.  A missing argument other than P and Q, a keyword the
+    kind does not read or an ``n`` that the arguments contradict raises.  A
+    parameter file takes these rules (`io.params_from_dict`), as ``custom``
+    when it names no preset, but its caller validates its block.
     """
-    kind = kind.lower().replace("-", "_")
-    if kind not in _PRESETS:
-        raise ValueError(f"unknown preset kind {kind!r}")
-    keys, build = _PRESETS[kind]
-    unread = sorted(set(kwargs) - set(keys))
-    if unread:
-        raise ValueError(f"preset {kind!r} does not take {', '.join(unread)}")
-    A, B, C, D = build({k: _vector(kind, k, v) if k.islower() else v
-                        for k, v in kwargs.items()}, n)
-    dim = _dim(np.asarray(A, dtype=float))
-    p = SaftParams(dim, A, B, C, D, kwargs.get("P", np.zeros(dim)), kwargs.get("Q", np.zeros(dim)))
-    if n is not None and n != dim:
-        raise ValueError(f"preset {kind!r}: n = {n}, but its arguments give dimension {dim}")
+    p = _block(kind, n, kwargs)
     rep = validate(p, 1e-12)
     if not rep.ok:
         raise ValueError(f"preset {kind!r} arguments give an invalid block:\n{rep}")

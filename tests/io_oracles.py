@@ -25,6 +25,12 @@ deduped one chunk at a time: one ``np.unique`` and one ``repr`` per
 distinct value over the whole column, in the caller, before any fork.  It
 is kept verbatim apart from the ``saftlab.io.`` before ``SAMPLE_ROWS`` and
 ``DEDUPE_SHARE``.  ``test_io.py`` checks the codec against them.
+`params_from_dict` is the parameter file reader before a file that names
+no preset became the ``custom`` kind of ``saftlab.params``' one preset
+tail: a second copy of the full block's rules that required ``n``, with
+its own stray-key refusal and zero offsets, and that validated a preset
+form at 1e-12.  It is kept verbatim; ``test_io.py`` checks that every
+file it accepts reads to the same block by the one route.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ import numpy as np
 import saftlab.io
 from saftlab.grid import GridFn, SeqFn
 from saftlab.io import require_finite
+from saftlab.params import SaftParams, preset
 
 _MAGIC = "SAFTGRID v1"
 
@@ -366,3 +373,29 @@ def _column_text(col: np.ndarray):
     distinct, inv = np.unique(bits, return_inverse=True)
     text = np.array(list(map(repr, distinct.view(float).tolist())), dtype=object)
     return lambda lo, hi: text[inv[lo:hi]].tolist()
+
+
+def params_from_dict(d: dict) -> SaftParams:
+    if not isinstance(d, dict):
+        raise ValueError(f"parameter file must hold a JSON object, got {type(d).__name__}")
+    d = dict(d)
+    n = d.pop("n", None)
+    # int() would truncate a float or true and overflow on 1e400
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int) or n <= 0):
+        raise ValueError(f"parameter file: n must be a positive integer, got {n!r}")
+    if "preset" in d:
+        kind = d.pop("preset")
+        if not isinstance(kind, str):
+            raise ValueError(f"parameter file: preset must be a name, got {kind!r}")
+        return preset(kind, n=n, **d)
+    if n is None:
+        raise KeyError("n")
+    unread = sorted(set(d) - set("ABCDPQ"))
+    if unread:
+        raise ValueError(f"parameter file: the full block does not take {', '.join(unread)}")
+    zeros_v = [0.0] * n
+    return SaftParams(
+        n,
+        d["A"], d["B"], d["C"], d["D"],
+        d.get("P", zeros_v), d.get("Q", zeros_v),
+    )

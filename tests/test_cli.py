@@ -606,10 +606,20 @@ def test_phi_refuses_a_sequence_csv(work, tmp_path, capsys, command):
     ('[[2,0],[0,1]]', None, '{"preset": "separable_frft", "theta": [[0.7, 1.1]]}'),
     ('[[2,0],[0,1]]', None, '{"n": 2, "A": [[0,0],[0,0]], "B": [[1,0],[0,1]], '
                             '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,0]], "bogus": 1}'),
+    ('[[2,0],[0,1]]', None, '{"n": 2, "A": [[null,0],[0,0]], "B": [[1,0],[0,1]], '
+                            '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,0]]}'),
+    ('[[2,0],[0,1]]', None, '{"n": 2, "A": [[0,0],[0,0]], "B": [[1,0],[0,1]], '
+                            '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,0]], "P": [NaN, 0]}'),
+    ('[[2,0],[0,1]]', None, '{"n": 2, "A": [[0,0],[0,0]], "B": [[1,0],[0,1]], '
+                            '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,0]], "Q": [0, Infinity]}'),
+    ('[[2,0],[0,1]]', None, '{"preset": "separable_frft", "theta": [NaN, 0.7]}'),
+    ('[[2,0],[0,1]]', None, '{"preset": "separable_lorentz", "phi": [1000.0, 0.5]}'),
 ], ids=["M-string", "M-null", "M-infinity", "M-true", "window-past-int64",
         "params-list", "params-preset-number", "params-n-infinite", "params-preset-unread-key",
         "params-preset-kind-key", "params-preset-n-disagrees", "params-preset-matrix-angles",
-        "params-block-unread-key"])
+        "params-block-unread-key", "params-block-null-entry", "params-block-nan-offset",
+        "params-block-infinite-offset", "params-preset-nan-angle",
+        "params-preset-overflowing-rapidity"])
 def test_malformed_values_exit_1_with_one_error_line(work2, tmp_path, capsys, M, window,
                                                      params_text):
     # each once ended in a TypeError, OverflowError or AttributeError
@@ -626,6 +636,57 @@ def test_malformed_values_exit_1_with_one_error_line(work2, tmp_path, capsys, M,
                  f"--window={window}", "--out", str(tmp_path / "r.csv")]
     _refused(capsys, argv, 1)
     assert not (tmp_path / "r.csv").exists()
+
+
+#: a valid 1-D file of each form, by its ``preset`` (None: the full block)
+_FORMS = {
+    "lct": {"A": [[0.0]], "B": [[1.0]], "C": [[-1.0]], "D": [[0.0]]},
+    "separable_lct": {"a": [0.0], "b": [1.0], "c": [-1.0], "d": [0.0]},
+    "separable_frft": {"theta": [0.7]},
+    "nonseparable_fresnel": {"B": [[2.0]]},
+    "separable_fresnel": {"b": [2.0]},
+    "separable_lorentz": {"phi": [0.5]},
+    "custom": {"A": [[0.0]], "B": [[1.0]], "C": [[-1.0]], "D": [[0.0]], "P": [0.3], "Q": [0.0]},
+    None: {"n": 1, "A": [[0.0]], "B": [[1.0]], "C": [[-1.0]], "D": [[0.0]], "P": [0.3]},
+}
+
+
+@pytest.mark.parametrize("kind, key", [("ft", "n")] + [
+    (kind, key) for kind, form in _FORMS.items() for key in form if key not in ("n", "P", "Q")])
+def test_a_parameter_file_without_a_key_it_needs_names_the_key(work, tmp_path, capsys, kind,
+                                                               key):
+    # a missing key was once a bare "error: 'A'", and the full block needed n
+    form = dict(_FORMS.get(kind, {"n": 1}), **({"preset": kind} if kind else {}))
+    params = tmp_path / "p.json"
+    argv = ["transform", "--params", str(params), "--in", str(work / "gauss.grid"),
+            "--out", str(tmp_path / "o.grid")]
+    params.write_text(json.dumps(form))
+    assert main(argv) == 0
+    capsys.readouterr()
+    del form[key]
+    params.write_text(json.dumps(form))
+    line = _refused(capsys, argv, 1)
+    assert line == ("error: ft preset needs the dimension n" if kind == "ft" else
+                    f"error: preset {kind or 'custom'!r} needs {key}")
+
+
+def test_every_parameter_file_form_is_judged_by_one_validation(work, tmp_path, capsys):
+    # a preset form was once validated at 1e-12 and refused with exit 1, and
+    # the full block needed n
+    block = {"A": [[1.0]], "B": [[1.0]], "C": [[0.5]], "D": [[1.0]]}
+    forms = [({"preset": "lct", **block}, 2), ({"n": 1, **block}, 2),
+             ({"preset": "lct", **block, "C": [[1e-11]]}, 0), ({**block, "C": [[1e-11]]}, 0),
+             (_FORMS[None], 0), ({k: v for k, v in _FORMS[None].items() if k != "n"}, 0)]
+    for i, (form, code) in enumerate(forms):
+        (tmp_path / "p.json").write_text(json.dumps(form))
+        out = tmp_path / f"{i}.grid"
+        assert main(["transform", "--params", str(tmp_path / "p.json"),
+                     "--in", str(work / "gauss.grid"), "--out", str(out)]) == code, form
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: invalid parameter block") if code else not err
+        assert out.exists() == (code == 0)
+    # the full block with and without n: the same transform, byte for byte
+    assert (tmp_path / "4.grid").read_bytes() == (tmp_path / "5.grid").read_bytes()
 
 
 @pytest.mark.parametrize("method", ["discrete", "continuous"])

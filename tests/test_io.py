@@ -24,6 +24,7 @@ from saftlab.cli import main
 from saftlab.grid import GridFn, SeqFn, sample_generator, sampling_grid
 from saftlab.io import (
     format_rows,
+    params_from_dict,
     parse_rows,
     read_grid,
     read_measurements,
@@ -32,7 +33,7 @@ from saftlab.io import (
     write_params,
     write_sequence,
 )
-from saftlab.params import preset
+from saftlab.params import preset, random_params, require_valid
 
 SETTINGS = settings(max_examples=80, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow,
@@ -1090,3 +1091,70 @@ def test_dynsamp_check_and_verify_files_are_the_per_row_text(files, tmp_path, ca
     head, rows = _table(out)
     assert out.read_text() == oracle.verify_text(head, rows[:, 1].tolist())
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# one route for a parameter file against the two routes it replaced
+
+
+def _as_the_cli_takes_it(read, d):
+    """A file's n and matrices as bytes when the reader and then
+    `require_valid` accept it, as ``cli._load_params`` composes them; None
+    when either refuses."""
+    try:
+        p = read(json.loads(json.dumps(d)))
+        require_valid(p)
+    except (ValueError, KeyError):
+        return None
+    return p.n, [(getattr(p, k).shape, getattr(p, k).tobytes()) for k in "ABCDPQ"]
+
+
+@st.composite
+def _parameter_files(draw):
+    """``write_params``' layout of a random block or a preset form, with a
+    key now and then dropped, added or renamed and ``n`` kept, dropped or
+    wrong."""
+    k = draw(st.integers(1, 3))
+    p = random_params(k, np.random.default_rng(draw(st.integers(0, 2**16))))
+    theta = draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k))
+    c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
+    rotation = {"A": c.tolist(), "B": s.tolist(), "C": (-s).tolist(), "D": c.tolist()}
+    forms = [
+        {"n": k, **{name: getattr(p, name).tolist() for name in "ABCDPQ"}},
+        {"n": k, **{name: getattr(p, name).tolist() for name in "ABCD"}},
+        {"preset": "ft", "n": k},
+        {"preset": draw(st.sampled_from(["separable_frft", "Separable-FRFT"])), "theta": theta},
+        {"preset": "lct", **rotation},
+        {"preset": "custom", **rotation, "P": p.P.tolist(), "Q": p.Q.tolist()},
+        {"preset": "separable_lct", "a": np.cos(theta).tolist(), "b": np.sin(theta).tolist(),
+         "c": (-np.sin(theta)).tolist(), "d": np.cos(theta).tolist()},
+        {"preset": "nonseparable_fresnel", "B": (s @ s.T + np.eye(k)).tolist()},
+        {"preset": "separable_fresnel", "b": theta},
+        {"preset": "separable_lorentz", "phi": theta},
+    ]
+    d = draw(st.sampled_from(forms))
+    names = ["A", "B", "C", "D", "P", "Q", "a", "b", "theta", "phi", "bogus", "preset"]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["drop", "add", "rename"]))
+        key = draw(st.sampled_from(sorted(d)))
+        if edit == "drop":
+            del d[key]
+        elif edit == "add":
+            d[draw(st.sampled_from(names))] = draw(st.sampled_from([0.0, [0.5] * k, "ft"]))
+        else:
+            d[draw(st.sampled_from(names))] = d.pop(key)
+    n = draw(st.sampled_from(["keep", "drop", k, k + 1, 0, 2.0, True]))
+    if n == "drop":
+        d.pop("n", None)
+    elif n != "keep":
+        d["n"] = n
+    return d
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=_parameter_files())
+def test_every_parameter_file_the_two_routes_read_gives_the_same_block(d):
+    # a file the one route refuses, the two routes refused too
+    old = _as_the_cli_takes_it(oracle.params_from_dict, d)
+    if old is not None:
+        assert _as_the_cli_takes_it(params_from_dict, d) == old

@@ -1,5 +1,7 @@
 """Parameter blocks: constraints, presets, inversion, phase factors."""
 
+import re
+
 import construction_oracles as oracle
 import numpy as np
 import pytest
@@ -69,13 +71,20 @@ def test_plain_fourier_needs_every_block_and_offset():
 
 
 def test_invalid_block_is_reported_not_raised():
-    # breaking the symplectic identity must flip the verdict, not crash
-    p = SaftParams(1, [[0.5]], [[1.0]], [[-1.0]], [[1.0]], [0.0], [0.0])
-    rep = validate(p)
-    assert not rep.ok
-    assert rep.residuals["symplectic_identity"] == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        require_valid(p)
+    # breaking the symplectic identity must flip the verdict, not crash; a
+    # residual that overflows to NaN (1e200 * 1e200 - 1e200 * 1e200) once
+    # passed, since nan > tol is false
+    for args, name, residual in [
+        (([[0.5]], [[1.0]], [[-1.0]], [[1.0]]), "symplectic_identity", 0.5),
+        (([[1e200]], [[1e200]], [[0.0]], [[1e-200]]), "ab_symmetry", np.nan),
+    ]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = SaftParams(1, *args, [0.0], [0.0])
+        rep = validate(p)
+        assert not rep.ok
+        assert rep.residuals[name] == pytest.approx(residual, nan_ok=True)
+        with pytest.raises(ValueError):
+            require_valid(p)
 
 
 def test_singular_b_detected():
@@ -90,6 +99,20 @@ def test_shape_errors_raise_at_construction():
         SaftParams(2, np.eye(3), np.eye(2), np.eye(2), np.eye(2), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         SaftParams(2, np.zeros((2, 2)), np.eye(2), -np.eye(2), np.zeros((2, 2)), np.zeros(3), np.zeros(2))
+    # a non-finite entry once built a block that validated (a NaN residual
+    # passed) or failed later in numpy's SVD; each is named
+    Z, I = np.zeros((1, 1)), np.eye(1)
+    for build, line in [
+        (lambda: SaftParams(1, [[np.nan]], I, Z, I, [0.0], [0.0]), "A has a non-finite entry"),
+        (lambda: SaftParams(1, Z, I, -I, Z, [np.nan], [0.0]), "P has a non-finite entry"),
+        (lambda: SaftParams(1, Z, I, -I, Z, [0.0], [np.inf]), "Q has a non-finite entry"),
+        (lambda: preset("separable_lorentz", phi=[1000.0]), "A has a non-finite entry"),
+        (lambda: preset("separable_frft", theta=[np.nan]),
+         "preset 'separable_frft': theta has a non-finite entry"),
+    ]:
+        with pytest.raises(ValueError) as err, np.errstate(over="ignore"):
+            build()
+        assert str(err.value) == line
 
 
 def test_preset_rejects_singular_angles():
@@ -273,7 +296,14 @@ def test_every_preset_kind_gives_the_if_chains_block_or_error(call):
     if kind == "nonseparable_fresnel" and "B" in kwargs and np.ndim(kwargs["B"]) == 0:
         # the if chain crashed on a scalar B; the table reads it as the 1x1 block
         kwargs = {**kwargs, "B": [[kwargs["B"]]]}
-    assert new == _outcome(lambda: oracle.preset(kind, n, **kwargs))
+    old = _outcome(lambda: oracle.preset(kind, n, **kwargs))
+    if old[0] is KeyError:
+        # the if chain's bare KeyError(k) on a missing key k: the table
+        # refuses with a ValueError naming the missing keys, k first
+        assert new[0] is ValueError
+        assert re.fullmatch(rf"preset {kind!r} needs {old[1][1:-1]}(, \w+)*", new[1]), new
+    else:
+        assert new == old
 
 
 def test_a_scalar_fresnel_b_is_the_one_by_one_block():

@@ -2,15 +2,13 @@
 
 For a non-singular integer matrix ``M`` with ``m = |det M|`` the integer
 vectors inside the half-open parallelepiped ``M [0,1)^n`` form a complete set
-of residues of ``Z^n / M Z^n`` (and likewise with ``M^T``).  Everything here
-uses exact integer arithmetic — membership and decomposition are computed via
-the adjugate, never a floating-point inverse — so coset bookkeeping cannot
-drift for large indices.
+of residues of ``Z^n / M Z^n`` (and likewise with ``M^T``).  One exact int64
+map, ``k -> k - M floor(adj(M) k / det M)``, takes any key to its coset's point
+there, so enumeration (of a Hermite box) and splitting need no float inverse.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,20 +60,29 @@ def _det_adj(rows: list[list[int]]) -> tuple[int, list[list[int]] | None]:
     return int(det), [[int(det * x) for x in row[n:]] for row in a]
 
 
+def _reduce(keys: np.ndarray, mat: np.ndarray, adj: np.ndarray, det: int):
+    """Rows ``q = floor(adj(M) k / det)`` and ``k - M q``, in ``M [0,1)^n``, of int64
+    `keys`; refuses keys whose product with adj could reach 2**63 (``M q`` may wrap)."""
+    top = max(-int(keys.min(initial=0)), int(keys.max(initial=0)))   # |-2**63| is no int64
+    if top * max(sum(map(abs, row)) for row in adj.tolist()) >= 2**63:
+        raise ValueError(f"index {top} is too large for this lattice: coset products pass 2**63")
+    q = keys @ adj.T // det
+    return q, keys - q @ mat.T
+
+
 def _coset_reps(mat: np.ndarray, det: int, adj: np.ndarray) -> list[tuple[int, ...]]:
-    """Integer points of ``M [0,1)^n``, zero first then lexicographic."""
-    n = len(mat)
-    corners = np.array(list(itertools.product((0, 1), repeat=n))) @ mat.T
-    box = np.array(list(itertools.product(*map(range, corners.min(0), corners.max(0) + 1))))
-    # k in M[0,1)^n  <=>  (adj M) k / det in [0,1)^n, checked exactly
-    num = box @ adj.T
-    inside = np.all((num >= 0) & (num < det) if det > 0 else (num > det) & (num <= 0), axis=1)
-    reps = sorted(map(tuple, box[inside].tolist()))
-    zero = (0,) * n
-    if zero not in reps:
-        raise AssertionError("coset enumeration must contain 0")
-    reps.remove(zero)
-    return [zero] + reps
+    """Integer points of ``M [0,1)^n``, zero (the one with no nonzero entry) first, then
+    lexicographic: Euclid on the columns, row by row, makes ``H = M U`` lower triangular
+    (U unimodular), and the box ``prod [0, |h_ii|)`` holds one point of each coset."""
+    cols = mat.T.tolist()
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            while cols[j][i]:
+                q = cols[i][i] // cols[j][i]
+                cols[i], cols[j] = cols[j], [x - q * y for x, y in zip(cols[i], cols[j])]
+    box = np.indices([abs(col[i]) for i, col in enumerate(cols)], dtype=np.int64)
+    reps = _reduce(box.reshape(len(cols), -1).T, mat, adj, det)[1]
+    return list(map(tuple, reps[np.lexsort((*reps.T[::-1], reps.any(1)))].tolist()))
 
 
 @dataclass(frozen=True)
@@ -118,23 +125,20 @@ class SamplingLattice:
         shape (K, n) and the coset indices, shape (K,).  The decomposition
         is total and unique; keys of any other shape raise ValueError.
 
-        Arithmetic is exact in int64: ``adj(M^T) k`` is zero modulo ``det``
-        precisely on ``M^T Z^n``, so its residues name the coset, and the
-        division that yields ``r`` has no remainder.  Keys must be small
-        enough that ``adj k`` fits in int64.
+        Arithmetic is exact in int64: ``r = floor(adj(M^T) k / det)`` puts
+        ``k - M^T r`` in ``M^T [0,1)^n``, at one of ``eta``, found by a code
+        over eta's own bounding box.  Keys too large for that raise ValueError.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if keys.ndim != 2 or keys.shape[1] != self.n:
             raise ValueError(f"keys must have shape (K, {self.n}), got {keys.shape}")
-        # rows adj(M^T) k: adj(M^T) = adj(M)^T
-        num = keys @ self.adj
-        rep_num = np.array(self.eta, dtype=np.int64) @ self.adj
-        shape = (self.m,) * self.n
-        codes = np.ravel_multi_index(tuple((num % self.m).T), shape)
-        rep_codes = np.ravel_multi_index(tuple((rep_num % self.m).T), shape)
+        r, rest = _reduce(keys, self.M.T, self.adj.T, self.det)   # adj(M^T) = adj(M)^T
+        eta = np.array(self.eta, dtype=np.int64)
+        lo, shape = eta.min(0), np.ptp(eta, 0) + 1
+        codes = np.ravel_multi_index(tuple((rest - lo).T), shape)
+        rep_codes = np.ravel_multi_index(tuple((eta - lo).T), shape)
         order = np.argsort(rep_codes)
-        j = order[np.searchsorted(rep_codes, codes, sorter=order)]
-        return (num - rep_num[j]) // self.det, j
+        return r, order[np.searchsorted(rep_codes, codes, sorter=order)]
 
 
 def build_lattice(M) -> SamplingLattice:
@@ -146,15 +150,13 @@ def build_lattice(M) -> SamplingLattice:
     det, adj = _det_adj(rows)
     if det == 0:
         raise ValueError("M is singular")
-    m = abs(det)
+    if any(abs(x) >= 2**63 for row in adj for x in row):
+        raise ValueError("adj M has an entry of magnitude 2**63 or more, past int64")
     mat, adj = np.array(rows, dtype=np.int64), np.array(adj, dtype=np.int64)
     mat.setflags(write=False)
     adj.setflags(write=False)
-    gamma = _coset_reps(mat, det, adj)
-    eta = _coset_reps(mat.T, det, adj.T)
-    if len(gamma) != m or len(eta) != m:
-        raise AssertionError(f"expected {m} coset reps, found {len(gamma)}/{len(eta)}")
-    return SamplingLattice(M=mat, m=m, gamma=tuple(gamma), eta=tuple(eta), adj=adj, det=det)
+    return SamplingLattice(M=mat, m=abs(det), gamma=tuple(_coset_reps(mat, det, adj)),
+                           eta=tuple(_coset_reps(mat.T, det, adj.T)), adj=adj, det=det)
 
 
 def decompose(lat: SamplingLattice, k) -> tuple[tuple[int, ...], int]:

@@ -49,25 +49,34 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _floats(x, name: str) -> np.ndarray:
+    """`x` as a float array; an entry that is not a finite number is refused by `name`."""
+    try:
+        a = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):     # a JSON object, a string, a ragged list
+        raise ValueError(f"{name} has an entry that is not a number") from None
+    except OverflowError:               # an int past the float range, as 1e400 is inf
+        raise ValueError(f"{name} has a non-finite entry") from None
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} has a non-finite entry")
+    return a
+
+
 def _as_matrix(x, n: int, name: str) -> np.ndarray:
-    m = np.asarray(x, dtype=float)
+    m = _floats(x, name)
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.shape != (n, n):
         raise ValueError(f"{name} must be {n}x{n}, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} has a non-finite entry")
     return m
 
 
 def _as_offset(x, n: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
+    v = _floats(x, name).reshape(-1)
     if v.size == 1 and n > 1 and np.all(v == 0):
         v = np.zeros(n)
     if v.shape != (n,):
         raise ValueError(f"{name} must be a length-{n} vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} has a non-finite entry")
     return v
 
 
@@ -211,12 +220,10 @@ def _dim(a: np.ndarray) -> int:
 
 def _vector(kind: str, key: str, value) -> np.ndarray:
     """A per-axis argument as a finite float vector, a scalar as one axis."""
-    v = np.atleast_1d(np.asarray(value, dtype=float))
+    v = np.atleast_1d(_floats(value, f"preset {kind!r}: {key}"))
     if v.ndim > 1:
         raise ValueError(f"preset {kind!r}: {key} must be a scalar or a vector, "
                          f"got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"preset {kind!r}: {key} has a non-finite entry")
     return v
 
 
@@ -245,7 +252,7 @@ def _cos_sin(v: np.ndarray, cos, sin, sign: float, singular: str):
 
 
 def _full(kwargs, n):
-    return np.asarray(kwargs["A"], dtype=float), kwargs["B"], kwargs["C"], kwargs["D"]
+    return _floats(kwargs["A"], "A"), kwargs["B"], kwargs["C"], kwargs["D"]
 
 
 #: each preset kind: the keyword arguments it reads, and the builder of its
@@ -257,7 +264,7 @@ _PRESETS = {
     "separable_lct": (tuple("abcd"), lambda kw, n: [np.diag(kw[k]) for k in "abcd"]),
     "separable_frft": (("theta",), lambda kw, n: _cos_sin(
         kw["theta"], np.cos, np.sin, -1.0, "frft angles with sin(theta) = 0 give a singular B")),
-    "nonseparable_fresnel": (("B",), lambda kw, n: _fresnel(np.asarray(kw["B"], dtype=float))),
+    "nonseparable_fresnel": (("B",), lambda kw, n: _fresnel(_floats(kw["B"], "B"))),
     "separable_fresnel": (("b",), lambda kw, n: _fresnel(np.diag(kw["b"]))),
     "separable_lorentz": (("phi",), lambda kw, n: _cos_sin(
         kw["phi"], np.cosh, np.sinh, 1.0, "lorentz rapidity 0 gives a singular B")),

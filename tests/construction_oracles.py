@@ -8,9 +8,18 @@ bit-identical blocks and the same error text.  `_det_int` is the Bareiss
 determinant and `_adjugate_int` the adjugate from n**2 cofactor
 determinants; ``test_lattice.py`` checks the elimination against them, and
 ``dict_oracles.py`` builds its lattice arithmetic on them.
+
+`_coset_reps` and `split` are the coset code that one exact reduction over a
+Hermite box replaced in `saftlab.lattice`, verbatim (`split` was a method of
+`SamplingLattice`; it takes the lattice as ``self``): the first scans the
+bounding box of ``M [0,1)^n``, the second codes residues over an ``m**n``
+table.  ``test_lattice.py`` checks that every lattice field and every split
+is bit-identical to theirs.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -139,3 +148,46 @@ def _adjugate_int(rows: list[list[int]]) -> list[list[int]]:
             ]
             adj[j][i] = (-1) ** (i + j) * _det_int(minor)
     return adj
+
+
+def _coset_reps(mat: np.ndarray, det: int, adj: np.ndarray) -> list[tuple[int, ...]]:
+    """Integer points of ``M [0,1)^n``, zero first then lexicographic."""
+    n = len(mat)
+    corners = np.array(list(itertools.product((0, 1), repeat=n))) @ mat.T
+    box = np.array(list(itertools.product(*map(range, corners.min(0), corners.max(0) + 1))))
+    # k in M[0,1)^n  <=>  (adj M) k / det in [0,1)^n, checked exactly
+    num = box @ adj.T
+    inside = np.all((num >= 0) & (num < det) if det > 0 else (num > det) & (num <= 0), axis=1)
+    reps = sorted(map(tuple, box[inside].tolist()))
+    zero = (0,) * n
+    if zero not in reps:
+        raise AssertionError("coset enumeration must contain 0")
+    reps.remove(zero)
+    return [zero] + reps
+
+
+def split(self, keys) -> tuple[np.ndarray, np.ndarray]:
+    """Coset decomposition of many integer vectors at once.
+
+    Writes each row ``k`` of ``keys`` (shape (K, n), integer) as
+    ``k = M^T r + eta_j`` and returns ``(r, j)``: an int64 array of
+    shape (K, n) and the coset indices, shape (K,).  The decomposition
+    is total and unique; keys of any other shape raise ValueError.
+
+    Arithmetic is exact in int64: ``adj(M^T) k`` is zero modulo ``det``
+    precisely on ``M^T Z^n``, so its residues name the coset, and the
+    division that yields ``r`` has no remainder.  Keys must be small
+    enough that ``adj k`` fits in int64.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim != 2 or keys.shape[1] != self.n:
+        raise ValueError(f"keys must have shape (K, {self.n}), got {keys.shape}")
+    # rows adj(M^T) k: adj(M^T) = adj(M)^T
+    num = keys @ self.adj
+    rep_num = np.array(self.eta, dtype=np.int64) @ self.adj
+    shape = (self.m,) * self.n
+    codes = np.ravel_multi_index(tuple((num % self.m).T), shape)
+    rep_codes = np.ravel_multi_index(tuple((rep_num % self.m).T), shape)
+    order = np.argsort(rep_codes)
+    j = order[np.searchsorted(rep_codes, codes, sorter=order)]
+    return (num - rep_num[j]) // self.det, j

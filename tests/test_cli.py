@@ -596,6 +596,7 @@ def test_phi_refuses_a_sequence_csv(work, tmp_path, capsys, command):
     ('[[null,0],[0,2]]', None, None),
     ('[[Infinity,0],[0,2]]', None, None),
     ('[[true,0],[0,2]]', None, None),
+    ('[[4611686018427387905,4611686018427387902],[1,1]]', None, None),
     ('[[2,0],[0,1]]', "0:99999999999999999999,0:1", None),
     ('[[2,0],[0,1]]', None, '[1,2]'),
     ('[[2,0],[0,1]]', None, '{"preset": 5}'),
@@ -614,17 +615,29 @@ def test_phi_refuses_a_sequence_csv(work, tmp_path, capsys, command):
                             '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,0]], "Q": [0, Infinity]}'),
     ('[[2,0],[0,1]]', None, '{"preset": "separable_frft", "theta": [NaN, 0.7]}'),
     ('[[2,0],[0,1]]', None, '{"preset": "separable_lorentz", "phi": [1000.0, 0.5]}'),
-], ids=["M-string", "M-null", "M-infinity", "M-true", "window-past-int64",
+    ('[[2,0],[0,1]]', None, '{"A": {"x": 1}, "B": 1, "C": -1, "D": 0}'),
+    ('[[2,0],[0,1]]', None, '{"n": 2, "A": [[0,{"x": 1}],[0,0]], "B": [[1,0],[0,1]], '
+                            '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,0]]}'),
+    ('[[2,0],[0,1]]', None, '{"preset": "separable_frft", "theta": [0.7, {"x": 1}]}'),
+    ('[[2,0],[0,1]]', None, '{"n": 2, "A": [[0,0],[0,0]], "B": [[1,0],[0,1]], '
+                            '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,0]], "P": [{"x": 1}, 0]}'),
+    ('[[2,0],[0,1]]', None, '{"n": 2, "A": [[0,0],[0,0]], "B": [[1,0],[0,1]], '
+                            '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,' + "9" * 400 + ']]}'),
+], ids=["M-string", "M-null", "M-infinity", "M-true", "M-coset-products-past-int64",
+        "window-past-int64",
         "params-list", "params-preset-number", "params-n-infinite", "params-preset-unread-key",
         "params-preset-kind-key", "params-preset-n-disagrees", "params-preset-matrix-angles",
         "params-block-unread-key", "params-block-null-entry", "params-block-nan-offset",
         "params-block-infinite-offset", "params-preset-nan-angle",
-        "params-preset-overflowing-rapidity"])
+        "params-preset-overflowing-rapidity", "params-block-object-matrix",
+        "params-block-object-entry", "params-preset-object-angle", "params-block-object-offset",
+        "params-block-int-past-float"])
 def test_malformed_values_exit_1_with_one_error_line(work2, tmp_path, capsys, M, window,
                                                      params_text):
     # each once ended in a TypeError, OverflowError or AttributeError
-    # traceback, a true in --M was read as 1, or a key the parameter file's
-    # form does not read was ignored
+    # traceback (a JSON object or a 400-digit integer in a parameter file
+    # among them), a true in --M was read as 1, or a key the parameter
+    # file's form does not read was ignored
     params = work2 / "ft2.json"
     if params_text is not None:
         params = tmp_path / "p.json"
@@ -687,6 +700,24 @@ def test_every_parameter_file_form_is_judged_by_one_validation(work, tmp_path, c
         assert out.exists() == (code == 0)
     # the full block with and without n: the same transform, byte for byte
     assert (tmp_path / "4.grid").read_bytes() == (tmp_path / "5.grid").read_bytes()
+
+
+@pytest.mark.parametrize("kind, spelled", [("separable_frft", "Separable-FRFT"),
+                                           ("separable_lct", "separable-lct")])
+def test_a_preset_name_is_read_in_any_case_with_hyphens_for_underscores(work, tmp_path, capsys,
+                                                                       kind, spelled):
+    blocks, outs = [], []
+    for name in (kind, spelled):
+        params = tmp_path / f"{name}.json"
+        params.write_text(json.dumps({"preset": name, **_FORMS[kind]}))
+        blocks.append(read_params(params))
+        outs.append(tmp_path / f"{name}.grid")
+        assert main(["transform", "--params", str(params), "--in", str(work / "gauss.grid"),
+                     "--out", str(outs[-1])]) == 0, capsys.readouterr().err
+    assert blocks[0].n == blocks[1].n == 1
+    for name in "ABCDPQ":
+        assert getattr(blocks[0], name).tobytes() == getattr(blocks[1], name).tobytes()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize("method", ["discrete", "continuous"])

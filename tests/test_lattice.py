@@ -1,7 +1,12 @@
 """Integer lattices: coset enumeration, exact decomposition, split/merge."""
 
+import dataclasses
 import itertools
+import tracemalloc
+from fractions import Fraction
+from math import isqrt, prod
 
+import construction_oracles as oracle
 import numpy as np
 import pytest
 from construction_oracles import _adjugate_int, _det_int
@@ -9,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saftlab.grid import SeqFn
-from saftlab.lattice import _det_adj, build_lattice, decompose, merge_sequence, split_sequence
+from saftlab.lattice import (
+    SamplingLattice,
+    _det_adj,
+    build_lattice,
+    decompose,
+    merge_sequence,
+    split_sequence,
+)
 
 
 def test_basic_counts_and_zero_first():
@@ -142,3 +154,108 @@ def test_a_lattices_determinant_and_adjugate_are_the_oracles(m):
     assert lat.adj.dtype == adj.dtype and lat.adj.tobytes() == adj.tobytes()
     assert lat.M.tolist() == m and lat.M.dtype == np.int64
     assert not lat.M.flags.writeable and not lat.adj.flags.writeable
+
+
+def _oracle_lattice(lat: SamplingLattice) -> SamplingLattice:
+    """`lat` with its cosets from the bounding-box scan the Hermite box replaced."""
+    return dataclasses.replace(lat, gamma=tuple(oracle._coset_reps(lat.M, lat.det, lat.adj)),
+                               eta=tuple(oracle._coset_reps(lat.M.T, lat.det, lat.adj.T)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 3).flatmap(lambda n: _int_matrices(n, -3, 3)), data=st.data())
+def test_hermite_box_cosets_and_split_are_the_bounding_box_scans(m, data):
+    if _det_int(m) == 0:
+        return
+    lat = build_lattice(m)
+    old = _oracle_lattice(lat)
+    # M, adj, det and m come from code the change left alone; the cosets are new
+    assert lat.gamma == old.gamma and lat.eta == old.eta and lat.m == len(old.gamma)
+    assert all(type(x) is int for rep in lat.gamma + lat.eta for x in rep)
+    keys = np.array(data.draw(st.lists(st.lists(st.integers(-60, 60), min_size=lat.n,
+                                                max_size=lat.n), max_size=40)),
+                    dtype=np.int64).reshape(-1, lat.n)
+    for new, ref in zip(lat.split(keys), oracle.split(old, keys)):
+        assert new.dtype == ref.dtype and new.shape == ref.shape
+        assert new.tobytes() == ref.tobytes()
+
+
+@st.composite
+def _sheared(draw):
+    """``L D U``: unit triangular shears around a diagonal with ``|det| <= 50``,
+    every entry at most 10**4 in magnitude."""
+    n = draw(st.integers(1, 3))
+    d = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n).filter(
+        lambda d: prod(d) <= 50))
+    d = [x * draw(st.sampled_from((1, -1))) for x in d]
+    # |(L D U)_ij| <= n * k**2 * max|d_l|
+    k = isqrt(10**4 // (n * max(map(abs, d))))
+    off = st.integers(-k, k)
+    low = [[1 if i == j else draw(off) if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else draw(off) if j > i else 0 for j in range(n)] for i in range(n)]
+    return [[sum(low[i][l] * d[l] * up[l][j] for l in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _in_unit_box(adj, det, v) -> bool:
+    """``adj v / det`` in ``[0,1)^n``, in exact Python ints."""
+    return all(0 <= Fraction(sum(a * x for a, x in zip(row, v)), det) < 1 for row in adj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=_sheared(), data=st.data())
+def test_sheared_cosets_are_the_fundamental_domain_and_split_rebuilds_each_key(m, data):
+    assert max(abs(x) for row in m for x in row) <= 10**4
+    lat = build_lattice(m)
+    det, adj, n = _det_int(m), _adjugate_int(m), len(m)
+    adj_t = [list(col) for col in zip(*adj)]
+    assert lat.m == abs(det) <= 50
+    for reps, a in ((lat.gamma, adj), (lat.eta, adj_t)):
+        # m distinct points of M[0,1)^n (of M^T[0,1)^n), zero first, then in order
+        assert len(set(reps)) == len(reps) == lat.m
+        assert reps[0] == (0,) * n and list(reps[1:]) == sorted(reps[1:])
+        assert all(_in_unit_box(a, det, v) for v in reps)
+    keys = data.draw(st.lists(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n),
+                              min_size=1, max_size=30))
+    r, j = lat.split(np.array(keys, dtype=np.int64))
+    for k, rr, jj in zip(keys, r.tolist(), j.tolist()):
+        assert k == [sum(m[i][c] * rr[i] for i in range(n)) + lat.eta[jj][c] for c in range(n)]
+
+
+def test_a_sheared_unimodular_lattice_is_built_in_proportion_to_its_one_coset():
+    # the bounding box of M[0,1)^2 holds about 9 * 10**6 points here
+    tracemalloc.start()
+    try:
+        lat = build_lattice([[3000, 2999], [2999, 2998]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lat.gamma == lat.eta == ((0, 0),)
+    assert peak < 2**20, peak
+
+
+def test_split_refuses_keys_whose_products_could_wrap_int64():
+    lat = build_lattice([[2, 0], [0, 2]])
+    # 2**62 * 2 is 2**63: int64 would wrap r to -2**61
+    with pytest.raises(ValueError, match=r"4611686018427387904 .*2\*\*63"):
+        lat.split([[2**62, 3]])
+    # -2**63 is a legal CSV index, and np.abs(-2**63) is negative
+    with pytest.raises(ValueError, match=r"9223372036854775808 .*2\*\*63"):
+        lat.split(np.array([[-(2**63), 0]], dtype=np.int64))
+    r, j = lat.split([[2**62 - 1, -(2**62) + 1]])
+    assert r.tolist() == [[2**61 - 1, -(2**61)]] and lat.eta[int(j[0])] == (1, 1)
+    sheared = build_lattice([[2**31, 2**31 - 1], [2**31 + 1, 2**31]])
+    assert sheared.m == 1
+    with pytest.raises(ValueError, match=r"2\*\*63"):
+        sheared.split([[2**33, -(2**33) + 5]])
+    r, j = sheared.split([[2**20, -(2**20) + 5]])
+    assert (sheared.M.T @ r[0]).tolist() == [2**20, -(2**20) + 5] and j.tolist() == [0]
+
+
+def test_enumeration_refuses_a_box_whose_products_could_wrap_int64():
+    # det 3 with a Hermite box {0} x [0, 3): adj(M) (0, 2) has an entry near 2**63
+    with pytest.raises(ValueError, match=r"index 2 .*2\*\*63"):
+        build_lattice([[2**62 + 1, 2**62 - 2], [1, 1]])
+    # unimodular, but adj M holds 2**80, which no int64 array can (an OverflowError once)
+    with pytest.raises(ValueError, match=r"adj M .*2\*\*63"):
+        build_lattice([[1, 2**40, 0], [0, 1, 2**40], [0, 0, 1]])

@@ -24,9 +24,8 @@ ALLOWED = {
     ("params.py", "SaftParams._mod_lin"),
     ("params.py", "inverse_params"),
     ("params.py", "random_params"),
-    # exact integer lattice code
-    ("lattice.py", "_coset_reps"),
-    ("lattice.py", "SamplingLattice.split"),
+    # exact integer lattice code: the one coset reduction, and its inverse
+    ("lattice.py", "_reduce"),
     ("lattice.py", "merge_sequence"),
     # a generator's plane wave and chirp
     ("grid.py", "_gen_gaussian"),

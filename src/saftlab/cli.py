@@ -124,10 +124,10 @@ def _require_window_fits(lo: np.ndarray, hi: np.ndarray, m: int) -> None:
 
 
 def _parse_int_matrix(text: str) -> list:
+    from .io import _has_bool
+
     value = json.loads(text)
-    # numpy would read true as 1 in a row of numbers
-    if not isinstance(value, list) or any(
-            isinstance(x, bool) for row in value if isinstance(row, list) for x in row):
+    if not isinstance(value, list) or _has_bool(value):
         raise ValueError("lattice matrix must be a JSON array of rows of integers")
     return value
 

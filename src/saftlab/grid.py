@@ -238,6 +238,20 @@ def _index(k, n: int) -> tuple:
     return out
 
 
+def _int_keys(keys, n: int) -> np.ndarray:
+    """``keys`` as an int64 array: an empty one, of any dtype, is (0, n), and any
+    other of a non-integer dtype (a float key is no index), or with an unsigned
+    key past int64 (the cast would wrap it), raises ValueError."""
+    keys = np.asarray(keys)
+    if keys.size == 0:
+        return keys.astype(np.int64).reshape(0, n)
+    if keys.dtype.kind not in "iu":
+        raise ValueError(f"keys must be integers, got dtype {keys.dtype}")
+    if keys.dtype.kind == "u" and int(keys.max()) >= 2**63:
+        raise ValueError(f"index {int(keys.max())} is 2**63 or more, past int64")
+    return keys.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class SeqFn:
     """A finitely supported complex sequence on Z^n, stored as two arrays.
@@ -268,19 +282,15 @@ class SeqFn:
 
     def _assign(self, n, keys, vals) -> None:
         n = int(n)
-        keys = np.asarray(keys)
+        keys = _int_keys(keys, n)
         vals = np.asarray(vals, dtype=complex)
-        if keys.size == 0:
-            keys = keys.astype(np.int64).reshape(0, n)
         if keys.ndim != 2 or keys.shape[1] != n or vals.shape != (keys.shape[0],):
             raise ValueError(
                 f"need keys of shape (K, {n}) and values of shape (K,), got "
                 f"{keys.shape} and {vals.shape}"
             )
-        if keys.dtype.kind not in "iu":
-            raise ValueError(f"keys must be integers, got dtype {keys.dtype}")
         order = np.lexsort(keys.T[::-1])
-        keys, vals = keys.astype(np.int64, copy=False)[order], vals[order]
+        keys, vals = keys[order], vals[order]
         repeated = np.flatnonzero(np.all(keys[1:] == keys[:-1], axis=1))
         if repeated.size:
             raise ValueError(f"repeated index {tuple(keys[repeated[0]].tolist())}")

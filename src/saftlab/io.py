@@ -492,6 +492,19 @@ def _sequence_from_rows(path, n: int, keys, vals) -> SeqFn:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _has_bool(value) -> bool:
+    """Whether JSON ``true`` or ``false`` sits anywhere in `value`'s nested lists:
+    numpy would read it as 1 or 0 in an array of numbers."""
+    stack = [value]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, bool):
+            return True
+        if isinstance(x, list):
+            stack.extend(x)
+    return False
+
+
 def params_from_dict(d: dict) -> SaftParams:
     if not isinstance(d, dict):
         raise ValueError(f"parameter file must hold a JSON object, got {type(d).__name__}")
@@ -503,6 +516,8 @@ def params_from_dict(d: dict) -> SaftParams:
     kind = d.pop("preset", "custom")
     if not isinstance(kind, str):
         raise ValueError(f"parameter file: preset must be a name, got {kind!r}")
+    if flagged := [key for key, value in d.items() if _has_bool(value)]:
+        raise ValueError(f"parameter file: {flagged[0]} has an entry that is not a number")
     return _block(kind, n, d)
 
 

@@ -4,7 +4,9 @@ For a non-singular integer matrix ``M`` with ``m = |det M|`` the integer
 vectors inside the half-open parallelepiped ``M [0,1)^n`` form a complete set
 of residues of ``Z^n / M Z^n`` (and likewise with ``M^T``).  One exact int64
 map, ``k -> k - M floor(adj(M) k / det M)``, takes any key to its coset's point
-there, so enumeration (of a Hermite box) and splitting need no float inverse.
+there, so enumeration (of a Hermite box) and splitting need no float inverse;
+a split names that point's coset by its digits in the Hermite box of ``M^T``,
+which has m cells.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .grid import SeqFn
+from .grid import SeqFn, _int_keys
 from .params import _fixed_product
 
 __all__ = [
@@ -32,7 +34,7 @@ def _int_rows(M) -> list[list[int]]:
         raise ValueError(f"M must be a square matrix, got shape {arr.shape}")
     # a string, null or an int past int64 makes a non-numeric array
     if arr.dtype.kind not in "iuf" or not np.all(np.abs(arr) < 2.0**63) \
-            or not np.allclose(arr, np.round(arr)):
+            or not np.all(arr == np.round(arr)):
         raise ValueError("M must have integer entries of magnitude below 2**63")
     return [[int(round(x)) for x in row] for row in arr]
 
@@ -70,18 +72,50 @@ def _reduce(keys: np.ndarray, mat: np.ndarray, adj: np.ndarray, det: int):
     return q, keys - q @ mat.T
 
 
-def _coset_reps(mat: np.ndarray, det: int, adj: np.ndarray) -> list[tuple[int, ...]]:
-    """Integer points of ``M [0,1)^n``, zero (the one with no nonzero entry) first, then
-    lexicographic: Euclid on the columns, row by row, makes ``H = M U`` lower triangular
-    (U unimodular), and the box ``prod [0, |h_ii|)`` holds one point of each coset."""
+def _hermite(mat: np.ndarray) -> list[list[int]]:
+    """Columns of the Hermite form ``H = M U`` (U unimodular), in Python ints: Euclid on
+    the columns, row by row, makes H lower triangular, and then each diagonal entry is
+    made positive and the entries left of it in its row are reduced into ``[0, h_ii)``."""
     cols = mat.T.tolist()
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):
             while cols[j][i]:
                 q = cols[i][i] // cols[j][i]
                 cols[i], cols[j] = cols[j], [x - q * y for x, y in zip(cols[i], cols[j])]
-    box = np.indices([abs(col[i]) for i, col in enumerate(cols)], dtype=np.int64)
-    reps = _reduce(box.reshape(len(cols), -1).T, mat, adj, det)[1]
+        if cols[i][i] < 0:
+            cols[i] = [-x for x in cols[i]]
+        for j in range(i):
+            q = cols[j][i] // cols[i][i]
+            cols[j] = [x - q * y for x, y in zip(cols[j], cols[i])]
+    return cols
+
+
+def _box_codes(points: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """C-order codes, in the Hermite box ``prod [0, h_ii)`` of `mat` (m cells), of the
+    cosets of the int64 rows `points` of ``M [0,1)^n``: row by row, a point's entry i
+    leaves its digit ``mod h_ii`` and takes multiples of column i of H off the rows
+    below.  Refuses an M whose digit products could reach 2**63, by `_reduce`'s rule."""
+    cols, code = _hermite(mat), 0
+    top = [sum(map(abs, row)) for row in mat.tolist()]   # |entry i| of a point of M [0,1)^n
+    rows = list(points.T)
+    for i, col in enumerate(cols):
+        q, digit = np.divmod(rows[i], col[i])
+        code = code * col[i] + digit
+        for l in range(i + 1, len(cols)):
+            if col[l]:
+                top[l] += (top[i] // col[i] + 1) * col[l]
+                if top[l] >= 2**63:
+                    raise ValueError("lattice entries too large: Hermite box digit products "
+                                     "pass 2**63")
+                rows[l] = rows[l] - q * col[l]
+    return code
+
+
+def _coset_reps(mat: np.ndarray, det: int, adj: np.ndarray) -> list[tuple[int, ...]]:
+    """Integer points of ``M [0,1)^n``, zero (the one with no nonzero entry) first, then
+    lexicographic: the Hermite box ``prod [0, h_ii)`` holds one point of each coset."""
+    box = np.indices([col[i] for i, col in enumerate(_hermite(mat))], dtype=np.int64)
+    reps = _reduce(box.reshape(len(mat), -1).T, mat, adj, det)[1]
     return list(map(tuple, reps[np.lexsort((*reps.T[::-1], reps.any(1)))].tolist()))
 
 
@@ -126,19 +160,17 @@ class SamplingLattice:
         is total and unique; keys of any other shape raise ValueError.
 
         Arithmetic is exact in int64: ``r = floor(adj(M^T) k / det)`` puts
-        ``k - M^T r`` in ``M^T [0,1)^n``, at one of ``eta``, found by a code
-        over eta's own bounding box.  Keys too large for that raise ValueError.
+        ``k - M^T r`` in ``M^T [0,1)^n``, and its code in the Hermite box of
+        ``M^T`` indexes a table of eta's codes.  Keys too large for that, or of
+        a non-integer dtype (an empty array may have any), raise ValueError.
         """
-        keys = np.asarray(keys, dtype=np.int64)
+        keys = _int_keys(keys, self.n)
         if keys.ndim != 2 or keys.shape[1] != self.n:
             raise ValueError(f"keys must have shape (K, {self.n}), got {keys.shape}")
         r, rest = _reduce(keys, self.M.T, self.adj.T, self.det)   # adj(M^T) = adj(M)^T
-        eta = np.array(self.eta, dtype=np.int64)
-        lo, shape = eta.min(0), np.ptp(eta, 0) + 1
-        codes = np.ravel_multi_index(tuple((rest - lo).T), shape)
-        rep_codes = np.ravel_multi_index(tuple((eta - lo).T), shape)
-        order = np.argsort(rep_codes)
-        return r, order[np.searchsorted(rep_codes, codes, sorter=order)]
+        table = np.empty(self.m, dtype=np.intp)
+        table[_box_codes(np.array(self.eta, dtype=np.int64), self.M.T)] = np.arange(self.m)
+        return r, table[_box_codes(rest, self.M.T)]
 
 
 def build_lattice(M) -> SamplingLattice:
@@ -164,10 +196,10 @@ def decompose(lat: SamplingLattice, k) -> tuple[tuple[int, ...], int]:
 
     Returns ``(r, j)``; the decomposition is total and unique.
     """
-    k = [int(round(x)) for x in np.asarray(k).reshape(-1)]
-    if len(k) != lat.n:
+    k = np.asarray(k).reshape(1, -1)
+    if k.shape[1] != lat.n:
         raise ValueError(f"index must have length {lat.n}")
-    r, j = lat.split([k])
+    r, j = lat.split(k)
     return tuple(int(x) for x in r[0]), int(j[0])
 
 

@@ -596,6 +596,7 @@ def test_phi_refuses_a_sequence_csv(work, tmp_path, capsys, command):
     ('[[null,0],[0,2]]', None, None),
     ('[[Infinity,0],[0,2]]', None, None),
     ('[[true,0],[0,2]]', None, None),
+    ('[[2.00001,0],[0,2]]', None, None),
     ('[[4611686018427387905,4611686018427387902],[1,1]]', None, None),
     ('[[2,0],[0,1]]', "0:99999999999999999999,0:1", None),
     ('[[2,0],[0,1]]', None, '[1,2]'),
@@ -623,7 +624,11 @@ def test_phi_refuses_a_sequence_csv(work, tmp_path, capsys, command):
                             '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,0]], "P": [{"x": 1}, 0]}'),
     ('[[2,0],[0,1]]', None, '{"n": 2, "A": [[0,0],[0,0]], "B": [[1,0],[0,1]], '
                             '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,' + "9" * 400 + ']]}'),
-], ids=["M-string", "M-null", "M-infinity", "M-true", "M-coset-products-past-int64",
+    ('[[2,0],[0,1]]', None, '{"A": [[false,0],[0,false]], "B": [[true,0],[0,true]], '
+                            '"C": [[-1,0],[0,-1]], "D": [[0,0],[0,0]]}'),
+    ('[[2,0],[0,1]]', None, '{"preset": "separable_frft", "theta": [true, 0.7]}'),
+], ids=["M-string", "M-null", "M-infinity", "M-true", "M-near-integer",
+        "M-coset-products-past-int64",
         "window-past-int64",
         "params-list", "params-preset-number", "params-n-infinite", "params-preset-unread-key",
         "params-preset-kind-key", "params-preset-n-disagrees", "params-preset-matrix-angles",
@@ -631,13 +636,14 @@ def test_phi_refuses_a_sequence_csv(work, tmp_path, capsys, command):
         "params-block-infinite-offset", "params-preset-nan-angle",
         "params-preset-overflowing-rapidity", "params-block-object-matrix",
         "params-block-object-entry", "params-preset-object-angle", "params-block-object-offset",
-        "params-block-int-past-float"])
+        "params-block-int-past-float", "params-block-true-entry", "params-preset-true-angle"])
 def test_malformed_values_exit_1_with_one_error_line(work2, tmp_path, capsys, M, window,
                                                      params_text):
     # each once ended in a TypeError, OverflowError or AttributeError
     # traceback (a JSON object or a 400-digit integer in a parameter file
-    # among them), a true in --M was read as 1, or a key the parameter
-    # file's form does not read was ignored
+    # among them), a true in --M or in a parameter file was read as 1, an
+    # --M entry of 2.00001 as 2, or a key the parameter file's form does not
+    # read was ignored
     params = work2 / "ft2.json"
     if params_text is not None:
         params = tmp_path / "p.json"

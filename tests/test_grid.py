@@ -20,6 +20,7 @@ from saftlab.grid import (
     uniform_grid,
 )
 from saftlab.io import read_grid, read_params, read_sequence, write_grid, write_params, write_sequence
+from saftlab.lattice import build_lattice
 from saftlab.params import preset
 
 
@@ -221,6 +222,17 @@ def test_seqfn_repeated_keys_raise():
         SeqFn.from_arrays(1, np.array([[4], [4]]), [0.0, 1.0])    # also with a zero value
     with pytest.raises(ValueError, match="not a tuple of 2 integers"):
         SeqFn(2, {(0.5, 0): 1.0, (0, 0): 2.0})          # both were once read as (0, 0)
+
+
+def test_seqfn_and_split_refuse_an_unsigned_key_past_int64():
+    # the int64 cast once wrapped 2**63 to -2**63
+    big = np.array([[2**63, 0]], dtype=np.uint64)
+    with pytest.raises(ValueError, match=r"index 9223372036854775808 is 2\*\*63 or more"):
+        SeqFn.from_arrays(2, big, [1.0])
+    with pytest.raises(ValueError, match=r"index 9223372036854775808 is 2\*\*63 or more"):
+        build_lattice([[2, 0], [0, 2]]).split(big)
+    s = SeqFn.from_arrays(2, np.array([[2**63 - 1, 3]], dtype=np.uint64), [1.0])
+    assert s.keys.dtype == np.int64 and s.keys.tolist() == [[2**63 - 1, 3]]
 
 
 def test_seqfn_refuses_float_and_wrong_length_indices():

@@ -1158,3 +1158,15 @@ def test_every_parameter_file_the_two_routes_read_gives_the_same_block(d):
     old = _as_the_cli_takes_it(oracle.params_from_dict, d)
     if old is not None:
         assert _as_the_cli_takes_it(params_from_dict, d) == old
+
+
+@pytest.mark.parametrize("d, key", [
+    ({"A": 0, "B": True, "C": -1, "D": False}, "B"),
+    ({"preset": "separable_frft", "theta": [True, 0.7]}, "theta"),
+    ({"n": 2, "A": [[0, 0], [0, 0]], "B": [[1, 0], [0, 1]], "C": [[-1, 0], [0, -1]],
+      "D": [[0, 0], [0, 0]], "Q": [0, False]}, "Q"),
+])
+def test_a_parameter_file_refuses_true_and_false_as_entries(d, key):
+    # numpy read them as 1 and 0: the first file was once the plain Fourier block
+    with pytest.raises(ValueError, match=f"^parameter file: {key} has an entry that is not a number$"):
+        params_from_dict(d)

@@ -51,6 +51,11 @@ def test_rejects_singular_and_noninteger():
         build_lattice([[1.5, 0], [0, 2]])
     with pytest.raises(ValueError):
         build_lattice([1, 2, 3])
+    # near-integers once passed np.allclose and built 2I and diag(10**6, 1)
+    for near in ([[2.00001, 0], [0, 2]], [[1000000.5, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="integer entries"):
+            build_lattice(near)
+    assert build_lattice([[2.0, 0.0], [0.0, 2.0]]).M.tolist() == [[2, 0], [0, 2]]
 
 
 def test_reps_are_distinct_modulo_lattice():
@@ -115,6 +120,23 @@ def test_split_refuses_keys_of_another_width():
         build_lattice([[2]]).split(np.zeros((3, 2), dtype=np.int64))
     with pytest.raises(ValueError, match=r"shape \(K, 2\)"):
         build_lattice([[2, 0], [0, 2]]).split(np.zeros(4, dtype=np.int64))
+
+
+def test_split_and_decompose_refuse_keys_of_a_float_dtype():
+    lat = build_lattice([[2, 0], [0, 2]])
+    # a cast to int64 once read 1.9 as 1: the coset of (1, 0)
+    with pytest.raises(ValueError, match="keys must be integers, got dtype float64"):
+        lat.split([[1.9, 0]])
+    with pytest.raises(ValueError, match="keys must be integers, got dtype float64"):
+        lat.split(np.array([[2.0, 0.0]]))
+    with pytest.raises(ValueError, match="keys must be integers, got dtype bool"):
+        lat.split([[True, False]])
+    with pytest.raises(ValueError, match="keys must be integers"):
+        decompose(lat, (1.9, 0))
+    # an empty key array may have any dtype, as in SeqFn.from_arrays
+    r, j = lat.split(np.zeros((0, 2)))
+    assert r.shape == (0, 2) and r.dtype == np.int64 and j.shape == (0,)
+    assert decompose(lat, np.array([3, -1], dtype=np.int32)) == ((1, -1), lat.eta.index((1, 1)))
 
 
 def test_merge_requires_full_part_list():
@@ -183,14 +205,21 @@ def test_hermite_box_cosets_and_split_are_the_bounding_box_scans(m, data):
 @st.composite
 def _sheared(draw):
     """``L D U``: unit triangular shears around a diagonal with ``|det| <= 50``,
-    every entry at most 10**4 in magnitude."""
+    every entry at most 10**4 in magnitude, or, half the time, shears of at
+    least half their cap for entries up to 2**40 (2**27 in 3-D, where an
+    adjugate entry sums products of two entries, and its row sums times a
+    Hermite box index must stay under 2**63)."""
     n = draw(st.integers(1, 3))
-    d = draw(st.lists(st.integers(1, 50), min_size=n, max_size=n).filter(
-        lambda d: prod(d) <= 50))
+    d = []
+    for _ in range(n):     # drawn within the product bound, not filtered to it
+        d.append(draw(st.integers(1, 50 // prod(d))))
     d = [x * draw(st.sampled_from((1, -1))) for x in d]
+    large = draw(st.booleans())
     # |(L D U)_ij| <= n * k**2 * max|d_l|
-    k = isqrt(10**4 // (n * max(map(abs, d))))
-    off = st.integers(-k, k)
+    cap = (2**40 if n < 3 else 2**27) if large else 10**4
+    k = isqrt(cap // (n * max(map(abs, d))))
+    off = (st.integers(k // 2, k).flatmap(lambda x: st.sampled_from((x, -x))) if large
+           else st.integers(-k, k))
     low = [[1 if i == j else draw(off) if j < i else 0 for j in range(n)] for i in range(n)]
     up = [[1 if i == j else draw(off) if j > i else 0 for j in range(n)] for i in range(n)]
     return [[sum(low[i][l] * d[l] * up[l][j] for l in range(n)) for j in range(n)]
@@ -205,7 +234,7 @@ def _in_unit_box(adj, det, v) -> bool:
 @settings(max_examples=100, deadline=None)
 @given(m=_sheared(), data=st.data())
 def test_sheared_cosets_are_the_fundamental_domain_and_split_rebuilds_each_key(m, data):
-    assert max(abs(x) for row in m for x in row) <= 10**4
+    assert max(abs(x) for row in m for x in row) <= 2**40
     lat = build_lattice(m)
     det, adj, n = _det_int(m), _adjugate_int(m), len(m)
     adj_t = [list(col) for col in zip(*adj)]
@@ -215,7 +244,9 @@ def test_sheared_cosets_are_the_fundamental_domain_and_split_rebuilds_each_key(m
         assert len(set(reps)) == len(reps) == lat.m
         assert reps[0] == (0,) * n and list(reps[1:]) == sorted(reps[1:])
         assert all(_in_unit_box(a, det, v) for v in reps)
-    keys = data.draw(st.lists(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n),
+    # inside _reduce's bound: a key's product with adj(M^T) stays under 2**63
+    top = min(10**6, (2**63 - 1) // max(sum(map(abs, row)) for row in adj_t))
+    keys = data.draw(st.lists(st.lists(st.integers(-top, top), min_size=n, max_size=n),
                               min_size=1, max_size=30))
     r, j = lat.split(np.array(keys, dtype=np.int64))
     for k, rr, jj in zip(keys, r.tolist(), j.tolist()):
@@ -232,6 +263,25 @@ def test_a_sheared_unimodular_lattice_is_built_in_proportion_to_its_one_coset():
         tracemalloc.stop()
     assert lat.gamma == lat.eta == ((0, 0),)
     assert peak < 2**20, peak
+
+
+def test_a_lattice_with_a_vast_bounding_box_splits_by_its_hermite_box():
+    # eta's bounding box holds about 2**80 points, past any numpy array
+    # (numpy's "invalid dims" once); the Hermite box of M^T holds m = 2
+    m = [[2**40 + 1, 2**40 - 1], [1, 1]]
+    lat = build_lattice(m)
+    assert lat.m == 2
+    keys = [[5, 7], [0, 0], [-3, 2**20], [2**21, -1], [-(2**21), 2**21 - 1]]
+    r, j = lat.split(keys)
+    assert sorted(set(j.tolist())) == [0, 1]
+    for k, rr, jj in zip(keys, r.tolist(), j.tolist()):
+        assert k == [sum(m[i][c] * rr[i] for i in range(2)) + lat.eta[jj][c] for c in range(2)]
+    # this one builds, but a point of M^T[0,1)^2 has an entry near 2**62, and
+    # taking it to its Hermite box digits could pass 2**63
+    big = build_lattice([[2**62, 2**62 - 2], [1, 1]])
+    assert big.m == 2
+    with pytest.raises(ValueError, match=r"Hermite box .*2\*\*63"):
+        big.split([[0, 0]])
 
 
 def test_split_refuses_keys_whose_products_could_wrap_int64():

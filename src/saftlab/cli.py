@@ -666,26 +666,31 @@ def _add_common(sp, *, out: str | None = "table", tol: bool = False, seed: bool 
 def build_parser() -> _Parser:
     parser = _Parser(prog="saftlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    # the inputs several commands share, each declared once
+    params = _Parser(add_help=False)
+    params.add_argument("--params", required=True, help="parameter JSON")
+    model = _Parser(add_help=False, parents=[params])
+    model.add_argument("--phi", required=True, help="generator grid file")
+    system = _Parser(add_help=False, parents=[model])
+    system.add_argument("--filter", required=True, help="filter (.grid or .csv comb)")
+    system.add_argument("--M", required=True, help='lattice matrix, e.g. "[[2,0],[0,2]]"')
 
     for name in ("transform", "inverse"):
-        sp = sub.add_parser(name, help=f"{name} a grid file")
-        sp.add_argument("--params", required=True, help="parameter JSON")
+        sp = sub.add_parser(name, help=f"{name} a grid file", parents=[params])
         sp.add_argument("--in", dest="infile", required=True, help="input grid")
         sp.add_argument("--backend", choices=("fast", "quad"), default="fast")
         _add_common(sp, out="file")
         sp.set_defaults(func=lambda a, d=name: _cmd_transform(a, d))
 
-    sp = sub.add_parser("dtsaft", help="discrete-time transform of a sequence")
-    sp.add_argument("--params", required=True)
+    sp = sub.add_parser("dtsaft", help="discrete-time transform of a sequence", parents=[params])
     sp.add_argument("--seq", required=True, help="sequence CSV")
     sp.add_argument("--wgrid", required=True,
                     help="evaluation mesh, lo:hi:count per axis, comma-separated")
     _add_common(sp)
     sp.set_defaults(func=_cmd_dtsaft)
 
-    sp = sub.add_parser("conv", help="twisted convolution of two operands")
+    sp = sub.add_parser("conv", help="twisted convolution of two operands", parents=[params])
     sp.add_argument("--kind", choices=("cc", "sd", "dd"), required=True)
-    sp.add_argument("--params", required=True)
     sp.add_argument("--lhs", required=True, help=".grid or .csv operand")
     sp.add_argument("--rhs", required=True, help=".grid or .csv operand")
     _add_common(sp, out="file")
@@ -704,9 +709,8 @@ def build_parser() -> _Parser:
     _add_common(sp, tol=True, seed=True)
     sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("sis", help="generator Grammian profile and Riesz verdict")
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--phi", required=True, help="generator grid file")
+    sp = sub.add_parser("sis", help="generator Grammian profile and Riesz verdict",
+                        parents=[model])
     sp.add_argument("--cell-points", type=_positive(int), default=64,
                     help="mesh nodes per axis over one frequency cell")
     _add_common(sp)
@@ -715,21 +719,14 @@ def build_parser() -> _Parser:
     dyn = sub.add_parser("dynsamp", help="multichannel sampling system tools")
     dsub = dyn.add_subparsers(dest="subcommand", parser_class=_Parser)
 
-    sp = dsub.add_parser("check", help="scan the per-frequency channel matrix")
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--phi", required=True, help="generator grid file")
-    sp.add_argument("--filter", required=True, help="filter (.grid or .csv comb)")
-    sp.add_argument("--M", required=True, help='lattice matrix, e.g. "[[2,0],[0,2]]"')
+    sp = dsub.add_parser("check", help="scan the per-frequency channel matrix", parents=[system])
     sp.add_argument("--cell-points", type=_positive(int), default=17,
                     help="mesh nodes per axis over one frequency cell")
     _add_common(sp, tol=True)
     sp.set_defaults(func=_cmd_dynsamp_check)
 
-    sp = dsub.add_parser("recover", help="recover coefficients from measurements")
-    sp.add_argument("--params", required=True)
-    sp.add_argument("--phi", required=True)
-    sp.add_argument("--filter", required=True)
-    sp.add_argument("--M", required=True)
+    sp = dsub.add_parser("recover", help="recover coefficients from measurements",
+                         parents=[system])
     sp.add_argument("--measurements", required=True,
                     help="CSV rows k1..kn,channel,re,im")
     sp.add_argument("--method", choices=("discrete", "continuous"), default="discrete")

@@ -487,7 +487,7 @@ def recover_discrete(
 
     rmesh = _window_mesh(lo, lo + np.array(shape) - 1)
     # keys M^T r + eta_l, coset by coset, exact in int64
-    keys = _fixed_product(rmesh, lat.M.T) + np.array(lat.eta, dtype=np.int64)[:, None, :]
+    keys = _fixed_product(rmesh, lat.M.T) + lat.eta[:, None, :]
     offset = np.exp(-2j * np.pi * _offset_phase(p, rmesh))
     Z = (np.sqrt(p.abs_det_b) * np.conj(eta_w) * X.T).reshape(lat.m, *shape)
     sig_c = _invert_window_dft(Z, lo).reshape(lat.m, -1)
@@ -558,8 +558,8 @@ def recover_continuous(
                lambda v: lat.m * folded_dt_values(p, v, qshape).reshape(-1))
 
     # reduced node q/N plus the coset offset gamma_v/diag is the full-grid node
-    # (q + N*gamma_v/diag)/N with N/diag = qshape, and the gamma_v of a positive
-    # diagonal M run over prod [0, d_i) in C order: full-grid axis i is (gamma_i, q_i)
+    # (q + N*gamma_v/diag)/N with N/diag = qshape, and gamma is M's Hermite box
+    # prod [0, d_i) in C order: full-grid axis i is (gamma_i, q_i)
     axes = [a for i in range(lat.n) for a in (lat.n + i, i)]
     full = C.reshape(*qshape, *np.diag(lat.M)).transpose(axes).reshape(shape)
     swin = _invert_window_dft(full, lo)

@@ -13,9 +13,9 @@ Grid file ("SAFTGRID v1")
         ...
 
 Sequence file
-    CSV rows ``k1,...,kn,re,im`` with integer indices; a header line is
-    optional on read and always written.  `read_sequence` takes the
-    dimension n from its caller.
+    CSV rows ``k1,...,kn,re,im`` with integer indices below 2**53 in
+    magnitude; a header line is optional on read and always written.
+    `read_sequence` takes the dimension n from its caller.
 
 Measurement file
     A sequence file with a channel column, ``k1,...,kn,channel,re,im``: the
@@ -414,11 +414,14 @@ def read_measurements(path, n: int) -> list[SeqFn]:
     lines = _data_lines(path)
     if not lines:
         raise ValueError(f"{path}: no measurement rows")
-    rows, vals = parse_rows(path, lines, n + 1)      # k1..kn,channel
-    keys, chans = rows[:, :n], rows[:, n]
-    present = np.unique(chans)      # sorted and distinct: 0..J-1 when its ends are
+    table = _float_rows(path, lines, n + 1)      # k1..kn,channel,re,im
+    # sorted and distinct: 0..J-1 when its ends are (the rows are integers, checked
+    # next); this rule, not the index rule, names a channel of 2**53 or more
+    present = np.unique(table[:, n])
     if present[0] != 0 or present[-1] != len(present) - 1:
         raise ValueError(f"{path}: channel indices must be 0..J-1")
+    rows, vals = _checked_rows(path, lines, table, n + 1)
+    keys, chans = rows[:, :n], rows[:, n]
     return [_sequence_from_rows(path, n, keys[chans == j], vals[chans == j]) for j in present]
 
 
@@ -433,11 +436,17 @@ def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarr
     wrong width, the loop reads that chunk's rows one by one and raises
     ValueError naming the file and the first row that is not ``width + 2``
     numbers (such as ``1_0`` or ``#``) as a 1-based data row, like
-    `require_finite`.  Index fields are read as floats; one that is not an
-    integer in int64's range is refused by row.
+    `require_finite`.  Index fields are read as floats, so one that is not
+    an integer of magnitude below 2**53 (past which a float is not exact) is
+    refused by row.
     """
     if not lines:
         return np.zeros((0, width), dtype=np.int64), np.zeros(0, dtype=complex)
+    return _checked_rows(path, lines, _float_rows(path, lines, width), width)
+
+
+def _float_rows(path, lines: list[str], width: int) -> np.ndarray:
+    """`parse_rows`' table of the non-empty `lines`, all columns floats."""
     table = np.empty((len(lines), width + 2))
 
     def part(lo, hi):           # rows lo:hi into the table, or the first bad row's error
@@ -459,8 +468,13 @@ def parse_rows(path, lines: list[str], width: int) -> tuple[np.ndarray, np.ndarr
         return None if tail or os.read(r, 1) else table[split:]
 
     _in_two(len(lines), part, part, receive)
+    return table
+
+
+def _checked_rows(path, lines: list[str], table: np.ndarray, width: int):
+    """`parse_rows`' int64 index columns and complex values of its float `table`."""
     index = table[:, :width]
-    ok = (index >= -(2.0**63)) & (index < 2.0**63) & (index == np.trunc(index))
+    ok = (np.abs(index) < 2.0**53) & (index == np.trunc(index))
     bad = np.flatnonzero(~np.all(ok, axis=1))
     if bad.size:
         i = int(bad[0])

@@ -4,9 +4,10 @@ For a non-singular integer matrix ``M`` with ``m = |det M|`` the integer
 vectors inside the half-open parallelepiped ``M [0,1)^n`` form a complete set
 of residues of ``Z^n / M Z^n`` (and likewise with ``M^T``).  One exact int64
 map, ``k -> k - M floor(adj(M) k / det M)``, takes any key to its coset's point
-there, so enumeration (of a Hermite box) and splitting need no float inverse;
-a split names that point's coset by its digits in the Hermite box of ``M^T``,
-which has m cells.
+there, so enumeration and splitting need no float inverse.  Coset l is that
+of point l, in C order, of the Hermite box ``prod [0, h_ii)`` of ``M`` (of
+``M^T`` for ``eta``), which has m cells; a split names a key's coset by its
+digits there.  A positive diagonal ``M`` has the box ``prod [0, d_i)``.
 """
 
 from __future__ import annotations
@@ -111,18 +112,18 @@ def _box_codes(points: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return code
 
 
-def _coset_reps(mat: np.ndarray, det: int, adj: np.ndarray) -> list[tuple[int, ...]]:
-    """Integer points of ``M [0,1)^n``, zero (the one with no nonzero entry) first, then
-    lexicographic: the Hermite box ``prod [0, h_ii)`` holds one point of each coset."""
+def _coset_reps(mat: np.ndarray, det: int, adj: np.ndarray) -> np.ndarray:
+    """The points of the Hermite box ``prod [0, h_ii)`` in C order, each reduced into
+    ``M [0,1)^n``: an (m, n) int64 array whose row l has box code l, zero first."""
     box = np.indices([col[i] for i, col in enumerate(_hermite(mat))], dtype=np.int64)
-    reps = _reduce(box.reshape(len(mat), -1).T, mat, adj, det)[1]
-    return list(map(tuple, reps[np.lexsort((*reps.T[::-1], reps.any(1)))].tolist()))
+    return _reduce(box.reshape(len(mat), -1).T, mat, adj, det)[1]
 
 
 @dataclass(frozen=True)
 class SamplingLattice:
     """Integer matrix ``M`` with coset representatives of ``Z^n/MZ^n``
-    (``gamma``) and of ``Z^n/M^T Z^n`` (``eta``), zero first, lexicographic.
+    (``gamma``) and of ``Z^n/M^T Z^n`` (``eta``), read-only (m, n) int64
+    arrays in Hermite-box order (see the module docstring), zero first.
 
     ``adj`` and ``det`` are the exact integer adjugate and (signed)
     determinant of ``M``, computed once by `build_lattice`; every coset
@@ -132,8 +133,8 @@ class SamplingLattice:
 
     M: np.ndarray
     m: int
-    gamma: tuple[tuple[int, ...], ...]
-    eta: tuple[tuple[int, ...], ...]
+    gamma: np.ndarray
+    eta: np.ndarray
     adj: np.ndarray
     det: int
 
@@ -149,7 +150,7 @@ class SamplingLattice:
     def coset_points(self, x: np.ndarray) -> np.ndarray:
         """The dual-coset points ``M^{-1}(x + gamma_v)``, (..., m, n) for ``x`` (..., n),
         summed in a fixed order (`params._fixed_product`) like every frame conversion."""
-        return _fixed_product(x[..., None, :] + np.array(self.gamma, dtype=float), self.m_inverse())
+        return _fixed_product(x[..., None, :] + self.gamma, self.m_inverse())
 
     def split(self, keys) -> tuple[np.ndarray, np.ndarray]:
         """Coset decomposition of many integer vectors at once.
@@ -161,16 +162,14 @@ class SamplingLattice:
 
         Arithmetic is exact in int64: ``r = floor(adj(M^T) k / det)`` puts
         ``k - M^T r`` in ``M^T [0,1)^n``, and its code in the Hermite box of
-        ``M^T`` indexes a table of eta's codes.  Keys too large for that, or of
-        a non-integer dtype (an empty array may have any), raise ValueError.
+        ``M^T`` is ``j``.  Keys too large for that, or of a non-integer dtype
+        (an empty array may have any), raise ValueError.
         """
         keys = _int_keys(keys, self.n)
         if keys.ndim != 2 or keys.shape[1] != self.n:
             raise ValueError(f"keys must have shape (K, {self.n}), got {keys.shape}")
         r, rest = _reduce(keys, self.M.T, self.adj.T, self.det)   # adj(M^T) = adj(M)^T
-        table = np.empty(self.m, dtype=np.intp)
-        table[_box_codes(np.array(self.eta, dtype=np.int64), self.M.T)] = np.arange(self.m)
-        return r, table[_box_codes(rest, self.M.T)]
+        return r, _box_codes(rest, self.M.T)
 
 
 def build_lattice(M) -> SamplingLattice:
@@ -185,10 +184,10 @@ def build_lattice(M) -> SamplingLattice:
     if any(abs(x) >= 2**63 for row in adj for x in row):
         raise ValueError("adj M has an entry of magnitude 2**63 or more, past int64")
     mat, adj = np.array(rows, dtype=np.int64), np.array(adj, dtype=np.int64)
-    mat.setflags(write=False)
-    adj.setflags(write=False)
-    return SamplingLattice(M=mat, m=abs(det), gamma=tuple(_coset_reps(mat, det, adj)),
-                           eta=tuple(_coset_reps(mat.T, det, adj.T)), adj=adj, det=det)
+    gamma, eta = _coset_reps(mat, det, adj), _coset_reps(mat.T, det, adj.T)
+    for a in (mat, adj, gamma, eta):
+        a.setflags(write=False)
+    return SamplingLattice(M=mat, m=abs(det), gamma=gamma, eta=eta, adj=adj, det=det)
 
 
 def decompose(lat: SamplingLattice, k) -> tuple[tuple[int, ...], int]:
@@ -216,7 +215,6 @@ def merge_sequence(lat: SamplingLattice, parts: list[SeqFn]) -> SeqFn:
     """Inverse of `split_sequence`: ``s(M^T r + eta_l) = parts[l](r)``."""
     if len(parts) != lat.m:
         raise ValueError(f"need {lat.m} subsequences, got {len(parts)}")
-    keys = [part.keys @ lat.M + np.array(eta, dtype=np.int64)     # rows M^T r + eta_l
-            for part, eta in zip(parts, lat.eta)]
+    keys = [part.keys @ lat.M + eta for part, eta in zip(parts, lat.eta)]   # M^T r + eta_l
     vals = [part.values for part in parts]
     return SeqFn.from_arrays(lat.n, np.concatenate(keys), np.concatenate(vals))

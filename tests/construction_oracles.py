@@ -13,8 +13,9 @@ determinants; ``test_lattice.py`` checks the elimination against them, and
 Hermite box replaced in `saftlab.lattice`, verbatim (`split` was a method of
 `SamplingLattice`; it takes the lattice as ``self``): the first scans the
 bounding box of ``M [0,1)^n``, the second codes residues over an ``m**n``
-table.  ``test_lattice.py`` checks that every lattice field and every split
-is bit-identical to theirs.
+table.  ``test_lattice.py`` checks that the cosets are theirs as sets (the
+lattice numbers them in Hermite-box order, the scan lexicographically) and
+that every split gives their ``r`` and remainder point ``eta_j``.
 """
 
 from __future__ import annotations

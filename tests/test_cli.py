@@ -950,6 +950,24 @@ def test_out_help_says_stdout_only_where_a_table_goes_there(capsys, command):
     assert ("(default: stdout)" in text) == (command in TABLE_COMMANDS)
 
 
+#: the help line of each input several commands share, in declaration order
+SHARED_INPUTS = ["--params PARAMS parameter JSON", "--phi PHI generator grid file",
+                 "--filter FILTER filter (.grid or .csv comb)",
+                 '--M M lattice matrix, e.g. "[[2,0],[0,2]]"']
+
+
+@pytest.mark.parametrize("command,count", [
+    ("transform", 1), ("inverse", 1), ("dtsaft", 1), ("conv", 1), ("sis", 2),
+    ("dynsamp check", 4), ("dynsamp recover", 4)])
+def test_help_explains_each_shared_input_alike(capsys, command, count):
+    # dynsamp recover once listed --phi, --filter and --M with no help, and
+    # --params had help only on transform and inverse
+    assert main([*command.split(), "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for line in SHARED_INPUTS[:count]:
+        assert line in text, line
+
+
 def test_a_scalar_b_fresnel_preset_is_the_1x1_block(work, tmp_path, capsys):
     # the scalar once ended in an IndexError traceback inside preset
     for name, B in (("scalar", "2.0"), ("matrix", "[[2.0]]")):

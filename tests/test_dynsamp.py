@@ -329,6 +329,34 @@ def test_recover_discrete_exact_2d_chirped():
         assert abs(rec.get(k) - c.get(k)) < 1e-9
 
 
+#: the comb filter of the sheared-lattice recovery, {index: tap}
+SHEARED_COMB = {(0, 0): 0.6 * np.exp(0.4j), (-1, -1): 1.0, (-1, -2): -0.7j}
+
+
+@pytest.mark.parametrize("M", [[[2, 1], [0, 2]], [[2, 1], [1, 3]]], ids=["m4", "m5"])
+@pytest.mark.parametrize("kind", ["ft", "separable_frft"])
+def test_recover_discrete_on_a_sheared_lattice(M, kind):
+    # every other recovery test has m <= 2 or a diagonal M, where the Hermite
+    # box order is the lexicographic one: here the coset index l of the
+    # generator's coset samples, of the field's columns and of eta_l in the
+    # reassembly must agree for the truth to come back
+    p = preset(kind, 2, **({"theta": (0.7, 1.1)} if kind != "ft" else {}))
+    lat = build_lattice(M)
+    phi = sample_generator("gaussian", sampling_grid(2, 16, n=2), sigma=0.5)
+    levels = filtered_levels(p, SeqFn(2, SHEARED_COMB), sampled_generator(phi), lat.m, "cc")
+    c = SeqFn(2, {(0, 0): 1.0, (1, -1): 0.5j, (-2, 1): -0.8, (2, 3): 0.3 + 0.4j})
+    ms = measure_from_samples(p, lat, c, levels)
+    keys = np.concatenate([v.keys for v in ms.levels])     # the CLI's default window
+    lo, hi = keys.min(axis=0), keys.max(axis=0)
+    field = build_B_window(p, lat, lo, hi, levels)
+    assert field.stability.ok
+    rec = recover_discrete(ms, field, window=(lo, hi))
+    for k in c.entries:
+        assert abs(rec.get(k) - c.get(k)) < 1e-10, k
+    extras = [abs(rec.get(k)) for k in rec.entries if k not in c.entries]
+    assert not extras or max(extras) < 1e-10
+
+
 def test_recover_discrete_rejects_mismatched_field():
     rng = np.random.default_rng(6)
     p = preset("ft", 1)

@@ -348,8 +348,10 @@ def test_two_processes_write_the_one_process_bytes(data, chunk, chunks, off, hea
             serial = format_rows(head, keys, block) if ints else format_rows(head, block)
     assert calls == ([os.getpid()] if rows >= 2 * chunk else [])
     assert text == serial == _per_row_text(head, block, keys)
-    # the reader splits the same cut: k..., b, c parsed back bit for bit
-    lines, calls[:] = [ln for ln in format_rows([], keys, block[:, 1:]).splitlines() if ln], []
+    # the reader splits the same cut: k..., b, c parsed back bit for bit, with
+    # the keys in the range a float holds exactly (|k| < 2**53; past it a row is refused)
+    exact = keys >> 11
+    lines, calls[:] = [ln for ln in format_rows([], exact, block[:, 1:]).splitlines() if ln], []
     with mock.patch.object(saftlab.io, "ROW_CHUNK", chunk), \
             mock.patch.object(os, "fork", _forks(calls)):
         index, vals = parse_rows("t.csv", lines, ints)
@@ -358,6 +360,7 @@ def test_two_processes_write_the_one_process_bytes(data, chunk, chunks, off, hea
     assert calls == ([os.getpid()] if rows >= 2 * chunk else [])
     assert index.dtype == serial[0].dtype and index.shape == serial[0].shape == (rows, ints)
     np.testing.assert_array_equal(index, serial[0])
+    np.testing.assert_array_equal(index, exact)
     np.testing.assert_array_equal(_bits(vals), _bits(serial[1]))
     np.testing.assert_array_equal(_bits(vals), _bits(block[:, 1:].copy().view(complex)[:, 0]))
     assert _no_child_left()
@@ -863,6 +866,21 @@ def test_a_bad_grid_header_line_names_the_file_and_the_line(tmp_path, capsys, li
 INDEX_FORMATS = ["{}", "{}.0", "{}.75", "{}e0", " {} "]
 
 
+def _exact_parse_loop(lines: list[str], width: int):
+    """The parse loop, which read an index of 2**53 or more rounded: `parse_rows`
+    refuses the first row that holds one instead, by the index rule."""
+    index, vals = oracle.parse_rows("t.csv", lines, width)
+    big = np.flatnonzero(np.any((index >= 2**53) | (index <= -(2**53)), axis=1))
+    if big.size:
+        i = int(big[0])
+        with pytest.raises(ValueError) as exc:
+            parse_rows("t.csv", lines, width)
+        assert str(exc.value) == (f"t.csv: data row {i + 1} ({lines[i]!r}) has a non-finite, "
+                                  "out-of-range or non-integer index")
+        raise exc.value
+    return index, vals
+
+
 @SETTINGS
 @given(data=st.data(), rows=st.integers(0, 6), width=st.integers(1, 3))
 def test_parse_rows_is_bit_equal_to_the_parse_loop(data, rows, width):
@@ -874,7 +892,7 @@ def test_parse_rows_is_bit_equal_to_the_parse_loop(data, rows, width):
               for _ in range(width)]
         lines.append(",".join(ks + [data.draw(_field(elems)) for _ in range(2)]).strip())
     new, old = _same_outcome(lambda: parse_rows("t.csv", lines, width),
-                             lambda: oracle.parse_rows("t.csv", lines, width))
+                             lambda: _exact_parse_loop(lines, width))
     if old is not None:
         np.testing.assert_array_equal(new[0], old[0])
         assert new[0].dtype == old[0].dtype and new[0].shape == old[0].shape
@@ -1021,10 +1039,14 @@ def test_measurement_channels_come_back_in_channel_order(tmp_path):
     assert [s.values.tolist() for s in got] == [[0.5, 2.0], [0.25], [1.0]]
 
 
-@pytest.mark.parametrize("index", ["1e300", "nan", "-inf", "9223372036854775808"])
+@pytest.mark.parametrize("index", ["1e300", "nan", "-inf", "9223372036854775808",
+                                   "9007199254740993", "-9007199254740992"])
 def test_an_index_beyond_int64_names_the_file_and_row(index):
+    # 9007199254740993 (2**53 + 1) was once read as the key 2**53
     with pytest.raises(ValueError, match=r"t\.csv: data row 2 .* index"):
         parse_rows("t.csv", ["0,1.0,0.0", f"{index},1.0,0.0"], 1)
+    edge = parse_rows("t.csv", ["9007199254740991,1.0,0.0", "-9007199254740991,1.0,0.0"], 1)[0]
+    assert edge.tolist() == [[2**53 - 1], [-(2**53) + 1]]
 
 
 def test_a_table_parser_reject_exits_1(tmp_path, capsys):

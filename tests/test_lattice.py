@@ -13,9 +13,11 @@ from construction_oracles import _adjugate_int, _det_int
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saftlab import lattice
 from saftlab.grid import SeqFn
 from saftlab.lattice import (
     SamplingLattice,
+    _box_codes,
     _det_adj,
     build_lattice,
     decompose,
@@ -28,7 +30,7 @@ def test_basic_counts_and_zero_first():
     lat = build_lattice([[2, 0], [0, 2]])
     assert lat.m == 4
     assert len(lat.gamma) == 4 and len(lat.eta) == 4
-    assert lat.gamma[0] == (0, 0) and lat.eta[0] == (0, 0)
+    assert lat.gamma[0].tolist() == [0, 0] and lat.eta[0].tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("diag", [(2,), (3,), (1, 2), (3, 2), (2, 3), (2, 2), (1, 2, 3),
@@ -36,7 +38,7 @@ def test_basic_counts_and_zero_first():
 def test_positive_diagonal_gamma_runs_over_the_box_in_c_order(diag):
     # recover_continuous tiles the full DFT grid by one transpose on this order
     lat = build_lattice(np.diag(diag))
-    assert lat.gamma == tuple(itertools.product(*map(range, diag)))
+    assert lat.gamma.tolist() == [list(p) for p in itertools.product(*map(range, diag))]
 
 
 def test_m_inverse_exact():
@@ -136,7 +138,8 @@ def test_split_and_decompose_refuse_keys_of_a_float_dtype():
     # an empty key array may have any dtype, as in SeqFn.from_arrays
     r, j = lat.split(np.zeros((0, 2)))
     assert r.shape == (0, 2) and r.dtype == np.int64 and j.shape == (0,)
-    assert decompose(lat, np.array([3, -1], dtype=np.int32)) == ((1, -1), lat.eta.index((1, 1)))
+    assert decompose(lat, np.array([3, -1], dtype=np.int32)) == \
+        ((1, -1), lat.eta.tolist().index([1, 1]))
 
 
 def test_merge_requires_full_part_list():
@@ -184,6 +187,30 @@ def _oracle_lattice(lat: SamplingLattice) -> SamplingLattice:
                                eta=tuple(oracle._coset_reps(lat.M.T, lat.det, lat.adj.T)))
 
 
+def _assert_box_order(lat: SamplingLattice, m: list[list[int]]):
+    """`gamma` and `eta` are m distinct points of M[0,1)^n (of M^T[0,1)^n), row l the
+    point of Hermite box code l (so zero first); a positive diagonal M's gamma is
+    prod [0, d_i) in C order."""
+    det, adj, n = _det_int(m), _adjugate_int(m), len(m)
+    adj_t = [list(col) for col in zip(*adj)]
+    for reps, mat, a in ((lat.gamma, lat.M, adj), (lat.eta, lat.M.T, adj_t)):
+        assert reps.dtype == np.int64 and reps.shape == (lat.m, n) and not reps.flags.writeable
+        assert _box_codes(reps, mat).tolist() == list(range(lat.m))
+        assert len(set(map(tuple, reps.tolist()))) == lat.m
+        assert reps[0].tolist() == [0] * n
+        assert all(_in_unit_box(a, det, v) for v in reps.tolist())
+    diag = np.diag(lat.M)
+    if np.array_equal(lat.M, np.diag(diag)) and np.all(diag > 0):
+        assert lat.gamma.tolist() == [list(p) for p in itertools.product(*map(range, diag))]
+
+
+def _assert_rebuilt(lat: SamplingLattice, m: list[list[int]], keys, r, j):
+    """Each key is ``M^T r + eta_j``, in exact Python ints."""
+    n, eta = len(m), lat.eta.tolist()
+    for k, rr, jj in zip(keys, r.tolist(), j.tolist()):
+        assert k == [sum(m[i][c] * rr[i] for i in range(n)) + eta[jj][c] for c in range(n)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 3).flatmap(lambda n: _int_matrices(n, -3, 3)), data=st.data())
 def test_hermite_box_cosets_and_split_are_the_bounding_box_scans(m, data):
@@ -191,15 +218,45 @@ def test_hermite_box_cosets_and_split_are_the_bounding_box_scans(m, data):
         return
     lat = build_lattice(m)
     old = _oracle_lattice(lat)
-    # M, adj, det and m come from code the change left alone; the cosets are new
-    assert lat.gamma == old.gamma and lat.eta == old.eta and lat.m == len(old.gamma)
-    assert all(type(x) is int for rep in lat.gamma + lat.eta for x in rep)
-    keys = np.array(data.draw(st.lists(st.lists(st.integers(-60, 60), min_size=lat.n,
-                                                max_size=lat.n), max_size=40)),
-                    dtype=np.int64).reshape(-1, lat.n)
-    for new, ref in zip(lat.split(keys), oracle.split(old, keys)):
-        assert new.dtype == ref.dtype and new.shape == ref.shape
-        assert new.tobytes() == ref.tobytes()
+    # M, adj, det and m come from code the change left alone; the cosets are
+    # the scans' as sets, numbered by their Hermite box codes
+    assert lat.m == len(old.gamma)
+    assert set(map(tuple, lat.gamma.tolist())) == set(old.gamma)
+    assert set(map(tuple, lat.eta.tolist())) == set(old.eta)
+    _assert_box_order(lat, m)
+    keys = data.draw(st.lists(st.lists(st.integers(-60, 60), min_size=lat.n, max_size=lat.n),
+                              max_size=40))
+    r, j = lat.split(np.array(keys, dtype=np.int64).reshape(-1, lat.n))
+    r_old, j_old = oracle.split(old, np.array(keys, dtype=np.int64).reshape(-1, lat.n))
+    assert r.dtype == r_old.dtype and r.shape == r_old.shape and r.tobytes() == r_old.tobytes()
+    assert j.shape == j_old.shape
+    assert lat.eta[j].tolist() == np.array(old.eta, dtype=np.int64)[j_old].tolist()
+    _assert_rebuilt(lat, m, keys, r, j)
+
+
+def test_coset_enumeration_sorts_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sort in the coset enumeration")
+    for name in ("lexsort", "argsort", "sort", "unique"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(lattice, "sorted", refuse, raising=False)
+    m = [[2, 1, 0], [1, 3, 1], [0, -2, 2]]
+    _assert_box_order(build_lattice(m), m)
+
+
+def test_split_allocates_nothing_of_the_lattices_size():
+    # the split once rebuilt an m-entry table from eta's box codes every call
+    lat = build_lattice(1024 * np.eye(2, dtype=np.int64))
+    assert lat.m == 2**20
+    keys = np.arange(-10, 10, dtype=np.int64).reshape(10, 2) * 517
+    tracemalloc.start()
+    try:
+        r, j = lat.split(keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert (r * 1024 + lat.eta[j]).tolist() == keys.tolist()
 
 
 @st.composite
@@ -236,21 +293,14 @@ def _in_unit_box(adj, det, v) -> bool:
 def test_sheared_cosets_are_the_fundamental_domain_and_split_rebuilds_each_key(m, data):
     assert max(abs(x) for row in m for x in row) <= 2**40
     lat = build_lattice(m)
-    det, adj, n = _det_int(m), _adjugate_int(m), len(m)
-    adj_t = [list(col) for col in zip(*adj)]
-    assert lat.m == abs(det) <= 50
-    for reps, a in ((lat.gamma, adj), (lat.eta, adj_t)):
-        # m distinct points of M[0,1)^n (of M^T[0,1)^n), zero first, then in order
-        assert len(set(reps)) == len(reps) == lat.m
-        assert reps[0] == (0,) * n and list(reps[1:]) == sorted(reps[1:])
-        assert all(_in_unit_box(a, det, v) for v in reps)
+    adj_t = [list(col) for col in zip(*_adjugate_int(m))]
+    assert lat.m == abs(_det_int(m)) <= 50
+    _assert_box_order(lat, m)
     # inside _reduce's bound: a key's product with adj(M^T) stays under 2**63
     top = min(10**6, (2**63 - 1) // max(sum(map(abs, row)) for row in adj_t))
-    keys = data.draw(st.lists(st.lists(st.integers(-top, top), min_size=n, max_size=n),
+    keys = data.draw(st.lists(st.lists(st.integers(-top, top), min_size=len(m), max_size=len(m)),
                               min_size=1, max_size=30))
-    r, j = lat.split(np.array(keys, dtype=np.int64))
-    for k, rr, jj in zip(keys, r.tolist(), j.tolist()):
-        assert k == [sum(m[i][c] * rr[i] for i in range(n)) + lat.eta[jj][c] for c in range(n)]
+    _assert_rebuilt(lat, m, keys, *lat.split(np.array(keys, dtype=np.int64)))
 
 
 def test_a_sheared_unimodular_lattice_is_built_in_proportion_to_its_one_coset():
@@ -261,7 +311,7 @@ def test_a_sheared_unimodular_lattice_is_built_in_proportion_to_its_one_coset():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lat.gamma == lat.eta == ((0, 0),)
+    assert lat.gamma.tolist() == lat.eta.tolist() == [[0, 0]]
     assert peak < 2**20, peak
 
 
@@ -274,8 +324,9 @@ def test_a_lattice_with_a_vast_bounding_box_splits_by_its_hermite_box():
     keys = [[5, 7], [0, 0], [-3, 2**20], [2**21, -1], [-(2**21), 2**21 - 1]]
     r, j = lat.split(keys)
     assert sorted(set(j.tolist())) == [0, 1]
+    eta = lat.eta.tolist()
     for k, rr, jj in zip(keys, r.tolist(), j.tolist()):
-        assert k == [sum(m[i][c] * rr[i] for i in range(2)) + lat.eta[jj][c] for c in range(2)]
+        assert k == [sum(m[i][c] * rr[i] for i in range(2)) + eta[jj][c] for c in range(2)]
     # this one builds, but a point of M^T[0,1)^2 has an entry near 2**62, and
     # taking it to its Hermite box digits could pass 2**63
     big = build_lattice([[2**62, 2**62 - 2], [1, 1]])
@@ -293,7 +344,7 @@ def test_split_refuses_keys_whose_products_could_wrap_int64():
     with pytest.raises(ValueError, match=r"9223372036854775808 .*2\*\*63"):
         lat.split(np.array([[-(2**63), 0]], dtype=np.int64))
     r, j = lat.split([[2**62 - 1, -(2**62) + 1]])
-    assert r.tolist() == [[2**61 - 1, -(2**61)]] and lat.eta[int(j[0])] == (1, 1)
+    assert r.tolist() == [[2**61 - 1, -(2**61)]] and lat.eta[int(j[0])].tolist() == [1, 1]
     sheared = build_lattice([[2**31, 2**31 - 1], [2**31 + 1, 2**31]])
     assert sheared.m == 1
     with pytest.raises(ValueError, match=r"2\*\*63"):

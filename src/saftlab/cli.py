@@ -356,9 +356,10 @@ def _cmd_sis(args) -> int:
     # one pass over the shift table serves both sums and the Riesz verdict
     mags = _shift_values(model, wpts)
     g, u = np.sum(mags**2, axis=-1), np.sum(mags, axis=-1)
+    # a Grammian that overflowed is refused before any row is written
+    rep = _riesz_report(wpts, g)
     header = [",".join(f"w{i + 1}" for i in range(p.n)) + ",grammian,unsquared_sum"]
     summary = _emit_rows(args.out, header, np.column_stack([wpts, g, u]))
-    rep = _riesz_report(wpts, g)
     print(json.dumps({
         "lower": rep.eta1,
         "upper": rep.eta2,
@@ -396,14 +397,14 @@ def _load_dynsamp_inputs(args):
 
 
 def _cmd_dynsamp_check(args) -> int:
-    from .dynsamp import build_B_window, stability_report
+    from .dynsamp import build_B_window
 
     p, phi, filt, lat = _load_dynsamp_inputs(args)
     levels = _sample_levels(p, phi, filt, lat.m)
     # the cell mesh q/count is the solve grid of the window [0, count - 1]
     last = [args.cell_points - 1] * p.n
     field = build_B_window(p, lat, [0] * p.n, last, levels)
-    stab = field.stability if args.tol is None else stability_report(field, args.tol)
+    stab = field.stability
 
     m = lat.m
     header = [
@@ -647,13 +648,10 @@ def _cmd_selftest(args) -> int:
 # parser assembly and dispatch
 
 
-def _add_common(sp, *, out: str | None = "table", tol: bool = False, seed: bool = False) -> None:
+def _add_common(sp, *, out: str | None = "table", seed: bool = False) -> None:
     """The shared flags, offered only where the command reads them: a flag
     that is accepted and then ignored would be silently wrong.  `out` is
     "table" (stdout without --out), "file" (--out required) or None."""
-    if tol:
-        sp.add_argument("--tol", type=_positive(float), default=None,
-                        help="override the default tolerance of this command")
     if seed:
         sp.add_argument("--seed", type=_seed, default=0,
                         help="seed for the randomized trials")
@@ -706,7 +704,9 @@ def build_parser() -> _Parser:
     # is still not the default object and conflicts with --params
     blocks.add_argument("--dim", type=_positive(int), default="1",
                         help="dimension for random blocks")
-    _add_common(sp, tol=True, seed=True)
+    sp.add_argument("--tol", type=_positive(float), default=None,
+                    help="override the default tolerance of this command")
+    _add_common(sp, seed=True)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("sis", help="generator Grammian profile and Riesz verdict",
@@ -722,7 +722,7 @@ def build_parser() -> _Parser:
     sp = dsub.add_parser("check", help="scan the per-frequency channel matrix", parents=[system])
     sp.add_argument("--cell-points", type=_positive(int), default=17,
                     help="mesh nodes per axis over one frequency cell")
-    _add_common(sp, tol=True)
+    _add_common(sp)
     sp.set_defaults(func=_cmd_dynsamp_check)
 
     sp = dsub.add_parser("recover", help="recover coefficients from measurements",

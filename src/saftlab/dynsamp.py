@@ -86,6 +86,9 @@ SAMPLE_THRESHOLD = 1e-14
 #: a matrix field passes `stability_report` only with every condition number below this
 COND_MAX = 1e8
 
+#: ... and with every |det| above this fraction of its Hadamard bound, the product of its row norms
+DET_RTOL = 1e-8
+
 #: the solvers drop recovered coefficients at or below this fraction of the largest one
 RECOVERED_RTOL = 1e-12
 
@@ -112,7 +115,7 @@ class MatrixField:
 
     @cached_property
     def stability(self) -> StabilityReport:
-        """`stability_report` at its default margin, scanned once per field."""
+        """`stability_report`, scanned once per field."""
         return stability_report(self)
 
 
@@ -318,11 +321,11 @@ def build_D(model: SisModel, a, lat: SamplingLattice, wpts) -> MatrixField:
     return MatrixField(wpoints=wpts, entries=np.stack(rows, axis=1))
 
 
-def stability_report(field: MatrixField, det_rtol: float = 1e-8) -> StabilityReport:
+def stability_report(field: MatrixField) -> StabilityReport:
     """Pointwise invertibility scan of a matrix field: the one verdict that
     `dynsamp check` reports and both solvers enforce.
 
-    Pass requires ``|det| > det_rtol * prod(row norms)`` (a scale-free
+    Pass requires ``|det| > DET_RTOL * prod(row norms)`` (a scale-free
     Hadamard-style margin) and condition number below `COND_MAX` at every
     grid point.  Raises ValueError at the first point whose entries or
     determinant are not finite, which no margin can judge.
@@ -339,7 +342,7 @@ def stability_report(field: MatrixField, det_rtol: float = 1e-8) -> StabilityRep
     with np.errstate(divide="ignore", invalid="ignore"):
         conds = np.linalg.cond(ent)
     conds = np.where(np.isfinite(conds), conds, np.inf)
-    margin = dets - det_rtol * hadamard
+    margin = dets - DET_RTOL * hadamard
     # |det| ties in exact arithmetic differ in the last bits: take the first node
     i_det = int(np.argmax(dets <= dets.min() * (1 + 4 * np.finfo(float).eps)))
     max_cond = float(conds.max())

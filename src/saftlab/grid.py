@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -358,27 +358,9 @@ def _gen_gaussian(pts, sigma=1.0, center=0.0, modulation=None, chirp=None):
     return vals
 
 
-def _gen_tent(pts, center=0.5, width=0.5):
-    # product of unit-peak hats, each supported on [center-width, center+width]
-    n = pts.shape[-1]
-    center = _as_vector(center, n, "center")
-    width = _as_vector(width, n, "width")
-    vals = np.prod(np.maximum(0.0, 1.0 - np.abs((pts - center) / width)), axis=-1)
-    return vals.astype(complex)
-
-
-#: pointwise generators ``fn(points, **params) -> values`` by name
-_GENERATORS: dict[str, Callable] = {
-    "gaussian": _gen_gaussian,
-    "tent": _gen_tent,
-}
-
-
 def sample_generator(name: str, grid: GridFn, **params) -> GridFn:
-    """Evaluate a named analytic generator (``gaussian`` or ``tent``) at the
-    grid's cell centers; ``params`` are the generator's keyword arguments."""
-    try:
-        fn = _GENERATORS[name]
-    except KeyError:
-        raise ValueError(f"unknown generator {name!r}; known: {sorted(_GENERATORS)}") from None
-    return grid.with_values(fn(grid.points(), **params))
+    """Evaluate a named analytic generator (only ``gaussian``) at the grid's
+    cell centers; ``params`` are the generator's keyword arguments."""
+    if name != "gaussian":
+        raise ValueError(f"unknown generator {name!r}; known: ['gaussian']")
+    return grid.with_values(_gen_gaussian(grid.points(), **params))

@@ -184,14 +184,21 @@ def riesz_bounds(model: SisModel, wpts) -> RieszReport:
     fundamental cell.
 
     ``eta1 > RIESZ_RTOL * eta2`` is the pass condition; a vanishing lower
-    bound means the translates fail to form a Riesz family.
+    bound means the translates fail to form a Riesz family.  A Grammian
+    value that is not finite raises ValueError naming its point.
     """
     flat = np.asarray(wpts, dtype=float).reshape(-1, model.params.n)
     return _riesz_report(flat, grammian(model, flat))
 
 
 def _riesz_report(flat: np.ndarray, g: np.ndarray) -> RieszReport:
-    """The `riesz_bounds` verdict from Grammian values ``g`` at the points ``flat``."""
+    """The `riesz_bounds` verdict from Grammian values ``g`` at the points
+    ``flat``.  Raises ValueError at the first point whose value is not
+    finite, which no bound can judge."""
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise ValueError(f"Grammian overflows at w = {flat[bad[0]].tolist()}: "
+                         "its value is not finite")
     i_min = int(np.argmin(g))
     i_max = int(np.argmax(g))
     eta1 = float(g[i_min])

@@ -503,6 +503,18 @@ def test_dynsamp_refuses_an_overflowing_field(work, tmp_path, capsys, block, com
     assert not out.exists()
 
 
+def test_sis_refuses_a_grammian_that_overflows(work, tmp_path, capsys):
+    # a finite generator whose squared spectrum overflows once wrote a table
+    # of inf, printed "lower": Infinity and exited 2 as a vanishing bound
+    g = sample_generator("gaussian", sampling_grid(2, 16, n=1), sigma=0.5)
+    write_grid(tmp_path / "big.grid", g.with_values(g.values * 1e160))
+    out = tmp_path / "gram.csv"
+    err = _refused(capsys, ["sis", "--params", str(work / "ft1.json"),
+                            "--phi", str(tmp_path / "big.grid"), "--out", str(out)], 1)
+    assert err == "error: Grammian overflows at w = [0.0]: its value is not finite"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def work2(tmp_path_factory):
     """A 2-D block, generator, filter and measurement file."""
@@ -1111,9 +1123,6 @@ def test_measurements_with_a_repeated_index_exit_1(work, tmp_path, capsys):
     ("verify", "--tol=-1"),
     ("verify", "--tol=nan"),
     ("verify", "--tol=inf"),
-    ("dynsamp check", "--tol=-1"),
-    ("dynsamp check", "--tol=nan"),
-    ("dynsamp check", "--tol=inf"),
     ("repro", "--threshold=-1"),
     ("repro", "--threshold=0"),
     ("repro", "--threshold=nan"),
@@ -1148,6 +1157,11 @@ def test_non_positive_counts_and_cuts_are_usage_errors(work, tmp_path, capsys, c
     ("sis", "--seed=1"),
     ("sis", "--report=x.csv"),  # the Grammian CSV goes to --out
     ("dynsamp check", "--seed=1"),
+    # one threshold judges every channel field: the check's is the solvers'
+    ("dynsamp check", "--tol=1e-3"),
+    ("dynsamp check", "--tol=-1"),
+    ("dynsamp check", "--tol=nan"),
+    ("dynsamp check", "--tol=inf"),
     ("dynsamp recover", "--tol=1e-3"),
     ("repro", "--tol=1e-3"),
     ("repro", "--seed=1"),

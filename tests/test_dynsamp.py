@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 
 import saftlab
 from saftlab.dynsamp import (
+    COND_MAX,
+    DET_RTOL,
     MatrixField,
     MeasurementSet,
     build_B_from_samples,
@@ -182,8 +184,14 @@ def test_stability_report_pass_and_margin_knob():
     rep = stability_report(field)
     assert rep.ok and rep.verdict == "pass"
     assert rep.min_abs_det > 0
-    # an absurd margin requirement must flip the verdict
-    assert not stability_report(field, det_rtol=1e3).ok
+    # rows e1, e1 + 1e-5 e2 and e1 + 1e-5 e3: |det| is 1e-10 of the Hadamard
+    # bound while cond is 3e5, so the margin alone fails it (for m <= 2,
+    # |det| / prod(row norms) >= 1 / cond, so it cannot fail alone there)
+    rows = np.eye(3)[[0, 0, 0]] + 1e-5 * np.diag([0, 1, 1])
+    near = MatrixField(wpoints=np.zeros((1, 1)), entries=rows.astype(complex)[None])
+    rep = stability_report(near)
+    assert rep.max_cond < COND_MAX and not rep.ok
+    assert np.abs(rep.det[0]) / np.prod(np.linalg.norm(near.entries[0], axis=1)) < DET_RTOL
 
 
 @pytest.mark.parametrize("order", [(2, 3), (3, 2)])
@@ -305,7 +313,7 @@ def test_recover_discrete_exact_1d(seed):
     ms = measure_from_samples(p, lat, c, phi_levels)
     lo, hi = _r_window(lat, c, pad=1)
     field = build_B_window(p, lat, lo, hi, phi_levels)
-    assert stability_report(field, det_rtol=1e-10).ok
+    assert field.stability.ok
     rec = recover_discrete(ms, field, window=(lo, hi))
     assert field.stability.min_abs_det > 0
     for k in c.entries:
@@ -323,7 +331,7 @@ def test_recover_discrete_exact_2d_chirped():
     ms = measure_from_samples(p, lat, c, phi_levels)
     lo, hi = _r_window(lat, c, pad=1)
     field = build_B_window(p, lat, lo, hi, phi_levels)
-    assert stability_report(field, det_rtol=1e-10).ok
+    assert field.stability.ok
     rec = recover_discrete(ms, field, window=(lo, hi))
     for k in c.entries:
         assert abs(rec.get(k) - c.get(k)) < 1e-9
@@ -633,7 +641,6 @@ def test_measurement_set_channel_count():
 #: defaulted fields of every dataclass, per module; each is an option that
 #: some caller sets, so adding one means adding it here
 KNOBS = {
-    "dynsamp": {"stability_report": ("det_rtol",)},
     "grid": {"sampling_grid": ("n",), "dft": ("sign", "out")},
     "params": {"SaftParams.is_chirp_free": ("tol",), "validate": ("tol",), "preset": ("n",)},
     "repro": {

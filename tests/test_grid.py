@@ -313,14 +313,6 @@ def test_gaussian_generator_modulation_and_chirp():
     assert np.max(np.abs(f.values.reshape(-1) - want)) < 1e-14
 
 
-def test_tent_generator_support():
-    g = sampling_grid(2, 16)
-    f = sample_generator("tent", g, center=0.0, width=1.0)
-    xs = g.points().reshape(-1, g.n)[:, 0]
-    vals = f.values.reshape(-1)
-    assert np.allclose(vals, np.maximum(0, 1 - np.abs(xs)))
-
-
 def test_unknown_generator_raises():
     with pytest.raises(ValueError):
         sample_generator("nope", sampling_grid(1, 2))

@@ -34,17 +34,22 @@ ALLOWED = {
 _NAMES = {"matmul", "dot", "einsum"}
 
 
-def _product_sites(path: Path) -> set[tuple[str, str, int]]:
+def _is_product(node) -> bool:
+    return (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _NAMES)
+
+
+def _sites(path: Path, match=_is_product) -> set[tuple[str, str, int]]:
     """(file, qualified name of the enclosing top-level function or method,
-    line) of each product; a nested helper counts as its parent."""
+    line) of each node that `match` accepts, by default each product; a
+    nested helper counts as its parent."""
     sites = set()
 
     def visit(node, scope, in_function):
         if not in_function and isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope, in_function = scope + (node.name,), isinstance(node, ast.FunctionDef)
-        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
-                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _NAMES):
+        if match(node):
             sites.add((path.name, ".".join(scope) or "<module>", node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope, in_function)
@@ -55,7 +60,7 @@ def _product_sites(path: Path) -> set[tuple[str, str, int]]:
 
 def test_matrix_products_stay_in_the_listed_functions():
     src = Path(saftlab.__file__).parent
-    sites = set().union(*(_product_sites(f) for f in sorted(src.glob("*.py"))))
+    sites = set().union(*(_sites(f) for f in sorted(src.glob("*.py"))))
     stray = sorted(s for s in sites if s[:2] not in ALLOWED)
     assert not stray, f"matrix products outside the allowed functions: {stray}"
     assert {s[:2] for s in sites} == ALLOWED, "an allowed function no longer forms a product"
@@ -96,3 +101,15 @@ def test_one_stability_scan_takes_the_field_determinants():
         sites = [s for f in ("dynsamp.py", "repro.py", "cli.py")
                  for s in _linalg_sites(src / f, name)]
         assert len(sites) == 1 and sites[0][0] == "dynsamp.py", (name, sites)
+
+
+def test_one_verdict_threshold_judges_every_field():
+    # stability_report is called once, by the cached MatrixField.stability
+    # that both solvers, repro and the CLI read: no caller scans a field again
+    def calls_report(node):
+        return isinstance(node, ast.Call) and "stability_report" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    src = Path(saftlab.__file__).parent
+    sites = set().union(*(_sites(f, calls_report) for f in sorted(src.glob("*.py"))))
+    assert [s[:2] for s in sites] == [("dynsamp.py", "MatrixField.stability")], sites

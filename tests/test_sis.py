@@ -91,11 +91,9 @@ def test_spectrum_fn_bypasses_quadrature_and_mask():
 def test_build_sis_rejects_undecayed_generator():
     p = preset("ft", 1)
     g = sampling_grid(4, 8)
-    # sigma = 3 leaves visible mass at the 4-unit boundary in frequency:
-    # the transform 3 exp(-9 pi w^2) is fine, but the *time* window is the
-    # issue -- its transform is computed on the reciprocal window whose edge
-    # value is far above DECAY_TOL times the peak
-    phi = sample_generator("tent", g, center=0.0, width=0.25)  # hat: spectrum ~ sinc^2, slow decay
+    # a hat of half-width 0.25: its spectrum ~ sinc^2 decays slowly, so its
+    # value at the reciprocal window's edge is far above DECAY_TOL times the peak
+    phi = g.with_values(np.maximum(0.0, 1.0 - np.abs(g.points()[..., 0] / 0.25)).astype(complex))
     with pytest.raises(ValueError):
         build_sis(p, phi)
 

@@ -1,7 +1,7 @@
 """CI runs one job: every Python and the numpy floor are configurations of
 its matrix, so each step is written once.
 
-PyYAML is not among the test dependencies, so without it these tests skip.
+CI installs PyYAML to run these tests; without it they skip.
 """
 
 from pathlib import Path
@@ -39,7 +39,7 @@ def test_one_job_whose_matrix_is_the_five_configurations(jobs):
 
 def test_the_install_step_takes_numpy_from_the_matrix(jobs):
     installs = [s["run"] for s in jobs["tests"]["steps"] if "pip install" in s.get("run", "")]
-    assert installs == ['python -m pip install "${{ matrix.numpy }}" pytest hypothesis']
+    assert installs == ['python -m pip install "${{ matrix.numpy }}" pytest hypothesis pyyaml']
 
 
 def test_no_two_steps_share_a_script(jobs):
